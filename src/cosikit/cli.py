@@ -35,7 +35,7 @@ from .engine import (
     encode_message,
 )
 from .group import KeyPair, Signature, SelfSignedKey, group_by_name, keygen as gen_key, prove_possession
-from .multisig import MODE_NO_RESTART, MODE_RESTART, CollectiveSignature
+from .multisig import CollectiveSignature
 from .participation import Threshold, load_predicate
 from .roster import RosterEntry, WitnessRoster, build_roster, load_roster, save_roster
 from .timestamp import StampReceipt, TimestampAuthority, verify_receipt
@@ -47,9 +47,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
-
-_MODE_NAMES = {"restart": MODE_RESTART, "norestart": MODE_NO_RESTART}
-
 
 class UsageError(Exception):
     pass
@@ -283,7 +280,7 @@ def _build_runtime(args) -> tuple[NodeRuntime, WitnessRoster, int]:
     listen = args.listen or roster.entries[index].endpoint
     if listen is None:
         raise UsageError("no listen address (use --listen or roster endpoints)")
-    hook = engine.HOOKS[args.policy]() if getattr(args, "policy", None) else None
+    hook = engine.make_validation_hook(args.policy) if getattr(args, "policy", None) else None
     node = SigningNode(index, roster, keypair, random.SystemRandom(),
                        validation_hook=hook)
     runtime = NodeRuntime(node, roster, listen)
@@ -360,7 +357,7 @@ def cmd_sign(args) -> int:
     # collides with witness state left over from an earlier round
     round_number = args.round if args.round is not None else int(time.time())
     config = RoundConfig(
-        round_number=round_number, mode=_MODE_NAMES[args.mode],
+        round_number=round_number, mode=simnet._MODE_NAMES[args.mode],
         branching=args.branching, max_restarts=args.max_restarts,
         min_participants=args.min_participants, rtt_hint=args.rtt,
     )
@@ -407,7 +404,7 @@ def cmd_run_leader(args) -> int:
 
     def signer(statement: bytes):
         config = RoundConfig(
-            round_number=rounds["n"], mode=_MODE_NAMES[args.mode],
+            round_number=rounds["n"], mode=simnet._MODE_NAMES[args.mode],
             statement_timing=engine.STATEMENT_AT_CHALLENGE,
             branching=args.branching, max_restarts=args.max_restarts,
             min_participants=args.min_participants, rtt_hint=args.rtt,
@@ -419,7 +416,7 @@ def cmd_run_leader(args) -> int:
             return None
         return result.signature
 
-    authority = TimestampAuthority(signer, round_period=args.period)
+    authority = TimestampAuthority(signer)
     print(f"timestamp leader up; round every {args.period}s")
     try:
         while True:
@@ -541,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--roster", required=True)
         p.add_argument("--key", required=True)
         p.add_argument("--listen")
-        p.add_argument("--mode", choices=sorted(_MODE_NAMES), default="restart")
+        p.add_argument("--mode", choices=sorted(simnet._MODE_NAMES), default="restart")
         p.add_argument("--branching", type=int, default=3)
         p.add_argument("--max-restarts", type=int, default=2)
         p.add_argument("--min-participants", type=int, default=1)

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Optional
 
 from . import multisig, participation
 from .group import GroupElement, KeyPair, Scalar, Signature, schnorr_sign, schnorr_verify
+from .merkle import DIGEST_SIZE
 from .multisig import (
     MODE_NO_RESTART,
     MODE_RESTART,
@@ -32,6 +33,7 @@ from .multisig import (
     CommitTreeProof,
     commit_leaf_digest,
     commit_node_digest,
+    commit_step,
     fold_commit_proof,
 )
 from .participation import ParticipationSet
@@ -48,8 +50,6 @@ PHASE_RESPONSE = "response"
 PHASE_DONE = "done"
 PHASE_REFUSED = "refused"
 
-DIGEST = 32
-
 
 class EngineError(RuntimeError):
     pass
@@ -65,7 +65,6 @@ class RoundConfig:
     min_participants: int = 1
     rtt_hint: float = 0.2
     phase_timeout: float | None = None  # per-level wait; default 4 x rtt_hint
-    validation_policy: str = "accept-all"
 
     def __post_init__(self):
         if self.max_restarts < 0:
@@ -134,11 +133,21 @@ def chain_record(seq: int, prev_hash: bytes, payload: bytes) -> bytes:
     return seq.to_bytes(8, "big") + prev_hash + payload
 
 
-HOOKS: dict[str, Callable[[], Callable]] = {
-    "accept-all": lambda: accept_all,
+# Hook factories by policy name; each takes the clock skew that the
+# timestamp-window policy allows.
+HOOKS: dict[str, Callable[[float], Callable]] = {
+    "accept-all": lambda skew: accept_all,
     "timestamp-window": make_timestamp_window_hook,
-    "hash-chain": make_hash_chain_hook,
+    "hash-chain": lambda skew: make_hash_chain_hook(),
 }
+
+
+def make_validation_hook(policy: str, skew: float = 60.0):
+    """A fresh hook for the policy registered under `policy` in `HOOKS`."""
+    factory = HOOKS.get(policy)
+    if factory is None:
+        raise ValueError(f"unknown validation policy {policy!r}")
+    return factory(skew)
 
 
 # ---------------------------------------------------------------------------
@@ -208,24 +217,9 @@ def _dec_opt_bytes(r: _Reader) -> Optional[bytes]:
     return r.take(r.u32())
 
 
-def _enc_steps(steps: tuple[CommitStep, ...]) -> bytes:
-    out = [_u16(len(steps))]
-    for s in steps:
-        out.append(_u16(s.position))
-        out.append(_u16(len(s.others)))
-        out.extend(s.others)
-    return b"".join(out)
-
-
-def _dec_steps(r: _Reader) -> tuple[CommitStep, ...]:
-    n = r.u16()
-    steps = []
-    for _ in range(n):
-        pos = r.u16()
-        k = r.u16()
-        others = tuple(r.take(DIGEST) for _ in range(k))
-        steps.append(CommitStep(pos, others))
-    return tuple(steps)
+def _dec_proof(r: _Reader) -> CommitTreeProof:
+    proof, r.off = CommitTreeProof.decode(r.data, r.off)
+    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +263,7 @@ class Announce:
     def decode_body(cls, r: _Reader, group) -> "Announce":
         return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), mode=r.u8(),
                    timing=r.u8(), branching=r.u16(), timeout_ms=r.u32(),
-                   topology_digest=r.take(DIGEST), failed=_dec_idxset(r),
+                   topology_digest=r.take(DIGEST_SIZE), failed=_dec_idxset(r),
                    sender=r.u32(), statement=_dec_opt_bytes(r))
 
 
@@ -299,9 +293,9 @@ class SubtreeSummary:
         index = r.u32()
         commit = group.decode_element(r.take(group.element_size))
         aggregate = group.decode_element(r.take(group.element_size))
-        tree_hash = r.take(DIGEST)
+        tree_hash = r.take(DIGEST_SIZE)
         n = r.u16()
-        contribs = tuple((r.u32(), r.take(DIGEST)) for _ in range(n))
+        contribs = tuple((r.u32(), r.take(DIGEST_SIZE)) for _ in range(n))
         absent = _dec_idxset(r)
         return cls(index, commit, aggregate, tree_hash, contribs, absent)
 
@@ -335,7 +329,7 @@ class Commit:
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
         aggregate = group.decode_element(r.take(group.element_size))
         commit = group.decode_element(r.take(group.element_size))
-        tree_hash = r.take(DIGEST)
+        tree_hash = r.take(DIGEST_SIZE)
         absent = _dec_idxset(r)
         failed = _dec_idxset(r)
         refused = _dec_idxset(r)
@@ -355,7 +349,7 @@ class Challenge:
     aggregate_commit: GroupElement
     commit_root: Optional[bytes]
     statement: Optional[bytes]
-    steps: tuple[CommitStep, ...]  # path from the root's level down to the recipient
+    proof: CommitTreeProof  # the recipient's subtree hash up to the commit root
 
     tag = TAG_CHALLENGE
 
@@ -364,7 +358,7 @@ class Challenge:
                 + _u32(self.sender) + self.challenge.encode()
                 + self.aggregate_commit.encode()
                 + _enc_opt_bytes(self.commit_root) + _enc_opt_bytes(self.statement)
-                + _enc_steps(self.steps))
+                + self.proof.encode())
 
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "Challenge":
@@ -373,26 +367,9 @@ class Challenge:
         aggregate = group.decode_element(r.take(group.element_size))
         root = _dec_opt_bytes(r)
         statement = _dec_opt_bytes(r)
-        steps = _dec_steps(r)
+        proof = _dec_proof(r)
         return cls(view, rnd, attempt, sender, challenge, aggregate, root,
-                   statement, steps)
-
-
-@dataclass(frozen=True)
-class WireException:
-    index: int
-    commit: GroupElement
-    steps: tuple[CommitStep, ...]
-
-    def encode(self) -> bytes:
-        return _u32(self.index) + self.commit.encode() + _enc_steps(self.steps)
-
-    @classmethod
-    def decode(cls, r: _Reader, group) -> "WireException":
-        index = r.u32()
-        commit = group.decode_element(r.take(group.element_size))
-        steps = _dec_steps(r)
-        return cls(index, commit, steps)
+                   statement, proof)
 
 
 @dataclass(frozen=True)
@@ -405,7 +382,7 @@ class Response:
     absent: frozenset[int]  # response-phase dropouts within the sender's subtree
     failed: frozenset[int]
     refused: frozenset[int]
-    exceptions: tuple[WireException, ...]
+    exceptions: tuple[CommitException, ...]  # proofs anchored at the sender's hash
 
     tag = TAG_RESPONSE
 
@@ -414,7 +391,8 @@ class Response:
                self.aggregate_response.encode(), _enc_idxset(self.absent),
                _enc_idxset(self.failed), _enc_idxset(self.refused),
                _u16(len(self.exceptions))]
-        out.extend(e.encode() for e in self.exceptions)
+        for e in self.exceptions:
+            out.extend((_u32(e.index), e.commit.encode(), e.proof.encode()))
         return b"".join(out)
 
     @classmethod
@@ -424,9 +402,13 @@ class Response:
         absent = _dec_idxset(r)
         failed = _dec_idxset(r)
         refused = _dec_idxset(r)
-        n = r.u16()
-        exceptions = tuple(WireException.decode(r, group) for _ in range(n))
-        return cls(view, rnd, attempt, sender, agg, absent, failed, refused, exceptions)
+        exceptions = []
+        for _ in range(r.u16()):
+            index = r.u32()
+            commit = group.decode_element(r.take(group.element_size))
+            exceptions.append(CommitException(index, commit, _dec_proof(r)))
+        return cls(view, rnd, attempt, sender, agg, absent, failed, refused,
+                   tuple(exceptions))
 
 
 REFUSE_STATEMENT = 0
@@ -482,7 +464,7 @@ class StampRequest:
 
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "StampRequest":
-        return cls(digest=r.take(DIGEST))
+        return cls(digest=r.take(DIGEST_SIZE))
 
 
 @dataclass(frozen=True)
@@ -621,13 +603,13 @@ class _RoundState:
     challenge: Optional[Scalar] = None
     commit_root: Optional[bytes] = None
     global_commit: Optional[GroupElement] = None
-    proof_steps: tuple = ()
+    proof: CommitTreeProof = CommitTreeProof(())  # this node's hash up to the root
     return_to: Optional[int] = None  # where the response goes (may be a bridger)
 
     pending_resp: set = field(default_factory=set)
     resp_shares: dict = field(default_factory=dict)  # index -> Scalar aggregate
     resp_absent: set = field(default_factory=set)
-    exceptions: list = field(default_factory=list)  # WireException, anchored at this node
+    exceptions: list = field(default_factory=list)  # CommitException, anchored at this node
     unresolvable: Optional[str] = None
     sent_response: Optional[Response] = None
 
@@ -661,8 +643,7 @@ class SigningNode:
     """State machine for one roster member (leader and witness roles)."""
 
     def __init__(self, index: int, roster: WitnessRoster, keypair: KeyPair, rng,
-                 validation_hook: Callable[[bytes, ValidationContext], bool] | None = None,
-                 allow_minority_views: bool = False):
+                 validation_hook: Callable[[bytes, ValidationContext], bool] | None = None):
         if roster.public_key(index) != keypair.public:
             raise EngineError("keypair does not match the roster entry")
         self.index = index
@@ -672,7 +653,6 @@ class SigningNode:
         self.rng = rng
         self.hook = validation_hook or accept_all
         self.hook_store: dict = {}
-        self.allow_minority_views = allow_minority_views
 
         self.current_view = 0
         self.view_votes: dict[int, dict[int, Signature]] = {}
@@ -799,7 +779,10 @@ class SigningNode:
 
         if st.parent is None:
             return self._leader_after_commit(st, now)
-        summaries = tuple(self._summary_of(st, c) for c in contributors)
+        return self._send_commit(st)
+
+    def _send_commit(self, st: _RoundState) -> list:
+        summaries = tuple(self._summary_of(st, c) for c in st.contributors)
         msg = Commit(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             aggregate=st.aggregate_commit, commit=st.own_commit,
@@ -818,9 +801,7 @@ class SigningNode:
 
     def _step_for(self, st: _RoundState, child: int) -> CommitStep:
         """Audit step placing `child`'s subtree hash within this node's inputs."""
-        pos = 1 + st.contributors.index(child)
-        others = tuple(st.inputs[:pos] + st.inputs[pos + 1:])
-        return CommitStep(pos, others)
+        return commit_step(st.inputs, 1 + st.contributors.index(child))
 
     # ------------------------------------------------------------------
     # Message handling
@@ -866,7 +847,7 @@ class SigningNode:
                                                 reason=REFUSE_STATEMENT))]
             st.parent = msg.sender
             if st.phase != PHASE_COMMIT and st.tree_hash is not None:
-                return self._finalize_commit_resend(st)
+                return self._send_commit(st)
             return []
         leader = view_leader(self.roster, msg.view)
         topo = tree_for(len(self.roster), msg.branching, leader, msg.failed)
@@ -897,17 +878,6 @@ class SigningNode:
             effects.append(Send(child, announce_down))
         effects.extend(self._begin_participation(st, now))
         return effects
-
-    def _finalize_commit_resend(self, st: _RoundState) -> list:
-        summaries = tuple(self._summary_of(st, c) for c in st.contributors)
-        msg = Commit(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate=st.aggregate_commit, commit=st.own_commit,
-            tree_hash=st.tree_hash, absent=frozenset(st.absent),
-            failed=frozenset(st.failed), refused=frozenset(st.refused),
-            summaries=summaries,
-        )
-        return [Send(st.parent, msg)]
 
     # -- commit collection --
 
@@ -995,11 +965,10 @@ class SigningNode:
                 return [Send(st.return_to, st.sent_response)]
             return []
 
-        statement = st.statement
+        statement = msg.statement if st.timing == STATEMENT_AT_CHALLENGE else st.statement
+        if statement is None:
+            return []
         if st.timing == STATEMENT_AT_CHALLENGE:
-            if msg.statement is None:
-                return []
-            statement = msg.statement
             if not self.hook(statement, self._ctx(now)):
                 st.phase = PHASE_REFUSED
                 return [Send(msg.sender, Refuse(view=st.key[0], round=st.key[1],
@@ -1007,23 +976,23 @@ class SigningNode:
                                                 reason=REFUSE_STATEMENT))]
             st.statement = statement
 
-        if st.mode == MODE_NO_RESTART:
-            if msg.commit_root is None:
-                return []
-            # Verify our own commit's inclusion before releasing a response.
-            anchored = fold_commit_proof(st.tree_hash, CommitTreeProof(msg.steps))
-            expect = multisig.collective_challenge(msg.aggregate_commit, statement,
-                                                   msg.commit_root)
-            if anchored != msg.commit_root or expect.value != msg.challenge.value:
-                st.phase = PHASE_REFUSED
-                return [Send(msg.sender, Refuse(view=st.key[0], round=st.key[1],
-                                                attempt=st.key[2], sender=self.index,
-                                                reason=REFUSE_PROOF))]
+        # In either mode, answer only the challenge that the validated statement
+        # implies; in no-restart mode our own commit must also reach the root.
+        root = msg.commit_root if st.mode == MODE_NO_RESTART else None
+        if st.mode == MODE_NO_RESTART and root is None:
+            return []
+        expect = multisig.collective_challenge(msg.aggregate_commit, statement, root)
+        if expect.value != msg.challenge.value or (
+                root is not None and fold_commit_proof(st.tree_hash, msg.proof) != root):
+            st.phase = PHASE_REFUSED
+            return [Send(msg.sender, Refuse(view=st.key[0], round=st.key[1],
+                                            attempt=st.key[2], sender=self.index,
+                                            reason=REFUSE_PROOF))]
 
         st.challenge = msg.challenge
-        st.commit_root = msg.commit_root
+        st.commit_root = root
         st.global_commit = msg.aggregate_commit
-        st.proof_steps = msg.steps
+        st.proof = msg.proof
         st.return_to = msg.sender
         self.nonce_log.append(st.key + (st.nonce.value, msg.challenge.value))
         return self._challenge_descend(st, statement, now)
@@ -1041,13 +1010,13 @@ class SigningNode:
     def _challenge_msg_for(self, st: _RoundState, child: int, statement) -> Challenge:
         # Audit paths fold bottom-up: the recipient's first step places it
         # within this node's inputs, then our own received path continues.
-        steps = (self._step_for(st, child),) + st.proof_steps
+        proof = CommitTreeProof((self._step_for(st, child),) + st.proof.steps)
         return Challenge(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             challenge=st.challenge, aggregate_commit=st.global_commit,
             commit_root=st.commit_root,
             statement=statement if st.timing == STATEMENT_AT_CHALLENGE else None,
-            steps=steps,
+            proof=proof,
         )
 
     # -- response collection --
@@ -1091,8 +1060,8 @@ class SigningNode:
         st.refused |= msg.refused
         anchor = self._anchor_steps_for(st, msg.sender)
         for exc in msg.exceptions:
-            st.exceptions.append(WireException(exc.index, exc.commit,
-                                               exc.steps + anchor))
+            st.exceptions.append(CommitException(
+                exc.index, exc.commit, CommitTreeProof(exc.proof.steps + anchor)))
         if not st.pending_resp:
             return self._finalize_response(st, now)
         return []
@@ -1116,8 +1085,7 @@ class SigningNode:
             return False
         present = rec.participants - msg.absent
         for exc in msg.exceptions:
-            if fold_commit_proof(commit_leaf_digest(exc.commit),
-                                 CommitTreeProof(exc.steps)) != rec.tree_hash:
+            if not multisig.verify_commit_inclusion(rec.tree_hash, exc.commit, exc.proof):
                 return False
         key = multisig.aggregate_public_key(self.roster, present)
         expected = rec.aggregate
@@ -1146,10 +1114,10 @@ class SigningNode:
             own_contribs = sorted(rec.summaries)
             exc_steps: tuple[CommitStep, ...] = ()
             if own_contribs:
-                exc_steps = (CommitStep(0, tuple(rec.summaries[i].tree_hash
-                                                 for i in own_contribs)),)
+                exc_steps = (commit_step(self._record_inputs(rec), 0),)
             exc_steps = exc_steps + (self._step_for(st, child),)
-            st.exceptions.append(WireException(child, rec.commit, exc_steps))
+            st.exceptions.append(CommitException(child, rec.commit,
+                                                 CommitTreeProof(exc_steps)))
             st.resp_absent.add(child)
             if crashed:
                 st.failed.add(child)
@@ -1174,7 +1142,8 @@ class SigningNode:
                 holder = self._record_holding_summary(st, child)
                 exc_steps = (self._summary_step(holder, child),
                              self._step_for(st, holder.index))
-                st.exceptions.append(WireException(child, summary.commit, exc_steps))
+                st.exceptions.append(CommitException(child, summary.commit,
+                                                     CommitTreeProof(exc_steps)))
                 st.resp_absent.add(child)
                 if crashed:
                     st.failed.add(child)
@@ -1188,14 +1157,15 @@ class SigningNode:
                 return rec
         raise EngineError(f"no record holds a summary for {index}")
 
+    @staticmethod
+    def _record_inputs(rec: _CommitRecord) -> list[bytes]:
+        """`rec`'s node inputs: its own commit leaf, then its contributors' hashes."""
+        return [commit_leaf_digest(rec.commit)] + [rec.summaries[i].tree_hash
+                                                   for i in sorted(rec.summaries)]
+
     def _summary_step(self, rec: _CommitRecord, child: int) -> CommitStep:
         """Audit step placing `child`'s hash within `rec`'s node inputs."""
-        contribs = sorted(rec.summaries)
-        pos = 1 + contribs.index(child)
-        inputs = [commit_leaf_digest(rec.commit)] + [rec.summaries[i].tree_hash
-                                                     for i in contribs]
-        others = tuple(inputs[:pos] + inputs[pos + 1:])
-        return CommitStep(pos, others)
+        return commit_step(self._record_inputs(rec), 1 + sorted(rec.summaries).index(child))
 
     def _bridged_challenge(self, st: _RoundState, step_in_child: CommitStep,
                            step_here: CommitStep) -> Challenge:
@@ -1204,7 +1174,7 @@ class SigningNode:
             challenge=st.challenge, aggregate_commit=st.global_commit,
             commit_root=st.commit_root,
             statement=st.statement if st.timing == STATEMENT_AT_CHALLENGE else None,
-            steps=(step_in_child, step_here) + st.proof_steps,
+            proof=CommitTreeProof((step_in_child, step_here) + st.proof.steps),
         )
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
@@ -1264,7 +1234,6 @@ class SigningNode:
                                                      root)
         st.commit_root = root
         st.global_commit = st.aggregate_commit
-        st.proof_steps = ()
         self.nonce_log.append(st.key + (st.nonce.value, st.challenge.value))
         return self._challenge_descend(st, st.statement, now)
 
@@ -1299,10 +1268,7 @@ class SigningNode:
         pset = ParticipationSet(count=len(self.roster),
                                 response_present=frozenset(response_present),
                                 commit_present=st.participants)
-        exceptions = tuple(
-            CommitException(e.index, e.commit, CommitTreeProof(e.steps))
-            for e in sorted(st.exceptions, key=lambda e: e.index)
-        )
+        exceptions = tuple(sorted(st.exceptions, key=lambda e: e.index))
         sig = CollectiveSignature(
             group=self.group, mode=st.mode, challenge=st.challenge, response=total,
             participation=pset, commit_root=st.commit_root, exceptions=exceptions,
@@ -1355,7 +1321,7 @@ class SigningNode:
             return []
         votes = self.view_votes.setdefault(msg.proposed_view, {})
         votes[msg.signer] = msg.signature
-        threshold = 1 if self.allow_minority_views else view_change_threshold(len(self.roster))
+        threshold = view_change_threshold(len(self.roster))
         if len(votes) >= threshold:
             best = max(v for v, vs in self.view_votes.items() if len(vs) >= threshold)
             if best > self.current_view:

@@ -126,8 +126,20 @@ class CommitStep:
             raise MultisigError("commit step position out of range")
 
 
+def commit_step(inputs: Sequence[bytes], position: int) -> CommitStep:
+    """The audit step placing `inputs[position]` among a node's inputs
+    [own commit leaf, child subtree hashes...]."""
+    return CommitStep(position, tuple(inputs[:position]) + tuple(inputs[position + 1:]))
+
+
 @dataclass(frozen=True)
 class CommitTreeProof:
+    """Audit path from a commit-tree digest up to the root, bottom-up.
+
+    Wire layout: step count (2) | per step: position (2) | digest count (2) |
+    digests (32 each), all big-endian.
+    """
+
     steps: tuple[CommitStep, ...]
 
     def encode(self) -> bytes:
@@ -139,11 +151,13 @@ class CommitTreeProof:
         return b"".join(out)
 
     @classmethod
-    def decode(cls, data: bytes) -> "CommitTreeProof":
-        if len(data) < 2:
+    def decode(cls, data: bytes, off: int) -> tuple["CommitTreeProof", int]:
+        """Decode the proof that starts at `data[off]`; returns it and the
+        offset just past it."""
+        if len(data) < off + 2:
             raise MultisigError("truncated commit tree proof")
-        count = int.from_bytes(data[:2], "big")
-        off = 2
+        count = int.from_bytes(data[off:off + 2], "big")
+        off += 2
         steps = []
         for _ in range(count):
             if len(data) < off + 4:
@@ -158,9 +172,7 @@ class CommitTreeProof:
                            for k in range(n))
             off += need
             steps.append(CommitStep(pos, others))
-        if off != len(data):
-            raise MultisigError("trailing bytes in commit tree proof")
-        return cls(tuple(steps))
+        return cls(tuple(steps)), off
 
 
 def fold_commit_proof(leaf_digest: bytes, proof: CommitTreeProof) -> bytes:
@@ -188,7 +200,7 @@ class CommitTree:
         self.commits = dict(commits)
         self.node_digest: dict[int, bytes] = {}
         self.inputs: dict[int, list[bytes]] = {}
-        for node in self._postorder(topology.root):
+        for node in topology.postorder(topology.root):
             leaf = commit_leaf_digest(self.commits[node])
             kids = topology.children[node]
             if not kids:
@@ -199,29 +211,17 @@ class CommitTree:
                 self.node_digest[node] = commit_node_digest(inputs)
         self.root = self.node_digest[topology.root]
 
-    def _postorder(self, start: int) -> list[int]:
-        order, stack = [], [start]
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            stack.extend(self.topology.children[n])
-        return list(reversed(order))
-
     def prove(self, index: int) -> CommitTreeProof:
         if index not in self.node_digest:
             raise MultisigError(f"witness {index} is not in the commit tree")
         steps = []
-        kids = self.topology.children[index]
-        if kids:
-            steps.append(CommitStep(0, tuple(self.node_digest[c] for c in kids)))
+        if index in self.inputs:
+            steps.append(commit_step(self.inputs[index], 0))
         node = index
         while node != self.topology.root:
             parent = self.topology.parent[node]
-            siblings = self.topology.children[parent]
-            pos = 1 + siblings.index(node)
-            others = [commit_leaf_digest(self.commits[parent])]
-            others += [self.node_digest[c] for c in siblings if c != node]
-            steps.append(CommitStep(pos, tuple(others)))
+            pos = 1 + self.topology.children[parent].index(node)
+            steps.append(commit_step(self.inputs[parent], pos))
             node = parent
         return CommitTreeProof(tuple(steps))
 
@@ -308,23 +308,37 @@ class CollectiveSignature:
             raise DecodeError("truncated exception count")
         exc_count = int.from_bytes(data[off:off + 2], "big")
         off += 2
-        exceptions = []
+        if exc_count > witness_count:
+            raise DecodeError("more commit exceptions than witnesses")
+        # Frame and check every record before decoding any commit: each
+        # decode runs a subgroup check, so the indices bound that work first.
+        records = []
         for _ in range(exc_count):
             if len(data) < off + 4 + group.element_size + 2:
                 raise DecodeError("truncated exception record")
             index = int.from_bytes(data[off:off + 4], "big")
-            off += 4
-            commit = group.decode_element(data[off:off + group.element_size])
-            off += group.element_size
+            if index >= witness_count:
+                raise DecodeError(f"exception index {index} out of range")
+            if records and index <= records[-1][0]:
+                raise DecodeError("exception indices not strictly ascending")
+            commit_at = off + 4
+            off = commit_at + group.element_size
             plen = int.from_bytes(data[off:off + 2], "big")
             off += 2
             if len(data) < off + plen:
                 raise DecodeError("truncated exception proof")
-            proof = CommitTreeProof.decode(data[off:off + plen])
+            proof, end = CommitTreeProof.decode(data, off)
             off += plen
-            exceptions.append(CommitException(index, commit, proof))
+            if end != off:
+                raise MultisigError("commit tree proof does not fill its length")
+            records.append((index, commit_at, proof))
         if off != len(data):
             raise DecodeError("trailing bytes after collective signature")
+        exceptions = [
+            CommitException(index, group.decode_element(
+                data[at:at + group.element_size]), proof)
+            for index, at, proof in records
+        ]
         commit_present = present | frozenset(e.index for e in exceptions)
         pset = ParticipationSet(count=witness_count, response_present=present,
                                 commit_present=commit_present)
@@ -371,12 +385,6 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
         raise MultisigError("zero-participant signature cannot be verified")
     if sig.group is not anchor.group:
         raise MultisigError("signature group does not match certificate group")
-
-    def fail(reason: str, predicate_ok: bool = False, crypto_ok: bool = False) -> VerifyResult:
-        return VerifyResult(ok=False, crypto_ok=crypto_ok, predicate_ok=predicate_ok,
-                            reason=reason, present_count=len(present),
-                            witness_count=pset.count,
-                            absent=tuple(sorted(pset.response_absent)))
 
     # The acting round leader is always a participant by construction; callers
     # wanting leader-mandatory verification express it as a Mandatory predicate.

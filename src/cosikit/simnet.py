@@ -230,16 +230,6 @@ def _default_statement(cfg: SimConfig, round_index: int) -> bytes:
     return f"{cfg.scheme}-round-{round_index}".encode()
 
 
-def _make_hook(cfg: SimConfig):
-    if cfg.validation_policy == "accept-all":
-        return engine.accept_all
-    if cfg.validation_policy == "timestamp-window":
-        return engine.make_timestamp_window_hook(cfg.policy_skew)
-    if cfg.validation_policy == "hash-chain":
-        return engine.make_hash_chain_hook()
-    raise ValueError(f"unknown validation policy {cfg.validation_policy!r}")
-
-
 # ---------------------------------------------------------------------------
 # cosi scheme: the engine state machines under the virtual network
 # ---------------------------------------------------------------------------
@@ -258,7 +248,8 @@ class CosiSim:
         self.nodes = [
             SigningNode(i, self.roster, keys[i],
                         random.Random(rng.getrandbits(64)),
-                        validation_hook=_make_hook(cfg))
+                        validation_hook=engine.make_validation_hook(
+                            cfg.validation_policy, cfg.policy_skew))
             for i in range(cfg.n)
         ]
         self.crashed: set[int] = set()

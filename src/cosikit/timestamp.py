@@ -108,10 +108,8 @@ class TimestampAuthority:
     returns None on round failure, in which case tickets are retained).
     """
 
-    def __init__(self, signer: Callable[[bytes], Optional[CollectiveSignature]],
-                 round_period: float = 10.0):
+    def __init__(self, signer: Callable[[bytes], Optional[CollectiveSignature]]):
         self.signer = signer
-        self.round_period = round_period
         self._lock = threading.Lock()
         self._queue: list[bytes] = []
         self.next_round = 1
@@ -222,21 +220,13 @@ class GlobalStampTree:
         self.topology = topology
         self.local_trees: dict[int, MerkleTree] = {}
         self.node_trees: dict[int, merkle.DigestTree] = {}
-        for node in self._postorder(topology.root):
+        for node in topology.postorder(topology.root):
             local = MerkleTree([_check_hash(h) for h in local_hashes.get(node, [])])
             self.local_trees[node] = local
             digests = [local.root] + [self.node_trees[c].root
                                       for c in topology.children[node]]
             self.node_trees[node] = merkle.DigestTree(digests)
         self.root = self.node_trees[topology.root].root
-
-    def _postorder(self, start: int) -> list[int]:
-        order, stack = [], [start]
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            stack.extend(self.topology.children[n])
-        return list(reversed(order))
 
     def witness_to_root_proof(self, witness: int) -> InclusionProof:
         """Path from a witness's local tree root up to the global root."""

@@ -45,15 +45,18 @@ class TreeTopology:
     def depth(self) -> int:
         return max(self.node_depth(i) for i in self.members)
 
-    def descendants(self, index: int) -> frozenset[int]:
-        """Transitive descendants of `index`, including itself."""
-        out = []
-        stack = [index]
+    def postorder(self, start: int) -> list[int]:
+        """`start` and its transitive descendants, each node after its children."""
+        order, stack = [], [start]
         while stack:
             n = stack.pop()
-            out.append(n)
+            order.append(n)
             stack.extend(self.children[n])
-        return frozenset(out)
+        return order[::-1]
+
+    def descendants(self, index: int) -> frozenset[int]:
+        """Transitive descendants of `index`, including itself."""
+        return frozenset(self.postorder(index))
 
     def descendant_count(self, index: int) -> int:
         return len(self.descendants(index))

@@ -28,7 +28,7 @@ from cosikit.engine import (
     ValidationContext,
 )
 from cosikit.group import TOY, KeyPair, Signature, schnorr_sign
-from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART
+from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException, CommitTreeProof
 from cosikit.participation import Threshold
 from cosikit.simnet import FailureAction, SimConfig
 from cosikit.timestamp import GENESIS_HASH, TimestampRecord
@@ -82,7 +82,7 @@ def test_challenge_before_commit_is_ignored():
     node.handle_message(announce_for(roster), now=0.0)
     challenge = Challenge(view=0, round=0, attempt=0, sender=0,
                           challenge=TOY.scalar(3), aggregate_commit=TOY.generator,
-                          commit_root=None, statement=None, steps=())
+                          commit_root=None, statement=None, proof=CommitTreeProof(()))
     assert node.handle_message(challenge, now=0.1) == []
 
 
@@ -103,18 +103,59 @@ def test_second_conflicting_challenge_refused():
     c1 = multisig.collective_challenge(st.aggregate_commit, b"s")
     ch = Challenge(view=0, round=0, attempt=0, sender=0, challenge=c1,
                    aggregate_commit=st.aggregate_commit, commit_root=None,
-                   statement=None, steps=())
+                   statement=None, proof=CommitTreeProof(()))
     first = node.handle_message(ch, now=0.1)
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in first)
     conflicting = Challenge(view=0, round=0, attempt=0, sender=0,
                             challenge=c1 + TOY.scalar(1),
                             aggregate_commit=st.aggregate_commit, commit_root=None,
-                            statement=None, steps=())
+                            statement=None, proof=CommitTreeProof(()))
     effects = node.handle_message(conflicting, now=0.2)
     assert any(isinstance(e, Send) and isinstance(e.msg, Refuse) for e in effects)
     # the same challenge again just resends the stored response
     again = node.handle_message(ch, now=0.3)
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in again)
+
+
+# -- lying leader ------------------------------------------------------------------
+
+def _lying_leader_challenge(mode, timing, signed):
+    """Witness 1 of a two-node roster after an announce of b"honest"; returns
+    it with a challenge whose scalar is computed over `signed`."""
+    secrets = [3, 4]
+    roster = make_toy_roster(secrets)
+    node = make_node(1, roster, secrets, seed=7)
+    at_announce = timing == engine.STATEMENT_AT_ANNOUNCE
+    node.handle_message(announce_for(roster, statement=b"honest" if at_announce else None,
+                                     mode=mode, timing=timing), now=0.0)
+    st = node.rounds[(0, 0, 0)]
+    leader_commit = TOY.generator ** TOY.scalar(5)
+    aggregate = leader_commit * st.aggregate_commit
+    root, proof = None, CommitTreeProof(())
+    if mode == MODE_NO_RESTART:
+        inputs = [multisig.commit_leaf_digest(leader_commit), st.tree_hash]
+        root = multisig.commit_node_digest(inputs)
+        proof = CommitTreeProof((multisig.commit_step(inputs, 1),))
+    challenge = Challenge(view=0, round=0, attempt=0, sender=0,
+                          challenge=multisig.collective_challenge(aggregate, signed, root),
+                          aggregate_commit=aggregate, commit_root=root,
+                          statement=None if at_announce else b"honest", proof=proof)
+    return node, challenge
+
+
+@pytest.mark.parametrize("timing", [engine.STATEMENT_AT_ANNOUNCE,
+                                    engine.STATEMENT_AT_CHALLENGE])
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_lying_leader_challenge_refused(mode, timing):
+    node, forged = _lying_leader_challenge(mode, timing, b"forged")
+    effects = node.handle_message(forged, now=0.1)
+    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Refuse)]
+    assert node.nonce_log == []
+    # control: the challenge over the announced statement is answered
+    node, honest = _lying_leader_challenge(mode, timing, b"honest")
+    effects = node.handle_message(honest, now=0.1)
+    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Response)]
+    assert len(node.nonce_log) == 1
 
 
 # -- validation hooks --------------------------------------------------------------
@@ -372,12 +413,13 @@ def test_message_codec_roundtrips():
                    contributors=((7, b"\x03" * 32),), absent=frozenset({8})),)),
         Challenge(view=0, round=1, attempt=0, sender=2, challenge=TOY.scalar(6),
                   aggregate_commit=elem, commit_root=b"\x04" * 32,
-                  statement=b"late", steps=(multisig.CommitStep(1, (b"\x05" * 32,)),)),
+                  statement=b"late",
+                  proof=CommitTreeProof((multisig.CommitStep(1, (b"\x05" * 32,)),))),
         Response(view=0, round=1, attempt=2, sender=3,
                  aggregate_response=TOY.scalar(9), absent=frozenset({4}),
                  failed=frozenset({4}), refused=frozenset(),
-                 exceptions=(engine.WireException(
-                     4, elem, (multisig.CommitStep(0, ()),)),)),
+                 exceptions=(CommitException(
+                     4, elem, CommitTreeProof((multisig.CommitStep(0, ()),))),)),
         Refuse(view=0, round=0, attempt=0, sender=1, reason=engine.REFUSE_STATEMENT),
         ViewChange(proposed_view=3, signer=2,
                    signature=Signature(TOY.scalar(1), TOY.scalar(2))),
@@ -390,6 +432,46 @@ def test_message_codec_roundtrips():
         assert length == len(frame) - 4
         back = decode_frame_body(frame[4:], TOY)
         assert back == msg
+
+
+def test_frame_bytes_pinned():
+    """Challenge and Response frames keep their byte layout."""
+    e3 = KeyPair.from_secret(TOY, 3).public
+    e5 = KeyPair.from_secret(TOY, 5).public
+
+    def d(b):
+        return bytes([b]) * 32
+
+    step = multisig.CommitStep
+    challenge = Challenge(view=1, round=7, attempt=1, sender=2, challenge=TOY.scalar(6),
+                          aggregate_commit=e3, commit_root=d(4), statement=None,
+                          proof=CommitTreeProof((step(1, (d(5),)), step(0, (d(6), d(7))))))
+    response = Response(
+        view=1, round=7, attempt=1, sender=3, aggregate_response=TOY.scalar(9),
+        absent=frozenset({3, 5}), failed=frozenset({5}), refused=frozenset(),
+        exceptions=(CommitException(3, e3, CommitTreeProof((step(0, (d(8),)),
+                                                            step(2, (d(9), d(10)))))),
+                    CommitException(5, e5, CommitTreeProof((step(1, (d(11),)),)))))
+    # recorded bytes: a change here is a wire-format change
+    pinned = {
+        challenge: ("000000a303000000010000000700010000000206000800010000002004040404"
+                    "0404040404040404040404040404040404040404040404040404040400000200"
+                    "0100010505050505050505050505050505050505050505050505050505050505"
+                    "0505050000000206060606060606060606060606060606060606060606060606"
+                    "0606060606060607070707070707070707070707070707070707070707070707"
+                    "07070707070707"),
+        response: ("000000c104000000010000000700010000000309000002000000030000000500"
+                   "0100000005000000020000000308000002000000010808080808080808080808"
+                   "0808080808080808080808080808080808080808080002000209090909090909"
+                   "090909090909090909090909090909090909090909090909090a0a0a0a0a0a0a"
+                   "0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a00000005090000"
+                   "01000100010b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
+                   "0b0b0b0b0b"),
+    }
+    for msg, frame_hex in pinned.items():
+        frame = encode_message(msg, TOY)
+        assert frame.hex() == frame_hex
+        assert decode_frame_body(frame[4:], TOY) == msg
 
 
 def test_codec_rejects_garbage():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import make_toy_roster, manual_round
 
 from cosikit import multisig
-from cosikit.group import ED25519, TOY, KeyPair, challenge_hash, keygen, prove_possession
+from cosikit.group import ED25519, TOY, DecodeError, KeyPair, challenge_hash, keygen, \
+    prove_possession
 from cosikit.group import TAG_SIGN
 from cosikit.multisig import (
     MODE_NO_RESTART,
@@ -357,6 +359,64 @@ def test_wire_format_truncation_rejected(toy_roster3, toy_secrets3):
         CollectiveSignature.from_bytes(b"XSG1" + data[4:], 3)
     with pytest.raises(ValueError):
         CollectiveSignature.from_bytes(data + b"\x00", 3)
+
+
+def test_no_restart_signature_bytes_pinned():
+    """Commit-tree proofs and exception records keep their byte layout."""
+    secrets = [3, 4, 5, 6, 7, 8, 9]
+    sig = manual_round(make_toy_roster(secrets), secrets, b"pinned",
+                       response_absent={1, 5}, mode=MODE_NO_RESTART)
+    # recorded bytes: a change here is a wire-format change
+    pinned = ("4353473102017670ce865a7a4f17f6e4ff83e87326a17165029302597df9dadc"
+              "755cd6d4fd280600060002000000015d0002000000010900008a000200000002"
+              "c3661faf3ee337a9d6cdfc2bfc4b989e3516db5c90d29fb2b9014a5ccab5539b"
+              "fafed9e80b16f1bf997df0aeadaed3e0b5880be8f46323b7aa4b099440d7198e"
+              "00010002fafed9e80b16f1bf997df0aeadaed3e0b5880be8f46323b7aa4b0994"
+              "40d7198eab5c98a866fd06952bcdab400878cf29f8f8e4b0e1865536150ceaba"
+              "12cb6bf9000000050200008a000200010002935b8473db4a4e3b33d0bdb61669"
+              "e64a828a4c112d19682ededa16a31ad6bd8efafed9e80b16f1bf997df0aeadae"
+              "d3e0b5880be8f46323b7aa4b099440d7198e00020002fafed9e80b16f1bf997d"
+              "f0aeadaed3e0b5880be8f46323b7aa4b099440d7198ef8dc0380163a69aa669b"
+              "6085c738c1cc160a73cd22e49132ca6fba9e9d721737")
+    assert sig.to_bytes().hex() == pinned
+    assert CollectiveSignature.from_bytes(sig.to_bytes(), 7) == sig
+
+
+def _exception_blob():
+    """A 7-witness no-restart signature with exceptions for witnesses 1 and 5,
+    and the offsets of its exception count and of each record's index."""
+    secrets = [3, 4, 5, 6, 7, 8, 9]
+    sig = manual_round(make_toy_roster(secrets), secrets, b"bounds",
+                       response_absent={1, 5}, mode=MODE_NO_RESTART)
+    count_at = len(dataclasses.replace(sig, exceptions=()).to_bytes()) - 2
+    first = count_at + 2
+    second = first + 4 + TOY.element_size + 2 + len(sig.exceptions[0].proof.encode())
+    return bytearray(sig.to_bytes()), count_at, (first, second)
+
+
+@pytest.mark.parametrize("patch", ["count", "out_of_range", "not_ascending"])
+def test_exception_records_checked_before_any_element_decode(monkeypatch, patch):
+    calls = []
+    decode = type(TOY).decode_element
+
+    def counted(self, raw):
+        calls.append(raw)
+        return decode(self, raw)
+
+    monkeypatch.setattr(type(TOY), "decode_element", counted)
+    data, count_at, (first, second) = _exception_blob()
+    CollectiveSignature.from_bytes(bytes(data), 7)
+    assert len(calls) == 2  # one per exception commit
+    calls.clear()
+    if patch == "count":
+        data[count_at:count_at + 2] = (65535).to_bytes(2, "big")
+    elif patch == "out_of_range":
+        data[first:first + 4] = (7).to_bytes(4, "big")
+    else:
+        data[second:second + 4] = (1).to_bytes(4, "big")
+    with pytest.raises(DecodeError):
+        CollectiveSignature.from_bytes(bytes(data), 7)
+    assert calls == []
 
 
 def test_all_present_signature_size_production():

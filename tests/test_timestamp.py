@@ -38,7 +38,7 @@ def authority_env():
         return manual_round(roster, secrets, statement,
                             rng=random.Random(1000 + calls["n"]))
 
-    return roster, TimestampAuthority(signer, round_period=10.0)
+    return roster, TimestampAuthority(signer)
 
 
 def test_record_pack_roundtrip():
