@@ -143,7 +143,7 @@ class NodeRuntime:
                         frame = read_frame(self.request)
                         if frame is None:
                             return
-                        msg = decode_frame_body(frame, runtime.group)
+                        msg = decode_frame_body(frame, runtime.group, len(runtime.roster))
                         if isinstance(msg, StampRequest):
                             runtime._on_stamp_request(msg, self.request)
                             # hold the connection for the round reply
@@ -456,7 +456,7 @@ def cmd_stamp(args) -> int:
     if frame is None:
         print("no reply from stamp server", file=sys.stderr)
         return EXIT_PROTOCOL
-    reply = decode_frame_body(frame, roster.group)
+    reply = decode_frame_body(frame, roster.group, len(roster))
     if not isinstance(reply, StampReply) or not reply.ok:
         print("stamp request rejected", file=sys.stderr)
         return EXIT_PROTOCOL

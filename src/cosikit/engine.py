@@ -167,9 +167,10 @@ def _u64(v: int) -> bytes:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
+    def __init__(self, data: bytes, witness_count: int):
         self.data = data
         self.off = 0
+        self.witness_count = witness_count
 
     def take(self, n: int) -> bytes:
         if self.off + n > len(self.data):
@@ -189,6 +190,19 @@ class _Reader:
 
     def u64(self) -> int:
         return int.from_bytes(self.take(8), "big")
+
+    def count(self) -> int:
+        """A u16 record count, at most one record per witness."""
+        n = self.u16()
+        if n > self.witness_count:
+            raise ValueError(f"{n} records for {self.witness_count} witnesses")
+        return n
+
+    def index(self) -> int:
+        i = self.u32()
+        if i >= self.witness_count:
+            raise ValueError(f"witness index {i} out of range")
+        return i
 
     def done(self) -> None:
         if self.off != len(self.data):
@@ -290,7 +304,7 @@ class SubtreeSummary:
 
     @classmethod
     def decode(cls, r: _Reader, group) -> "SubtreeSummary":
-        index = r.u32()
+        index = r.index()
         commit = group.decode_element(r.take(group.element_size))
         aggregate = group.decode_element(r.take(group.element_size))
         tree_hash = r.take(DIGEST_SIZE)
@@ -333,7 +347,7 @@ class Commit:
         absent = _dec_idxset(r)
         failed = _dec_idxset(r)
         refused = _dec_idxset(r)
-        n = r.u16()
+        n = r.count()
         summaries = tuple(SubtreeSummary.decode(r, group) for _ in range(n))
         return cls(view, rnd, attempt, sender, aggregate, commit, tree_hash,
                    absent, failed, refused, summaries)
@@ -403,8 +417,8 @@ class Response:
         failed = _dec_idxset(r)
         refused = _dec_idxset(r)
         exceptions = []
-        for _ in range(r.u16()):
-            index = r.u32()
+        for _ in range(r.count()):
+            index = r.index()
             commit = group.decode_element(r.take(group.element_size))
             exceptions.append(CommitException(index, commit, _dec_proof(r)))
         return cls(view, rnd, attempt, sender, agg, absent, failed, refused,
@@ -504,14 +518,19 @@ def encode_message(msg, group) -> bytes:
     return _u32(1 + len(body)) + bytes([msg.tag]) + body
 
 
-def decode_frame_body(data: bytes, group):
-    """Decode the tag+body part of a frame (without the length prefix)."""
+def decode_frame_body(data: bytes, group, witness_count: int):
+    """Decode the tag+body part of a frame (without the length prefix).
+
+    `witness_count` is the roster size. A record count above it is rejected
+    before any record is decoded, and a record index at or past it before
+    that record's group elements are.
+    """
     if not data:
         raise ValueError("empty frame")
     cls = _MESSAGE_TYPES.get(data[0])
     if cls is None:
         raise ValueError(f"unknown message tag {data[0]}")
-    r = _Reader(data[1:])
+    r = _Reader(data[1:], witness_count)
     msg = cls.decode_body(r, group)
     r.done()
     return msg

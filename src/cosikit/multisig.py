@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import merkle, participation, roster as roster_mod
@@ -268,6 +269,11 @@ class CollectiveSignature:
                 raise MultisigError("restart-mode signature cannot carry commit exceptions")
 
     def to_bytes(self) -> bytes:
+        return self._encoded
+
+    @cached_property
+    def _encoded(self) -> bytes:
+        # encoded once: every receipt of a timestamp batch embeds this signature
         out = [MAGIC, bytes([self.group.group_id]), bytes([self.mode])]
         if self.mode == MODE_NO_RESTART:
             out.append(self.commit_root)

@@ -139,14 +139,16 @@ class TimestampAuthority:
             merkle_root=tree.root,
             prev_record_hash=self.prev_hash,
         )
+        cause = None
         try:
             signature = self.signer(record.pack())
-        except Exception:
-            signature = None
+        except Exception as exc:
+            signature, cause = None, exc
         if signature is None:
             with self._lock:
                 self._queue = batch + self._queue  # retain for the next round
-            raise TimestampError(f"signing failed for round {record.round_number}")
+            raise TimestampError(
+                f"signing failed for round {record.round_number}") from cause
         self.next_round += 1
         self.prev_hash = record.record_hash()
         self.records.append(record)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 
@@ -30,7 +31,7 @@ class TreeTopology:
     children: tuple  # children[i] is a tuple of roster indices
     absent: frozenset[int]
 
-    @property
+    @cached_property
     def members(self) -> frozenset[int]:
         return frozenset(range(self.size)) - self.absent
 
@@ -62,6 +63,10 @@ class TreeTopology:
         return len(self.descendants(index))
 
     def digest(self) -> bytes:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
         body = b"".join(
             i.to_bytes(4, "big")
             + (0xFFFFFFFF if self.parent[i] is None else self.parent[i]).to_bytes(4, "big")
@@ -84,14 +89,8 @@ class TreeTopology:
         return "\n".join(lines)
 
 
-def build_bary_tree(size, branching: int, leader_index: int = 0) -> TreeTopology:
-    """Regular B-ary tree over roster indices, breadth-first, leader at the root.
-
-    `size` may be a roster (its length and leader are used) or an int.
-    """
-    if hasattr(size, "entries"):
-        leader_index = size.leader_index
-        size = len(size)
+def build_bary_tree(size: int, branching: int, leader_index: int = 0) -> TreeTopology:
+    """Regular B-ary tree over roster indices, breadth-first, leader at the root."""
     if branching < 1:
         raise TopologyError("branching factor must be >= 1")
     if size < 1:
@@ -168,11 +167,22 @@ def prune_and_reconnect(topology: TreeTopology, failed: Iterable[int]) -> TreeTo
     )
 
 
-def tree_for(size, branching: int, leader_index: int = 0,
+def tree_for(size: int, branching: int, leader_index: int = 0,
              failed: Iterable[int] = ()) -> TreeTopology:
-    """The deterministic topology every node derives from (roster, B, failed set)."""
+    """The deterministic topology every node derives from (roster, B, failed set).
+
+    The result is shared: equal arguments return the same immutable object,
+    so callers must not try to modify it.
+    """
+    return _tree_for(size, branching, leader_index, frozenset(failed))
+
+
+# One signing attempt derives one key and a node keeps at most 16 rounds, so
+# 64 entries cover every tree in use; errors raise out and are not cached.
+@lru_cache(maxsize=64)
+def _tree_for(size: int, branching: int, leader_index: int,
+              failed: frozenset[int]) -> TreeTopology:
     topo = build_bary_tree(size, branching, leader_index)
-    failed = frozenset(failed)
     if failed:
         topo = prune_and_reconnect(topo, failed)
     return topo

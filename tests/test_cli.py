@@ -271,7 +271,7 @@ def test_stamp_request_reply_protocol(tmp_path):
         srv.listen(1)
         conn, _ = srv.accept()
         frame = cli.read_frame(conn)
-        msg = decode_frame_body(frame, roster.group)
+        msg = decode_frame_body(frame, roster.group, len(roster))
         authority.submit(msg.digest)
         _, receipts = authority.round_close(clock=910.0)
         payload = receipts[msg.digest].to_bytes()

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -430,7 +431,7 @@ def test_message_codec_roundtrips():
         frame = encode_message(msg, TOY)
         length = int.from_bytes(frame[:4], "big")
         assert length == len(frame) - 4
-        back = decode_frame_body(frame[4:], TOY)
+        back = decode_frame_body(frame[4:], TOY, 16)
         assert back == msg
 
 
@@ -471,14 +472,67 @@ def test_frame_bytes_pinned():
     for msg, frame_hex in pinned.items():
         frame = encode_message(msg, TOY)
         assert frame.hex() == frame_hex
-        assert decode_frame_body(frame[4:], TOY) == msg
+        assert decode_frame_body(frame[4:], TOY, 16) == msg
 
 
 def test_codec_rejects_garbage():
     with pytest.raises(ValueError):
-        decode_frame_body(b"", TOY)
+        decode_frame_body(b"", TOY, 16)
     with pytest.raises(ValueError):
-        decode_frame_body(b"\xff\x00\x01", TOY)
+        decode_frame_body(b"\xff\x00\x01", TOY, 16)
     good = encode_message(StampRequest(digest=b"\x00" * 32), TOY)
     with pytest.raises(ValueError):
-        decode_frame_body(good[4:] + b"\x00", TOY)
+        decode_frame_body(good[4:] + b"\x00", TOY, 16)
+
+
+@pytest.mark.parametrize("kind", ["response", "commit"])
+@pytest.mark.parametrize("patch", ["count", "out_of_range"])
+def test_frame_records_checked_before_any_element_decode(monkeypatch, kind, patch):
+    elem = KeyPair.from_secret(TOY, 3).public
+    if kind == "response":
+        proof = CommitTreeProof((multisig.CommitStep(0, (b"\x08" * 32,)),))
+        msg = Response(view=0, round=1, attempt=0, sender=2,
+                       aggregate_response=TOY.scalar(9), absent=frozenset({3, 5}),
+                       failed=frozenset(), refused=frozenset(),
+                       # arrival order, not index order
+                       exceptions=(CommitException(5, elem, proof),
+                                   CommitException(3, elem, proof)))
+        empty = replace(msg, exceptions=())
+        last_len = 4 + TOY.element_size + len(proof.encode())
+    else:
+        summary = engine.SubtreeSummary(
+            index=3, commit=elem, aggregate=elem, tree_hash=b"\x02" * 32,
+            contributors=((4, b"\x03" * 32),), absent=frozenset())
+        msg = Commit(view=0, round=1, attempt=0, sender=1, aggregate=elem, commit=elem,
+                     tree_hash=b"\x01" * 32, absent=frozenset(), failed=frozenset(),
+                     refused=frozenset(), summaries=(summary, replace(summary, index=5)))
+        empty = replace(msg, summaries=())
+        last_len = len(summary.encode())
+    data = bytearray(encode_message(msg, TOY)[4:])
+    count_at = len(encode_message(empty, TOY)) - 4 - 2  # the count ends the empty frame
+    last_at = len(data) - last_len
+
+    calls = []
+    decode = type(TOY).decode_element
+
+    def counted(self, raw):
+        calls.append(raw)
+        return decode(self, raw)
+
+    monkeypatch.setattr(type(TOY), "decode_element", counted)
+    assert decode_frame_body(encode_message(empty, TOY)[4:], TOY, 7) == empty
+    header = len(calls)  # elements outside the records: none in a Response
+    calls.clear()
+    assert decode_frame_body(bytes(data), TOY, 7) == msg
+    per_record = (len(calls) - header) // 2
+    assert per_record > 0
+    calls.clear()
+    if patch == "count":
+        data[count_at:count_at + 2] = (65535).to_bytes(2, "big")
+        decoded = header  # no record is decoded
+    else:
+        data[last_at:last_at + 4] = (7).to_bytes(4, "big")
+        decoded = header + per_record  # the bad record's elements are not
+    with pytest.raises(ValueError):
+        decode_frame_body(bytes(data), TOY, 7)
+    assert len(calls) == decoded

@@ -132,6 +132,21 @@ def test_failed_round_retains_queue():
     assert verify_receipt(roster, first, receipts[first], Threshold(2)).ok
 
 
+def test_signer_exception_chained_and_batch_requeued():
+    boom = RuntimeError("boom")
+
+    def broken(statement: bytes):
+        raise boom
+
+    authority = TimestampAuthority(broken)
+    authority.submit(h(b"queued"))
+    with pytest.raises(TimestampError) as info:
+        authority.round_close(clock=507.0)
+    assert info.value.__cause__ is boom
+    assert authority.pending_count == 1
+    assert authority.next_round == 1
+
+
 def test_receipt_rejected_against_wrong_round(authority_env):
     roster, authority = authority_env
     d1, d2 = h(b"a"), h(b"b")

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosikit import simnet
 from cosikit.topology import (
     LeaderFailedError,
     TopologyError,
@@ -141,6 +142,42 @@ def test_prune_preserves_survivors(n, branching, seed):
 
 
 # -- swap forest -------------------------------------------------------------------
+
+def test_tree_for_shares_one_object_per_key():
+    topo = tree_for(64, 4, 3, frozenset({5, 17, 18}))
+    assert tree_for(64, 4, 3, [18, 5, 17]) is topo
+    assert tree_for(64, 4, 3, (5, 17, 18, 5)) is topo
+    assert tree_for(64, 4, 3, frozenset({5, 17, 18})) is topo
+    assert tree_for(64, 4, 3, ()) is not topo
+    assert topo.members is topo.members
+
+
+def test_tree_digest_pinned():
+    # recorded before trees were shared: a change here changes every Announce
+    pruned = tree_for(64, 4, 3, {5, 17, 18})
+    assert pruned.digest().hex() == (
+        "bce06237fe43543c0afbfd5ae5cbbee2b335d7ace2f2e999cf795b78f6ab514c")
+    assert tree_for(64, 4, 3).digest().hex() == (
+        "9f3e73866b7bdaa220983a9756909c840d540ba8ef302b6285c0c007be5e0532")
+    assert pruned.digest() == prune_and_reconnect(
+        build_bary_tree(64, 4, 3), {5, 17, 18}).digest()
+
+
+def test_tree_for_errors_raised_on_every_call():
+    for _ in range(2):
+        with pytest.raises(LeaderFailedError):
+            tree_for(16, 4, 3, {3, 7})
+        with pytest.raises(TopologyError):
+            tree_for(16, 4, 3, {16})
+
+
+def test_round_states_share_one_topology():
+    sim = simnet.CosiSim(simnet.SimConfig(seed=5, n=64, branching=4))
+    _, result = sim.run_round(0)
+    assert result is not None and result.ok
+    topologies = {id(st.topology) for node in sim.nodes for st in node.rounds.values()}
+    assert topologies == {id(tree_for(64, 4, 0))}
+
 
 def test_label_bits():
     assert label_bits(1) == 1
