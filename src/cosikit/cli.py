@@ -75,7 +75,7 @@ def load_keyfile(path: str):
         obj = json.load(fh)
     group = group_by_name(obj["group"])
     secret = group.decode_scalar(bytes.fromhex(obj["secret-hex"]))
-    keypair = KeyPair(secret=secret, public=group.generator ** secret)
+    keypair = KeyPair.from_secret(group, secret.value)
     ssk = SelfSignedKey(public=keypair.public,
                         proof=Signature.decode(group, bytes.fromhex(obj["proof-hex"])))
     return obj, group, keypair, ssk

@@ -4,6 +4,21 @@ Two groups are registered: the production group (the prime-order subgroup of
 Ed25519, 32-byte encodings) and a brute-forceable toy group (the order-11
 subgroup of Z_23* generated by 2, 2-byte encodings) used by oracle tests.
 All protocol arithmetic in the rest of the package goes through this module.
+
+Ed25519 exponentiation takes one of two paths. A power of the generator
+(recognised by identity: the generator's coordinates are derived once, at
+import) adds one entry per 4-bit digit from a fixed-base table of 64 rows of
+16 multiples of 16^i * G, with no doublings. The table (about 0.3 MB) is
+built lazily by the first such power and then reused for the life of the
+process. Any other base uses a fixed 4-bit window: 14 additions precompute
+its multiples 2..15, then each digit costs 4 doublings and at most one
+addition. Doublings use the dedicated a = -1 formula of RFC 8032.
+
+The arithmetic runs on plain Python integers and is variable-time: its
+running time depends on the scalar's digits (zero digits skip their addition)
+and on Python's big-integer operations. The bit-by-bit double-and-add that
+the table and window replaced was variable-time too. Neither is hardened
+against timing side channels.
 """
 
 from __future__ import annotations
@@ -245,6 +260,13 @@ def _recover_x(y: int, sign: int) -> int:
     return x
 
 
+# The base point, derived once. `_pow` recognises it by identity, so every
+# `generator` hands out this very tuple.
+_GY = 4 * pow(5, _P - 2, _P) % _P
+_GX = _recover_x(_GY, 0)
+_G = (_GX, _GY, 1, _GX * _GY % _P)
+
+
 class Ed25519Group(Group):
     group_id = 1
     name = "prod"
@@ -253,6 +275,7 @@ class Ed25519Group(Group):
     element_size = 32
 
     _IDENT = (0, 1, 1, 0)
+    _g_rows = None  # fixed-base table for G, built by the first G^k
 
     def _add(self, p, q):
         x1, y1, z1, t1 = p
@@ -264,17 +287,65 @@ class Ed25519Group(Group):
         e, f, g, h = b - a, dd - c, dd + c, b + a
         return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
 
+    def _double(self, p):
+        # RFC 8032 section 5.1.4 (Hisil et al. 2008, a = -1); T is not read.
+        x, y, z, _ = p
+        a = x * x % _P
+        b = y * y % _P
+        c = 2 * z * z % _P
+        h = a + b
+        s = x + y
+        e = h - s * s % _P
+        g = a - b
+        f = c + g
+        return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
     def _mul(self, a, b):
         return self._add(a, b)
 
+    def _fixed_base_rows(self):
+        """Row i holds j * 16^i * G for j = 0..15, for i = 0..63."""
+        rows = self._g_rows
+        if rows is None:
+            rows = []
+            base = _G
+            for _ in range(64):
+                row = [self._IDENT, base]
+                for _ in range(14):
+                    row.append(self._add(row[-1], base))
+                rows.append(tuple(row))
+                base = self._double(row[8])
+            # One assignment: threads that race here each build an equal
+            # table, and whichever lands last is kept.
+            self._g_rows = rows = tuple(rows)
+        return rows
+
     def _pow(self, a, k):
-        r = self._IDENT
-        q = a
-        while k > 0:
-            if k & 1:
-                r = self._add(r, q)
-            q = self._add(q, q)
-            k >>= 1
+        add = self._add
+        if a is _G:
+            # k = sum of d_i * 16^i, so G^k adds row i's d_i-th entry over
+            # the 64 rows and doubles nothing.
+            k %= _L
+            r = self._IDENT
+            for row in self._fixed_base_rows():
+                d = k & 15
+                if d:
+                    r = add(r, row[d])
+                k >>= 4
+            return r
+        # Any other base: a fixed 4-bit window, most significant digit first.
+        mults = [self._IDENT, a]
+        for _ in range(14):
+            mults.append(add(mults[-1], a))
+        dbl = self._double
+        shift = max(k.bit_length() - 1, 0) // 4 * 4
+        r = mults[k >> shift]
+        while shift:
+            shift -= 4
+            r = dbl(dbl(dbl(dbl(r))))
+            d = (k >> shift) & 15
+            if d:
+                r = add(r, mults[d])
         return r
 
     def _inv(self, a):
@@ -308,9 +379,7 @@ class Ed25519Group(Group):
         return pt
 
     def _generator_raw(self):
-        gy = 4 * pow(5, _P - 2, _P) % _P
-        gx = _recover_x(gy, 0)
-        return (gx, gy, 1, gx * gy % _P)
+        return _G
 
     def _identity_raw(self):
         return self._IDENT

@@ -70,6 +70,21 @@ def adjust_key_for_absent(full: GroupElement,
     return acc
 
 
+def present_key(roster: WitnessRoster, present: frozenset[int]) -> GroupElement:
+    """Aggregate key of the `present` witnesses.
+
+    When fewer witnesses are absent than present, the absent keys are divided
+    out of the roster's cached full key; otherwise the present keys are
+    multiplied directly, with `aggregate_public_key`'s checks on `present`.
+    """
+    everyone = frozenset(range(len(roster)))
+    absent = everyone - present
+    if present <= everyone and len(absent) < len(present):
+        return adjust_key_for_absent(roster.aggregate_key(),
+                                     [roster.public_key(i) for i in sorted(absent)])
+    return aggregate_public_key(roster, present)
+
+
 def collective_challenge(aggregate_commit: GroupElement, statement: bytes,
                          commit_root: bytes | None = None,
                          hasher=hashlib.sha512) -> Scalar:
@@ -396,7 +411,7 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
     # wanting leader-mandatory verification express it as a Mandatory predicate.
     full_roster = anchor.roster
     if full_roster is not None:
-        adjusted_key = aggregate_public_key(full_roster, present)
+        adjusted_key = present_key(full_roster, present)
         if weights is None:
             weights = full_roster.weights()
     else:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from . import merkle
@@ -69,6 +70,11 @@ class WitnessRoster:
         return [e.weight for e in self.entries]
 
     def aggregate_key(self) -> GroupElement:
+        return self._aggregate_key
+
+    @cached_property
+    def _aggregate_key(self) -> GroupElement:
+        # Stored in the instance dict, which the frozen dataclass allows.
         acc = self.group.identity
         for e in self.entries:
             acc = acc * e.key.public

@@ -49,6 +49,23 @@ def test_keygen_deterministic_with_seed(tmp_path):
     assert json.loads(a.read_text())["public-hex"] == json.loads(b.read_text())["public-hex"]
 
 
+def test_keyfile_with_zero_secret_rejected(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    assert main(["keygen", "--group", "prod", "--seed", "3", "--out", str(good)]) == 0
+    obj = json.loads(good.read_text())
+    assert cli.load_keyfile(str(good))[2].public.encode().hex() == obj["public-hex"]
+    zero = tmp_path / "zero.json"
+    zero.write_text(json.dumps(dict(obj, **{"secret-hex": "00" * 32})))
+    with pytest.raises(ValueError, match="nonzero"):
+        cli.load_keyfile(str(zero))
+    capsys.readouterr()
+    rc = main(["roster-init", "--keys", str(zero), "--leader", "0",
+               "--out", str(tmp_path / "roster.json")])
+    assert rc == cli.EXIT_PROTOCOL
+    assert "secret key must be nonzero" in capsys.readouterr().err
+    assert not (tmp_path / "roster.json").exists()
+
+
 def test_tree_dump(tmp_path, capsys):
     assert main(["tree-dump", "--n", "7", "--branching", "2"]) == 0
     out = capsys.readouterr().out

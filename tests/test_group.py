@@ -18,6 +18,7 @@ from cosikit.group import (
     schnorr_verify,
     verify_possession,
 )
+from cosikit.group import Ed25519Group, _recover_x
 
 
 def test_toy_group_constants():
@@ -212,3 +213,119 @@ def test_group_element_algebra(toy_rng):
     assert a ** TOY.order == TOY.identity
     ge = keygen(ED25519, toy_rng).public
     assert ge * ge.inverse() == ED25519.identity
+
+
+# -- Ed25519 exponentiation against a plain double-and-add reference -----------
+
+L = ED25519.order
+P = 2**255 - 19
+D = -121665 * pow(121666, P - 2, P) % P
+EDGE_SCALARS = {"0": 0, "1": 1, "15": 15, "16": 16, "255": 255, "L-1": L - 1,
+                "L": L, "2^253-1": 2**253 - 1, "2^300+5": 2**300 + 5}
+
+
+def affine(point):
+    x, y = ED25519._affine(point)
+    return x, y
+
+
+def affine_add(a, b):
+    """The twisted Edwards addition law (a = -1) in affine coordinates."""
+    (x1, y1), (x2, y2) = a, b
+    t = D * x1 * x2 * y1 * y2 % P
+    x3 = (x1 * y2 + y1 * x2) * pow(1 + t, P - 2, P) % P
+    y3 = (y1 * y2 + x1 * x2) * pow(1 - t, P - 2, P) % P
+    return x3, y3
+
+
+def ref_pow(point, k):
+    """Right-to-left double-and-add in affine coordinates, independent of
+    the group module's formulas."""
+    r, q = (0, 1), affine(point)
+    while k:
+        if k & 1:
+            r = affine_add(r, q)
+        q = affine_add(q, q)
+        k >>= 1
+    return r
+
+
+def generators():
+    """The cached generator (fixed-base table) and one decoded from its
+    bytes, a different tuple that takes the windowed path."""
+    cached = ED25519.generator
+    decoded = ED25519.decode_element(cached.encode())
+    assert cached.raw is ED25519.generator.raw
+    assert decoded.raw is not cached.raw
+    return cached, decoded
+
+
+def test_double_matches_add():
+    rng = random.Random(8)
+    g = ED25519.generator
+    points = [ED25519._IDENT, g.raw, (0, P - 1, 1, 0)]  # (0, -1) has order 2
+    points += [(g ** rng.getrandbits(253)).raw for _ in range(8)]
+    for p in points:
+        assert ED25519._eq(ED25519._double(p), ED25519._add(p, p))
+        assert affine(ED25519._double(p)) == affine_add(affine(p), affine(p))
+
+
+@pytest.mark.parametrize("k", EDGE_SCALARS.values(), ids=EDGE_SCALARS.keys())
+def test_pow_edge_scalars_match_reference(k):
+    for g in generators():
+        expected = ref_pow(g.raw, k)
+        assert affine((g ** k).raw) == expected
+        assert affine(ED25519._pow(g.raw, k)) == expected
+    assert ED25519.generator ** L == ED25519.identity
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(min_value=0, max_value=2**300))
+def test_pow_matches_reference(k):
+    for g in generators():
+        expected = ref_pow(g.raw, k)
+        assert affine((g ** k).raw) == expected
+        assert affine(ED25519._pow(g.raw, k)) == expected
+    point = ED25519.generator ** 0x1234567
+    assert affine((point ** k).raw) == ref_pow(point.raw, k % L)
+
+
+def test_fixed_base_table_built_once(monkeypatch):
+    monkeypatch.setattr(ED25519, "_g_rows", None)
+    adds = []
+    real_add = Ed25519Group._add
+    monkeypatch.setattr(Ed25519Group, "_add",
+                        lambda self, p, q: adds.append(1) or real_add(self, p, q))
+    g = ED25519.generator
+    assert g ** 5 == ED25519.decode_element(g.encode()) ** 5
+    rows = ED25519._g_rows
+    assert len(rows) == 64 and all(len(row) == 16 for row in rows)
+    for k in (7, 2**200 + 3, L - 1):
+        before = len(adds)
+        g ** k
+        assert ED25519._g_rows is rows
+        # a table hit adds at most one entry per 4-bit digit, never rebuilds
+        assert len(adds) - before <= 64
+
+
+def test_ed25519_decode_rejects_mixed_order_point():
+    # G plus a point of order 8 lies on the curve, but outside the
+    # prime-order subgroup: only the [L]P check can reject it.
+    torsion = None
+    for y in range(2, 200):
+        try:
+            x = _recover_x(y, 0)
+        except DecodeError:
+            continue
+        t = ref_pow((x, y, 1, x * y % P), L)
+        if ref_pow((t[0], t[1], 1, t[0] * t[1] % P), 4) != (0, 1):
+            torsion = t
+            break
+    assert torsion is not None
+    tx, ty = torsion
+    torsion_raw = (tx, ty, 1, tx * ty % P)
+    assert ref_pow(torsion_raw, 8) == (0, 1)
+    mixed = affine_add(affine(ED25519.generator.raw), torsion)
+    data = (mixed[1] | ((mixed[0] & 1) << 255)).to_bytes(32, "little")
+    with pytest.raises(DecodeError, match="prime-order subgroup"):
+        ED25519.decode_element(data)

@@ -84,6 +84,55 @@ def test_subset_oracle_adjust_equals_aggregate():
                 assert adjusted == TOY.identity
 
 
+def _prod_roster(n, rng):
+    entries = [RosterEntry(witness_id=bytes([i]),
+                           key=prove_possession(keygen(ED25519, rng), rng))
+               for i in range(n)]
+    return build_roster(entries, 0)
+
+
+@pytest.mark.parametrize("group", ["toy", "prod"])
+def test_present_key_matches_aggregate_public_key(monkeypatch, group):
+    rng = random.Random(11)
+    n = 8
+    roster = (make_toy_roster([2, 3, 5, 7, 9, 10, 4, 6]) if group == "toy"
+              else _prod_roster(n, rng))
+    assert roster.aggregate_key() is roster.aggregate_key()
+    direct_calls = []
+    real = multisig.aggregate_public_key
+    monkeypatch.setattr(multisig, "aggregate_public_key",
+                        lambda r, p: direct_calls.append(p) or real(r, p))
+    for k in (0, 1, n // 2, n - 1):
+        absent = frozenset(rng.sample(range(n), k))
+        present = frozenset(range(n)) - absent
+        before = len(direct_calls)
+        key = multisig.present_key(roster, present)
+        divided = len(direct_calls) == before
+        assert key == real(roster, present), k
+        # the full key is divided down only while fewer are absent than present
+        assert divided == (k < n - k), k
+    for bad in (frozenset(), frozenset({n}), frozenset(range(n + 1))):
+        with pytest.raises(MultisigError):
+            multisig.present_key(roster, bad)
+
+
+def test_cached_roster_key_still_rejects_tampered_statement():
+    secrets = [2, 3, 5, 7, 9]
+    roster = make_toy_roster(secrets)
+    sig = manual_round(roster, secrets, b"stmt", absent={3})
+    assert roster.aggregate_key() is roster.aggregate_key()
+    assert verify_collective(roster, b"stmt", sig, Threshold(1)).ok
+    # the tampered statement is checked in the production group, where a
+    # challenge cannot collide by chance as it can in the order-11 toy group
+    prod_roster, prod_sig = _prod_round(random.Random(12), n=5, response_absent={2},
+                                        mode=MODE_NO_RESTART)
+    assert verify_collective(prod_roster, b"prod", prod_sig, Threshold(1)).ok
+    assert prod_roster.aggregate_key() is prod_roster.aggregate_key()
+    for _ in range(2):
+        res = verify_collective(prod_roster, b"prodX", prod_sig, Threshold(1))
+        assert not res.crypto_ok and res.reason == "challenge mismatch"
+
+
 # -- challenges and responses --------------------------------------------------
 
 def test_collective_challenge_modes_differ():
