@@ -57,6 +57,6 @@ from .roster import (
     verify_compact,
     verify_roster_chain,
 )
-from .topology import build_bary_tree, prune_and_reconnect, swap_partners, tree_for
+from .topology import build_bary_tree, prune_and_reconnect, tree_for
 
 __version__ = "0.1.0"

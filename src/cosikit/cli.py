@@ -130,6 +130,9 @@ class NodeRuntime:
         self._stamp_conns: dict[bytes, list[socket.socket]] = {}
         self.stamp_queue: list[bytes] = []
         self._server = None
+        # failed dials per destination index; _dial runs on its own threads
+        self.dial_failures: dict[int, int] = {}
+        self._dial_lock = threading.Lock()
 
     # -- network --
 
@@ -185,6 +188,8 @@ class NodeRuntime:
             with socket.create_connection(_parse_addr(endpoint), timeout=5) as sock:
                 sock.sendall(frame)
         except OSError as exc:
+            with self._dial_lock:
+                self.dial_failures[dest] = self.dial_failures.get(dest, 0) + 1
             logger.warning("dial to witness %d (%s) failed: %s", dest, endpoint, exc)
 
     # -- event pump --

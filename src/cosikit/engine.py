@@ -765,7 +765,16 @@ class SigningNode:
 
     def _begin_participation(self, st: _RoundState, now: float) -> list:
         """Draw a fresh nonce and either send the commit up (leaf) or start
-        collecting children commits."""
+        collecting children commits.
+
+        A node keeps one session in flight: drawing the nonce discards every
+        other round state's nonce that no challenge has used yet, so that
+        state can never answer one. Concurrent sessions are what the forgery
+        on two-round Schnorr multisignatures needs (Drijvers et al., S&P 2019).
+        """
+        for other in self.rounds.values():
+            if other is not st and other.challenge is None:
+                other.nonce = None
         st.nonce = self.group.random_scalar(self.rng)
         st.own_commit = self.group.generator ** st.nonce
         st.pending_commit = set(st.topology.children[self.index])
@@ -982,6 +991,10 @@ class SigningNode:
             st.return_to = msg.sender
             if st.sent_response is not None:
                 return [Send(st.return_to, st.sent_response)]
+            return []
+        if st.nonce is None:
+            logger.info("node %d: challenge for %s, whose nonce a newer session "
+                        "discarded", self.index, st.key)
             return []
 
         statement = msg.statement if st.timing == STATEMENT_AT_CHALLENGE else st.statement
@@ -1240,6 +1253,10 @@ class SigningNode:
 
     def _leader_after_commit(self, st: _RoundState, now: float) -> list:
         config = st.config
+        if st.nonce is None:
+            return [RoundDone(self._failure(config, st.key[2],
+                                            "nonce discarded for a newer session",
+                                            frozenset(st.failed), frozenset(st.refused)))]
         if st.mode == MODE_RESTART and (st.failed or st.refused):
             return self._restart_or_fail(st, now, "witness failure during commit phase")
         if len(st.participants) < config.min_participants:

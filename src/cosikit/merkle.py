@@ -19,6 +19,7 @@ DIGEST_SIZE = 32
 
 SIBLING_LEFT = 0
 SIBLING_RIGHT = 1
+_SIDE_BYTE = (bytes([SIBLING_LEFT]), bytes([SIBLING_RIGHT]))
 
 
 def leaf_hash(data: bytes) -> bytes:
@@ -66,11 +67,8 @@ class InclusionProof:
         return InclusionProof(self.path + outer.path)
 
     def encode(self) -> bytes:
-        out = [len(self.path).to_bytes(2, "big")]
-        for step in self.path:
-            out.append(bytes([step.side]))
-            out.append(step.digest)
-        return b"".join(out)
+        return len(self.path).to_bytes(2, "big") + b"".join(
+            [_SIDE_BYTE[step.side] + step.digest for step in self.path])
 
     @classmethod
     def decode(cls, data: bytes) -> "InclusionProof":
@@ -114,6 +112,10 @@ class DigestTree:
     Lets sub-tree roots be committed by an outer tree while keeping composed
     audit paths pure interior-hash folds. A single-digest tree is that digest
     itself with an empty path.
+
+    Proofs share their audit steps: `prove` memoizes, per node, the path from
+    that node up to the root, so every leaf below a node reuses one tuple and
+    each node's step is built at most once per tree.
     """
 
     def __init__(self, digests: list[bytes]):
@@ -122,6 +124,7 @@ class DigestTree:
                 raise ValueError("digest tree leaves must be digests")
         self.leaf_count = len(digests)
         self.levels: list[list[bytes]] = []
+        self._paths: list[dict[int, tuple[AuditStep, ...]]] = []  # see _path
         if self.leaf_count == 0:
             self.root = empty_tree_root()
             return
@@ -134,19 +137,26 @@ class DigestTree:
             level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
             self.levels.append(level)
         self.root = level[0]
+        self._paths = [{} for _ in self.levels[1:]]
 
     def prove(self, index: int) -> InclusionProof:
         if not 0 <= index < self.leaf_count:
             raise IndexError("leaf index out of range")
-        steps = []
-        idx = index
-        for level in self.levels[:-1]:
+        return InclusionProof(self._path(0, index))
+
+    def _path(self, k: int, idx: int) -> tuple[AuditStep, ...]:
+        """Audit path from node `idx` of level `k` up to the root, memoized."""
+        if k == len(self._paths):
+            return ()
+        path = self._paths[k].get(idx)
+        if path is None:
+            level = self.levels[k]
             if idx % 2 == 0:
-                steps.append(AuditStep(SIBLING_RIGHT, level[idx + 1]))
+                step = AuditStep(SIBLING_RIGHT, level[idx + 1])
             else:
-                steps.append(AuditStep(SIBLING_LEFT, level[idx - 1]))
-            idx //= 2
-        return InclusionProof(tuple(steps))
+                step = AuditStep(SIBLING_LEFT, level[idx - 1])
+            path = self._paths[k][idx] = (step,) + self._path(k + 1, idx // 2)
+        return path
 
 
 class MerkleTree(DigestTree):

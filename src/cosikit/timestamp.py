@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import merkle, multisig
@@ -40,6 +41,12 @@ class TimestampRecord:
     prev_record_hash: bytes
 
     def pack(self) -> bytes:
+        return self._packed
+
+    # Packed once per record: every receipt of a batch shares the record.
+    # A record that fails the check caches nothing and raises on each pack.
+    @cached_property
+    def _packed(self) -> bytes:
         if len(self.merkle_root) != 32 or len(self.prev_record_hash) != 32:
             raise TimestampError("record digests must be 32 bytes")
         return (self.round_number.to_bytes(8, "big")

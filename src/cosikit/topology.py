@@ -1,4 +1,4 @@
-"""Deterministic spanning trees over roster indices, plus swap-forest labels.
+"""Deterministic spanning trees over roster indices.
 
 The tree is laid out breadth-first from the well-known roster order with the
 leader at the root, so every participant derives an identical topology with
@@ -186,53 +186,3 @@ def _tree_for(size: int, branching: int, leader_index: int,
     if failed:
         topo = prune_and_reconnect(topo, failed)
     return topo
-
-
-# ---------------------------------------------------------------------------
-# Binomial swap forest schedule
-# ---------------------------------------------------------------------------
-
-def label_bits(n: int) -> int:
-    """Label width b = ceil(log2 n), at least 1."""
-    if n < 1:
-        raise TopologyError("need at least one node")
-    return max(1, (n - 1).bit_length())
-
-
-def swap_partners(label: int, step: int, bits: int) -> list[int]:
-    """Labels a node may swap with at `step`: bit `step` differs, all
-    more-significant bits match, lower bits are free. Sorted ascending."""
-    if not 0 <= step < bits:
-        raise TopologyError("swap step out of range")
-    if not 0 <= label < (1 << bits):
-        raise TopologyError("label out of range")
-    prefix = label >> (step + 1)
-    flipped = 1 - ((label >> step) & 1)
-    base = (prefix << (step + 1)) | (flipped << step)
-    return [base | low for low in range(1 << step)]
-
-
-def run_swap_aggregation(values: list) -> list:
-    """Simulate b swap steps over len(values) nodes with addition as the
-    aggregation; returns each node's final aggregate.
-
-    Nodes whose canonical partner is missing (labels >= n) pull from their
-    first live alternative candidate in label order, or skip the step when
-    no candidate is live.
-    """
-    n = len(values)
-    bits = label_bits(n)
-    agg = list(values)
-    for step in range(bits):
-        nxt = list(agg)
-        for j in range(n):
-            canonical = j ^ (1 << step)
-            if canonical < n:
-                nxt[j] = agg[j] + agg[canonical]
-                continue
-            for cand in swap_partners(j, step, bits):
-                if cand < n:
-                    nxt[j] = agg[j] + agg[cand]
-                    break
-        agg = nxt
-    return agg

@@ -11,8 +11,8 @@ from conftest import make_toy_roster, manual_round
 
 from cosikit import cli
 from cosikit.cli import NodeRuntime, main
-from cosikit.engine import SigningNode
-from cosikit.group import ED25519, keygen, prove_possession
+from cosikit.engine import REFUSE_STALE, Refuse, SigningNode
+from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
 from cosikit.participation import Threshold, predicate_to_json
 from cosikit.roster import RosterEntry, build_roster, load_roster
 from cosikit.timestamp import StampReceipt, TimestampAuthority
@@ -199,6 +199,21 @@ def test_sign_with_unreachable_witnesses_exits_protocol_failure(tmp_path):
                "--rtt", "0.05", "--timeout", "20", "--max-restarts", "1",
                "--min-participants", "3"])
     assert rc == 3
+
+
+def test_dial_failures_counted_per_peer(caplog):
+    rng = random.Random(77)
+    keypairs = [KeyPair.from_secret(TOY, x) for x in (3, 4)]
+    closed = free_port()  # bound and released: nothing listens there
+    entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
+                           endpoint=f"127.0.0.1:{closed}")
+               for i, kp in enumerate(keypairs)]
+    roster = build_roster(entries, 0)
+    rt = NodeRuntime(SigningNode(0, roster, keypairs[0], rng), roster, "127.0.0.1:0")
+    assert rt.dial_failures == {}
+    rt._dial(1, Refuse(view=0, round=0, attempt=0, sender=0, reason=REFUSE_STALE))
+    assert rt.dial_failures == {1: 1}
+    assert "dial to witness 1" in caplog.text
 
 
 def test_predicate_file(tmp_path, capsys):

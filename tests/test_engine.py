@@ -118,6 +118,77 @@ def test_second_conflicting_challenge_refused():
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in again)
 
 
+def _challenge_for(node, key, statement=b"s"):
+    st = node.rounds[key]
+    return Challenge(view=key[0], round=key[1], attempt=key[2], sender=0,
+                     challenge=multisig.collective_challenge(st.aggregate_commit, statement),
+                     aggregate_commit=st.aggregate_commit, commit_root=None,
+                     statement=None, proof=CommitTreeProof(()))
+
+
+def test_new_session_discards_unanswered_nonce():
+    secrets = [3, 4]
+    roster = make_toy_roster(secrets)
+    node = make_node(1, roster, secrets, seed=7)
+    node.handle_message(announce_for(roster, rnd=0), now=0.0)  # session A: commit out
+    node.handle_message(announce_for(roster, rnd=1), now=0.1)  # session B
+    assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.2) == []
+    assert node.nonce_log == []
+    # a re-announce of A resends its commit but opens no session
+    again = node.handle_message(announce_for(roster, rnd=0), now=0.25)
+    assert [type(e.msg) for e in again] == [Commit]
+    assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.3) == []
+    st = node.rounds[(0, 1, 0)]
+    challenge_b = _challenge_for(node, (0, 1, 0))
+    effects = node.handle_message(challenge_b, now=0.4)
+    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Response)]
+    share = effects[0].msg.aggregate_response
+    # r = v - c*x, so g^r * X^c is the commit B drew
+    key_term = roster.public_key(1) ** challenge_b.challenge
+    assert TOY.generator ** share * key_term == st.own_commit
+    assert [entry[:3] for entry in node.nonce_log] == [(0, 1, 0)]
+
+
+def test_interior_commit_finished_after_newer_session_cannot_answer():
+    secrets = [1, 2, 3, 4, 5, 6, 7]
+    roster = make_toy_roster(secrets)
+    node = make_node(1, roster, secrets)  # children 3, 4 in the 7-node binary tree
+    node.handle_message(announce_for(roster, rnd=0), now=0.0)  # A waits for 3 and 4
+    node.handle_message(announce_for(roster, rnd=1), now=0.1)  # B opens first
+    effects = []
+    for child in (3, 4):
+        leaf = make_node(child, roster, secrets)
+        for send in leaf.handle_message(announce_for(roster, rnd=0, sender=1), now=0.2):
+            effects += node.handle_message(send.msg, now=0.3)
+    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Commit)]  # A's commit is out
+    assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.4) == []
+    assert node.nonce_log == []
+
+
+def test_leader_new_round_discards_unanswered_nonce():
+    secrets = [3, 4]
+    roster = make_toy_roster(secrets)
+    leader, witness = make_node(0, roster, secrets), make_node(1, roster, secrets)
+    cfg = engine.RoundConfig(round_number=0, branching=2)
+    first = leader.start_round(cfg, b"s", now=0.0)  # round 0 waits for witness 1
+    second = leader.start_round(replace(cfg, round_number=1), b"s", now=0.1)
+    pending = [e for e in first + second if isinstance(e, Send)]
+    done = []
+    while pending:
+        send = pending.pop(0)
+        node = leader if send.dest == 0 else witness
+        for eff in node.handle_message(send.msg, now=0.2):
+            if isinstance(eff, Send):
+                pending.append(eff)
+            elif isinstance(eff, engine.RoundDone):
+                done.append(eff.result)
+    assert [(r.round, r.ok) for r in done] == [(0, False), (1, True)]
+    assert done[0].reason == "nonce discarded for a newer session"
+    assert [entry[:3] for entry in leader.nonce_log] == [(0, 1, 0)]
+    assert [entry[:3] for entry in witness.nonce_log] == [(0, 1, 0)]
+    assert multisig.verify_collective(roster, b"s", done[1].signature, Threshold(2)).ok
+
+
 # -- lying leader ------------------------------------------------------------------
 
 def _lying_leader_challenge(mode, timing, signed):

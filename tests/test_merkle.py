@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,11 +10,30 @@ from cosikit.merkle import (
     DigestTree,
     InclusionProof,
     MerkleTree,
+    SIBLING_LEFT,
+    SIBLING_RIGHT,
     empty_tree_root,
     fold_proof,
     leaf_hash,
+    node_hash,
     verify_inclusion,
 )
+
+
+def reference_path(digests, index):
+    """Audit path built bottom-up from scratch, duplicating the last node of
+    every odd-sized level."""
+    level, path = list(digests), []
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])
+        if index % 2:
+            path.append(AuditStep(SIBLING_LEFT, level[index - 1]))
+        else:
+            path.append(AuditStep(SIBLING_RIGHT, level[index + 1]))
+        level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+        index //= 2
+    return tuple(path)
 
 
 def test_single_leaf_root_is_leaf_hash():
@@ -72,6 +94,42 @@ def test_proof_encoding_roundtrip():
         assert again == proof
     with pytest.raises(ValueError):
         InclusionProof.decode(tree.prove(1).encode()[:-1])
+
+
+def test_proofs_match_reference_for_every_size_and_index():
+    for size in range(1, 71):
+        leaves = [i.to_bytes(2, "big") for i in range(size)]
+        tree = MerkleTree(leaves)
+        digests = [leaf_hash(x) for x in leaves]
+        order = list(range(size))
+        random.Random(size).shuffle(order)  # the memo must not depend on order
+        for i in order:
+            proof = tree.prove(i)
+            assert proof.path == reference_path(digests, i), (size, i)
+            assert InclusionProof.decode(proof.encode()) == proof
+            assert verify_inclusion(tree.root, leaves[i], proof, index=i)
+            assert tree.prove(i) == proof
+
+
+def test_proofs_share_one_step_per_node():
+    for size in (2, 5, 16, 33, 70):
+        tree = MerkleTree([bytes([i]) for i in range(size)])
+        proofs = [tree.prove(i) for i in range(size)]
+        steps = {id(step) for proof in proofs for step in proof.path}
+        assert len(steps) <= sum(len(level) for level in tree.levels), size
+
+
+def test_proof_bytes_pinned():
+    # recorded before proofs shared their steps: every byte must stay
+    tree = MerkleTree([bytes([i]) for i in range(11)])
+    encoded = [tree.prove(i).encode() for i in range(11)]
+    assert hashlib.sha256(b"".join(encoded)).hexdigest() == (
+        "5d11cd179e1b595760f84bbc24f92b83a3534e8c33666be8b868aa1e5d5a1415")
+    assert encoded[10].hex() == (
+        "000401cfc37e23d3706e2e59c408b2b67864d91e28b5d6df3197596477ad284371bb8c00"
+        "0781a3ae42406a2847a44544e720a4a770185559897e4120cbacfa33822356af019d00e1"
+        "038b8180cb821aa5f5154afcff9fbdeac701f6210928bb926cc0fbe838007dc7935eba7b"
+        "f6e797977c7b7f62e854ff4de2e59b2a8ef72fdc234b8c524ea7")
 
 
 def test_audit_step_validation():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from cosikit import multisig, simnet
@@ -105,6 +107,15 @@ def test_determinism_byte_identical_reports():
     second = emit_report([m for c in cfgs for m in run_sim(c)])
     assert first == second
     assert first.startswith("scheme,N,B,round,latency_ms,root_msgs,root_bytes,root_compute\n")
+
+
+def test_shipped_sweep_matches_committed_csv():
+    """sweeps/paper_scaling.csv was written by scripts/run_sweep.py; a change
+    that moves any simulated latency, byte or message count fails here."""
+    sweeps = Path(__file__).resolve().parent.parent / "sweeps"
+    configs = simnet.load_sweep(str(sweeps / "paper_scaling.json"))
+    report = emit_report([m for cfg in configs for m in run_sim(cfg)])
+    assert report.encode() == (sweeps / "paper_scaling.csv").read_bytes()
 
 
 def test_emit_report_row_count():

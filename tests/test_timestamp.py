@@ -47,6 +47,10 @@ def test_record_pack_roundtrip():
     assert len(rec.pack()) == 80
     with pytest.raises(TimestampError):
         unpack_record(rec.pack() + b"\x00")
+    bad = TimestampRecord(7, 123456, b"\x01" * 31, b"\x02" * 32)
+    for _ in range(2):  # a failed pack caches nothing
+        with pytest.raises(TimestampError):
+            bad.pack()
 
 
 def test_single_hash_round(authority_env):
@@ -73,6 +77,27 @@ def test_four_hash_round(authority_env):
     # a tampered leaf fails
     bogus = h(b"not submitted")
     assert not verify_receipt(roster, bogus, receipts[digests[0]], Threshold(2)).ok
+
+
+def test_receipt_bytes_pinned(authority_env):
+    # recorded before receipts shared their audit steps and packed record
+    _, authority = authority_env
+    digests = [h(bytes([i])) for i in range(5)]
+    for d in digests:
+        authority.submit(d)
+    _, receipts = authority.round_close(clock=500.0)
+    blobs = [receipts[d].to_bytes() for d in digests]
+    assert hashlib.sha256(b"".join(blobs)).hexdigest() == (
+        "b376524b6c613402a908b3592ba05c3e285a1d3f8a1937bf0046cff34c71ff79")
+    assert blobs[3].hex() == (
+        "54535231000000000000000100000000000001f42af5b4bab74866cddd59acc93d3b242b"
+        "71c3e61c9cde6f23753b1a34f25850930000000000000000000000000000000000000000"
+        "0000000000000000000000000000001143534731020000000900000000000000000000"
+        "0065000300f35f2ca2eeea0bc6019a1298b1d58805ff33f2d690e9a11ce2b8a40d4e66cb"
+        "2300290830ee9e5d5e97c8eb1d2a59e5870828f79c8dcedc33c95184888f65a188cd0114"
+        "be08408615b14f002d0a8cab4bdf89995272764577318ab3b88e6c07be50cd")
+    for blob in blobs:
+        assert StampReceipt.from_bytes(blob, 3).to_bytes() == blob
 
 
 def test_empty_round(authority_env):

@@ -8,10 +8,7 @@ from cosikit.topology import (
     LeaderFailedError,
     TopologyError,
     build_bary_tree,
-    label_bits,
     prune_and_reconnect,
-    run_swap_aggregation,
-    swap_partners,
     tree_for,
 )
 
@@ -141,7 +138,7 @@ def test_prune_preserves_survivors(n, branching, seed):
         assert topo.parent[m] in topo.members
 
 
-# -- swap forest -------------------------------------------------------------------
+# -- shared trees ------------------------------------------------------------------
 
 def test_tree_for_shares_one_object_per_key():
     topo = tree_for(64, 4, 3, frozenset({5, 17, 18}))
@@ -177,42 +174,3 @@ def test_round_states_share_one_topology():
     assert result is not None and result.ok
     topologies = {id(st.topology) for node in sim.nodes for st in node.rounds.values()}
     assert topologies == {id(tree_for(64, 4, 0))}
-
-
-def test_label_bits():
-    assert label_bits(1) == 1
-    assert label_bits(2) == 1
-    assert label_bits(3) == 2
-    assert label_bits(64) == 6
-    assert label_bits(65) == 7
-
-
-def test_swap_partner_examples():
-    # a node labeled xx00 may swap with either xx10 or xx11 at step 1
-    assert swap_partners(0b0000, 1, 4) == [0b0010, 0b0011]
-    assert swap_partners(0, 0, 1) == [1]
-    assert swap_partners(0b101, 2, 3) == [0b000, 0b001, 0b010, 0b011]
-
-
-def test_swap_partners_brute_force_oracle():
-    for bits in range(1, 5):
-        for label in range(1 << bits):
-            for step in range(bits):
-                oracle = [k for k in range(1 << bits)
-                          if (k >> (step + 1)) == (label >> (step + 1))
-                          and ((k >> step) & 1) != ((label >> step) & 1)]
-                assert swap_partners(label, step, bits) == oracle
-
-
-def test_swap_step_zero_is_singleton():
-    for bits in range(1, 5):
-        for label in range(1 << bits):
-            assert len(swap_partners(label, 0, bits)) == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=1, max_value=64))
-def test_swap_aggregation_completeness(n):
-    values = list(range(1, n + 1))
-    final = run_swap_aggregation(values)
-    assert final == [sum(values)] * n
