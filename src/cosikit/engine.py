@@ -1123,8 +1123,8 @@ class SigningNode:
         expected = rec.aggregate
         for exc in msg.exceptions:
             expected = expected * exc.commit.inverse()
-        lhs = (self.group.generator ** msg.aggregate_response) * (key ** st.challenge)
-        return lhs == expected
+        # Roster keys lie in the prime-order subgroup, as check_response requires.
+        return self.group.check_response(msg.aggregate_response, key, st.challenge, expected)
 
     def _response_child_gone(self, st: _RoundState, child: int, now: float,
                              crashed: bool = True) -> list:

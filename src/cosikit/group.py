@@ -8,11 +8,20 @@ All protocol arithmetic in the rest of the package goes through this module.
 Ed25519 exponentiation takes one of two paths. A power of the generator
 (recognised by identity: the generator's coordinates are derived once, at
 import) adds one entry per 4-bit digit from a fixed-base table of 64 rows of
-16 multiples of 16^i * G, with no doublings. The table (about 0.3 MB) is
-built lazily by the first such power and then reused for the life of the
-process. Any other base uses a fixed 4-bit window: 14 additions precompute
-its multiples 2..15, then each digit costs 4 doublings and at most one
-addition. Doublings use the dedicated a = -1 formula of RFC 8032.
+16 multiples of 16^i * G, with no doublings. The entries are affine, stored
+as (y + x, y - x, 2d*x*y), so each addition is a mixed one of 7 field
+multiplications. The table (about 0.25 MB) is built lazily by the first such
+power and then reused for the life of the process. Any other base uses a
+fixed 4-bit window: 14 additions precompute its multiples 2..15, then each
+digit costs 4 doublings and at most one addition. Doublings use the
+dedicated a = -1 formula of RFC 8032.
+
+`check_response` tests g^s * A^c == R without a full-length A^c. A
+truncated extended Euclid splits c into c0 = c*t (mod L) with c0 and an odd
+t both about half as long, and the equation raised to t, A^c0 * R^-t ==
+g^(-s*t), is then checked by one joint 4-bit ladder over A and R (Straus)
+and one table power of G. That halves the doublings (Antipa et al., SAC
+2005; Pornin, https://eprint.iacr.org/2020/454).
 
 The arithmetic runs on plain Python integers and is variable-time: its
 running time depends on the scalar's digits (zero digits skip their addition)
@@ -106,6 +115,16 @@ class Group:
         if len(data) != self.element_size:
             raise DecodeError(f"element must be {self.element_size} bytes, got {len(data)}")
         return GroupElement(self, self._decode(data))
+
+    def check_response(self, s: "Scalar", key: "GroupElement", c: "Scalar",
+                       commit: "GroupElement") -> bool:
+        """Whether g^s * key^c == commit.
+
+        key must lie in the prime-order subgroup: a subclass may rely on
+        key^L being the identity. commit may be any element; one outside the
+        subgroup is rejected.
+        """
+        return self.generator ** s * key ** c == commit
 
     def random_scalar(self, rng, nonzero: bool = True) -> "Scalar":
         """Uniform scalar via unbiased modular rejection sampling.
@@ -247,7 +266,8 @@ _I = pow(2, (_P - 1) // 4, _P)  # sqrt(-1)
 
 
 def _recover_x(y: int, sign: int) -> int:
-    xx = (y * y - 1) * pow(_D * y * y + 1, _P - 2, _P) % _P
+    # d is not a square mod p, so d*y^2 + 1 is never 0.
+    xx = (y * y - 1) * pow(_D * y * y + 1, -1, _P) % _P
     x = pow(xx, (_P + 3) // 8, _P)
     if (x * x - xx) % _P != 0:
         x = x * _I % _P
@@ -265,6 +285,50 @@ def _recover_x(y: int, sign: int) -> int:
 _GY = 4 * pow(5, _P - 2, _P) % _P
 _GX = _recover_x(_GY, 0)
 _G = (_GX, _GY, 1, _GX * _GY % _P)
+
+_HALF = 1 << 126
+
+
+def _half_split(c: int) -> tuple[int, int]:
+    """Returns (c0, t) with c0 = c*t (mod L), c0 >= 0 and t odd, for 0 <= c < L.
+
+    Extended Euclid on (L, c) stops at the first remainder below 2^126. Each
+    remainder r_i = c*t_i (mod L), and |t_i| <= L / r_(i-1), so the pair is
+    about 126 bits wide. Consecutive cofactors are coprime, so when t_i is
+    even, (r_(i-1), t_(i-1)) - j*(r_i, t_i) has an odd cofactor for every j;
+    the j that balances its two halves is taken. (A pair with c0 < 0 never
+    wins: it and the other candidate would then both be below 2^126, and
+    two such lattice vectors span a determinant below L.) Over 100,000
+    random c the widest pair was 134 bits. A few c have no short pair with
+    odd t, (L + 1) / 2 among them; the answer is then still exact, only
+    longer.
+    """
+    r0, r1 = _L, c
+    t0, t1 = 0, 1
+    while r1 >= _HALF:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not t1 & 1:
+        # r0 - j*r1 falls and |t0 - j*t1| rises with j: t0 and t1 differ in sign.
+        j = (r0 - abs(t0)) // (r1 + abs(t1))
+        r1, t1 = min((r0 - j * r1, t0 - j * t1), (r0 - (j + 1) * r1, t0 - (j + 1) * t1),
+                     key=lambda pair: max(abs(pair[0]), abs(pair[1])))
+    return r1, t1
+
+
+def _invert_all(values: list[int]) -> list[int]:
+    """The inverses mod p of nonzero values, for one inversion (Montgomery's
+    trick)."""
+    prefix = [1]
+    for v in values:
+        prefix.append(prefix[-1] * v % _P)
+    inv = pow(prefix[-1], -1, _P)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv % _P
+        inv = inv * values[i] % _P
+    return out
 
 
 class Ed25519Group(Group):
@@ -300,31 +364,77 @@ class Ed25519Group(Group):
         f = c + g
         return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
 
+    def _add_affine(self, p, q):
+        """p + q for q in the fixed-base table's form (y + x, y - x, 2d*x*y):
+        _add with Z2 = 1, which saves two multiplications."""
+        x1, y1, z1, t1 = p
+        ypx, ymx, xy2d = q
+        a = (y1 - x1) * ymx % _P
+        b = (y1 + x1) * ypx % _P
+        c = t1 * xy2d % _P
+        dd = 2 * z1
+        e, f, g, h = b - a, dd - c, dd + c, b + a
+        return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+
     def _mul(self, a, b):
         return self._add(a, b)
 
     def _fixed_base_rows(self):
-        """Row i holds j * 16^i * G for j = 0..15, for i = 0..63."""
+        """Row i holds j * 16^i * G for j = 0..15, for i = 0..63, in the
+        affine form (y + x, y - x, 2d*x*y)."""
         rows = self._g_rows
         if rows is None:
-            rows = []
+            points = []
             base = _G
             for _ in range(64):
                 row = [self._IDENT, base]
                 for _ in range(14):
                     row.append(self._add(row[-1], base))
-                rows.append(tuple(row))
+                points.extend(row)
                 base = self._double(row[8])
+            entries = []
+            for (x, y, _, _), zi in zip(points, _invert_all([p[2] for p in points])):
+                x, y = x * zi % _P, y * zi % _P
+                entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
             # One assignment: threads that race here each build an equal
             # table, and whichever lands last is kept.
-            self._g_rows = rows = tuple(rows)
+            self._g_rows = rows = tuple(tuple(entries[i:i + 16])
+                                        for i in range(0, len(entries), 16))
         return rows
 
+    def _window(self, a):
+        """a^0 .. a^15, the multiples a 4-bit window adds."""
+        mults = [self._IDENT, a]
+        for _ in range(14):
+            mults.append(self._add(mults[-1], a))
+        return mults
+
+    def _straus(self, ma, j, mb, k):
+        """a^j * b^k for j, k >= 0, given a's and b's windows: one ladder of
+        4-bit digits, most significant first, whose doublings both exponents
+        share (Straus). With k = 0, mb is never read."""
+        add, dbl = self._add, self._double
+        shift = max(j.bit_length() - 1, k.bit_length() - 1, 0) // 4 * 4
+        r = ma[j >> shift]
+        d = k >> shift
+        if d:
+            r = add(r, mb[d])
+        while shift:
+            shift -= 4
+            r = dbl(dbl(dbl(dbl(r))))
+            d = (j >> shift) & 15
+            if d:
+                r = add(r, ma[d])
+            d = (k >> shift) & 15
+            if d:
+                r = add(r, mb[d])
+        return r
+
     def _pow(self, a, k):
-        add = self._add
         if a is _G:
             # k = sum of d_i * 16^i, so G^k adds row i's d_i-th entry over
             # the 64 rows and doubles nothing.
+            add = self._add_affine
             k %= _L
             r = self._IDENT
             for row in self._fixed_base_rows():
@@ -333,20 +443,17 @@ class Ed25519Group(Group):
                     r = add(r, row[d])
                 k >>= 4
             return r
-        # Any other base: a fixed 4-bit window, most significant digit first.
-        mults = [self._IDENT, a]
-        for _ in range(14):
-            mults.append(add(mults[-1], a))
-        dbl = self._double
-        shift = max(k.bit_length() - 1, 0) // 4 * 4
-        r = mults[k >> shift]
-        while shift:
-            shift -= 4
-            r = dbl(dbl(dbl(dbl(r))))
-            d = (k >> shift) & 15
-            if d:
-                r = add(r, mults[d])
-        return r
+        return self._straus(self._window(a), k, (), 0)
+
+    def check_response(self, s, key, c, commit):
+        # For odd t, g^s * key^c == commit holds exactly when its t-th power,
+        # rearranged as key^c0 * commit^-t == g^(-s*t), does: raising to t
+        # is a bijection on the prime-order subgroup, and an odd power of a
+        # commit's order-2, 4 or 8 component is never the identity.
+        c0, t = _half_split(c.value)
+        b = commit.raw if t < 0 else self._inv(commit.raw)
+        lhs = self._straus(self._window(key.raw), c0, self._window(b), abs(t))
+        return self._eq(lhs, self._pow(_G, -s.value * t % _L))
 
     def _inv(self, a):
         x, y, z, t = a
@@ -354,7 +461,7 @@ class Ed25519Group(Group):
 
     def _affine(self, a):
         x, y, z, _ = a
-        zi = pow(z, _P - 2, _P)
+        zi = pow(z, -1, _P)
         return x * zi % _P, y * zi % _P
 
     def _eq(self, a, b):

@@ -329,11 +329,15 @@ def test_lying_child_excluded_and_exclusion_propagated():
 
 
 def test_lying_child_no_restart_becomes_exception():
-    out = run_cosi(seed=6, n=7, branching=2, mode=MODE_NO_RESTART,
-                   failures=(FailureAction(3, "response", "lie"),))
-    result = out.results[0]
-    assert result.ok and result.attempts == 1
-    assert [e.index for e in result.signature.exceptions] == [3]
+    # in the prod group every partial is checked through the half-length split
+    for group_name in ("toy", "prod"):
+        out = run_cosi(seed=6, n=7, branching=2, mode=MODE_NO_RESTART, group_name=group_name,
+                       failures=(FailureAction(3, "response", "lie"),))
+        result = out.results[0]
+        assert result.ok and result.attempts == 1
+        assert [e.index for e in result.signature.exceptions] == [3]
+        assert multisig.verify_collective(out.roster, result.statement,
+                                          result.signature, Threshold(6)).ok
 
 
 def test_interior_drop_bridges_responses():

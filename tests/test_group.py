@@ -18,7 +18,7 @@ from cosikit.group import (
     schnorr_verify,
     verify_possession,
 )
-from cosikit.group import Ed25519Group, _recover_x
+from cosikit.group import Ed25519Group, GroupElement, _half_split, _recover_x
 
 
 def test_toy_group_constants():
@@ -292,40 +292,127 @@ def test_pow_matches_reference(k):
 
 def test_fixed_base_table_built_once(monkeypatch):
     monkeypatch.setattr(ED25519, "_g_rows", None)
-    adds = []
-    real_add = Ed25519Group._add
-    monkeypatch.setattr(Ed25519Group, "_add",
-                        lambda self, p, q: adds.append(1) or real_add(self, p, q))
+    calls = []
+    for name in ("_add", "_add_affine", "_double"):
+        real = getattr(Ed25519Group, name)
+        monkeypatch.setattr(Ed25519Group, name,
+                            lambda self, p, *q, name=name, real=real:
+                            calls.append(name) or real(self, p, *q))
     g = ED25519.generator
     assert g ** 5 == ED25519.decode_element(g.encode()) ** 5
     rows = ED25519._g_rows
     assert len(rows) == 64 and all(len(row) == 16 for row in rows)
     for k in (7, 2**200 + 3, L - 1):
-        before = len(adds)
+        before = len(calls)
         g ** k
         assert ED25519._g_rows is rows
-        # a table hit adds at most one entry per 4-bit digit, never rebuilds
-        assert len(adds) - before <= 64
+        # a table hit adds at most one affine entry per 4-bit digit, and
+        # neither rebuilds the table nor doubles
+        assert set(calls[before:]) <= {"_add_affine"}
+        assert len(calls) - before <= 64
 
 
-def test_ed25519_decode_rejects_mixed_order_point():
-    # G plus a point of order 8 lies on the curve, but outside the
-    # prime-order subgroup: only the [L]P check can reject it.
-    torsion = None
+def test_fixed_base_table_matches_affine_reference():
+    table = ED25519._fixed_base_rows()
+    base = affine(ED25519.generator.raw)
+    for row in table:
+        point = (0, 1)
+        for j, entry in enumerate(row):
+            x, y = point
+            assert entry == ((y + x) % P, (y - x) % P, 2 * D * x * y % P), j
+            point = affine_add(point, base)
+        for _ in range(4):
+            base = affine_add(base, base)
+
+
+@pytest.fixture(scope="module")
+def torsion():
+    """Points of order 8, 4 and 2, as affine pairs."""
     for y in range(2, 200):
         try:
             x = _recover_x(y, 0)
         except DecodeError:
             continue
-        t = ref_pow((x, y, 1, x * y % P), L)
-        if ref_pow((t[0], t[1], 1, t[0] * t[1] % P), 4) != (0, 1):
-            torsion = t
-            break
-    assert torsion is not None
-    tx, ty = torsion
-    torsion_raw = (tx, ty, 1, tx * ty % P)
-    assert ref_pow(torsion_raw, 8) == (0, 1)
-    mixed = affine_add(affine(ED25519.generator.raw), torsion)
+        t8 = ref_pow((x, y, 1, x * y % P), L)
+        t4 = affine_add(t8, t8)
+        t2 = affine_add(t4, t4)
+        if t2 != (0, 1):
+            assert affine_add(t2, t2) == (0, 1)
+            return {8: t8, 4: t4, 2: t2}
+    raise AssertionError("no point of order 8 found")
+
+
+SPLIT_EDGES = {"0": 0, "1": 1, "2^126-1": 2**126 - 1, "2^126": 2**126, "L-1": L - 1}
+# Hypothesis favours small integers, which split trivially as (c, 1); the
+# seeded draws are uniform over [0, L), where half the cofactors come out even.
+CHALLENGES = st.one_of(
+    st.integers(min_value=0, max_value=L - 1),
+    st.integers(min_value=0, max_value=2**32 - 1).map(
+        lambda seed: random.Random(seed).randrange(L)))
+
+
+def assert_short_odd_split(c):
+    c0, t = _half_split(c)
+    assert (c0 - c * t) % L == 0
+    assert t & 1
+    assert 0 <= c0 <= 2**143 and abs(t) <= 2**143
+
+
+@pytest.mark.parametrize("c", SPLIT_EDGES.values(), ids=SPLIT_EDGES.keys())
+def test_half_split_edge_scalars(c):
+    assert_short_odd_split(c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=CHALLENGES)
+def test_half_split_short_and_odd(c):
+    assert_short_odd_split(c)
+
+
+def check_against_reference(group, a, s, c, torsion):
+    """check_response agrees with g^s * A^c == R for a valid R, for R*G and,
+    in Ed25519, for R plus a point of order 2, 4 and 8; in the toy group for
+    R times -1, of order 2 in Z_23*."""
+    g = group.generator
+    key = g ** a
+    s, c = group.scalar(s), group.scalar(c)
+    valid = g ** s * key ** c
+    if group is TOY:
+        extras = [TOY.modulus - 1]
+    else:
+        extras = [(x, y, 1, x * y % P) for x, y in (torsion[n] for n in (2, 4, 8))]
+    commits = [valid, valid * g] + [valid * GroupElement(group, e) for e in extras]
+    verdicts = []
+    for commit in commits:
+        verdict = group.check_response(s, key, c, commit)
+        assert verdict == (g ** s * key ** c == commit)
+        verdicts.append(verdict)
+    assert verdicts == [True] + [False] * (len(commits) - 1)
+
+
+@pytest.mark.parametrize("c", SPLIT_EDGES.values(), ids=SPLIT_EDGES.keys())
+def test_check_response_edge_challenges(c, torsion):
+    rng = random.Random(c)
+    for group in (TOY, ED25519):
+        a = rng.randrange(1, group.order)
+        check_against_reference(group, a, rng.randrange(group.order), c % group.order,
+                                torsion)
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.integers(min_value=1, max_value=L - 1),
+       s=st.integers(min_value=0, max_value=L - 1), c=CHALLENGES)
+def test_check_response_matches_reference(a, s, c, torsion):
+    for group in (TOY, ED25519):
+        check_against_reference(group, a % group.order or 1, s, c, torsion)
+
+
+def test_ed25519_decode_rejects_mixed_order_point(torsion):
+    # G plus a point of order 8 lies on the curve, but outside the
+    # prime-order subgroup: only the [L]P check can reject it.
+    tx, ty = torsion[8]
+    assert ref_pow((tx, ty, 1, tx * ty % P), 8) == (0, 1)
+    mixed = affine_add(affine(ED25519.generator.raw), torsion[8])
     data = (mixed[1] | ((mixed[0] & 1) << 255)).to_bytes(32, "little")
     with pytest.raises(DecodeError, match="prime-order subgroup"):
         ED25519.decode_element(data)
