@@ -38,7 +38,7 @@ from .multisig import (
 )
 from .participation import ParticipationSet
 from .roster import WitnessRoster
-from .topology import LeaderFailedError, TreeTopology, tree_for
+from .topology import LeaderFailedError, TopologyError, TreeTopology, tree_for
 
 logger = logging.getLogger("cosikit.engine")
 
@@ -162,10 +162,6 @@ def _u32(v: int) -> bytes:
     return v.to_bytes(4, "big")
 
 
-def _u64(v: int) -> bytes:
-    return v.to_bytes(8, "big")
-
-
 class _Reader:
     def __init__(self, data: bytes, witness_count: int):
         self.data = data
@@ -187,9 +183,6 @@ class _Reader:
 
     def u32(self) -> int:
         return int.from_bytes(self.take(4), "big")
-
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
 
     def count(self) -> int:
         """A u16 record count, at most one record per witness."""
@@ -215,8 +208,8 @@ def _enc_idxset(indices: Iterable[int]) -> bytes:
 
 
 def _dec_idxset(r: _Reader) -> frozenset[int]:
-    n = r.u16()
-    return frozenset(r.u32() for _ in range(n))
+    n = r.count()
+    return frozenset(r.index() for _ in range(n))
 
 
 def _enc_opt_bytes(data: Optional[bytes]) -> bytes:
@@ -283,8 +276,9 @@ class Announce:
 
 @dataclass(frozen=True)
 class SubtreeSummary:
-    """What a node reports about one direct contributor: enough for the
-    recipient to build exception records and bridge one level down."""
+    """What a node knows about one contributor's subtree, and reports about
+    each direct contributor: enough for the recipient to build exception
+    records and bridge one level down."""
 
     index: int
     commit: GroupElement  # the contributor's individual commit
@@ -308,10 +302,17 @@ class SubtreeSummary:
         commit = group.decode_element(r.take(group.element_size))
         aggregate = group.decode_element(r.take(group.element_size))
         tree_hash = r.take(DIGEST_SIZE)
-        n = r.u16()
-        contribs = tuple((r.u32(), r.take(DIGEST_SIZE)) for _ in range(n))
+        n = r.count()
+        contribs = tuple((r.index(), r.take(DIGEST_SIZE)) for _ in range(n))
         absent = _dec_idxset(r)
         return cls(index, commit, aggregate, tree_hash, contribs, absent)
+
+    def step_for(self, child: int) -> CommitStep:
+        """Audit step placing `child`'s subtree hash within this node's
+        commit-tree inputs; `child == index` places the node's own commit."""
+        pos = 0 if child == self.index else 1 + [i for i, _ in self.contributors].index(child)
+        inputs = [commit_leaf_digest(self.commit)] + [h for _, h in self.contributors]
+        return commit_step(inputs, pos)
 
 
 @dataclass(frozen=True)
@@ -581,17 +582,6 @@ class RoundResult:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _CommitRecord:
-    index: int
-    commit: GroupElement
-    aggregate: GroupElement
-    tree_hash: bytes
-    participants: frozenset[int]
-    absent: frozenset[int]
-    summaries: dict[int, SubtreeSummary]
-
-
-@dataclass
 class _RoundState:
     key: tuple  # (view, round, attempt)
     config: RoundConfig
@@ -607,7 +597,8 @@ class _RoundState:
     own_commit: Optional[GroupElement] = None
 
     pending_commit: set = field(default_factory=set)
-    records: dict = field(default_factory=dict)  # index -> _CommitRecord
+    records: dict = field(default_factory=dict)  # direct contributor -> SubtreeSummary
+    below: dict = field(default_factory=dict)  # one level further down -> SubtreeSummary
     absent: set = field(default_factory=set)
     failed: set = field(default_factory=set)
     refused: set = field(default_factory=set)
@@ -631,12 +622,6 @@ class _RoundState:
     exceptions: list = field(default_factory=list)  # CommitException, anchored at this node
     unresolvable: Optional[str] = None
     sent_response: Optional[Response] = None
-
-    def live_summary_sources(self) -> dict[int, SubtreeSummary]:
-        out = {}
-        for rec in self.records.values():
-            out.update(rec.summaries)
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +681,7 @@ class SigningNode:
             del self.rounds[min(self.rounds)]
 
     def _wait_budget(self, st: _RoundState) -> float:
-        height = _subtree_height(st.topology, self.index)
-        return st.timeout_base * (height + 1)
+        return st.timeout_base * (st.topology.height(self.index) + 1)
 
     # ------------------------------------------------------------------
     # Leader entry point
@@ -737,12 +721,7 @@ class SigningNode:
         self.rounds[key] = st
         self._trim_round_state()
         effects = self._begin_participation(st, now)
-        announce = Announce(
-            view=key[0], round=key[1], attempt=key[2], mode=st.mode,
-            timing=st.timing, branching=config.branching,
-            timeout_ms=int(st.timeout_base * 1000), topology_digest=topo.digest(),
-            failed=frozenset(failed), sender=self.index, statement=statement,
-        )
+        announce = self._announce(st)
         for child in st.topology.children[self.index]:
             effects.append(Send(child, announce))
         return effects
@@ -758,6 +737,40 @@ class SigningNode:
                              failed=failed, refused=refused)
         self.round_logs.append(result)
         return result
+
+    def _fail(self, st: _RoundState, reason: str) -> list:
+        return [RoundDone(self._failure(st.config, st.key[2], reason,
+                                        frozenset(st.failed), frozenset(st.refused)))]
+
+    # ------------------------------------------------------------------
+    # Outgoing messages
+    # ------------------------------------------------------------------
+
+    def _announce(self, st: _RoundState) -> Announce:
+        return Announce(
+            view=st.key[0], round=st.key[1], attempt=st.key[2], mode=st.mode,
+            timing=st.timing, branching=st.config.branching,
+            timeout_ms=int(st.timeout_base * 1000),
+            topology_digest=st.topology.digest(), failed=st.topology.absent,
+            sender=self.index,
+            statement=st.statement if st.timing == STATEMENT_AT_ANNOUNCE else None,
+        )
+
+    def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...]) -> Challenge:
+        """The challenge for a node placed by `steps` below this one. Audit
+        paths fold bottom-up: `steps` lift the recipient's hash to ours, then
+        our own received path continues to the root."""
+        return Challenge(
+            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
+            challenge=st.challenge, aggregate_commit=st.global_commit,
+            commit_root=st.commit_root,
+            statement=st.statement if st.timing == STATEMENT_AT_CHALLENGE else None,
+            proof=CommitTreeProof(steps + st.proof.steps),
+        )
+
+    def _refuse(self, st: _RoundState, dest: int, reason: int) -> list:
+        return [Send(dest, Refuse(view=st.key[0], round=st.key[1], attempt=st.key[2],
+                                  sender=self.index, reason=reason))]
 
     # ------------------------------------------------------------------
     # Shared participation logic
@@ -798,8 +811,9 @@ class SigningNode:
         agg = st.own_commit
         participants = {self.index}
         for c in contributors:
-            agg = agg * st.records[c].aggregate
-            participants |= st.records[c].participants
+            rec = st.records[c]
+            agg = agg * rec.aggregate
+            participants |= st.topology.descendants(c) - rec.absent
         st.aggregate_commit = agg
         st.participants = frozenset(participants)
         st.absent |= st.topology.descendants(self.index) - st.participants
@@ -810,22 +824,18 @@ class SigningNode:
         return self._send_commit(st)
 
     def _send_commit(self, st: _RoundState) -> list:
-        summaries = tuple(self._summary_of(st, c) for c in st.contributors)
+        if st.nonce is None:
+            # A newer session discarded our nonce: this commit could never be
+            # answered, so tell the parent not to wait for our response.
+            return self._refuse(st, st.parent, REFUSE_STALE)
         msg = Commit(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             aggregate=st.aggregate_commit, commit=st.own_commit,
             tree_hash=st.tree_hash, absent=frozenset(st.absent),
             failed=frozenset(st.failed), refused=frozenset(st.refused),
-            summaries=summaries,
+            summaries=tuple(st.records[c] for c in st.contributors),
         )
         return [Send(st.parent, msg)]
-
-    def _summary_of(self, st: _RoundState, c: int) -> SubtreeSummary:
-        rec = st.records[c]
-        contribs = tuple(sorted((i, s.tree_hash) for i, s in rec.summaries.items()))
-        return SubtreeSummary(index=c, commit=rec.commit, aggregate=rec.aggregate,
-                              tree_hash=rec.tree_hash, contributors=contribs,
-                              absent=rec.absent)
 
     def _step_for(self, st: _RoundState, child: int) -> CommitStep:
         """Audit step placing `child`'s subtree hash within this node's inputs."""
@@ -870,15 +880,18 @@ class SigningNode:
             # new parent and resend our commit (or refusal) if we already
             # produced one.
             if st.phase == PHASE_REFUSED:
-                return [Send(msg.sender, Refuse(view=key[0], round=key[1],
-                                                attempt=key[2], sender=self.index,
-                                                reason=REFUSE_STATEMENT))]
+                return self._refuse(st, msg.sender, REFUSE_STATEMENT)
             st.parent = msg.sender
             if st.phase != PHASE_COMMIT and st.tree_hash is not None:
                 return self._send_commit(st)
             return []
         leader = view_leader(self.roster, msg.view)
-        topo = tree_for(len(self.roster), msg.branching, leader, msg.failed)
+        try:
+            topo = tree_for(len(self.roster), msg.branching, leader, msg.failed)
+        except TopologyError as exc:
+            logger.warning("node %d: dropping announce from %d: %s",
+                           self.index, msg.sender, exc)
+            return []
         if topo.digest() != msg.topology_digest:
             logger.warning("node %d: announce topology digest mismatch", self.index)
             return []
@@ -897,9 +910,7 @@ class SigningNode:
         if msg.statement is not None and msg.timing == STATEMENT_AT_ANNOUNCE:
             if not self.hook(msg.statement, self._ctx(now)):
                 st.phase = PHASE_REFUSED
-                return [Send(st.parent, Refuse(view=key[0], round=key[1], attempt=key[2],
-                                               sender=self.index,
-                                               reason=REFUSE_STATEMENT))]
+                return self._refuse(st, st.parent, REFUSE_STATEMENT)
         effects = []
         announce_down = replace(msg, sender=self.index)
         for child in topo.children[self.index]:
@@ -912,16 +923,17 @@ class SigningNode:
     def _on_commit(self, st: _RoundState, msg: Commit, now: float) -> list:
         if st.phase != PHASE_COMMIT or msg.sender not in st.pending_commit:
             return []
-        subtree = st.topology.descendants(msg.sender)
-        participants = subtree - msg.absent
-        if msg.sender not in participants:
+        if msg.sender in msg.absent:
             logger.warning("node %d: commit from %d excludes itself", self.index, msg.sender)
             return []
-        st.records[msg.sender] = _CommitRecord(
+        below = {s.index: s for s in msg.summaries}
+        st.records[msg.sender] = SubtreeSummary(
             index=msg.sender, commit=msg.commit, aggregate=msg.aggregate,
-            tree_hash=msg.tree_hash, participants=frozenset(participants),
-            absent=msg.absent, summaries={s.index: s for s in msg.summaries},
+            tree_hash=msg.tree_hash,
+            contributors=tuple(sorted((i, s.tree_hash) for i, s in below.items())),
+            absent=msg.absent,
         )
+        st.below.update(below)
         st.failed |= msg.failed
         st.refused |= msg.refused
         st.pending_commit.discard(msg.sender)
@@ -951,14 +963,7 @@ class SigningNode:
         grandchildren = st.topology.children[child]
         if st.mode == MODE_NO_RESTART and grandchildren:
             # Bridge the gap: announce directly to the dead child's children.
-            announce = Announce(
-                view=st.key[0], round=st.key[1], attempt=st.key[2], mode=st.mode,
-                timing=st.timing, branching=st.config.branching,
-                timeout_ms=int(st.timeout_base * 1000),
-                topology_digest=st.topology.digest(),
-                failed=st.topology.absent, sender=self.index,
-                statement=st.statement if st.timing == STATEMENT_AT_ANNOUNCE else None,
-            )
+            announce = self._announce(st)
             for g in grandchildren:
                 st.pending_commit.add(g)
                 effects.append(Send(g, announce))
@@ -985,9 +990,7 @@ class SigningNode:
             if msg.challenge.value != st.challenge.value:
                 # A second, different challenge for the same (round, attempt):
                 # answering would reuse our nonce. Refuse.
-                return [Send(msg.sender, Refuse(view=st.key[0], round=st.key[1],
-                                                attempt=st.key[2], sender=self.index,
-                                                reason=REFUSE_STALE))]
+                return self._refuse(st, msg.sender, REFUSE_STALE)
             st.return_to = msg.sender
             if st.sent_response is not None:
                 return [Send(st.return_to, st.sent_response)]
@@ -1003,9 +1006,7 @@ class SigningNode:
         if st.timing == STATEMENT_AT_CHALLENGE:
             if not self.hook(statement, self._ctx(now)):
                 st.phase = PHASE_REFUSED
-                return [Send(msg.sender, Refuse(view=st.key[0], round=st.key[1],
-                                                attempt=st.key[2], sender=self.index,
-                                                reason=REFUSE_STATEMENT))]
+                return self._refuse(st, msg.sender, REFUSE_STATEMENT)
             st.statement = statement
 
         # In either mode, answer only the challenge that the validated statement
@@ -1017,9 +1018,7 @@ class SigningNode:
         if expect.value != msg.challenge.value or (
                 root is not None and fold_commit_proof(st.tree_hash, msg.proof) != root):
             st.phase = PHASE_REFUSED
-            return [Send(msg.sender, Refuse(view=st.key[0], round=st.key[1],
-                                            attempt=st.key[2], sender=self.index,
-                                            reason=REFUSE_PROOF))]
+            return self._refuse(st, msg.sender, REFUSE_PROOF)
 
         st.challenge = msg.challenge
         st.commit_root = root
@@ -1027,29 +1026,17 @@ class SigningNode:
         st.proof = msg.proof
         st.return_to = msg.sender
         self.nonce_log.append(st.key + (st.nonce.value, msg.challenge.value))
-        return self._challenge_descend(st, statement, now)
+        return self._challenge_descend(st, now)
 
-    def _challenge_descend(self, st: _RoundState, statement, now: float) -> list:
+    def _challenge_descend(self, st: _RoundState, now: float) -> list:
         st.pending_resp = set(st.contributors)
         if not st.pending_resp:
             return self._finalize_response(st, now)
         effects = []
         for child in st.contributors:
-            effects.append(Send(child, self._challenge_msg_for(st, child, statement)))
+            effects.append(Send(child, self._challenge(st, (self._step_for(st, child),))))
         effects.append(SetTimer(("response",) + st.key, self._wait_budget(st)))
         return effects
-
-    def _challenge_msg_for(self, st: _RoundState, child: int, statement) -> Challenge:
-        # Audit paths fold bottom-up: the recipient's first step places it
-        # within this node's inputs, then our own received path continues.
-        proof = CommitTreeProof((self._step_for(st, child),) + st.proof.steps)
-        return Challenge(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            challenge=st.challenge, aggregate_commit=st.global_commit,
-            commit_root=st.commit_root,
-            statement=statement if st.timing == STATEMENT_AT_CHALLENGE else None,
-            proof=proof,
-        )
 
     # -- response collection --
 
@@ -1067,19 +1054,10 @@ class SigningNode:
             if not st.pending_resp:
                 return self._finalize_response(st, now)
             return []
-        rec = st.records.get(msg.sender)
+        # A direct contributor, or a bridged one we only know through a summary.
+        rec = st.records.get(msg.sender) or st.below.get(msg.sender)
         if rec is None:
-            summary = st.live_summary_sources().get(msg.sender)
-            if summary is None:
-                return []
-            subtree = st.topology.descendants(msg.sender)
-            rec = _CommitRecord(
-                index=msg.sender, commit=summary.commit, aggregate=summary.aggregate,
-                tree_hash=summary.tree_hash,
-                participants=frozenset(subtree - summary.absent),
-                absent=summary.absent,
-                summaries={},
-            )
+            return []
         if not self._check_partial(st, rec, msg):
             logger.warning("node %d: invalid partial response from %d",
                            self.index, msg.sender)
@@ -1100,12 +1078,15 @@ class SigningNode:
 
     def _anchor_steps_for(self, st: _RoundState, child: int) -> tuple[CommitStep, ...]:
         """Steps that lift a digest anchored at `child` up to this node's hash."""
-        if child in st.contributors:
+        if child in st.records:
             return (self._step_for(st, child),)
-        holder = self._record_holding_summary(st, child)
-        return (self._summary_step(holder, child), self._step_for(st, holder.index))
+        # One level further down: first place it within the contributor that reported it.
+        for holder in st.records.values():
+            if any(i == child for i, _ in holder.contributors):
+                return (holder.step_for(child), self._step_for(st, holder.index))
+        raise EngineError(f"no record holds a summary for {child}")
 
-    def _check_partial(self, st: _RoundState, rec: _CommitRecord, msg: Response) -> bool:
+    def _check_partial(self, st: _RoundState, rec: SubtreeSummary, msg: Response) -> bool:
         """A child's (c, r̂) must verify against its subtree commit and key,
         adjusted for the response dropouts it reports."""
         exc_indices = [e.index for e in msg.exceptions]
@@ -1113,9 +1094,10 @@ class SigningNode:
             return False
         if frozenset(exc_indices) != msg.absent:
             return False
-        if not msg.absent <= rec.participants - {msg.sender}:
+        participants = st.topology.descendants(rec.index) - rec.absent
+        if not msg.absent <= participants - {msg.sender}:
             return False
-        present = rec.participants - msg.absent
+        present = participants - msg.absent
         for exc in msg.exceptions:
             if not multisig.verify_commit_inclusion(rec.tree_hash, exc.commit, exc.proof):
                 return False
@@ -1143,27 +1125,25 @@ class SigningNode:
 
         rec = st.records.get(child)
         if rec is not None:
-            own_contribs = sorted(rec.summaries)
-            exc_steps: tuple[CommitStep, ...] = ()
-            if own_contribs:
-                exc_steps = (commit_step(self._record_inputs(rec), 0),)
-            exc_steps = exc_steps + (self._step_for(st, child),)
+            # Its commit leaf is the whole subtree hash when it has no contributors.
+            exc_steps = (rec.step_for(child),) if rec.contributors else ()
+            exc_steps += (self._step_for(st, child),)
             st.exceptions.append(CommitException(child, rec.commit,
                                                  CommitTreeProof(exc_steps)))
             st.resp_absent.add(child)
             if crashed:
                 st.failed.add(child)
             # Bridge the gap: ask the dead child's own contributors directly.
-            for s in own_contribs:
+            for s, _ in rec.contributors:
                 st.pending_resp.add(s)
-                effects.append(Send(s, self._bridged_challenge(
-                    st, self._summary_step(rec, s), self._step_for(st, child))))
-            if own_contribs:
+                effects.append(Send(s, self._challenge(
+                    st, (rec.step_for(s), self._step_for(st, child)))))
+            if rec.contributors:
                 st.bridge_rounds += 1
                 effects.append(SetTimer(("response",) + st.key, st.timeout_base))
         else:
             # A bridged grandchild we only know through a summary.
-            summary = st.live_summary_sources().get(child)
+            summary = st.below.get(child)
             if summary is None:
                 st.unresolvable = f"no commit data for unresponsive witness {child}"
             elif summary.contributors:
@@ -1171,43 +1151,15 @@ class SigningNode:
                 # reachable holds the data to prove or replace them.
                 st.unresolvable = f"witness {child} and its subtree data are unreachable"
             else:
-                holder = self._record_holding_summary(st, child)
-                exc_steps = (self._summary_step(holder, child),
-                             self._step_for(st, holder.index))
-                st.exceptions.append(CommitException(child, summary.commit,
-                                                     CommitTreeProof(exc_steps)))
+                st.exceptions.append(CommitException(
+                    child, summary.commit,
+                    CommitTreeProof(self._anchor_steps_for(st, child))))
                 st.resp_absent.add(child)
                 if crashed:
                     st.failed.add(child)
         if not st.pending_resp:
             effects.extend(self._finalize_response(st, now))
         return effects
-
-    def _record_holding_summary(self, st: _RoundState, index: int) -> _CommitRecord:
-        for rec in st.records.values():
-            if index in rec.summaries:
-                return rec
-        raise EngineError(f"no record holds a summary for {index}")
-
-    @staticmethod
-    def _record_inputs(rec: _CommitRecord) -> list[bytes]:
-        """`rec`'s node inputs: its own commit leaf, then its contributors' hashes."""
-        return [commit_leaf_digest(rec.commit)] + [rec.summaries[i].tree_hash
-                                                   for i in sorted(rec.summaries)]
-
-    def _summary_step(self, rec: _CommitRecord, child: int) -> CommitStep:
-        """Audit step placing `child`'s hash within `rec`'s node inputs."""
-        return commit_step(self._record_inputs(rec), 1 + sorted(rec.summaries).index(child))
-
-    def _bridged_challenge(self, st: _RoundState, step_in_child: CommitStep,
-                           step_here: CommitStep) -> Challenge:
-        return Challenge(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            challenge=st.challenge, aggregate_commit=st.global_commit,
-            commit_root=st.commit_root,
-            statement=st.statement if st.timing == STATEMENT_AT_CHALLENGE else None,
-            proof=CommitTreeProof((step_in_child, step_here) + st.proof.steps),
-        )
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
         st.phase = PHASE_DONE
@@ -1252,17 +1204,12 @@ class SigningNode:
     # ------------------------------------------------------------------
 
     def _leader_after_commit(self, st: _RoundState, now: float) -> list:
-        config = st.config
         if st.nonce is None:
-            return [RoundDone(self._failure(config, st.key[2],
-                                            "nonce discarded for a newer session",
-                                            frozenset(st.failed), frozenset(st.refused)))]
+            return self._fail(st, "nonce discarded for a newer session")
         if st.mode == MODE_RESTART and (st.failed or st.refused):
             return self._restart_or_fail(st, now, "witness failure during commit phase")
-        if len(st.participants) < config.min_participants:
-            return [RoundDone(self._failure(config, st.key[2],
-                                            "participation below leader threshold",
-                                            frozenset(st.failed), frozenset(st.refused)))]
+        if len(st.participants) < st.config.min_participants:
+            return self._fail(st, "participation below leader threshold")
         if st.timing == STATEMENT_AT_CHALLENGE and st.statement is None:
             st.statement = self._materialize_statement()
         root = st.tree_hash if st.mode == MODE_NO_RESTART else None
@@ -1271,7 +1218,7 @@ class SigningNode:
         st.commit_root = root
         st.global_commit = st.aggregate_commit
         self.nonce_log.append(st.key + (st.nonce.value, st.challenge.value))
-        return self._challenge_descend(st, st.statement, now)
+        return self._challenge_descend(st, now)
 
     def _restart_or_fail(self, st: _RoundState, now: float, reason: str) -> list:
         config = st.config
@@ -1294,13 +1241,10 @@ class SigningNode:
         if st.unresolvable:
             if st.mode == MODE_RESTART:
                 return self._restart_or_fail(st, now, st.unresolvable)
-            return [RoundDone(self._failure(config, st.key[2], st.unresolvable,
-                                            frozenset(st.failed), frozenset(st.refused)))]
+            return self._fail(st, st.unresolvable)
         response_present = st.participants - st.resp_absent
         if len(response_present) < config.min_participants:
-            return [RoundDone(self._failure(config, st.key[2],
-                                            "participation below leader threshold",
-                                            frozenset(st.failed), frozenset(st.refused)))]
+            return self._fail(st, "participation below leader threshold")
         pset = ParticipationSet(count=len(self.roster),
                                 response_present=frozenset(response_present),
                                 commit_present=st.participants)
@@ -1312,10 +1256,7 @@ class SigningNode:
         check = multisig.verify_collective(self.roster, st.statement, sig,
                                            participation.Threshold(0))
         if not check.crypto_ok:
-            return [RoundDone(self._failure(config, st.key[2],
-                                            f"assembled signature failed self-check: "
-                                            f"{check.reason}",
-                                            frozenset(st.failed), frozenset(st.refused)))]
+            return self._fail(st, f"assembled signature failed self-check: {check.reason}")
         result = RoundResult(
             ok=True, round=config.round_number, view=self.current_view,
             attempts=st.key[2] + 1, statement=st.statement, signature=sig,
@@ -1367,10 +1308,3 @@ class SigningNode:
                             self.index, best, leader)
                 return [ViewActivated(view=best, leader=leader)]
         return []
-
-
-def _subtree_height(topology: TreeTopology, index: int) -> int:
-    kids = topology.children[index]
-    if not kids:
-        return 0
-    return 1 + max(_subtree_height(topology, c) for c in kids)

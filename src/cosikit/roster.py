@@ -63,9 +63,6 @@ class WitnessRoster:
     def public_key(self, index: int) -> GroupElement:
         return self.entries[index].key.public
 
-    def public_keys(self) -> list[GroupElement]:
-        return [e.key.public for e in self.entries]
-
     def weights(self) -> list[int]:
         return [e.weight for e in self.entries]
 

@@ -106,6 +106,19 @@ class SimConfig:
     def group(self) -> Group:
         return group_by_name(self.group_name)
 
+    def statement_for(self, round_index: int) -> bytes:
+        if self.statement is not None:
+            return self.statement
+        return f"{self.scheme}-round-{round_index}".encode()
+
+    def round_metrics(self, round_index: int, latency: float, ok: bool,
+                      nodes: list[NodeMetrics], view: int = 0) -> RoundMetrics:
+        """One round's report row; the flat schemes report branching 0."""
+        branching = self.branching if self.scheme in ("cosi", "ntree") else 0
+        return RoundMetrics(scheme=self.scheme, n=self.n, branching=branching,
+                            round_index=round_index, latency=latency,
+                            outcome="ok" if ok else "failed", nodes=nodes, view=view)
+
 
 @dataclass
 class NodeMetrics:
@@ -178,8 +191,12 @@ class VirtualNet:
         self.seq = 0
         self.metrics = [NodeMetrics() for _ in range(n)]
 
-    def reset_metrics(self) -> None:
+    def begin_round(self) -> float:
+        """Zero the per-node counters and move the clock past every node's
+        pending compute; returns the round's start time."""
         self.metrics = [NodeMetrics() for _ in range(self.n)]
+        self.now = max([self.now] + self.busy)
+        return self.now
 
     def schedule(self, when: float, fn: Callable[[], None]) -> None:
         heapq.heappush(self.heap, (when, self.seq, fn))
@@ -224,10 +241,6 @@ def _build_roster(cfg: SimConfig, rng: random.Random) -> tuple[WitnessRoster, li
     entries = [RosterEntry(witness_id=f"w{i:05d}".encode(), key=prove_possession(kp, rng))
                for i, kp in enumerate(keys)]
     return build_roster(entries, leader_index=0), keys
-
-
-def _default_statement(cfg: SimConfig, round_index: int) -> bytes:
-    return f"{cfg.scheme}-round-{round_index}".encode()
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +378,11 @@ class CosiSim:
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, Optional[RoundResult]]:
         cfg = self.cfg
-        self.net.reset_metrics()
+        start = self.net.begin_round()
         self.round_result = None
         self.round_done_at = None
         self.saw_announce = set()
-        start = max([self.net.now] + self.net.busy)
-        self.net.now = start
-        statement = cfg.statement if cfg.statement is not None \
-            else _default_statement(cfg, round_index)
+        statement = cfg.statement_for(round_index)
         self.round_config = RoundConfig(
             round_number=round_index, mode=cfg.mode,
             statement_timing=cfg.statement_timing, branching=cfg.branching,
@@ -384,11 +394,7 @@ class CosiSim:
         self.pending_statement = statement
         if leader in self.crashed:
             if not cfg.view_change:
-                metrics = RoundMetrics(scheme=cfg.scheme, n=cfg.n,
-                                       branching=cfg.branching,
-                                       round_index=round_index, latency=0.0,
-                                       outcome="failed", nodes=self.net.metrics)
-                return metrics, None
+                return cfg.round_metrics(round_index, 0.0, False, self.net.metrics), None
             for i in range(cfg.n):
                 if i != leader and i not in self.crashed:
                     self.net.schedule(start + cfg.progress_timeout,
@@ -399,15 +405,13 @@ class CosiSim:
         self.net.run(stop=lambda: self.round_result is not None)
         if self.round_result is not None:
             latency = self.round_done_at - start
-            outcome = "ok" if self.round_result.ok else "failed"
+            ok = self.round_result.ok
             view = self.round_result.view
         else:
             latency = self.net.now - start
-            outcome = "failed"
+            ok = False
             view = max(n.current_view for n in self.nodes)
-        metrics = RoundMetrics(scheme=cfg.scheme, n=cfg.n, branching=cfg.branching,
-                               round_index=round_index, latency=latency,
-                               outcome=outcome, nodes=self.net.metrics, view=view)
+        metrics = cfg.round_metrics(round_index, latency, ok, self.net.metrics, view)
         return metrics, self.round_result
 
 
@@ -429,11 +433,8 @@ class NaiveSim:
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, list[Signature]]:
         cfg = self.cfg
-        self.net.reset_metrics()
-        start = max([self.net.now] + self.net.busy)
-        self.net.now = start
-        statement = cfg.statement if cfg.statement is not None \
-            else _default_statement(cfg, round_index)
+        start = self.net.begin_round()
+        statement = cfg.statement_for(round_index)
         sigs: dict[int, Signature] = {}
         verified: list[bool] = []
         req_size = 9 + len(statement)
@@ -453,11 +454,9 @@ class NaiveSim:
         for i in range(cfg.n):
             self.net.transmit(0, i, req_size, start, lambda i=i: witness_reply(i))
         self.net.run(stop=lambda: len(sigs) == cfg.n)
-        latency = max(self.net.busy) - start
-        outcome = "ok" if len(sigs) == cfg.n and all(verified) else "failed"
-        metrics = RoundMetrics(scheme=cfg.scheme, n=cfg.n, branching=0,
-                               round_index=round_index, latency=latency,
-                               outcome=outcome, nodes=self.net.metrics)
+        ok = len(sigs) == cfg.n and all(verified)
+        metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
+                                    self.net.metrics)
         return metrics, [sigs[i] for i in sorted(sigs)]
 
 
@@ -476,11 +475,8 @@ class NTreeSim:
     def run_round(self, round_index: int) -> tuple[RoundMetrics, list[Signature]]:
         cfg = self.cfg
         topo = self.topology
-        self.net.reset_metrics()
-        start = max([self.net.now] + self.net.busy)
-        self.net.now = start
-        statement = cfg.statement if cfg.statement is not None \
-            else _default_statement(cfg, round_index)
+        start = self.net.begin_round()
+        statement = cfg.statement_for(round_index)
         req_size = 9 + len(statement)
         sig_entry = 4 + 2 * self.cfg.group.scalar_size
         collected: dict[int, list[tuple[int, Signature]]] = {i: [] for i in range(cfg.n)}
@@ -519,12 +515,9 @@ class NTreeSim:
 
         self.net.schedule(start, lambda: announce(0))
         self.net.run(stop=lambda: bool(final))
-        latency = max(self.net.busy) - start
         ok, entries = final[0] if final else (False, [])
-        metrics = RoundMetrics(scheme=cfg.scheme, n=cfg.n, branching=cfg.branching,
-                               round_index=round_index, latency=latency,
-                               outcome="ok" if ok else "failed",
-                               nodes=self.net.metrics)
+        metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
+                                    self.net.metrics)
         return metrics, [s for _, s in sorted(entries)]
 
 
@@ -550,11 +543,8 @@ class JvssSim:
     def run_round(self, round_index: int) -> tuple[RoundMetrics, Signature]:
         cfg = self.cfg
         n, t, q = cfg.n, self.t, self.group.order
-        self.net.reset_metrics()
-        start = max([self.net.now] + self.net.busy)
-        self.net.now = start
-        statement = cfg.statement if cfg.statement is not None \
-            else _default_statement(cfg, round_index)
+        start = self.net.begin_round()
+        statement = cfg.statement_for(round_index)
         elem, scal = self.group.element_size, self.group.scalar_size
         share_size = 9 + 4 + (t + 1) * elem + scal
         partial_size = 9 + 4 + scal
@@ -626,14 +616,11 @@ class JvssSim:
 
         self.net.schedule(start, begin)
         self.net.run(stop=lambda: False)  # drain: every dealt share is delivered
-        latency = max(self.net.busy) - start
         sig = result[0] if result else None
         ok = sig is not None and schnorr_verify(self.states[0].joint_public,
                                                 statement, sig)
-        metrics = RoundMetrics(scheme=cfg.scheme, n=cfg.n, branching=0,
-                               round_index=round_index, latency=latency,
-                               outcome="ok" if ok else "failed",
-                               nodes=self.net.metrics)
+        metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
+                                    self.net.metrics)
         return metrics, sig
 
 

@@ -57,7 +57,23 @@ class TreeTopology:
 
     def descendants(self, index: int) -> frozenset[int]:
         """Transitive descendants of `index`, including itself."""
-        return frozenset(self.postorder(index))
+        return self._subtrees[index][0]
+
+    def height(self, index: int) -> int:
+        """Levels below `index`: 0 for a leaf."""
+        return self._subtrees[index][1]
+
+    @cached_property
+    def _subtrees(self) -> list[tuple[frozenset[int], int]]:
+        """(descendants, height) of every node, from one post-order pass; a
+        node outside the tree is its own subtree."""
+        table = [(frozenset((i,)), 0) for i in range(self.size)]
+        for n in self.postorder(self.root):
+            kids = [table[c] for c in self.children[n]]
+            if kids:
+                table[n] = (frozenset((n,)).union(*(k[0] for k in kids)),
+                            1 + max(k[1] for k in kids))
+        return table
 
     def descendant_count(self, index: int) -> int:
         return len(self.descendants(index))

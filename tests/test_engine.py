@@ -95,6 +95,37 @@ def test_stale_view_messages_dropped():
     assert node.handle_message(announce_for(roster, view=0), now=0.0) == []
 
 
+@pytest.mark.parametrize("bad, cause", [
+    ({"branching": 0}, "branching factor must be >= 1"),
+    ({"failed": frozenset({7})}, "failed indices out of range"),
+    ({"failed": frozenset({0})}, "leader is in the failure set"),
+])
+def test_announce_without_a_tree_is_dropped(caplog, bad, cause):
+    secrets = [1, 2, 3, 4, 5, 6, 7]
+    roster = make_toy_roster(secrets)
+    node = make_node(1, roster, secrets)
+    assert node.handle_message(replace(announce_for(roster), **bad), now=0.0) == []
+    assert node.rounds == {}
+    assert cause in caplog.text
+    # the witness still serves the next, well-formed announce
+    assert node.handle_message(announce_for(roster), now=0.1)
+
+
+def test_frame_index_sets_bounded_by_roster():
+    roster = make_toy_roster([1, 2, 3])
+    frame = bytearray(encode_message(
+        replace(announce_for(roster), failed=frozenset({2})), TOY)[4:])
+    assert decode_frame_body(bytes(frame), TOY, 3).failed == frozenset({2})
+    at = frame.index((2).to_bytes(4, "big") + (0).to_bytes(4, "big"))  # failed, sender
+    count_at = at - 2
+    with pytest.raises(ValueError, match="out of range"):
+        decode_frame_body(bytes(frame[:at] + (3).to_bytes(4, "big") + frame[at + 4:]),
+                          TOY, 3)
+    with pytest.raises(ValueError, match="records for 3 witnesses"):
+        decode_frame_body(bytes(frame[:count_at] + (4).to_bytes(2, "big")
+                                + frame[count_at + 2:]), TOY, 3)
+
+
 def test_second_conflicting_challenge_refused():
     secrets = [3, 4]
     roster = make_toy_roster(secrets)
@@ -134,9 +165,9 @@ def test_new_session_discards_unanswered_nonce():
     node.handle_message(announce_for(roster, rnd=1), now=0.1)  # session B
     assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.2) == []
     assert node.nonce_log == []
-    # a re-announce of A resends its commit but opens no session
+    # a re-announce of A refuses it as stale and opens no session
     again = node.handle_message(announce_for(roster, rnd=0), now=0.25)
-    assert [type(e.msg) for e in again] == [Commit]
+    assert [(type(e.msg), e.msg.reason) for e in again] == [(Refuse, engine.REFUSE_STALE)]
     assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.3) == []
     st = node.rounds[(0, 1, 0)]
     challenge_b = _challenge_for(node, (0, 1, 0))
@@ -160,7 +191,9 @@ def test_interior_commit_finished_after_newer_session_cannot_answer():
         leaf = make_node(child, roster, secrets)
         for send in leaf.handle_message(announce_for(roster, rnd=0, sender=1), now=0.2):
             effects += node.handle_message(send.msg, now=0.3)
-    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Commit)]  # A's commit is out
+    # A's commit could never be answered: node 1 refuses it as stale instead
+    assert [(e.dest, type(e.msg), e.msg.reason) for e in effects] == [
+        (0, Refuse, engine.REFUSE_STALE)]
     assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.4) == []
     assert node.nonce_log == []
 
@@ -349,6 +382,29 @@ def test_interior_drop_bridges_responses():
     # node 1's whole subtree still contributed
     present = result.signature.participation.response_present
     assert {3, 4, 7, 8, 9, 10} <= present
+
+
+def test_dead_interior_and_its_leaf_become_exceptions():
+    # 1 (children 3, 4) and its leaf 3 both die before responding: the leader
+    # bridges to 3 and 4, and proves 3's commit through 1's summary of it
+    out = run_cosi(seed=8, n=7, branching=2, mode=MODE_NO_RESTART,
+                   failures=(FailureAction(1, "response", "crash"),
+                             FailureAction(3, "response", "crash")))
+    result = out.results[0]
+    assert result.ok
+    assert [e.index for e in result.signature.exceptions] == [1, 3]
+    assert multisig.verify_collective(out.roster, result.statement,
+                                      result.signature, Threshold(5)).ok
+
+
+def test_dead_interior_grandchild_with_subtree_fails_round():
+    # in 15 nodes 3 has children 7 and 8, whose commits nobody reachable can prove
+    out = run_cosi(seed=8, n=15, branching=2, mode=MODE_NO_RESTART,
+                   failures=(FailureAction(1, "response", "crash"),
+                             FailureAction(3, "response", "crash")))
+    result = out.results[0]
+    assert not result.ok
+    assert result.reason == "witness 3 and its subtree data are unreachable"
 
 
 def test_round_outputs_verify_across_failure_matrix():
