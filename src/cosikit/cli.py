@@ -5,21 +5,23 @@ service), sign, verify, stamp, stamp-verify, simulate, tree-dump.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 protocol
 failure. Transport is length-prefixed frames over plain TCP; witness
 authenticity comes from the signatures themselves, so there is no TLS.
+Each node's runtime is one asyncio event loop on the thread that drives
+it: the loop serves inbound frames, dials one connection per outgoing
+message and runs the engine's timers.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
 import hashlib
+import itertools
 import json
 import logging
 import os
-import queue
 import random
 import socket
-import socketserver
 import sys
-import threading
 import time
 
 from . import engine, multisig, simnet, timestamp
@@ -92,14 +94,18 @@ def _parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
+def _frame_length(header: bytes) -> int:
+    length = int.from_bytes(header, "big")
+    if length == 0 or length > 64 * 1024 * 1024:
+        raise ConnectionError(f"bad frame length {length}")
+    return length
+
+
 def read_frame(sock: socket.socket) -> bytes | None:
     header = _read_exact(sock, 4)
     if header is None:
         return None
-    length = int.from_bytes(header, "big")
-    if length == 0 or length > 64 * 1024 * 1024:
-        raise ConnectionError("bad frame length")
-    body = _read_exact(sock, length)
+    body = _read_exact(sock, _frame_length(header))
     if body is None:
         raise ConnectionError("truncated frame")
     return body
@@ -115,159 +121,162 @@ def _read_exact(sock: socket.socket, n: int) -> bytes | None:
     return buf
 
 
+async def _read_frame_async(reader: asyncio.StreamReader) -> bytes | None:
+    """read_frame for a stream: None at a clean EOF between frames."""
+    header = None
+    try:
+        header = await reader.readexactly(4)
+        return await reader.readexactly(_frame_length(header))
+    except asyncio.IncompleteReadError as exc:
+        if header is None and not exc.partial:
+            return None
+        raise ConnectionError("truncated frame") from None
+
+
 class NodeRuntime:
-    """Serializes a SigningNode's events behind a queue, with real timers and
-    per-destination TCP dials."""
+    """Hosts a SigningNode on one asyncio event loop.
+
+    The loop runs only inside drain, serve_forever and run_leader_round, on
+    the calling thread; in between, arrivals wait in socket buffers. Inbound
+    frames go straight to the node, each Send is a task that opens one
+    connection and writes one frame, each SetTimer is a `call_later`, and a
+    RoundDone resolves the future that run_leader_round waits on.
+    """
 
     def __init__(self, node: SigningNode, roster: WitnessRoster, listen: str):
         self.node = node
         self.roster = roster
         self.group = roster.group
         self.listen_addr = _parse_addr(listen)
-        self.events: queue.Queue = queue.Queue()
-        self.stop_event = threading.Event()
+        self.loop = asyncio.new_event_loop()
         self.result = None
-        self._stamp_conns: dict[bytes, list[socket.socket]] = {}
         self.stamp_queue: list[bytes] = []
-        self._server = None
-        # failed dials per destination index; _dial runs on its own threads
+        # failed dials per destination index
         self.dial_failures: dict[int, int] = {}
-        self._dial_lock = threading.Lock()
+        self._stamp_conns: dict[bytes, list[asyncio.StreamWriter]] = {}
+        self._server = None
+        self._dials: set[asyncio.Task] = set()  # the loop holds tasks weakly
+        self._stopped = self.loop.create_future()  # cancelled by shutdown
+        self._round_done = self.loop.create_future()
 
     # -- network --
 
     def start_server(self) -> None:
-        runtime = self
+        self._server = self.loop.run_until_complete(
+            asyncio.start_server(self._serve_conn, *self.listen_addr))
 
-        class Handler(socketserver.BaseRequestHandler):
-            def handle(self):
-                try:
-                    while True:
-                        frame = read_frame(self.request)
-                        if frame is None:
-                            return
-                        msg = decode_frame_body(frame, runtime.group, len(runtime.roster))
-                        if isinstance(msg, StampRequest):
-                            runtime._on_stamp_request(msg, self.request)
-                            # hold the connection for the round reply
-                            self.request.settimeout(300)
-                            try:
-                                while _read_exact(self.request, 1):
-                                    pass
-                            except OSError:
-                                pass
-                            return
-                        runtime.events.put(("msg", msg))
-                except (ConnectionError, ValueError, OSError) as exc:
-                    logger.debug("connection dropped: %s", exc)
+    async def _serve_conn(self, reader: asyncio.StreamReader,
+                          writer: asyncio.StreamWriter) -> None:
+        try:
+            while (frame := await _read_frame_async(reader)) is not None:
+                msg = decode_frame_body(frame, self.group, len(self.roster))
+                if isinstance(msg, StampRequest):
+                    # hold the connection open for the round's reply
+                    self._stamp_conns.setdefault(msg.digest, []).append(writer)
+                    self.stamp_queue.append(msg.digest)
+                    while await asyncio.wait_for(reader.read(4096), 300):
+                        pass
+                    return
+                self._react(self.node.handle_message, msg)
+        except (OSError, ValueError, asyncio.TimeoutError) as exc:
+            logger.warning("dropped connection from %s: %r",
+                           writer.get_extra_info("peername"), exc)
+        except asyncio.CancelledError:
+            pass  # shutdown; re-raised, Python 3.11's start_server logs it as an error
+        finally:
+            writer.close()
 
-        class Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = Server(self.listen_addr, Handler)
-        threading.Thread(target=self._server.serve_forever, daemon=True).start()
-
-    def _on_stamp_request(self, msg: StampRequest, conn: socket.socket) -> None:
-        self._stamp_conns.setdefault(msg.digest, []).append(conn)
-        self.events.put(("stamp", msg.digest))
-
-    def shutdown(self) -> None:
-        self.stop_event.set()
-        if self._server is not None:
-            self._server.shutdown()
-            self._server.server_close()
-
-    def _dial(self, dest: int, msg) -> None:
+    async def _dial(self, dest: int, msg) -> None:
         endpoint = self.roster.entries[dest].endpoint
         if endpoint is None:
             logger.error("no endpoint for witness %d", dest)
             return
-        frame = encode_message(msg, self.group)
         try:
-            with socket.create_connection(_parse_addr(endpoint), timeout=5) as sock:
-                sock.sendall(frame)
-        except OSError as exc:
-            with self._dial_lock:
-                self.dial_failures[dest] = self.dial_failures.get(dest, 0) + 1
-            logger.warning("dial to witness %d (%s) failed: %s", dest, endpoint, exc)
+            _, writer = await asyncio.wait_for(
+                asyncio.open_connection(*_parse_addr(endpoint)), 5)
+            writer.write(encode_message(msg, self.group))
+            writer.close()
+            await asyncio.wait_for(writer.wait_closed(), 5)
+        except (OSError, asyncio.TimeoutError) as exc:
+            self.dial_failures[dest] = self.dial_failures.get(dest, 0) + 1
+            logger.warning("dial to witness %d (%s) failed: %r", dest, endpoint, exc)
 
-    # -- event pump --
+    def reply_stamp(self, digest: bytes, receipt_bytes: bytes, ok: bool = True) -> None:
+        frame = encode_message(StampReply(ok=ok, payload=receipt_bytes), self.group)
+        for writer in self._stamp_conns.pop(digest, []):
+            writer.write(frame)
+            writer.close()
+
+    # -- event loop --
 
     def _apply(self, effects: list) -> None:
         for eff in effects:
             if isinstance(eff, Send):
                 if eff.dest == self.node.index:
-                    self.events.put(("msg", eff.msg))
+                    self.loop.call_soon(self._react, self.node.handle_message, eff.msg)
                 else:
-                    threading.Thread(target=self._dial, args=(eff.dest, eff.msg),
-                                     daemon=True).start()
+                    task = self.loop.create_task(self._dial(eff.dest, eff.msg))
+                    self._dials.add(task)
+                    task.add_done_callback(self._dials.discard)
             elif isinstance(eff, SetTimer):
-                timer = threading.Timer(eff.delay,
-                                        lambda k=eff.key: self.events.put(("timer", k)))
-                timer.daemon = True
-                timer.start()
+                self.loop.call_later(eff.delay, self._react, self.node.on_timer, eff.key)
             elif isinstance(eff, RoundDone):
                 self.result = eff.result
+                if not self._round_done.done():
+                    self._round_done.set_result(None)
             # view activation is surfaced through node.current_view
 
-    def _step(self, kind: str, payload) -> None:
-        now = time.time()
-        if kind == "msg":
-            self._apply(self.node.handle_message(payload, now))
-        elif kind == "timer":
-            self._apply(self.node.on_timer(payload, now))
-        elif kind == "stamp":
-            self.stamp_queue.append(payload)
+    def _react(self, handler, payload) -> None:
+        self._apply(handler(payload, time.time()))
 
-    def pump_until(self, done, timeout: float) -> None:
-        deadline = time.monotonic() + timeout
-        while not done() and not self.stop_event.is_set():
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TimeoutError("timed out waiting for round completion")
-            try:
-                kind, payload = self.events.get(timeout=min(0.1, remaining))
-            except queue.Empty:
-                continue
-            self._step(kind, payload)
+    def _run(self, timeout: float | None = None, *until: asyncio.Future) -> bool:
+        """Run the loop until a future in `until` resolves, shutdown is
+        called or `timeout` seconds pass; False means the timeout passed."""
+        if self.loop.is_closed():
+            return True
+        try:
+            done, _ = self.loop.run_until_complete(asyncio.wait(
+                {self._stopped, *until}, timeout=timeout,
+                return_when=asyncio.FIRST_COMPLETED))
+        finally:
+            if self._stopped.done():  # shutdown came from another thread
+                self.shutdown()
+        return bool(done)
 
     def drain(self, duration: float) -> None:
         """Process whatever arrives within `duration`; never raises."""
-        end = time.monotonic() + duration
-        while not self.stop_event.is_set():
-            remaining = end - time.monotonic()
-            if remaining <= 0:
-                return
-            try:
-                kind, payload = self.events.get(timeout=remaining)
-            except queue.Empty:
-                return
-            self._step(kind, payload)
+        self._run(duration)
 
     def serve_forever(self) -> None:
-        while not self.stop_event.is_set():
-            try:
-                kind, payload = self.events.get(timeout=0.2)
-            except queue.Empty:
-                continue
-            self._step(kind, payload)
+        self._run()
 
     def run_leader_round(self, config: RoundConfig, statement,
                          timeout: float = 120.0):
         self.result = None
+        self._round_done = self.loop.create_future()
         self._apply(self.node.start_round(config, statement, time.time()))
-        self.pump_until(lambda: self.result is not None, timeout)
+        if not self._run(timeout, self._round_done):
+            raise TimeoutError("timed out waiting for round completion")
         return self.result
 
-    def reply_stamp(self, digest: bytes, receipt_bytes: bytes, ok: bool = True) -> None:
-        for conn in self._stamp_conns.pop(digest, []):
-            try:
-                conn.sendall(encode_message(StampReply(ok=ok, payload=receipt_bytes),
-                                            self.group))
-                conn.close()
-            except OSError:
-                pass
+    def shutdown(self) -> None:
+        """Close the listener, open connections and the loop. Called while
+        another thread runs the loop, it stops that thread's drain,
+        serve_forever or round, which then closes the runtime."""
+        if self.loop.is_running():
+            self.loop.call_soon_threadsafe(self._stopped.cancel)
+        elif not self.loop.is_closed():
+            self.loop.run_until_complete(self._cancel_all())
+            self.loop.close()
+
+    async def _cancel_all(self) -> None:
+        if self._server is not None:
+            self._server.close()
+        tasks = asyncio.all_tasks() - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await asyncio.sleep(0)  # closed transports release their sockets
 
 
 def _build_runtime(args) -> tuple[NodeRuntime, WitnessRoster, int]:
@@ -275,11 +284,8 @@ def _build_runtime(args) -> tuple[NodeRuntime, WitnessRoster, int]:
     _, group, keypair, _ = load_keyfile(args.key)
     if group is not roster.group:
         raise UsageError("key file group does not match roster group")
-    index = None
-    for i, e in enumerate(roster.entries):
-        if e.key.public == keypair.public:
-            index = i
-            break
+    index = next((i for i, e in enumerate(roster.entries)
+                  if e.key.public == keypair.public), None)
     if index is None:
         raise UsageError("key file does not match any roster entry")
     listen = args.listen or roster.entries[index].endpoint
@@ -288,8 +294,7 @@ def _build_runtime(args) -> tuple[NodeRuntime, WitnessRoster, int]:
     hook = engine.make_validation_hook(args.policy) if getattr(args, "policy", None) else None
     node = SigningNode(index, roster, keypair, random.SystemRandom(),
                        validation_hook=hook)
-    runtime = NodeRuntime(node, roster, listen)
-    return runtime, roster, index
+    return NodeRuntime(node, roster, listen), roster, index
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +335,7 @@ def cmd_roster_init(args) -> int:
     return EXIT_OK
 
 
-def _predicate_from_args(args, roster: WitnessRoster):
+def _predicate_from_args(args):
     if getattr(args, "predicate", None):
         return load_predicate(args.predicate)
     if getattr(args, "threshold", None) is not None:
@@ -340,9 +345,9 @@ def _predicate_from_args(args, roster: WitnessRoster):
 
 def cmd_run_witness(args) -> int:
     runtime, roster, index = _build_runtime(args)
-    runtime.start_server()
-    print(f"witness {index} listening on {args.listen or roster.entries[index].endpoint}")
     try:
+        runtime.start_server()
+        print(f"witness {index} listening on {args.listen or roster.entries[index].endpoint}")
         runtime.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -353,20 +358,20 @@ def cmd_run_witness(args) -> int:
 
 def cmd_sign(args) -> int:
     runtime, roster, index = _build_runtime(args)
-    if index != roster.leader_index:
-        raise UsageError("the signing key must belong to the roster leader")
-    with open(args.statement_file, "rb") as fh:
-        statement = fh.read()
-    runtime.start_server()
-    # round numbers default to wall time so a fresh leader process never
-    # collides with witness state left over from an earlier round
-    round_number = args.round if args.round is not None else int(time.time())
-    config = RoundConfig(
-        round_number=round_number, mode=simnet._MODE_NAMES[args.mode],
-        branching=args.branching, max_restarts=args.max_restarts,
-        min_participants=args.min_participants, rtt_hint=args.rtt,
-    )
     try:
+        if index != roster.leader_index:
+            raise UsageError("the signing key must belong to the roster leader")
+        with open(args.statement_file, "rb") as fh:
+            statement = fh.read()
+        runtime.start_server()
+        # round numbers default to wall time so a fresh leader process never
+        # collides with witness state left over from an earlier round
+        round_number = args.round if args.round is not None else int(time.time())
+        config = RoundConfig(
+            round_number=round_number, mode=simnet._MODE_NAMES[args.mode],
+            branching=args.branching, max_restarts=args.max_restarts,
+            min_participants=args.min_participants, rtt_hint=args.rtt,
+        )
         result = runtime.run_leader_round(config, statement, timeout=args.timeout)
     except TimeoutError:
         print("round timed out", file=sys.stderr)
@@ -391,8 +396,7 @@ def cmd_verify(args) -> int:
         statement = fh.read()
     with open(args.sig, "rb") as fh:
         sig = CollectiveSignature.from_bytes(fh.read(), len(roster))
-    predicate = _predicate_from_args(args, roster)
-    result = multisig.verify_collective(roster, statement, sig, predicate)
+    result = multisig.verify_collective(roster, statement, sig, _predicate_from_args(args))
     print(result.diagnostics())
     return EXIT_OK if result.ok else EXIT_VERIFY_FAILED
 
@@ -401,35 +405,33 @@ def cmd_run_leader(args) -> int:
     """Timestamp service: batch stamp requests each period and cosign the
     round record with a late-bound statement."""
     runtime, roster, index = _build_runtime(args)
-    if index != roster.leader_index:
-        raise UsageError("the leader key must belong to the roster leader")
-    runtime.start_server()
-    base = args.round_base if args.round_base is not None else int(time.time())
-    rounds = {"n": base}
+    rounds = itertools.count(args.round_base if args.round_base is not None
+                             else int(time.time()))
 
     def signer(statement: bytes):
         config = RoundConfig(
-            round_number=rounds["n"], mode=simnet._MODE_NAMES[args.mode],
+            round_number=next(rounds), mode=simnet._MODE_NAMES[args.mode],
             statement_timing=engine.STATEMENT_AT_CHALLENGE,
             branching=args.branching, max_restarts=args.max_restarts,
             min_participants=args.min_participants, rtt_hint=args.rtt,
         )
-        rounds["n"] += 1
         result = runtime.run_leader_round(config, lambda: statement,
                                           timeout=args.timeout)
-        if result is None or not result.ok:
-            return None
-        return result.signature
+        return result.signature if result is not None and result.ok else None
 
     authority = TimestampAuthority(signer)
-    print(f"timestamp leader up; round every {args.period}s")
     try:
+        if index != roster.leader_index:
+            raise UsageError("the leader key must belong to the roster leader")
+        runtime.start_server()
+        print(f"timestamp leader up; round every {args.period}s")
         while True:
             deadline = time.monotonic() + args.period
             while time.monotonic() < deadline:
                 runtime.drain(0.3)
-                while runtime.stamp_queue:
-                    authority.submit(runtime.stamp_queue.pop(0))
+                batch, runtime.stamp_queue = runtime.stamp_queue, []
+                for digest in batch:
+                    authority.submit(digest)
             if authority.pending_count:
                 try:
                     record, receipts = authority.round_close(time.time())
@@ -456,7 +458,6 @@ def cmd_stamp(args) -> int:
         raise UsageError("hash must be 32 bytes of hex")
     with socket.create_connection(_parse_addr(args.connect), timeout=args.timeout) as sock:
         sock.sendall(encode_message(StampRequest(digest=digest), roster.group))
-        sock.settimeout(args.timeout)
         frame = read_frame(sock)
     if frame is None:
         print("no reply from stamp server", file=sys.stderr)
@@ -476,8 +477,7 @@ def cmd_stamp_verify(args) -> int:
     with open(args.receipt, "rb") as fh:
         receipt = StampReceipt.from_bytes(fh.read(), len(roster))
     digest = bytes.fromhex(args.hash)
-    predicate = _predicate_from_args(args, roster)
-    result = verify_receipt(roster, digest, receipt, predicate)
+    result = verify_receipt(roster, digest, receipt, _predicate_from_args(args))
     print(result.diagnostics())
     if result.ok:
         print(f"round {receipt.record.round_number} at t={receipt.record.wall_time}")
@@ -539,10 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_roster_init)
 
-    def _round_args(p):
+    def _node_args(p):
         p.add_argument("--roster", required=True)
         p.add_argument("--key", required=True)
         p.add_argument("--listen")
+
+    def _round_args(p):
+        _node_args(p)
         p.add_argument("--mode", choices=sorted(simnet._MODE_NAMES), default="restart")
         p.add_argument("--branching", type=int, default=3)
         p.add_argument("--max-restarts", type=int, default=2)
@@ -551,9 +554,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timeout", type=float, default=60.0)
 
     p = sub.add_parser("run-witness", help="serve as a cosigning witness")
-    p.add_argument("--roster", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--listen")
+    _node_args(p)
     p.add_argument("--policy", choices=sorted(engine.HOOKS), default="accept-all")
     p.set_defaults(fn=cmd_run_witness)
 
@@ -624,12 +625,9 @@ def main(argv=None) -> int:
         parser.error("stamp needs --hash or --file")
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROTOCOL
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_PROTOCOL
 
 
 if __name__ == "__main__":

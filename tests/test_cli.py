@@ -11,7 +11,7 @@ from conftest import make_toy_roster, manual_round
 
 from cosikit import cli
 from cosikit.cli import NodeRuntime, main
-from cosikit.engine import REFUSE_STALE, Refuse, SigningNode
+from cosikit.engine import REFUSE_STALE, Refuse, RoundConfig, SigningNode
 from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
 from cosikit.participation import Threshold, predicate_to_json
 from cosikit.roster import RosterEntry, build_roster, load_roster
@@ -211,9 +211,101 @@ def test_dial_failures_counted_per_peer(caplog):
     roster = build_roster(entries, 0)
     rt = NodeRuntime(SigningNode(0, roster, keypairs[0], rng), roster, "127.0.0.1:0")
     assert rt.dial_failures == {}
-    rt._dial(1, Refuse(view=0, round=0, attempt=0, sender=0, reason=REFUSE_STALE))
+    rt.loop.run_until_complete(
+        rt._dial(1, Refuse(view=0, round=0, attempt=0, sender=0, reason=REFUSE_STALE)))
+    rt.shutdown()
     assert rt.dial_failures == {1: 1}
     assert "dial to witness 1" in caplog.text
+
+
+@pytest.fixture
+def toy_loopback():
+    """Spins up n toy-group runtimes on free loopback ports: every runtime
+    listens, and witnesses 1..n-1 serve on their own threads."""
+    spun = []
+
+    def spin(n):
+        rng = random.Random(88)
+        keypairs = [keygen(TOY, rng) for _ in range(n)]
+        ports = [free_port() for _ in range(n)]
+        roster = build_roster([RosterEntry(witness_id=bytes([i]),
+                                           key=prove_possession(kp, rng),
+                                           endpoint=f"127.0.0.1:{ports[i]}")
+                               for i, kp in enumerate(keypairs)], 0)
+        runtimes = [NodeRuntime(SigningNode(i, roster, keypairs[i], random.Random(90 + i)),
+                                roster, f"127.0.0.1:{ports[i]}")
+                    for i in range(n)]
+        threads = [threading.Thread(target=rt.serve_forever, daemon=True)
+                   for rt in runtimes[1:]]
+        spun.append((runtimes, threads))
+        for rt in runtimes:
+            rt.start_server()
+        for thread in threads:
+            thread.start()
+        return runtimes
+
+    yield spin
+    for runtimes, threads in spun:
+        for rt in runtimes:
+            rt.shutdown()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert all(rt.loop.is_closed() for rt in runtimes)
+
+
+def _loopback_round(leader, n):
+    result = leader.run_leader_round(RoundConfig(round_number=1, rtt_hint=0.5),
+                                     b"loopback round", timeout=30)
+    assert result is not None and result.ok
+    assert len(result.signature.participation.response_present) == n
+
+
+def test_loopback_round_starts_no_threads(toy_loopback, monkeypatch):
+    runtimes = toy_loopback(16)
+    starts = []
+    real_start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        real_start(thread)
+
+    with monkeypatch.context() as m:
+        m.setattr(threading.Thread, "start", counting_start)
+        _loopback_round(runtimes[0], 16)
+    assert starts == []
+    assert [rt.dial_failures for rt in runtimes] == [{}] * 16
+
+
+def test_dropped_connections_logged_with_cause(toy_loopback, caplog):
+    leader = toy_loopback(4)[0]
+    inputs = [
+        ((0).to_bytes(4, "big"), "bad frame length 0"),
+        ((64 * 1024 * 1024 + 1).to_bytes(4, "big"), "bad frame length 67108865"),
+        ((100).to_bytes(4, "big") + bytes(10), "truncated frame"),
+        ((3).to_bytes(4, "big") + b"\xee\x00\x00", "unknown message tag 238"),
+        (b"", None),  # a clean EOF before any frame is not a fault
+    ]
+    causes = {}
+    for data, cause in inputs:
+        with socket.create_connection(leader.listen_addr) as sock:
+            sock.sendall(data)
+            causes[sock.getsockname()[1]] = cause
+
+    def dropped():
+        return [r for r in caplog.records if "dropped connection" in r.getMessage()]
+
+    deadline = time.monotonic() + 10
+    while len(dropped()) < 4 and time.monotonic() < deadline:
+        leader.drain(0.1)
+    leader.drain(0.2)
+    assert len(dropped()) == 4
+    for record in dropped():
+        assert record.levelname == "WARNING"
+        port = record.args[0][1]
+        assert causes.pop(port) in record.getMessage()
+    assert list(causes.values()) == [None]
+    _loopback_round(leader, 4)
 
 
 def test_predicate_file(tmp_path, capsys):
