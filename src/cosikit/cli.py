@@ -614,9 +614,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.StreamHandler):
+    """Writes each record to `sys.stderr` as it is at that moment, so a
+    handler installed while stderr was redirected never writes to a stream
+    closed since."""
+
+    stream = property(lambda self: sys.stderr, lambda self, _: None)
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("COSI_LOG", "WARNING").upper(),
-                        format="%(asctime)s %(name)s %(levelname)s %(message)s")
+    root = logging.getLogger()
+    if not any(isinstance(h, _StderrHandler) for h in root.handlers):
+        handler = _StderrHandler()
+        handler.setFormatter(logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s"))
+        root.addHandler(handler)
+    root.setLevel(os.environ.get("COSI_LOG", "WARNING").upper())
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "tree-dump" and not (args.n or args.roster):

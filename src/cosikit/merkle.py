@@ -20,6 +20,8 @@ DIGEST_SIZE = 32
 SIBLING_LEFT = 0
 SIBLING_RIGHT = 1
 _SIDE_BYTE = (bytes([SIBLING_LEFT]), bytes([SIBLING_RIGHT]))
+_SIDE_BYTES = b"".join(_SIDE_BYTE)
+_STEP_SIZE = 1 + DIGEST_SIZE  # side byte, then the sibling digest
 
 
 def leaf_hash(data: bytes) -> bytes:
@@ -47,55 +49,54 @@ class AuditStep:
             raise ValueError("bad audit step digest length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InclusionProof:
-    """Audit path from a leaf to the root, bottom-up."""
+    """Audit path from a leaf to the root, bottom-up, held in its wire form:
+    a 2-byte step count, then per step a side byte and the sibling digest."""
 
-    path: tuple[AuditStep, ...]
+    data: bytes
+
+    @property
+    def path(self) -> tuple[AuditStep, ...]:
+        d = self.data
+        return tuple(AuditStep(d[off], d[off + 1:off + _STEP_SIZE])
+                     for off in range(2, len(d), _STEP_SIZE))
 
     @property
     def leaf_index(self) -> int:
         # A left-side sibling means this node was the right child at that level.
-        idx = 0
-        for k, step in enumerate(self.path):
-            if step.side == SIBLING_LEFT:
-                idx |= 1 << k
-        return idx
+        sides = self.data[2::_STEP_SIZE]
+        return sum(1 << k for k, side in enumerate(sides) if side == SIBLING_LEFT)
 
     def compose(self, outer: "InclusionProof") -> "InclusionProof":
         """Proof for a leaf of an inner tree whose root is a leaf of an outer tree."""
-        return InclusionProof(self.path + outer.path)
+        count = int.from_bytes(self.data[:2], "big") + int.from_bytes(outer.data[:2], "big")
+        return InclusionProof(count.to_bytes(2, "big") + self.data[2:] + outer.data[2:])
 
     def encode(self) -> bytes:
-        return len(self.path).to_bytes(2, "big") + b"".join(
-            [_SIDE_BYTE[step.side] + step.digest for step in self.path])
+        return self.data
 
     @classmethod
     def decode(cls, data: bytes) -> "InclusionProof":
+        data = bytes(data)
         if len(data) < 2:
             raise ValueError("truncated inclusion proof")
-        count = int.from_bytes(data[:2], "big")
-        need = 2 + count * (1 + DIGEST_SIZE)
-        if len(data) != need:
+        if len(data) != 2 + int.from_bytes(data[:2], "big") * _STEP_SIZE:
             raise ValueError("bad inclusion proof length")
-        steps = []
-        off = 2
-        for _ in range(count):
-            side = data[off]
-            digest = data[off + 1:off + 1 + DIGEST_SIZE]
-            steps.append(AuditStep(side, digest))
-            off += 1 + DIGEST_SIZE
-        return cls(tuple(steps))
+        if data[2::_STEP_SIZE].translate(None, _SIDE_BYTES):
+            raise ValueError("bad audit step side")
+        return cls(data)
 
 
 def fold_proof(leaf_digest: bytes, proof: InclusionProof) -> bytes:
     """Recompute the root implied by a leaf digest and an audit path."""
-    cur = leaf_digest
-    for step in proof.path:
-        if step.side == SIBLING_RIGHT:
-            cur = node_hash(cur, step.digest)
+    cur, data = leaf_digest, proof.data
+    for off in range(2, len(data), _STEP_SIZE):
+        sibling = data[off + 1:off + _STEP_SIZE]
+        if data[off] == SIBLING_RIGHT:
+            cur = node_hash(cur, sibling)
         else:
-            cur = node_hash(step.digest, cur)
+            cur = node_hash(sibling, cur)
     return cur
 
 
@@ -113,9 +114,8 @@ class DigestTree:
     audit paths pure interior-hash folds. A single-digest tree is that digest
     itself with an empty path.
 
-    Proofs share their audit steps: `prove` memoizes, per node, the path from
-    that node up to the root, so every leaf below a node reuses one tuple and
-    each node's step is built at most once per tree.
+    Every node below the root keeps the audit step it is to its sibling, as
+    wire bytes, so a proof is one join of a step per level.
     """
 
     def __init__(self, digests: list[bytes]):
@@ -123,40 +123,26 @@ class DigestTree:
             if len(d) != DIGEST_SIZE:
                 raise ValueError("digest tree leaves must be digests")
         self.leaf_count = len(digests)
-        self.levels: list[list[bytes]] = []
-        self._paths: list[dict[int, tuple[AuditStep, ...]]] = []  # see _path
+        # _steps[k][j]: side byte and digest of node j of level k, as its
+        # sibling's audit step (a left child sits on its sibling's left)
+        self._steps: list[list[bytes]] = []
         if self.leaf_count == 0:
             self.root = empty_tree_root()
             return
         level = list(digests)
-        self.levels.append(level)
         while len(level) > 1:
             if len(level) % 2 == 1:
-                level = level + [level[-1]]
-                self.levels[-1] = level
+                level.append(level[-1])
+            self._steps.append([_SIDE_BYTE[j & 1] + d for j, d in enumerate(level)])
             level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
-            self.levels.append(level)
         self.root = level[0]
-        self._paths = [{} for _ in self.levels[1:]]
+        self._count = len(self._steps).to_bytes(2, "big")
 
     def prove(self, index: int) -> InclusionProof:
         if not 0 <= index < self.leaf_count:
             raise IndexError("leaf index out of range")
-        return InclusionProof(self._path(0, index))
-
-    def _path(self, k: int, idx: int) -> tuple[AuditStep, ...]:
-        """Audit path from node `idx` of level `k` up to the root, memoized."""
-        if k == len(self._paths):
-            return ()
-        path = self._paths[k].get(idx)
-        if path is None:
-            level = self.levels[k]
-            if idx % 2 == 0:
-                step = AuditStep(SIBLING_RIGHT, level[idx + 1])
-            else:
-                step = AuditStep(SIBLING_LEFT, level[idx - 1])
-            path = self._paths[k][idx] = (step,) + self._path(k + 1, idx // 2)
-        return path
+        return InclusionProof(self._count + b"".join(
+            [steps[(index >> k) ^ 1] for k, steps in enumerate(self._steps)]))
 
 
 class MerkleTree(DigestTree):

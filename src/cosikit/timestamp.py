@@ -68,7 +68,7 @@ def unpack_record(data: bytes) -> TimestampRecord:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampReceipt:
     record: TimestampRecord
     signature: CollectiveSignature

@@ -1,14 +1,21 @@
 import hashlib
+import io
 import json
+import logging
+import os
 import random
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from conftest import make_toy_roster, manual_round
 
+import cosikit
 from cosikit import cli
 from cosikit.cli import NodeRuntime, main
 from cosikit.engine import REFUSE_STALE, Refuse, RoundConfig, SigningNode
@@ -83,6 +90,19 @@ def test_usage_errors(tmp_path, capsys):
         main(["bogus-command"])
 
 
+def test_log_records_reach_the_current_stderr(monkeypatch, capsys):
+    first = io.StringIO()
+    with monkeypatch.context() as m:
+        m.setattr(sys, "stderr", first)
+        assert main(["tree-dump", "--n", "3", "--branching", "2"]) == 0
+    first.close()  # as a test's capture is closed when that test ends
+    capsys.readouterr()
+    logging.getLogger("cosikit.cli").warning("after the first capture closed")
+    err = capsys.readouterr().err
+    assert "after the first capture closed" in err
+    assert "Logging error" not in err
+
+
 def test_simulate_deterministic(tmp_path):
     sweep = tmp_path / "sweep.json"
     sweep.write_text(json.dumps({
@@ -101,13 +121,44 @@ def test_simulate_deterministic(tmp_path):
     assert len(lines) == 1 + 3
 
 
-def _spin_deployment(tmp_path, n=3):
-    """Key files, roster with loopback endpoints, witness runtimes running.
+@pytest.fixture
+def cli_process(tmp_path):
+    """Starts `python -m cosikit.cli <args>` as a child process and waits
+    until it listens on `addr`; every child is stopped at teardown."""
+    procs = []
+    env = dict(os.environ, PYTHONPATH=str(Path(cosikit.__file__).parent.parent))
+
+    def start(args, addr):
+        log = tmp_path / f"{args[0]}-{len(procs)}.log"
+        with open(log, "wb") as out:
+            proc = subprocess.Popen([sys.executable, "-m", "cosikit.cli", *args],
+                                    env=env, stdout=out, stderr=subprocess.STDOUT)
+        procs.append(proc)
+        deadline = time.monotonic() + 30
+        while proc.poll() is None and time.monotonic() < deadline:
+            try:
+                socket.create_connection(addr, timeout=1).close()
+                return proc
+            except OSError:
+                time.sleep(0.05)
+        pytest.fail(f"{args[0]} did not start listening:\n{log.read_text()}")
+
+    yield start
+    for proc in procs:
+        proc.terminate()
+        proc.wait(timeout=10)
+
+
+@pytest.fixture
+def deployment(tmp_path, cli_process):
+    """Key files, roster with loopback endpoints, witness runtimes running;
+    yields the roster path, the key files and the roster.
 
     Runs in the production group: the negative checks below rely on a
     challenge mismatch, which the toy group's 11-element challenge space
     would fail to deliver about one run in eleven.
     """
+    n = 3
     rng = random.Random(55)
     ports = [free_port() for _ in range(n)]
     keypairs = [keygen(ED25519, rng) for _ in range(n)]
@@ -127,35 +178,33 @@ def _spin_deployment(tmp_path, n=3):
     from cosikit.roster import save_roster
     save_roster(roster, str(roster_path))
 
-    runtimes = []
+    served = []
     for i in range(1, n - 1):
         node = SigningNode(i, roster, keypairs[i], random.Random(70 + i))
         rt = NodeRuntime(node, roster, f"127.0.0.1:{ports[i]}")
         rt.start_server()
-        threading.Thread(target=rt.serve_forever, daemon=True).start()
-        runtimes.append(rt)
+        thread = threading.Thread(target=rt.serve_forever, daemon=True)
+        thread.start()
+        served.append((rt, thread))
     # the last witness runs through the actual CLI entry point
-    threading.Thread(target=main,
-                     args=(["run-witness", "--roster", str(roster_path),
-                            "--key", str(keyfiles[n - 1])],),
-                     daemon=True).start()
-    time.sleep(0.3)
-    return roster_path, keyfiles, runtimes
+    cli_process(["run-witness", "--roster", str(roster_path),
+                 "--key", str(keyfiles[n - 1])], ("127.0.0.1", ports[n - 1]))
+    yield roster_path, keyfiles, roster
+    for rt, thread in served:
+        rt.shutdown()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
 
 
-def test_sign_and_verify_over_loopback(tmp_path, capsys):
-    roster_path, keyfiles, runtimes = _spin_deployment(tmp_path)
+def test_sign_and_verify_over_loopback(tmp_path, capsys, deployment):
+    roster_path, keyfiles, _ = deployment
     statement = tmp_path / "statement.bin"
     statement.write_bytes(b"loopback integration statement")
     sig_path = tmp_path / "out.sig"
-    try:
-        rc = main(["sign", "--roster", str(roster_path), "--key", str(keyfiles[0]),
-                   "--statement-file", str(statement), "--out", str(sig_path),
-                   "--rtt", "0.05", "--timeout", "30", "--round", "0"])
-        assert rc == 0
-    finally:
-        for rt in runtimes:
-            rt.shutdown()
+    rc = main(["sign", "--roster", str(roster_path), "--key", str(keyfiles[0]),
+               "--statement-file", str(statement), "--out", str(sig_path),
+               "--rtt", "0.05", "--timeout", "30", "--round", "0"])
+    assert rc == 0
     assert main(["verify", "--roster", str(roster_path),
                  "--statement-file", str(statement), "--sig", str(sig_path),
                  "--threshold", "3"]) == 0
@@ -349,30 +398,21 @@ def test_stamp_verify_command(tmp_path, capsys):
     assert rc == 1
 
 
-def test_run_leader_timestamp_service_end_to_end(tmp_path):
+def test_run_leader_timestamp_service_end_to_end(tmp_path, deployment, cli_process):
     """Full service loop: run-leader batches a stamp request into a cosigned
     round and the client's receipt verifies."""
-    roster_path, keyfiles, runtimes = _spin_deployment(tmp_path)
-    roster = load_roster(str(roster_path))
+    roster_path, keyfiles, roster = deployment
     leader_endpoint = roster.entries[0].endpoint
-    threading.Thread(
-        target=main,
-        args=(["run-leader", "--roster", str(roster_path), "--key", str(keyfiles[0]),
-               "--period", "1.0", "--rtt", "0.05", "--timeout", "20"],),
-        daemon=True,
-    ).start()
-    time.sleep(0.5)
+    cli_process(["run-leader", "--roster", str(roster_path), "--key", str(keyfiles[0]),
+                 "--period", "1.0", "--rtt", "0.05", "--timeout", "20"],
+                cli._parse_addr(leader_endpoint))
     doc = tmp_path / "serviced.txt"
     doc.write_bytes(b"service me")
     out = tmp_path / "serviced.tsr"
-    try:
-        rc = main(["stamp", "--roster", str(roster_path),
-                   "--connect", leader_endpoint, "--file", str(doc),
-                   "--out", str(out), "--timeout", "30"])
-        assert rc == 0
-    finally:
-        for rt in runtimes:
-            rt.shutdown()
+    rc = main(["stamp", "--roster", str(roster_path),
+               "--connect", leader_endpoint, "--file", str(doc),
+               "--out", str(out), "--timeout", "30"])
+    assert rc == 0
     digest = hashlib.sha256(b"service me").digest()
     assert main(["stamp-verify", "--roster", str(roster_path),
                  "--receipt", str(out), "--hash", digest.hex(),

@@ -111,12 +111,39 @@ def test_proofs_match_reference_for_every_size_and_index():
             assert tree.prove(i) == proof
 
 
-def test_proofs_share_one_step_per_node():
-    for size in (2, 5, 16, 33, 70):
-        tree = MerkleTree([bytes([i]) for i in range(size)])
-        proofs = [tree.prove(i) for i in range(size)]
-        steps = {id(step) for proof in proofs for step in proof.path}
-        assert len(steps) <= sum(len(level) for level in tree.levels), size
+def encode_steps(steps):
+    return len(steps).to_bytes(2, "big") + b"".join(
+        bytes([step.side]) + step.digest for step in steps)
+
+
+def test_decode_rejects_bad_side_or_length_before_folding(monkeypatch):
+    good = MerkleTree([bytes([i]) for i in range(5)]).prove(3).encode()
+
+    def no_folding(left, right):
+        raise AssertionError("a malformed proof reached the fold")
+
+    monkeypatch.setattr(merkle, "node_hash", no_folding)
+    bad_side = bytearray(good)
+    bad_side[2 + 33] = 2  # the second step's side byte
+    for data, match in [(bytes(bad_side), "side"), (good[:-1], "length"),
+                        (good + b"\x00", "length"), (b"\x00\x01", "length"),
+                        (b"\x00", "truncated")]:
+        with pytest.raises(ValueError, match=match):
+            InclusionProof.decode(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(size=st.integers(min_value=1, max_value=300),
+       picks=st.lists(st.integers(min_value=0, max_value=10**6), min_size=2, max_size=2))
+def test_proof_bytes_match_reference_and_compose_concatenates(size, picks):
+    digests = [leaf_hash(i.to_bytes(2, "big")) for i in range(size)]
+    tree = DigestTree(digests)
+    i, j = (pick % size for pick in picks)
+    inner, outer = reference_path(digests, i), reference_path(digests, j)
+    assert tree.prove(i).encode() == encode_steps(inner)
+    composed = tree.prove(i).compose(tree.prove(j))
+    assert composed.encode() == encode_steps(inner + outer)
+    assert composed.path == inner + outer
 
 
 def test_proof_bytes_pinned():
