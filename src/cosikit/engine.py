@@ -64,17 +64,15 @@ class RoundConfig:
     max_restarts: int = 2
     min_participants: int = 1
     rtt_hint: float = 0.2
-    phase_timeout: float | None = None  # per-level wait; default 4 x rtt_hint
 
     def __post_init__(self):
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.phase_timeout is not None and self.phase_timeout <= 0:
-            raise ValueError("phase timeout must be positive")
 
     @property
     def timeout_base(self) -> float:
-        return self.phase_timeout if self.phase_timeout is not None else 4.0 * self.rtt_hint
+        """Per-level wait for a phase."""
+        return 4.0 * self.rtt_hint
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +600,6 @@ class _RoundState:
     absent: set = field(default_factory=set)
     failed: set = field(default_factory=set)
     refused: set = field(default_factory=set)
-    bridge_rounds: int = 0
 
     contributors: list = field(default_factory=list)  # sorted indices
     inputs: list = field(default_factory=list)  # commit-tree inputs at this node
@@ -661,7 +658,6 @@ class SigningNode:
         self.current_view = 0
         self.view_votes: dict[int, dict[int, Signature]] = {}
         self.rounds: dict[tuple, _RoundState] = {}
-        self.round_logs: list[RoundResult] = []
         # (view, round, attempt, nonce value, challenge value) for audits
         self.nonce_log: list[tuple] = []
 
@@ -732,11 +728,9 @@ class SigningNode:
 
     def _failure(self, config: RoundConfig, attempts: int, reason: str,
                  failed: frozenset, refused: frozenset = frozenset()) -> RoundResult:
-        result = RoundResult(ok=False, round=config.round_number, view=self.current_view,
-                             attempts=attempts + 1, reason=reason,
-                             failed=failed, refused=refused)
-        self.round_logs.append(result)
-        return result
+        return RoundResult(ok=False, round=config.round_number, view=self.current_view,
+                           attempts=attempts + 1, reason=reason,
+                           failed=failed, refused=refused)
 
     def _fail(self, st: _RoundState, reason: str) -> list:
         return [RoundDone(self._failure(st.config, st.key[2], reason,
@@ -967,7 +961,6 @@ class SigningNode:
             for g in grandchildren:
                 st.pending_commit.add(g)
                 effects.append(Send(g, announce))
-            st.bridge_rounds += 1
             effects.append(SetTimer(("commit",) + st.key, st.timeout_base))
         elif st.mode == MODE_RESTART and grandchildren:
             # The subtree is lost for this attempt; the restart will re-attach it.
@@ -1139,7 +1132,6 @@ class SigningNode:
                 effects.append(Send(s, self._challenge(
                     st, (rec.step_for(s), self._step_for(st, child)))))
             if rec.contributors:
-                st.bridge_rounds += 1
                 effects.append(SetTimer(("response",) + st.key, st.timeout_base))
         else:
             # A bridged grandchild we only know through a summary.
@@ -1263,7 +1255,6 @@ class SigningNode:
             failed=(self._round_failed_base - self._round_refused) | frozenset(st.failed),
             refused=self._round_refused | frozenset(st.refused),
         )
-        self.round_logs.append(result)
         if st.refused:
             logger.info("leader %d: refusals (distinct from crashes) from %s",
                         self.index, sorted(st.refused))

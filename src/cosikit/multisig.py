@@ -25,6 +25,7 @@ from .group import (
     Group,
     GroupElement,
     Scalar,
+    challenge_hash,
     group_by_id,
 )
 from .participation import ParticipationSet
@@ -86,21 +87,14 @@ def present_key(roster: WitnessRoster, present: frozenset[int]) -> GroupElement:
 
 
 def collective_challenge(aggregate_commit: GroupElement, statement: bytes,
-                         commit_root: bytes | None = None,
-                         hasher=hashlib.sha512) -> Scalar:
+                         commit_root: bytes | None = None) -> Scalar:
     """Challenge over (aggregate commit, statement), binding the commit-tree
     root as well in no-restart mode. The two modes use distinct domain tags."""
-    group = aggregate_commit.group
     if commit_root is None:
-        data = TAG_CHALLENGE_PLAIN + aggregate_commit.encode() + statement
-    else:
-        if len(commit_root) != merkle.DIGEST_SIZE:
-            raise MultisigError("bad commit tree root length")
-        data = TAG_CHALLENGE_TREE + aggregate_commit.encode() + commit_root + statement
-    digest = hasher(data).digest()
-    if len(digest) < 2 * group.scalar_size:
-        raise MultisigError("hash output too narrow for unbiased reduction")
-    return group.scalar(int.from_bytes(digest, "little"))
+        return challenge_hash(aggregate_commit, statement, TAG_CHALLENGE_PLAIN)
+    if len(commit_root) != merkle.DIGEST_SIZE:
+        raise MultisigError("bad commit tree root length")
+    return challenge_hash(aggregate_commit, commit_root + statement, TAG_CHALLENGE_TREE)
 
 
 def response_share(v: Scalar, c: Scalar, x: Scalar) -> Scalar:

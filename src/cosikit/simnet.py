@@ -32,10 +32,8 @@ from .engine import (
     encode_message,
 )
 from .group import (
-    TAG_SIGN,
     Group,
     Signature,
-    challenge_hash,
     group_by_name,
     keygen,
     prove_possession,
@@ -541,71 +539,47 @@ class JvssSim:
         self.net = VirtualNet(n, cfg.rtt, cfg.compute, cfg.start_time)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, Signature]:
+        """The signature comes from `vss.jvss_sign_round`; the events below
+        only charge that round's messages and compute."""
         cfg = self.cfg
         n, t, q = cfg.n, self.t, self.group.order
         start = self.net.begin_round()
         statement = cfg.statement_for(round_index)
+        sig = vss.jvss_sign_round(self.states, statement, self.rng)
         elem, scal = self.group.element_size, self.group.scalar_size
         share_size = 9 + 4 + (t + 1) * elem + scal
         partial_size = 9 + 4 + scal
-        dealings: dict[int, vss.Dealing] = {}
-        have: dict[int, set[int]] = {i: set() for i in range(n)}
-        partials: list[tuple[int, int]] = []
+        have = [0] * n
         seen_points: set[int] = set()
         result: list[Signature] = []
 
         def kickoff(i: int) -> None:
             done = self.net.process(i, cfg.compute.exp_units * (t + 1))
-            dealing = vss.deal(self.group, n, t, self.rng)
-            dealings[i] = dealing
             for j in range(n):
                 if j == i:
-                    accept_share(i, i, done)
+                    accept_share(i, done)
                 else:
-                    self.net.transmit(i, j, share_size, done,
-                                      lambda i=i, j=j: on_share(i, j))
+                    self.net.transmit(i, j, share_size, done, lambda j=j: on_share(j))
 
-        def on_share(dealer: int, j: int) -> None:
-            done = self.net.process(j, cfg.compute.exp_units * (t + 2))
-            if not vss.feldman_check(self.group, dealings[dealer].commitments, j,
-                                     dealings[dealer].shares[j]):
-                raise RuntimeError(f"dealer {dealer} flagged by node {j}")
-            accept_share(dealer, j, done)
+        def on_share(j: int) -> None:
+            accept_share(j, self.net.process(j, cfg.compute.exp_units * (t + 2)))
 
-        def accept_share(dealer: int, j: int, when: float) -> None:
-            have[j].add(dealer)
-            if len(have[j]) == n:
-                broadcast_partial(j, when)
+        def accept_share(j: int, when: float) -> None:
+            have[j] += 1
+            if have[j] == n:
+                for k in range(n):
+                    if k != j:
+                        self.net.transmit(j, k, partial_size, when,
+                                          lambda j=j, k=k: on_partial(k, j))
+                    else:
+                        on_partial(j, j)
 
-        def broadcast_partial(j: int, when: float) -> None:
-            joint_commit = self.group.identity
-            for d in dealings.values():
-                joint_commit = joint_commit * d.public
-            # plain Schnorr challenge so the result verifies with schnorr_verify
-            c = challenge_hash(joint_commit, statement, TAG_SIGN)
-            w = sum(dealings[d].shares[j] for d in dealings) % q
-            partial = (vss.share_point(j, q),
-                       (w - c.value * self.states[j].secret_share) % q)
-            for k in range(n):
-                if k != j:
-                    self.net.transmit(j, k, partial_size, when,
-                                      lambda j=j, k=k, partial=partial:
-                                      on_partial(k, partial, c))
-                else:
-                    on_partial(j, partial, c)
-
-        def on_partial(k: int, partial: tuple[int, int], c) -> None:
+        def on_partial(k: int, j: int) -> None:
             if k != 0 or result:
                 return
-            x, y = partial
-            if x in seen_points:
-                return
-            seen_points.add(x)
-            partials.append(partial)
-            if len(partials) == t + 1:
-                done = self.net.process(0, cfg.compute.verify_units)
-                r = vss.interpolate(partials, q)
-                sig = Signature(c=c, r=self.group.scalar(r))
+            seen_points.add(vss.share_point(j, q))
+            if len(seen_points) == t + 1:
+                self.net.process(0, cfg.compute.verify_units)
                 result.append(sig)
 
         announce_size = 9 + len(statement)

@@ -75,9 +75,6 @@ class TreeTopology:
                             1 + max(k[1] for k in kids))
         return table
 
-    def descendant_count(self, index: int) -> int:
-        return len(self.descendants(index))
-
     def digest(self) -> bytes:
         return self._digest
 

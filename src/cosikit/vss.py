@@ -67,10 +67,8 @@ def feldman_check(group: Group, commitments: tuple[GroupElement, ...],
     """G^share must equal the commitment polynomial evaluated in the exponent."""
     x = share_point(index, group.order)
     expect = group.identity
-    xk = 1
-    for c in commitments:
-        expect = expect * (c ** xk)
-        xk = (xk * x) % group.order
+    for c in reversed(commitments):
+        expect = expect ** x * c
     return (group.generator ** share) == expect
 
 
@@ -111,26 +109,30 @@ class JvssState:
     joint_public: GroupElement
 
 
+def deal_all(group: Group, n: int, t: int,
+             rng) -> tuple[list[Dealing], GroupElement]:
+    """Every node deals in index order and every share is Feldman-checked;
+    returns the dealings and the product of their public commitments."""
+    dealings = [deal(group, n, t, rng) for _ in range(n)]
+    joint = group.identity
+    for dealer, dealing in enumerate(dealings):
+        for j in range(n):
+            if not feldman_check(group, dealing.commitments, j, dealing.shares[j]):
+                raise VssError(f"dealer {dealer} produced an invalid share for {j}")
+        joint = joint * dealing.public
+    return dealings, joint
+
+
 def jvss_setup(group: Group, n: int, t: int, rng) -> list[JvssState]:
     """Every node deals; each combines the received shares into a share of a
     joint secret that is never materialized."""
     if not t < n:
         raise VssError("threshold must satisfy t < n")
-    dealings = [deal(group, n, t, rng) for _ in range(n)]
-    for dealer_idx, dealing in enumerate(dealings):
-        for j in range(n):
-            if not feldman_check(group, dealing.commitments, j, dealing.shares[j]):
-                raise VssError(f"dealer {dealer_idx} produced an invalid share for {j}")
-    joint_public = group.identity
-    for d in dealings:
-        joint_public = joint_public * d.public
-    states = []
-    for j in range(n):
-        share = sum(d.shares[j] for d in dealings) % group.order
-        states.append(JvssState(index=j, group=group, threshold=t,
-                                dealing=dealings[j], secret_share=share,
-                                joint_public=joint_public))
-    return states
+    dealings, joint_public = deal_all(group, n, t, rng)
+    return [JvssState(index=j, group=group, threshold=t, dealing=dealings[j],
+                      secret_share=sum(d.shares[j] for d in dealings) % group.order,
+                      joint_public=joint_public)
+            for j in range(n)]
 
 
 def jvss_sign_round(states: list[JvssState], statement: bytes, rng) -> Signature:
@@ -139,28 +141,17 @@ def jvss_sign_round(states: list[JvssState], statement: bytes, rng) -> Signature
     if not states:
         raise VssError("no participants")
     group = states[0].group
-    n = len(states)
     t = states[0].threshold
     q = group.order
 
-    commit_dealings = [deal(group, n, t, rng) for _ in range(n)]
-    for dealer_idx, dealing in enumerate(commit_dealings):
-        for j in range(n):
-            if not feldman_check(group, dealing.commitments, j, dealing.shares[j]):
-                raise VssError(f"dealer {dealer_idx} produced an invalid commit share")
-    joint_commit = group.identity
-    for d in commit_dealings:
-        joint_commit = joint_commit * d.public
+    commit_dealings, joint_commit = deal_all(group, len(states), t, rng)
     c = challenge_hash(joint_commit, statement, TAG_SIGN)
-
-    responders = _responders_with_distinct_points(states, t + 1, q)
     partials = []
-    for st in responders:
+    for st in _responders_with_distinct_points(states, t + 1, q):
         w = sum(d.shares[st.index] for d in commit_dealings) % q
         partials.append((share_point(st.index, q),
                          (w - c.value * st.secret_share) % q))
-    r = interpolate(partials, q)
-    return Signature(c=c, r=Scalar(group, r))
+    return Signature(c=c, r=Scalar(group, interpolate(partials, q)))
 
 
 def _responders_with_distinct_points(states: list[JvssState], count: int,

@@ -58,9 +58,9 @@ def test_determinism():
 def test_descendant_counts_consistent():
     topo = build_bary_tree(23, 3)
     for i in range(23):
-        expect = 1 + sum(topo.descendant_count(c) for c in topo.children[i])
-        assert topo.descendant_count(i) == expect
-    assert topo.descendant_count(0) == 23
+        expect = 1 + sum(len(topo.descendants(c)) for c in topo.children[i])
+        assert len(topo.descendants(i)) == expect
+    assert len(topo.descendants(0)) == 23
 
 
 def test_dump_renders_every_member():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosikit import vss
 from cosikit.group import TOY, schnorr_verify
 from cosikit.vss import (
     VssError,
@@ -68,6 +69,37 @@ def test_jvss_share_points_wrap():
     states = jvss_setup(TOY, 16, 5, rng)
     sig = jvss_sign_round(states, b"big", rng)
     assert schnorr_verify(states[0].joint_public, b"big", sig)
+
+
+def _corrupt_one_share(monkeypatch, bad_dealer: int, victim: int) -> None:
+    """Make the `bad_dealer`-th dealing from now on hand `victim` a share
+    that is off by one."""
+    real_deal, calls = vss.deal, []
+
+    def deal(group, n, t, rng, secret=None):
+        dealing = real_deal(group, n, t, rng, secret)
+        if len(calls) == bad_dealer:
+            shares = dict(dealing.shares)
+            shares[victim] = (shares[victim] + 1) % group.order
+            dealing = vss.Dealing(commitments=dealing.commitments, shares=shares)
+        calls.append(dealing)
+        return dealing
+
+    monkeypatch.setattr(vss, "deal", deal)
+
+
+def test_jvss_setup_names_the_bad_dealer(monkeypatch):
+    _corrupt_one_share(monkeypatch, bad_dealer=2, victim=0)
+    with pytest.raises(VssError, match="dealer 2 "):
+        jvss_setup(TOY, 4, 1, random.Random(8))
+
+
+def test_jvss_sign_round_names_the_bad_dealer(monkeypatch):
+    rng = random.Random(9)
+    states = jvss_setup(TOY, 4, 1, rng)
+    _corrupt_one_share(monkeypatch, bad_dealer=1, victim=3)
+    with pytest.raises(VssError, match="dealer 1 "):
+        jvss_sign_round(states, b"statement", rng)
 
 
 def test_interpolation_rejects_duplicate_points():
