@@ -114,6 +114,10 @@ def build_roster(entries: Sequence[RosterEntry], leader_index: int,
         if e.witness_id in seen:
             raise RosterError(f"duplicate witness id {e.witness_id.hex()}")
         seen.add(e.witness_id)
+        # Anyone can prove possession of the identity (r = v, c = H(g^v, O)),
+        # and so answer for such a witness in every round.
+        if e.key.public == e.key.public.group.identity:
+            raise RosterError(f"identity public key for witness {e.witness_id.hex()}")
         if not verify_possession(e.key):
             raise RosterError(f"possession proof failed for witness {e.witness_id.hex()}")
     return WitnessRoster(version=version, entries=tuple(entries), leader_index=leader_index)

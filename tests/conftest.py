@@ -1,6 +1,7 @@
-"""Shared fixtures: toy-group rosters with known secrets and a manual
+"""Shared fixtures: toy-group rosters with known secrets, a manual
 (protocol-level) signing-round helper used to build signatures without the
-engine, so library behavior is testable in isolation."""
+engine, so library behavior is testable in isolation, and Ed25519 points
+outside the prime-order subgroup, found with an affine reference."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ import random
 import pytest
 
 from cosikit import multisig
-from cosikit.group import TOY, KeyPair, prove_possession
+from cosikit.group import ED25519, TOY, DecodeError, KeyPair, _recover_x, prove_possession
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CollectiveSignature
 from cosikit.participation import ParticipationSet
 from cosikit.roster import RosterEntry, WitnessRoster, build_roster
@@ -88,3 +89,72 @@ def toy_roster3():
 @pytest.fixture
 def toy_secrets3():
     return [3, 4, 5]
+
+
+# -- Ed25519 affine reference and small-order points ---------------------------
+
+L = ED25519.order
+P = 2**255 - 19
+D = -121665 * pow(121666, P - 2, P) % P
+
+
+def affine(point):
+    x, y = ED25519._affine(point)
+    return x, y
+
+
+def affine_add(a, b):
+    """The twisted Edwards addition law (a = -1) in affine coordinates."""
+    (x1, y1), (x2, y2) = a, b
+    t = D * x1 * x2 * y1 * y2 % P
+    x3 = (x1 * y2 + y1 * x2) * pow(1 + t, P - 2, P) % P
+    y3 = (y1 * y2 + x1 * x2) * pow(1 - t, P - 2, P) % P
+    return x3, y3
+
+
+def ref_pow(point, k):
+    """Right-to-left double-and-add in affine coordinates, independent of
+    the group module's formulas."""
+    r, q = (0, 1), affine(point)
+    while k:
+        if k & 1:
+            r = affine_add(r, q)
+        q = affine_add(q, q)
+        k >>= 1
+    return r
+
+
+def encode_affine(point) -> bytes:
+    x, y = point
+    return (y | (x & 1) << 255).to_bytes(32, "little")
+
+
+@pytest.fixture(scope="session")
+def torsion():
+    """Points of order 8, 4 and 2, as affine pairs."""
+    for y in range(2, 200):
+        try:
+            x = _recover_x(y, 0)
+        except DecodeError:
+            continue
+        t8 = ref_pow((x, y, 1, x * y % P), L)
+        t4 = affine_add(t8, t8)
+        t2 = affine_add(t4, t4)
+        if t2 != (0, 1):
+            assert affine_add(t2, t2) == (0, 1)
+            return {8: t8, 4: t4, 2: t2}
+    raise AssertionError("no point of order 8 found")
+
+
+@pytest.fixture(scope="session")
+def mixed_generator(torsion):
+    """G plus the point of order 8, encoded: a curve point outside the
+    prime-order subgroup."""
+    return encode_affine(affine_add(affine(ED25519.generator.raw), torsion[8]))
+
+
+def swap_generator(data: bytes, replacement: bytes) -> bytes:
+    """data with its one encoding of G replaced."""
+    g = ED25519.generator.encode()
+    assert data.count(g) == 1
+    return data.replace(g, replacement)

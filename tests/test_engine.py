@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_toy_roster
+from conftest import make_toy_roster, swap_generator
 
 from cosikit import engine, multisig, simnet
 from cosikit.engine import (
@@ -28,7 +28,7 @@ from cosikit.engine import (
     view_vote_statement,
     ValidationContext,
 )
-from cosikit.group import TOY, KeyPair, Signature, schnorr_sign
+from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Signature, schnorr_sign
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException, CommitTreeProof
 from cosikit.participation import Threshold
 from cosikit.simnet import FailureAction, SimConfig
@@ -614,6 +614,36 @@ def test_codec_rejects_garbage():
     good = encode_message(StampRequest(digest=b"\x00" * 32), TOY)
     with pytest.raises(ValueError):
         decode_frame_body(good[4:] + b"\x00", TOY, 16)
+
+
+@pytest.mark.parametrize("field", ["commit", "aggregate", "summary-commit",
+                                   "summary-aggregate", "exception"])
+def test_frame_rejects_mixed_order_element(field, mixed_generator):
+    """An Ed25519 element outside the prime-order subgroup fails the frame
+    wherever it sits; the frame with G there decodes."""
+    g, h = ED25519.generator, ED25519.generator ** 2
+
+    def at(name):
+        return g if field == name else h
+
+    if field == "exception":
+        proof = CommitTreeProof((multisig.CommitStep(0, (b"\x08" * 32,)),))
+        msg = Response(view=0, round=1, attempt=0, sender=2,
+                       aggregate_response=ED25519.scalar(9), absent=frozenset({3}),
+                       failed=frozenset(), refused=frozenset(),
+                       exceptions=(CommitException(3, g, proof),))
+    else:
+        summary = engine.SubtreeSummary(
+            index=3, commit=at("summary-commit"), aggregate=at("summary-aggregate"),
+            tree_hash=b"\x02" * 32, contributors=((4, b"\x03" * 32),),
+            absent=frozenset())
+        msg = Commit(view=0, round=1, attempt=0, sender=1, aggregate=at("aggregate"),
+                     commit=at("commit"), tree_hash=b"\x01" * 32, absent=frozenset(),
+                     failed=frozenset(), refused=frozenset(), summaries=(summary,))
+    body = encode_message(msg, ED25519)[4:]
+    assert decode_frame_body(body, ED25519, 7) == msg
+    with pytest.raises(DecodeError, match="prime-order subgroup"):
+        decode_frame_body(swap_generator(body, mixed_generator), ED25519, 7)
 
 
 @pytest.mark.parametrize("kind", ["response", "commit"])

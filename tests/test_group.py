@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import D, L, P, affine, affine_add, encode_affine, ref_pow
 from cosikit.group import (
     ED25519,
     TOY,
@@ -217,37 +218,8 @@ def test_group_element_algebra(toy_rng):
 
 # -- Ed25519 exponentiation against a plain double-and-add reference -----------
 
-L = ED25519.order
-P = 2**255 - 19
-D = -121665 * pow(121666, P - 2, P) % P
 EDGE_SCALARS = {"0": 0, "1": 1, "15": 15, "16": 16, "255": 255, "L-1": L - 1,
                 "L": L, "2^253-1": 2**253 - 1, "2^300+5": 2**300 + 5}
-
-
-def affine(point):
-    x, y = ED25519._affine(point)
-    return x, y
-
-
-def affine_add(a, b):
-    """The twisted Edwards addition law (a = -1) in affine coordinates."""
-    (x1, y1), (x2, y2) = a, b
-    t = D * x1 * x2 * y1 * y2 % P
-    x3 = (x1 * y2 + y1 * x2) * pow(1 + t, P - 2, P) % P
-    y3 = (y1 * y2 + x1 * x2) * pow(1 - t, P - 2, P) % P
-    return x3, y3
-
-
-def ref_pow(point, k):
-    """Right-to-left double-and-add in affine coordinates, independent of
-    the group module's formulas."""
-    r, q = (0, 1), affine(point)
-    while k:
-        if k & 1:
-            r = affine_add(r, q)
-        q = affine_add(q, q)
-        k >>= 1
-    return r
 
 
 def generators():
@@ -325,23 +297,6 @@ def test_fixed_base_table_matches_affine_reference():
             base = affine_add(base, base)
 
 
-@pytest.fixture(scope="module")
-def torsion():
-    """Points of order 8, 4 and 2, as affine pairs."""
-    for y in range(2, 200):
-        try:
-            x = _recover_x(y, 0)
-        except DecodeError:
-            continue
-        t8 = ref_pow((x, y, 1, x * y % P), L)
-        t4 = affine_add(t8, t8)
-        t2 = affine_add(t4, t4)
-        if t2 != (0, 1):
-            assert affine_add(t2, t2) == (0, 1)
-            return {8: t8, 4: t4, 2: t2}
-    raise AssertionError("no point of order 8 found")
-
-
 SPLIT_EDGES = {"0": 0, "1": 1, "2^126-1": 2**126 - 1, "2^126": 2**126, "L-1": L - 1}
 # Hypothesis favours small integers, which split trivially as (c, 1); the
 # seeded draws are uniform over [0, L), where half the cofactors come out even.
@@ -409,10 +364,131 @@ def test_check_response_matches_reference(a, s, c, torsion):
 
 def test_ed25519_decode_rejects_mixed_order_point(torsion):
     # G plus a point of order 8 lies on the curve, but outside the
-    # prime-order subgroup: only the [L]P check can reject it.
+    # prime-order subgroup: only the subgroup check can reject it.
     tx, ty = torsion[8]
     assert ref_pow((tx, ty, 1, tx * ty % P), 8) == (0, 1)
     mixed = affine_add(affine(ED25519.generator.raw), torsion[8])
     data = (mixed[1] | ((mixed[0] & 1) << 255)).to_bytes(32, "little")
     with pytest.raises(DecodeError, match="prime-order subgroup"):
         ED25519.decode_element(data)
+
+
+# -- Ed25519 decoding against independent references ---------------------------
+
+I = pow(2, (P - 1) // 4, P)  # sqrt(-1)
+
+
+def ref_recover_x(y, sign):
+    """x for y and the sign bit, or None: the square root of
+    (y^2 - 1) / (d*y^2 + 1) taken after one inversion, a second route to
+    the single exponentiation of RFC 8032 section 5.1.3."""
+    xx = (y * y - 1) * pow(D * y * y + 1, -1, P) % P
+    x = pow(xx, (P + 3) // 8, P)
+    if (x * x - xx) % P:
+        x = x * I % P
+    if (x * x - xx) % P or (x == 0 and sign):
+        return None
+    return P - x if x & 1 != sign else x
+
+
+def recovered_x(y, sign):
+    try:
+        return _recover_x(y, sign)
+    except DecodeError:
+        return None
+
+
+def test_recover_x_edges_match_reference():
+    # y = 1 and y = -1 give x = 0, where only sign 0 is canonical; y = 0
+    # gives x = sqrt(-1); y = 2 has no x.
+    for y in (0, 1, 2, P - 2, P - 1):
+        for sign in (0, 1):
+            assert recovered_x(y, sign) == ref_recover_x(y, sign)
+    assert recovered_x(1, 0) == recovered_x(P - 1, 0) == 0
+    assert recovered_x(1, 1) is recovered_x(P - 1, 1) is recovered_x(2, 0) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(y=st.integers(min_value=0, max_value=P - 1), sign=st.integers(0, 1))
+def test_recover_x_matches_reference(y, sign):
+    assert recovered_x(y, sign) == ref_recover_x(y, sign)
+
+
+def ref_in_subgroup(x, y):
+    """Whether [L](x, y) is the identity: double-and-add in projective
+    (X : Y : Z) coordinates with the unified addition of Bernstein et al.,
+    "Twisted Edwards Curves" (2008), apart from the group module's formulas."""
+    def add(p1, p2):
+        x1, y1, z1 = p1
+        x2, y2, z2 = p2
+        a = z1 * z2 % P
+        b = a * a % P
+        c = x1 * x2 % P
+        d = y1 * y2 % P
+        e = D * c * d % P
+        f, g = b - e, b + e
+        return (a * f * ((x1 + y1) * (x2 + y2) - c - d) % P,
+                a * g * (d + c) % P, f * g % P)
+
+    r, q, k = (0, 1, 1), (x, y, 1), L
+    while k:
+        if k & 1:
+            r = add(r, q)
+        q = add(q, q)
+        k >>= 1
+    return r[0] == 0 and r[1] == r[2]
+
+
+def decodes(point):
+    try:
+        ED25519.decode_element(encode_affine(point))
+    except DecodeError as exc:
+        assert "prime-order subgroup" in str(exc)
+        return False
+    return True
+
+
+def assert_decode_matches_reference(points):
+    verdicts = [decodes(p) for p in points]
+    assert verdicts == [ref_in_subgroup(*p) for p in points]
+    return verdicts
+
+
+@pytest.fixture(scope="module")
+def small_order(torsion):
+    """The eight points of order dividing 8, as multiples of one of order 8."""
+    points = [(0, 1)]
+    for _ in range(7):
+        points.append(affine_add(points[-1], torsion[8]))
+    return points
+
+
+def test_decode_small_order_points(small_order):
+    # only the identity is in the subgroup; (0, -1) is the multiple 4
+    assert small_order[4] == (0, P - 1)
+    assert assert_decode_matches_reference(small_order) == [True] + [False] * 7
+
+
+@settings(max_examples=20, deadline=None)
+@given(k=st.integers(min_value=0, max_value=L - 1))
+def test_decode_every_torsion_coset_matches_reference(k, small_order):
+    """G^k plus each point of order dividing 8: only the first is in the
+    subgroup, and the others fail at each depth of the halving."""
+    base = affine((ED25519.generator ** k).raw)
+    points = [affine_add(base, t) for t in small_order]
+    assert assert_decode_matches_reference(points) == [True] + [False] * 7
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_decode_random_curve_points_match_reference(seed):
+    """Points from uniform y, both signs: about one in eight is in the
+    subgroup."""
+    rng = random.Random(seed)
+    points = []
+    while len(points) < 8:
+        y = rng.randrange(P)
+        x = ref_recover_x(y, rng.getrandbits(1))
+        if x is not None:
+            points.append((x, y))
+    assert_decode_matches_reference(points)

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_toy_roster, manual_round
+from conftest import make_toy_roster, manual_round, swap_generator
 
 from cosikit import multisig
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, challenge_hash, keygen, \
@@ -16,6 +16,7 @@ from cosikit.multisig import (
     MODE_RESTART,
     CollectiveSignature,
     CommitException,
+    CommitTreeProof,
     MultisigError,
     aggregate_elements,
     aggregate_public_key,
@@ -466,6 +467,21 @@ def test_exception_records_checked_before_any_element_decode(monkeypatch, patch)
     with pytest.raises(DecodeError):
         CollectiveSignature.from_bytes(bytes(data), 7)
     assert calls == []
+
+
+def test_exception_commit_outside_subgroup_rejected(mixed_generator):
+    sig = CollectiveSignature(
+        group=ED25519, mode=MODE_NO_RESTART, challenge=ED25519.scalar(5),
+        response=ED25519.scalar(7),
+        participation=ParticipationSet(count=3, response_present=frozenset({0, 2}),
+                                       commit_present=frozenset({0, 1, 2})),
+        commit_root=b"\x01" * 32,
+        exceptions=(CommitException(1, ED25519.generator, CommitTreeProof(
+            (multisig.CommitStep(0, (b"\x02" * 32,)),))),))
+    data = sig.to_bytes()
+    assert CollectiveSignature.from_bytes(data, 3) == sig
+    with pytest.raises(DecodeError, match="prime-order subgroup"):
+        CollectiveSignature.from_bytes(swap_generator(data, mixed_generator), 3)
 
 
 def test_all_present_signature_size_production():

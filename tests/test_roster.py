@@ -1,11 +1,23 @@
 import itertools
 import json
+import random
 
 import pytest
 
 from conftest import make_toy_roster, manual_round
 
-from cosikit.group import TOY, KeyPair, SelfSignedKey, prove_possession
+from cosikit.group import (
+    ED25519,
+    TAG_POSSESSION,
+    TOY,
+    DecodeError,
+    KeyPair,
+    SelfSignedKey,
+    Signature,
+    challenge_hash,
+    prove_possession,
+    verify_possession,
+)
 from cosikit.multisig import aggregate_public_key
 from cosikit.participation import Threshold
 from cosikit.roster import (
@@ -83,6 +95,46 @@ def test_roster_json_rejects_bad_proof(toy_rng):
     obj = roster.to_json_obj()
     obj["entries"][0]["proof-hex"] = obj["entries"][1]["proof-hex"]
     with pytest.raises(RosterError):
+        roster_from_json_obj(obj)
+
+
+def forged_identity_key(group, rng):
+    """A possession proof for the identity made without any secret: with
+    c = H(tag, g^v, O) and r = v, g^r * O^c = g^v."""
+    v = group.random_scalar(rng)
+    c = challenge_hash(group.generator ** v, group.identity.encode(), TAG_POSSESSION)
+    return SelfSignedKey(public=group.identity, proof=Signature(c=c, r=v))
+
+
+@pytest.mark.parametrize("group", [TOY, ED25519], ids=["toy", "prod"])
+def test_identity_key_rejected(group):
+    rng = random.Random(5)
+    forged = forged_identity_key(group, rng)
+    assert verify_possession(forged)
+    honest = [RosterEntry(witness_id=f"w{i}".encode(),
+                          key=prove_possession(KeyPair.from_secret(group, 3 + i), rng))
+              for i in range(2)]
+    roster = build_roster(honest, 0)
+    with pytest.raises(RosterError, match="identity"):
+        build_roster(honest + [RosterEntry(witness_id=b"w2", key=forged)], 0)
+    obj = roster.to_json_obj()
+    assert roster_from_json_obj(obj).digest() == roster.digest()
+    obj["entries"].append({"id-hex": b"w2".hex(), "key-hex": forged.public.encode().hex(),
+                           "proof-hex": forged.proof.encode().hex(), "weight": 1})
+    with pytest.raises(RosterError, match="identity"):
+        roster_from_json_obj(obj)
+
+
+def test_roster_json_rejects_mixed_order_key(mixed_generator):
+    rng = random.Random(6)
+    entries = [RosterEntry(witness_id=f"w{i}".encode(),
+                           key=prove_possession(KeyPair.from_secret(ED25519, secret), rng))
+               for i, secret in enumerate((1, 5))]  # secret 1: the key is G
+    obj = build_roster(entries, 0).to_json_obj()
+    assert obj["entries"][0]["key-hex"] == ED25519.generator.encode().hex()
+    assert roster_from_json_obj(obj).public_key(0) == ED25519.generator
+    obj["entries"][0]["key-hex"] = mixed_generator.hex()
+    with pytest.raises(DecodeError, match="prime-order subgroup"):
         roster_from_json_obj(obj)
 
 
