@@ -210,6 +210,10 @@ def _dec_idxset(r: _Reader) -> frozenset[int]:
     return frozenset(r.index() for _ in range(n))
 
 
+def _idxset_size(indices: frozenset[int]) -> int:
+    return 2 + 4 * len(indices)
+
+
 def _enc_opt_bytes(data: Optional[bytes]) -> bytes:
     if data is None:
         return b"\x00"
@@ -220,6 +224,10 @@ def _dec_opt_bytes(r: _Reader) -> Optional[bytes]:
     if r.u8() == 0:
         return None
     return r.take(r.u32())
+
+
+def _opt_bytes_size(data: Optional[bytes]) -> int:
+    return 1 if data is None else 5 + len(data)
 
 
 def _dec_proof(r: _Reader) -> CommitTreeProof:
@@ -264,6 +272,10 @@ class Announce:
                 + _enc_idxset(self.failed) + _u32(self.sender)
                 + _enc_opt_bytes(self.statement))
 
+    def wire_size(self, group) -> int:
+        return (22 + DIGEST_SIZE + _idxset_size(self.failed)
+                + _opt_bytes_size(self.statement))
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "Announce":
         return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), mode=r.u8(),
@@ -293,6 +305,10 @@ class SubtreeSummary:
             out.append(digest)
         out.append(_enc_idxset(self.absent))
         return b"".join(out)
+
+    def wire_size(self, group) -> int:
+        return (6 + 2 * group.element_size + DIGEST_SIZE
+                + (4 + DIGEST_SIZE) * len(self.contributors) + _idxset_size(self.absent))
 
     @classmethod
     def decode(cls, r: _Reader, group) -> "SubtreeSummary":
@@ -337,6 +353,12 @@ class Commit:
         out.extend(s.encode() for s in self.summaries)
         return b"".join(out)
 
+    def wire_size(self, group) -> int:
+        return (16 + 2 * group.element_size + DIGEST_SIZE
+                + _idxset_size(self.absent) + _idxset_size(self.failed)
+                + _idxset_size(self.refused)
+                + sum(s.wire_size(group) for s in self.summaries))
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "Commit":
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
@@ -373,6 +395,11 @@ class Challenge:
                 + _enc_opt_bytes(self.commit_root) + _enc_opt_bytes(self.statement)
                 + self.proof.encode())
 
+    def wire_size(self, group) -> int:
+        return (14 + group.scalar_size + group.element_size
+                + _opt_bytes_size(self.commit_root) + _opt_bytes_size(self.statement)
+                + self.proof.wire_size())
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "Challenge":
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
@@ -408,6 +435,12 @@ class Response:
             out.extend((_u32(e.index), e.commit.encode(), e.proof.encode()))
         return b"".join(out)
 
+    def wire_size(self, group) -> int:
+        return (16 + group.scalar_size + _idxset_size(self.absent)
+                + _idxset_size(self.failed) + _idxset_size(self.refused)
+                + sum(4 + group.element_size + e.proof.wire_size()
+                      for e in self.exceptions))
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "Response":
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
@@ -442,6 +475,9 @@ class Refuse:
         return (_u32(self.view) + _u32(self.round) + _u16(self.attempt)
                 + _u32(self.sender) + bytes([self.reason]))
 
+    def wire_size(self, group) -> int:
+        return 15
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "Refuse":
         return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), sender=r.u32(),
@@ -459,6 +495,9 @@ class ViewChange:
     def encode_body(self, group) -> bytes:
         return _u32(self.proposed_view) + _u32(self.signer) + self.signature.encode()
 
+    def wire_size(self, group) -> int:
+        return 8 + 2 * group.scalar_size
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "ViewChange":
         proposed, signer = r.u32(), r.u32()
@@ -475,6 +514,9 @@ class StampRequest:
     def encode_body(self, group) -> bytes:
         return self.digest
 
+    def wire_size(self, group) -> int:
+        return DIGEST_SIZE
+
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "StampRequest":
         return cls(digest=r.take(DIGEST_SIZE))
@@ -489,6 +531,9 @@ class StampReply:
 
     def encode_body(self, group) -> bytes:
         return bytes([1 if self.ok else 0]) + _u32(len(self.payload)) + self.payload
+
+    def wire_size(self, group) -> int:
+        return 5 + len(self.payload)
 
     @classmethod
     def decode_body(cls, r: _Reader, group) -> "StampReply":
@@ -515,6 +560,12 @@ def encode_message(msg, group) -> bytes:
     """Length-prefixed frame: length (4, big-endian) | tag (1) | body."""
     body = msg.encode_body(group)
     return _u32(1 + len(body)) + bytes([msg.tag]) + body
+
+
+def frame_size(msg, group) -> int:
+    """`len(encode_message(msg, group))`, counted from the message's fields
+    by its `wire_size` without building the frame."""
+    return 5 + msg.wire_size(group)
 
 
 def decode_frame_body(data: bytes, group, witness_count: int):

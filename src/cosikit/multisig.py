@@ -160,6 +160,10 @@ class CommitTreeProof:
             out.extend(step.others)
         return b"".join(out)
 
+    def wire_size(self) -> int:
+        """`len(self.encode())`, counted from the step and digest counts."""
+        return 2 + sum(4 + merkle.DIGEST_SIZE * len(step.others) for step in self.steps)
+
     @classmethod
     def decode(cls, data: bytes, off: int) -> tuple["CommitTreeProof", int]:
         """Decode the proof that starts at `data[off]`; returns it and the

@@ -29,7 +29,7 @@ from .engine import (
     SigningNode,
     ViewActivated,
     ViewChange,
-    encode_message,
+    frame_size,
 )
 from .group import (
     Group,
@@ -196,8 +196,10 @@ class VirtualNet:
         self.now = max([self.now] + self.busy)
         return self.now
 
-    def schedule(self, when: float, fn: Callable[[], None]) -> None:
-        heapq.heappush(self.heap, (when, self.seq, fn))
+    def schedule(self, when: float, fn: Callable[..., None], *args) -> None:
+        """Queue `fn(*args)` to run at virtual time `when`; events due at the
+        same time run in the order they were scheduled."""
+        heapq.heappush(self.heap, (when, self.seq, fn, args))
         self.seq += 1
 
     def process(self, node: int, units: int) -> float:
@@ -209,25 +211,28 @@ class VirtualNet:
         return done
 
     def transmit(self, src: int, dst: int, size: int, depart: float,
-                 deliver: Callable[[], None]) -> None:
-        self.metrics[src].msgs_sent += 1
-        self.metrics[src].bytes_sent += size
-        delay = 0.0 if src == dst else self.one_way
-        arrival = depart + delay
+                 deliver: Callable[..., None], *args) -> None:
+        """Send `size` bytes from `src` to `dst`; `deliver(*args)` runs when
+        they arrive, one link delay after `depart` (none on a loopback)."""
+        sent = self.metrics[src]
+        sent.msgs_sent += 1
+        sent.bytes_sent += size
+        arrival = depart if src == dst else depart + self.one_way
+        self.schedule(arrival, self._arrive, dst, size, deliver, args)
 
-        def on_arrival():
-            self.metrics[dst].msgs_recv += 1
-            self.metrics[dst].bytes_recv += size
-            deliver()
-
-        self.schedule(arrival, on_arrival)
+    def _arrive(self, dst: int, size: int, deliver: Callable[..., None],
+                args: tuple) -> None:
+        recv = self.metrics[dst]
+        recv.msgs_recv += 1
+        recv.bytes_recv += size
+        deliver(*args)
 
     def run(self, stop: Callable[[], bool], max_events: int = 50_000_000) -> None:
         events = 0
         while self.heap and not stop():
-            when, _, fn = heapq.heappop(self.heap)
+            when, _, fn, args = heapq.heappop(self.heap)
             self.now = max(self.now, when)
-            fn()
+            fn(*args)
             events += 1
             if events > max_events:
                 raise RuntimeError("simulation event budget exhausted")
@@ -319,8 +324,7 @@ class CosiSim:
             if isinstance(eff, Send):
                 self._send(src, eff.dest, eff.msg, when)
             elif isinstance(eff, SetTimer):
-                self.net.schedule(when + eff.delay,
-                                  lambda s=src, k=eff.key: self._timer(s, k))
+                self.net.schedule(when + eff.delay, self._timer, src, eff.key)
             elif isinstance(eff, RoundDone):
                 done = self.net.process(src, self.cfg.compute.verify_units)
                 self.round_result = eff.result
@@ -330,8 +334,7 @@ class CosiSim:
                     # the new leader treats every superseded view's leader as failed
                     prior = frozenset(engine.view_leader(self.roster, v)
                                       for v in range(eff.view))
-                    self.net.schedule(when, lambda s=src, p=prior:
-                                      self._start_as_leader(s, p))
+                    self.net.schedule(when, self._start_as_leader, src, prior)
 
     def _send(self, src: int, dst: int, msg, when: float) -> None:
         if src in self.crashed:
@@ -346,8 +349,8 @@ class CosiSim:
         if src in self.liars and isinstance(msg, Response):
             bumped = msg.aggregate_response + self.group.scalar(1)
             msg = replace(msg, aggregate_response=bumped)
-        size = len(encode_message(msg, self.group))
-        self.net.transmit(src, dst, size, when, lambda: self._deliver(dst, msg))
+        self.net.transmit(src, dst, frame_size(msg, self.group), when,
+                          self._deliver, dst, msg)
 
     def _timer(self, node: int, key: tuple) -> None:
         if node in self.crashed:
@@ -396,9 +399,9 @@ class CosiSim:
             for i in range(cfg.n):
                 if i != leader and i not in self.crashed:
                     self.net.schedule(start + cfg.progress_timeout,
-                                      lambda n=i: self._progress_check(n))
+                                      self._progress_check, i)
         else:
-            self.net.schedule(start, lambda: self._start_as_leader(leader))
+            self.net.schedule(start, self._start_as_leader, leader)
 
         self.net.run(stop=lambda: self.round_result is not None)
         if self.round_result is not None:
@@ -441,8 +444,7 @@ class NaiveSim:
             done = self.net.process(i, cfg.compute.exp_units)
             sig = schnorr_sign(self.keys[i], statement, self.rngs[i])
             size = 9 + 4 + len(sig.encode())
-            self.net.transmit(i, 0, size, done,
-                              lambda sig=sig, i=i: leader_collect(i, sig))
+            self.net.transmit(i, 0, size, done, leader_collect, i, sig)
 
         def leader_collect(i: int, sig: Signature) -> None:
             self.net.process(0, cfg.compute.verify_units)
@@ -450,7 +452,7 @@ class NaiveSim:
             sigs[i] = sig
 
         for i in range(cfg.n):
-            self.net.transmit(0, i, req_size, start, lambda i=i: witness_reply(i))
+            self.net.transmit(0, i, req_size, start, witness_reply, i)
         self.net.run(stop=lambda: len(sigs) == cfg.n)
         ok = len(sigs) == cfg.n and all(verified)
         metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
@@ -484,7 +486,7 @@ class NTreeSim:
         def announce(i: int) -> None:
             done = self.net.process(i, cfg.compute.exp_units)
             for c in topo.children[i]:
-                self.net.transmit(i, c, req_size, done, lambda c=c: announce(c))
+                self.net.transmit(i, c, req_size, done, announce, c)
             if pending[i] == 0:
                 reply_up(i, done)
 
@@ -498,8 +500,7 @@ class NTreeSim:
                 return
             parent = topo.parent[i]
             size = 9 + len(entry) * sig_entry
-            self.net.transmit(i, parent, size, when,
-                              lambda i=i, entry=entry: on_subtree(parent, i, entry))
+            self.net.transmit(i, parent, size, when, on_subtree, parent, i, entry)
 
         def on_subtree(parent: int, child: int, entry: list) -> None:
             done = self.net.process(parent, cfg.compute.verify_units * len(entry))
@@ -511,7 +512,7 @@ class NTreeSim:
             if pending[parent] == 0:
                 reply_up(parent, done)
 
-        self.net.schedule(start, lambda: announce(0))
+        self.net.schedule(start, announce, 0)
         self.net.run(stop=lambda: bool(final))
         ok, entries = final[0] if final else (False, [])
         metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
@@ -559,7 +560,7 @@ class JvssSim:
                 if j == i:
                     accept_share(i, done)
                 else:
-                    self.net.transmit(i, j, share_size, done, lambda j=j: on_share(j))
+                    self.net.transmit(i, j, share_size, done, on_share, j)
 
         def on_share(j: int) -> None:
             accept_share(j, self.net.process(j, cfg.compute.exp_units * (t + 2)))
@@ -569,8 +570,7 @@ class JvssSim:
             if have[j] == n:
                 for k in range(n):
                     if k != j:
-                        self.net.transmit(j, k, partial_size, when,
-                                          lambda j=j, k=k: on_partial(k, j))
+                        self.net.transmit(j, k, partial_size, when, on_partial, k, j)
                     else:
                         on_partial(j, j)
 
@@ -585,7 +585,7 @@ class JvssSim:
         announce_size = 9 + len(statement)
         def begin():
             for i in range(1, n):
-                self.net.transmit(0, i, announce_size, start, lambda i=i: kickoff(i))
+                self.net.transmit(0, i, announce_size, start, kickoff, i)
             kickoff(0)
 
         self.net.schedule(start, begin)

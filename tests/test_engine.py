@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import make_toy_roster, swap_generator
 
@@ -21,6 +22,7 @@ from cosikit.engine import (
     chain_record,
     decode_frame_body,
     encode_message,
+    frame_size,
     make_hash_chain_hook,
     make_timestamp_window_hook,
     view_change_threshold,
@@ -562,6 +564,7 @@ def test_message_codec_roundtrips():
         frame = encode_message(msg, TOY)
         length = int.from_bytes(frame[:4], "big")
         assert length == len(frame) - 4
+        assert frame_size(msg, TOY) == len(frame)
         back = decode_frame_body(frame[4:], TOY, 16)
         assert back == msg
 
@@ -603,7 +606,63 @@ def test_frame_bytes_pinned():
     for msg, frame_hex in pinned.items():
         frame = encode_message(msg, TOY)
         assert frame.hex() == frame_hex
+        assert frame_size(msg, TOY) == len(frame)
         assert decode_frame_body(frame[4:], TOY, 16) == msg
+
+
+_U16 = st.integers(0, 0xFFFF)
+_U32 = st.integers(0, 0xFFFFFFFF)
+_DIGEST = st.binary(min_size=32, max_size=32)
+_INDEX_SET = st.frozensets(_U32, max_size=6)
+_OPT_BYTES = st.none() | st.binary(max_size=48)
+_STEP = st.lists(_DIGEST, max_size=4).flatmap(
+    lambda others: st.builds(multisig.CommitStep, st.integers(0, len(others)),
+                             st.just(tuple(others))))
+_PROOF = st.lists(_STEP, max_size=4).map(lambda steps: CommitTreeProof(tuple(steps)))
+
+
+def _message_strategies(group):
+    """One strategy per wire message type, over `group`'s elements and scalars."""
+    elem = st.sampled_from([group.generator ** k for k in (1, 2, 5)])
+    scalar = st.integers(0, group.order - 1).map(group.scalar)
+    header = dict(view=_U32, round=_U32, attempt=_U16, sender=_U32)
+    summary = st.builds(engine.SubtreeSummary, index=_U32, commit=elem, aggregate=elem,
+                        tree_hash=_DIGEST,
+                        contributors=st.lists(st.tuples(_U32, _DIGEST), max_size=4).map(tuple),
+                        absent=_INDEX_SET)
+    return {
+        Announce: st.builds(Announce, mode=st.integers(0, 255), timing=st.integers(0, 255),
+                            branching=_U16, timeout_ms=_U32, topology_digest=_DIGEST,
+                            failed=_INDEX_SET, statement=_OPT_BYTES, **header),
+        Commit: st.builds(Commit, aggregate=elem, commit=elem, tree_hash=_DIGEST,
+                          absent=_INDEX_SET, failed=_INDEX_SET, refused=_INDEX_SET,
+                          summaries=st.lists(summary, max_size=3).map(tuple), **header),
+        Challenge: st.builds(Challenge, challenge=scalar, aggregate_commit=elem,
+                             commit_root=st.none() | _DIGEST, statement=_OPT_BYTES,
+                             proof=_PROOF, **header),
+        Response: st.builds(Response, aggregate_response=scalar, absent=_INDEX_SET,
+                            failed=_INDEX_SET, refused=_INDEX_SET,
+                            exceptions=st.lists(st.builds(CommitException, _U32, elem, _PROOF),
+                                                max_size=3).map(tuple), **header),
+        Refuse: st.builds(Refuse, reason=st.integers(0, 255), **header),
+        ViewChange: st.builds(ViewChange, proposed_view=_U32, signer=_U32,
+                              signature=st.builds(Signature, scalar, scalar)),
+        StampRequest: st.builds(StampRequest, digest=_DIGEST),
+        StampReply: st.builds(StampReply, ok=st.booleans(), payload=st.binary(max_size=64)),
+    }
+
+
+_MESSAGES = {group.name: _message_strategies(group) for group in (TOY, ED25519)}
+
+
+@pytest.mark.parametrize("group", [TOY, ED25519], ids=lambda g: g.name)
+@pytest.mark.parametrize("cls", list(engine._MESSAGE_TYPES.values()), ids=lambda c: c.__name__)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_frame_size_matches_encoding(group, cls, data):
+    """The simulator charges `frame_size`; it must be the encoded frame's length."""
+    msg = data.draw(_MESSAGES[group.name][cls])
+    assert frame_size(msg, group) == len(encode_message(msg, group))
 
 
 def test_codec_rejects_garbage():

@@ -3,6 +3,7 @@ from pathlib import Path
 import pytest
 
 from cosikit import multisig, simnet
+from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_message
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.simnet import (
@@ -14,6 +15,7 @@ from cosikit.simnet import (
     run_sim,
     run_sim_detailed,
 )
+from cosikit.timestamp import GENESIS_HASH, TimestampRecord
 from cosikit.topology import tree_for
 
 
@@ -166,3 +168,64 @@ def test_multi_round_metrics_independent():
     assert max(latencies) - min(latencies) < 0.05
     for m in out.metrics:
         assert m.outcome == "ok"
+
+
+def _liars(*nodes):
+    return tuple(FailureAction(i, "response", "lie") for i in nodes)
+
+
+_BACKDATED = TimestampRecord(round_number=1, wall_time=1_000_000 - 120, merkle_root=b"\x11" * 32,
+                             prev_record_hash=GENESIS_HASH).pack()
+
+
+@pytest.mark.parametrize("cfg, sent_one", [
+    # 1 is interior (children 3, 4); 9 is a leaf two levels below 0
+    pytest.param(SimConfig(seed=21, n=15, branching=2, scheme="cosi", group_name="prod",
+                           mode=MODE_NO_RESTART, failures=_liars(1, 9)),
+                 lambda src, dst, msg: isinstance(msg, Response)
+                 and any(len(e.proof.steps) > 1 for e in msg.exceptions),
+                 id="prod-interior-and-leaf-liars"),
+    pytest.param(SimConfig(seed=7, n=15, branching=2, scheme="cosi", mode=MODE_NO_RESTART,
+                           failures=(FailureAction(1, "challenge", "crash"),)),
+                 lambda src, dst, msg: isinstance(msg, Challenge) and (src, dst) == (0, 3),
+                 id="bridge-past-crashed-interior"),
+    pytest.param(SimConfig(seed=900, n=4, branching=3, scheme="cosi", statement=_BACKDATED,
+                           validation_policy="timestamp-window", min_participants=3),
+                 lambda src, dst, msg: isinstance(msg, Refuse), id="timestamp-window-refusal"),
+    pytest.param(SimConfig(seed=14, n=4, branching=3, scheme="cosi", view_change=True,
+                           failures=(FailureAction(0, "announce", "crash"),)),
+                 lambda src, dst, msg: isinstance(msg, ViewChange), id="leader-crash-view-change"),
+])
+def test_every_message_charged_its_encoded_length(monkeypatch, cfg, sent_one):
+    """The simulator counts bytes from each message's fields; on paths the
+    shipped sweep never takes, every charge still equals the encoded frame."""
+    sent = []
+    transmit = simnet.VirtualNet.transmit
+
+    def recording(net, src, dst, size, depart, deliver, *args):
+        sent.append((src, dst, size, args[-1]))
+        transmit(net, src, dst, size, depart, deliver, *args)
+
+    monkeypatch.setattr(simnet.VirtualNet, "transmit", recording)
+    metrics = run_sim(cfg)
+    assert any(sent_one(src, dst, msg) for src, dst, _, msg in sent)
+    for _, _, size, msg in sent:
+        assert size == len(encode_message(msg, cfg.group)), msg
+    assert len(sent) == sum(m.total_msgs for m in metrics)
+    assert sum(size for *_, size, _ in sent) == sum(m.total_bytes_sent for m in metrics)
+
+
+@pytest.mark.parametrize("cfg, msgs, sent_bytes, root_bytes, latency", [
+    (SimConfig(seed=1, n=1024, branching=16, scheme="cosi", statement=bytes(32)),
+     4092, 1_727_851, 50_028, 1.2037),
+    (SimConfig(seed=1, n=128, branching=8, scheme="cosi", group_name="prod",
+               mode=MODE_NO_RESTART, statement=bytes(32), failures=_liars(5, 40, 77)),
+     524, 150_367, 20_428, 1.2024),
+], ids=["toy-1024-restart", "prod-128-no-restart-liars"])
+def test_benchmark_shaped_rounds_pinned(cfg, msgs, sent_bytes, root_bytes, latency):
+    """The rounds the benchmark times, with a 32-byte statement as it binds:
+    message and byte counts and simulated latency are behaviour."""
+    m = run_sim(cfg)[0]
+    assert m.outcome == "ok"
+    assert (m.total_msgs, m.total_bytes_sent, m.root_bytes) == (msgs, sent_bytes, root_bytes)
+    assert m.latency == pytest.approx(latency, abs=1e-6)
