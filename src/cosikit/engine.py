@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Optional
 
 from . import multisig, participation
-from .group import GroupElement, KeyPair, Scalar, Signature, schnorr_sign, schnorr_verify
+from .group import (DecodeError, GroupElement, KeyPair, Reader, Scalar, Signature,
+                    schnorr_sign, schnorr_verify)
 from .merkle import DIGEST_SIZE
 from .multisig import (
     MODE_NO_RESTART,
@@ -160,52 +161,12 @@ def _u32(v: int) -> bytes:
     return v.to_bytes(4, "big")
 
 
-class _Reader:
-    def __init__(self, data: bytes, witness_count: int):
-        self.data = data
-        self.off = 0
-        self.witness_count = witness_count
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise ValueError("truncated message")
-        out = self.data[self.off:self.off + n]
-        self.off += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return int.from_bytes(self.take(2), "big")
-
-    def u32(self) -> int:
-        return int.from_bytes(self.take(4), "big")
-
-    def count(self) -> int:
-        """A u16 record count, at most one record per witness."""
-        n = self.u16()
-        if n > self.witness_count:
-            raise ValueError(f"{n} records for {self.witness_count} witnesses")
-        return n
-
-    def index(self) -> int:
-        i = self.u32()
-        if i >= self.witness_count:
-            raise ValueError(f"witness index {i} out of range")
-        return i
-
-    def done(self) -> None:
-        if self.off != len(self.data):
-            raise ValueError("trailing bytes in message")
-
-
 def _enc_idxset(indices: Iterable[int]) -> bytes:
     idx = sorted(indices)
     return _u16(len(idx)) + b"".join(_u32(i) for i in idx)
 
 
-def _dec_idxset(r: _Reader) -> frozenset[int]:
+def _dec_idxset(r: Reader) -> frozenset[int]:
     n = r.count()
     return frozenset(r.index() for _ in range(n))
 
@@ -220,7 +181,7 @@ def _enc_opt_bytes(data: Optional[bytes]) -> bytes:
     return b"\x01" + _u32(len(data)) + data
 
 
-def _dec_opt_bytes(r: _Reader) -> Optional[bytes]:
+def _dec_opt_bytes(r: Reader) -> Optional[bytes]:
     if r.u8() == 0:
         return None
     return r.take(r.u32())
@@ -228,11 +189,6 @@ def _dec_opt_bytes(r: _Reader) -> Optional[bytes]:
 
 def _opt_bytes_size(data: Optional[bytes]) -> int:
     return 1 if data is None else 5 + len(data)
-
-
-def _dec_proof(r: _Reader) -> CommitTreeProof:
-    proof, r.off = CommitTreeProof.decode(r.data, r.off)
-    return proof
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +233,7 @@ class Announce:
                 + _opt_bytes_size(self.statement))
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "Announce":
+    def decode_body(cls, r: Reader, group) -> "Announce":
         return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), mode=r.u8(),
                    timing=r.u8(), branching=r.u16(), timeout_ms=r.u32(),
                    topology_digest=r.take(DIGEST_SIZE), failed=_dec_idxset(r),
@@ -311,7 +267,7 @@ class SubtreeSummary:
                 + (4 + DIGEST_SIZE) * len(self.contributors) + _idxset_size(self.absent))
 
     @classmethod
-    def decode(cls, r: _Reader, group) -> "SubtreeSummary":
+    def decode(cls, r: Reader, group) -> "SubtreeSummary":
         index = r.index()
         commit = group.decode_element(r.take(group.element_size))
         aggregate = group.decode_element(r.take(group.element_size))
@@ -360,7 +316,7 @@ class Commit:
                 + sum(s.wire_size(group) for s in self.summaries))
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "Commit":
+    def decode_body(cls, r: Reader, group) -> "Commit":
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
         aggregate = group.decode_element(r.take(group.element_size))
         commit = group.decode_element(r.take(group.element_size))
@@ -401,13 +357,13 @@ class Challenge:
                 + self.proof.wire_size())
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "Challenge":
+    def decode_body(cls, r: Reader, group) -> "Challenge":
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
         challenge = group.decode_scalar(r.take(group.scalar_size))
         aggregate = group.decode_element(r.take(group.element_size))
         root = _dec_opt_bytes(r)
         statement = _dec_opt_bytes(r)
-        proof = _dec_proof(r)
+        proof = CommitTreeProof.decode(r)
         return cls(view, rnd, attempt, sender, challenge, aggregate, root,
                    statement, proof)
 
@@ -442,7 +398,7 @@ class Response:
                       for e in self.exceptions))
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "Response":
+    def decode_body(cls, r: Reader, group) -> "Response":
         view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
         agg = group.decode_scalar(r.take(group.scalar_size))
         absent = _dec_idxset(r)
@@ -452,7 +408,7 @@ class Response:
         for _ in range(r.count()):
             index = r.index()
             commit = group.decode_element(r.take(group.element_size))
-            exceptions.append(CommitException(index, commit, _dec_proof(r)))
+            exceptions.append(CommitException(index, commit, CommitTreeProof.decode(r)))
         return cls(view, rnd, attempt, sender, agg, absent, failed, refused,
                    tuple(exceptions))
 
@@ -479,7 +435,7 @@ class Refuse:
         return 15
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "Refuse":
+    def decode_body(cls, r: Reader, group) -> "Refuse":
         return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), sender=r.u32(),
                    reason=r.u8())
 
@@ -499,7 +455,7 @@ class ViewChange:
         return 8 + 2 * group.scalar_size
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "ViewChange":
+    def decode_body(cls, r: Reader, group) -> "ViewChange":
         proposed, signer = r.u32(), r.u32()
         sig = Signature.decode(group, r.take(2 * group.scalar_size))
         return cls(proposed, signer, sig)
@@ -518,7 +474,7 @@ class StampRequest:
         return DIGEST_SIZE
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "StampRequest":
+    def decode_body(cls, r: Reader, group) -> "StampRequest":
         return cls(digest=r.take(DIGEST_SIZE))
 
 
@@ -536,7 +492,7 @@ class StampReply:
         return 5 + len(self.payload)
 
     @classmethod
-    def decode_body(cls, r: _Reader, group) -> "StampReply":
+    def decode_body(cls, r: Reader, group) -> "StampReply":
         ok = r.u8() == 1
         return cls(ok=ok, payload=r.take(r.u32()))
 
@@ -575,12 +531,11 @@ def decode_frame_body(data: bytes, group, witness_count: int):
     before any record is decoded, and a record index at or past it before
     that record's group elements are.
     """
-    if not data:
-        raise ValueError("empty frame")
-    cls = _MESSAGE_TYPES.get(data[0])
+    r = Reader(data, witness_count)
+    tag = r.u8()
+    cls = _MESSAGE_TYPES.get(tag)
     if cls is None:
-        raise ValueError(f"unknown message tag {data[0]}")
-    r = _Reader(data[1:], witness_count)
+        raise DecodeError(f"unknown message tag {tag}")
     msg = cls.decode_body(r, group)
     r.done()
     return msg
@@ -677,8 +632,9 @@ class _RoundState:
 # ---------------------------------------------------------------------------
 
 def view_leader(roster: WitnessRoster, view: int) -> int:
-    """Deterministic leader schedule: the roster index view mod N."""
-    return view % len(roster)
+    """Deterministic leader schedule: view v is led by the roster's leader
+    index plus v, mod N."""
+    return (roster.leader_index + view) % len(roster)
 
 
 def view_change_threshold(n: int) -> int:

@@ -59,7 +59,59 @@ TAG_EMPTY_TREE = b"cosi/merkle/empty/v1"
 
 
 class DecodeError(ValueError):
-    """Raised when a byte string is not a canonical scalar/element encoding."""
+    """Raised when a byte string is not a canonical encoding: a scalar, an
+    element, or a frame, signature, proof or receipt that `Reader` walks."""
+
+
+class Reader:
+    """Bounded cursor over one binary encoding from outside.
+
+    Every read checks the remaining length first. `witness_count` is the
+    roster size: `count` rejects a record count above it before any record
+    is read, and `index` rejects a witness index at or past it, so a decoder
+    bounds its costly element decodes by the roster before running them.
+    """
+
+    __slots__ = ("data", "off", "witness_count")
+
+    def __init__(self, data: bytes, witness_count: int):
+        self.data = data
+        self.off = 0
+        self.witness_count = witness_count
+
+    def take(self, n: int) -> bytes:
+        off = self.off
+        end = off + n
+        if end > len(self.data):
+            raise DecodeError("truncated encoding")
+        self.off = end
+        return self.data[off:end]
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return int.from_bytes(self.take(2), "big")
+
+    def u32(self) -> int:
+        return int.from_bytes(self.take(4), "big")
+
+    def count(self) -> int:
+        """A u16 record count, at most one record per witness."""
+        n = self.u16()
+        if n > self.witness_count:
+            raise DecodeError(f"{n} records for {self.witness_count} witnesses")
+        return n
+
+    def index(self) -> int:
+        i = self.u32()
+        if i >= self.witness_count:
+            raise DecodeError(f"witness index {i} out of range")
+        return i
+
+    def done(self) -> None:
+        if self.off != len(self.data):
+            raise DecodeError("trailing bytes after encoding")
 
 
 class Group:

@@ -24,6 +24,7 @@ from .group import (
     DecodeError,
     Group,
     GroupElement,
+    Reader,
     Scalar,
     challenge_hash,
     group_by_id,
@@ -165,28 +166,14 @@ class CommitTreeProof:
         return 2 + sum(4 + merkle.DIGEST_SIZE * len(step.others) for step in self.steps)
 
     @classmethod
-    def decode(cls, data: bytes, off: int) -> tuple["CommitTreeProof", int]:
-        """Decode the proof that starts at `data[off]`; returns it and the
-        offset just past it."""
-        if len(data) < off + 2:
-            raise MultisigError("truncated commit tree proof")
-        count = int.from_bytes(data[off:off + 2], "big")
-        off += 2
+    def decode(cls, r: Reader) -> "CommitTreeProof":
+        """Read the proof at the reader's offset."""
         steps = []
-        for _ in range(count):
-            if len(data) < off + 4:
-                raise MultisigError("truncated commit tree proof step")
-            pos = int.from_bytes(data[off:off + 2], "big")
-            n = int.from_bytes(data[off + 2:off + 4], "big")
-            off += 4
-            need = n * merkle.DIGEST_SIZE
-            if len(data) < off + need:
-                raise MultisigError("truncated commit tree proof digests")
-            others = tuple(data[off + k * merkle.DIGEST_SIZE:off + (k + 1) * merkle.DIGEST_SIZE]
-                           for k in range(n))
-            off += need
-            steps.append(CommitStep(pos, others))
-        return cls(tuple(steps)), off
+        for _ in range(r.u16()):
+            position, n = r.u16(), r.u16()
+            steps.append(CommitStep(position, tuple(r.take(merkle.DIGEST_SIZE)
+                                                    for _ in range(n))))
+        return cls(tuple(steps))
 
 
 def fold_commit_proof(leaf_digest: bytes, proof: CommitTreeProof) -> bytes:
@@ -304,60 +291,32 @@ class CollectiveSignature:
 
     @classmethod
     def from_bytes(cls, data: bytes, witness_count: int) -> "CollectiveSignature":
-        if len(data) < 6 or data[:4] != MAGIC:
+        r = Reader(data, witness_count)
+        if r.take(4) != MAGIC:
             raise DecodeError("bad collective signature magic")
-        group = group_by_id(data[4])
-        mode = data[5]
-        off = 6
-        commit_root = None
-        if mode == MODE_NO_RESTART:
-            commit_root = data[off:off + merkle.DIGEST_SIZE]
-            if len(commit_root) != merkle.DIGEST_SIZE:
-                raise DecodeError("truncated commit root")
-            off += merkle.DIGEST_SIZE
-        n = group.scalar_size
-        if len(data) < off + 2 * n:
-            raise DecodeError("truncated signature scalars")
-        challenge = group.decode_scalar(data[off:off + n])
-        response = group.decode_scalar(data[off + n:off + 2 * n])
-        off += 2 * n
-        present, consumed = participation.decode_index_set(data[off:], witness_count)
-        off += consumed
-        if len(data) < off + 2:
-            raise DecodeError("truncated exception count")
-        exc_count = int.from_bytes(data[off:off + 2], "big")
-        off += 2
-        if exc_count > witness_count:
-            raise DecodeError("more commit exceptions than witnesses")
+        group = group_by_id(r.u8())
+        mode = r.u8()
+        commit_root = r.take(merkle.DIGEST_SIZE) if mode == MODE_NO_RESTART else None
+        challenge = group.decode_scalar(r.take(group.scalar_size))
+        response = group.decode_scalar(r.take(group.scalar_size))
+        present, consumed = participation.decode_index_set(data[r.off:], witness_count)
+        r.off += consumed
         # Frame and check every record before decoding any commit: each
         # decode runs a subgroup check, so the indices bound that work first.
         records = []
-        for _ in range(exc_count):
-            if len(data) < off + 4 + group.element_size + 2:
-                raise DecodeError("truncated exception record")
-            index = int.from_bytes(data[off:off + 4], "big")
-            if index >= witness_count:
-                raise DecodeError(f"exception index {index} out of range")
+        for _ in range(r.count()):
+            index = r.index()
             if records and index <= records[-1][0]:
                 raise DecodeError("exception indices not strictly ascending")
-            commit_at = off + 4
-            off = commit_at + group.element_size
-            plen = int.from_bytes(data[off:off + 2], "big")
-            off += 2
-            if len(data) < off + plen:
-                raise DecodeError("truncated exception proof")
-            proof, end = CommitTreeProof.decode(data, off)
-            off += plen
-            if end != off:
-                raise MultisigError("commit tree proof does not fill its length")
-            records.append((index, commit_at, proof))
-        if off != len(data):
-            raise DecodeError("trailing bytes after collective signature")
-        exceptions = [
-            CommitException(index, group.decode_element(
-                data[at:at + group.element_size]), proof)
-            for index, at, proof in records
-        ]
+            commit = r.take(group.element_size)
+            end = r.u16() + r.off  # the proof's length, read first, then its start
+            proof = CommitTreeProof.decode(r)
+            if r.off != end:
+                raise DecodeError("commit tree proof does not fill its length")
+            records.append((index, commit, proof))
+        r.done()
+        exceptions = [CommitException(index, group.decode_element(commit), proof)
+                      for index, commit, proof in records]
         commit_present = present | frozenset(e.index for e in exceptions)
         pset = ParticipationSet(count=witness_count, response_present=present,
                                 commit_present=commit_present)

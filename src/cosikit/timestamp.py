@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from . import merkle, multisig
+from .group import Reader
 from .merkle import InclusionProof, MerkleTree
 from .multisig import CollectiveSignature, VerifyResult
 from .roster import AuthorityCertificate, WitnessRoster
@@ -83,20 +84,13 @@ class StampReceipt:
 
     @classmethod
     def from_bytes(cls, data: bytes, witness_count: int) -> "StampReceipt":
-        if data[:4] != RECEIPT_MAGIC:
+        r = Reader(data, witness_count)
+        if r.take(4) != RECEIPT_MAGIC:
             raise TimestampError("bad receipt magic")
-        off = 4
-        record = unpack_record(data[off:off + RECORD_SIZE])
-        off += RECORD_SIZE
-        siglen = int.from_bytes(data[off:off + 4], "big")
-        off += 4
-        signature = CollectiveSignature.from_bytes(data[off:off + siglen], witness_count)
-        off += siglen
-        prooflen = int.from_bytes(data[off:off + 4], "big")
-        off += 4
-        proof = InclusionProof.decode(data[off:off + prooflen])
-        off += prooflen
-        if off != len(data):
+        record = unpack_record(r.take(RECORD_SIZE))
+        signature = CollectiveSignature.from_bytes(r.take(r.u32()), witness_count)
+        proof = InclusionProof.decode(r.take(r.u32()))
+        if r.off != len(data):
             raise TimestampError("trailing bytes in receipt")
         return cls(record=record, signature=signature, proof=proof)
 

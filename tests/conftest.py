@@ -76,6 +76,17 @@ def manual_round(roster: WitnessRoster, secrets, statement: bytes,
                                commit_root=commit_root, exceptions=exceptions)
 
 
+def assert_cuts_rejected(decode, data: bytes) -> None:
+    """`decode` accepts `data`, and raises a ValueError, and nothing else, on
+    every proper prefix of it and on it with one byte appended."""
+    decode(data)
+    for cut in range(len(data)):
+        with pytest.raises(ValueError):
+            decode(data[:cut])
+    with pytest.raises(ValueError):
+        decode(data + b"\x00")
+
+
 @pytest.fixture
 def toy_rng():
     return random.Random(42)

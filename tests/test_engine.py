@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_toy_roster, swap_generator
+from conftest import assert_cuts_rejected, make_toy_roster, swap_generator
 
 from cosikit import engine, multisig, simnet
 from cosikit.engine import (
@@ -222,6 +222,28 @@ def test_leader_new_round_discards_unanswered_nonce():
     assert [entry[:3] for entry in leader.nonce_log] == [(0, 1, 0)]
     assert [entry[:3] for entry in witness.nonce_log] == [(0, 1, 0)]
     assert multisig.verify_collective(roster, b"s", done[1].signature, Threshold(2)).ok
+
+
+def test_view_schedule_starts_at_roster_leader():
+    secrets = [3, 4, 5, 6, 7]
+    roster = make_toy_roster(secrets, leader_index=2)
+    assert [view_leader(roster, v) for v in range(6)] == [2, 3, 4, 0, 1, 2]
+    nodes = [make_node(i, roster, secrets) for i in range(5)]
+    cfg = engine.RoundConfig(round_number=0, branching=2)
+    pending = [e for e in nodes[2].start_round(cfg, b"led by 2", now=0.0)
+               if isinstance(e, Send)]
+    assert {e.msg.sender for e in pending} == {2}
+    done = []
+    while pending:
+        send = pending.pop(0)
+        effects = nodes[send.dest].handle_message(send.msg, now=0.1)
+        if isinstance(send.msg, Announce):
+            assert effects, f"witness {send.dest} dropped the announce"
+        pending += [e for e in effects if isinstance(e, Send)]
+        done += [e.result for e in effects if isinstance(e, engine.RoundDone)]
+    assert [(r.view, r.ok) for r in done] == [(0, True)]
+    assert multisig.verify_collective(roster, b"led by 2", done[0].signature,
+                                      Threshold(5)).ok
 
 
 # -- lying leader ------------------------------------------------------------------
@@ -703,6 +725,27 @@ def test_frame_rejects_mixed_order_element(field, mixed_generator):
     assert decode_frame_body(body, ED25519, 7) == msg
     with pytest.raises(DecodeError, match="prime-order subgroup"):
         decode_frame_body(swap_generator(body, mixed_generator), ED25519, 7)
+
+
+def test_every_cut_of_a_record_frame_rejected():
+    elem = KeyPair.from_secret(TOY, 3).public
+    proof = CommitTreeProof((multisig.CommitStep(1, (b"\x04" * 32, b"\x05" * 32)),
+                             multisig.CommitStep(0, (b"\x06" * 32,))))
+    response = Response(view=0, round=1, attempt=0, sender=2,
+                        aggregate_response=TOY.scalar(9), absent=frozenset({3, 5}),
+                        failed=frozenset({6}), refused=frozenset(),
+                        exceptions=(CommitException(5, elem, proof),
+                                    CommitException(3, elem, proof)))
+    summary = engine.SubtreeSummary(
+        index=3, commit=elem, aggregate=elem, tree_hash=b"\x02" * 32,
+        contributors=((4, b"\x03" * 32), (6, b"\x07" * 32)), absent=frozenset({6}))
+    commit = Commit(view=0, round=1, attempt=0, sender=1, aggregate=elem, commit=elem,
+                    tree_hash=b"\x01" * 32, absent=frozenset({6}), failed=frozenset(),
+                    refused=frozenset(), summaries=(summary, replace(summary, index=5)))
+    for msg in (response, commit):
+        body = encode_message(msg, TOY)[4:]
+        assert decode_frame_body(body, TOY, 7) == msg
+        assert_cuts_rejected(lambda d: decode_frame_body(d, TOY, 7), body)
 
 
 @pytest.mark.parametrize("kind", ["response", "commit"])

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_toy_roster, manual_round, swap_generator
+from conftest import assert_cuts_rejected, make_toy_roster, manual_round, swap_generator
 
 from cosikit import multisig
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, challenge_hash, keygen, \
@@ -444,6 +444,12 @@ def _exception_blob():
     return bytearray(sig.to_bytes()), count_at, (first, second)
 
 
+# the reader's own messages: frames and signatures share one bound
+_RECORD_CAUSES = {"count": "records for 7 witnesses",
+                  "out_of_range": "witness index 7 out of range",
+                  "not_ascending": "not strictly ascending"}
+
+
 @pytest.mark.parametrize("patch", ["count", "out_of_range", "not_ascending"])
 def test_exception_records_checked_before_any_element_decode(monkeypatch, patch):
     calls = []
@@ -464,9 +470,19 @@ def test_exception_records_checked_before_any_element_decode(monkeypatch, patch)
         data[first:first + 4] = (7).to_bytes(4, "big")
     else:
         data[second:second + 4] = (1).to_bytes(4, "big")
-    with pytest.raises(DecodeError):
+    with pytest.raises(DecodeError, match=_RECORD_CAUSES[patch]):
         CollectiveSignature.from_bytes(bytes(data), 7)
     assert calls == []
+
+
+def test_every_cut_of_an_exception_signature_rejected():
+    secrets = [3, 4, 5, 6, 7, 8, 9]
+    sig = manual_round(make_toy_roster(secrets), secrets, b"cuts",
+                       response_absent={3, 6}, mode=MODE_NO_RESTART)
+    assert [len(e.proof.steps) for e in sig.exceptions] == [2, 2]
+    data = sig.to_bytes()
+    assert CollectiveSignature.from_bytes(data, 7) == sig
+    assert_cuts_rejected(lambda d: CollectiveSignature.from_bytes(d, 7), data)
 
 
 def test_exception_commit_outside_subgroup_rejected(mixed_generator):

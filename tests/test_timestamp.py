@@ -3,10 +3,11 @@ import random
 
 import pytest
 
-from conftest import make_toy_roster, manual_round
+from conftest import assert_cuts_rejected, make_toy_roster, manual_round
 
 from cosikit import merkle
 from cosikit.merkle import empty_tree_root, leaf_hash
+from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.timestamp import (
     GENESIS_HASH,
@@ -218,6 +219,22 @@ def test_receipt_file_roundtrip(authority_env):
     assert verify_receipt(roster, d, back, Threshold(2)).ok
     with pytest.raises(TimestampError):
         StampReceipt.from_bytes(blob + b"\x00", len(roster))
+
+
+def test_every_cut_of_a_receipt_rejected():
+    secrets = [3, 4, 5, 6, 7, 8, 9]
+    roster = make_toy_roster(secrets)
+    authority = TimestampAuthority(lambda statement: manual_round(
+        roster, secrets, statement, response_absent={3, 6}, mode=MODE_NO_RESTART))
+    digests = [h(bytes([i])) for i in range(5)]
+    for d in digests:
+        authority.submit(d)
+    _, receipts = authority.round_close(clock=520.0)
+    receipt = receipts[digests[2]]
+    assert len(receipt.signature.exceptions) == 2 and len(receipt.proof.path) == 3
+    blob = receipt.to_bytes()
+    assert StampReceipt.from_bytes(blob, 7).to_bytes() == blob
+    assert_cuts_rejected(lambda d: StampReceipt.from_bytes(d, 7), blob)
 
 
 def test_time_check(authority_env):
