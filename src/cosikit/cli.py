@@ -637,7 +637,7 @@ def main(argv=None) -> int:
         parser.error("stamp needs --hash or --file")
     try:
         return args.fn(args)
-    except (UsageError, OSError, ValueError) as exc:
+    except (UsageError, OSError, ValueError, engine.EngineError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_PROTOCOL
 

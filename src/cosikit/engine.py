@@ -924,8 +924,7 @@ class SigningNode:
     def _on_commit(self, st: _RoundState, msg: Commit, now: float) -> list:
         if st.phase != PHASE_COMMIT or msg.sender not in st.pending_commit:
             return []
-        if msg.sender in msg.absent:
-            logger.warning("node %d: commit from %d excludes itself", self.index, msg.sender)
+        if not self._reports_below_sender(st, msg):
             return []
         below = {s.index: s for s in msg.summaries}
         st.records[msg.sender] = SubtreeSummary(
@@ -941,6 +940,17 @@ class SigningNode:
         if not st.pending_commit:
             return self._finalize_commit(st, now)
         return []
+
+    def _reports_below_sender(self, st: _RoundState, msg: Commit | Response) -> bool:
+        """A child may report only nodes strictly below itself; otherwise its
+        message is dropped and the phase timer treats it as silent."""
+        reports = msg.absent | msg.failed | msg.refused
+        if not reports or (msg.sender not in reports
+                           and reports <= st.topology.descendants(msg.sender)):
+            return True
+        logger.warning("node %d: dropping %s from %d: it reports nodes outside "
+                       "its subtree", self.index, type(msg).__name__, msg.sender)
+        return False
 
     def _on_refuse(self, st: _RoundState, msg: Refuse, now: float) -> list:
         if st.phase == PHASE_COMMIT and msg.sender in st.pending_commit:
@@ -1043,6 +1053,8 @@ class SigningNode:
     def _on_response(self, st: _RoundState, msg: Response, now: float) -> list:
         if st.phase != PHASE_RESPONSE or msg.sender not in st.pending_resp:
             return []
+        if not self._reports_below_sender(st, msg):
+            return []
         if st.mode == MODE_RESTART and (msg.absent or msg.failed):
             # The attempt is already doomed; a partial missing subtree shares
             # cannot check out against the full subtree commit, so just record
@@ -1089,13 +1101,12 @@ class SigningNode:
     def _check_partial(self, st: _RoundState, rec: SubtreeSummary, msg: Response) -> bool:
         """A child's (c, r̂) must verify against its subtree commit and key,
         adjusted for the response dropouts it reports."""
-        exc_indices = [e.index for e in msg.exceptions]
-        if len(set(exc_indices)) != len(exc_indices):
-            return False
-        if frozenset(exc_indices) != msg.absent:
+        # one exception per reported dropout; _on_response has kept those
+        # strictly below the sender
+        if sorted(e.index for e in msg.exceptions) != sorted(msg.absent):
             return False
         participants = st.topology.descendants(rec.index) - rec.absent
-        if not msg.absent <= participants - {msg.sender}:
+        if not msg.absent <= participants:
             return False
         present = participants - msg.absent
         for exc in msg.exceptions:
@@ -1296,13 +1307,12 @@ class SigningNode:
             return []
         votes = self.view_votes.setdefault(msg.proposed_view, {})
         votes[msg.signer] = msg.signature
-        threshold = view_change_threshold(len(self.roster))
-        if len(votes) >= threshold:
-            best = max(v for v, vs in self.view_votes.items() if len(vs) >= threshold)
-            if best > self.current_view:
-                self.current_view = best
-                leader = view_leader(self.roster, best)
-                logger.info("node %d activates view %d (leader %d)",
-                            self.index, best, leader)
-                return [ViewActivated(view=best, leader=leader)]
-        return []
+        if len(votes) < view_change_threshold(len(self.roster)):
+            return []
+        # Views activate on reaching the threshold, so only this one can newly
+        # reach it, and tables at or below it are never read again.
+        view = self.current_view = msg.proposed_view
+        self.view_votes = {v: vs for v, vs in self.view_votes.items() if v > view}
+        leader = view_leader(self.roster, view)
+        logger.info("node %d activates view %d (leader %d)", self.index, view, leader)
+        return [ViewActivated(view=view, leader=leader)]

@@ -2,8 +2,8 @@
 
 The tree is laid out breadth-first from the well-known roster order with the
 leader at the root, so every participant derives an identical topology with
-no communication. Pruning removes failed nodes and re-attaches their
-children to the nearest live ancestor.
+no communication. Pruning hangs every survivor from its nearest live
+ancestor.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class TopologyError(ValueError):
@@ -28,32 +28,30 @@ class TreeTopology:
     branching: int
     root: int
     parent: tuple  # parent[i] is None for the root and for absent nodes
-    children: tuple  # children[i] is a tuple of roster indices
+    children: tuple  # children[i] is a tuple of roster indices, ascending
     absent: frozenset[int]
 
     @cached_property
     def members(self) -> frozenset[int]:
         return frozenset(range(self.size)) - self.absent
 
-    def node_depth(self, index: int) -> int:
-        d = 0
-        while self.parent[index] is not None:
-            index = self.parent[index]
-            d += 1
-        return d
+    def walk(self, start: int) -> Iterator[tuple[int, int]]:
+        """(node, depth below `start`) for `start` and its transitive
+        descendants, depth first, each node before its children."""
+        stack = [(start, 0)]
+        while stack:
+            node, depth = stack.pop()
+            yield node, depth
+            depth += 1
+            stack.extend([(c, depth) for c in reversed(self.children[node])])
 
     @property
     def depth(self) -> int:
-        return max(self.node_depth(i) for i in self.members)
+        return max(d for _, d in self.walk(self.root))
 
     def postorder(self, start: int) -> list[int]:
         """`start` and its transitive descendants, each node after its children."""
-        order, stack = [], [start]
-        while stack:
-            n = stack.pop()
-            order.append(n)
-            stack.extend(self.children[n])
-        return order[::-1]
+        return [n for n, _ in self.walk(start)][::-1]
 
     def descendants(self, index: int) -> frozenset[int]:
         """Transitive descendants of `index`, including itself."""
@@ -91,15 +89,20 @@ class TreeTopology:
 
     def dump(self) -> str:
         """Indented text rendering for debugging."""
-        lines = []
+        return "\n".join("  " * d + f"{n}" + (" (leader)" if n == self.root else "")
+                         for n, d in self.walk(self.root))
 
-        def walk(node: int, depth: int) -> None:
-            lines.append("  " * depth + f"{node}" + (" (leader)" if node == self.root else ""))
-            for child in self.children[node]:
-                walk(child, depth + 1)
 
-        walk(self.root, 0)
-        return "\n".join(lines)
+def _tree(size: int, branching: int, root: int, parent: list,
+          absent: frozenset[int]) -> TreeTopology:
+    """The topology with these parent pointers; children are listed in index
+    order, so every party derives identical orderings."""
+    children = [[] for _ in range(size)]
+    for i, p in enumerate(parent):
+        if p is not None:
+            children[p].append(i)
+    return TreeTopology(size=size, branching=branching, root=root, parent=tuple(parent),
+                        children=tuple(map(tuple, children)), absent=absent)
 
 
 def build_bary_tree(size: int, branching: int, leader_index: int = 0) -> TreeTopology:
@@ -114,23 +117,14 @@ def build_bary_tree(size: int, branching: int, leader_index: int = 0) -> TreeTop
     # position k in BFS order maps to roster index order[k]
     order = [leader_index] + [i for i in range(size) if i != leader_index]
     parent = [None] * size
-    children = [[] for _ in range(size)]
     for pos in range(1, size):
-        ppos = (pos - 1) // branching
-        parent[order[pos]] = order[ppos]
-        children[order[ppos]].append(order[pos])
-    return TreeTopology(
-        size=size,
-        branching=branching,
-        root=leader_index,
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-        absent=frozenset(),
-    )
+        parent[order[pos]] = order[(pos - 1) // branching]
+    return _tree(size, branching, leader_index, parent, frozenset())
 
 
 def prune_and_reconnect(topology: TreeTopology, failed: Iterable[int]) -> TreeTopology:
-    """Drop failed nodes; orphans re-attach to their nearest live ancestor."""
+    """Drop failed nodes; every survivor hangs from its nearest ancestor, by
+    `topology`'s parent pointers, that is not absent."""
     failed = frozenset(failed)
     if topology.root in failed:
         raise LeaderFailedError("leader is in the failure set")
@@ -138,46 +132,15 @@ def prune_and_reconnect(topology: TreeTopology, failed: Iterable[int]) -> TreeTo
     if out_of_range:
         raise TopologyError(f"failed indices out of range: {sorted(out_of_range)}")
     absent = topology.absent | failed
-    orig_parent = list(topology.parent)
-    parent = list(topology.parent)
-    children = [list(c) for c in topology.children]
-
-    def live_ancestor(i: int) -> int:
-        # original pointers: a chain of failures resolves past every dead hop
-        p = orig_parent[i]
-        while p is not None and p in absent:
-            p = orig_parent[p]
+    parent = [None] * topology.size
+    for i in topology.members - failed - {topology.root}:
+        p = topology.parent[i]
+        while p in absent:
+            p = topology.parent[p]
         if p is None:
             raise TopologyError("orphan has no live ancestor")
-        return p
-
-    for f in sorted(failed):
-        p = orig_parent[f]
-        if p is not None and f in children[p]:
-            children[p].remove(f)
-    for f in sorted(failed):
-        anchor = None
-        for child in list(children[f]):
-            if child in absent:
-                continue
-            anchor = anchor if anchor is not None else live_ancestor(f)
-            parent[child] = anchor
-            children[anchor].append(child)
-        parent[f] = None
-        children[f] = []
-    for f in absent:
-        parent[f] = None
-        children[f] = []
-    # keep child lists index-sorted so every party derives identical orderings
-    children = [sorted(c) for c in children]
-    return TreeTopology(
-        size=topology.size,
-        branching=topology.branching,
-        root=topology.root,
-        parent=tuple(parent),
-        children=tuple(tuple(c) for c in children),
-        absent=absent,
-    )
+        parent[i] = p
+    return _tree(topology.size, topology.branching, topology.root, parent, absent)
 
 
 def tree_for(size: int, branching: int, leader_index: int = 0,

@@ -82,6 +82,13 @@ def test_tree_dump(tmp_path, capsys):
     assert "depth 2, 6 members" in out or "depth 1" in out
 
 
+def test_tree_dump_deep_chain(capsys):
+    assert main(["tree-dump", "--n", "5000", "--branching", "1"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("depth 4999, 5000 members\n")
+    assert out.splitlines()[4999] == "  " * 4999 + "4999"
+
+
 def test_usage_errors(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["tree-dump"])
@@ -248,6 +255,36 @@ def test_sign_with_unreachable_witnesses_exits_protocol_failure(tmp_path):
                "--rtt", "0.05", "--timeout", "20", "--max-restarts", "1",
                "--min-participants", "3"])
     assert rc == 3
+
+
+def test_engine_refusal_exits_protocol_failure(tmp_path, capsys, monkeypatch):
+    class MovedOn(SigningNode):
+        """A leader whose view has moved on: view 1 is led by witness 1."""
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.current_view = 1
+
+    monkeypatch.setattr(cli, "SigningNode", MovedOn)
+    rng = random.Random(67)
+    keypairs = [KeyPair.from_secret(TOY, x) for x in (3, 4, 5)]
+    keyfile = tmp_path / "leader.key"
+    cli.save_keyfile(str(keyfile), "toy", keypairs[0],
+                     prove_possession(keypairs[0], rng), witness_id=b"\x00")
+    entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
+                           endpoint=f"127.0.0.1:{free_port()}")
+               for i, kp in enumerate(keypairs)]
+    from cosikit.roster import save_roster
+    roster_path = tmp_path / "roster.json"
+    save_roster(build_roster(entries, 0), str(roster_path))
+    statement = tmp_path / "s.bin"
+    statement.write_bytes(b"too late")
+    rc = main(["sign", "--roster", str(roster_path), "--key", str(keyfile),
+               "--statement-file", str(statement), "--out", str(tmp_path / "x.sig")])
+    assert rc == cli.EXIT_PROTOCOL
+    err = capsys.readouterr().err
+    assert "error: node 0 does not lead view 1" in err
+    assert "Traceback" not in err
 
 
 def test_dial_failures_counted_per_peer(caplog):

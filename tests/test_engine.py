@@ -464,6 +464,42 @@ def test_leader_below_min_participants_fails():
     assert "participation" in result.reason or "restart budget" in result.reason
 
 
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+@pytest.mark.parametrize("phase", ["commit", "response"])
+def test_omitted_message_leaves_only_its_sender_out(mode, phase):
+    # node 1 (children 4, 5, 6) stays alive but one of its messages never
+    # arrives: the round still signs with everyone else
+    out = run_cosi(seed=5, n=13, branching=3, mode=mode,
+                   failures=(FailureAction(1, phase, "omit"),))
+    result = out.results[0]
+    assert result.ok and result.failed == frozenset({1})
+    assert result.attempts == (2 if mode == MODE_RESTART else 1)
+    assert result.signature.participation.response_present == frozenset(range(13)) - {1}
+    assert multisig.verify_collective(out.roster, result.statement,
+                                      result.signature, Threshold(12)).ok
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+@pytest.mark.parametrize("kind", [Commit, Response])
+def test_reports_outside_senders_subtree_dropped(mode, kind, caplog):
+    # node 1 names the leader and its sibling 2 as failed; the leader drops
+    # the message and its phase timer treats node 1 as silent
+    sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3, mode=mode))
+    send = sim._send
+
+    def lying_send(src, dst, msg, when):
+        if src == 1 and isinstance(msg, kind):
+            msg = replace(msg, failed=msg.failed | {0, 2})
+        send(src, dst, msg, when)
+
+    sim._send = lying_send
+    _, result = sim.run_round(0)
+    assert result.ok and result.failed == frozenset({1})
+    assert result.signature.participation.response_present == frozenset(range(13)) - {1}
+    assert f"dropping {kind.__name__} from 1: it reports nodes outside its subtree" \
+        in caplog.text
+
+
 # -- view changes -------------------------------------------------------------------
 
 def test_view_change_threshold_formula():
@@ -489,6 +525,26 @@ def test_view_change_votes_activate():
     assert node.current_view == 1
     assert any(isinstance(e, engine.ViewActivated) and e.leader == 1
                for e in effects)
+
+
+def test_activation_drops_vote_tables_up_to_the_new_view():
+    secrets = [3, 4, 5, 6]
+    roster = make_toy_roster(secrets)
+    rng = random.Random(15)
+    node = make_node(3, roster, secrets)
+
+    def vote(view, signer):
+        kp = KeyPair.from_secret(TOY, secrets[signer])
+        sig = schnorr_sign(kp, view_vote_statement(roster, view), rng)
+        return node.handle_message(ViewChange(proposed_view=view, signer=signer,
+                                              signature=sig), 0.0)
+
+    for view, signer in ((1, 0), (2, 0), (3, 0), (2, 1), (1, 1)):
+        assert vote(view, signer) == []
+    assert vote(2, 2) == [engine.ViewActivated(view=2, leader=2)]
+    assert sorted(node.view_votes) == [3]
+    assert vote(1, 2) == []  # at or below the current view: rejected on arrival
+    assert sorted(node.view_votes) == [3]
 
 
 def test_invalid_vote_signature_ignored():

@@ -216,6 +216,27 @@ def test_no_restart_round_with_dropout(toy_roster3, toy_secrets3):
     assert not bad.ok and not bad.crypto_ok
 
 
+def test_exception_also_listed_present_rejected(toy_roster3, toy_secrets3):
+    sig = manual_round(toy_roster3, toy_secrets3, b"both",
+                       response_absent={2}, mode=MODE_NO_RESTART)
+    listed = dataclasses.replace(sig, participation=ParticipationSet(
+        count=3, response_present=frozenset({0, 1, 2})))
+    back = CollectiveSignature.from_bytes(listed.to_bytes(), 3)
+    assert [e.index for e in back.exceptions] == [2]
+    assert back.participation.response_present == frozenset({0, 1, 2})
+    res = verify_collective(toy_roster3, b"both", back, Threshold(1))
+    assert not res.crypto_ok
+    assert res.reason == "exceptions do not match participation sets"
+
+
+def test_repeated_exception_index_rejected(toy_roster3, toy_secrets3):
+    sig = manual_round(toy_roster3, toy_secrets3, b"twice",
+                       response_absent={2}, mode=MODE_NO_RESTART)
+    twice = dataclasses.replace(sig, exceptions=sig.exceptions * 2)
+    res = verify_collective(toy_roster3, b"twice", twice, Threshold(1))
+    assert not res.crypto_ok and res.reason == "duplicate commit exceptions"
+
+
 def test_exception_soundness_small():
     # every nonempty absent subset of a 5-witness roster (leader present):
     # adjusted verification accepts; the full-key reading must not

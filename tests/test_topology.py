@@ -7,6 +7,7 @@ from cosikit import simnet
 from cosikit.topology import (
     LeaderFailedError,
     TopologyError,
+    TreeTopology,
     build_bary_tree,
     prune_and_reconnect,
     tree_for,
@@ -71,6 +72,21 @@ def test_dump_renders_every_member():
     assert "(leader)" in lines[0]
 
 
+def test_walk_visits_each_member_once_below_its_parent():
+    topo = tree_for(40, 3, 7, {8, 9, 20})
+    depth = {}
+    for node, d in topo.walk(topo.root):
+        assert node not in depth
+        assert d == (0 if node == topo.root else depth[topo.parent[node]] + 1)
+        depth[node] = d
+    assert set(depth) == topo.members
+    assert topo.depth == max(depth.values())
+    order = topo.postorder(topo.root)
+    assert all(order.index(c) < order.index(n) for n in order for c in topo.children[n])
+    assert next(topo.walk(2)) == (2, 0)
+    assert set(topo.postorder(2)) == topo.descendants(2)
+
+
 # -- pruning ---------------------------------------------------------------------
 
 def test_prune_empty_is_identity():
@@ -116,6 +132,40 @@ def test_prune_out_of_range():
         prune_and_reconnect(topo, {9})
 
 
+def test_prune_orphan_without_live_ancestor():
+    # a hand-built forest: 1 has no parent, so its child 2 has nowhere to go
+    forest = TreeTopology(size=3, branching=2, root=0, parent=(None, None, 1),
+                          children=((), (2,), ()), absent=frozenset())
+    with pytest.raises(TopologyError, match="orphan has no live ancestor"):
+        prune_and_reconnect(forest, {1})
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(min_value=1, max_value=80),
+       branching=st.integers(min_value=1, max_value=6),
+       data=st.data())
+def test_survivors_hang_from_nearest_live_ancestor(n, branching, data):
+    leader = data.draw(st.integers(min_value=0, max_value=n - 1))
+    failed = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1))) - {leader}
+    # oracle: BFS positions, leader first, then the rest in roster order
+    order = [leader] + [i for i in range(n) if i != leader]
+    position = {node: pos for pos, node in enumerate(order)}
+
+    def nearest_live_ancestor(i):
+        pos = position[i]
+        while pos:
+            pos = (pos - 1) // branching
+            if order[pos] not in failed:
+                return order[pos]
+        return None
+
+    topo = tree_for(n, branching, leader, failed)
+    assert topo.parent == tuple(None if i in failed else nearest_live_ancestor(i)
+                                for i in range(n))
+    assert topo.children == tuple(tuple(c for c in range(n) if topo.parent[c] == i)
+                                  for i in range(n))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=2, max_value=64),
        branching=st.integers(min_value=1, max_value=5),
@@ -158,6 +208,28 @@ def test_tree_digest_pinned():
         "9f3e73866b7bdaa220983a9756909c840d540ba8ef302b6285c0c007be5e0532")
     assert pruned.digest() == prune_and_reconnect(
         build_bary_tree(64, 4, 3), {5, 17, 18}).digest()
+
+
+def _seeded_failures(n, leader, seed):
+    rng = random.Random(seed)
+    return frozenset(i for i in range(n) if i != leader and rng.random() < 0.25)
+
+
+@pytest.mark.parametrize("n, branching, leader, seed, digest", [
+    (1, 1, 0, 0, "b8fd297e1616e37e02835858426f100d5c60246dc1ba8eb0bb2f89e321acfddd"),
+    (9, 1, 4, 1, "0dabc2d5129e3a39632051ed6709e9dbad2b5eccd8cf75bba3884ce3a5d35d4e"),
+    (40, 1, 0, 2, "67244b28b5d192ec46430ef59578ee4d12a605e1935c81729302a4c4968af4e2"),
+    (40, 1, 39, 3, "53ee2cd0a9d8a7224fd2c37832013f64d67e858823f5fcff893fbcca0869d397"),
+    (50, 2, 7, 4, "4280674842b13de40ea2e5df1507a6a963926940963080caf106204c4d10134c"),
+    (64, 3, 63, 5, "41e0ae9ed6cff11b544dba4aa6f1617e51123c658a9116c726930e4ac77e94df"),
+    (100, 4, 17, 6, "170dad9c3215b8ad959563483c4e7a2e4137e5814ff9ddd1ba2b45f974650f54"),
+    (128, 16, 5, 7, "80c00ff03a06d1e12179d0d116a98d647fd4f84728a074945a2087ab95b9f78b"),
+    (257, 8, 200, 8, "bd307e18dac5069d4bbc0d1c2b5a54ae8657bdca2993ff35d124c5b99e90b30c"),
+])
+def test_pruned_tree_digests_pinned(n, branching, leader, seed, digest):
+    # recorded before pruning became one pass: a change here changes every Announce
+    failed = _seeded_failures(n, leader, seed)
+    assert tree_for(n, branching, leader, failed).digest().hex() == digest
 
 
 def test_tree_for_errors_raised_on_every_call():
