@@ -8,6 +8,12 @@ replays the round from phase 1, no-restart mode documents commit-phase
 dropouts in the participation set and response-phase dropouts as commit
 exceptions, bridging past dead interior nodes to their children.
 
+A node holds its children's partial responses until none is pending or its
+response timer fires, then checks them together with one
+`Group.check_responses`; only if that fails does it check each one, to name
+the liars. In no-restart mode a direct contributor with contributors of its
+own is checked on arrival instead, since rejecting it bridges them.
+
 Nodes are purely reactive: they consume one message or timer event at a time
 and return effects (messages to send, timers to arm, round results). The
 hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery
@@ -620,6 +626,7 @@ class _RoundState:
     return_to: Optional[int] = None  # where the response goes (may be a bridger)
 
     pending_resp: set = field(default_factory=set)
+    held: Optional[dict] = None  # sender -> (Response, partial), checked once none is pending
     resp_shares: dict = field(default_factory=dict)  # index -> Scalar aggregate
     resp_absent: set = field(default_factory=set)
     exceptions: list = field(default_factory=list)  # CommitException, anchored at this node
@@ -635,6 +642,16 @@ def view_leader(roster: WitnessRoster, view: int) -> int:
     """Deterministic leader schedule: view v is led by the roster's leader
     index plus v, mod N."""
     return (roster.leader_index + view) % len(roster)
+
+
+def failing_partials(group, c: Scalar, partials: dict) -> list[int]:
+    """The senders, in order, whose partial (s, key, expected) fails
+    g^s * key^c == expected. One batch check of them all; only if it fails,
+    one check per sender."""
+    if group.check_responses(c, list(partials.values())):
+        return []
+    return [sender for sender, (s, key, expected) in sorted(partials.items())
+            if not group.check_response(s, key, c, expected)]
 
 
 def view_change_threshold(n: int) -> int:
@@ -958,7 +975,8 @@ class SigningNode:
             return self._commit_child_gone(st, msg.sender, now, crashed=False)
         if st.phase == PHASE_RESPONSE and msg.sender in st.pending_resp:
             st.refused.add(msg.sender)
-            return self._response_child_gone(st, msg.sender, now, crashed=False)
+            return (self._response_child_gone(st, msg.sender, crashed=False)
+                    + self._responses_done(st, now))
         return []
 
     def _commit_child_gone(self, st: _RoundState, child: int, now: float,
@@ -1063,18 +1081,35 @@ class SigningNode:
             st.resp_absent |= msg.absent
             st.failed |= msg.failed
             st.refused |= msg.refused
-            if not st.pending_resp:
-                return self._finalize_response(st, now)
-            return []
+            return self._responses_done(st, now)
         # A direct contributor, or a bridged one we only know through a summary.
         rec = st.records.get(msg.sender) or st.below.get(msg.sender)
         if rec is None:
             return []
-        if not self._check_partial(st, rec, msg):
-            logger.warning("node %d: invalid partial response from %d",
-                           self.index, msg.sender)
-            st.failed.add(msg.sender)
-            return self._response_child_gone(st, msg.sender, now)
+        partial = self._check_partial(st, rec, msg)
+        if partial is not None and st.mode == MODE_NO_RESTART and rec.contributors \
+                and msg.sender in st.records:
+            # Rejecting it bridges its contributors, which should not wait
+            # for its siblings: check it on arrival, not in the batch.
+            s, key, expected = partial
+            if self.group.check_response(s, key, st.challenge, expected):
+                self._accept_partial(st, msg)
+                return self._responses_done(st, now)
+            partial = None
+        if partial is None:
+            return self._reject_partial(st, msg.sender) + self._responses_done(st, now)
+        st.pending_resp.discard(msg.sender)
+        if st.held is None:
+            st.held = {}
+        st.held[msg.sender] = (msg, partial)
+        return self._responses_done(st, now)
+
+    def _reject_partial(self, st: _RoundState, sender: int) -> list:
+        logger.warning("node %d: invalid partial response from %d", self.index, sender)
+        st.failed.add(sender)
+        return self._response_child_gone(st, sender)
+
+    def _accept_partial(self, st: _RoundState, msg: Response) -> None:
         st.pending_resp.discard(msg.sender)
         st.resp_shares[msg.sender] = msg.aggregate_response
         st.resp_absent |= msg.absent
@@ -1084,9 +1119,31 @@ class SigningNode:
         for exc in msg.exceptions:
             st.exceptions.append(CommitException(
                 exc.index, exc.commit, CommitTreeProof(exc.proof.steps + anchor)))
-        if not st.pending_resp:
-            return self._finalize_response(st, now)
-        return []
+
+    def _settle_held(self, st: _RoundState) -> list:
+        """Check the held partials in one batch; accept them, and reject
+        the ones that fail their own check."""
+        held, st.held = st.held, None
+        if not held:
+            return []
+        liars = failing_partials(self.group, st.challenge,
+                                 {sender: partial for sender, (_, partial) in held.items()})
+        effects: list = []
+        for sender, (msg, _) in held.items():
+            if sender in liars:
+                effects.extend(self._reject_partial(st, sender))
+            else:
+                self._accept_partial(st, msg)
+        return effects
+
+    def _responses_done(self, st: _RoundState, now: float) -> list:
+        """Once no sender is pending, settle the held partials and answer.
+        A held partial is never one whose rejection bridges, so settling
+        leaves nothing pending."""
+        if st.pending_resp:
+            return []
+        effects = self._settle_held(st)
+        return effects + self._finalize_response(st, now)
 
     def _anchor_steps_for(self, st: _RoundState, child: int) -> tuple[CommitStep, ...]:
         """Steps that lift a digest anchored at `child` up to this node's hash."""
@@ -1098,40 +1155,40 @@ class SigningNode:
                 return (holder.step_for(child), self._step_for(st, holder.index))
         raise EngineError(f"no record holds a summary for {child}")
 
-    def _check_partial(self, st: _RoundState, rec: SubtreeSummary, msg: Response) -> bool:
-        """A child's (c, r̂) must verify against its subtree commit and key,
-        adjusted for the response dropouts it reports."""
+    def _check_partial(self, st: _RoundState, rec: SubtreeSummary,
+                       msg: Response) -> Optional[tuple]:
+        """The (s, key, expected) a child's (c, r̂) must satisfy,
+        g^s * key^c == expected: its subtree commit and key adjusted for the
+        response dropouts it reports. None if those reports do not hold up."""
         # one exception per reported dropout; _on_response has kept those
         # strictly below the sender
         if sorted(e.index for e in msg.exceptions) != sorted(msg.absent):
-            return False
+            return None
         participants = st.topology.descendants(rec.index) - rec.absent
         if not msg.absent <= participants:
-            return False
+            return None
         present = participants - msg.absent
         for exc in msg.exceptions:
             if not multisig.verify_commit_inclusion(rec.tree_hash, exc.commit, exc.proof):
-                return False
+                return None
         key = multisig.aggregate_public_key(self.roster, present)
         expected = rec.aggregate
         for exc in msg.exceptions:
             expected = expected * exc.commit.inverse()
-        # Roster keys lie in the prime-order subgroup, as check_response requires.
-        return self.group.check_response(msg.aggregate_response, key, st.challenge, expected)
+        # Roster keys and decoded commits lie in the prime-order subgroup, so
+        # the partial may be checked alone or in a batch.
+        return msg.aggregate_response, key, expected
 
-    def _response_child_gone(self, st: _RoundState, child: int, now: float,
+    def _response_child_gone(self, st: _RoundState, child: int,
                              crashed: bool = True) -> list:
-        """A contributor died, lied, or refused between commit and response."""
-        if st.phase != PHASE_RESPONSE:
-            return []
+        """A contributor died, lied, or refused between commit and response.
+        The caller answers once nothing is pending (`_responses_done`)."""
         st.pending_resp.discard(child)
         effects: list = []
         if st.mode == MODE_RESTART:
             if crashed:
                 st.failed.add(child)
             st.resp_absent |= st.topology.descendants(child) & st.participants
-            if not st.pending_resp:
-                effects.extend(self._finalize_response(st, now))
             return effects
 
         rec = st.records.get(child)
@@ -1167,8 +1224,6 @@ class SigningNode:
                 st.resp_absent.add(child)
                 if crashed:
                     st.failed.add(child)
-        if not st.pending_resp:
-            effects.extend(self._finalize_response(st, now))
         return effects
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
@@ -1203,10 +1258,10 @@ class SigningNode:
                 effects.extend(self._commit_child_gone(st, child, now))
             return effects
         if kind == "response" and st.phase == PHASE_RESPONSE and st.challenge is not None:
-            effects = []
+            effects = self._settle_held(st)
             for child in sorted(st.pending_resp):
-                effects.extend(self._response_child_gone(st, child, now))
-            return effects
+                effects.extend(self._response_child_gone(st, child))
+            return effects + self._responses_done(st, now)
         return []
 
     # ------------------------------------------------------------------

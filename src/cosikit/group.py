@@ -23,6 +23,20 @@ g^(-s*t), is then checked by one joint 4-bit ladder over A and R (Straus)
 and one table power of G. That halves the doublings (Antipa et al., SAC
 2005; Pornin, https://eprint.iacr.org/2020/454).
 
+`check_responses` checks several responses to one challenge c at once, as
+a node does with its children's partial responses. Each (s_i, K_i, V_i)
+gets a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
+generator's stream moves, and one `check_response` tests g^(sum w_i*s_i) *
+A^c == W for A = prod K_i^w_i and W = prod V_i^w_i, each product one Straus
+ladder over the 4-bit windows of its bases. If any item fails, the batch
+passes with probability at most 2^-127 (Bellare, Garay and Rabin, EUROCRYPT
+1998), provided every key and every commit lies in the prime-order subgroup;
+decoding guarantees that for every element from the wire, and products of
+such elements stay in it. Without it a batch and single checks can disagree
+(Chalkias, Garillot and Nikolaenko, "Taming the many EdDSAs", SSR 2020). The
+toy group checks one by one: its order is 11, so a random weight would let
+a wrong response through with probability about 1/11.
+
 Decoding an element checks that it lies in the prime-order subgroup
 without computing [L]P. E(F_p) is cyclic of order 8L, so that subgroup is
 exactly 8E: a point is in it iff the point, a half of it and a half of that
@@ -44,6 +58,7 @@ variable-time too. None of it is hardened against timing side channels.
 from __future__ import annotations
 
 import hashlib
+import secrets
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,6 +203,15 @@ class Group:
         subgroup is rejected.
         """
         return self.generator ** s * key ** c == commit
+
+    def check_responses(self, c: "Scalar", items) -> bool:
+        """Whether g^s * key^c == commit for every (s, key, commit) in items.
+
+        Every key and every commit must lie in the prime-order subgroup: a
+        subclass may check the items together, and a batch is sound only
+        there. This class checks them one by one.
+        """
+        return all(self.check_response(s, key, c, commit) for s, key, commit in items)
 
     def random_scalar(self, rng, nonzero: bool = True) -> "Scalar":
         """Uniform scalar via unbiased modular rejection sampling.
@@ -548,26 +572,21 @@ class Ed25519Group(Group):
             mults.append(self._add(mults[-1], a))
         return mults
 
-    def _straus(self, ma, j, mb, k):
-        """a^j * b^k for j, k >= 0, given a's and b's windows: one ladder of
-        4-bit digits, most significant first, whose doublings both exponents
-        share (Straus). With k = 0, mb is never read."""
+    def _straus(self, terms):
+        """The product of a^k over (window of a, k) pairs, k >= 0: one ladder
+        of 4-bit digits, most significant first, whose doublings every
+        exponent shares (Straus)."""
         add, dbl = self._add, self._double
-        shift = max(j.bit_length() - 1, k.bit_length() - 1, 0) // 4 * 4
-        r = ma[j >> shift]
-        d = k >> shift
-        if d:
-            r = add(r, mb[d])
-        while shift:
-            shift -= 4
-            r = dbl(dbl(dbl(dbl(r))))
-            d = (j >> shift) & 15
-            if d:
-                r = add(r, ma[d])
-            d = (k >> shift) & 15
-            if d:
-                r = add(r, mb[d])
-        return r
+        top = max(k.bit_length() for _, k in terms)
+        r = None
+        for shift in range(max(top - 1, 0) // 4 * 4, -1, -4):
+            if r is not None:
+                r = dbl(dbl(dbl(dbl(r))))
+            for mults, k in terms:
+                d = (k >> shift) & 15
+                if d:
+                    r = mults[d] if r is None else add(r, mults[d])
+        return self._IDENT if r is None else r
 
     def _pow(self, a, k):
         if a is _G:
@@ -582,7 +601,7 @@ class Ed25519Group(Group):
                     r = add(r, row[d])
                 k >>= 4
             return r
-        return self._straus(self._window(a), k, (), 0)
+        return self._straus([(self._window(a), k)])
 
     def check_response(self, s, key, c, commit):
         # For odd t, g^s * key^c == commit holds exactly when its t-th power,
@@ -591,8 +610,22 @@ class Ed25519Group(Group):
         # commit's order-2, 4 or 8 component is never the identity.
         c0, t = _half_split(c.value)
         b = commit.raw if t < 0 else self._inv(commit.raw)
-        lhs = self._straus(self._window(key.raw), c0, self._window(b), abs(t))
+        lhs = self._straus([(self._window(key.raw), c0), (self._window(b), abs(t))])
         return self._eq(lhs, self._pow(_G, -s.value * t % _L))
+
+    def check_responses(self, c, items):
+        # The random-weight batch of the module docstring; one item is
+        # checked as it is.
+        if len(items) < 2:
+            return super().check_responses(c, items)
+        weights = [secrets.randbits(128) | 1 for _ in items]
+        s = sum(w * si.value for w, (si, _, _) in zip(weights, items)) % _L
+        keys = self._straus([(self._window(key.raw), w)
+                             for w, (_, key, _) in zip(weights, items)])
+        commits = self._straus([(self._window(commit.raw), w)
+                                for w, (_, _, commit) in zip(weights, items)])
+        return self.check_response(Scalar(self, s), GroupElement(self, keys), c,
+                                   GroupElement(self, commits))
 
     def _inv(self, a):
         x, y, z, t = a

@@ -171,6 +171,8 @@ class CommitTreeProof:
         steps = []
         for _ in range(r.u16()):
             position, n = r.u16(), r.u16()
+            if position > n:
+                raise DecodeError("commit step position out of range")
             steps.append(CommitStep(position, tuple(r.take(merkle.DIGEST_SIZE)
                                                     for _ in range(n))))
         return cls(tuple(steps))
@@ -299,8 +301,7 @@ class CollectiveSignature:
         commit_root = r.take(merkle.DIGEST_SIZE) if mode == MODE_NO_RESTART else None
         challenge = group.decode_scalar(r.take(group.scalar_size))
         response = group.decode_scalar(r.take(group.scalar_size))
-        present, consumed = participation.decode_index_set(data[r.off:], witness_count)
-        r.off += consumed
+        present = participation.decode_index_set(r)
         # Frame and check every record before decoding any commit: each
         # decode runs a subgroup check, so the indices bound that work first.
         records = []

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .group import Reader
+
 VARIANT_ABSENT = 0
 VARIANT_PRESENT = 1
 VARIANT_BITMAP = 2
@@ -86,20 +88,17 @@ def encode_index_set(present: Iterable[int], count: int) -> bytes:
     return bytes([variant]) + n.to_bytes(4, "big") + payload
 
 
-def decode_index_set(data: bytes, count: int) -> tuple[frozenset[int], int]:
-    """Decode a present-set; returns (set, bytes consumed)."""
-    if len(data) < 5:
+def decode_index_set(r: Reader) -> frozenset[int]:
+    """Read a present-set at the reader's offset, out of `r.witness_count`
+    roster slots."""
+    count = r.witness_count
+    if len(r.data) - r.off < 5:
         raise ParticipationError("truncated participation encoding")
-    variant = data[0]
-    n = int.from_bytes(data[1:5], "big")
-    off = 5
+    variant, n = r.u8(), r.u32()
     if variant in (VARIANT_ABSENT, VARIANT_PRESENT):
-        need = 4 * n
-        if len(data) < off + need:
+        if len(r.data) - r.off < 4 * n:
             raise ParticipationError("truncated index list")
-        indices = []
-        for k in range(n):
-            indices.append(int.from_bytes(data[off + 4 * k:off + 4 * k + 4], "big"))
+        indices = [r.u32() for _ in range(n)]
         for a, b in zip(indices, indices[1:]):
             if a >= b:
                 raise ParticipationError("index list not strictly sorted")
@@ -107,22 +106,22 @@ def decode_index_set(data: bytes, count: int) -> tuple[frozenset[int], int]:
             if i >= count:
                 raise ParticipationError(f"index {i} out of range for count {count}")
         listed = frozenset(indices)
-        present = frozenset(range(count)) - listed if variant == VARIANT_ABSENT else listed
-        return present, off + need
+        return frozenset(range(count)) - listed if variant == VARIANT_ABSENT else listed
     if variant == VARIANT_BITMAP:
         if n != (count + 7) // 8:
             raise ParticipationError("bitmap length does not match witness count")
-        if len(data) < off + n:
+        if len(r.data) - r.off < n:
             raise ParticipationError("truncated bitmap")
+        bitmap = r.take(n)
         present = set()
         for i in range(count):
-            if data[off + i // 8] & (1 << (i % 8)):
+            if bitmap[i // 8] & (1 << (i % 8)):
                 present.add(i)
         # bits beyond `count` must be zero
         for i in range(count, n * 8):
-            if data[off + i // 8] & (1 << (i % 8)):
+            if bitmap[i // 8] & (1 << (i % 8)):
                 raise ParticipationError("bitmap has bits set beyond witness count")
-        return frozenset(present), off + n
+        return frozenset(present)
     raise ParticipationError(f"unknown participation variant {variant}")
 
 
@@ -131,8 +130,9 @@ def encode_smallest(pset: ParticipationSet) -> bytes:
 
 
 def decode(data: bytes, count: int) -> ParticipationSet:
-    present, consumed = decode_index_set(data, count)
-    if consumed != len(data):
+    r = Reader(data, count)
+    present = decode_index_set(r)
+    if r.off != len(data):
         raise ParticipationError("trailing bytes after participation encoding")
     return ParticipationSet(count=count, response_present=present)
 

@@ -19,7 +19,8 @@ from cosikit.group import (
     schnorr_verify,
     verify_possession,
 )
-from cosikit.group import Ed25519Group, GroupElement, _half_split, _recover_x
+from cosikit.engine import failing_partials
+from cosikit.group import Ed25519Group, Group, GroupElement, _half_split, _recover_x
 
 
 def test_toy_group_constants():
@@ -360,6 +361,88 @@ def test_check_response_edge_challenges(c, torsion):
 def test_check_response_matches_reference(a, s, c, torsion):
     for group in (TOY, ED25519):
         check_against_reference(group, a % group.order or 1, s, c, torsion)
+
+
+def partial_responses(group, rng, c, n, corrupt):
+    """n responses to c, as (s, key, commit) with key the aggregate of a
+    random non-empty subset of four keys and commit = g^s * key^c, and the
+    set of positions whose item was made wrong: s + 1, commit * g, or the key
+    of the subset with one more member."""
+    g = group.generator
+    secrets = [group.random_scalar(rng) for _ in range(4)]
+    keys = [g ** x for x in secrets]
+
+    def aggregate(members):
+        key = group.identity
+        for j in members:
+            key = key * keys[j]
+        return key
+
+    items, bad = [], set()
+    for i in range(n):
+        members = set(rng.sample(range(4), rng.randint(1, 3)))
+        x = group.scalar(sum(secrets[j].value for j in members))
+        v = group.random_scalar(rng)
+        s, key, commit = v - c * x, aggregate(members), g ** v
+        if i in corrupt:
+            how = rng.choice(["s", "commit", "key"])
+            if how == "s":
+                s = s + group.scalar(1)
+            elif how == "commit":
+                commit = commit * g
+            else:
+                key = aggregate(members ^ {rng.choice(sorted(set(range(4)) - members))})
+            bad.add(i)
+        items.append((s, key, commit))
+    return items, bad
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=1, max_value=16), data=st.data())
+def test_check_responses_agrees_with_single_checks(seed, n, data):
+    """A batch passes exactly when every item passes on its own, and the
+    engine's fallback names exactly the wrong items, in both groups."""
+    corrupt = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    rng = random.Random(seed)
+    for group in (TOY, ED25519):
+        # c = 0 would make a wrong key harmless
+        c = group.scalar(rng.randrange(1, group.order))
+        items, bad = partial_responses(group, rng, c, n, corrupt)
+        singles = [group.check_response(s, key, c, commit) for s, key, commit in items]
+        assert {i for i, ok in enumerate(singles) if not ok} == bad
+        assert group.check_responses(c, items) == (not bad)
+        senders = rng.sample(range(1000), n)
+        assert failing_partials(group, c, dict(zip(senders, items))) == \
+            sorted(senders[i] for i in bad)
+
+
+def test_batch_of_honest_partials_runs_one_check(monkeypatch):
+    """Ed25519 folds a passing batch into one `check_response`; the toy group
+    checks each item."""
+    calls = []
+    for cls in (Group, Ed25519Group):
+        real = cls.__dict__["check_response"]
+        monkeypatch.setattr(cls, "check_response",
+                            lambda self, *args, real=real: calls.append(self) or real(self, *args))
+    for group, expected in ((ED25519, 1), (TOY, 8)):
+        c = group.scalar(7)
+        items, _ = partial_responses(group, random.Random(3), c, 8, ())
+        calls.clear()
+        assert failing_partials(group, c, dict(enumerate(items))) == []
+        assert len(calls) == expected
+
+
+def test_batch_needs_prime_order_commits(torsion):
+    """Why every commit must lie in the prime-order subgroup: two commits
+    that each carry the same order-2 point fail alone, but odd weights sum
+    to an even one, so the point cancels in the batch."""
+    t2 = GroupElement(ED25519, (*torsion[2], 1, torsion[2][0] * torsion[2][1] % P))
+    c = ED25519.scalar(5)
+    items, _ = partial_responses(ED25519, random.Random(4), c, 2, ())
+    items = [(s, key, commit * t2) for s, key, commit in items]
+    assert not any(ED25519.check_response(s, key, c, commit) for s, key, commit in items)
+    assert ED25519.check_responses(c, items)
 
 
 def test_ed25519_decode_rejects_mixed_order_point(torsion):

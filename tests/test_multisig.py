@@ -27,6 +27,7 @@ from cosikit.multisig import (
     verify_collective,
     verify_commit_inclusion,
 )
+from cosikit.engine import Response, decode_frame_body, encode_message
 from cosikit.participation import ParticipationSet, Threshold
 from cosikit.roster import RosterEntry, build_roster
 from cosikit.topology import tree_for
@@ -504,6 +505,30 @@ def test_every_cut_of_an_exception_signature_rejected():
     data = sig.to_bytes()
     assert CollectiveSignature.from_bytes(data, 7) == sig
     assert_cuts_rejected(lambda d: CollectiveSignature.from_bytes(d, 7), data)
+
+
+def test_step_position_past_its_digests_is_a_decode_error():
+    """A commit-tree proof step whose position exceeds its digest count is a
+    malformed encoding, in a signature and in a frame alike."""
+    elem = KeyPair.from_secret(TOY, 3).public
+    proof = CommitTreeProof((multisig.CommitStep(2, (b"\x04" * 32, b"\x05" * 32)),))
+    encoded = proof.encode()
+    sig = CollectiveSignature(
+        group=TOY, mode=MODE_NO_RESTART, challenge=TOY.scalar(5), response=TOY.scalar(7),
+        participation=ParticipationSet(count=3, response_present=frozenset({0, 2}),
+                                       commit_present=frozenset({0, 1, 2})),
+        commit_root=b"\x01" * 32, exceptions=(CommitException(1, elem, proof),))
+    frame = encode_message(Response(
+        view=0, round=1, attempt=0, sender=0, aggregate_response=TOY.scalar(9),
+        absent=frozenset({1}), failed=frozenset(), refused=frozenset(),
+        exceptions=(CommitException(1, elem, proof),)), TOY)[4:]
+    for data, decode in ((sig.to_bytes(), lambda d: CollectiveSignature.from_bytes(d, 3)),
+                         (frame, lambda d: decode_frame_body(d, TOY, 3))):
+        at = data.index(encoded) + 2  # past the step count
+        assert decode(data).exceptions[0].proof == proof  # position 2 of 2 digests
+        bad = data[:at] + (3).to_bytes(2, "big") + data[at + 2:]
+        with pytest.raises(DecodeError, match="position out of range"):
+            decode(bad)
 
 
 def test_exception_commit_outside_subgroup_rejected(mixed_generator):

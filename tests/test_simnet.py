@@ -229,3 +229,35 @@ def test_benchmark_shaped_rounds_pinned(cfg, msgs, sent_bytes, root_bytes, laten
     assert m.outcome == "ok"
     assert (m.total_msgs, m.total_bytes_sent, m.root_bytes) == (msgs, sent_bytes, root_bytes)
     assert m.latency == pytest.approx(latency, abs=1e-6)
+
+
+_PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
+
+
+@pytest.mark.parametrize("cfg, msgs, sent_bytes, root_bytes, latency, rejected", [
+    # 4 and 6 are leaves under 1
+    pytest.param(SimConfig(seed=31, mode=MODE_NO_RESTART, failures=_liars(4, 6), **_PROD_13),
+                 48, 7924, 2677, 0.80085, [(1, 4), (1, 6)], id="no-restart-two-liars-one-parent"),
+    # 1 lies and 0 bridges to its children 4, 5 and 6, of which 5 lies too
+    pytest.param(SimConfig(seed=32, mode=MODE_NO_RESTART, failures=_liars(1, 5), **_PROD_13),
+                 54, 8924, 3677, 1.00095, [(0, 1), (0, 5), (1, 5)],
+                 id="no-restart-interior-liar-bridged-liar"),
+    pytest.param(SimConfig(seed=33, failures=_liars(7), **_PROD_13),
+                 92, 13737, 4470, 1.60145, [(2, 7)], id="restart-leaf-liar"),
+    # 4 and 6 answer 1, 5 never does: 1's response timer fires
+    pytest.param(SimConfig(seed=34, mode=MODE_NO_RESTART,
+                           failures=_liars(6) + (FailureAction(5, "response", "crash"),),
+                           **_PROD_13),
+                 47, 7865, 2677, 2.20035, [(1, 6)], id="response-timer-after-partials"),
+])
+def test_prod_liar_rounds_pinned(caplog, cfg, msgs, sent_bytes, root_bytes, latency,
+                                 rejected):
+    """Message and byte counts, latency, and which node rejected whose
+    partial response, over prod rounds with lying witnesses."""
+    caplog.set_level("WARNING", logger="cosikit.engine")
+    m = run_sim(cfg)[0]
+    assert m.outcome == "ok"
+    assert (m.total_msgs, m.total_bytes_sent, m.root_bytes) == (msgs, sent_bytes, root_bytes)
+    assert m.latency == pytest.approx(latency, abs=1e-6)
+    assert sorted(r.args for r in caplog.records
+                  if "invalid partial response" in str(r.msg)) == rejected
