@@ -5,37 +5,46 @@ Ed25519, 32-byte encodings) and a brute-forceable toy group (the order-11
 subgroup of Z_23* generated by 2, 2-byte encodings) used by oracle tests.
 All protocol arithmetic in the rest of the package goes through this module.
 
-Ed25519 exponentiation takes one of two paths. A power of the generator
-(recognised by identity: the generator's coordinates are derived once, at
-import) adds one entry per 4-bit digit from a fixed-base table of 64 rows of
-16 multiples of 16^i * G, with no doublings. The entries are affine, stored
-as (y + x, y - x, 2d*x*y), so each addition is a mixed one of 7 field
-multiplications. The table (about 0.25 MB) is built lazily by the first such
-power and then reused for the life of the process. Any other base uses a
-fixed 4-bit window: 14 additions precompute its multiples 2..15, then each
-digit costs 4 doublings and at most one addition. Doublings use the
+Ed25519 exponentiation takes one of two paths, both on signed digits. A
+power of the generator (recognised by identity: the generator's coordinates
+are derived once, at import) writes k mod L in radix 32 with digits in
+[-15, 16], and adds one entry per nonzero digit from a fixed-base table of
+51 rows of 17 multiples j * 32^i * G, j = 0..16, with no doublings: about 49
+additions for a random k. The entries are affine, stored as (y + x, y - x,
+2d*x*y), so each addition is a mixed one of 7 field multiplications; a
+negative digit adds an entry with y + x and y - x swapped and 2d*x*y
+negated. The table (867 entries, about 0.22 MB) is built lazily by the first
+such power and then reused for the life of the process. Any other base uses
+a width-5 NAF. One doubling and 7 additions precompute its odd multiples
+1, 3 .. 15, whose negations cost nothing. The recoded exponent has odd
+digits in [-15, 15] with at least four zeros after each, so it costs about
+one addition per six bits: 49 additions and 251 doublings for a 253-bit
+exponent, where an unsigned 4-bit window takes 72 and 248. Doublings use the
 dedicated a = -1 formula of RFC 8032.
 
 `check_response` tests g^s * A^c == R without a full-length A^c. A
 truncated extended Euclid splits c into c0 = c*t (mod L) with c0 and an odd
 t both about half as long, and the equation raised to t, A^c0 * R^-t ==
-g^(-s*t), is then checked by one joint 4-bit ladder over A and R (Straus)
-and one table power of G. That halves the doublings (Antipa et al., SAC
-2005; Pornin, https://eprint.iacr.org/2020/454).
+g^(-s*t), is then checked by one joint ladder over the windows of A and R
+(Straus) and one table power of G. That halves the doublings (Antipa et al.,
+SAC 2005; Pornin, https://eprint.iacr.org/2020/454). One check costs about
+56 additions, 49 table additions and 127 doublings.
 
 `check_responses` checks several responses to one challenge c at once, as
 a node does with its children's partial responses. Each (s_i, K_i, V_i)
 gets a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
 generator's stream moves, and one `check_response` tests g^(sum w_i*s_i) *
 A^c == W for A = prod K_i^w_i and W = prod V_i^w_i, each product one Straus
-ladder over the 4-bit windows of its bases. If any item fails, the batch
-passes with probability at most 2^-127 (Bellare, Garay and Rabin, EUROCRYPT
-1998), provided every key and every commit lies in the prime-order subgroup;
-decoding guarantees that for every element from the wire, and products of
-such elements stay in it. Without it a batch and single checks can disagree
-(Chalkias, Garillot and Nikolaenko, "Taming the many EdDSAs", SSR 2020). The
-toy group checks one by one: its order is 11, so a random weight would let
-a wrong response through with probability about 1/11.
+ladder over the signed windows of its bases. A batch of 8 costs about 517
+additions, 50 table additions and 398 doublings. If any item fails, the
+batch passes with probability at most 2^-127 (Bellare, Garay and Rabin,
+EUROCRYPT 1998), provided every key and every commit lies in the
+prime-order subgroup; decoding guarantees that for every element from the
+wire, and products of such elements stay in it. Without it a batch and
+single checks can disagree (Chalkias, Garillot and Nikolaenko, "Taming the
+many EdDSAs", SSR 2020). The toy group checks one by one: its order is 11,
+so a random weight would let a wrong response through with probability
+about 1/11.
 
 Decoding an element checks that it lies in the prime-order subgroup
 without computing [L]P. E(F_p) is cyclic of order 8L, so that subgroup is
@@ -48,11 +57,12 @@ square roots, five Jacobi symbols and one inversion, against about 252
 doublings and 60 additions for [L]P.
 
 The arithmetic runs on plain Python integers and is variable-time: its
-running time depends on the scalar's digits (zero digits skip their addition)
-and on Python's big-integer operations. The subgroup test stops at the first
-level a point fails, and its Jacobi symbols take a data-dependent number of
-steps. The bit-by-bit double-and-add that the table and window replaced was
-variable-time too. None of it is hardened against timing side channels.
+running time depends on the scalar's digits (zero digits skip their
+addition, the NAF recoding jumps over runs of zero bits, and a negative
+digit takes another branch) and on Python's big-integer operations. The
+subgroup test stops at the first level a point fails, and its Jacobi
+symbols take a data-dependent number of steps. None of it is hardened
+against timing side channels.
 """
 
 from __future__ import annotations
@@ -60,6 +70,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable
 
 # Domain separation tags. Each hash use in the protocol gets its own tag so
@@ -543,63 +554,93 @@ class Ed25519Group(Group):
         return self._add(a, b)
 
     def _fixed_base_rows(self):
-        """Row i holds j * 16^i * G for j = 0..15, for i = 0..63, in the
-        affine form (y + x, y - x, 2d*x*y)."""
+        """Row i holds j * 32^i * G for j = 0..16, for i = 0..50, in the
+        affine form (y + x, y - x, 2d*x*y). 51 rows cover every k < L: as
+        L < 2^253, the top digit (bits 250 to 252, plus a carry) is at most
+        8, so it never carries out."""
         rows = self._g_rows
         if rows is None:
             points = []
             base = _G
-            for _ in range(64):
+            for _ in range(51):
                 row = [self._IDENT, base]
-                for _ in range(14):
+                for _ in range(15):
                     row.append(self._add(row[-1], base))
                 points.extend(row)
-                base = self._double(row[8])
+                base = self._double(row[16])
             entries = []
             for (x, y, _, _), zi in zip(points, _invert_all([p[2] for p in points])):
                 x, y = x * zi % _P, y * zi % _P
                 entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
             # One assignment: threads that race here each build an equal
             # table, and whichever lands last is kept.
-            self._g_rows = rows = tuple(tuple(entries[i:i + 16])
-                                        for i in range(0, len(entries), 16))
+            self._g_rows = rows = tuple(tuple(entries[i:i + 17])
+                                        for i in range(0, len(entries), 17))
         return rows
 
     def _window(self, a):
-        """a^0 .. a^15, the multiples a 4-bit window adds."""
-        mults = [self._IDENT, a]
-        for _ in range(14):
-            mults.append(self._add(mults[-1], a))
-        return mults
+        """a^1, a^3 .. a^15, then a^-15, a^-13 .. a^-1: the odd powers a
+        width-5 NAF digit d adds, found at index d >> 1. One doubling and
+        seven additions; a negation only negates X and T."""
+        a2 = self._double(a)
+        mults = [a]
+        for _ in range(7):
+            mults.append(self._add(mults[-1], a2))
+        return mults + [self._inv(m) for m in reversed(mults)]
 
     def _straus(self, terms):
-        """The product of a^k over (window of a, k) pairs, k >= 0: one ladder
-        of 4-bit digits, most significant first, whose doublings every
-        exponent shares (Straus)."""
+        """The product of a^k over (window of a, k) pairs, k >= 0: one ladder,
+        most significant bit first, whose doublings every exponent shares
+        (Straus). Each k is recoded into width-5 NAF, odd digits in
+        [-15, 15] with at least four zeros after each, so it costs about one
+        addition per six bits (interleaved wNAF: Möller, SAC 2001). The
+        recoding jumps over runs of zero bits rather than stepping bit by
+        bit; its additions, sorted by bit position, then meet one run of
+        single doublings from the top."""
+        adds = []
+        for mults, k in terms:
+            pos = 0
+            while k:
+                z = (k & -k).bit_length() - 1
+                k >>= z
+                pos += z
+                d = k & 31
+                if d > 16:
+                    d -= 32
+                adds.append((pos, mults[d >> 1]))
+                k -= d
+        if not adds:
+            return self._IDENT
+        adds.sort(key=itemgetter(0), reverse=True)
         add, dbl = self._add, self._double
-        top = max(k.bit_length() for _, k in terms)
-        r = None
-        for shift in range(max(top - 1, 0) // 4 * 4, -1, -4):
-            if r is not None:
-                r = dbl(dbl(dbl(dbl(r))))
-            for mults, k in terms:
-                d = (k >> shift) & 15
-                if d:
-                    r = mults[d] if r is None else add(r, mults[d])
-        return self._IDENT if r is None else r
+        pos, r = adds[0]
+        for p, q in adds[1:]:
+            for _ in range(pos - p):
+                r = dbl(r)
+            r = add(r, q)
+            pos = p
+        for _ in range(pos):
+            r = dbl(r)
+        return r
 
     def _pow(self, a, k):
         if a is _G:
-            # k = sum of d_i * 16^i, so G^k adds row i's d_i-th entry over
-            # the 64 rows and doubles nothing.
+            # k = sum of d_i * 32^i with signed digits d_i in [-15, 16], so
+            # G^k adds one entry of row i per nonzero digit over the 51 rows
+            # and doubles nothing. A negative digit adds the negation of
+            # entry -d_i: y + x and y - x swapped, 2d*x*y negated.
             add = self._add_affine
             k %= _L
             r = self._IDENT
             for row in self._fixed_base_rows():
-                d = k & 15
-                if d:
+                d = k & 31
+                k >>= 5
+                if d > 16:
+                    k += 1
+                    ypx, ymx, xy2d = row[32 - d]
+                    r = add(r, (ymx, ypx, -xy2d))
+                elif d:
                     r = add(r, row[d])
-                k >>= 4
             return r
         return self._straus([(self._window(a), k)])
 
