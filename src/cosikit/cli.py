@@ -417,7 +417,10 @@ def cmd_run_leader(args) -> int:
         )
         result = runtime.run_leader_round(config, lambda: statement,
                                           timeout=args.timeout)
-        return result.signature if result is not None and result.ok else None
+        if result is None or not result.ok:
+            # round_close chains this as the cause of its TimestampError
+            raise RuntimeError(result.reason if result else "no result")
+        return result.signature
 
     authority = TimestampAuthority(signer)
     try:
@@ -436,7 +439,7 @@ def cmd_run_leader(args) -> int:
                 try:
                     record, receipts = authority.round_close(time.time())
                 except timestamp.TimestampError as exc:
-                    logger.warning("round failed: %s", exc)
+                    logger.warning("round failed: %s: %s", exc, exc.__cause__)
                     continue
                 for digest, receipt in receipts.items():
                     runtime.reply_stamp(digest, receipt.to_bytes())

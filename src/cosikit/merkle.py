@@ -5,7 +5,8 @@ interior nodes are hashed under distinct domain tags; a level with an odd
 node count duplicates its last node. Proof steps record which side the
 sibling sits on, so the leaf index is fully determined by the path and
 composed proofs (sub-tree proof followed by outer-tree proof) remain plain
-concatenations.
+concatenations. A tree proves one leaf (`prove`) or all of them in leaf
+order from one walk (`proofs`), as a timestamp round does.
 """
 
 from __future__ import annotations
@@ -115,7 +116,9 @@ class DigestTree:
     itself with an empty path.
 
     Every node below the root keeps the audit step it is to its sibling, as
-    wire bytes, so a proof is one join of a step per level.
+    wire bytes. `prove` joins one step per level for a single leaf; `proofs`
+    builds every leaf's path in one walk that concatenates each node's path
+    to the root once.
     """
 
     def __init__(self, digests: list[bytes]):
@@ -128,6 +131,7 @@ class DigestTree:
         self._steps: list[list[bytes]] = []
         if self.leaf_count == 0:
             self.root = empty_tree_root()
+            self._count = b"\x00\x00"
             return
         level = list(digests)
         while len(level) > 1:
@@ -143,6 +147,30 @@ class DigestTree:
             raise IndexError("leaf index out of range")
         return InclusionProof(self._count + b"".join(
             [steps[(index >> k) ^ 1] for k, steps in enumerate(self._steps)]))
+
+    def proofs(self) -> list[InclusionProof]:
+        """Every leaf's proof, in leaf order, equal to `prove(i)` for each i.
+
+        One walk over the leaves keeps, per level k, the current leaf's path
+        from level k up to the root. Leaf i's node changes only on the levels
+        up to the lowest set bit of i, so only those suffixes are rebuilt:
+        each node's suffix is concatenated once, and the walk holds O(depth)
+        bytes strings besides its result.
+        """
+        steps, count = self._steps, self._count
+        depth = len(steps)
+        if depth == 0:  # no leaf, or one leaf with an empty path
+            return [InclusionProof(count)] * self.leaf_count
+        suffix = [b""] * (depth + 1)  # suffix[depth] is the root's empty path
+        bottom = steps[0]
+        out = []
+        for i in range(self.leaf_count):
+            k = (i & -i).bit_length() - 1 if i else depth - 1
+            while k > 0:
+                suffix[k] = steps[k][(i >> k) ^ 1] + suffix[k + 1]
+                k -= 1
+            out.append(InclusionProof(count + bottom[i ^ 1] + suffix[1]))
+        return out
 
 
 class MerkleTree(DigestTree):

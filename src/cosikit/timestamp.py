@@ -57,6 +57,20 @@ class TimestampRecord:
     def record_hash(self) -> bytes:
         return hashlib.sha256(b"cosi/stamp-record/v1" + self.pack()).digest()
 
+    def _receipt_head(self, signature: CollectiveSignature) -> bytes:
+        """What every receipt of this record and signature starts with: the
+        magic, the packed record and the length-prefixed signature.
+
+        Built once for the last signature asked for, which is compared by
+        identity and held, so a batch's receipts share one head and a receipt
+        with another signature gets its own."""
+        memo = self.__dict__.get("_head")
+        if memo is None or memo[0] is not signature:
+            sig = signature.to_bytes()
+            memo = (signature, RECEIPT_MAGIC + self.pack() + len(sig).to_bytes(4, "big") + sig)
+            self.__dict__["_head"] = memo  # frozen: bypass __setattr__, as cached_property does
+        return memo[1]
+
 
 def unpack_record(data: bytes) -> TimestampRecord:
     if len(data) != RECORD_SIZE:
@@ -76,10 +90,8 @@ class StampReceipt:
     proof: InclusionProof
 
     def to_bytes(self) -> bytes:
-        sig = self.signature.to_bytes()
         proof = self.proof.encode()
-        return (RECEIPT_MAGIC + self.record.pack()
-                + len(sig).to_bytes(4, "big") + sig
+        return (self.record._receipt_head(self.signature)
                 + len(proof).to_bytes(4, "big") + proof)
 
     @classmethod
@@ -130,7 +142,11 @@ class TimestampAuthority:
             return len(self._queue)
 
     def round_close(self, clock: float) -> tuple[TimestampRecord, dict[bytes, StampReceipt]]:
-        """Swap the queue, sign this round's record, and build receipts."""
+        """Swap the queue, sign this round's record, and build receipts.
+
+        Every audit path comes from one walk over the tree (`proofs`), and
+        the receipts share the record and signature, so encoding them builds
+        their common head once."""
         with self._lock:
             batch, self._queue = self._queue, []
         tree = MerkleTree(batch)
@@ -153,10 +169,8 @@ class TimestampAuthority:
         self.next_round += 1
         self.prev_hash = record.record_hash()
         self.records.append(record)
-        receipts = {}
-        for i, digest in enumerate(batch):
-            receipts[digest] = StampReceipt(record=record, signature=signature,
-                                            proof=tree.prove(i))
+        receipts = {digest: StampReceipt(record, signature, proof)
+                    for digest, proof in zip(batch, tree.proofs())}
         return record, receipts
 
 

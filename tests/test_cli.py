@@ -18,7 +18,9 @@ from conftest import make_toy_roster, manual_round
 import cosikit
 from cosikit import cli
 from cosikit.cli import NodeRuntime, main
-from cosikit.engine import REFUSE_STALE, Refuse, RoundConfig, SigningNode
+from cosikit.engine import (
+    REFUSE_STALE, Refuse, RoundConfig, SigningNode, StampRequest, encode_message,
+)
 from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
 from cosikit.participation import Threshold, predicate_to_json
 from cosikit.roster import RosterEntry, build_roster, load_roster
@@ -454,6 +456,34 @@ def test_run_leader_timestamp_service_end_to_end(tmp_path, deployment, cli_proce
     assert main(["stamp-verify", "--roster", str(roster_path),
                  "--receipt", str(out), "--hash", digest.hex(),
                  "--threshold", "3"]) == 0
+
+
+def test_run_leader_logs_why_a_round_failed(tmp_path, cli_process):
+    rng = random.Random(68)
+    keypairs = [KeyPair.from_secret(TOY, x) for x in (3, 4, 5)]
+    keyfile = tmp_path / "leader.key"
+    cli.save_keyfile(str(keyfile), "toy", keypairs[0],
+                     prove_possession(keypairs[0], rng), witness_id=b"\x00")
+    entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
+                           endpoint=f"127.0.0.1:{free_port()}")
+               for i, kp in enumerate(keypairs)]
+    roster = build_roster(entries, 0)
+    from cosikit.roster import save_roster
+    roster_path = tmp_path / "roster.json"
+    save_roster(roster, str(roster_path))
+    leader = cli._parse_addr(entries[0].endpoint)
+    # four participants are required of a three-witness roster
+    cli_process(["run-leader", "--roster", str(roster_path), "--key", str(keyfile),
+                 "--period", "0.3", "--min-participants", "4"], leader)
+    with socket.create_connection(leader, timeout=5) as sock:
+        sock.sendall(encode_message(StampRequest(digest=b"\x01" * 32), roster.group))
+        log = tmp_path / "run-leader-0.log"
+        deadline = time.monotonic() + 20
+        while "round failed" not in log.read_text() and time.monotonic() < deadline:
+            time.sleep(0.05)
+    line = next(x for x in log.read_text().splitlines() if "round failed" in x)
+    assert "WARNING round failed: signing failed for round " in line
+    assert line.endswith(": below minimum participation before start")
 
 
 def test_stamp_request_reply_protocol(tmp_path):

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -206,3 +207,39 @@ def test_digest_tree_proofs(digests, pick):
     tree = DigestTree(digests)
     i = pick % len(digests)
     assert merkle.fold_proof(digests[i], tree.prove(i)) == tree.root
+
+
+def assert_proofs_match_prove(tree):
+    proofs = tree.proofs()
+    assert [p.encode() for p in proofs] == [
+        tree.prove(i).encode() for i in range(tree.leaf_count)]
+
+
+@pytest.mark.parametrize("size", [*range(71), 1023, 1024, 1025])
+def test_proofs_walk_matches_prove(size):
+    assert_proofs_match_prove(MerkleTree([i.to_bytes(2, "big") for i in range(size)]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(digests=st.lists(st.binary(min_size=32, max_size=32), max_size=80))
+def test_proofs_walk_matches_prove_on_random_digests(digests):
+    assert_proofs_match_prove(DigestTree(digests))
+    assert_proofs_match_prove(MerkleTree(digests))
+
+
+def test_proofs_walk_holds_only_a_path_per_level():
+    # The walk keeps one suffix per level: its peak above what it returns is
+    # a few kilobytes, where materialising every level's suffixes would take
+    # most of a megabyte for this tree.
+    tree = MerkleTree([i.to_bytes(2, "big") for i in range(4096)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        proofs = tree.proofs()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(proofs) == 4096
+    assert held > before
+    assert peak - held <= 64 * 1024

@@ -11,6 +11,7 @@ from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.timestamp import (
     GENESIS_HASH,
+    RECEIPT_MAGIC,
     StampReceipt,
     TimestampAuthority,
     TimestampError,
@@ -98,6 +99,34 @@ def test_receipt_bytes_pinned(authority_env):
         "2300290830ee9e5d5e97c8eb1d2a59e5870828f79c8dcedc33c95184888f65a188cd0114"
         "be08408615b14f002d0a8cab4bdf89995272764577318ab3b88e6c07be50cd")
     for blob in blobs:
+        assert StampReceipt.from_bytes(blob, 3).to_bytes() == blob
+
+
+def reference_receipt_bytes(receipt):
+    sig, proof = receipt.signature.to_bytes(), receipt.proof.encode()
+    return (RECEIPT_MAGIC + receipt.record.pack() + len(sig).to_bytes(4, "big") + sig
+            + len(proof).to_bytes(4, "big") + proof)
+
+
+def test_receipts_of_interleaved_batches_encode_field_by_field(authority_env):
+    _, authority = authority_env
+    batches = []
+    for b, size in enumerate((5, 3)):
+        digests = [h(bytes([b, i])) for i in range(size)]
+        for d in digests:
+            authority.submit(d)
+        _, receipts = authority.round_close(clock=530.0 + b)
+        batches.append([receipts[d] for d in digests])
+    first, second = batches
+    assert first[0].record != second[0].record
+    assert first[0].signature != second[0].signature
+    # a receipt that pairs one batch's record with the other's signature
+    mixed = StampReceipt(first[0].record, second[0].signature, second[0].proof)
+    interleaved = [first[0], second[0], first[1], mixed, second[1], first[2],
+                   mixed, first[3], second[2], first[4], first[0]]
+    for receipt in interleaved:
+        blob = receipt.to_bytes()
+        assert blob == reference_receipt_bytes(receipt)
         assert StampReceipt.from_bytes(blob, 3).to_bytes() == blob
 
 
