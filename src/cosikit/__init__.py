@@ -23,6 +23,7 @@ from .group import (
     schnorr_verify,
 )
 from .multisig import (
+    MODE_NAMES,
     MODE_NO_RESTART,
     MODE_RESTART,
     CollectiveSignature,

@@ -356,6 +356,15 @@ def cmd_run_witness(args) -> int:
     return EXIT_OK
 
 
+def _round_config(args, round_number: int,
+                  timing: int = engine.STATEMENT_AT_ANNOUNCE) -> RoundConfig:
+    """The round that the `--mode`, `--branching`, ... flags ask for."""
+    return RoundConfig(round_number=round_number, mode=multisig.MODE_NAMES[args.mode],
+                       statement_timing=timing, branching=args.branching,
+                       max_restarts=args.max_restarts,
+                       min_participants=args.min_participants, rtt_hint=args.rtt)
+
+
 def cmd_sign(args) -> int:
     runtime, roster, index = _build_runtime(args)
     try:
@@ -367,12 +376,8 @@ def cmd_sign(args) -> int:
         # round numbers default to wall time so a fresh leader process never
         # collides with witness state left over from an earlier round
         round_number = args.round if args.round is not None else int(time.time())
-        config = RoundConfig(
-            round_number=round_number, mode=simnet._MODE_NAMES[args.mode],
-            branching=args.branching, max_restarts=args.max_restarts,
-            min_participants=args.min_participants, rtt_hint=args.rtt,
-        )
-        result = runtime.run_leader_round(config, statement, timeout=args.timeout)
+        result = runtime.run_leader_round(_round_config(args, round_number), statement,
+                                          timeout=args.timeout)
     except TimeoutError:
         print("round timed out", file=sys.stderr)
         return EXIT_PROTOCOL
@@ -409,12 +414,7 @@ def cmd_run_leader(args) -> int:
                              else int(time.time()))
 
     def signer(statement: bytes):
-        config = RoundConfig(
-            round_number=next(rounds), mode=simnet._MODE_NAMES[args.mode],
-            statement_timing=engine.STATEMENT_AT_CHALLENGE,
-            branching=args.branching, max_restarts=args.max_restarts,
-            min_participants=args.min_participants, rtt_hint=args.rtt,
-        )
+        config = _round_config(args, next(rounds), engine.STATEMENT_AT_CHALLENGE)
         result = runtime.run_leader_round(config, lambda: statement,
                                           timeout=args.timeout)
         if result is None or not result.ok:
@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def _round_args(p):
         _node_args(p)
-        p.add_argument("--mode", choices=sorted(simnet._MODE_NAMES), default="restart")
+        p.add_argument("--mode", choices=sorted(multisig.MODE_NAMES), default="restart")
         p.add_argument("--branching", type=int, default=3)
         p.add_argument("--max-restarts", type=int, default=2)
         p.add_argument("--min-participants", type=int, default=1)

@@ -25,7 +25,8 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional, get_args
 
 from . import multisig, participation
 from .group import (DecodeError, GroupElement, KeyPair, Reader, Scalar, Signature,
@@ -156,59 +157,141 @@ def make_validation_hook(policy: str, skew: float = 60.0):
 
 
 # ---------------------------------------------------------------------------
-# Wire encoding helpers
+# Wire layouts
+# ---------------------------------------------------------------------------
+# Each wire type states its layout once: its fields in declaration order, each
+# paired with a field kind. Decoders accept only what the encoders write, so an
+# accepted frame re-encodes to its own bytes.
+
+class _Kind(NamedTuple):
+    """How one field is written: `encode(value)`, `decode(reader, group)`,
+    and its size, `width(group)` for every value or else `size(value, group)`."""
+
+    encode: Callable
+    decode: Callable
+    width: Optional[Callable] = None
+    size: Optional[Callable] = None
+
+
+def _fixed(width: Callable, read: Callable, encode: Callable = lambda v: v.encode()) -> _Kind:
+    """A kind `width(group)` bytes wide, decoded by `read(group, raw)`."""
+    return _Kind(encode, lambda r, g: read(g, r.take(width(g))), width)
+
+
+def _int(n: int, read: Callable = lambda g, raw: int.from_bytes(raw, "big")) -> _Kind:
+    """An unsigned big-endian integer of `n` bytes."""
+    return _fixed(lambda g: n, read, lambda v: v.to_bytes(n, "big"))
+
+
+def _read_flag(group, raw: bytes) -> bool:
+    if raw[0] > 1:
+        raise DecodeError(f"flag byte {raw[0]} is neither 0 nor 1")
+    return raw[0] == 1
+
+
+def _read_index_set(r: Reader, group) -> frozenset[int]:
+    indices = [r.index() for _ in range(r.count())]
+    if any(a >= b for a, b in zip(indices, indices[1:])):
+        raise DecodeError("index set not strictly ascending")
+    return frozenset(indices)
+
+
+def _opt_bytes(length: Optional[int] = None) -> _Kind:
+    """A flag byte, 0 for None; after a 1, length-prefixed bytes, which must
+    be `length` long when that is given."""
+
+    def decode(r: Reader, group) -> Optional[bytes]:
+        if not _FLAG.decode(r, group):
+            return None
+        data = _BYTES.decode(r, group)
+        if length is not None and len(data) != length:
+            raise DecodeError(f"{len(data)} bytes where {length} belong")
+        return data
+
+    return _Kind(lambda v: b"\x00" if v is None else b"\x01" + _BYTES.encode(v), decode,
+                 size=lambda v, g: 1 if v is None else 5 + len(v))
+
+
+def _records(layout: "_Layout") -> _Kind:
+    """A u16 record count, at most the roster size (`Reader.count`), then
+    each record by `layout`, in the order held."""
+    return _Kind(
+        lambda v: len(v).to_bytes(2, "big") + b"".join([layout.encode(rec) for rec in v]),
+        lambda r, g: tuple([layout.decode(r, g) for _ in range(r.count())]),
+        size=lambda v, g: 2 + layout.size(v, g))
+
+
+_U8, _U16, _U32 = _int(1), _int(2), _int(4)
+_INDEX = _U32._replace(decode=lambda r, g: r.index())  # below the roster size
+_FLAG = _int(1, _read_flag)
+_DIGEST = _fixed(lambda g: DIGEST_SIZE, lambda g, raw: raw, lambda v: v)
+_ELEMENT = _fixed(lambda g: g.element_size, lambda g, raw: g.decode_element(raw))
+_SCALAR = _fixed(lambda g: g.scalar_size, lambda g, raw: g.decode_scalar(raw))
+_SIGNATURE = _fixed(lambda g: 2 * g.scalar_size, Signature.decode)
+# a u16 count, at most the roster size, then the indices strictly ascending
+_INDEX_SET = _Kind(lambda v: len(v).to_bytes(2, "big")
+                   + b"".join([i.to_bytes(4, "big") for i in sorted(v)]),
+                   _read_index_set, size=lambda v, g: 2 + 4 * len(v))
+_BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u32()),
+               size=lambda v, g: 4 + len(v))
+_OPT_BYTES = _opt_bytes()
+_PROOF = _Kind(lambda v: v.encode(), lambda r, g: CommitTreeProof.decode(r),
+               size=lambda v, g: v.wire_size())
+
+
+class _Layout:
+    """A wire type's fields in order, as (name, kind) pairs. Set as a
+    dataclass's `layout`, it builds that class; `cls=tuple` lays out plain
+    tuples by position."""
+
+    def __init__(self, *fields: tuple, cls=None):
+        self.fields = fields
+        self._get = [(itemgetter(i) if cls is tuple else attrgetter(name), kind)
+                     for i, (name, kind) in enumerate(fields)]
+        self._make = (lambda *values: values) if cls is tuple else cls
+        self._split: dict = {}  # group -> (sum of the fixed widths, variable fields)
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._make = owner
+
+    def encode(self, obj) -> bytes:
+        return b"".join([kind.encode(get(obj)) for get, kind in self._get])
+
+    def size(self, objs, group) -> int:
+        """The bytes that encoding each of `objs` writes, counted without
+        encoding: the fixed widths are summed once per group."""
+        try:
+            fixed, variable = self._split[group]
+        except KeyError:
+            fixed, variable = self._split[group] = (
+                sum(kind.width(group) for _, kind in self._get if kind.width),
+                [(get, kind.size) for get, kind in self._get if not kind.width])
+        total = fixed * len(objs)
+        for get, size in variable:
+            for obj in objs:
+                total += size(get(obj), group)
+        return total
+
+    def decode(self, r: Reader, group):
+        return self._make(*[kind.decode(r, group) for _, kind in self._get])
+
+
+# ---------------------------------------------------------------------------
+# Messages; a frame's tag byte is its message class's `tag`
 # ---------------------------------------------------------------------------
 
-def _u16(v: int) -> bytes:
-    return v.to_bytes(2, "big")
+@dataclass(frozen=True)
+class _Routed:
+    """The header of a message within a round: its session and its sender."""
+
+    view: int
+    round: int
+    attempt: int
+    sender: int
 
 
-def _u32(v: int) -> bytes:
-    return v.to_bytes(4, "big")
-
-
-def _enc_idxset(indices: Iterable[int]) -> bytes:
-    idx = sorted(indices)
-    return _u16(len(idx)) + b"".join(_u32(i) for i in idx)
-
-
-def _dec_idxset(r: Reader) -> frozenset[int]:
-    n = r.count()
-    return frozenset(r.index() for _ in range(n))
-
-
-def _idxset_size(indices: frozenset[int]) -> int:
-    return 2 + 4 * len(indices)
-
-
-def _enc_opt_bytes(data: Optional[bytes]) -> bytes:
-    if data is None:
-        return b"\x00"
-    return b"\x01" + _u32(len(data)) + data
-
-
-def _dec_opt_bytes(r: Reader) -> Optional[bytes]:
-    if r.u8() == 0:
-        return None
-    return r.take(r.u32())
-
-
-def _opt_bytes_size(data: Optional[bytes]) -> int:
-    return 1 if data is None else 5 + len(data)
-
-
-# ---------------------------------------------------------------------------
-# Messages
-# ---------------------------------------------------------------------------
-
-TAG_ANNOUNCE = 1
-TAG_COMMIT = 2
-TAG_CHALLENGE = 3
-TAG_RESPONSE = 4
-TAG_REFUSE = 5
-TAG_VIEWCHANGE = 6
-TAG_STAMP_REQUEST = 7
-TAG_STAMP_REPLY = 8
+# `_Routed`'s fields, which lead each of its subclasses' layouts
+_HEADER = (("view", _U32), ("round", _U32), ("attempt", _U16), ("sender", _INDEX))
 
 
 @dataclass(frozen=True)
@@ -225,25 +308,11 @@ class Announce:
     sender: int
     statement: Optional[bytes] = None
 
-    tag = TAG_ANNOUNCE
-
-    def encode_body(self, group) -> bytes:
-        return (_u32(self.view) + _u32(self.round) + _u16(self.attempt)
-                + bytes([self.mode, self.timing]) + _u16(self.branching)
-                + _u32(self.timeout_ms) + self.topology_digest
-                + _enc_idxset(self.failed) + _u32(self.sender)
-                + _enc_opt_bytes(self.statement))
-
-    def wire_size(self, group) -> int:
-        return (22 + DIGEST_SIZE + _idxset_size(self.failed)
-                + _opt_bytes_size(self.statement))
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "Announce":
-        return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), mode=r.u8(),
-                   timing=r.u8(), branching=r.u16(), timeout_ms=r.u32(),
-                   topology_digest=r.take(DIGEST_SIZE), failed=_dec_idxset(r),
-                   sender=r.u32(), statement=_dec_opt_bytes(r))
+    tag = 1
+    layout = _Layout(("view", _U32), ("round", _U32), ("attempt", _U16), ("mode", _U8),
+                     ("timing", _U8), ("branching", _U16), ("timeout_ms", _U32),
+                     ("topology_digest", _DIGEST), ("failed", _INDEX_SET),
+                     ("sender", _INDEX), ("statement", _OPT_BYTES))
 
 
 @dataclass(frozen=True)
@@ -259,29 +328,11 @@ class SubtreeSummary:
     contributors: tuple[tuple[int, bytes], ...]  # (index, tree hash) of its contributors
     absent: frozenset[int]
 
-    def encode(self) -> bytes:
-        out = [_u32(self.index), self.commit.encode(), self.aggregate.encode(),
-               self.tree_hash, _u16(len(self.contributors))]
-        for idx, digest in self.contributors:
-            out.append(_u32(idx))
-            out.append(digest)
-        out.append(_enc_idxset(self.absent))
-        return b"".join(out)
-
-    def wire_size(self, group) -> int:
-        return (6 + 2 * group.element_size + DIGEST_SIZE
-                + (4 + DIGEST_SIZE) * len(self.contributors) + _idxset_size(self.absent))
-
-    @classmethod
-    def decode(cls, r: Reader, group) -> "SubtreeSummary":
-        index = r.index()
-        commit = group.decode_element(r.take(group.element_size))
-        aggregate = group.decode_element(r.take(group.element_size))
-        tree_hash = r.take(DIGEST_SIZE)
-        n = r.count()
-        contribs = tuple((r.index(), r.take(DIGEST_SIZE)) for _ in range(n))
-        absent = _dec_idxset(r)
-        return cls(index, commit, aggregate, tree_hash, contribs, absent)
+    layout = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("aggregate", _ELEMENT),
+                     ("tree_hash", _DIGEST),
+                     ("contributors", _records(_Layout(("index", _INDEX),
+                                                       ("tree_hash", _DIGEST), cls=tuple))),
+                     ("absent", _INDEX_SET))
 
     def step_for(self, child: int) -> CommitStep:
         """Audit step placing `child`'s subtree hash within this node's
@@ -292,11 +343,7 @@ class SubtreeSummary:
 
 
 @dataclass(frozen=True)
-class Commit:
-    view: int
-    round: int
-    attempt: int
-    sender: int
+class Commit(_Routed):
     aggregate: GroupElement  # subtree aggregate commit
     commit: GroupElement  # sender's individual commit
     tree_hash: bytes
@@ -305,118 +352,43 @@ class Commit:
     refused: frozenset[int]
     summaries: tuple[SubtreeSummary, ...]
 
-    tag = TAG_COMMIT
-
-    def encode_body(self, group) -> bytes:
-        out = [_u32(self.view), _u32(self.round), _u16(self.attempt), _u32(self.sender),
-               self.aggregate.encode(), self.commit.encode(), self.tree_hash,
-               _enc_idxset(self.absent), _enc_idxset(self.failed),
-               _enc_idxset(self.refused), _u16(len(self.summaries))]
-        out.extend(s.encode() for s in self.summaries)
-        return b"".join(out)
-
-    def wire_size(self, group) -> int:
-        return (16 + 2 * group.element_size + DIGEST_SIZE
-                + _idxset_size(self.absent) + _idxset_size(self.failed)
-                + _idxset_size(self.refused)
-                + sum(s.wire_size(group) for s in self.summaries))
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "Commit":
-        view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
-        aggregate = group.decode_element(r.take(group.element_size))
-        commit = group.decode_element(r.take(group.element_size))
-        tree_hash = r.take(DIGEST_SIZE)
-        absent = _dec_idxset(r)
-        failed = _dec_idxset(r)
-        refused = _dec_idxset(r)
-        n = r.count()
-        summaries = tuple(SubtreeSummary.decode(r, group) for _ in range(n))
-        return cls(view, rnd, attempt, sender, aggregate, commit, tree_hash,
-                   absent, failed, refused, summaries)
+    tag = 2
+    layout = _Layout(*_HEADER, ("aggregate", _ELEMENT), ("commit", _ELEMENT),
+                     ("tree_hash", _DIGEST), ("absent", _INDEX_SET), ("failed", _INDEX_SET),
+                     ("refused", _INDEX_SET), ("summaries", _records(SubtreeSummary.layout)))
 
 
 @dataclass(frozen=True)
-class Challenge:
-    view: int
-    round: int
-    attempt: int
-    sender: int
+class Challenge(_Routed):
     challenge: Scalar
     aggregate_commit: GroupElement
     commit_root: Optional[bytes]
     statement: Optional[bytes]
     proof: CommitTreeProof  # the recipient's subtree hash up to the commit root
 
-    tag = TAG_CHALLENGE
+    tag = 3
+    layout = _Layout(*_HEADER, ("challenge", _SCALAR), ("aggregate_commit", _ELEMENT),
+                     ("commit_root", _opt_bytes(DIGEST_SIZE)), ("statement", _OPT_BYTES),
+                     ("proof", _PROOF))
 
-    def encode_body(self, group) -> bytes:
-        return (_u32(self.view) + _u32(self.round) + _u16(self.attempt)
-                + _u32(self.sender) + self.challenge.encode()
-                + self.aggregate_commit.encode()
-                + _enc_opt_bytes(self.commit_root) + _enc_opt_bytes(self.statement)
-                + self.proof.encode())
 
-    def wire_size(self, group) -> int:
-        return (14 + group.scalar_size + group.element_size
-                + _opt_bytes_size(self.commit_root) + _opt_bytes_size(self.statement)
-                + self.proof.wire_size())
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "Challenge":
-        view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
-        challenge = group.decode_scalar(r.take(group.scalar_size))
-        aggregate = group.decode_element(r.take(group.element_size))
-        root = _dec_opt_bytes(r)
-        statement = _dec_opt_bytes(r)
-        proof = CommitTreeProof.decode(r)
-        return cls(view, rnd, attempt, sender, challenge, aggregate, root,
-                   statement, proof)
+# A Response's commit exceptions; a signature writes them its own way.
+_EXCEPTION = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("proof", _PROOF),
+                     cls=CommitException)
 
 
 @dataclass(frozen=True)
-class Response:
-    view: int
-    round: int
-    attempt: int
-    sender: int
+class Response(_Routed):
     aggregate_response: Scalar
     absent: frozenset[int]  # response-phase dropouts within the sender's subtree
     failed: frozenset[int]
     refused: frozenset[int]
     exceptions: tuple[CommitException, ...]  # proofs anchored at the sender's hash
 
-    tag = TAG_RESPONSE
-
-    def encode_body(self, group) -> bytes:
-        out = [_u32(self.view), _u32(self.round), _u16(self.attempt), _u32(self.sender),
-               self.aggregate_response.encode(), _enc_idxset(self.absent),
-               _enc_idxset(self.failed), _enc_idxset(self.refused),
-               _u16(len(self.exceptions))]
-        for e in self.exceptions:
-            out.extend((_u32(e.index), e.commit.encode(), e.proof.encode()))
-        return b"".join(out)
-
-    def wire_size(self, group) -> int:
-        return (16 + group.scalar_size + _idxset_size(self.absent)
-                + _idxset_size(self.failed) + _idxset_size(self.refused)
-                + sum(4 + group.element_size + e.proof.wire_size()
-                      for e in self.exceptions))
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "Response":
-        view, rnd, attempt, sender = r.u32(), r.u32(), r.u16(), r.u32()
-        agg = group.decode_scalar(r.take(group.scalar_size))
-        absent = _dec_idxset(r)
-        failed = _dec_idxset(r)
-        refused = _dec_idxset(r)
-        exceptions = []
-        for _ in range(r.count()):
-            index = r.index()
-            commit = group.decode_element(r.take(group.element_size))
-            exceptions.append(CommitException(index, commit, CommitTreeProof.decode(r)))
-        return cls(view, rnd, attempt, sender, agg, absent, failed, refused,
-                   tuple(exceptions))
+    tag = 4
+    layout = _Layout(*_HEADER, ("aggregate_response", _SCALAR), ("absent", _INDEX_SET),
+                     ("failed", _INDEX_SET), ("refused", _INDEX_SET),
+                     ("exceptions", _records(_EXCEPTION)))
 
 
 REFUSE_STATEMENT = 0
@@ -424,26 +396,11 @@ REFUSE_STALE = 1
 REFUSE_PROOF = 2
 
 @dataclass(frozen=True)
-class Refuse:
-    view: int
-    round: int
-    attempt: int
-    sender: int
+class Refuse(_Routed):
     reason: int
 
-    tag = TAG_REFUSE
-
-    def encode_body(self, group) -> bytes:
-        return (_u32(self.view) + _u32(self.round) + _u16(self.attempt)
-                + _u32(self.sender) + bytes([self.reason]))
-
-    def wire_size(self, group) -> int:
-        return 15
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "Refuse":
-        return cls(view=r.u32(), round=r.u32(), attempt=r.u16(), sender=r.u32(),
-                   reason=r.u8())
+    tag = 5
+    layout = _Layout(*_HEADER, ("reason", _U8))
 
 
 @dataclass(frozen=True)
@@ -452,36 +409,16 @@ class ViewChange:
     signer: int
     signature: Signature
 
-    tag = TAG_VIEWCHANGE
-
-    def encode_body(self, group) -> bytes:
-        return _u32(self.proposed_view) + _u32(self.signer) + self.signature.encode()
-
-    def wire_size(self, group) -> int:
-        return 8 + 2 * group.scalar_size
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "ViewChange":
-        proposed, signer = r.u32(), r.u32()
-        sig = Signature.decode(group, r.take(2 * group.scalar_size))
-        return cls(proposed, signer, sig)
+    tag = 6
+    layout = _Layout(("proposed_view", _U32), ("signer", _INDEX), ("signature", _SIGNATURE))
 
 
 @dataclass(frozen=True)
 class StampRequest:
     digest: bytes
 
-    tag = TAG_STAMP_REQUEST
-
-    def encode_body(self, group) -> bytes:
-        return self.digest
-
-    def wire_size(self, group) -> int:
-        return DIGEST_SIZE
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "StampRequest":
-        return cls(digest=r.take(DIGEST_SIZE))
+    tag = 7
+    layout = _Layout(("digest", _DIGEST))
 
 
 @dataclass(frozen=True)
@@ -489,60 +426,40 @@ class StampReply:
     ok: bool
     payload: bytes
 
-    tag = TAG_STAMP_REPLY
+    tag = 8
+    layout = _Layout(("ok", _FLAG), ("payload", _BYTES))
 
-    def encode_body(self, group) -> bytes:
-        return bytes([1 if self.ok else 0]) + _u32(len(self.payload)) + self.payload
-
-    def wire_size(self, group) -> int:
-        return 5 + len(self.payload)
-
-    @classmethod
-    def decode_body(cls, r: Reader, group) -> "StampReply":
-        ok = r.u8() == 1
-        return cls(ok=ok, payload=r.take(r.u32()))
-
-
-_MESSAGE_TYPES = {
-    TAG_ANNOUNCE: Announce,
-    TAG_COMMIT: Commit,
-    TAG_CHALLENGE: Challenge,
-    TAG_RESPONSE: Response,
-    TAG_REFUSE: Refuse,
-    TAG_VIEWCHANGE: ViewChange,
-    TAG_STAMP_REQUEST: StampRequest,
-    TAG_STAMP_REPLY: StampReply,
-}
 
 Message = (Announce | Commit | Challenge | Response | Refuse | ViewChange
            | StampRequest | StampReply)
+_MESSAGE_TYPES = {cls.tag: cls for cls in get_args(Message)}
 
 
 def encode_message(msg, group) -> bytes:
     """Length-prefixed frame: length (4, big-endian) | tag (1) | body."""
-    body = msg.encode_body(group)
-    return _u32(1 + len(body)) + bytes([msg.tag]) + body
+    body = msg.layout.encode(msg)
+    return (1 + len(body)).to_bytes(4, "big") + bytes([msg.tag]) + body
 
 
 def frame_size(msg, group) -> int:
-    """`len(encode_message(msg, group))`, counted from the message's fields
-    by its `wire_size` without building the frame."""
-    return 5 + msg.wire_size(group)
+    """`len(encode_message(msg, group))`, counted from the message's layout
+    without building the frame."""
+    return 5 + msg.layout.size((msg,), group)
 
 
 def decode_frame_body(data: bytes, group, witness_count: int):
     """Decode the tag+body part of a frame (without the length prefix).
 
     `witness_count` is the roster size. A record count above it is rejected
-    before any record is decoded, and a record index at or past it before
-    that record's group elements are.
+    before any record is decoded, and a witness index at or past it (a
+    sender's too) before any group element that follows it.
     """
     r = Reader(data, witness_count)
     tag = r.u8()
     cls = _MESSAGE_TYPES.get(tag)
     if cls is None:
         raise DecodeError(f"unknown message tag {tag}")
-    msg = cls.decode_body(r, group)
+    msg = cls.layout.decode(r, group)
     r.done()
     return msg
 
@@ -903,6 +820,12 @@ class SigningNode:
             if st.phase != PHASE_COMMIT and st.tree_hash is not None:
                 return self._send_commit(st)
             return []
+        if msg.mode not in (MODE_RESTART, MODE_NO_RESTART) \
+                or msg.timing not in (STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE):
+            # an unknown timing would skip the validation hook
+            logger.warning("node %d: dropping announce from %d: unknown mode or "
+                           "statement timing", self.index, msg.sender)
+            return []
         leader = view_leader(self.roster, msg.view)
         try:
             topo = tree_for(len(self.roster), msg.branching, leader, msg.failed)
@@ -959,15 +882,20 @@ class SigningNode:
         return []
 
     def _reports_below_sender(self, st: _RoundState, msg: Commit | Response) -> bool:
-        """A child may report only nodes strictly below itself; otherwise its
+        """A child may report only nodes strictly below itself, and summarise
+        only contributors strictly below each summary's node; otherwise its
         message is dropped and the phase timer treats it as silent."""
-        reports = msg.absent | msg.failed | msg.refused
-        if not reports or (msg.sender not in reports
-                           and reports <= st.topology.descendants(msg.sender)):
-            return True
-        logger.warning("node %d: dropping %s from %d: it reports nodes outside "
-                       "its subtree", self.index, type(msg).__name__, msg.sender)
-        return False
+        claims = [(msg.sender, msg.absent | msg.failed | msg.refused)]
+        if isinstance(msg, Commit) and msg.summaries:
+            claims.append((msg.sender, {s.index for s in msg.summaries}))
+            claims += [(s.index, {i for i, _ in s.contributors})
+                       for s in msg.summaries if s.contributors]
+        for node, nodes in claims:
+            if nodes and (node in nodes or not nodes <= st.topology.descendants(node)):
+                logger.warning("node %d: dropping %s from %d: it reports nodes outside "
+                               "its subtree", self.index, type(msg).__name__, msg.sender)
+                return False
+        return True
 
     def _on_refuse(self, st: _RoundState, msg: Refuse, now: float) -> list:
         if st.phase == PHASE_COMMIT and msg.sender in st.pending_commit:
@@ -1351,8 +1279,6 @@ class SigningNode:
 
     def _on_view_change(self, msg: ViewChange, now: float) -> list:
         if msg.proposed_view <= self.current_view:
-            return []
-        if not 0 <= msg.signer < len(self.roster):
             return []
         statement = view_vote_statement(self.roster, msg.proposed_view)
         if not schnorr_verify(self.roster.public_key(msg.signer), statement,

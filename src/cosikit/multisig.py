@@ -36,6 +36,8 @@ from .topology import TreeTopology
 MAGIC = b"CSG1"
 MODE_RESTART = 0
 MODE_NO_RESTART = 1
+# the modes by the names that sweep files and the command line use
+MODE_NAMES = {"restart": MODE_RESTART, "norestart": MODE_NO_RESTART}
 
 
 class MultisigError(ValueError):

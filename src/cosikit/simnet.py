@@ -40,7 +40,7 @@ from .group import (
     schnorr_sign,
     schnorr_verify,
 )
-from .multisig import MODE_NO_RESTART, MODE_RESTART
+from .multisig import MODE_NAMES, MODE_RESTART
 from .roster import RosterEntry, WitnessRoster, build_roster
 from .topology import tree_for
 
@@ -647,9 +647,6 @@ def emit_report(metrics: list[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MODE_NAMES = {"restart": MODE_RESTART, "norestart": MODE_NO_RESTART}
-
-
 def config_from_obj(obj: dict, defaults: dict | None = None) -> SimConfig:
     merged = dict(defaults or {})
     merged.update(obj)
@@ -663,7 +660,7 @@ def config_from_obj(obj: dict, defaults: dict | None = None) -> SimConfig:
     if "group" in merged:
         kwargs["group_name"] = merged["group"]
     if "mode" in merged:
-        kwargs["mode"] = _MODE_NAMES[merged["mode"]]
+        kwargs["mode"] = MODE_NAMES[merged["mode"]]
     if "compute" in merged:
         kwargs["compute"] = ComputeModel(**merged["compute"])
     if "statement" in merged:

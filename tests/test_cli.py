@@ -19,9 +19,11 @@ import cosikit
 from cosikit import cli
 from cosikit.cli import NodeRuntime, main
 from cosikit.engine import (
-    REFUSE_STALE, Refuse, RoundConfig, SigningNode, StampRequest, encode_message,
+    REFUSE_STALE, STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE, Refuse, RoundConfig,
+    SigningNode, StampRequest, encode_message,
 )
 from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
+from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold, predicate_to_json
 from cosikit.roster import RosterEntry, build_roster, load_roster
 from cosikit.timestamp import StampReceipt, TimestampAuthority
@@ -97,6 +99,21 @@ def test_usage_errors(tmp_path, capsys):
     assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main(["bogus-command"])
+
+
+@pytest.mark.parametrize("command, timing", [("sign", STATEMENT_AT_ANNOUNCE),
+                                             ("run-leader", STATEMENT_AT_CHALLENGE)])
+def test_round_flags_build_the_round_config(command, timing):
+    extra = ["--statement-file", "s", "--out", "o"] if command == "sign" else []
+    args = cli.build_parser().parse_args(
+        [command, "--roster", "r", "--key", "k", "--mode", "norestart", "--branching", "4",
+         "--max-restarts", "1", "--min-participants", "2", "--rtt", "0.1", *extra])
+    assert cli._round_config(args, 9, timing) == RoundConfig(
+        round_number=9, mode=MODE_NO_RESTART, statement_timing=timing, branching=4,
+        max_restarts=1, min_participants=2, rtt_hint=0.1)
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args([command, "--roster", "r", "--key", "k",
+                                       "--mode", "sometimes", *extra])
 
 
 def test_log_records_reach_the_current_stderr(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -113,6 +113,19 @@ def test_announce_without_a_tree_is_dropped(caplog, bad, cause):
     assert node.handle_message(announce_for(roster), now=0.1)
 
 
+@pytest.mark.parametrize("field", ["mode", "timing"])
+def test_announce_with_unknown_mode_or_timing_dropped(field, caplog):
+    # with timing 2, a witness whose hook refuses every statement ran no hook
+    # yet answered the challenge over the announced statement
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    node = make_node(2, roster, secrets, hook=lambda stmt, ctx: False)
+    announce = replace(announce_for(roster, statement=b"bad"), **{field: 2})
+    assert node.handle_message(announce, now=0.0) == []
+    assert node.rounds == {}
+    assert "unknown mode or statement timing" in caplog.text
+
+
 def test_frame_index_sets_bounded_by_roster():
     roster = make_toy_roster([1, 2, 3])
     frame = bytearray(encode_message(
@@ -126,6 +139,68 @@ def test_frame_index_sets_bounded_by_roster():
     with pytest.raises(ValueError, match="records for 3 witnesses"):
         decode_frame_body(bytes(frame[:count_at] + (4).to_bytes(2, "big")
                                 + frame[count_at + 2:]), TOY, 3)
+
+
+def _routed_messages(sender):
+    """One message of each type that names its sender, sent by `sender`."""
+    elem = KeyPair.from_secret(TOY, 3).public
+    head = dict(view=0, round=1, attempt=0, sender=sender)
+    return {
+        Announce: Announce(mode=0, timing=0, branching=2, timeout_ms=800,
+                           topology_digest=b"\x01" * 32, failed=frozenset(),
+                           statement=None, **head),
+        Commit: Commit(aggregate=elem, commit=elem, tree_hash=b"\x01" * 32,
+                       absent=frozenset(), failed=frozenset(), refused=frozenset(),
+                       summaries=(), **head),
+        Challenge: Challenge(challenge=TOY.scalar(6), aggregate_commit=elem,
+                             commit_root=None, statement=None,
+                             proof=CommitTreeProof(()), **head),
+        Response: Response(aggregate_response=TOY.scalar(9), absent=frozenset(),
+                           failed=frozenset(), refused=frozenset(), exceptions=(), **head),
+        Refuse: Refuse(reason=engine.REFUSE_STALE, **head),
+        ViewChange: ViewChange(proposed_view=1, signer=sender,
+                               signature=Signature(TOY.scalar(1), TOY.scalar(2))),
+    }
+
+
+@pytest.mark.parametrize("cls", list(_routed_messages(0)), ids=lambda c: c.__name__)
+def test_frame_sender_is_a_roster_index(cls):
+    # a sender past the roster would be adopted as a parent and dialled
+    n = 3
+    last = _routed_messages(n - 1)[cls]
+    assert decode_frame_body(encode_message(last, TOY)[4:], TOY, n) == last
+    with pytest.raises(DecodeError, match="witness index 3 out of range"):
+        decode_frame_body(encode_message(_routed_messages(n)[cls], TOY)[4:], TOY, n)
+
+
+def _set_byte(body, at, value):
+    return body[:at] + bytes([value]) + body[at + 1:]
+
+
+@pytest.mark.parametrize("case", ["short-root", "long-root", "opt-flag", "ok-flag",
+                                  "descending-set", "repeated-index"])
+def test_decoders_accept_only_what_encoders_write(case):
+    """Each frame here is one an encoder could not have written."""
+    challenge = _routed_messages(2)[Challenge]
+    if case in ("short-root", "long-root"):
+        root = b"\x04" * (31 if case == "short-root" else 33)
+        body = encode_message(replace(challenge, commit_root=root), TOY)[4:]
+    elif case == "opt-flag":
+        body = encode_message(replace(challenge, statement=b"late"), TOY)[4:]
+        at = 1 + 14 + TOY.scalar_size + TOY.element_size + 1  # after the absent root
+        assert body[at] == 1
+        body = _set_byte(body, at, 2)
+    elif case == "ok-flag":
+        body = _set_byte(encode_message(StampReply(ok=True, payload=b"r"), TOY)[4:], 1, 2)
+    else:
+        response = replace(_routed_messages(2)[Response], absent=frozenset({3, 4}))
+        body = encode_message(response, TOY)[4:]
+        at = body.index((3).to_bytes(4, "big") + (4).to_bytes(4, "big"))
+        swapped = (4).to_bytes(4, "big") + ((3 if case == "descending-set" else 4)
+                                           .to_bytes(4, "big"))
+        body = body[:at] + swapped + body[at + 8:]
+    with pytest.raises(DecodeError):
+        decode_frame_body(body, TOY, 7)
 
 
 def test_second_conflicting_challenge_refused():
@@ -500,6 +575,32 @@ def test_reports_outside_senders_subtree_dropped(mode, kind, caplog):
         in caplog.text
 
 
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+@pytest.mark.parametrize("forgery", ["sibling-subtree", "sender", "contributor"])
+def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
+    # 7 witnesses, branching 2: node 1 has children 3 and 4, node 2 has 5 and
+    # 6. Node 1's commit summarises a node outside its subtree, or names a
+    # contributor outside the summarised node's subtree; the leader drops it
+    # rather than store a summary that a no-restart bridge would trust.
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
+    send = sim._send
+
+    def forging_send(src, dst, msg, when):
+        if src == 1 and isinstance(msg, Commit):
+            real = msg.summaries[0]
+            forged = {"sibling-subtree": replace(real, index=5),
+                      "sender": replace(real, index=1),
+                      "contributor": replace(real, contributors=((5, real.tree_hash),))}
+            msg = replace(msg, summaries=msg.summaries + (forged[forgery],))
+        send(src, dst, msg, when)
+
+    sim._send = forging_send
+    _, result = sim.run_round(0)
+    assert result.ok and result.failed == frozenset({1})
+    assert result.signature.participation.response_present == frozenset(range(7)) - {1}
+    assert "dropping Commit from 1: it reports nodes outside its subtree" in caplog.text
+
+
 # -- view changes -------------------------------------------------------------------
 
 def test_view_change_threshold_formula():
@@ -691,7 +792,9 @@ def test_frame_bytes_pinned():
 _U16 = st.integers(0, 0xFFFF)
 _U32 = st.integers(0, 0xFFFFFFFF)
 _DIGEST = st.binary(min_size=32, max_size=32)
-_INDEX_SET = st.frozensets(_U32, max_size=6)
+_WITNESSES = 64  # the roster size that drawn frames are decoded against
+_INDEX = st.integers(0, _WITNESSES - 1)
+_INDEX_SET = st.frozensets(_INDEX, max_size=6)
 _OPT_BYTES = st.none() | st.binary(max_size=48)
 _STEP = st.lists(_DIGEST, max_size=4).flatmap(
     lambda others: st.builds(multisig.CommitStep, st.integers(0, len(others)),
@@ -703,10 +806,10 @@ def _message_strategies(group):
     """One strategy per wire message type, over `group`'s elements and scalars."""
     elem = st.sampled_from([group.generator ** k for k in (1, 2, 5)])
     scalar = st.integers(0, group.order - 1).map(group.scalar)
-    header = dict(view=_U32, round=_U32, attempt=_U16, sender=_U32)
-    summary = st.builds(engine.SubtreeSummary, index=_U32, commit=elem, aggregate=elem,
+    header = dict(view=_U32, round=_U32, attempt=_U16, sender=_INDEX)
+    summary = st.builds(engine.SubtreeSummary, index=_INDEX, commit=elem, aggregate=elem,
                         tree_hash=_DIGEST,
-                        contributors=st.lists(st.tuples(_U32, _DIGEST), max_size=4).map(tuple),
+                        contributors=st.lists(st.tuples(_INDEX, _DIGEST), max_size=4).map(tuple),
                         absent=_INDEX_SET)
     return {
         Announce: st.builds(Announce, mode=st.integers(0, 255), timing=st.integers(0, 255),
@@ -720,10 +823,10 @@ def _message_strategies(group):
                              proof=_PROOF, **header),
         Response: st.builds(Response, aggregate_response=scalar, absent=_INDEX_SET,
                             failed=_INDEX_SET, refused=_INDEX_SET,
-                            exceptions=st.lists(st.builds(CommitException, _U32, elem, _PROOF),
+                            exceptions=st.lists(st.builds(CommitException, _INDEX, elem, _PROOF),
                                                 max_size=3).map(tuple), **header),
         Refuse: st.builds(Refuse, reason=st.integers(0, 255), **header),
-        ViewChange: st.builds(ViewChange, proposed_view=_U32, signer=_U32,
+        ViewChange: st.builds(ViewChange, proposed_view=_U32, signer=_INDEX,
                               signature=st.builds(Signature, scalar, scalar)),
         StampRequest: st.builds(StampRequest, digest=_DIGEST),
         StampReply: st.builds(StampReply, ok=st.booleans(), payload=st.binary(max_size=64)),
@@ -738,9 +841,56 @@ _MESSAGES = {group.name: _message_strategies(group) for group in (TOY, ED25519)}
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_frame_size_matches_encoding(group, cls, data):
-    """The simulator charges `frame_size`; it must be the encoded frame's length."""
+    """The simulator charges `frame_size`; it must be the encoded frame's
+    length. The frame decodes back to the message."""
     msg = data.draw(_MESSAGES[group.name][cls])
-    assert frame_size(msg, group) == len(encode_message(msg, group))
+    frame = encode_message(msg, group)
+    assert frame_size(msg, group) == len(frame)
+    assert decode_frame_body(frame[4:], group, _WITNESSES) == msg
+
+
+def test_each_layout_names_its_fields_in_order():
+    for cls in [*engine._MESSAGE_TYPES.values(), engine.SubtreeSummary]:
+        assert [name for name, _ in cls.layout.fields] == [f.name for f in fields(cls)]
+    assert [name for name, _ in engine._EXCEPTION.fields] \
+        == [f.name for f in fields(CommitException)]
+
+
+def test_mutated_pinned_frames_decode_only_to_themselves():
+    """Each byte of the frames that `test_frame_bytes_pinned` pins, set to
+    each small value and each one-bit flip: a frame that still decodes
+    re-encodes to its own bytes."""
+    e3 = KeyPair.from_secret(TOY, 3).public
+    e5 = KeyPair.from_secret(TOY, 5).public
+
+    def d(b):
+        return bytes([b]) * 32
+
+    step = multisig.CommitStep
+    challenge = Challenge(view=1, round=7, attempt=1, sender=2, challenge=TOY.scalar(6),
+                          aggregate_commit=e3, commit_root=d(4), statement=None,
+                          proof=CommitTreeProof((step(1, (d(5),)), step(0, (d(6), d(7))))))
+    response = Response(
+        view=1, round=7, attempt=1, sender=3, aggregate_response=TOY.scalar(9),
+        absent=frozenset({3, 5}), failed=frozenset({5}), refused=frozenset(),
+        exceptions=(CommitException(3, e3, CommitTreeProof((step(0, (d(8),)),
+                                                            step(2, (d(9), d(10)))))),
+                    CommitException(5, e5, CommitTreeProof((step(1, (d(11),)),)))))
+    accepted = 0
+    for msg in (challenge, response):
+        body = encode_message(msg, TOY)[4:]
+        for at in range(len(body)):
+            for value in {*range(17), 255, *(body[at] ^ 1 << k for k in range(8))}:
+                if value == body[at]:
+                    continue
+                mutated = _set_byte(body, at, value)
+                try:
+                    back = decode_frame_body(mutated, TOY, 16)
+                except DecodeError:
+                    continue
+                accepted += 1
+                assert encode_message(back, TOY)[4:] == mutated, (msg.tag, at, value)
+    assert accepted > 0
 
 
 def test_codec_rejects_garbage():
@@ -826,7 +976,7 @@ def test_frame_records_checked_before_any_element_decode(monkeypatch, kind, patc
                      tree_hash=b"\x01" * 32, absent=frozenset(), failed=frozenset(),
                      refused=frozenset(), summaries=(summary, replace(summary, index=5)))
         empty = replace(msg, summaries=())
-        last_len = len(summary.encode())
+        last_len = len(engine.SubtreeSummary.layout.encode(summary))
     data = bytearray(encode_message(msg, TOY)[4:])
     count_at = len(encode_message(empty, TOY)) - 4 - 2  # the count ends the empty frame
     last_at = len(data) - last_len
