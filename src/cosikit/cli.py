@@ -440,6 +440,10 @@ def cmd_run_leader(args) -> int:
                     record, receipts = authority.round_close(time.time())
                 except timestamp.TimestampError as exc:
                     logger.warning("round failed: %s: %s", exc, exc.__cause__)
+                    # Refuse the batch now, rather than retry it every
+                    # period while its clients wait out their timeouts.
+                    for digest in authority.drop_pending():
+                        runtime.reply_stamp(digest, b"", ok=False)
                     continue
                 for digest, receipt in receipts.items():
                     runtime.reply_stamp(digest, receipt.to_bytes())

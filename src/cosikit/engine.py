@@ -53,6 +53,11 @@ logger = logging.getLogger("cosikit.engine")
 STATEMENT_AT_ANNOUNCE = 0
 STATEMENT_AT_CHALLENGE = 1
 
+# Present keys a node remembers (`SigningNode.subtree_keys`), oldest dropped
+# first: at branching 16, enough for every child and for the children of
+# three dead ones it bridges to.
+SUBTREE_KEY_MEMO = 64
+
 PHASE_COMMIT = "commit"
 PHASE_RESPONSE = "response"
 PHASE_DONE = "done"
@@ -189,11 +194,21 @@ def _read_flag(group, raw: bytes) -> bool:
     return raw[0] == 1
 
 
+# The one empty index set, shared by every message and record that names
+# nobody, as most absence, failure and refusal sets do: each fresh empty
+# frozenset takes 216 bytes, and a node keeps 16 rounds of records.
+_NOBODY: frozenset[int] = frozenset()
+
+
+def _frozen(indices) -> frozenset[int]:
+    return frozenset(indices) if indices else _NOBODY
+
+
 def _read_index_set(r: Reader, group) -> frozenset[int]:
     indices = [r.index() for _ in range(r.count())]
     if any(a >= b for a, b in zip(indices, indices[1:])):
         raise DecodeError("index set not strictly ascending")
-    return frozenset(indices)
+    return _frozen(indices)
 
 
 def _opt_bytes(length: Optional[int] = None) -> _Kind:
@@ -601,6 +616,10 @@ class SigningNode:
         self.rounds: dict[tuple, _RoundState] = {}
         # (view, round, attempt, nonce value, challenge value) for audits
         self.nonce_log: list[tuple] = []
+        # (child's subtree, commit absences, response absences) -> the
+        # child's present key, kept so that the key's ladder window
+        # (`Ed25519Group._key_window`) is built once, not every round
+        self.subtree_keys: dict[tuple, GroupElement] = {}
 
     # -- plumbing --
 
@@ -766,8 +785,8 @@ class SigningNode:
         msg = Commit(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             aggregate=st.aggregate_commit, commit=st.own_commit,
-            tree_hash=st.tree_hash, absent=frozenset(st.absent),
-            failed=frozenset(st.failed), refused=frozenset(st.refused),
+            tree_hash=st.tree_hash, absent=_frozen(st.absent),
+            failed=_frozen(st.failed), refused=_frozen(st.refused),
             summaries=tuple(st.records[c] for c in st.contributors),
         )
         return [Send(st.parent, msg)]
@@ -1092,14 +1111,21 @@ class SigningNode:
         # strictly below the sender
         if sorted(e.index for e in msg.exceptions) != sorted(msg.absent):
             return None
-        participants = st.topology.descendants(rec.index) - rec.absent
+        subtree = st.topology.descendants(rec.index)
+        participants = subtree - rec.absent
         if not msg.absent <= participants:
             return None
-        present = participants - msg.absent
         for exc in msg.exceptions:
             if not multisig.verify_commit_inclusion(rec.tree_hash, exc.commit, exc.proof):
                 return None
-        key = multisig.aggregate_public_key(self.roster, present)
+        # The subtree is a set the round's tree holds, so its hash is cached.
+        memo = (subtree, rec.absent, msg.absent)
+        key = self.subtree_keys.get(memo)
+        if key is None:
+            key = multisig.aggregate_public_key(self.roster, participants - msg.absent)
+            if len(self.subtree_keys) >= SUBTREE_KEY_MEMO:
+                del self.subtree_keys[next(iter(self.subtree_keys))]
+            self.subtree_keys[memo] = key
         expected = rec.aggregate
         for exc in msg.exceptions:
             expected = expected * exc.commit.inverse()
@@ -1164,8 +1190,8 @@ class SigningNode:
             return self._leader_after_response(st, total, now)
         msg = Response(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate_response=total, absent=frozenset(st.resp_absent),
-            failed=frozenset(st.failed), refused=frozenset(st.refused),
+            aggregate_response=total, absent=_frozen(st.resp_absent),
+            failed=_frozen(st.failed), refused=_frozen(st.refused),
             exceptions=tuple(st.exceptions),
         )
         st.sent_response = msg

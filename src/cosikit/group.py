@@ -16,35 +16,44 @@ negative digit adds an entry with y + x and y - x swapped and 2d*x*y
 negated. The table (867 entries, about 0.22 MB) is built lazily by the first
 such power and then reused for the life of the process. Any other base uses
 a width-5 NAF. One doubling and 7 additions precompute its odd multiples
-1, 3 .. 15, whose negations cost nothing. The recoded exponent has odd
-digits in [-15, 15] with at least four zeros after each, so it costs about
-one addition per six bits: 49 additions and 251 doublings for a 253-bit
-exponent, where an unsigned 4-bit window takes 72 and 248. Doublings use the
-dedicated a = -1 formula of RFC 8032.
+1, 3 .. 15 in the cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
+(CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped and
+2d*T negated, so negations cost nothing. Adding a cached entry takes 8 field
+multiplications, where adding two extended points takes 9. The recoded
+exponent has odd digits in [-15, 15] with at least four zeros after each, so
+it costs about one addition per six bits: 49 additions and 252 doublings for
+a 253-bit exponent, where an unsigned 4-bit window takes 72 and 248.
+Doublings use the dedicated a = -1 formula of RFC 8032, which never reads T.
+The ladder therefore computes T, one multiplication, only on a step whose
+next step is an addition, and for its result (Hisil et al., ASIACRYPT 2008):
+on about 51 of a^k's 301 steps.
 
 `check_response` tests g^s * A^c == R without a full-length A^c. A
 truncated extended Euclid splits c into c0 = c*t (mod L) with c0 and an odd
 t both about half as long, and the equation raised to t, A^c0 * R^-t ==
 g^(-s*t), is then checked by one joint ladder over the windows of A and R
 (Straus) and one table power of G. That halves the doublings (Antipa et al.,
-SAC 2005; Pornin, https://eprint.iacr.org/2020/454). One check costs about
-56 additions, 49 table additions and 127 doublings.
+SAC 2005; Pornin, https://eprint.iacr.org/2020/454). A key element keeps its
+window once it has been used as a key, and a node keeps one key element per
+child subtree, so a child's key window is built once, not every round. One
+check costs about 49 additions (56 when it builds the key's window), 49
+table additions and 127 doublings.
 
 `check_responses` checks several responses to one challenge c at once, as
 a node does with its children's partial responses. Each (s_i, K_i, V_i)
 gets a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
 generator's stream moves, and one `check_response` tests g^(sum w_i*s_i) *
 A^c == W for A = prod K_i^w_i and W = prod V_i^w_i, each product one Straus
-ladder over the signed windows of its bases. A batch of 8 costs about 517
-additions, 50 table additions and 398 doublings. If any item fails, the
-batch passes with probability at most 2^-127 (Bellare, Garay and Rabin,
-EUROCRYPT 1998), provided every key and every commit lies in the
-prime-order subgroup; decoding guarantees that for every element from the
-wire, and products of such elements stay in it. Without it a batch and
-single checks can disagree (Chalkias, Garillot and Nikolaenko, "Taming the
-many EdDSAs", SSR 2020). The toy group checks one by one: its order is 11,
-so a random weight would let a wrong response through with probability
-about 1/11.
+ladder over the signed windows of its bases. A batch of 8 costs about 461
+additions (517 when it builds the 8 key windows), 49 table additions and
+390 doublings (398). If any item fails, the batch passes with probability
+at most 2^-127 (Bellare, Garay and Rabin, EUROCRYPT 1998), provided every
+key and every commit lies in the prime-order subgroup; decoding guarantees
+that for every element from the wire, and products of such elements stay
+in it. Without it a batch and single checks can disagree (Chalkias,
+Garillot and Nikolaenko, "Taming the many EdDSAs", SSR 2020). The toy group
+checks one by one: its order is 11, so a random weight would let a wrong
+response through with probability about 1/11.
 
 Decoding an element checks that it lies in the prime-order subgroup
 without computing [L]P. E(F_p) is cyclic of order 8L, so that subgroup is
@@ -275,12 +284,13 @@ class Scalar:
 class GroupElement:
     """Element of the prime-order group. Immutable; equality is value equality."""
 
-    __slots__ = ("group", "raw", "_enc")
+    __slots__ = ("group", "raw", "_enc", "_win")
 
     def __init__(self, group: Group, raw):
         self.group = group
         self.raw = raw
         self._enc = None
+        self._win = None  # the group's ladder window, once used as a key
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.group, self.group._mul(self.raw, other.raw))
@@ -360,6 +370,8 @@ class ToyGroup(Group):
 _P = 2**255 - 19
 _L = 2**252 + 27742317777372353535851937790883648493
 _D = (-121665 * pow(121666, _P - 2, _P)) % _P
+_D2 = 2 * _D % _P
+_D_INV = pow(_D, -1, _P)
 _I = pow(2, (_P - 1) // 4, _P)  # sqrt(-1)
 _A = 486662  # Montgomery A of Curve25519, birationally equivalent to Ed25519
 
@@ -516,17 +528,29 @@ class Ed25519Group(Group):
     _g_rows = None  # fixed-base table for G, built by the first G^k
 
     def _add(self, p, q):
-        x1, y1, z1, t1 = p
-        x2, y2, z2, t2 = q
-        a = (y1 - x1) * (y2 - x2) % _P
-        b = (y1 + x1) * (y2 + x2) % _P
-        c = 2 * t1 * t2 * _D % _P
-        dd = 2 * z1 * z2 % _P
-        e, f, g, h = b - a, dd - c, dd + c, b + a
-        return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+        return self._add_cached(p, self._cached(q))
 
-    def _double(self, p):
-        # RFC 8032 section 5.1.4 (Hisil et al. 2008, a = -1); T is not read.
+    def _cached(self, p):
+        """p as a cached entry (Y + X, Y - X, 2Z, 2d*T), the form
+        `_add_cached` adds."""
+        x, y, z, t = p
+        return ((y + x) % _P, (y - x) % _P, 2 * z % _P, t * _D2 % _P)
+
+    def _add_cached(self, p, q, with_t=True):
+        """p + q for q a cached entry: 8 field multiplications, 7 when T is
+        not wanted (it is then None). Reads p's T."""
+        x1, y1, z1, t1 = p
+        ypx, ymx, z2, t2d = q
+        a = (y1 - x1) * ymx % _P
+        b = (y1 + x1) * ypx % _P
+        c = t1 * t2d % _P
+        dd = z1 * z2 % _P
+        e, f, g, h = b - a, dd - c, dd + c, b + a
+        return (e * f % _P, g * h % _P, f * g % _P, e * h % _P if with_t else None)
+
+    def _double(self, p, with_t=True):
+        # RFC 8032 section 5.1.4 (Hisil et al. 2008, a = -1). T is not read,
+        # and is None in the result unless wanted.
         x, y, z, _ = p
         a = x * x % _P
         b = y * y % _P
@@ -536,7 +560,15 @@ class Ed25519Group(Group):
         e = h - s * s % _P
         g = a - b
         f = c + g
-        return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
+        return (e * f % _P, g * h % _P, f * g % _P, e * h % _P if with_t else None)
+
+    def _doubled(self, p, n):
+        """2^n * p; only the last of the n doublings computes T."""
+        if not n:
+            return p
+        for _ in range(n - 1):
+            p = self._double(p, False)
+        return self._double(p)
 
     def _add_affine(self, p, q):
         """p + q for q in the fixed-base table's form (y + x, y - x, 2d*x*y):
@@ -579,14 +611,16 @@ class Ed25519Group(Group):
         return rows
 
     def _window(self, a):
-        """a^1, a^3 .. a^15, then a^-15, a^-13 .. a^-1: the odd powers a
-        width-5 NAF digit d adds, found at index d >> 1. One doubling and
-        seven additions; a negation only negates X and T."""
-        a2 = self._double(a)
-        mults = [a]
+        """a^1, a^3 .. a^15 as cached entries: the odd powers a width-5 NAF
+        digit d adds, found at index |d| >> 1. A negative digit adds the
+        entry with Y + X and Y - X swapped and 2d*T negated. One doubling and
+        seven cached additions."""
+        a2 = self._cached(self._double(a))
+        entries = [self._cached(a)]
         for _ in range(7):
-            mults.append(self._add(mults[-1], a2))
-        return mults + [self._inv(m) for m in reversed(mults)]
+            a = self._add_cached(a, a2)
+            entries.append(self._cached(a))
+        return entries
 
     def _straus(self, terms):
         """The product of a^k over (window of a, k) pairs, k >= 0: one ladder,
@@ -596,32 +630,35 @@ class Ed25519Group(Group):
         addition per six bits (interleaved wNAF: Möller, SAC 2001). The
         recoding jumps over runs of zero bits rather than stepping bit by
         bit; its additions, sorted by bit position, then meet one run of
-        single doublings from the top."""
+        single doublings from the top. T is computed only where the next
+        step is an addition, which reads it, and for the result."""
         adds = []
-        for mults, k in terms:
+        for window, k in terms:
             pos = 0
             while k:
                 z = (k & -k).bit_length() - 1
                 k >>= z
                 pos += z
                 d = k & 31
-                if d > 16:
+                if d < 16:
+                    adds.append((pos, window[d >> 1]))
+                else:
                     d -= 32
-                adds.append((pos, mults[d >> 1]))
+                    ypx, ymx, z2, t2d = window[-d >> 1]
+                    adds.append((pos, (ymx, ypx, z2, -t2d)))
                 k -= d
         if not adds:
             return self._IDENT
         adds.sort(key=itemgetter(0), reverse=True)
-        add, dbl = self._add, self._double
-        pos, r = adds[0]
-        for p, q in adds[1:]:
-            for _ in range(pos - p):
-                r = dbl(r)
-            r = add(r, q)
+        adds.append((0, None))  # the end: double down to bit 0
+        add, doubled = self._add_cached, self._doubled
+        pos, (ypx, ymx, z2, t2d) = adds[0]
+        # The first entry scaled by 2: (2X, 2Y, 2Z, 2T), where 2T = 2d*T / d.
+        r = ((ypx - ymx) % _P, (ypx + ymx) % _P, z2, t2d * _D_INV % _P)
+        for (p, q), (p_next, _) in zip(adds[1:], adds[2:]):
+            r = add(doubled(r, pos - p), q, p_next == p)
             pos = p
-        for _ in range(pos):
-            r = dbl(r)
-        return r
+        return doubled(r, pos)
 
     def _pow(self, a, k):
         if a is _G:
@@ -644,6 +681,14 @@ class Ed25519Group(Group):
             return r
         return self._straus([(self._window(a), k)])
 
+    def _key_window(self, key):
+        """The window of a key element, built on its first use as a key and
+        kept on the element: a node checks its children against the same
+        subtree keys round after round."""
+        if key._win is None:
+            key._win = self._window(key.raw)
+        return key._win
+
     def check_response(self, s, key, c, commit):
         # For odd t, g^s * key^c == commit holds exactly when its t-th power,
         # rearranged as key^c0 * commit^-t == g^(-s*t), does: raising to t
@@ -651,7 +696,7 @@ class Ed25519Group(Group):
         # commit's order-2, 4 or 8 component is never the identity.
         c0, t = _half_split(c.value)
         b = commit.raw if t < 0 else self._inv(commit.raw)
-        lhs = self._straus([(self._window(key.raw), c0), (self._window(b), abs(t))])
+        lhs = self._straus([(self._key_window(key), c0), (self._window(b), abs(t))])
         return self._eq(lhs, self._pow(_G, -s.value * t % _L))
 
     def check_responses(self, c, items):
@@ -661,7 +706,7 @@ class Ed25519Group(Group):
             return super().check_responses(c, items)
         weights = [secrets.randbits(128) | 1 for _ in items]
         s = sum(w * si.value for w, (si, _, _) in zip(weights, items)) % _L
-        keys = self._straus([(self._window(key.raw), w)
+        keys = self._straus([(self._key_window(key), w)
                              for w, (_, key, _) in zip(weights, items)])
         commits = self._straus([(self._window(commit.raw), w)
                                 for w, (_, _, commit) in zip(weights, items)])

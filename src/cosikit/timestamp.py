@@ -136,6 +136,13 @@ class TimestampAuthority:
             self._queue.append(digest)
             return len(self._queue) - 1
 
+    def drop_pending(self) -> list[bytes]:
+        """Empties the queue, a failed round's retained batch included, and
+        returns the hashes it held."""
+        with self._lock:
+            batch, self._queue = self._queue, []
+        return batch
+
     @property
     def pending_count(self) -> int:
         with self._lock:

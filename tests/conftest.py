@@ -114,6 +114,16 @@ def affine(point):
     return x, y
 
 
+def cached_affine(entry):
+    """The affine point of a ladder window's cached entry (Y + X, Y - X,
+    2Z, 2d*T), after checking that its 2d*T agrees with the other three:
+    2Z * 2d*T = d * 2X * 2Y."""
+    ypx, ymx, z2, t2d = entry
+    assert (z2 * t2d - D * (ypx - ymx) * (ypx + ymx)) % P == 0
+    zi = pow(z2, P - 2, P)
+    return (ypx - ymx) * zi % P, (ypx + ymx) * zi % P
+
+
 def affine_add(a, b):
     """The twisted Edwards addition law (a = -1) in affine coordinates."""
     (x1, y1), (x2, y2) = a, b

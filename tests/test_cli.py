@@ -475,7 +475,10 @@ def test_run_leader_timestamp_service_end_to_end(tmp_path, deployment, cli_proce
                  "--threshold", "3"]) == 0
 
 
-def test_run_leader_logs_why_a_round_failed(tmp_path, cli_process):
+def start_unsignable_leader(tmp_path, cli_process):
+    """Starts `run-leader` with a 0.3 s period on a three-witness toy roster
+    whose witnesses never run, asking four participants of it; returns the
+    leader's address, the roster file and the leader's log."""
     rng = random.Random(68)
     keypairs = [KeyPair.from_secret(TOY, x) for x in (3, 4, 5)]
     keyfile = tmp_path / "leader.key"
@@ -489,18 +492,37 @@ def test_run_leader_logs_why_a_round_failed(tmp_path, cli_process):
     roster_path = tmp_path / "roster.json"
     save_roster(roster, str(roster_path))
     leader = cli._parse_addr(entries[0].endpoint)
-    # four participants are required of a three-witness roster
     cli_process(["run-leader", "--roster", str(roster_path), "--key", str(keyfile),
                  "--period", "0.3", "--min-participants", "4"], leader)
+    return leader, roster_path, tmp_path / "run-leader-0.log"
+
+
+def test_run_leader_logs_why_a_round_failed(tmp_path, cli_process):
+    leader, _, log = start_unsignable_leader(tmp_path, cli_process)
     with socket.create_connection(leader, timeout=5) as sock:
-        sock.sendall(encode_message(StampRequest(digest=b"\x01" * 32), roster.group))
-        log = tmp_path / "run-leader-0.log"
+        sock.sendall(encode_message(StampRequest(digest=b"\x01" * 32), TOY))
         deadline = time.monotonic() + 20
         while "round failed" not in log.read_text() and time.monotonic() < deadline:
             time.sleep(0.05)
     line = next(x for x in log.read_text().splitlines() if "round failed" in x)
     assert "WARNING round failed: signing failed for round " in line
     assert line.endswith(": below minimum participation before start")
+
+
+def test_run_leader_rejects_the_clients_of_a_failed_round(tmp_path, cli_process, capsys):
+    """A round that cannot sign answers its waiting client with
+    StampReply(ok=False) long before the client's own 30 s timeout, and its
+    batch is dropped, not retried every period."""
+    leader, roster_path, log = start_unsignable_leader(tmp_path, cli_process)
+    started = time.monotonic()
+    rc = main(["stamp", "--roster", str(roster_path), "--connect", "%s:%d" % leader,
+               "--hash", "01" * 32, "--out", str(tmp_path / "never.tsr"), "--timeout", "30"])
+    assert rc == cli.EXIT_PROTOCOL
+    assert time.monotonic() - started < 10
+    assert "stamp request rejected" in capsys.readouterr().err
+    assert not (tmp_path / "never.tsr").exists()
+    time.sleep(1.2)  # four periods
+    assert log.read_text().count("round failed") == 1
 
 
 def test_stamp_request_reply_protocol(tmp_path):

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import D, L, P, affine, affine_add, encode_affine, ref_pow
+from conftest import D, L, P, affine, affine_add, cached_affine, encode_affine, ref_pow
 from cosikit.group import (
     ED25519,
     TOY,
@@ -283,13 +283,19 @@ def test_pow_matches_reference(k):
 @pytest.fixture
 def ops(monkeypatch):
     """Counts calls of Ed25519Group's point additions and doublings by name,
-    a cost that does not depend on the machine's speed."""
+    a cost that does not depend on the machine's speed; a call that leaves
+    T out counts once more under its name plus " no T"."""
     calls = collections.Counter()
-    for name in ("_add", "_add_affine", "_double"):
+    for name in ("_add", "_add_affine", "_add_cached", "_double"):
         real = getattr(Ed25519Group, name)
-        monkeypatch.setattr(Ed25519Group, name,
-                            lambda self, p, *q, name=name, real=real:
-                            calls.update((name,)) or real(self, p, *q))
+
+        def counted(self, *args, name=name, real=real):
+            point = real(self, *args)
+            calls[name] += 1
+            if point[3] is None:
+                calls[name + " no T"] += 1
+            return point
+        monkeypatch.setattr(Ed25519Group, name, counted)
     return calls
 
 
@@ -325,13 +331,16 @@ def test_fixed_base_table_matches_affine_reference():
 # -- Signed windows and the multi-base ladder ---------------------------------
 
 def test_window_holds_odd_signed_multiples():
+    """Eight cached entries, a^1, a^3 .. a^15; a negative digit's entry is
+    the positive one with Y + X and Y - X swapped and 2d*T negated."""
     for base in bases():
         window = ED25519._window(base.raw)
-        assert len(window) == 16
+        assert len(window) == 8
         for d in range(1, 16, 2):
             x, y = ref_pow(base.raw, d)
-            assert affine(window[d >> 1]) == (x, y)
-            assert affine(window[-d >> 1]) == (-x % P, y)
+            ypx, ymx, z2, t2d = window[d >> 1]
+            assert cached_affine(window[d >> 1]) == (x, y)
+            assert cached_affine((ymx, ypx, z2, -t2d)) == (-x % P, y)
 
 
 @settings(max_examples=10, deadline=None)
@@ -351,11 +360,92 @@ def test_straus_matches_product_of_references(seed, n):
     assert affine(ED25519._straus(terms)) == expected
 
 
+def assert_extended(point):
+    """X*Y == Z*T: the point's T is there, and right."""
+    x, y, z, t = point
+    assert t is not None and (x * y - z * t) % P == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(k=st.one_of(st.integers(min_value=0, max_value=2**300), SIGNED_DIGIT_PATTERNS))
+def test_pow_and_mul_hand_out_extended_points(k):
+    for g in bases():
+        assert_extended(ED25519._pow(g.raw, k))
+        power = g ** k
+        assert_extended(power.raw)
+        assert_extended((power * g).raw)
+        assert_extended((g * power.inverse()).raw)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=1, max_value=16))
+def test_straus_hands_out_extended_points(seed, n):
+    """1 to 16 bases, some exponents 0, some bases sharing one exponent, so
+    that additions meet at the same bit with no doubling between them."""
+    rng = random.Random(seed)
+    g = ED25519.generator
+    shared = rng.getrandbits(rng.randint(1, 256))
+    terms = [(ED25519._window((g ** rng.randrange(1, L)).raw),
+              rng.choice([0, 1, shared, rng.getrandbits(rng.randint(1, 256))]))
+             for _ in range(n)]
+    assert_extended(ED25519._straus(terms))
+    assert_extended(ED25519._straus([(terms[0][0], shared)] * 2))
+
+
+def test_batch_hands_check_response_extended_operands(monkeypatch):
+    operands = []
+    real = Ed25519Group.check_response
+    monkeypatch.setattr(Ed25519Group, "check_response",
+                        lambda self, s, key, c, commit:
+                        operands.extend((key.raw, commit.raw)) or real(self, s, key, c, commit))
+    rng = random.Random(29)
+    c = ED25519.scalar(rng.randrange(1, L))
+    items, _ = partial_responses(ED25519, rng, c, 8, ())
+    assert ED25519.check_responses(c, items)
+    assert len(operands) == 2
+    for point in operands + [p.raw for _, key, commit in items for p in (key, commit)]:
+        assert_extended(point)
+
+
+def test_key_window_built_once(monkeypatch):
+    """A key element passed twice, to check_response or to
+    check_responses, has its window built once."""
+    rng = random.Random(31)
+    g = ED25519.generator
+    key = g ** rng.randrange(1, L)
+    checks = []
+    for _ in range(2):
+        s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
+        checks.append((s, key, c, g ** s * key ** c))
+    c = ED25519.scalar(rng.randrange(1, L))
+    items, _ = partial_responses(ED25519, rng, c, 8, ())
+    built = collections.Counter()
+    real = Ed25519Group._window
+    monkeypatch.setattr(Ed25519Group, "_window",
+                        lambda self, a: built.update((id(a),)) or real(self, a))
+    for args in checks:
+        assert ED25519.check_response(*args)
+    assert built[id(key.raw)] == 1
+    for _ in range(2):
+        assert ED25519.check_responses(c, items)
+    assert [built[id(key.raw)] for _, key, _ in items] == [1] * 8
+
+
+def t_steps(ops):
+    """Additions and doublings that computed T."""
+    return (ops["_add_cached"] - ops["_add_cached no T"]
+            + ops["_double"] - ops["_double no T"])
+
+
 def test_signed_window_op_counts(ops):
-    """Point additions per operation at fixed inputs, pinned 6-8% above
-    their means (49, 56 and 517): unsigned 4-bit windows take about 72 for
-    a 253-bit a^k, 87 for one check_response and 789 for a batch of 8
-    partials."""
+    """Cached additions per operation at fixed inputs, pinned 6-8% above
+    their means (49 for a 253-bit a^k; 56 for a check_response that builds
+    its key's window, 49 once the key element holds it; 517 for a batch of
+    8 partials with new keys), and the additions and doublings that compute
+    T, pinned likewise (51 of a^k's 301 steps, 51 of a kept-key check's 175,
+    536 of a batch's 915). Unsigned 4-bit windows took about 72, 87 and 789
+    additions, every step computing T."""
     rng = random.Random(17)
     g = ED25519.generator
     point = g ** 0x1234567
@@ -363,18 +453,24 @@ def test_signed_window_op_counts(ops):
         k = rng.getrandbits(253) | 1 << 252
         ops.clear()
         ED25519._pow(point.raw, k)
-        assert ops["_add"] <= 52
-    for _ in range(4):
+        assert set(ops) <= {"_add_cached", "_add_cached no T", "_double", "_double no T"}
+        assert ops["_double"] >= 248  # the counters see the ladder
+        assert ops["_add_cached"] <= 52
+        assert t_steps(ops) <= 54
+    for i in range(4):
         s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
         commit = g ** s * point ** c
         ops.clear()
         assert ED25519.check_response(s, point, c, commit)
-        assert ops["_add"] <= 60
+        assert ops["_add_cached"] <= (60 if i == 0 else 52)
+        if i:
+            assert t_steps(ops) <= 54
     c = ED25519.scalar(rng.randrange(1, L))
     items, _ = partial_responses(ED25519, rng, c, 8, ())
     ops.clear()
     assert ED25519.check_responses(c, items)
-    assert ops["_add"] <= 560
+    assert ops["_add_cached"] <= 552
+    assert t_steps(ops) <= 572
 
 
 SPLIT_EDGES = {"0": 0, "1": 1, "2^126-1": 2**126 - 1, "2^126": 2**126, "L-1": L - 1}

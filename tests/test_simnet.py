@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from cosikit import multisig, simnet
+from cosikit import engine, multisig, simnet
 from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_message
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
@@ -261,3 +261,27 @@ def test_prod_liar_rounds_pinned(caplog, cfg, msgs, sent_bytes, root_bytes, late
     assert m.latency == pytest.approx(latency, abs=1e-6)
     assert sorted(r.args for r in caplog.records
                   if "invalid partial response" in str(r.msg)) == rejected
+
+
+@pytest.mark.parametrize("bound", [None, 2])
+def test_subtree_key_memo_stays_bounded(monkeypatch, bound):
+    """Over 20 prod no-restart rounds with an interior and a leaf liar, each
+    node remembers at most the memo's bound of present keys, at the shipped
+    bound and at one below a node's child count, and every round names the
+    liars."""
+    if bound is not None:
+        monkeypatch.setattr(engine, "SUBTREE_KEY_MEMO", bound)
+    sim = simnet.CosiSim(SimConfig(
+        seed=4, n=13, branching=3, group_name="prod", mode=MODE_NO_RESTART,
+        failures=(FailureAction(1, "response", "lie"), FailureAction(7, "response", "lie"))))
+    sizes = []
+    for r in range(20):
+        _, result = sim.run_round(r)
+        assert result.ok
+        assert sorted(e.index for e in result.signature.exceptions) == [1, 7]
+        sizes.append([len(node.subtree_keys) for node in sim.nodes])
+        assert max(sizes[-1]) <= engine.SUBTREE_KEY_MEMO
+    # Every round checks the same subtrees. The root checks its three
+    # children and, past liar 1, the three it bridges to.
+    assert sizes[-1] == sizes[0]
+    assert sizes[0][0] == min(6, engine.SUBTREE_KEY_MEMO)
