@@ -150,7 +150,7 @@ class NodeRuntime:
         self.listen_addr = _parse_addr(listen)
         self.loop = asyncio.new_event_loop()
         self.result = None
-        self.stamp_queue: list[bytes] = []
+        self.stamp_queue: list[bytes] | None = None  # a list while serving timestamps
         # failed dials per destination index
         self.dial_failures: dict[int, int] = {}
         self._stamp_conns: dict[bytes, list[asyncio.StreamWriter]] = {}
@@ -173,6 +173,9 @@ class NodeRuntime:
                 if isinstance(msg, StampRequest):
                     # hold the connection open for the round's reply
                     self._stamp_conns.setdefault(msg.digest, []).append(writer)
+                    if self.stamp_queue is None:  # not serving timestamps
+                        self.reply_stamp(msg.digest, b"", ok=False)
+                        return
                     self.stamp_queue.append(msg.digest)
                     while await asyncio.wait_for(reader.read(4096), 300):
                         pass
@@ -426,6 +429,7 @@ def cmd_run_leader(args) -> int:
     try:
         if index != roster.leader_index:
             raise UsageError("the leader key must belong to the roster leader")
+        runtime.stamp_queue = []
         runtime.start_server()
         print(f"timestamp leader up; round every {args.period}s")
         while True:

@@ -14,10 +14,17 @@ response timer fires, then checks them together with one
 the liars. In no-restart mode a direct contributor with contributors of its
 own is checked on arrival instead, since rejecting it bridges them.
 
+View change is the node's own policy. When a round is due (`round_due`), the
+view's leader starts it and every other node arms a progress timer; a node
+still in that view with no state for the round when it fires votes for the
+next view. The node that activates a view it leads starts the round due, with
+every superseded view's leader counted as failed.
+
 Nodes are purely reactive: they consume one message or timer event at a time
 and return effects (messages to send, timers to arm, round results). The
 hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery
-and clocks and must serialize events per node.
+and clocks and must serialize events per node. The TCP runner does not yet
+call `round_due`, so over TCP no view changes.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 from operator import attrgetter, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, get_args
+from typing import Callable, NamedTuple, Optional, get_args
 
 from . import multisig, participation
 from .group import (DecodeError, GroupElement, KeyPair, Reader, Scalar, Signature,
@@ -501,12 +508,6 @@ class RoundDone:
 
 
 @dataclass(frozen=True)
-class ViewActivated:
-    view: int
-    leader: int
-
-
-@dataclass(frozen=True)
 class RoundResult:
     ok: bool
     round: int
@@ -612,6 +613,7 @@ class SigningNode:
         self.hook_store: dict = {}
 
         self.current_view = 0
+        self._due: Optional[tuple] = None  # (config, statement) of the round due
         self.view_votes: dict[int, dict[int, Signature]] = {}
         self.rounds: dict[tuple, _RoundState] = {}
         # (view, round, attempt, nonce value, challenge value) for audits
@@ -626,11 +628,8 @@ class SigningNode:
     def _ctx(self, now: float) -> ValidationContext:
         return ValidationContext(now=now, node_index=self.index, store=self.hook_store)
 
-    def is_leader(self, view: Optional[int] = None) -> bool:
-        return view_leader(self.roster, self.current_view if view is None else view) == self.index
-
-    def _state(self, key: tuple) -> Optional[_RoundState]:
-        return self.rounds.get(key)
+    def is_leader(self) -> bool:
+        return view_leader(self.roster, self.current_view) == self.index
 
     def _trim_round_state(self, keep: int = 16) -> None:
         while len(self.rounds) > keep:
@@ -640,18 +639,31 @@ class SigningNode:
         return st.timeout_base * (st.topology.height(self.index) + 1)
 
     # ------------------------------------------------------------------
-    # Leader entry point
+    # Entry points
     # ------------------------------------------------------------------
 
-    def start_round(self, config: RoundConfig, statement, now: float,
-                    known_failed: Iterable[int] = ()) -> list:
+    def round_due(self, config: RoundConfig, statement, now: float,
+                  patience: float) -> list:
+        """The leader starts the round; any other node arms a progress timer
+        that votes for the next view after `patience` seconds if the round
+        has not reached it by then."""
+        if self.is_leader():
+            return self.start_round(config, statement, now)
+        self._due = (config, statement)
+        return [SetTimer(("progress", self.current_view, config.round_number), patience)]
+
+    def start_round(self, config: RoundConfig, statement, now: float) -> list:
         """Begin a signing round in the current view. `statement` is bytes, or
-        a zero-argument callable for challenge-phase (late-bound) statements."""
+        a zero-argument callable for challenge-phase (late-bound) statements.
+        Every superseded view's leader counts as failed; views wrap around
+        the roster, so this node may be one of them, and is left out."""
         if not self.is_leader():
             raise EngineError(f"node {self.index} does not lead view {self.current_view}")
-        self._round_failed_base = frozenset(known_failed)
+        self._due = None
+        superseded = range(min(self.current_view, len(self.roster)))
+        self._round_failed_base = frozenset(view_leader(self.roster, v)
+                                            for v in superseded) - {self.index}
         self._round_refused: frozenset = frozenset()
-        self._round_config = config
         self._round_statement_src = statement
         return self._start_attempt(config, 0, self._round_failed_base, now)
 
@@ -802,13 +814,13 @@ class SigningNode:
     def handle_message(self, msg: Message, now: float) -> list:
         if isinstance(msg, ViewChange):
             return self._on_view_change(msg, now)
-        if isinstance(msg, Announce):
-            return self._on_announce(msg, now)
-        key = (msg.view, msg.round, msg.attempt)
         if msg.view != self.current_view:
             logger.debug("node %d drops stale message for view %d", self.index, msg.view)
             return []
-        st = self._state(key)
+        if isinstance(msg, Announce):
+            return self._on_announce(msg, now)
+        key = (msg.view, msg.round, msg.attempt)
+        st = self.rounds.get(key)
         if st is None:
             logger.debug("node %d has no state for round %s", self.index, key)
             return []
@@ -825,10 +837,8 @@ class SigningNode:
     # -- announce --
 
     def _on_announce(self, msg: Announce, now: float) -> list:
-        if msg.view != self.current_view:
-            return []
         key = (msg.view, msg.round, msg.attempt)
-        st = self._state(key)
+        st = self.rounds.get(key)
         if st is not None:
             # Re-announce, possibly from a bridging ancestor: adopt it as the
             # new parent and resend our commit (or refusal) if we already
@@ -1203,7 +1213,10 @@ class SigningNode:
 
     def on_timer(self, key: tuple, now: float) -> list:
         kind, rest = key[0], key[1:]
-        st = self._state(rest)
+        if kind == "progress":
+            stalled = rest[0] == self.current_view and all(k[:2] != rest for k in self.rounds)
+            return self.vote_view_change("no round progress", now) if stalled else []
+        st = self.rounds.get(rest)
         if st is None:
             return []
         if kind == "commit" and st.phase == PHASE_COMMIT:
@@ -1322,4 +1335,6 @@ class SigningNode:
         self.view_votes = {v: vs for v, vs in self.view_votes.items() if v > view}
         leader = view_leader(self.roster, view)
         logger.info("node %d activates view %d (leader %d)", self.index, view, leader)
-        return [ViewActivated(view=view, leader=leader)]
+        if leader == self.index and self._due is not None:
+            return self.start_round(*self._due, now)
+        return []

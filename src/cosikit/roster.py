@@ -99,6 +99,10 @@ class WitnessRoster:
                           separators=(",", ":")).encode("utf-8")
 
     def digest(self) -> bytes:
+        return self._digest
+
+    @cached_property
+    def _digest(self) -> bytes:
         return hashlib.sha256(self.canonical_bytes()).digest()
 
 

@@ -27,7 +27,6 @@ from .engine import (
     Send,
     SetTimer,
     SigningNode,
-    ViewActivated,
     ViewChange,
     frame_size,
 )
@@ -286,10 +285,7 @@ class CosiSim:
             elif f.behavior == "lie":
                 self.liars.add(f.node)
         self.round_result: Optional[RoundResult] = None
-        self.saw_announce: set[int] = set()
         self.charged_announce: set = set()
-        self.pending_statement: Optional[bytes] = None
-        self.round_config: Optional[RoundConfig] = None
 
     # -- effect plumbing --
 
@@ -313,8 +309,6 @@ class CosiSim:
         if phase is not None and self.crash_on_recv.get(dst) == phase:
             self.crashed.add(dst)
             return
-        if isinstance(msg, Announce):
-            self.saw_announce.add(dst)
         done = self.net.process(dst, self._units_for(dst, msg))
         effects = self.nodes[dst].handle_message(msg, done)
         self._apply(dst, effects, done)
@@ -329,12 +323,6 @@ class CosiSim:
                 done = self.net.process(src, self.cfg.compute.verify_units)
                 self.round_result = eff.result
                 self.round_done_at = done
-            elif isinstance(eff, ViewActivated):
-                if eff.leader == src and self.pending_statement is not None:
-                    # the new leader treats every superseded view's leader as failed
-                    prior = frozenset(engine.view_leader(self.roster, v)
-                                      for v in range(eff.view))
-                    self.net.schedule(when, self._start_as_leader, src, prior)
 
     def _send(self, src: int, dst: int, msg, when: float) -> None:
         if src in self.crashed:
@@ -358,22 +346,14 @@ class CosiSim:
         effects = self.nodes[node].on_timer(key, self.net.now)
         self._apply(node, effects, self.net.now)
 
-    def _start_as_leader(self, leader: int,
-                         known_failed: frozenset = frozenset()) -> None:
-        cfg = self.round_config
-        statement = self.pending_statement
-        self.pending_statement = None
-        done = self.net.process(leader, self.cfg.compute.exp_units)
-        effects = self.nodes[leader].start_round(cfg, statement, done,
-                                                 known_failed=known_failed)
-        self._apply(leader, effects, done)
-
-    def _progress_check(self, node: int) -> None:
-        if node in self.crashed or self.round_result is not None:
+    def _round_due(self, node: int, config: RoundConfig, statement: bytes) -> None:
+        if node in self.crashed:
             return
-        if node not in self.saw_announce:
-            effects = self.nodes[node].vote_view_change("no round progress", self.net.now)
-            self._apply(node, effects, self.net.now)
+        when = self.net.now
+        if self.nodes[node].is_leader():
+            when = self.net.process(node, self.cfg.compute.exp_units)
+        self._apply(node, self.nodes[node].round_due(config, statement, when,
+                                                      self.cfg.progress_timeout), when)
 
     # -- rounds --
 
@@ -382,27 +362,17 @@ class CosiSim:
         start = self.net.begin_round()
         self.round_result = None
         self.round_done_at = None
-        self.saw_announce = set()
-        statement = cfg.statement_for(round_index)
-        self.round_config = RoundConfig(
+        config = RoundConfig(
             round_number=round_index, mode=cfg.mode,
             statement_timing=cfg.statement_timing, branching=cfg.branching,
             max_restarts=cfg.max_restarts, min_participants=cfg.min_participants,
             rtt_hint=cfg.rtt,
         )
-        live = [n for n in self.nodes if n.index not in self.crashed]
-        leader = engine.view_leader(self.roster, max(n.current_view for n in live))
-        self.pending_statement = statement
-        if leader in self.crashed:
-            if not cfg.view_change:
-                return cfg.round_metrics(round_index, 0.0, False, self.net.metrics), None
-            for i in range(cfg.n):
-                if i != leader and i not in self.crashed:
-                    self.net.schedule(start + cfg.progress_timeout,
-                                      self._progress_check, i)
-        else:
-            self.net.schedule(start, self._start_as_leader, leader)
-
+        statement = cfg.statement_for(round_index)
+        # with view change on, every node learns of the round, to vote if it stalls
+        for node in self.nodes:
+            if cfg.view_change or node.is_leader():
+                self.net.schedule(start, self._round_due, node.index, config, statement)
         self.net.run(stop=lambda: self.round_result is not None)
         if self.round_result is not None:
             latency = self.round_done_at - start
@@ -647,16 +617,18 @@ def emit_report(metrics: list[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
+_PLAIN_KEYS = ("seed", "n", "branching", "scheme", "rounds", "rtt", "max_restarts",
+               "min_participants", "validation_policy", "policy_skew", "view_change",
+               "progress_timeout", "jvss_threshold", "start_time")
+
+
 def config_from_obj(obj: dict, defaults: dict | None = None) -> SimConfig:
     merged = dict(defaults or {})
     merged.update(obj)
-    kwargs = {}
-    for key in ("seed", "n", "branching", "scheme", "rounds", "rtt",
-                "max_restarts", "min_participants", "validation_policy",
-                "policy_skew", "view_change", "progress_timeout",
-                "jvss_threshold", "start_time"):
-        if key in merged:
-            kwargs[key] = merged[key]
+    unknown = sorted(set(merged) - set(_PLAIN_KEYS) - {"group", "mode", "compute", "statement"})
+    if unknown:
+        raise ValueError(f"unknown sweep keys: {', '.join(unknown)}")
+    kwargs = {key: merged[key] for key in _PLAIN_KEYS if key in merged}
     if "group" in merged:
         kwargs["group_name"] = merged["group"]
     if "mode" in merged:

@@ -20,7 +20,7 @@ from cosikit import cli
 from cosikit.cli import NodeRuntime, main
 from cosikit.engine import (
     REFUSE_STALE, STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE, Refuse, RoundConfig,
-    SigningNode, StampRequest, encode_message,
+    SigningNode, StampReply, StampRequest, decode_frame_body, encode_message,
 )
 from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
 from cosikit.multisig import MODE_NO_RESTART
@@ -411,6 +411,19 @@ def test_dropped_connections_logged_with_cause(toy_loopback, caplog):
         assert causes.pop(port) in record.getMessage()
     assert list(causes.values()) == [None]
     _loopback_round(leader, 4)
+
+
+def test_witness_refuses_stamp_requests_at_once(toy_loopback):
+    """A runtime that serves no timestamps answers a stamp request with
+    StampReply(ok=False) rather than holding the client's connection."""
+    witness = toy_loopback(2)[1]
+    started = time.monotonic()
+    with socket.create_connection(witness.listen_addr, timeout=1) as sock:
+        sock.sendall(encode_message(StampRequest(digest=b"\x01" * 32), TOY))
+        frame = cli.read_frame(sock)
+    assert time.monotonic() - started < 1
+    assert decode_frame_body(frame, TOY, 2) == StampReply(ok=False, payload=b"")
+    assert witness.stamp_queue is None
 
 
 def test_predicate_file(tmp_path, capsys):

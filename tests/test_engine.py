@@ -613,9 +613,12 @@ def test_view_change_votes_activate():
     secrets = [3, 4, 5, 6]
     roster = make_toy_roster(secrets)
     rng = random.Random(11)
-    node = make_node(3, roster, secrets)
+    node = make_node(1, roster, secrets)  # leads view 1
+    due = engine.RoundConfig(round_number=5, branching=3)
+    assert node.round_due(due, b"due", 0.0, patience=2.0) == [
+        engine.SetTimer(("progress", 0, 5), 2.0)]
     votes = []
-    for signer in (0, 1, 2):
+    for signer in (2, 3, 0):
         kp = KeyPair.from_secret(TOY, secrets[signer])
         sig = schnorr_sign(kp, view_vote_statement(roster, 1), rng)
         votes.append(ViewChange(proposed_view=1, signer=signer, signature=sig))
@@ -624,8 +627,77 @@ def test_view_change_votes_activate():
     assert node.current_view == 0  # two votes are below 2f+1 = 3
     effects = node.handle_message(votes[2], 0.0)
     assert node.current_view == 1
-    assert any(isinstance(e, engine.ViewActivated) and e.leader == 1
-               for e in effects)
+    # the round due starts at once, with view 0's leader counted as failed
+    assert [(e.dest, e.msg.view, e.msg.round, e.msg.failed, e.msg.statement)
+            for e in effects if isinstance(e, Send)] == [
+        (d, 1, 5, frozenset({0}), b"due") for d in (2, 3)]
+
+
+def test_progress_timer_votes_only_without_round_state():
+    secrets = [3, 4, 5, 6]
+    roster = make_toy_roster(secrets)
+    due = engine.RoundConfig(round_number=0, branching=3)
+    stalled, served = make_node(3, roster, secrets), make_node(3, roster, secrets)
+    for node in (stalled, served):
+        assert node.round_due(due, b"s", 0.0, patience=2.0) == [
+            engine.SetTimer(("progress", 0, 0), 2.0)]
+    served.handle_message(announce_for(roster, branching=3), 0.5)
+    assert served.on_timer(("progress", 0, 0), 2.0) == []
+    assert served.current_view == 0 and served.view_votes == {}
+    effects = stalled.on_timer(("progress", 0, 0), 2.0)
+    assert [(e.dest, e.msg.proposed_view, e.msg.signer) for e in effects] == [
+        (0, 1, 3), (1, 1, 3), (2, 1, 3)]
+    assert list(stalled.view_votes[1]) == [3]
+    stalled.current_view = 1  # a timer from a superseded view never votes
+    assert stalled.on_timer(("progress", 0, 0), 3.0) == []
+
+
+def test_leader_of_a_wrapped_view_keeps_itself_out_of_its_failed_set():
+    secrets = [3, 4, 5, 6]
+    roster = make_toy_roster(secrets)
+    node = make_node(1, roster, secrets)
+    node.current_view = 5  # views 0-4 were led by 0, 1, 2, 3 and 0
+    effects = node.round_due(engine.RoundConfig(round_number=0, branching=3), b"s",
+                             0.0, patience=2.0)
+    [done] = [e.result for e in effects if isinstance(e, engine.RoundDone)]
+    assert done.ok and done.view == 5
+    assert done.failed == frozenset({0, 2, 3})
+    assert done.signature.participation.response_present == frozenset({1})
+
+
+def _messages_sent(monkeypatch, cfg):
+    sent = []
+    transmit = simnet.VirtualNet.transmit
+
+    def recording(net, src, dst, size, depart, deliver, *args):
+        sent.append(args[-1])
+        transmit(net, src, dst, size, depart, deliver, *args)
+
+    monkeypatch.setattr(simnet.VirtualNet, "transmit", recording)
+    return simnet.run_sim_detailed(cfg), sent
+
+
+def test_live_leader_keeps_view_zero_with_view_change_on(monkeypatch):
+    cfg = SimConfig(seed=31, n=16, branching=3, scheme="cosi", rounds=3, view_change=True)
+    out, sent = _messages_sent(monkeypatch, cfg)
+    assert [(r.ok, r.view, r.attempts) for r in out.results] == [(True, 0, 1)] * 3
+    assert all(n.current_view == 0 for n in out.nodes)
+    assert not any(isinstance(msg, ViewChange) for msg in sent)
+    plain = simnet.run_sim(replace(cfg, view_change=False))
+    assert [(m.latency, m.total_msgs, m.total_bytes_sent) for m in out.metrics] == [
+        (m.latency, m.total_msgs, m.total_bytes_sent) for m in plain]
+
+
+def test_crashed_leader_replaced_once_for_later_rounds(monkeypatch):
+    cfg = SimConfig(seed=7, n=64, branching=4, scheme="cosi", rounds=3, view_change=True,
+                    failures=(FailureAction(0, "announce", "crash"),))
+    out, sent = _messages_sent(monkeypatch, cfg)
+    assert [(r.ok, r.view, r.attempts) for r in out.results] == [(True, 1, 1)] * 3
+    assert all(r.failed == frozenset({0}) for r in out.results)
+    votes = [msg for msg in sent if isinstance(msg, ViewChange)]
+    assert {v.proposed_view for v in votes} == {1} and len(votes) == 63 * 63  # dead 0 too
+    # rounds 2 and 3 run in view 1 from the start: no timeout, no restart
+    assert [m.total_msgs for m in out.metrics[1:]] == [248, 248]
 
 
 def test_activation_drops_vote_tables_up_to_the_new_view():
@@ -642,7 +714,8 @@ def test_activation_drops_vote_tables_up_to_the_new_view():
 
     for view, signer in ((1, 0), (2, 0), (3, 0), (2, 1), (1, 1)):
         assert vote(view, signer) == []
-    assert vote(2, 2) == [engine.ViewActivated(view=2, leader=2)]
+    assert vote(2, 2) == []  # no round is due at node 3, so nothing starts
+    assert node.current_view == 2
     assert sorted(node.view_votes) == [3]
     assert vote(1, 2) == []  # at or below the current view: rejected on arrival
     assert sorted(node.view_votes) == [3]

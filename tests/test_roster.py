@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -24,6 +25,7 @@ from cosikit.roster import (
     ProvenKey,
     RosterEntry,
     RosterError,
+    WitnessRoster,
     build_key_tree,
     build_roster,
     change_threshold,
@@ -88,6 +90,21 @@ def test_roster_file_roundtrip(tmp_path, toy_rng):
     obj = json.loads(path.read_text())
     assert set(obj) == {"version", "leader", "group", "entries"}
     assert set(obj["entries"][0]) >= {"id-hex", "key-hex", "proof-hex", "weight"}
+
+
+def test_roster_digest_serialises_once(monkeypatch):
+    roster = make_toy_roster([3, 4, 5])
+    calls = []
+    canonical_bytes = WitnessRoster.canonical_bytes
+
+    def counting(self):
+        calls.append(self)
+        return canonical_bytes(self)
+
+    monkeypatch.setattr(WitnessRoster, "canonical_bytes", counting)
+    digests = {roster.digest() for _ in range(5)}
+    assert digests == {hashlib.sha256(canonical_bytes(roster)).digest()}
+    assert calls == [roster]
 
 
 def test_roster_json_rejects_bad_proof(toy_rng):

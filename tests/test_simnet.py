@@ -153,6 +153,13 @@ def test_config_from_obj_and_sweep(tmp_path):
     assert all(c.seed == 5 for c in configs)
 
 
+def test_config_from_obj_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown sweep keys: brancing, grop"):
+        config_from_obj({"brancing": 8, "grop": "prod"})
+    with pytest.raises(ValueError, match="unknown sweep keys: sed"):
+        config_from_obj({"n": 4}, {"sed": 3})
+
+
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError):
         SimConfig(scheme="bogus")
