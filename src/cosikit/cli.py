@@ -171,11 +171,12 @@ class NodeRuntime:
             while (frame := await _read_frame_async(reader)) is not None:
                 msg = decode_frame_body(frame, self.group, len(self.roster))
                 if isinstance(msg, StampRequest):
+                    if self.stamp_queue is None:  # not serving timestamps
+                        writer.write(encode_message(StampReply(ok=False, payload=b""),
+                                                    self.group))
+                        return
                     # hold the connection open for the round's reply
                     self._stamp_conns.setdefault(msg.digest, []).append(writer)
-                    if self.stamp_queue is None:  # not serving timestamps
-                        self.reply_stamp(msg.digest, b"", ok=False)
-                        return
                     self.stamp_queue.append(msg.digest)
                     while await asyncio.wait_for(reader.read(4096), 300):
                         pass

@@ -14,11 +14,11 @@ response timer fires, then checks them together with one
 the liars. In no-restart mode a direct contributor with contributors of its
 own is checked on arrival instead, since rejecting it bridges them.
 
-View change is the node's own policy. When a round is due (`round_due`), the
-view's leader starts it and every other node arms a progress timer; a node
-still in that view with no state for the round when it fires votes for the
-next view. The node that activates a view it leads starts the round due, with
-every superseded view's leader counted as failed.
+View change is the node's own policy (`round_due`): the view's leader starts
+a round due, and every other node arms a progress timer that outlasts a live
+leader's recovery around dead interior nodes; a node still in that view with
+no state for the round when it fires votes. On activating a view, a node
+treats the round as due afresh.
 
 Nodes are purely reactive: they consume one message or timer event at a time
 and return effects (messages to send, timers to arm, round results). The
@@ -613,8 +613,9 @@ class SigningNode:
         self.hook_store: dict = {}
 
         self.current_view = 0
-        self._due: Optional[tuple] = None  # (config, statement) of the round due
+        self._due: Optional[Callable[[float], list]] = None  # round_due again, at a time
         self.view_votes: dict[int, dict[int, Signature]] = {}
+        self._view_voters: frozenset = frozenset()  # whose votes activated the view
         self.rounds: dict[tuple, _RoundState] = {}
         # (view, round, attempt, nonce value, challenge value) for audits
         self.nonce_log: list[tuple] = []
@@ -644,25 +645,36 @@ class SigningNode:
 
     def round_due(self, config: RoundConfig, statement, now: float,
                   patience: float) -> list:
-        """The leader starts the round; any other node arms a progress timer
-        that votes for the next view after `patience` seconds if the round
-        has not reached it by then."""
+        """The leader starts the round; any other node arms a progress timer to
+        vote if the round has not reached it. The timer waits `patience`, and
+        no less than a live leader needs to reach a node behind dead interior
+        nodes: a root commit budget per restart (no-restart: the root's and a
+        level's per nested bridging), then a hop per level."""
         if self.is_leader():
             return self.start_round(config, statement, now)
-        self._due = (config, statement)
+        self._due = lambda at: self.round_due(config, statement, at, patience)
+        leader = view_leader(self.roster, self.current_view)
+        height = tree_for(len(self.roster), config.branching, leader).height(leader)
+        if height > 1:  # in a shallower tree the leader announces to every witness
+            levels = (config.max_restarts * (height + 1) if config.mode == MODE_RESTART
+                      else 2 * height - 1)
+            patience = max(patience, levels * config.timeout_base
+                           + height * config.rtt_hint)
         return [SetTimer(("progress", self.current_view, config.round_number), patience)]
 
     def start_round(self, config: RoundConfig, statement, now: float) -> list:
         """Begin a signing round in the current view. `statement` is bytes, or
         a zero-argument callable for challenge-phase (late-bound) statements.
-        Every superseded view's leader counts as failed; views wrap around
-        the roster, so this node may be one of them, and is left out."""
+        Every superseded view's leader counts as failed, except this node
+        (views wrap around the roster) and any whose view-change vote this
+        node holds: a deposed leader that votes is alive."""
         if not self.is_leader():
             raise EngineError(f"node {self.index} does not lead view {self.current_view}")
         self._due = None
         superseded = range(min(self.current_view, len(self.roster)))
+        alive = self._view_voters.union(*self.view_votes.values()) | {self.index}
         self._round_failed_base = frozenset(view_leader(self.roster, v)
-                                            for v in superseded) - {self.index}
+                                            for v in superseded) - alive
         self._round_refused: frozenset = frozenset()
         self._round_statement_src = statement
         return self._start_attempt(config, 0, self._round_failed_base, now)
@@ -690,9 +702,7 @@ class SigningNode:
         self._trim_round_state()
         effects = self._begin_participation(st, now)
         announce = self._announce(st)
-        for child in st.topology.children[self.index]:
-            effects.append(Send(child, announce))
-        return effects
+        return effects + [Send(child, announce) for child in st.topology.children[self.index]]
 
     def _materialize_statement(self) -> bytes:
         src = self._round_statement_src
@@ -757,23 +767,15 @@ class SigningNode:
         st.nonce = self.group.random_scalar(self.rng)
         st.own_commit = self.group.generator ** st.nonce
         st.pending_commit = set(st.topology.children[self.index])
-        effects: list = []
         if not st.pending_commit:
-            effects.extend(self._finalize_commit(st, now))
-        else:
-            effects.append(SetTimer(("commit",) + st.key, self._wait_budget(st)))
-        return effects
+            return self._finalize_commit(st, now)
+        return [SetTimer(("commit",) + st.key, self._wait_budget(st))]
 
     def _finalize_commit(self, st: _RoundState, now: float) -> list:
-        contributors = sorted(st.records)
-        st.contributors = contributors
-        leaf = commit_leaf_digest(st.own_commit)
-        if contributors:
-            st.inputs = [leaf] + [st.records[c].tree_hash for c in contributors]
-            st.tree_hash = commit_node_digest(st.inputs)
-        else:
-            st.inputs = [leaf]
-            st.tree_hash = leaf
+        contributors = st.contributors = sorted(st.records)
+        st.inputs = ([commit_leaf_digest(st.own_commit)]
+                     + [st.records[c].tree_hash for c in contributors])
+        st.tree_hash = commit_node_digest(st.inputs) if contributors else st.inputs[0]
         agg = st.own_commit
         participants = {self.index}
         for c in contributors:
@@ -881,12 +883,9 @@ class SigningNode:
             if not self.hook(msg.statement, self._ctx(now)):
                 st.phase = PHASE_REFUSED
                 return self._refuse(st, st.parent, REFUSE_STATEMENT)
-        effects = []
         announce_down = replace(msg, sender=self.index)
-        for child in topo.children[self.index]:
-            effects.append(Send(child, announce_down))
-        effects.extend(self._begin_participation(st, now))
-        return effects
+        return ([Send(child, announce_down) for child in topo.children[self.index]]
+                + self._begin_participation(st, now))
 
     # -- commit collection --
 
@@ -1017,11 +1016,9 @@ class SigningNode:
         st.pending_resp = set(st.contributors)
         if not st.pending_resp:
             return self._finalize_response(st, now)
-        effects = []
-        for child in st.contributors:
-            effects.append(Send(child, self._challenge(st, (self._step_for(st, child),))))
-        effects.append(SetTimer(("response",) + st.key, self._wait_budget(st)))
-        return effects
+        return [Send(child, self._challenge(st, (self._step_for(st, child),)))
+                for child in st.contributors] + [
+            SetTimer(("response",) + st.key, self._wait_budget(st))]
 
     # -- response collection --
 
@@ -1099,8 +1096,7 @@ class SigningNode:
         leaves nothing pending."""
         if st.pending_resp:
             return []
-        effects = self._settle_held(st)
-        return effects + self._finalize_response(st, now)
+        return self._settle_held(st) + self._finalize_response(st, now)
 
     def _anchor_steps_for(self, st: _RoundState, child: int) -> tuple[CommitStep, ...]:
         """Steps that lift a digest anchored at `child` up to this node's hash."""
@@ -1192,8 +1188,7 @@ class SigningNode:
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
         st.phase = PHASE_DONE
-        own_share = multisig.response_share(st.nonce, st.challenge, self.keypair.secret)
-        total = own_share
+        total = multisig.response_share(st.nonce, st.challenge, self.keypair.secret)
         for share in st.resp_shares.values():
             total = total + share
         if st.parent is None:
@@ -1332,9 +1327,9 @@ class SigningNode:
         # Views activate on reaching the threshold, so only this one can newly
         # reach it, and tables at or below it are never read again.
         view = self.current_view = msg.proposed_view
+        self._view_voters = frozenset(votes)
         self.view_votes = {v: vs for v, vs in self.view_votes.items() if v > view}
-        leader = view_leader(self.roster, view)
-        logger.info("node %d activates view %d (leader %d)", self.index, view, leader)
-        if leader == self.index and self._due is not None:
-            return self.start_round(*self._due, now)
-        return []
+        logger.info("node %d activates view %d (leader %d)", self.index, view,
+                    view_leader(self.roster, view))
+        # the round due is due afresh in this view
+        return [] if self._due is None else self._due(now)

@@ -618,16 +618,17 @@ def test_view_change_votes_activate():
     assert node.round_due(due, b"due", 0.0, patience=2.0) == [
         engine.SetTimer(("progress", 0, 5), 2.0)]
     votes = []
-    for signer in (2, 3, 0):
+    for signer in (2, 3):
         kp = KeyPair.from_secret(TOY, secrets[signer])
         sig = schnorr_sign(kp, view_vote_statement(roster, 1), rng)
         votes.append(ViewChange(proposed_view=1, signer=signer, signature=sig))
-    assert node.handle_message(votes[0], 0.0) == []
-    assert node.handle_message(votes[1], 0.0) == []
+    assert all(isinstance(e, Send) for e in node.on_timer(("progress", 0, 5), 2.0))
+    assert node.handle_message(votes[0], 2.1) == []
     assert node.current_view == 0  # two votes are below 2f+1 = 3
-    effects = node.handle_message(votes[2], 0.0)
+    effects = node.handle_message(votes[1], 2.1)
     assert node.current_view == 1
-    # the round due starts at once, with view 0's leader counted as failed
+    # the round due starts at once, with view 0's leader, who did not vote,
+    # counted as failed
     assert [(e.dest, e.msg.view, e.msg.round, e.msg.failed, e.msg.statement)
             for e in effects if isinstance(e, Send)] == [
         (d, 1, 5, frozenset({0}), b"due") for d in (2, 3)]
@@ -655,14 +656,68 @@ def test_progress_timer_votes_only_without_round_state():
 def test_leader_of_a_wrapped_view_keeps_itself_out_of_its_failed_set():
     secrets = [3, 4, 5, 6]
     roster = make_toy_roster(secrets)
+    rng = random.Random(16)
     node = make_node(1, roster, secrets)
-    node.current_view = 5  # views 0-4 were led by 0, 1, 2, 3 and 0
-    effects = node.round_due(engine.RoundConfig(round_number=0, branching=3), b"s",
-                             0.0, patience=2.0)
-    [done] = [e.result for e in effects if isinstance(e, engine.RoundDone)]
-    assert done.ok and done.view == 5
-    assert done.failed == frozenset({0, 2, 3})
-    assert done.signature.participation.response_present == frozenset({1})
+    node.current_view = 4  # views 0-3 were led by 0, 1, 2 and 3; view 4 by 0
+    node.round_due(engine.RoundConfig(round_number=0, branching=3), b"s", 0.0,
+                   patience=2.0)
+    node.on_timer(("progress", 4, 0), 2.0)  # its own vote for view 5
+    effects = []
+    for signer in (0, 2):  # two deposed leaders that are alive, since they vote
+        kp = KeyPair.from_secret(TOY, secrets[signer])
+        sig = schnorr_sign(kp, view_vote_statement(roster, 5), rng)
+        effects = node.handle_message(ViewChange(proposed_view=5, signer=signer,
+                                                 signature=sig), 2.1)
+    assert node.current_view == 5 and node.is_leader()
+    # only view 3's silent leader is left out, and never node 1 itself
+    assert [(e.dest, e.msg.view, e.msg.failed) for e in effects
+            if isinstance(e, Send)] == [(0, 5, frozenset({3})), (2, 5, frozenset({3}))]
+
+
+def test_progress_timer_waits_out_the_leaders_recovery():
+    """Behind dead interior nodes a witness hears of the round only once the
+    leader routes around them, so its timer outlasts that: N=16, B=3 is a
+    tree of height 3 with a 0.8 s budget per level."""
+    node = simnet.CosiSim(SimConfig(n=16, branching=3, scheme="cosi")).nodes[5]
+    waits = [node.round_due(engine.RoundConfig(round_number=0, branching=3, mode=mode,
+                                               max_restarts=restarts), b"s", 0.0,
+                            patience=2.0)[0].delay
+             for mode, restarts in ((MODE_RESTART, 2), (MODE_RESTART, 0),
+                                    (MODE_NO_RESTART, 2))]
+    # two restarts of 4 levels' budget; none; the root's and two nested
+    # bridgings' budgets; each with a hop per level
+    assert waits == pytest.approx([2 * 3.2 + 0.6, 2.0, 4.0 + 0.6])
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+@pytest.mark.parametrize("n, branching, dark", [
+    (16, 3, (1, 2, 3)),  # 12 of 16 cut off, more than the 2f+1 = 11 that change view
+    (15, 2, (1, 3)),  # 3 under 1: two restarts, or two nested bridgings
+])
+def test_dark_interior_nodes_leave_the_view_alone(monkeypatch, mode, n, branching, dark):
+    """Witnesses behind dark interior nodes are cut off from a live leader
+    until it routes around them; they wait for that and do not vote."""
+    cfg = SimConfig(seed=32, n=n, branching=branching, scheme="cosi", rounds=3, mode=mode,
+                    view_change=True,
+                    failures=tuple(FailureAction(i, "announce", "crash") for i in dark))
+    out, sent = _messages_sent(monkeypatch, cfg)
+    assert [(r.ok, r.view) for r in out.results] == [(True, 0)] * 3
+    assert not any(isinstance(msg, ViewChange) for msg in sent)
+    plain = simnet.run_sim(replace(cfg, view_change=False))
+    assert [(m.latency, m.total_msgs, m.total_bytes_sent) for m in out.metrics] == [
+        (m.latency, m.total_msgs, m.total_bytes_sent) for m in plain]
+
+
+def test_dead_leader_of_the_next_view_is_replaced_in_the_same_round():
+    """Nodes 0 and 1 lead views 0 and 1 and are both dark: a node that
+    activates view 1 waits for its round afresh and votes again, so round 0
+    signs in view 2."""
+    cfg = SimConfig(seed=5, n=7, branching=2, scheme="cosi", rounds=2, view_change=True,
+                    failures=(FailureAction(0, "announce", "crash"),
+                              FailureAction(1, "announce", "crash")))
+    out = simnet.run_sim_detailed(cfg)
+    assert [(r.ok, r.view, r.attempts, r.failed) for r in out.results] == [
+        (True, 2, 1, frozenset({0, 1}))] * 2
 
 
 def _messages_sent(monkeypatch, cfg):
