@@ -6,7 +6,11 @@ node count duplicates its last node. Proof steps record which side the
 sibling sits on, so the leaf index is fully determined by the path and
 composed proofs (sub-tree proof followed by outer-tree proof) remain plain
 concatenations. A tree proves one leaf (`prove`) or all of them in leaf
-order from one walk (`proofs`), as a timestamp round does.
+order from one walk (`proofs`), as a timestamp round does. That walk joins
+every leaf's path bytes into one list, then `InclusionProof._bulk` turns the
+list into proofs in place: each is allocated bare and its one slot filled
+through the slot's descriptor, skipping the frozen `__init__` per proof. The
+results are the same frozen dataclass instances `InclusionProof(data)` makes.
 """
 
 from __future__ import annotations
@@ -88,6 +92,19 @@ class InclusionProof:
             raise ValueError("bad audit step side")
         return cls(data)
 
+    @classmethod
+    def _bulk(cls, items: list) -> list["InclusionProof"]:
+        """`items[i] = cls(items[i])` for every i, without the frozen
+        `__init__`: the slot is set through its descriptor, which the frozen
+        `__setattr__` does not guard. In place, so no second list of the
+        proofs' size is held; returns `items`."""
+        new, set_data = object.__new__, cls.data.__set__
+        for i, data in enumerate(items):
+            proof = new(cls)
+            set_data(proof, data)
+            items[i] = proof
+        return items
+
 
 def fold_proof(leaf_digest: bytes, proof: InclusionProof) -> bytes:
     """Recompute the root implied by a leaf digest and an audit path."""
@@ -125,7 +142,11 @@ class DigestTree:
         for d in digests:
             if len(d) != DIGEST_SIZE:
                 raise ValueError("digest tree leaves must be digests")
-        self.leaf_count = len(digests)
+        self._build(list(digests))
+
+    def _build(self, level: list[bytes]) -> None:
+        """Hash the levels above `level`, a list of digests it may extend."""
+        self.leaf_count = len(level)
         # _steps[k][j]: side byte and digest of node j of level k, as its
         # sibling's audit step (a left child sits on its sibling's left)
         self._steps: list[list[bytes]] = []
@@ -133,12 +154,17 @@ class DigestTree:
             self.root = empty_tree_root()
             self._count = b"\x00\x00"
             return
-        level = list(digests)
+        sha256, tag = hashlib.sha256, TAG_MERKLE_NODE
+        left_side, right_side = _SIDE_BYTE
         while len(level) > 1:
             if len(level) % 2 == 1:
                 level.append(level[-1])
-            self._steps.append([_SIDE_BYTE[j & 1] + d for j, d in enumerate(level)])
-            level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
+            lefts, rights = level[0::2], level[1::2]
+            steps = [b""] * len(level)
+            steps[0::2] = [left_side + d for d in lefts]
+            steps[1::2] = [right_side + d for d in rights]
+            self._steps.append(steps)
+            level = [sha256(tag + left + right).digest() for left, right in zip(lefts, rights)]
         self.root = level[0]
         self._count = len(self._steps).to_bytes(2, "big")
 
@@ -151,11 +177,12 @@ class DigestTree:
     def proofs(self) -> list[InclusionProof]:
         """Every leaf's proof, in leaf order, equal to `prove(i)` for each i.
 
-        One walk over the leaves keeps, per level k, the current leaf's path
-        from level k up to the root. Leaf i's node changes only on the levels
-        up to the lowest set bit of i, so only those suffixes are rebuilt:
-        each node's suffix is concatenated once, and the walk holds O(depth)
-        bytes strings besides its result.
+        One walk over the leaf pairs (the level-1 nodes) keeps, per level
+        k >= 1, the current pair's path from level k up to the root. Pair m's
+        node changes only on the levels up to one above the lowest set bit of
+        m, so only those suffixes are rebuilt: each node's suffix is
+        concatenated once, and the walk holds O(depth) bytes strings besides
+        its result. Both leaves of a pair end in the same suffix.
         """
         steps, count = self._steps, self._count
         depth = len(steps)
@@ -163,14 +190,17 @@ class DigestTree:
             return [InclusionProof(count)] * self.leaf_count
         suffix = [b""] * (depth + 1)  # suffix[depth] is the root's empty path
         bottom = steps[0]
-        out = []
-        for i in range(self.leaf_count):
-            k = (i & -i).bit_length() - 1 if i else depth - 1
+        paths = []
+        for m in range((self.leaf_count + 1) // 2):
+            k = (m & -m).bit_length() if m else depth - 1
             while k > 0:
-                suffix[k] = steps[k][(i >> k) ^ 1] + suffix[k + 1]
+                suffix[k] = steps[k][(m >> (k - 1)) ^ 1] + suffix[k + 1]
                 k -= 1
-            out.append(InclusionProof(count + bottom[i ^ 1] + suffix[1]))
-        return out
+            up = suffix[1]
+            paths.append(count + bottom[2 * m + 1] + up)
+            paths.append(count + bottom[2 * m] + up)
+        del paths[self.leaf_count:]  # the path of an odd leaf count's duplicate
+        return InclusionProof._bulk(paths)
 
 
 class MerkleTree(DigestTree):
@@ -178,7 +208,9 @@ class MerkleTree(DigestTree):
     over their leaf hashes."""
 
     def __init__(self, leaves: list[bytes]):
-        super().__init__([leaf_hash(leaf) for leaf in leaves])
+        # Leaf hashes are digests by construction: no length check.
+        sha256, tag = hashlib.sha256, TAG_MERKLE_LEAF
+        self._build([sha256(tag + leaf).digest() for leaf in leaves])
 
     # Bound on this class too, so that MerkleTree.prove can be wrapped (as
     # perfbench's tracer does) without touching DigestTree.prove.

@@ -16,6 +16,7 @@ import hashlib
 import threading
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from . import merkle, multisig
@@ -90,9 +91,9 @@ class StampReceipt:
     proof: InclusionProof
 
     def to_bytes(self) -> bytes:
-        proof = self.proof.encode()
-        return (self.record._receipt_head(self.signature)
-                + len(proof).to_bytes(4, "big") + proof)
+        proof = self.proof.data  # the proof's wire form
+        return b"".join((self.record._receipt_head(self.signature),
+                         len(proof).to_bytes(4, "big"), proof))
 
     @classmethod
     def from_bytes(cls, data: bytes, witness_count: int) -> "StampReceipt":
@@ -106,6 +107,22 @@ class StampReceipt:
             raise TimestampError("trailing bytes in receipt")
         return cls(record=record, signature=signature, proof=proof)
 
+    @classmethod
+    def _bulk(cls, record: TimestampRecord, signature: CollectiveSignature,
+              proofs: list[InclusionProof]) -> list["StampReceipt"]:
+        """`[cls(record, signature, p) for p in proofs]` without the frozen
+        `__init__`: each receipt is allocated bare and its slots set through
+        their descriptors, which the frozen `__setattr__` does not guard."""
+        receipts = list(map(object.__new__, repeat(cls, len(proofs))))
+        set_record = cls.record.__set__
+        set_signature = cls.signature.__set__
+        set_proof = cls.proof.__set__
+        for receipt, proof in zip(receipts, proofs):
+            set_record(receipt, record)
+            set_signature(receipt, signature)
+            set_proof(receipt, proof)
+        return receipts
+
 
 def _check_hash(digest: bytes) -> bytes:
     if len(digest) != 32:
@@ -118,7 +135,8 @@ class TimestampAuthority:
 
     `signer` runs one signing round over the serialized record with a
     late-bound statement and returns the collective signature (or raises /
-    returns None on round failure, in which case tickets are retained).
+    returns None on round failure, in which case the batch is retained and
+    goes ahead of any hash submitted since).
     """
 
     def __init__(self, signer: Callable[[bytes], Optional[CollectiveSignature]]):
@@ -129,12 +147,12 @@ class TimestampAuthority:
         self.prev_hash = GENESIS_HASH
         self.records: list[TimestampRecord] = []
 
-    def submit(self, digest: bytes) -> int:
-        """Queue a hash; the ticket is its position in the upcoming round."""
-        digest = _check_hash(digest)
+    def submit(self, digest: bytes) -> None:
+        """Queue a hash for the next round that closes."""
+        if len(digest) != 32:
+            raise TimestampError("submitted hashes must be 32 bytes")
         with self._lock:
             self._queue.append(digest)
-            return len(self._queue) - 1
 
     def drop_pending(self) -> list[bytes]:
         """Empties the queue, a failed round's retained batch included, and
@@ -152,8 +170,9 @@ class TimestampAuthority:
         """Swap the queue, sign this round's record, and build receipts.
 
         Every audit path comes from one walk over the tree (`proofs`), and
-        the receipts share the record and signature, so encoding them builds
-        their common head once."""
+        the receipts, built in bulk, share the record and signature, so
+        encoding them builds their common head once. A repeated hash maps to
+        the receipt of its last position."""
         with self._lock:
             batch, self._queue = self._queue, []
         tree = MerkleTree(batch)
@@ -176,9 +195,8 @@ class TimestampAuthority:
         self.next_round += 1
         self.prev_hash = record.record_hash()
         self.records.append(record)
-        receipts = {digest: StampReceipt(record, signature, proof)
-                    for digest, proof in zip(batch, tree.proofs())}
-        return record, receipts
+        receipts = StampReceipt._bulk(record, signature, tree.proofs())
+        return record, dict(zip(batch, receipts))
 
 
 def verify_receipt(cert: AuthorityCertificate | WitnessRoster, digest: bytes,

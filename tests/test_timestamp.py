@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -6,7 +7,7 @@ import pytest
 from conftest import assert_cuts_rejected, make_toy_roster, manual_round
 
 from cosikit import merkle
-from cosikit.merkle import empty_tree_root, leaf_hash
+from cosikit.merkle import InclusionProof, MerkleTree, empty_tree_root, leaf_hash
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.timestamp import (
@@ -130,6 +131,41 @@ def test_receipts_of_interleaved_batches_encode_field_by_field(authority_env):
         assert StampReceipt.from_bytes(blob, 3).to_bytes() == blob
 
 
+def assert_frozen(obj):
+    for field in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, field.name, getattr(obj, field.name))
+
+
+BULK_BATCHES = {
+    **{f"distinct-{size}": [h(b"bulk/%d/%d" % (size, i)) for i in range(size)]
+       for size in (1, 2, 3, 7, 64, 1000)},
+    "repeated": [h(b"a"), h(b"b"), h(b"a"), h(b"c"), h(b"b"), h(b"a"), h(b"d")],
+}
+
+
+@pytest.mark.parametrize("batch", list(BULK_BATCHES.values()), ids=list(BULK_BATCHES))
+def test_bulk_built_receipts_match_constructed_ones(authority_env, batch):
+    _, authority = authority_env
+    for d in batch:
+        authority.submit(d)
+    record, receipts = authority.round_close(clock=540.0)
+    tree = MerkleTree(batch)
+    last = {d: i for i, d in enumerate(batch)}  # a repeated hash keeps its last leaf
+    assert list(receipts) == list(dict.fromkeys(batch))
+    signature = receipts[batch[0]].signature
+    for d, i in last.items():
+        receipt, proof = receipts[d], tree.prove(i)
+        built = StampReceipt(record, signature, proof)
+        assert type(receipt) is StampReceipt and type(receipt.proof) is InclusionProof
+        assert receipt == built and hash(receipt) == hash(built)
+        assert repr(receipt) == repr(built)
+        assert receipt.proof == proof and hash(receipt.proof) == hash(proof)
+        assert receipt.record is record and receipt.signature is signature
+        assert_frozen(receipt)
+        assert_frozen(receipt.proof)
+
+
 def test_empty_round(authority_env):
     roster, authority = authority_env
     record, receipts = authority.round_close(clock=502.0)
@@ -200,6 +236,33 @@ def test_signer_exception_chained_and_batch_requeued():
     assert info.value.__cause__ is boom
     assert authority.pending_count == 1
     assert authority.next_round == 1
+
+
+def test_hash_submitted_during_a_failed_round_follows_the_retained_batch():
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    batch = [h(b"first"), h(b"second"), h(b"third")]
+    late = h(b"submitted while signing")
+    state = {"fail": True}
+
+    def signer(statement: bytes):
+        if state["fail"]:
+            state["late_submit"] = authority.submit(late)
+            return None
+        return manual_round(roster, secrets, statement, rng=random.Random(8))
+
+    authority = TimestampAuthority(signer)
+    for d in batch:
+        assert authority.submit(d) is None
+    with pytest.raises(TimestampError):
+        authority.round_close(clock=508.0)
+    assert state["late_submit"] is None
+    assert authority.pending_count == 4
+    state["fail"] = False
+    record, receipts = authority.round_close(clock=509.0)
+    assert record.merkle_root == MerkleTree(batch + [late]).root
+    assert [receipts[d].proof.leaf_index for d in batch + [late]] == [0, 1, 2, 3]
+    assert verify_receipt(roster, late, receipts[late], Threshold(3)).ok
 
 
 def test_receipt_rejected_against_wrong_round(authority_env):
