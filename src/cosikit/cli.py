@@ -23,6 +23,7 @@ import random
 import socket
 import sys
 import time
+from dataclasses import replace
 
 from . import engine, multisig, simnet, timestamp
 from .engine import (
@@ -499,8 +500,7 @@ def cmd_stamp_verify(args) -> int:
 def cmd_simulate(args) -> int:
     configs = simnet.load_sweep(args.sweep)
     if args.seed is not None:
-        configs = [simnet.SimConfig(**{**cfg.__dict__, "seed": args.seed})
-                   for cfg in configs]
+        configs = [replace(cfg, seed=args.seed) for cfg in configs]
     all_metrics = []
     for cfg in configs:
         all_metrics.extend(simnet.run_sim(cfg))

@@ -15,10 +15,10 @@ the liars. In no-restart mode a direct contributor with contributors of its
 own is checked on arrival instead, since rejecting it bridges them.
 
 View change is the node's own policy (`round_due`): the view's leader starts
-a round due, and every other node arms a progress timer that outlasts a live
-leader's recovery around dead interior nodes; a node still in that view with
-no state for the round when it fires votes. On activating a view, a node
-treats the round as due afresh.
+a round due, and every other node arms a progress timer that waits
+`PROGRESS_PATIENCE` and outlasts a live leader's recovery around dead interior
+nodes; a node still in that view with no state for the round when it fires
+votes. On activating a view, a node treats the round as due afresh.
 
 Nodes are purely reactive: they consume one message or timer event at a time
 and return effects (messages to send, timers to arm, round results). The
@@ -64,6 +64,13 @@ STATEMENT_AT_CHALLENGE = 1
 # first: at branching 16, enough for every child and for the children of
 # three dead ones it bridges to.
 SUBTREE_KEY_MEMO = 64
+
+# Rounds' states a node keeps (`SigningNode.rounds`), oldest dropped first.
+ROUND_STATES_KEPT = 16
+
+# Seconds a non-leader waits for a due round to reach it before it votes for
+# the next view, when the tree leaves the leader no longer recovery to make.
+PROGRESS_PATIENCE = 2.0
 
 PHASE_COMMIT = "commit"
 PHASE_RESPONSE = "response"
@@ -151,21 +158,20 @@ def chain_record(seq: int, prev_hash: bytes, payload: bytes) -> bytes:
     return seq.to_bytes(8, "big") + prev_hash + payload
 
 
-# Hook factories by policy name; each takes the clock skew that the
-# timestamp-window policy allows.
-HOOKS: dict[str, Callable[[float], Callable]] = {
-    "accept-all": lambda skew: accept_all,
+# Hook factories by policy name
+HOOKS: dict[str, Callable[[], Callable]] = {
+    "accept-all": lambda: accept_all,
     "timestamp-window": make_timestamp_window_hook,
-    "hash-chain": lambda skew: make_hash_chain_hook(),
+    "hash-chain": make_hash_chain_hook,
 }
 
 
-def make_validation_hook(policy: str, skew: float = 60.0):
+def make_validation_hook(policy: str):
     """A fresh hook for the policy registered under `policy` in `HOOKS`."""
     factory = HOOKS.get(policy)
     if factory is None:
         raise ValueError(f"unknown validation policy {policy!r}")
-    return factory(skew)
+    return factory()
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +209,8 @@ def _read_flag(group, raw: bytes) -> bool:
 
 # The one empty index set, shared by every message and record that names
 # nobody, as most absence, failure and refusal sets do: each fresh empty
-# frozenset takes 216 bytes, and a node keeps 16 rounds of records.
+# frozenset takes 216 bytes, and a node keeps `ROUND_STATES_KEPT` rounds of
+# records.
 _NOBODY: frozenset[int] = frozenset()
 
 
@@ -529,9 +536,6 @@ class _RoundState:
     key: tuple  # (view, round, attempt)
     config: RoundConfig
     topology: TreeTopology
-    mode: int
-    timing: int
-    timeout_base: float
     parent: Optional[int]  # None at the leader
     statement: Optional[bytes] = None
     phase: str = PHASE_COMMIT
@@ -632,27 +636,28 @@ class SigningNode:
     def is_leader(self) -> bool:
         return view_leader(self.roster, self.current_view) == self.index
 
-    def _trim_round_state(self, keep: int = 16) -> None:
-        while len(self.rounds) > keep:
+    def _trim_round_state(self) -> None:
+        while len(self.rounds) > ROUND_STATES_KEPT:
             del self.rounds[min(self.rounds)]
 
     def _wait_budget(self, st: _RoundState) -> float:
-        return st.timeout_base * (st.topology.height(self.index) + 1)
+        return st.config.timeout_base * (st.topology.height(self.index) + 1)
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
 
-    def round_due(self, config: RoundConfig, statement, now: float,
-                  patience: float) -> list:
+    def round_due(self, config: RoundConfig, statement, now: float) -> list:
         """The leader starts the round; any other node arms a progress timer to
-        vote if the round has not reached it. The timer waits `patience`, and
-        no less than a live leader needs to reach a node behind dead interior
-        nodes: a root commit budget per restart (no-restart: the root's and a
-        level's per nested bridging), then a hop per level."""
+        vote if the round has not reached it. The timer waits
+        `PROGRESS_PATIENCE`, and no less than a live leader needs to reach a
+        node behind dead interior nodes: a root commit budget per restart
+        (no-restart: the root's and a level's per nested bridging), then a hop
+        per level."""
         if self.is_leader():
             return self.start_round(config, statement, now)
-        self._due = lambda at: self.round_due(config, statement, at, patience)
+        self._due = lambda at: self.round_due(config, statement, at)
+        patience = PROGRESS_PATIENCE
         leader = view_leader(self.roster, self.current_view)
         height = tree_for(len(self.roster), config.branching, leader).height(leader)
         if height > 1:  # in a shallower tree the leader announces to every witness
@@ -693,11 +698,8 @@ class SigningNode:
         statement = None
         if config.statement_timing == STATEMENT_AT_ANNOUNCE:
             statement = self._materialize_statement()
-        st = _RoundState(
-            key=key, config=config, topology=topo, mode=config.mode,
-            timing=config.statement_timing, timeout_base=config.timeout_base,
-            parent=None, statement=statement,
-        )
+        st = _RoundState(key=key, config=config, topology=topo, parent=None,
+                         statement=statement)
         self.rounds[key] = st
         self._trim_round_state()
         effects = self._begin_participation(st, now)
@@ -723,24 +725,26 @@ class SigningNode:
     # ------------------------------------------------------------------
 
     def _announce(self, st: _RoundState) -> Announce:
+        config = st.config
+        timing = config.statement_timing
         return Announce(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], mode=st.mode,
-            timing=st.timing, branching=st.config.branching,
-            timeout_ms=int(st.timeout_base * 1000),
+            view=st.key[0], round=st.key[1], attempt=st.key[2], mode=config.mode,
+            timing=timing, branching=config.branching,
+            timeout_ms=int(config.timeout_base * 1000),
             topology_digest=st.topology.digest(), failed=st.topology.absent,
             sender=self.index,
-            statement=st.statement if st.timing == STATEMENT_AT_ANNOUNCE else None,
+            statement=st.statement if timing == STATEMENT_AT_ANNOUNCE else None,
         )
 
     def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...]) -> Challenge:
         """The challenge for a node placed by `steps` below this one. Audit
         paths fold bottom-up: `steps` lift the recipient's hash to ours, then
         our own received path continues to the root."""
+        late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
         return Challenge(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             challenge=st.challenge, aggregate_commit=st.global_commit,
-            commit_root=st.commit_root,
-            statement=st.statement if st.timing == STATEMENT_AT_CHALLENGE else None,
+            commit_root=st.commit_root, statement=st.statement if late else None,
             proof=CommitTreeProof(steps + st.proof.steps),
         )
 
@@ -869,14 +873,12 @@ class SigningNode:
             return []
         if self.index in msg.failed or self.index not in topo.members:
             return []
-        st = _RoundState(
-            key=key, config=RoundConfig(round_number=msg.round, mode=msg.mode,
-                                        statement_timing=msg.timing,
-                                        branching=msg.branching),
-            topology=topo, mode=msg.mode, timing=msg.timing,
-            timeout_base=msg.timeout_ms / 1000.0,
-            parent=msg.sender, statement=msg.statement,
-        )
+        # timeout_base, 4 * rtt_hint, comes out exactly timeout_ms / 1000
+        config = RoundConfig(round_number=msg.round, mode=msg.mode,
+                             statement_timing=msg.timing, branching=msg.branching,
+                             rtt_hint=msg.timeout_ms / 4000)
+        st = _RoundState(key=key, config=config, topology=topo, parent=msg.sender,
+                         statement=msg.statement)
         self.rounds[key] = st
         self._trim_round_state()
         if msg.statement is not None and msg.timing == STATEMENT_AT_ANNOUNCE:
@@ -946,14 +948,14 @@ class SigningNode:
         st.absent.add(child)
         effects: list = []
         grandchildren = st.topology.children[child]
-        if st.mode == MODE_NO_RESTART and grandchildren:
+        if st.config.mode == MODE_NO_RESTART and grandchildren:
             # Bridge the gap: announce directly to the dead child's children.
             announce = self._announce(st)
             for g in grandchildren:
                 st.pending_commit.add(g)
                 effects.append(Send(g, announce))
-            effects.append(SetTimer(("commit",) + st.key, st.timeout_base))
-        elif st.mode == MODE_RESTART and grandchildren:
+            effects.append(SetTimer(("commit",) + st.key, st.config.timeout_base))
+        elif st.config.mode == MODE_RESTART and grandchildren:
             # The subtree is lost for this attempt; the restart will re-attach it.
             st.absent |= st.topology.descendants(child)
         if not st.pending_commit:
@@ -984,10 +986,11 @@ class SigningNode:
                         "discarded", self.index, st.key)
             return []
 
-        statement = msg.statement if st.timing == STATEMENT_AT_CHALLENGE else st.statement
+        late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
+        statement = msg.statement if late else st.statement
         if statement is None:
             return []
-        if st.timing == STATEMENT_AT_CHALLENGE:
+        if late:
             if not self.hook(statement, self._ctx(now)):
                 st.phase = PHASE_REFUSED
                 return self._refuse(st, msg.sender, REFUSE_STATEMENT)
@@ -995,8 +998,9 @@ class SigningNode:
 
         # In either mode, answer only the challenge that the validated statement
         # implies; in no-restart mode our own commit must also reach the root.
-        root = msg.commit_root if st.mode == MODE_NO_RESTART else None
-        if st.mode == MODE_NO_RESTART and root is None:
+        no_restart = st.config.mode == MODE_NO_RESTART
+        root = msg.commit_root if no_restart else None
+        if no_restart and root is None:
             return []
         expect = multisig.collective_challenge(msg.aggregate_commit, statement, root)
         if expect.value != msg.challenge.value or (
@@ -1027,7 +1031,7 @@ class SigningNode:
             return []
         if not self._reports_below_sender(st, msg):
             return []
-        if st.mode == MODE_RESTART and (msg.absent or msg.failed):
+        if st.config.mode == MODE_RESTART and (msg.absent or msg.failed):
             # The attempt is already doomed; a partial missing subtree shares
             # cannot check out against the full subtree commit, so just record
             # the failure report and let the leader restart.
@@ -1041,7 +1045,7 @@ class SigningNode:
         if rec is None:
             return []
         partial = self._check_partial(st, rec, msg)
-        if partial is not None and st.mode == MODE_NO_RESTART and rec.contributors \
+        if partial is not None and st.config.mode == MODE_NO_RESTART and rec.contributors \
                 and msg.sender in st.records:
             # Rejecting it bridges its contributors, which should not wait
             # for its siblings: check it on arrival, not in the batch.
@@ -1145,7 +1149,7 @@ class SigningNode:
         The caller answers once nothing is pending (`_responses_done`)."""
         st.pending_resp.discard(child)
         effects: list = []
-        if st.mode == MODE_RESTART:
+        if st.config.mode == MODE_RESTART:
             if crashed:
                 st.failed.add(child)
             st.resp_absent |= st.topology.descendants(child) & st.participants
@@ -1167,7 +1171,7 @@ class SigningNode:
                 effects.append(Send(s, self._challenge(
                     st, (rec.step_for(s), self._step_for(st, child)))))
             if rec.contributors:
-                effects.append(SetTimer(("response",) + st.key, st.timeout_base))
+                effects.append(SetTimer(("response",) + st.key, st.config.timeout_base))
         else:
             # A bridged grandchild we only know through a summary.
             summary = st.below.get(child)
@@ -1233,13 +1237,13 @@ class SigningNode:
     def _leader_after_commit(self, st: _RoundState, now: float) -> list:
         if st.nonce is None:
             return self._fail(st, "nonce discarded for a newer session")
-        if st.mode == MODE_RESTART and (st.failed or st.refused):
+        if st.config.mode == MODE_RESTART and (st.failed or st.refused):
             return self._restart_or_fail(st, now, "witness failure during commit phase")
         if len(st.participants) < st.config.min_participants:
             return self._fail(st, "participation below leader threshold")
-        if st.timing == STATEMENT_AT_CHALLENGE and st.statement is None:
+        if st.config.statement_timing == STATEMENT_AT_CHALLENGE and st.statement is None:
             st.statement = self._materialize_statement()
-        root = st.tree_hash if st.mode == MODE_NO_RESTART else None
+        root = st.tree_hash if st.config.mode == MODE_NO_RESTART else None
         st.challenge = multisig.collective_challenge(st.aggregate_commit, st.statement,
                                                      root)
         st.commit_root = root
@@ -1263,10 +1267,10 @@ class SigningNode:
 
     def _leader_after_response(self, st: _RoundState, total: Scalar, now: float) -> list:
         config = st.config
-        if st.mode == MODE_RESTART and (st.resp_absent or st.failed or st.refused):
+        if st.config.mode == MODE_RESTART and (st.resp_absent or st.failed or st.refused):
             return self._restart_or_fail(st, now, "witness failure during response phase")
         if st.unresolvable:
-            if st.mode == MODE_RESTART:
+            if st.config.mode == MODE_RESTART:
                 return self._restart_or_fail(st, now, st.unresolvable)
             return self._fail(st, st.unresolvable)
         response_present = st.participants - st.resp_absent
@@ -1277,7 +1281,7 @@ class SigningNode:
                                 commit_present=st.participants)
         exceptions = tuple(sorted(st.exceptions, key=lambda e: e.index))
         sig = CollectiveSignature(
-            group=self.group, mode=st.mode, challenge=st.challenge, response=total,
+            group=self.group, mode=st.config.mode, challenge=st.challenge, response=total,
             participation=pset, commit_root=st.commit_root, exceptions=exceptions,
         )
         check = multisig.verify_collective(self.roster, st.statement, sig,

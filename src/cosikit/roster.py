@@ -164,7 +164,6 @@ class KeyTree:
     def __init__(self, roster: WitnessRoster):
         self._tree = merkle.MerkleTree([e.key.public.encode() for e in roster.entries])
         self.root = self._tree.root
-        self.size = len(roster)
 
     def prove_key(self, index: int) -> merkle.InclusionProof:
         return self._tree.prove(index)
@@ -195,7 +194,6 @@ class CompactAnchor:
 
 @dataclass(frozen=True)
 class AuthorityCertificate:
-    authority_key: SelfSignedKey
     roster: WitnessRoster | None = None
     compact: CompactAnchor | None = None
 
@@ -213,10 +211,7 @@ class AuthorityCertificate:
 
 
 def full_certificate(roster: WitnessRoster) -> AuthorityCertificate:
-    return AuthorityCertificate(
-        authority_key=roster.entries[roster.leader_index].key,
-        roster=roster,
-    )
+    return AuthorityCertificate(roster=roster)
 
 
 def compact_certificate(roster: WitnessRoster) -> AuthorityCertificate:
@@ -227,10 +222,7 @@ def compact_certificate(roster: WitnessRoster) -> AuthorityCertificate:
         key_tree_root=tree.root,
         witness_count=len(roster),
     )
-    return AuthorityCertificate(
-        authority_key=roster.entries[roster.leader_index].key,
-        compact=anchor,
-    )
+    return AuthorityCertificate(compact=anchor)
 
 
 @dataclass(frozen=True)

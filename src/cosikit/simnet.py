@@ -2,8 +2,9 @@
 
 Hosts the engine's state machines (cosi scheme) and three baseline signing
 schemes (naive, ntree, jvss) under a virtual clock, a constant-RTT link
-model, and an abstract compute-cost model (units per exponentiation /
-verification mapped to simulated seconds). A seed fully determines a run,
+model (`SimConfig.rtt`), and a fixed compute-cost model: `EXP_UNITS` per
+exponentiation and `VERIFY_UNITS` per verification, each unit
+`SECONDS_PER_UNIT` of simulated time. A seed fully determines a run,
 including every emitted byte of the CSV report.
 """
 
@@ -13,7 +14,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import engine, vss
 from .engine import (
@@ -44,14 +45,9 @@ from .roster import RosterEntry, WitnessRoster, build_roster
 from .topology import tree_for
 
 
-@dataclass(frozen=True)
-class ComputeModel:
-    exp_units: int = 1  # one abstract unit per group exponentiation
-    verify_units: int = 2  # a signature verification costs two exponentiations
-    seconds_per_unit: float = 50e-6
-
-    def seconds(self, units: int) -> float:
-        return units * self.seconds_per_unit
+EXP_UNITS = 1  # one abstract unit per group exponentiation
+VERIFY_UNITS = 2  # a signature verification costs two exponentiations
+SECONDS_PER_UNIT = 50e-6  # simulated seconds per unit
 
 
 @dataclass(frozen=True)
@@ -72,8 +68,6 @@ class SimConfig:
     branching: int = 2
     scheme: str = "cosi"
     rounds: int = 1
-    rtt: float = 0.2
-    compute: ComputeModel = ComputeModel()
     group_name: str = "toy"
     mode: int = MODE_RESTART
     statement_timing: int = engine.STATEMENT_AT_ANNOUNCE
@@ -82,15 +76,16 @@ class SimConfig:
     failures: tuple[FailureAction, ...] = ()
     statement: Optional[bytes] = None
     validation_policy: str = "accept-all"
-    policy_skew: float = 60.0
     view_change: bool = False
-    progress_timeout: float = 2.0
-    jvss_threshold: Optional[int] = None
-    start_time: float = 1_000_000.0
+
+    rtt: ClassVar[float] = 0.2  # seconds, on every link
+    start_time: ClassVar[float] = 1_000_000.0  # the virtual clock's first reading
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.validation_policy not in engine.HOOKS:
+            raise ValueError(f"unknown validation policy {self.validation_policy!r}")
         if self.n < 1:
             raise ValueError("need at least one node")
         for f in self.failures:
@@ -178,10 +173,9 @@ class SimOutput:
 # ---------------------------------------------------------------------------
 
 class VirtualNet:
-    def __init__(self, n: int, rtt: float, compute: ComputeModel, start_time: float):
+    def __init__(self, n: int, rtt: float, start_time: float):
         self.n = n
         self.one_way = rtt / 2.0
-        self.compute = compute
         self.now = start_time
         self.busy = [start_time] * n
         self.heap: list = []
@@ -204,7 +198,7 @@ class VirtualNet:
     def process(self, node: int, units: int) -> float:
         """Serialize `units` of compute on `node`; returns the completion time."""
         start = max(self.now, self.busy[node])
-        done = start + self.compute.seconds(units)
+        done = start + units * SECONDS_PER_UNIT
         self.busy[node] = done
         self.metrics[node].compute_units += units
         return done
@@ -259,12 +253,11 @@ class CosiSim:
         rng = random.Random(cfg.seed)
         self.roster, keys = _build_roster(cfg, rng)
         self.group = cfg.group
-        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.compute, cfg.start_time)
+        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
         self.nodes = [
             SigningNode(i, self.roster, keys[i],
                         random.Random(rng.getrandbits(64)),
-                        validation_hook=engine.make_validation_hook(
-                            cfg.validation_policy, cfg.policy_skew))
+                        validation_hook=engine.make_validation_hook(cfg.validation_policy))
             for i in range(cfg.n)
         ]
         self.crashed: set[int] = set()
@@ -295,11 +288,11 @@ class CosiSim:
             if key in self.charged_announce:
                 return 0
             self.charged_announce.add(key)
-            return self.cfg.compute.exp_units
+            return EXP_UNITS
         if isinstance(msg, Response):
-            return self.cfg.compute.verify_units
+            return VERIFY_UNITS
         if isinstance(msg, ViewChange):
-            return self.cfg.compute.verify_units
+            return VERIFY_UNITS
         return 0
 
     def _deliver(self, dst: int, msg) -> None:
@@ -320,7 +313,7 @@ class CosiSim:
             elif isinstance(eff, SetTimer):
                 self.net.schedule(when + eff.delay, self._timer, src, eff.key)
             elif isinstance(eff, RoundDone):
-                done = self.net.process(src, self.cfg.compute.verify_units)
+                done = self.net.process(src, VERIFY_UNITS)
                 self.round_result = eff.result
                 self.round_done_at = done
 
@@ -351,9 +344,8 @@ class CosiSim:
             return
         when = self.net.now
         if self.nodes[node].is_leader():
-            when = self.net.process(node, self.cfg.compute.exp_units)
-        self._apply(node, self.nodes[node].round_due(config, statement, when,
-                                                      self.cfg.progress_timeout), when)
+            when = self.net.process(node, EXP_UNITS)
+        self._apply(node, self.nodes[node].round_due(config, statement, when), when)
 
     # -- rounds --
 
@@ -400,7 +392,7 @@ class NaiveSim:
         rng = random.Random(cfg.seed)
         self.roster, self.keys = _build_roster(cfg, rng)
         self.rngs = [random.Random(rng.getrandbits(64)) for _ in range(cfg.n)]
-        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.compute, cfg.start_time)
+        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, list[Signature]]:
         cfg = self.cfg
@@ -411,13 +403,13 @@ class NaiveSim:
         req_size = 9 + len(statement)
 
         def witness_reply(i: int) -> None:
-            done = self.net.process(i, cfg.compute.exp_units)
+            done = self.net.process(i, EXP_UNITS)
             sig = schnorr_sign(self.keys[i], statement, self.rngs[i])
             size = 9 + 4 + len(sig.encode())
             self.net.transmit(i, 0, size, done, leader_collect, i, sig)
 
         def leader_collect(i: int, sig: Signature) -> None:
-            self.net.process(0, cfg.compute.verify_units)
+            self.net.process(0, VERIFY_UNITS)
             verified.append(schnorr_verify(self.keys[i].public, statement, sig))
             sigs[i] = sig
 
@@ -439,7 +431,7 @@ class NTreeSim:
         rng = random.Random(cfg.seed)
         self.roster, self.keys = _build_roster(cfg, rng)
         self.rngs = [random.Random(rng.getrandbits(64)) for _ in range(cfg.n)]
-        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.compute, cfg.start_time)
+        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
         self.topology = tree_for(cfg.n, cfg.branching, 0)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, list[Signature]]:
@@ -454,7 +446,7 @@ class NTreeSim:
         final: list = []
 
         def announce(i: int) -> None:
-            done = self.net.process(i, cfg.compute.exp_units)
+            done = self.net.process(i, EXP_UNITS)
             for c in topo.children[i]:
                 self.net.transmit(i, c, req_size, done, announce, c)
             if pending[i] == 0:
@@ -473,7 +465,7 @@ class NTreeSim:
             self.net.transmit(i, parent, size, when, on_subtree, parent, i, entry)
 
         def on_subtree(parent: int, child: int, entry: list) -> None:
-            done = self.net.process(parent, cfg.compute.verify_units * len(entry))
+            done = self.net.process(parent, VERIFY_UNITS * len(entry))
             for j, s in entry:
                 if not schnorr_verify(self.keys[j].public, statement, s):
                     raise RuntimeError("ntree subtree signature failed")
@@ -501,13 +493,10 @@ class JvssSim:
         rng = random.Random(cfg.seed)
         self.group = cfg.group
         n = cfg.n
-        t = cfg.jvss_threshold
-        if t is None:
-            t = max(1, min(n // 3, self.group.order - 2))
-        self.t = min(t, n - 1)
+        self.t = min(max(1, min(n // 3, self.group.order - 2)), n - 1)
         self.rng = rng
         self.states = vss.jvss_setup(self.group, n, self.t, rng)
-        self.net = VirtualNet(n, cfg.rtt, cfg.compute, cfg.start_time)
+        self.net = VirtualNet(n, cfg.rtt, cfg.start_time)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, Signature]:
         """The signature comes from `vss.jvss_sign_round`; the events below
@@ -525,7 +514,7 @@ class JvssSim:
         result: list[Signature] = []
 
         def kickoff(i: int) -> None:
-            done = self.net.process(i, cfg.compute.exp_units * (t + 1))
+            done = self.net.process(i, EXP_UNITS * (t + 1))
             for j in range(n):
                 if j == i:
                     accept_share(i, done)
@@ -533,7 +522,7 @@ class JvssSim:
                     self.net.transmit(i, j, share_size, done, on_share, j)
 
         def on_share(j: int) -> None:
-            accept_share(j, self.net.process(j, cfg.compute.exp_units * (t + 2)))
+            accept_share(j, self.net.process(j, EXP_UNITS * (t + 2)))
 
         def accept_share(j: int, when: float) -> None:
             have[j] += 1
@@ -549,7 +538,7 @@ class JvssSim:
                 return
             seen_points.add(vss.share_point(j, q))
             if len(seen_points) == t + 1:
-                self.net.process(0, cfg.compute.verify_units)
+                self.net.process(0, VERIFY_UNITS)
                 result.append(sig)
 
         announce_size = 9 + len(statement)
@@ -617,24 +606,24 @@ def emit_report(metrics: list[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PLAIN_KEYS = ("seed", "n", "branching", "scheme", "rounds", "rtt", "max_restarts",
-               "min_participants", "validation_policy", "policy_skew", "view_change",
-               "progress_timeout", "jvss_threshold", "start_time")
+_PLAIN_KEYS = ("seed", "n", "branching", "scheme", "rounds", "max_restarts",
+               "min_participants", "validation_policy", "view_change")
 
 
 def config_from_obj(obj: dict, defaults: dict | None = None) -> SimConfig:
     merged = dict(defaults or {})
     merged.update(obj)
-    unknown = sorted(set(merged) - set(_PLAIN_KEYS) - {"group", "mode", "compute", "statement"})
+    unknown = sorted(set(merged) - set(_PLAIN_KEYS) - {"group", "mode", "statement"})
     if unknown:
         raise ValueError(f"unknown sweep keys: {', '.join(unknown)}")
     kwargs = {key: merged[key] for key in _PLAIN_KEYS if key in merged}
     if "group" in merged:
         kwargs["group_name"] = merged["group"]
     if "mode" in merged:
+        if merged["mode"] not in MODE_NAMES:
+            raise ValueError(f"unknown mode {merged['mode']!r}; known modes: "
+                             f"{', '.join(MODE_NAMES)}")
         kwargs["mode"] = MODE_NAMES[merged["mode"]]
-    if "compute" in merged:
-        kwargs["compute"] = ComputeModel(**merged["compute"])
     if "statement" in merged:
         kwargs["statement"] = merged["statement"].encode()
     return SimConfig(**kwargs)

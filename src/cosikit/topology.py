@@ -153,8 +153,9 @@ def tree_for(size: int, branching: int, leader_index: int = 0,
     return _tree_for(size, branching, leader_index, frozenset(failed))
 
 
-# One signing attempt derives one key and a node keeps at most 16 rounds, so
-# 64 entries cover every tree in use; errors raise out and are not cached.
+# One signing attempt derives one key and a node keeps at most 16 rounds
+# (`engine.ROUND_STATES_KEPT`), so 64 entries cover every tree in use;
+# errors raise out and are not cached.
 @lru_cache(maxsize=64)
 def _tree_for(size: int, branching: int, leader_index: int,
               failed: frozenset[int]) -> TreeTopology:

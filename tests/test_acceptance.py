@@ -227,15 +227,14 @@ def test_criterion_08_view_change():
 def test_criterion_09_backdating_defense():
     """A leader proposing a record 2*delta in the past cannot gather a
     2f+1 threshold from witnesses running the timestamp-window check."""
-    delta = 60.0
-    start = 1_000_000.0
+    delta = 60.0  # the timestamp-window hook's skew
+    start = 1_000_000.0  # SimConfig.start_time, the simulator's first clock reading
     bad_record = TimestampRecord(round_number=1, wall_time=int(start - 2 * delta),
                                  merkle_root=b"\x11" * 32,
                                  prev_record_hash=GENESIS_HASH)
     cfg = SimConfig(seed=900, n=4, branching=3, scheme="cosi",
                     statement=bad_record.pack(),
-                    validation_policy="timestamp-window", policy_skew=delta,
-                    min_participants=3, start_time=start)
+                    validation_policy="timestamp-window", min_participants=3)
     out = simnet.run_sim_detailed(cfg)
     result = out.results[0]
     assert not result.ok
@@ -247,8 +246,7 @@ def test_criterion_09_backdating_defense():
     ok_out = simnet.run_sim_detailed(
         SimConfig(seed=900, n=4, branching=3, scheme="cosi",
                   statement=good_record.pack(),
-                  validation_policy="timestamp-window", policy_skew=delta,
-                  min_participants=3, start_time=start))
+                  validation_policy="timestamp-window", min_participants=3))
     assert ok_out.results[0].ok
     report("9 back-dating defense", "3 honest witnesses refused; round failed")
 

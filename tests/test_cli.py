@@ -147,6 +147,44 @@ def test_simulate_deterministic(tmp_path):
     assert len(lines) == 1 + 3
 
 
+def test_simulate_seed_overrides_every_entry(tmp_path, monkeypatch):
+    """`--seed` reaches every entry, over a default and an entry's own seed,
+    and leaves the rest of each entry as the sweep wrote it."""
+    entries = [{"scheme": "cosi", "n": 8, "branching": 2, "mode": "norestart",
+                "statement": "s", "view_change": True},
+               {"scheme": "jvss", "n": 6, "seed": 4}]
+    overridden, written = tmp_path / "overridden.json", tmp_path / "written.json"
+    overridden.write_text(json.dumps({"defaults": {"seed": 3}, "entries": entries}))
+    written.write_text(json.dumps({"entries": [{**e, "seed": 11} for e in entries]}))
+    run = []
+    run_sim = cli.simnet.run_sim
+    monkeypatch.setattr(cli.simnet, "run_sim", lambda cfg: run.append(cfg) or run_sim(cfg))
+    out = {}
+    for name, sweep, extra in (("overridden", overridden, ["--seed", "11"]),
+                               ("written", written, [])):
+        path = tmp_path / f"{name}.csv"
+        assert main(["simulate", "--sweep", str(sweep), "--out", str(path), *extra]) == 0
+        out[name] = path.read_bytes()
+    assert run[:2] == run[2:] == cli.simnet.load_sweep(str(written))
+    assert [cfg.seed for cfg in run] == [11] * 4
+    assert out["overridden"] == out["written"]
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({"group": "bogus"}, "unknown group 'bogus'"),
+    ({"mode": "bogus"}, "unknown mode 'bogus'"),
+    ({"validation_policy": "bogus"}, "unknown validation policy 'bogus'"),
+    ({"rtt": 0.2}, "unknown sweep keys: rtt"),
+])
+def test_simulate_rejects_a_bad_sweep_entry(tmp_path, capsys, entry, message):
+    """A bad sweep entry is named on an `error:` line with exit code 3, not
+    raised, which would exit 1, the code for a failed verification."""
+    sweep = tmp_path / "sweep.json"
+    sweep.write_text(json.dumps({"entries": [{"scheme": "naive", "n": 4, **entry}]}))
+    assert main(["simulate", "--sweep", str(sweep)]) == cli.EXIT_PROTOCOL
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 @pytest.fixture
 def cli_process(tmp_path):
     """Starts `python -m cosikit.cli <args>` as a child process and waits

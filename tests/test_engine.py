@@ -78,6 +78,30 @@ def test_interior_witness_waits_for_children():
     assert not any(isinstance(s.msg, Commit) for s in sends)
 
 
+def test_witness_bridges_with_the_announced_timeout():
+    """A witness times its phases by the announce it received: bridging past
+    a dead child, it re-announces the leader's timeout_ms and waits that long
+    for the grandchild's commit, whatever its own defaults."""
+    secrets = list(range(1, 9))
+    roster = make_toy_roster(secrets)  # 0 -> 1, 2; 1 -> 3, 4; 3 -> 7
+    nodes = [make_node(i, roster, secrets) for i in range(8)]
+    config = engine.RoundConfig(round_number=0, mode=MODE_NO_RESTART, branching=2,
+                                rtt_hint=0.0123)
+    announce = next(e.msg for e in nodes[0].start_round(config, b"s", 0.0)
+                    if isinstance(e, Send) and e.dest == 1)
+    assert announce.timeout_ms == 49
+    forwarded = {e.dest: e.msg for e in nodes[1].handle_message(announce, 0.0)
+                 if isinstance(e, Send)}
+    assert sorted(forwarded) == [3, 4]
+    [commit] = nodes[4].handle_message(forwarded[4], 0.0)
+    assert nodes[1].handle_message(commit.msg, 0.0) == []
+    effects = nodes[1].on_timer(("commit", 0, 0, 0), 1.0)  # 3 never commits
+    assert [(e.dest, e.msg.sender, e.msg.timeout_ms) for e in effects
+            if isinstance(e, Send)] == [(7, 1, announce.timeout_ms)]
+    assert [e for e in effects if isinstance(e, engine.SetTimer)] == [
+        engine.SetTimer(("commit", 0, 0, 0), announce.timeout_ms / 1000)]
+
+
 def test_challenge_before_commit_is_ignored():
     secrets = [1, 2, 3, 4, 5, 6, 7]
     roster = make_toy_roster(secrets)
@@ -615,7 +639,7 @@ def test_view_change_votes_activate():
     rng = random.Random(11)
     node = make_node(1, roster, secrets)  # leads view 1
     due = engine.RoundConfig(round_number=5, branching=3)
-    assert node.round_due(due, b"due", 0.0, patience=2.0) == [
+    assert node.round_due(due, b"due", 0.0) == [
         engine.SetTimer(("progress", 0, 5), 2.0)]
     votes = []
     for signer in (2, 3):
@@ -640,7 +664,7 @@ def test_progress_timer_votes_only_without_round_state():
     due = engine.RoundConfig(round_number=0, branching=3)
     stalled, served = make_node(3, roster, secrets), make_node(3, roster, secrets)
     for node in (stalled, served):
-        assert node.round_due(due, b"s", 0.0, patience=2.0) == [
+        assert node.round_due(due, b"s", 0.0) == [
             engine.SetTimer(("progress", 0, 0), 2.0)]
     served.handle_message(announce_for(roster, branching=3), 0.5)
     assert served.on_timer(("progress", 0, 0), 2.0) == []
@@ -659,8 +683,7 @@ def test_leader_of_a_wrapped_view_keeps_itself_out_of_its_failed_set():
     rng = random.Random(16)
     node = make_node(1, roster, secrets)
     node.current_view = 4  # views 0-3 were led by 0, 1, 2 and 3; view 4 by 0
-    node.round_due(engine.RoundConfig(round_number=0, branching=3), b"s", 0.0,
-                   patience=2.0)
+    node.round_due(engine.RoundConfig(round_number=0, branching=3), b"s", 0.0)
     node.on_timer(("progress", 4, 0), 2.0)  # its own vote for view 5
     effects = []
     for signer in (0, 2):  # two deposed leaders that are alive, since they vote
@@ -680,8 +703,7 @@ def test_progress_timer_waits_out_the_leaders_recovery():
     tree of height 3 with a 0.8 s budget per level."""
     node = simnet.CosiSim(SimConfig(n=16, branching=3, scheme="cosi")).nodes[5]
     waits = [node.round_due(engine.RoundConfig(round_number=0, branching=3, mode=mode,
-                                               max_restarts=restarts), b"s", 0.0,
-                            patience=2.0)[0].delay
+                                               max_restarts=restarts), b"s", 0.0)[0].delay
              for mode, restarts in ((MODE_RESTART, 2), (MODE_RESTART, 0),
                                     (MODE_NO_RESTART, 2))]
     # two restarts of 4 levels' budget; none; the root's and two nested

@@ -7,7 +7,6 @@ from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_messa
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.simnet import (
-    ComputeModel,
     FailureAction,
     SimConfig,
     config_from_obj,
@@ -33,7 +32,7 @@ def test_hand_trace_naive_three_nodes():
     cfg = SimConfig(seed=1, n=3, scheme="naive")
     m = run_sim(cfg)[0]
     assert m.outcome == "ok"
-    verify_cost = 3 * cfg.compute.verify_units * cfg.compute.seconds_per_unit
+    verify_cost = 3 * simnet.VERIFY_UNITS * simnet.SECONDS_PER_UNIT
     assert 0.200 < m.latency < 0.201 + verify_cost + 0.001
     # root exchanges a request/response pair with every witness, itself included
     assert m.nodes[0].msgs_sent == cfg.n + 1
@@ -88,7 +87,7 @@ def test_ntree_root_verifies_whole_tree():
     m = run_sim(cfg)[0]
     assert m.outcome == "ok"
     # root verifies all 30 descendants' signatures plus signs once
-    assert m.root_compute == 30 * cfg.compute.verify_units + cfg.compute.exp_units
+    assert m.root_compute == 30 * simnet.VERIFY_UNITS + simnet.EXP_UNITS
 
 
 def test_jvss_round_signature_and_quadratic_messages():
@@ -136,8 +135,8 @@ def test_leader_crash_without_view_change_reports_failure():
 
 
 def test_compute_model_mapping():
-    model = ComputeModel(exp_units=1, verify_units=2, seconds_per_unit=50e-6)
-    assert model.seconds(2) == pytest.approx(100e-6)
+    net = simnet.VirtualNet(1, SimConfig.rtt, SimConfig.start_time)
+    assert net.process(0, 2) - SimConfig.start_time == pytest.approx(100e-6)
 
 
 def test_config_from_obj_and_sweep(tmp_path):
@@ -158,6 +157,15 @@ def test_config_from_obj_rejects_unknown_keys():
         config_from_obj({"brancing": 8, "grop": "prod"})
     with pytest.raises(ValueError, match="unknown sweep keys: sed"):
         config_from_obj({"n": 4}, {"sed": 3})
+    with pytest.raises(ValueError,
+                       match="unknown mode 'bogus'; known modes: restart, norestart"):
+        config_from_obj({"mode": "bogus"})
+    # settings the simulator fixes, as constants, are not sweep keys
+    for key, value in (("rtt", 0.2), ("start_time", 1_000_000.0), ("compute", {}),
+                       ("progress_timeout", 2.0), ("jvss_threshold", None),
+                       ("policy_skew", 60.0)):
+        with pytest.raises(ValueError, match=f"unknown sweep keys: {key}$"):
+            config_from_obj({key: value})
 
 
 def test_unknown_scheme_rejected():
@@ -165,6 +173,8 @@ def test_unknown_scheme_rejected():
         SimConfig(scheme="bogus")
     with pytest.raises(ValueError):
         SimConfig(failures=(FailureAction(0, "weird", "crash"),))
+    with pytest.raises(ValueError, match="unknown validation policy 'bogus'"):
+        SimConfig(scheme="naive", validation_policy="bogus")
 
 
 def test_multi_round_metrics_independent():
