@@ -28,10 +28,10 @@ from .multisig import (
     MODE_RESTART,
     CollectiveSignature,
     CommitException,
+    CommitTree,
     adjust_key_for_absent,
     aggregate_elements,
     aggregate_public_key,
-    build_commit_tree,
     collective_challenge,
     response_share,
     verify_collective,

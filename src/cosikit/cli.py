@@ -217,12 +217,9 @@ class NodeRuntime:
     def _apply(self, effects: list) -> None:
         for eff in effects:
             if isinstance(eff, Send):
-                if eff.dest == self.node.index:
-                    self.loop.call_soon(self._react, self.node.handle_message, eff.msg)
-                else:
-                    task = self.loop.create_task(self._dial(eff.dest, eff.msg))
-                    self._dials.add(task)
-                    task.add_done_callback(self._dials.discard)
+                task = self.loop.create_task(self._dial(eff.dest, eff.msg))
+                self._dials.add(task)
+                task.add_done_callback(self._dials.discard)
             elif isinstance(eff, SetTimer):
                 self.loop.call_later(eff.delay, self._react, self.node.on_timer, eff.key)
             elif isinstance(eff, RoundDone):

@@ -6,7 +6,16 @@ collect responses, emit the signature); every node aggregates its subtree.
 Failure handling is mode-dependent: restart mode prunes failed witnesses and
 replays the round from phase 1, no-restart mode documents commit-phase
 dropouts in the participation set and response-phase dropouts as commit
-exceptions, bridging past dead interior nodes to their children.
+exceptions, bridging past dead interior nodes to their children with the
+announce that opened the round at the bridging node. A leader carries each
+round's statement and its failed and refused witnesses from attempt to
+attempt, so a round restarts with its own data however rounds overlap.
+
+A witness's one extension point is its statement validation hook,
+`hook(statement, now) -> bool`: it runs before the witness commits to an
+announced statement, or answers a challenge over a late-bound one, and a
+refusal sends `Refuse` and no response. `make_validation_hook` builds a fresh
+hook per node; a hook that keeps state keeps it in its closure.
 
 A node holds its children's partial responses until none is pending or its
 response timer fires, then checks them together with one
@@ -106,14 +115,7 @@ class RoundConfig:
 # Statement validation hooks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationContext:
-    now: float
-    node_index: int
-    store: dict
-
-
-def accept_all(statement: bytes, ctx: ValidationContext) -> bool:
+def accept_all(statement: bytes, now: float) -> bool:
     return True
 
 
@@ -121,14 +123,14 @@ def make_timestamp_window_hook(skew: float = 60.0):
     """Reject records whose wall-time strays more than `skew` seconds from
     this witness's clock."""
 
-    def hook(statement: bytes, ctx: ValidationContext) -> bool:
+    def hook(statement: bytes, now: float) -> bool:
         from .timestamp import unpack_record
 
         try:
             record = unpack_record(statement)
         except ValueError:
             return False
-        return abs(record.wall_time - ctx.now) <= skew
+        return abs(record.wall_time - now) <= skew
 
     return hook
 
@@ -137,18 +139,16 @@ def make_hash_chain_hook():
     """Accept sequence-numbered, hash-chained log records: the sequence must
     advance by exactly one and the previous-record hash must match this
     witness's head. Layout: seq (8, big-endian) | prev-hash (32) | payload."""
+    head, last_seq = b"\x00" * 32, 0
 
-    def hook(statement: bytes, ctx: ValidationContext) -> bool:
+    def hook(statement: bytes, now: float) -> bool:
+        nonlocal head, last_seq
         if len(statement) < 40:
             return False
         seq = int.from_bytes(statement[:8], "big")
-        prev = statement[8:40]
-        head = ctx.store.setdefault("chain_head", b"\x00" * 32)
-        last_seq = ctx.store.setdefault("chain_seq", 0)
-        if seq != last_seq + 1 or prev != head:
+        if seq != last_seq + 1 or statement[8:40] != head:
             return False
-        ctx.store["chain_seq"] = seq
-        ctx.store["chain_head"] = hashlib.sha256(statement).digest()
+        head, last_seq = hashlib.sha256(statement).digest(), seq
         return True
 
     return hook
@@ -532,6 +532,19 @@ class RoundResult:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class _Lead:
+    """What a leader carries from one attempt of a round to the next."""
+
+    statement: object  # bytes, or a zero-argument callable for a late-bound one
+    failed: frozenset  # left out of the next attempt: superseded leaders, and
+    # the witnesses that failed or refused so far
+    refused: frozenset = _NOBODY
+
+    def materialize(self) -> bytes:
+        return self.statement() if callable(self.statement) else self.statement
+
+
+@dataclass
 class _RoundState:
     key: tuple  # (view, round, attempt)
     config: RoundConfig
@@ -539,6 +552,8 @@ class _RoundState:
     parent: Optional[int]  # None at the leader
     statement: Optional[bytes] = None
     phase: str = PHASE_COMMIT
+    announce: Optional[Announce] = None  # as this node sent it (none at a leaf), to bridge
+    lead: Optional[_Lead] = None  # at the leader only
 
     nonce: Optional[Scalar] = None
     own_commit: Optional[GroupElement] = None
@@ -605,7 +620,7 @@ class SigningNode:
     """State machine for one roster member (leader and witness roles)."""
 
     def __init__(self, index: int, roster: WitnessRoster, keypair: KeyPair, rng,
-                 validation_hook: Callable[[bytes, ValidationContext], bool] | None = None):
+                 validation_hook: Callable[[bytes, float], bool] | None = None):
         if roster.public_key(index) != keypair.public:
             raise EngineError("keypair does not match the roster entry")
         self.index = index
@@ -614,7 +629,6 @@ class SigningNode:
         self.keypair = keypair
         self.rng = rng
         self.hook = validation_hook or accept_all
-        self.hook_store: dict = {}
 
         self.current_view = 0
         self._due: Optional[Callable[[float], list]] = None  # round_due again, at a time
@@ -629,9 +643,6 @@ class SigningNode:
         self.subtree_keys: dict[tuple, GroupElement] = {}
 
     # -- plumbing --
-
-    def _ctx(self, now: float) -> ValidationContext:
-        return ValidationContext(now=now, node_index=self.index, store=self.hook_store)
 
     def is_leader(self) -> bool:
         return view_leader(self.roster, self.current_view) == self.index
@@ -678,40 +689,37 @@ class SigningNode:
         self._due = None
         superseded = range(min(self.current_view, len(self.roster)))
         alive = self._view_voters.union(*self.view_votes.values()) | {self.index}
-        self._round_failed_base = frozenset(view_leader(self.roster, v)
-                                            for v in superseded) - alive
-        self._round_refused: frozenset = frozenset()
-        self._round_statement_src = statement
-        return self._start_attempt(config, 0, self._round_failed_base, now)
+        failed = frozenset(view_leader(self.roster, v) for v in superseded) - alive
+        return self._start_attempt(config, 0, _Lead(statement, failed), now)
 
-    def _start_attempt(self, config: RoundConfig, attempt: int,
-                       failed: frozenset, now: float) -> list:
+    def _start_attempt(self, config: RoundConfig, attempt: int, lead: _Lead,
+                       now: float) -> list:
         key = (self.current_view, config.round_number, attempt)
         try:
-            topo = tree_for(len(self.roster), config.branching, self.index, failed)
+            topo = tree_for(len(self.roster), config.branching, self.index, lead.failed)
         except LeaderFailedError:
             raise EngineError("leader cannot be in its own failure set")
         if len(topo.members) < config.min_participants:
             return [RoundDone(self._failure(config, attempt,
                                             "below minimum participation before start",
-                                            failed, self._round_refused))]
+                                            lead.failed, lead.refused))]
         statement = None
         if config.statement_timing == STATEMENT_AT_ANNOUNCE:
-            statement = self._materialize_statement()
+            statement = lead.materialize()
         st = _RoundState(key=key, config=config, topology=topo, parent=None,
-                         statement=statement)
+                         statement=statement, lead=lead)
         self.rounds[key] = st
         self._trim_round_state()
         effects = self._begin_participation(st, now)
-        announce = self._announce(st)
-        return effects + [Send(child, announce) for child in st.topology.children[self.index]]
-
-    def _materialize_statement(self) -> bytes:
-        src = self._round_statement_src
-        return src() if callable(src) else src
+        st.announce = Announce(
+            view=key[0], round=key[1], attempt=attempt, mode=config.mode,
+            timing=config.statement_timing, branching=config.branching,
+            timeout_ms=int(config.timeout_base * 1000), topology_digest=topo.digest(),
+            failed=topo.absent, sender=self.index, statement=statement)
+        return effects + [Send(child, st.announce) for child in topo.children[self.index]]
 
     def _failure(self, config: RoundConfig, attempts: int, reason: str,
-                 failed: frozenset, refused: frozenset = frozenset()) -> RoundResult:
+                 failed: frozenset, refused: frozenset) -> RoundResult:
         return RoundResult(ok=False, round=config.round_number, view=self.current_view,
                            attempts=attempts + 1, reason=reason,
                            failed=failed, refused=refused)
@@ -723,18 +731,6 @@ class SigningNode:
     # ------------------------------------------------------------------
     # Outgoing messages
     # ------------------------------------------------------------------
-
-    def _announce(self, st: _RoundState) -> Announce:
-        config = st.config
-        timing = config.statement_timing
-        return Announce(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], mode=config.mode,
-            timing=timing, branching=config.branching,
-            timeout_ms=int(config.timeout_base * 1000),
-            topology_digest=st.topology.digest(), failed=st.topology.absent,
-            sender=self.index,
-            statement=st.statement if timing == STATEMENT_AT_ANNOUNCE else None,
-        )
 
     def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...]) -> Challenge:
         """The challenge for a node placed by `steps` below this one. Audit
@@ -882,11 +878,13 @@ class SigningNode:
         self.rounds[key] = st
         self._trim_round_state()
         if msg.statement is not None and msg.timing == STATEMENT_AT_ANNOUNCE:
-            if not self.hook(msg.statement, self._ctx(now)):
+            if not self.hook(msg.statement, now):
                 st.phase = PHASE_REFUSED
                 return self._refuse(st, st.parent, REFUSE_STATEMENT)
-        announce_down = replace(msg, sender=self.index)
-        return ([Send(child, announce_down) for child in topo.children[self.index]]
+        children = topo.children[self.index]
+        if children:  # only a node with children forwards the announce, or bridges
+            st.announce = replace(msg, sender=self.index)
+        return ([Send(child, st.announce) for child in children]
                 + self._begin_participation(st, now))
 
     # -- commit collection --
@@ -950,10 +948,9 @@ class SigningNode:
         grandchildren = st.topology.children[child]
         if st.config.mode == MODE_NO_RESTART and grandchildren:
             # Bridge the gap: announce directly to the dead child's children.
-            announce = self._announce(st)
             for g in grandchildren:
                 st.pending_commit.add(g)
-                effects.append(Send(g, announce))
+                effects.append(Send(g, st.announce))
             effects.append(SetTimer(("commit",) + st.key, st.config.timeout_base))
         elif st.config.mode == MODE_RESTART and grandchildren:
             # The subtree is lost for this attempt; the restart will re-attach it.
@@ -991,7 +988,7 @@ class SigningNode:
         if statement is None:
             return []
         if late:
-            if not self.hook(statement, self._ctx(now)):
+            if not self.hook(statement, now):
                 st.phase = PHASE_REFUSED
                 return self._refuse(st, msg.sender, REFUSE_STATEMENT)
             st.statement = statement
@@ -1242,7 +1239,7 @@ class SigningNode:
         if len(st.participants) < st.config.min_participants:
             return self._fail(st, "participation below leader threshold")
         if st.config.statement_timing == STATEMENT_AT_CHALLENGE and st.statement is None:
-            st.statement = self._materialize_statement()
+            st.statement = st.lead.materialize()
         root = st.tree_hash if st.config.mode == MODE_NO_RESTART else None
         st.challenge = multisig.collective_challenge(st.aggregate_commit, st.statement,
                                                      root)
@@ -1252,18 +1249,16 @@ class SigningNode:
         return self._challenge_descend(st, now)
 
     def _restart_or_fail(self, st: _RoundState, now: float, reason: str) -> list:
-        config = st.config
-        attempt = st.key[2]
-        all_failed = self._round_failed_base | frozenset(st.failed) | frozenset(st.refused)
-        self._round_failed_base = all_failed
-        self._round_refused = self._round_refused | frozenset(st.refused)
+        config, attempt, lead = st.config, st.key[2], st.lead
+        lead.failed |= st.failed | st.refused
+        lead.refused |= st.refused
         if attempt >= config.max_restarts:
             return [RoundDone(self._failure(config, attempt,
                                             f"{reason}; restart budget exhausted",
-                                            all_failed, self._round_refused))]
+                                            lead.failed, lead.refused))]
         logger.info("leader %d restarting round %d (attempt %d): %s",
                     self.index, config.round_number, attempt + 1, reason)
-        return self._start_attempt(config, attempt + 1, all_failed, now)
+        return self._start_attempt(config, attempt + 1, lead, now)
 
     def _leader_after_response(self, st: _RoundState, total: Scalar, now: float) -> list:
         config = st.config
@@ -1291,8 +1286,8 @@ class SigningNode:
         result = RoundResult(
             ok=True, round=config.round_number, view=self.current_view,
             attempts=st.key[2] + 1, statement=st.statement, signature=sig,
-            failed=(self._round_failed_base - self._round_refused) | frozenset(st.failed),
-            refused=self._round_refused | frozenset(st.refused),
+            failed=(st.lead.failed - st.lead.refused) | frozenset(st.failed),
+            refused=st.lead.refused | frozenset(st.refused),
         )
         if st.refused:
             logger.info("leader %d: refusals (distinct from crashes) from %s",

@@ -80,7 +80,6 @@ import hashlib
 import secrets
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
 
 # Domain separation tags. Each hash use in the protocol gets its own tag so
 # a digest computed in one context can never be replayed in another.
@@ -813,21 +812,12 @@ class SelfSignedKey:
     proof: Signature
 
 
-HashFn = Callable[[bytes], "hashlib._Hash"]
-
-
-def challenge_hash(commit: GroupElement, statement: bytes, tag: bytes,
-                   hasher: HashFn = hashlib.sha512) -> Scalar:
-    """Fiat-Shamir challenge: wide hash of (tag, commit, statement) reduced mod q.
-
-    The digest must be at least twice the scalar width so the reduction bias
-    is negligible.
-    """
-    group = commit.group
-    digest = hasher(tag + commit.encode() + statement).digest()
-    if len(digest) < 2 * group.scalar_size:
-        raise ValueError("hash output too narrow for unbiased reduction")
-    return group.scalar(int.from_bytes(digest, "little"))
+def challenge_hash(commit: GroupElement, statement: bytes, tag: bytes) -> Scalar:
+    """Fiat-Shamir challenge: SHA-512 of (tag, commit, statement), read
+    little-endian and reduced mod q. The 64-byte digest is at least twice
+    each group's scalar width, so the reduction bias is negligible."""
+    digest = hashlib.sha512(tag + commit.encode() + statement).digest()
+    return commit.group.scalar(int.from_bytes(digest, "little"))
 
 
 def keygen(group: Group, rng) -> KeyPair:
@@ -836,20 +826,20 @@ def keygen(group: Group, rng) -> KeyPair:
 
 
 def schnorr_sign(keypair: KeyPair, statement: bytes, rng,
-                 tag: bytes = TAG_SIGN, hasher: HashFn = hashlib.sha512) -> Signature:
+                 tag: bytes = TAG_SIGN) -> Signature:
     group = keypair.secret.group
     v = group.random_scalar(rng, nonzero=True)
     commit = group.generator ** v
-    c = challenge_hash(commit, statement, tag, hasher)
+    c = challenge_hash(commit, statement, tag)
     r = v - c * keypair.secret
     return Signature(c=c, r=r)
 
 
 def schnorr_verify(public: GroupElement, statement: bytes, sig: Signature,
-                   tag: bytes = TAG_SIGN, hasher: HashFn = hashlib.sha512) -> bool:
+                   tag: bytes = TAG_SIGN) -> bool:
     group = public.group
     commit = (group.generator ** sig.r) * (public ** sig.c)
-    return challenge_hash(commit, statement, tag, hasher).value == sig.c.value
+    return challenge_hash(commit, statement, tag).value == sig.c.value
 
 
 def prove_possession(keypair: KeyPair, rng) -> SelfSignedKey:

@@ -231,11 +231,6 @@ class CommitTree:
         return CommitTreeProof(tuple(steps))
 
 
-def build_commit_tree(topology: TreeTopology,
-                      commits: Mapping[int, GroupElement]) -> CommitTree:
-    return CommitTree(topology, commits)
-
-
 # ---------------------------------------------------------------------------
 # Collective signatures
 # ---------------------------------------------------------------------------

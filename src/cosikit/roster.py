@@ -160,17 +160,9 @@ def save_roster(roster: WitnessRoster, path: str) -> None:
 # Key tree: Merkle commitment to the roster's public keys
 # ---------------------------------------------------------------------------
 
-class KeyTree:
-    def __init__(self, roster: WitnessRoster):
-        self._tree = merkle.MerkleTree([e.key.public.encode() for e in roster.entries])
-        self.root = self._tree.root
-
-    def prove_key(self, index: int) -> merkle.InclusionProof:
-        return self._tree.prove(index)
-
-
-def build_key_tree(roster: WitnessRoster) -> KeyTree:
-    return KeyTree(roster)
+def build_key_tree(roster: WitnessRoster) -> merkle.MerkleTree:
+    """The Merkle tree whose leaf i is witness i's encoded public key."""
+    return merkle.MerkleTree([e.key.public.encode() for e in roster.entries])
 
 
 def verify_key(root: bytes, index: int, key: GroupElement,

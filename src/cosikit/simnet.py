@@ -48,6 +48,7 @@ from .topology import tree_for
 EXP_UNITS = 1  # one abstract unit per group exponentiation
 VERIFY_UNITS = 2  # a signature verification costs two exponentiations
 SECONDS_PER_UNIT = 50e-6  # simulated seconds per unit
+MAX_EVENTS = 50_000_000  # events one `VirtualNet.run` may process before it gives up
 
 
 @dataclass(frozen=True)
@@ -220,14 +221,14 @@ class VirtualNet:
         recv.bytes_recv += size
         deliver(*args)
 
-    def run(self, stop: Callable[[], bool], max_events: int = 50_000_000) -> None:
+    def run(self, stop: Callable[[], bool]) -> None:
         events = 0
         while self.heap and not stop():
             when, _, fn, args = heapq.heappop(self.heap)
             self.now = max(self.now, when)
             fn(*args)
             events += 1
-            if events > max_events:
+            if events > MAX_EVENTS:
                 raise RuntimeError("simulation event budget exhausted")
 
 
@@ -606,16 +607,24 @@ def emit_report(metrics: list[RoundMetrics]) -> str:
     return "\n".join(lines) + "\n"
 
 
-_PLAIN_KEYS = ("seed", "n", "branching", "scheme", "rounds", "max_restarts",
-               "min_participants", "validation_policy", "view_change")
+# Sweep keys and the JSON type of each one's value; the plain ones are the
+# `SimConfig` fields of the same name.
+_PLAIN_KEYS = {"seed": int, "n": int, "branching": int, "scheme": str, "rounds": int,
+               "max_restarts": int, "min_participants": int, "validation_policy": str,
+               "view_change": bool}
+_SWEEP_KEYS = {**_PLAIN_KEYS, "group": str, "mode": str, "statement": str}
 
 
 def config_from_obj(obj: dict, defaults: dict | None = None) -> SimConfig:
     merged = dict(defaults or {})
     merged.update(obj)
-    unknown = sorted(set(merged) - set(_PLAIN_KEYS) - {"group", "mode", "statement"})
+    unknown = sorted(set(merged) - set(_SWEEP_KEYS))
     if unknown:
         raise ValueError(f"unknown sweep keys: {', '.join(unknown)}")
+    for key, value in merged.items():
+        if type(value) is not _SWEEP_KEYS[key]:  # a bool is not an int here
+            raise ValueError(f"sweep key {key} must be of type "
+                             f"{_SWEEP_KEYS[key].__name__}, not {value!r}")
     kwargs = {key: merged[key] for key in _PLAIN_KEYS if key in merged}
     if "group" in merged:
         kwargs["group_name"] = merged["group"]

@@ -285,8 +285,3 @@ class GlobalStampTree:
         """Composed proof for one client hash at one witness."""
         return self.local_trees[witness].prove(leaf_index).compose(
             self.witness_to_root_proof(witness))
-
-
-def scalable_collect(local_queues: dict[int, list[bytes]],
-                     topology: TreeTopology) -> GlobalStampTree:
-    return GlobalStampTree(topology, local_queues)

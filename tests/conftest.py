@@ -53,7 +53,7 @@ def manual_round(roster: WitnessRoster, secrets, statement: bytes,
     exceptions = ()
     if mode == MODE_NO_RESTART:
         topo = tree_for(n, branching, roster.leader_index, absent)
-        tree = multisig.build_commit_tree(topo, commits)
+        tree = multisig.CommitTree(topo, commits)
         commit_root = tree.root
         challenge = multisig.collective_challenge(aggregate, statement, commit_root)
         exceptions = tuple(

@@ -27,9 +27,9 @@ from cosikit.roster import RosterEntry, build_roster, save_roster
 from cosikit.simnet import FailureAction, SimConfig
 from cosikit.timestamp import (
     GENESIS_HASH,
+    GlobalStampTree,
     StampReceipt,
     TimestampRecord,
-    scalable_collect,
 )
 from cosikit.topology import build_bary_tree, tree_for
 
@@ -265,7 +265,7 @@ def test_criterion_10_scalable_timestamping(tmp_path):
     topo = tree_for(n, 2, 0)
     queues = {i: [hashlib.sha256(f"client-of-{i}".encode()).digest()]
               for i in range(n)}
-    tree = scalable_collect(queues, topo)
+    tree = GlobalStampTree(topo, queues)
     record = TimestampRecord(round_number=1, wall_time=int(cfg.start_time),
                              merkle_root=tree.root, prev_record_hash=GENESIS_HASH)
     sim.cfg = SimConfig(**{**cfg.__dict__, "statement": record.pack()})

@@ -175,6 +175,10 @@ def test_simulate_seed_overrides_every_entry(tmp_path, monkeypatch):
     ({"mode": "bogus"}, "unknown mode 'bogus'"),
     ({"validation_policy": "bogus"}, "unknown validation policy 'bogus'"),
     ({"rtt": 0.2}, "unknown sweep keys: rtt"),
+    ({"mode": ["restart"]}, "sweep key mode must be of type str, not ['restart']"),
+    ({"n": "4"}, "sweep key n must be of type int, not '4'"),
+    ({"n": 4.5}, "sweep key n must be of type int, not 4.5"),
+    ({"view_change": "yes"}, "sweep key view_change must be of type bool, not 'yes'"),
 ])
 def test_simulate_rejects_a_bad_sweep_entry(tmp_path, capsys, entry, message):
     """A bad sweep entry is named on an `error:` line with exit code 3, not

@@ -28,7 +28,6 @@ from cosikit.engine import (
     view_change_threshold,
     view_leader,
     view_vote_statement,
-    ValidationContext,
 )
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Signature, schnorr_sign
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException, CommitTreeProof
@@ -81,25 +80,27 @@ def test_interior_witness_waits_for_children():
 def test_witness_bridges_with_the_announced_timeout():
     """A witness times its phases by the announce it received: bridging past
     a dead child, it re-announces the leader's timeout_ms and waits that long
-    for the grandchild's commit, whatever its own defaults."""
+    for the grandchild's commit, whatever its own defaults. At 1001 ms the
+    timeout rebuilt from `rtt_hint` would re-announce 1000."""
     secrets = list(range(1, 9))
     roster = make_toy_roster(secrets)  # 0 -> 1, 2; 1 -> 3, 4; 3 -> 7
-    nodes = [make_node(i, roster, secrets) for i in range(8)]
-    config = engine.RoundConfig(round_number=0, mode=MODE_NO_RESTART, branching=2,
-                                rtt_hint=0.0123)
-    announce = next(e.msg for e in nodes[0].start_round(config, b"s", 0.0)
-                    if isinstance(e, Send) and e.dest == 1)
-    assert announce.timeout_ms == 49
-    forwarded = {e.dest: e.msg for e in nodes[1].handle_message(announce, 0.0)
-                 if isinstance(e, Send)}
-    assert sorted(forwarded) == [3, 4]
-    [commit] = nodes[4].handle_message(forwarded[4], 0.0)
-    assert nodes[1].handle_message(commit.msg, 0.0) == []
-    effects = nodes[1].on_timer(("commit", 0, 0, 0), 1.0)  # 3 never commits
-    assert [(e.dest, e.msg.sender, e.msg.timeout_ms) for e in effects
-            if isinstance(e, Send)] == [(7, 1, announce.timeout_ms)]
-    assert [e for e in effects if isinstance(e, engine.SetTimer)] == [
-        engine.SetTimer(("commit", 0, 0, 0), announce.timeout_ms / 1000)]
+    for rtt_hint, timeout_ms in ((0.0123, 49), (0.250251, 1001)):
+        nodes = [make_node(i, roster, secrets) for i in range(8)]
+        config = engine.RoundConfig(round_number=0, mode=MODE_NO_RESTART, branching=2,
+                                    rtt_hint=rtt_hint)
+        announce = next(e.msg for e in nodes[0].start_round(config, b"s", 0.0)
+                        if isinstance(e, Send) and e.dest == 1)
+        assert announce.timeout_ms == timeout_ms
+        forwarded = {e.dest: e.msg for e in nodes[1].handle_message(announce, 0.0)
+                     if isinstance(e, Send)}
+        assert sorted(forwarded) == [3, 4]
+        [commit] = nodes[4].handle_message(forwarded[4], 0.0)
+        assert nodes[1].handle_message(commit.msg, 0.0) == []
+        effects = nodes[1].on_timer(("commit", 0, 0, 0), 1.0)  # 3 never commits
+        assert [(e.dest, e.msg.sender, e.msg.timeout_ms) for e in effects
+                if isinstance(e, Send)] == [(7, 1, announce.timeout_ms)]
+        assert [e for e in effects if isinstance(e, engine.SetTimer)] == [
+            engine.SetTimer(("commit", 0, 0, 0), announce.timeout_ms / 1000)]
 
 
 def test_challenge_before_commit_is_ignored():
@@ -323,6 +324,28 @@ def test_leader_new_round_discards_unanswered_nonce():
     assert multisig.verify_collective(roster, b"s", done[1].signature, Threshold(2)).ok
 
 
+def test_restarting_an_older_round_keeps_its_own_statement():
+    """A leader that starts round 1 while round 0 waits for a response
+    restarts round 0 with round 0's statement: each round carries its own
+    data from attempt to attempt."""
+    secrets = list(range(1, 8))
+    roster = make_toy_roster(secrets)  # 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6
+    nodes = [make_node(i, roster, secrets) for i in range(7)]
+    config = engine.RoundConfig(round_number=0, branching=2)
+    pending = nodes[0].start_round(config, b"A", now=0.0)
+    while pending:
+        eff = pending.pop(0)
+        if isinstance(eff, Send) and not (isinstance(eff.msg, Response)
+                                          and eff.msg.sender == 2):
+            pending += nodes[eff.dest].handle_message(eff.msg, now=0.1)
+    assert nodes[0].rounds[(0, 0, 0)].challenge is not None  # 2's response is lost
+    nodes[0].start_round(replace(config, round_number=1), b"B", now=0.2)
+    sends = [e for e in nodes[0].on_timer(("response", 0, 0, 0), now=1.0)
+             if isinstance(e, Send)]
+    assert {(e.dest, e.msg.attempt, e.msg.statement) for e in sends} == {
+        (1, 1, b"A"), (5, 1, b"A"), (6, 1, b"A")}
+
+
 def test_view_schedule_starts_at_roster_leader():
     secrets = [3, 4, 5, 6, 7]
     roster = make_toy_roster(secrets, leader_index=2)
@@ -347,12 +370,12 @@ def test_view_schedule_starts_at_roster_leader():
 
 # -- lying leader ------------------------------------------------------------------
 
-def _lying_leader_challenge(mode, timing, signed):
+def _lying_leader_challenge(mode, timing, signed, hook=None):
     """Witness 1 of a two-node roster after an announce of b"honest"; returns
     it with a challenge whose scalar is computed over `signed`."""
     secrets = [3, 4]
     roster = make_toy_roster(secrets)
-    node = make_node(1, roster, secrets, seed=7)
+    node = make_node(1, roster, secrets, hook=hook, seed=7)
     at_announce = timing == engine.STATEMENT_AT_ANNOUNCE
     node.handle_message(announce_for(roster, statement=b"honest" if at_announce else None,
                                      mode=mode, timing=timing), now=0.0)
@@ -399,19 +422,35 @@ def test_hook_refusal_on_announce():
     assert send.msg.reason == engine.REFUSE_STATEMENT
 
 
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_hook_refusal_on_late_bound_statement(mode):
+    """A witness whose hook refuses the statement a challenge binds late
+    refuses it and releases no response, even for the challenge over it."""
+    seen = []
+    node, challenge = _lying_leader_challenge(
+        mode, engine.STATEMENT_AT_CHALLENGE, b"honest",
+        hook=lambda statement, now: seen.append((statement, now)) and False)
+    effects = node.handle_message(challenge, now=0.1)
+    assert seen == [(b"honest", 0.1)]
+    assert [(e.dest, type(e.msg), e.msg.reason) for e in effects] == [
+        (0, Refuse, engine.REFUSE_STATEMENT)]
+    assert node.nonce_log == []
+    assert node.handle_message(challenge, now=0.2) == []  # asked again: still silent
+    assert node.nonce_log == []
+
+
 def test_hash_chain_hook():
     hook = make_hash_chain_hook()
-    ctx = ValidationContext(now=0.0, node_index=1, store={})
     first = chain_record(1, b"\x00" * 32, b"payload-1")
-    assert hook(first, ctx)
+    assert hook(first, 0.0)
     import hashlib
     second = chain_record(2, hashlib.sha256(first).digest(), b"payload-2")
-    assert hook(second, ctx)
+    assert hook(second, 0.0)
     # repeated sequence number
-    assert not hook(second, ctx)
+    assert not hook(second, 0.0)
     # wrong previous hash
     third = chain_record(3, b"\x11" * 32, b"payload-3")
-    assert not hook(third, ctx)
+    assert not hook(third, 0.0)
 
 
 def test_timestamp_window_hook():
@@ -419,10 +458,9 @@ def test_timestamp_window_hook():
     now = 1_000_000.0
     good = TimestampRecord(1, int(now) - 5, b"\x00" * 32, GENESIS_HASH).pack()
     stale = TimestampRecord(1, int(now) - 20, b"\x00" * 32, GENESIS_HASH).pack()
-    ctx = ValidationContext(now=now, node_index=0, store={})
-    assert hook(good, ctx)
-    assert not hook(stale, ctx)
-    assert not hook(b"junk", ctx)
+    assert hook(good, now)
+    assert not hook(stale, now)
+    assert not hook(b"junk", now)
 
 
 # -- engine through the simulator ---------------------------------------------------
@@ -553,6 +591,14 @@ def test_nonce_freshness_across_restarts():
             by_nonce.setdefault(nonce, set()).add(challenge)
         for nonce, challenges in by_nonce.items():
             assert len(challenges) <= 1, f"nonce reused for different challenges"
+
+
+def test_restart_budget_exhausted_fails_the_round():
+    out = run_cosi(seed=2, n=7, branching=2, max_restarts=0,
+                   failures=(FailureAction(1, "commit", "crash"),))
+    [result] = out.results
+    assert not result.ok and result.reason.endswith("restart budget exhausted")
+    assert result.attempts == 1 and 1 in result.failed
 
 
 def test_leader_below_min_participants_fails():

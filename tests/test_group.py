@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import random
 
 import pytest
@@ -90,19 +91,12 @@ def test_challenge_hash_deterministic(toy_rng):
 
 
 def test_challenge_hash_stub():
-    # with a stubbed wide hash the reduction is predictable
-    digest = bytes(range(64))
-
-    class Stub:
-        def __init__(self, data):
-            pass
-
-        def digest(self):
-            return digest
-
-    expected = int.from_bytes(digest, "little") % TOY.order
-    got = challenge_hash(TOY.generator, b"s", b"t", hasher=Stub)
-    assert got.value == expected
+    # the challenge is SHA-512 of tag | commit | statement, read little-endian mod q
+    for group in (TOY, ED25519):
+        commit = group.generator ** group.scalar(5)
+        digest = hashlib.sha512(b"t" + commit.encode() + b"s").digest()
+        expected = int.from_bytes(digest, "little") % group.order
+        assert challenge_hash(commit, b"s", b"t").value == expected
 
 
 def test_challenge_hash_statement_sensitivity(toy_rng):

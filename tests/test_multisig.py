@@ -16,12 +16,12 @@ from cosikit.multisig import (
     MODE_RESTART,
     CollectiveSignature,
     CommitException,
+    CommitTree,
     CommitTreeProof,
     MultisigError,
     aggregate_elements,
     aggregate_public_key,
     adjust_key_for_absent,
-    build_commit_tree,
     collective_challenge,
     response_share,
     verify_collective,
@@ -292,7 +292,7 @@ def _prod_round(rng, n=3, response_absent=frozenset(), mode=MODE_RESTART):
     exceptions = ()
     if mode == MODE_NO_RESTART:
         topo = tree_for(n, 2, 0)
-        tree = build_commit_tree(topo, commits)
+        tree = CommitTree(topo, commits)
         root = tree.root
         c = collective_challenge(agg, b"prod", root)
         exceptions = tuple(CommitException(i, commits[i], tree.prove(i))
@@ -360,7 +360,7 @@ def test_unforgeability_smoke_mutations():
 def test_commit_tree_single_node():
     topo = tree_for(1, 2, 0)
     commit = KeyPair.from_secret(TOY, 5).public
-    tree = build_commit_tree(topo, {0: commit})
+    tree = CommitTree(topo, {0: commit})
     assert tree.root == multisig.commit_leaf_digest(commit)
     assert verify_commit_inclusion(tree.root, commit, tree.prove(0))
 
@@ -368,7 +368,7 @@ def test_commit_tree_single_node():
 def test_commit_tree_seven_nodes():
     topo = tree_for(7, 2, 0)
     commits = {i: KeyPair.from_secret(TOY, i + 1).public for i in range(7)}
-    tree = build_commit_tree(topo, commits)
+    tree = CommitTree(topo, commits)
     for i in range(7):
         proof = tree.prove(i)
         assert verify_commit_inclusion(tree.root, commits[i], proof)
@@ -379,10 +379,10 @@ def test_commit_tree_seven_nodes():
 def test_commit_tree_rebuild_with_changed_commit():
     topo = tree_for(7, 2, 0)
     commits = {i: KeyPair.from_secret(TOY, i + 1).public for i in range(7)}
-    tree = build_commit_tree(topo, commits)
+    tree = CommitTree(topo, commits)
     changed = dict(commits)
     changed[3] = commits[3] * TOY.generator
-    other = build_commit_tree(topo, changed)
+    other = CommitTree(topo, changed)
     assert other.root != tree.root
     assert not verify_commit_inclusion(other.root, commits[3], tree.prove(3))
 
@@ -390,7 +390,7 @@ def test_commit_tree_rebuild_with_changed_commit():
 def test_commit_tree_missing_commit_errors():
     topo = tree_for(3, 2, 0)
     with pytest.raises(MultisigError):
-        build_commit_tree(topo, {0: TOY.generator, 1: TOY.generator})
+        CommitTree(topo, {0: TOY.generator, 1: TOY.generator})
 
 
 # -- wire format ------------------------------------------------------------------

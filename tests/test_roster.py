@@ -168,10 +168,10 @@ def test_key_tree_five_keys():
     roster = make_toy_roster([1, 2, 3, 4, 5])
     tree = build_key_tree(roster)
     for i in range(5):
-        proof = tree.prove_key(i)
+        proof = tree.prove(i)
         assert verify_key(tree.root, i, roster.public_key(i), proof)
     # replayed at the wrong index
-    assert not verify_key(tree.root, 1, roster.public_key(0), tree.prove_key(0))
+    assert not verify_key(tree.root, 1, roster.public_key(0), tree.prove(0))
 
 
 def test_key_tree_root_changes_on_any_key():
@@ -202,11 +202,11 @@ def test_verify_compact_paths():
     # absent = [] leaves the aggregate unchanged
     assert verify_compact(anchor, frozenset({0, 1, 2}), []) == roster.aggregate_key()
     # absent = {1} with a proven key for 1
-    proven = [ProvenKey(1, roster.public_key(1), tree.prove_key(1))]
+    proven = [ProvenKey(1, roster.public_key(1), tree.prove(1))]
     adjusted = verify_compact(anchor, frozenset({0, 2}), proven)
     assert adjusted == aggregate_public_key(roster, {0, 2})
     # present-list path
-    proven_present = [ProvenKey(i, roster.public_key(i), tree.prove_key(i))
+    proven_present = [ProvenKey(i, roster.public_key(i), tree.prove(i))
                       for i in (0, 2)]
     assert verify_compact(anchor, frozenset({0, 2}), proven_present) == adjusted
     # unproven key in the list
@@ -215,14 +215,14 @@ def test_verify_compact_paths():
     # a bad proof
     with pytest.raises(RosterError):
         verify_compact(anchor, frozenset({0, 2}),
-                       [ProvenKey(1, roster.public_key(0), tree.prove_key(1))])
+                       [ProvenKey(1, roster.public_key(0), tree.prove(1))])
 
 
 def test_compact_matches_full_for_every_subset():
     roster = make_toy_roster([2, 3, 5, 7, 9])
     cert = compact_certificate(roster)
     tree = build_key_tree(roster)
-    proven_all = [ProvenKey(i, roster.public_key(i), tree.prove_key(i))
+    proven_all = [ProvenKey(i, roster.public_key(i), tree.prove(i))
                   for i in range(5)]
     for r in range(1, 6):
         for present in itertools.combinations(range(5), r):
@@ -238,7 +238,7 @@ def test_compact_signature_verification(toy_rng):
     tree = build_key_tree(roster)
     from cosikit.multisig import verify_collective
     sig = manual_round(roster, secrets, b"compact", absent={1})
-    proofs = [ProvenKey(1, roster.public_key(1), tree.prove_key(1))]
+    proofs = [ProvenKey(1, roster.public_key(1), tree.prove(1))]
     res = verify_collective(cert, b"compact", sig, Threshold(2), key_proofs=proofs)
     assert res.ok
     with pytest.raises(RosterError):

@@ -13,11 +13,11 @@ from cosikit.participation import Threshold
 from cosikit.timestamp import (
     GENESIS_HASH,
     RECEIPT_MAGIC,
+    GlobalStampTree,
     StampReceipt,
     TimestampAuthority,
     TimestampError,
     TimestampRecord,
-    scalable_collect,
     time_check,
     unpack_record,
     verify_receipt,
@@ -353,7 +353,7 @@ def test_time_check(authority_env):
 def test_scalable_single_node_reduces_to_local_tree():
     topo = tree_for(1, 2, 0)
     hashes = [h(b"x"), h(b"y")]
-    tree = scalable_collect({0: hashes}, topo)
+    tree = GlobalStampTree(topo, {0: hashes})
     local = merkle.MerkleTree(hashes)
     assert tree.root == local.root
     for i in range(2):
@@ -363,7 +363,7 @@ def test_scalable_single_node_reduces_to_local_tree():
 def test_scalable_seven_witnesses():
     topo = tree_for(7, 2, 0)
     queues = {i: [h(bytes([i]))] for i in range(7)}
-    tree = scalable_collect(queues, topo)
+    tree = GlobalStampTree(topo, queues)
     for i in range(7):
         proof = tree.prove_request(i, 0)
         assert merkle.verify_inclusion(tree.root, queues[i][0], proof)
@@ -379,7 +379,7 @@ def test_scalable_seven_witnesses():
 def test_scalable_empty_witness_queues():
     topo = tree_for(3, 2, 0)
     queues = {0: [h(b"only")], 1: [], 2: []}
-    tree = scalable_collect(queues, topo)
+    tree = GlobalStampTree(topo, queues)
     assert merkle.verify_inclusion(tree.root, queues[0][0], tree.prove_request(0, 0))
 
 
@@ -387,8 +387,8 @@ def test_scalable_rebuild_after_topology_change():
     # a parent crash mid-round reshapes the tree; rebuilding from the same
     # queues keeps every request provable (the service re-queues and retries)
     queues = {i: [h(bytes([i, 7]))] for i in range(7)}
-    before = scalable_collect(queues, tree_for(7, 2, 0))
-    after = scalable_collect(queues, tree_for(7, 2, 0, failed={1}))
+    before = GlobalStampTree(tree_for(7, 2, 0), queues)
+    after = GlobalStampTree(tree_for(7, 2, 0, failed={1}), queues)
     assert before.root != after.root
     for i in range(7):
         if i == 1:
