@@ -583,7 +583,7 @@ class _RoundState:
     resp_absent: set = field(default_factory=set)
     exceptions: list = field(default_factory=list)  # CommitException, anchored at this node
     unresolvable: Optional[str] = None
-    sent_response: Optional[Response] = None
+    answer: Optional[Response | Refuse] = None  # the response sent up, or the refusal
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +748,13 @@ class SigningNode:
         return [Send(dest, Refuse(view=st.key[0], round=st.key[1], attempt=st.key[2],
                                   sender=self.index, reason=reason))]
 
+    def _refuse_session(self, st: _RoundState, dest: int, reason: int) -> list:
+        """Refuse the session for good: a re-announce gets the same refusal."""
+        st.phase = PHASE_REFUSED
+        effects = self._refuse(st, dest, reason)
+        st.answer = effects[0].msg
+        return effects
+
     # ------------------------------------------------------------------
     # Shared participation logic
     # ------------------------------------------------------------------
@@ -816,6 +823,10 @@ class SigningNode:
     def handle_message(self, msg: Message, now: float) -> list:
         if isinstance(msg, ViewChange):
             return self._on_view_change(msg, now)
+        if not isinstance(msg, (Announce, _Routed)):  # stamp frames are the runtime's
+            logger.warning("node %d: dropping %s: no handler for it", self.index,
+                           type(msg).__name__)
+            return []
         if msg.view != self.current_view:
             logger.debug("node %d drops stale message for view %d", self.index, msg.view)
             return []
@@ -832,9 +843,7 @@ class SigningNode:
             return self._on_challenge(st, msg, now)
         if isinstance(msg, Response):
             return self._on_response(st, msg, now)
-        if isinstance(msg, Refuse):
-            return self._on_refuse(st, msg, now)
-        return []
+        return self._on_refuse(st, msg, now)
 
     # -- announce --
 
@@ -846,7 +855,7 @@ class SigningNode:
             # new parent and resend our commit (or refusal) if we already
             # produced one.
             if st.phase == PHASE_REFUSED:
-                return self._refuse(st, msg.sender, REFUSE_STATEMENT)
+                return [Send(msg.sender, st.answer)]
             st.parent = msg.sender
             if st.phase != PHASE_COMMIT and st.tree_hash is not None:
                 return self._send_commit(st)
@@ -879,8 +888,7 @@ class SigningNode:
         self._trim_round_state()
         if msg.statement is not None and msg.timing == STATEMENT_AT_ANNOUNCE:
             if not self.hook(msg.statement, now):
-                st.phase = PHASE_REFUSED
-                return self._refuse(st, st.parent, REFUSE_STATEMENT)
+                return self._refuse_session(st, st.parent, REFUSE_STATEMENT)
         children = topo.children[self.index]
         if children:  # only a node with children forwards the announce, or bridges
             st.announce = replace(msg, sender=self.index)
@@ -975,8 +983,8 @@ class SigningNode:
                 # answering would reuse our nonce. Refuse.
                 return self._refuse(st, msg.sender, REFUSE_STALE)
             st.return_to = msg.sender
-            if st.sent_response is not None:
-                return [Send(st.return_to, st.sent_response)]
+            if st.answer is not None:
+                return [Send(st.return_to, st.answer)]
             return []
         if st.nonce is None:
             logger.info("node %d: challenge for %s, whose nonce a newer session "
@@ -989,8 +997,7 @@ class SigningNode:
             return []
         if late:
             if not self.hook(statement, now):
-                st.phase = PHASE_REFUSED
-                return self._refuse(st, msg.sender, REFUSE_STATEMENT)
+                return self._refuse_session(st, msg.sender, REFUSE_STATEMENT)
             st.statement = statement
 
         # In either mode, answer only the challenge that the validated statement
@@ -1002,8 +1009,7 @@ class SigningNode:
         expect = multisig.collective_challenge(msg.aggregate_commit, statement, root)
         if expect.value != msg.challenge.value or (
                 root is not None and fold_commit_proof(st.tree_hash, msg.proof) != root):
-            st.phase = PHASE_REFUSED
-            return self._refuse(st, msg.sender, REFUSE_PROOF)
+            return self._refuse_session(st, msg.sender, REFUSE_PROOF)
 
         st.challenge = msg.challenge
         st.commit_root = root
@@ -1200,7 +1206,7 @@ class SigningNode:
             failed=_frozen(st.failed), refused=_frozen(st.refused),
             exceptions=tuple(st.exceptions),
         )
-        st.sent_response = msg
+        st.answer = msg
         return [Send(st.return_to if st.return_to is not None else st.parent, msg)]
 
     # ------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import merkle, participation, roster as roster_mod
@@ -268,11 +267,6 @@ class CollectiveSignature:
                 raise MultisigError("restart-mode signature cannot carry commit exceptions")
 
     def to_bytes(self) -> bytes:
-        return self._encoded
-
-    @cached_property
-    def _encoded(self) -> bytes:
-        # encoded once: every receipt of a timestamp batch embeds this signature
         out = [MAGIC, bytes([self.group.group_id]), bytes([self.mode])]
         if self.mode == MODE_NO_RESTART:
             out.append(self.commit_root)
@@ -342,8 +336,7 @@ class VerifyResult:
 
 def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: bytes,
                       sig: CollectiveSignature, predicate,
-                      key_proofs: Sequence[ProvenKey] | None = None,
-                      weights: Sequence[int] | None = None) -> VerifyResult:
+                      key_proofs: Sequence[ProvenKey] | None = None) -> VerifyResult:
     """Check a collective signature and evaluate the acceptance predicate.
 
     Returns a result whose diagnostics distinguish cryptographic failure from
@@ -367,11 +360,11 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
     full_roster = anchor.roster
     if full_roster is not None:
         adjusted_key = present_key(full_roster, present)
-        if weights is None:
-            weights = full_roster.weights()
+        weights = full_roster.weights()
     else:
         adjusted_key = roster_mod.verify_compact(anchor.compact, present,
                                                  key_proofs or [])
+        weights = None
 
     group = sig.group
     recomputed = (group.generator ** sig.response) * (adjusted_key ** sig.challenge)

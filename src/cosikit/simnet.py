@@ -232,12 +232,15 @@ class VirtualNet:
                 raise RuntimeError("simulation event budget exhausted")
 
 
-def _build_roster(cfg: SimConfig, rng: random.Random) -> tuple[WitnessRoster, list]:
-    group = cfg.group
-    keys = [keygen(group, rng) for _ in range(cfg.n)]
+def _build_signers(cfg: SimConfig) -> tuple[WitnessRoster, list, list[random.Random]]:
+    """The roster and its key pairs, then one signing RNG per node, all drawn
+    from the seeded RNG in that order (the sweep CSV pins the draws)."""
+    rng = random.Random(cfg.seed)
+    keys = [keygen(cfg.group, rng) for _ in range(cfg.n)]
     entries = [RosterEntry(witness_id=f"w{i:05d}".encode(), key=prove_possession(kp, rng))
                for i, kp in enumerate(keys)]
-    return build_roster(entries, leader_index=0), keys
+    rngs = [random.Random(rng.getrandbits(64)) for _ in range(cfg.n)]
+    return build_roster(entries, leader_index=0), keys, rngs
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +254,11 @@ _MSG_PHASE = {Announce: "announce", Commit: "commit", Challenge: "challenge",
 class CosiSim:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        rng = random.Random(cfg.seed)
-        self.roster, keys = _build_roster(cfg, rng)
+        self.roster, keys, rngs = _build_signers(cfg)
         self.group = cfg.group
         self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
         self.nodes = [
-            SigningNode(i, self.roster, keys[i],
-                        random.Random(rng.getrandbits(64)),
+            SigningNode(i, self.roster, keys[i], rngs[i],
                         validation_hook=engine.make_validation_hook(cfg.validation_policy))
             for i in range(cfg.n)
         ]
@@ -383,17 +384,27 @@ class CosiSim:
 # Baseline schemes
 # ---------------------------------------------------------------------------
 
-class NaiveSim:
+class _Baseline:
+    """A baseline's rounds run on one virtual network, and each lasts until
+    its last node stops computing."""
+
+    def __init__(self, cfg: SimConfig):
+        self.cfg = cfg
+        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
+
+    def _metrics(self, round_index: int, start: float, ok: bool) -> RoundMetrics:
+        return self.cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
+                                      self.net.metrics)
+
+
+class NaiveSim(_Baseline):
     """The leader exchanges an individual request/response pair with every
     roster member (itself over a zero-latency loopback) and verifies the N
     signatures sequentially."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        rng = random.Random(cfg.seed)
-        self.roster, self.keys = _build_roster(cfg, rng)
-        self.rngs = [random.Random(rng.getrandbits(64)) for _ in range(cfg.n)]
-        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
+        super().__init__(cfg)
+        self.roster, self.keys, self.rngs = _build_signers(cfg)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, list[Signature]]:
         cfg = self.cfg
@@ -418,21 +429,16 @@ class NaiveSim:
             self.net.transmit(0, i, req_size, start, witness_reply, i)
         self.net.run(stop=lambda: len(sigs) == cfg.n)
         ok = len(sigs) == cfg.n and all(verified)
-        metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
-                                    self.net.metrics)
-        return metrics, [sigs[i] for i in sorted(sigs)]
+        return self._metrics(round_index, start, ok), [sigs[i] for i in sorted(sigs)]
 
 
-class NTreeSim:
+class NTreeSim(_Baseline):
     """Individual signatures aggregated as lists over a B-ary tree; every
     interior node verifies all signatures produced within its subtree."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        rng = random.Random(cfg.seed)
-        self.roster, self.keys = _build_roster(cfg, rng)
-        self.rngs = [random.Random(rng.getrandbits(64)) for _ in range(cfg.n)]
-        self.net = VirtualNet(cfg.n, cfg.rtt, cfg.start_time)
+        super().__init__(cfg)
+        self.roster, self.keys, self.rngs = _build_signers(cfg)
         self.topology = tree_for(cfg.n, cfg.branching, 0)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, list[Signature]]:
@@ -478,26 +484,23 @@ class NTreeSim:
         self.net.schedule(start, announce, 0)
         self.net.run(stop=lambda: bool(final))
         ok, entries = final[0] if final else (False, [])
-        metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
-                                    self.net.metrics)
-        return metrics, [s for _, s in sorted(entries)]
+        return self._metrics(round_index, start, ok), [s for _, s in sorted(entries)]
 
 
-class JvssSim:
+class JvssSim(_Baseline):
     """Threshold Schnorr over joint verifiable secret sharing. Key setup runs
     once; every signing round re-deals a fresh joint commit (the O(N^2) cost
     the scheme cannot avoid) and partial responses are broadcast so any node,
     the leader included, can interpolate the signature."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
+        super().__init__(cfg)
         rng = random.Random(cfg.seed)
         self.group = cfg.group
         n = cfg.n
         self.t = min(max(1, min(n // 3, self.group.order - 2)), n - 1)
         self.rng = rng
         self.states = vss.jvss_setup(self.group, n, self.t, rng)
-        self.net = VirtualNet(n, cfg.rtt, cfg.start_time)
 
     def run_round(self, round_index: int) -> tuple[RoundMetrics, Signature]:
         """The signature comes from `vss.jvss_sign_round`; the events below
@@ -553,9 +556,7 @@ class JvssSim:
         sig = result[0] if result else None
         ok = sig is not None and schnorr_verify(self.states[0].joint_public,
                                                 statement, sig)
-        metrics = cfg.round_metrics(round_index, max(self.net.busy) - start, ok,
-                                    self.net.metrics)
-        return metrics, sig
+        return self._metrics(round_index, start, ok), sig
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 from typing import Callable, Optional, Sequence
 
@@ -43,12 +42,6 @@ class TimestampRecord:
     prev_record_hash: bytes
 
     def pack(self) -> bytes:
-        return self._packed
-
-    # Packed once per record: every receipt of a batch shares the record.
-    # A record that fails the check caches nothing and raises on each pack.
-    @cached_property
-    def _packed(self) -> bytes:
         if len(self.merkle_root) != 32 or len(self.prev_record_hash) != 32:
             raise TimestampError("record digests must be 32 bytes")
         return (self.round_number.to_bytes(8, "big")
@@ -145,7 +138,6 @@ class TimestampAuthority:
         self._queue: list[bytes] = []
         self.next_round = 1
         self.prev_hash = GENESIS_HASH
-        self.records: list[TimestampRecord] = []
 
     def submit(self, digest: bytes) -> None:
         """Queue a hash for the next round that closes."""
@@ -194,7 +186,6 @@ class TimestampAuthority:
                 f"signing failed for round {record.round_number}") from cause
         self.next_round += 1
         self.prev_hash = record.record_hash()
-        self.records.append(record)
         receipts = StampReceipt._bulk(record, signature, tree.proofs())
         return record, dict(zip(batch, receipts))
 
@@ -212,26 +203,25 @@ def verify_receipt(cert: AuthorityCertificate | WitnessRoster, digest: bytes,
     if not result.ok:
         return result
     if prev_record is not None:
-        if receipt.record.prev_record_hash != prev_record.record_hash():
+        reason = _chain_fault(prev_record, receipt.record)
+        if reason:
             return VerifyResult(ok=False, crypto_ok=False, predicate_ok=result.predicate_ok,
-                                reason="record does not chain to the supplied predecessor")
-        if receipt.record.round_number != prev_record.round_number + 1:
-            return VerifyResult(ok=False, crypto_ok=False, predicate_ok=result.predicate_ok,
-                                reason="round numbers not consecutive")
+                                reason=reason)
     return result
+
+
+def _chain_fault(prev: TimestampRecord, rec: TimestampRecord) -> str:
+    """Why `rec` does not follow `prev` in the record chain, or "" if it does."""
+    if rec.prev_record_hash != prev.record_hash():
+        return "record does not chain to the supplied predecessor"
+    if rec.round_number != prev.round_number + 1:
+        return "round numbers not consecutive"
+    return ""
 
 
 def verify_record_chain(records: Sequence[TimestampRecord]) -> bool:
     """Contiguous records must chain by hash and count rounds one by one."""
-    prev = None
-    for rec in records:
-        if prev is not None:
-            if rec.prev_record_hash != prev.record_hash():
-                return False
-            if rec.round_number != prev.round_number + 1:
-                return False
-        prev = rec
-    return True
+    return not any(map(_chain_fault, records, records[1:]))
 
 
 def time_check(nonce: bytes, receipt: StampReceipt,

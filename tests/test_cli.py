@@ -29,12 +29,17 @@ from cosikit.roster import RosterEntry, build_roster, load_roster
 from cosikit.timestamp import StampReceipt, TimestampAuthority
 
 
-def free_port() -> int:
-    s = socket.socket()
-    s.bind(("127.0.0.1", 0))
-    port = s.getsockname()[1]
-    s.close()
-    return port
+def free_ports(n: int) -> list[int]:
+    """n loopback ports that were free: every socket stays bound until all n
+    are drawn, so no port comes out twice."""
+    socks = [socket.socket() for _ in range(n)]
+    try:
+        for s in socks:
+            s.bind(("127.0.0.1", 0))
+        return [s.getsockname()[1] for s in socks]
+    finally:
+        for s in socks:
+            s.close()
 
 
 def test_keygen_and_roster_init(tmp_path, capsys):
@@ -228,7 +233,7 @@ def deployment(tmp_path, cli_process):
     """
     n = 3
     rng = random.Random(55)
-    ports = [free_port() for _ in range(n)]
+    ports = free_ports(n)
     keypairs = [keygen(ED25519, rng) for _ in range(n)]
     keyfiles = []
     for i, kp in enumerate(keypairs):
@@ -296,7 +301,7 @@ def test_sign_and_verify_over_loopback(tmp_path, capsys, deployment):
 
 def test_sign_with_unreachable_witnesses_exits_protocol_failure(tmp_path):
     rng = random.Random(66)
-    ports = [free_port() for _ in range(3)]
+    ports = free_ports(3)
     keypairs = [keygen(ED25519, rng) for _ in range(3)]
     keyfile = tmp_path / "leader.key"
     cli.save_keyfile(str(keyfile), "prod", keypairs[0],
@@ -333,8 +338,8 @@ def test_engine_refusal_exits_protocol_failure(tmp_path, capsys, monkeypatch):
     cli.save_keyfile(str(keyfile), "toy", keypairs[0],
                      prove_possession(keypairs[0], rng), witness_id=b"\x00")
     entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
-                           endpoint=f"127.0.0.1:{free_port()}")
-               for i, kp in enumerate(keypairs)]
+                           endpoint=f"127.0.0.1:{port}")
+               for i, (kp, port) in enumerate(zip(keypairs, free_ports(3)))]
     from cosikit.roster import save_roster
     roster_path = tmp_path / "roster.json"
     save_roster(build_roster(entries, 0), str(roster_path))
@@ -351,7 +356,7 @@ def test_engine_refusal_exits_protocol_failure(tmp_path, capsys, monkeypatch):
 def test_dial_failures_counted_per_peer(caplog):
     rng = random.Random(77)
     keypairs = [KeyPair.from_secret(TOY, x) for x in (3, 4)]
-    closed = free_port()  # bound and released: nothing listens there
+    [closed] = free_ports(1)  # bound and released: nothing listens there
     entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
                            endpoint=f"127.0.0.1:{closed}")
                for i, kp in enumerate(keypairs)]
@@ -374,7 +379,7 @@ def toy_loopback():
     def spin(n):
         rng = random.Random(88)
         keypairs = [keygen(TOY, rng) for _ in range(n)]
-        ports = [free_port() for _ in range(n)]
+        ports = free_ports(n)
         roster = build_roster([RosterEntry(witness_id=bytes([i]),
                                            key=prove_possession(kp, rng),
                                            endpoint=f"127.0.0.1:{ports[i]}")
@@ -453,6 +458,20 @@ def test_dropped_connections_logged_with_cause(toy_loopback, caplog):
         assert causes.pop(port) in record.getMessage()
     assert list(causes.values()) == [None]
     _loopback_round(leader, 4)
+
+
+def test_stamp_reply_to_a_witness_dropped(toy_loopback, caplog):
+    """A frame the engine has no handler for is dropped with a warning naming
+    it, not raised out of the connection's task, and rounds go on."""
+    runtimes = toy_loopback(2)
+    with socket.create_connection(runtimes[1].listen_addr, timeout=1) as sock:
+        sock.sendall(encode_message(StampReply(ok=True, payload=b"receipt"), TOY))
+    deadline = time.monotonic() + 10
+    while "dropping StampReply" not in caplog.text and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert "dropping StampReply" in caplog.text
+    _loopback_round(runtimes[0], 2)
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
 
 
 def test_witness_refuses_stamp_requests_at_once(toy_loopback):
@@ -540,8 +559,8 @@ def start_unsignable_leader(tmp_path, cli_process):
     cli.save_keyfile(str(keyfile), "toy", keypairs[0],
                      prove_possession(keypairs[0], rng), witness_id=b"\x00")
     entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
-                           endpoint=f"127.0.0.1:{free_port()}")
-               for i, kp in enumerate(keypairs)]
+                           endpoint=f"127.0.0.1:{port}")
+               for i, (kp, port) in enumerate(zip(keypairs, free_ports(3)))]
     roster = build_roster(entries, 0)
     from cosikit.roster import save_roster
     roster_path = tmp_path / "roster.json"
@@ -586,7 +605,7 @@ def test_stamp_request_reply_protocol(tmp_path):
     roster = make_toy_roster(secrets)
     authority = TimestampAuthority(
         lambda stmt: manual_round(roster, secrets, stmt, rng=random.Random(41)))
-    port = free_port()
+    [port] = free_ports(1)
     from cosikit.engine import StampReply, decode_frame_body, encode_message
 
     def server():

@@ -122,6 +122,17 @@ def test_stale_view_messages_dropped():
     assert node.handle_message(announce_for(roster, view=0), now=0.0) == []
 
 
+@pytest.mark.parametrize("msg", [StampRequest(digest=b"\x07" * 32),
+                                 StampReply(ok=True, payload=b"receipt")],
+                         ids=lambda m: type(m).__name__)
+def test_frames_without_a_handler_dropped(msg, caplog):
+    secrets = [3, 4, 5]
+    node = make_node(1, make_toy_roster(secrets), secrets)
+    with caplog.at_level("WARNING", logger="cosikit.engine"):
+        assert node.handle_message(msg, now=0.0) == []
+    assert type(msg).__name__ in caplog.text
+
+
 @pytest.mark.parametrize("bad, cause", [
     ({"branching": 0}, "branching factor must be >= 1"),
     ({"failed": frozenset({7})}, "failed indices out of range"),
@@ -409,6 +420,14 @@ def test_lying_leader_challenge_refused(mode, timing):
     assert len(node.nonce_log) == 1
 
 
+def test_re_announce_after_refusal_keeps_its_reason():
+    node, forged = _lying_leader_challenge(MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE,
+                                           b"forged")
+    announce = announce_for(node.roster, statement=b"honest", mode=MODE_NO_RESTART)
+    effects = node.handle_message(forged, now=0.1) + node.handle_message(announce, now=0.2)
+    assert [(e.dest, e.msg.reason) for e in effects] == [(0, engine.REFUSE_PROOF)] * 2
+
+
 # -- validation hooks --------------------------------------------------------------
 
 def test_hook_refusal_on_announce():
@@ -579,6 +598,30 @@ def test_round_outputs_verify_across_failure_matrix():
             check = multisig.verify_collective(out.roster, result.statement,
                                                result.signature, Threshold(1))
             assert check.ok, (n, mode, position)
+
+
+@pytest.mark.parametrize("refuser", [1, 5], ids=["interior", "leaf"])
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_parent_handles_a_refusal_in_the_response_phase(mode, refuser):
+    """A statement bound at challenge is refused after the commit phase; the
+    parent takes that refusal in place of the witness's response."""
+    sim = simnet.CosiSim(SimConfig(seed=3, n=7, branching=2, mode=mode,
+                                   statement_timing=engine.STATEMENT_AT_CHALLENGE))
+    sim.nodes[refuser].hook = lambda statement, now: False
+    _, result = sim.run_round(0)
+    assert result.ok and result.refused == {refuser}
+    sig = result.signature
+    if mode == MODE_RESTART:
+        assert result.attempts == 2 and sig.exceptions == ()
+        present = sig.participation.response_present
+        assert refuser not in present
+        assert refuser != 1 or {3, 4} <= present
+    else:
+        assert result.attempts == 1
+        assert [e.index for e in sig.exceptions] == [refuser]
+    assert multisig.verify_collective(sim.roster, result.statement, sig, Threshold(6)).ok
+    assert [entry for entry in sim.nodes[refuser].nonce_log
+            if entry[4] == sig.challenge.value] == []
 
 
 def test_nonce_freshness_across_restarts():
