@@ -30,7 +30,10 @@ nodes; a node still in that view with no state for the round when it fires
 votes. On activating a view, a node treats the round as due afresh.
 
 Nodes are purely reactive: they consume one message or timer event at a time
-and return effects (messages to send, timers to arm, round results). The
+and return effects (messages to send, timers to arm, round results). A node's
+state is plain data, so a copy of a node runs on its own. Its containers are
+bounded by the roster size or a named constant, except `view_votes`, one table
+per proposed view above its own, which a Byzantine voter can grow. The
 hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery
 and clocks and must serialize events per node. The TCP runner does not yet
 call `round_due`, so over TCP no view changes.
@@ -631,11 +634,11 @@ class SigningNode:
         self.hook = validation_hook or accept_all
 
         self.current_view = 0
-        self._due: Optional[Callable[[float], list]] = None  # round_due again, at a time
+        self._due: Optional[tuple] = None  # (config, statement) of the round due
         self.view_votes: dict[int, dict[int, Signature]] = {}
         self._view_voters: frozenset = frozenset()  # whose votes activated the view
         self.rounds: dict[tuple, _RoundState] = {}
-        # (view, round, attempt, nonce value, challenge value) for audits
+        # (view, round, attempt, nonce, challenge) per answered challenge: one per round state
         self.nonce_log: list[tuple] = []
         # (child's subtree, commit absences, response absences) -> the
         # child's present key, kept so that the key's ladder window
@@ -667,7 +670,7 @@ class SigningNode:
         per level."""
         if self.is_leader():
             return self.start_round(config, statement, now)
-        self._due = lambda at: self.round_due(config, statement, at)
+        self._due = (config, statement)
         patience = PROGRESS_PATIENCE
         leader = view_leader(self.roster, self.current_view)
         height = tree_for(len(self.roster), config.branching, leader).height(leader)
@@ -1016,10 +1019,11 @@ class SigningNode:
         st.global_commit = msg.aggregate_commit
         st.proof = msg.proof
         st.return_to = msg.sender
-        self.nonce_log.append(st.key + (st.nonce.value, msg.challenge.value))
         return self._challenge_descend(st, now)
 
     def _challenge_descend(self, st: _RoundState, now: float) -> list:
+        self.nonce_log.append(st.key + (st.nonce.value, st.challenge.value))
+        del self.nonce_log[:-ROUND_STATES_KEPT]
         st.pending_resp = set(st.contributors)
         if not st.pending_resp:
             return self._finalize_response(st, now)
@@ -1251,7 +1255,6 @@ class SigningNode:
                                                      root)
         st.commit_root = root
         st.global_commit = st.aggregate_commit
-        self.nonce_log.append(st.key + (st.nonce.value, st.challenge.value))
         return self._challenge_descend(st, now)
 
     def _restart_or_fail(self, st: _RoundState, now: float, reason: str) -> list:
@@ -1337,4 +1340,4 @@ class SigningNode:
         logger.info("node %d activates view %d (leader %d)", self.index, view,
                     view_leader(self.roster, view))
         # the round due is due afresh in this view
-        return [] if self._due is None else self._due(now)
+        return [] if self._due is None else self.round_due(*self._due, now)

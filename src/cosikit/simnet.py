@@ -280,17 +280,14 @@ class CosiSim:
             elif f.behavior == "lie":
                 self.liars.add(f.node)
         self.round_result: Optional[RoundResult] = None
-        self.charged_announce: set = set()
 
     # -- effect plumbing --
 
     def _units_for(self, node: int, msg) -> int:
         if isinstance(msg, Announce):
-            key = (node, msg.view, msg.round, msg.attempt)
-            if key in self.charged_announce:
-                return 0
-            self.charged_announce.add(key)
-            return EXP_UNITS
+            # an announce costs where it opens a session; re-announcing a held one, nothing
+            held = (msg.view, msg.round, msg.attempt) in self.nodes[node].rounds
+            return 0 if held else EXP_UNITS
         if isinstance(msg, Response):
             return VERIFY_UNITS
         if isinstance(msg, ViewChange):

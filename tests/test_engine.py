@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 from dataclasses import fields, replace
@@ -553,6 +554,45 @@ def test_lying_child_no_restart_becomes_exception():
                                           result.signature, Threshold(6)).ok
 
 
+@pytest.mark.parametrize("forgery", ["exception-without-dropout", "absent-at-commit",
+                                     "proof-off-the-tree"])
+def test_parent_rejects_a_response_whose_exception_reports_do_not_hold(forgery, caplog):
+    """7 witnesses, branching 2, no-restart: node 1 (children 3 and 4) rewrites
+    its response's dropout reports; the leader rejects it, makes node 1 an
+    exception and bridges to 1's contributors."""
+    failures = ((FailureAction(3, "announce", "crash"),) if forgery == "absent-at-commit"
+                else ())
+    sim = simnet.CosiSim(SimConfig(seed=3, n=7, branching=2, mode=MODE_NO_RESTART,
+                                   failures=failures))
+    send = sim._send
+
+    def forging_send(src, dst, msg, when):
+        if src == 1 and dst == 0 and isinstance(msg, Response):
+            # a commit exception for node 3 whose proof folds to no tree hash
+            # of node 1's, reported with node 3 absent, or alone
+            bogus = (CommitException(3, sim.group.generator, CommitTreeProof(())),)
+            absent = msg.absent if forgery == "exception-without-dropout" else frozenset({3})
+            msg = replace(msg, absent=absent, exceptions=bogus)
+        send(src, dst, msg, when)
+
+    sim._send = forging_send
+    _, result = sim.run_round(0)
+    assert "node 0: invalid partial response from 1" in caplog.text
+    assert result.ok and [e.index for e in result.signature.exceptions] == [1]
+    assert multisig.verify_collective(sim.roster, result.statement, result.signature,
+                                      Threshold(1)).ok
+
+
+def test_no_restart_challenge_without_a_commit_root_unanswered():
+    node, challenge = _lying_leader_challenge(MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE,
+                                              b"honest")
+    assert node.handle_message(replace(challenge, commit_root=None), now=0.1) == []
+    assert node.nonce_log == []
+    # control: the challenge with its root is answered
+    effects = node.handle_message(challenge, now=0.2)
+    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Response)]
+
+
 def test_interior_drop_bridges_responses():
     out = run_cosi(seed=7, n=15, branching=2, mode=MODE_NO_RESTART,
                    failures=(FailureAction(1, "challenge", "crash"),))
@@ -745,6 +785,29 @@ def test_view_change_votes_activate():
     assert [(e.dest, e.msg.view, e.msg.round, e.msg.failed, e.msg.statement)
             for e in effects if isinstance(e, Send)] == [
         (d, 1, 5, frozenset({0}), b"due") for d in (2, 3)]
+
+
+def test_deep_copied_node_drives_its_own_view():
+    """A copied node's due round is its own: the copy activates view 1 and
+    starts the round as its leader, and the original is left as it was."""
+    secrets = [3, 4, 5, 6]
+    roster = make_toy_roster(secrets)
+    rng = random.Random(11)
+    original = make_node(1, roster, secrets)  # leads view 1
+    due = engine.RoundConfig(round_number=0, branching=3)
+    original.round_due(due, b"due", 0.0)
+    clone = copy.deepcopy(original)
+    effects = []
+    for signer in (0, 2, 3):
+        kp = KeyPair.from_secret(TOY, secrets[signer])
+        sig = schnorr_sign(kp, view_vote_statement(roster, 1), rng)
+        effects = clone.handle_message(ViewChange(proposed_view=1, signer=signer,
+                                                  signature=sig), 2.1)
+    assert clone.current_view == 1 and list(clone.rounds) == [(1, 0, 0)]
+    assert [(e.dest, e.msg.view, e.msg.round) for e in effects if isinstance(e, Send)] == [
+        (0, 1, 0), (2, 1, 0), (3, 1, 0)]
+    assert original.current_view == 0 and original.rounds == {}
+    assert original._due == (due, b"due")
 
 
 def test_progress_timer_votes_only_without_round_state():

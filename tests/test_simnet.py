@@ -302,3 +302,22 @@ def test_subtree_key_memo_stays_bounded(monkeypatch, bound):
     # children and, past liar 1, the three it bridges to.
     assert sizes[-1] == sizes[0]
     assert sizes[0][0] == min(6, engine.SUBTREE_KEY_MEMO)
+
+
+@pytest.mark.parametrize("mode", [multisig.MODE_RESTART, MODE_NO_RESTART])
+def test_node_and_simulator_state_stop_growing(mode):
+    """A long-lived simulation holds bounded state: after warm-up, the summed
+    sizes of every node's containers and the simulator's event queue stay
+    where they are, with a liar and view change on."""
+    sim = simnet.CosiSim(SimConfig(seed=1, n=16, branching=3, mode=mode, view_change=True,
+                                   failures=_liars(5)))
+    sizes = {}
+    for r in range(250):
+        _, result = sim.run_round(r)
+        assert result.ok and 5 in result.failed
+        if r + 1 in (50, 250):
+            sizes[r + 1] = [sum(len(getattr(node, name)) for node in sim.nodes)
+                            for name in ("rounds", "nonce_log", "subtree_keys", "view_votes")]
+            sizes[r + 1].append(len(sim.net.heap))
+    assert sizes[50] == sizes[250]
+    assert sizes[50][:2] == [16 * engine.ROUND_STATES_KEPT] * 2
