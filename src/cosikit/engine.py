@@ -7,9 +7,11 @@ Failure handling is mode-dependent: restart mode prunes failed witnesses and
 replays the round from phase 1, no-restart mode documents commit-phase
 dropouts in the participation set and response-phase dropouts as commit
 exceptions, bridging past dead interior nodes to their children with the
-announce that opened the round at the bridging node. A leader carries each
-round's statement and its failed and refused witnesses from attempt to
-attempt, so a round restarts with its own data however rounds overlap.
+announce that opened the round at the bridging node. Only no-restart mode
+binds a commit root, so only its commits summarise their contributors and only
+its challenges carry audit paths. A leader carries each round's statement and
+its failed and refused witnesses from attempt to attempt, so a round restarts
+with its own data however rounds overlap.
 
 A witness's one extension point is its statement validation hook,
 `hook(statement, now) -> bool`: it runs before the witness commits to an
@@ -94,7 +96,7 @@ class EngineError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundConfig:
     round_number: int
     mode: int = MODE_RESTART
@@ -210,10 +212,12 @@ def _read_flag(group, raw: bytes) -> bool:
     return raw[0] == 1
 
 
-# The one empty index set, shared by every message and record that names
-# nobody, as most absence, failure and refusal sets do: each fresh empty
-# frozenset takes 216 bytes, and a node keeps `ROUND_STATES_KEPT` rounds of
-# records.
+# The one empty index set, shared by every message, record and round state
+# that names nobody, as most absence, failure, refusal and pending sets do:
+# each fresh empty frozenset takes 216 bytes, and a node keeps
+# `ROUND_STATES_KEPT` rounds of state. A round state's index sets are
+# frozensets, rebound rather than mutated, and pass through `_frozen` wherever
+# they may come out empty.
 _NOBODY: frozenset[int] = frozenset()
 
 
@@ -269,6 +273,9 @@ _BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u3
 _OPT_BYTES = _opt_bytes()
 _PROOF = _Kind(lambda v: v.encode(), lambda r, g: CommitTreeProof.decode(r),
                size=lambda v, g: v.wire_size())
+# The empty audit path, which every restart challenge carries: it binds no
+# commit root, so no node folds a path up to one.
+_NO_PATH = CommitTreeProof(())
 
 
 class _Layout:
@@ -312,7 +319,7 @@ class _Layout:
 # Messages; a frame's tag byte is its message class's `tag`
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _Routed:
     """The header of a message within a round: its session and its sender."""
 
@@ -326,7 +333,7 @@ class _Routed:
 _HEADER = (("view", _U32), ("round", _U32), ("attempt", _U16), ("sender", _INDEX))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Announce:
     view: int
     round: int
@@ -347,11 +354,11 @@ class Announce:
                      ("sender", _INDEX), ("statement", _OPT_BYTES))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubtreeSummary:
-    """What a node knows about one contributor's subtree, and reports about
-    each direct contributor: enough for the recipient to build exception
-    records and bridge one level down."""
+    """What a node knows about one contributor's subtree, and in no-restart
+    mode reports about each direct contributor: enough for the recipient to
+    build exception records and bridge one level down."""
 
     index: int
     commit: GroupElement  # the contributor's individual commit
@@ -374,7 +381,7 @@ class SubtreeSummary:
         return commit_step(inputs, pos)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Commit(_Routed):
     aggregate: GroupElement  # subtree aggregate commit
     commit: GroupElement  # sender's individual commit
@@ -382,7 +389,7 @@ class Commit(_Routed):
     absent: frozenset[int]  # commit-phase absences within the sender's subtree
     failed: frozenset[int]
     refused: frozenset[int]
-    summaries: tuple[SubtreeSummary, ...]
+    summaries: tuple[SubtreeSummary, ...]  # none in restart mode
 
     tag = 2
     layout = _Layout(*_HEADER, ("aggregate", _ELEMENT), ("commit", _ELEMENT),
@@ -390,13 +397,14 @@ class Commit(_Routed):
                      ("refused", _INDEX_SET), ("summaries", _records(SubtreeSummary.layout)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Challenge(_Routed):
     challenge: Scalar
     aggregate_commit: GroupElement
     commit_root: Optional[bytes]
     statement: Optional[bytes]
-    proof: CommitTreeProof  # the recipient's subtree hash up to the commit root
+    proof: CommitTreeProof  # the recipient's subtree hash up to the commit root;
+    # `_NO_PATH` in restart mode
 
     tag = 3
     layout = _Layout(*_HEADER, ("challenge", _SCALAR), ("aggregate_commit", _ELEMENT),
@@ -409,7 +417,7 @@ _EXCEPTION = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("proof", _PROOF),
                      cls=CommitException)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Response(_Routed):
     aggregate_response: Scalar
     absent: frozenset[int]  # response-phase dropouts within the sender's subtree
@@ -427,7 +435,7 @@ REFUSE_STATEMENT = 0
 REFUSE_STALE = 1
 REFUSE_PROOF = 2
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Refuse(_Routed):
     reason: int
 
@@ -435,7 +443,7 @@ class Refuse(_Routed):
     layout = _Layout(*_HEADER, ("reason", _U8))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ViewChange:
     proposed_view: int
     signer: int
@@ -445,7 +453,7 @@ class ViewChange:
     layout = _Layout(("proposed_view", _U32), ("signer", _INDEX), ("signature", _SIGNATURE))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampRequest:
     digest: bytes
 
@@ -453,7 +461,7 @@ class StampRequest:
     layout = _Layout(("digest", _DIGEST))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StampReply:
     ok: bool
     payload: bytes
@@ -500,24 +508,24 @@ def decode_frame_body(data: bytes, group, witness_count: int):
 # Effects returned by the state machines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Send:
     dest: int
     msg: Message
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetTimer:
     key: tuple
     delay: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundDone:
     result: "RoundResult"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RoundResult:
     ok: bool
     round: int
@@ -534,7 +542,7 @@ class RoundResult:
 # Per-round mutable state
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class _Lead:
     """What a leader carries from one attempt of a round to the next."""
 
@@ -547,7 +555,7 @@ class _Lead:
         return self.statement() if callable(self.statement) else self.statement
 
 
-@dataclass
+@dataclass(slots=True)
 class _RoundState:
     key: tuple  # (view, round, attempt)
     config: RoundConfig
@@ -561,29 +569,30 @@ class _RoundState:
     nonce: Optional[Scalar] = None
     own_commit: Optional[GroupElement] = None
 
-    pending_commit: set = field(default_factory=set)
+    # index sets are frozensets, `_NOBODY` while empty
+    pending_commit: frozenset = _NOBODY
     records: dict = field(default_factory=dict)  # direct contributor -> SubtreeSummary
     below: dict = field(default_factory=dict)  # one level further down -> SubtreeSummary
-    absent: set = field(default_factory=set)
-    failed: set = field(default_factory=set)
-    refused: set = field(default_factory=set)
+    absent: frozenset = _NOBODY
+    failed: frozenset = _NOBODY
+    refused: frozenset = _NOBODY
 
     contributors: list = field(default_factory=list)  # sorted indices
     inputs: list = field(default_factory=list)  # commit-tree inputs at this node
     tree_hash: Optional[bytes] = None
     aggregate_commit: Optional[GroupElement] = None
-    participants: frozenset = frozenset()
+    participants: frozenset = _NOBODY
 
     challenge: Optional[Scalar] = None
     commit_root: Optional[bytes] = None
     global_commit: Optional[GroupElement] = None
-    proof: CommitTreeProof = CommitTreeProof(())  # this node's hash up to the root
+    proof: CommitTreeProof = _NO_PATH  # this node's hash up to the root
     return_to: Optional[int] = None  # where the response goes (may be a bridger)
 
-    pending_resp: set = field(default_factory=set)
+    pending_resp: frozenset = _NOBODY
     held: Optional[dict] = None  # sender -> (Response, partial), checked once none is pending
     resp_shares: dict = field(default_factory=dict)  # index -> Scalar aggregate
-    resp_absent: set = field(default_factory=set)
+    resp_absent: frozenset = _NOBODY
     exceptions: list = field(default_factory=list)  # CommitException, anchored at this node
     unresolvable: Optional[str] = None
     answer: Optional[Response | Refuse] = None  # the response sent up, or the refusal
@@ -728,23 +737,23 @@ class SigningNode:
                            failed=failed, refused=refused)
 
     def _fail(self, st: _RoundState, reason: str) -> list:
-        return [RoundDone(self._failure(st.config, st.key[2], reason,
-                                        frozenset(st.failed), frozenset(st.refused)))]
+        return [RoundDone(self._failure(st.config, st.key[2], reason, st.failed, st.refused))]
 
     # ------------------------------------------------------------------
     # Outgoing messages
     # ------------------------------------------------------------------
 
-    def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...]) -> Challenge:
+    def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...] = ()) -> Challenge:
         """The challenge for a node placed by `steps` below this one. Audit
         paths fold bottom-up: `steps` lift the recipient's hash to ours, then
-        our own received path continues to the root."""
+        our own received path continues to the root. A restart challenge
+        binds no commit root and is sent without `steps`."""
         late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
         return Challenge(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             challenge=st.challenge, aggregate_commit=st.global_commit,
             commit_root=st.commit_root, statement=st.statement if late else None,
-            proof=CommitTreeProof(steps + st.proof.steps),
+            proof=CommitTreeProof(steps + st.proof.steps) if steps else _NO_PATH,
         )
 
     def _refuse(self, st: _RoundState, dest: int, reason: int) -> list:
@@ -776,7 +785,7 @@ class SigningNode:
                 other.nonce = None
         st.nonce = self.group.random_scalar(self.rng)
         st.own_commit = self.group.generator ** st.nonce
-        st.pending_commit = set(st.topology.children[self.index])
+        st.pending_commit = _frozen(st.topology.children[self.index])
         if not st.pending_commit:
             return self._finalize_commit(st, now)
         return [SetTimer(("commit",) + st.key, self._wait_budget(st))]
@@ -794,7 +803,8 @@ class SigningNode:
             participants |= st.topology.descendants(c) - rec.absent
         st.aggregate_commit = agg
         st.participants = frozenset(participants)
-        st.absent |= st.topology.descendants(self.index) - st.participants
+        unheard = st.topology.descendants(self.index) - st.participants
+        st.absent = _frozen(st.absent | unheard)
         st.phase = PHASE_RESPONSE
 
         if st.parent is None:
@@ -806,12 +816,13 @@ class SigningNode:
             # A newer session discarded our nonce: this commit could never be
             # answered, so tell the parent not to wait for our response.
             return self._refuse(st, st.parent, REFUSE_STALE)
+        # only no-restart mode bridges, and so reads the summaries
+        summaries = (tuple([st.records[c] for c in st.contributors])
+                     if st.config.mode == MODE_NO_RESTART else ())
         msg = Commit(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate=st.aggregate_commit, commit=st.own_commit,
-            tree_hash=st.tree_hash, absent=_frozen(st.absent),
-            failed=_frozen(st.failed), refused=_frozen(st.refused),
-            summaries=tuple(st.records[c] for c in st.contributors),
+            aggregate=st.aggregate_commit, commit=st.own_commit, tree_hash=st.tree_hash,
+            absent=st.absent, failed=st.failed, refused=st.refused, summaries=summaries,
         )
         return [Send(st.parent, msg)]
 
@@ -903,7 +914,7 @@ class SigningNode:
     def _on_commit(self, st: _RoundState, msg: Commit, now: float) -> list:
         if st.phase != PHASE_COMMIT or msg.sender not in st.pending_commit:
             return []
-        if not self._reports_below_sender(st, msg):
+        if self._carries_commit_tree(st, msg) or not self._reports_below_sender(st, msg):
             return []
         below = {s.index: s for s in msg.summaries}
         st.records[msg.sender] = SubtreeSummary(
@@ -913,12 +924,23 @@ class SigningNode:
             absent=msg.absent,
         )
         st.below.update(below)
-        st.failed |= msg.failed
-        st.refused |= msg.refused
-        st.pending_commit.discard(msg.sender)
+        st.failed = _frozen(st.failed | msg.failed)
+        st.refused = _frozen(st.refused | msg.refused)
+        st.pending_commit = _frozen(st.pending_commit - {msg.sender})
         if not st.pending_commit:
             return self._finalize_commit(st, now)
         return []
+
+    def _carries_commit_tree(self, st: _RoundState, msg: Commit | Challenge) -> bool:
+        """Restart mode ships no commit-tree data, as no node there reads it:
+        a commit with summaries, or a challenge with an audit path, is dropped
+        and the phase timer treats its sender as silent."""
+        if st.config.mode != MODE_RESTART \
+                or not (msg.summaries if isinstance(msg, Commit) else msg.proof.steps):
+            return False
+        logger.warning("node %d: dropping %s from %d: restart mode carries no commit-tree "
+                       "data", self.index, type(msg).__name__, msg.sender)
+        return True
 
     def _reports_below_sender(self, st: _RoundState, msg: Commit | Response) -> bool:
         """A child may report only nodes strictly below itself, and summarise
@@ -938,10 +960,10 @@ class SigningNode:
 
     def _on_refuse(self, st: _RoundState, msg: Refuse, now: float) -> list:
         if st.phase == PHASE_COMMIT and msg.sender in st.pending_commit:
-            st.refused.add(msg.sender)
+            st.refused |= {msg.sender}
             return self._commit_child_gone(st, msg.sender, now, crashed=False)
         if st.phase == PHASE_RESPONSE and msg.sender in st.pending_resp:
-            st.refused.add(msg.sender)
+            st.refused |= {msg.sender}
             return (self._response_child_gone(st, msg.sender, crashed=False)
                     + self._responses_done(st, now))
         return []
@@ -951,17 +973,16 @@ class SigningNode:
         """A child is dead or refused during the commit phase."""
         if st.phase != PHASE_COMMIT:
             return []
-        st.pending_commit.discard(child)
+        st.pending_commit = _frozen(st.pending_commit - {child})
         if crashed:
-            st.failed.add(child)
-        st.absent.add(child)
+            st.failed |= {child}
+        st.absent |= {child}
         effects: list = []
         grandchildren = st.topology.children[child]
         if st.config.mode == MODE_NO_RESTART and grandchildren:
             # Bridge the gap: announce directly to the dead child's children.
-            for g in grandchildren:
-                st.pending_commit.add(g)
-                effects.append(Send(g, st.announce))
+            st.pending_commit = st.pending_commit.union(grandchildren)
+            effects = [Send(g, st.announce) for g in grandchildren]
             effects.append(SetTimer(("commit",) + st.key, st.config.timeout_base))
         elif st.config.mode == MODE_RESTART and grandchildren:
             # The subtree is lost for this attempt; the restart will re-attach it.
@@ -973,7 +994,7 @@ class SigningNode:
     # -- challenge --
 
     def _on_challenge(self, st: _RoundState, msg: Challenge, now: float) -> list:
-        if st.phase == PHASE_REFUSED:
+        if st.phase == PHASE_REFUSED or self._carries_commit_tree(st, msg):
             return []
         if st.phase == PHASE_COMMIT:
             # Our commit never made it into the aggregate; contributing a
@@ -1024,10 +1045,11 @@ class SigningNode:
     def _challenge_descend(self, st: _RoundState, now: float) -> list:
         self.nonce_log.append(st.key + (st.nonce.value, st.challenge.value))
         del self.nonce_log[:-ROUND_STATES_KEPT]
-        st.pending_resp = set(st.contributors)
+        st.pending_resp = _frozen(st.contributors)
         if not st.pending_resp:
             return self._finalize_response(st, now)
-        return [Send(child, self._challenge(st, (self._step_for(st, child),)))
+        lift = st.config.mode == MODE_NO_RESTART  # only a commit root needs a path
+        return [Send(child, self._challenge(st, (self._step_for(st, child),) if lift else ()))
                 for child in st.contributors] + [
             SetTimer(("response",) + st.key, self._wait_budget(st))]
 
@@ -1042,10 +1064,10 @@ class SigningNode:
             # The attempt is already doomed; a partial missing subtree shares
             # cannot check out against the full subtree commit, so just record
             # the failure report and let the leader restart.
-            st.pending_resp.discard(msg.sender)
-            st.resp_absent |= msg.absent
-            st.failed |= msg.failed
-            st.refused |= msg.refused
+            st.pending_resp = _frozen(st.pending_resp - {msg.sender})
+            st.resp_absent = _frozen(st.resp_absent | msg.absent)
+            st.failed = _frozen(st.failed | msg.failed)
+            st.refused = _frozen(st.refused | msg.refused)
             return self._responses_done(st, now)
         # A direct contributor, or a bridged one we only know through a summary.
         rec = st.records.get(msg.sender) or st.below.get(msg.sender)
@@ -1063,7 +1085,7 @@ class SigningNode:
             partial = None
         if partial is None:
             return self._reject_partial(st, msg.sender) + self._responses_done(st, now)
-        st.pending_resp.discard(msg.sender)
+        st.pending_resp = _frozen(st.pending_resp - {msg.sender})
         if st.held is None:
             st.held = {}
         st.held[msg.sender] = (msg, partial)
@@ -1071,19 +1093,20 @@ class SigningNode:
 
     def _reject_partial(self, st: _RoundState, sender: int) -> list:
         logger.warning("node %d: invalid partial response from %d", self.index, sender)
-        st.failed.add(sender)
+        st.failed |= {sender}
         return self._response_child_gone(st, sender)
 
     def _accept_partial(self, st: _RoundState, msg: Response) -> None:
-        st.pending_resp.discard(msg.sender)
+        st.pending_resp = _frozen(st.pending_resp - {msg.sender})
         st.resp_shares[msg.sender] = msg.aggregate_response
-        st.resp_absent |= msg.absent
-        st.failed |= msg.failed
-        st.refused |= msg.refused
-        anchor = self._anchor_steps_for(st, msg.sender)
-        for exc in msg.exceptions:
-            st.exceptions.append(CommitException(
-                exc.index, exc.commit, CommitTreeProof(exc.proof.steps + anchor)))
+        st.resp_absent = _frozen(st.resp_absent | msg.absent)
+        st.failed = _frozen(st.failed | msg.failed)
+        st.refused = _frozen(st.refused | msg.refused)
+        if msg.exceptions:  # none in restart mode, which builds no anchor
+            anchor = self._anchor_steps_for(st, msg.sender)
+            for exc in msg.exceptions:
+                st.exceptions.append(CommitException(
+                    exc.index, exc.commit, CommitTreeProof(exc.proof.steps + anchor)))
 
     def _settle_held(self, st: _RoundState) -> list:
         """Check the held partials in one batch; accept them, and reject
@@ -1154,12 +1177,13 @@ class SigningNode:
                              crashed: bool = True) -> list:
         """A contributor died, lied, or refused between commit and response.
         The caller answers once nothing is pending (`_responses_done`)."""
-        st.pending_resp.discard(child)
+        st.pending_resp = _frozen(st.pending_resp - {child})
         effects: list = []
         if st.config.mode == MODE_RESTART:
             if crashed:
-                st.failed.add(child)
-            st.resp_absent |= st.topology.descendants(child) & st.participants
+                st.failed |= {child}
+            st.resp_absent = _frozen(st.resp_absent
+                                     | (st.topology.descendants(child) & st.participants))
             return effects
 
         rec = st.records.get(child)
@@ -1169,12 +1193,12 @@ class SigningNode:
             exc_steps += (self._step_for(st, child),)
             st.exceptions.append(CommitException(child, rec.commit,
                                                  CommitTreeProof(exc_steps)))
-            st.resp_absent.add(child)
+            st.resp_absent |= {child}
             if crashed:
-                st.failed.add(child)
+                st.failed |= {child}
             # Bridge the gap: ask the dead child's own contributors directly.
             for s, _ in rec.contributors:
-                st.pending_resp.add(s)
+                st.pending_resp |= {s}
                 effects.append(Send(s, self._challenge(
                     st, (rec.step_for(s), self._step_for(st, child)))))
             if rec.contributors:
@@ -1192,9 +1216,9 @@ class SigningNode:
                 st.exceptions.append(CommitException(
                     child, summary.commit,
                     CommitTreeProof(self._anchor_steps_for(st, child))))
-                st.resp_absent.add(child)
+                st.resp_absent |= {child}
                 if crashed:
-                    st.failed.add(child)
+                    st.failed |= {child}
         return effects
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
@@ -1206,9 +1230,8 @@ class SigningNode:
             return self._leader_after_response(st, total, now)
         msg = Response(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate_response=total, absent=_frozen(st.resp_absent),
-            failed=_frozen(st.failed), refused=_frozen(st.refused),
-            exceptions=tuple(st.exceptions),
+            aggregate_response=total, absent=st.resp_absent, failed=st.failed,
+            refused=st.refused, exceptions=tuple(st.exceptions),
         )
         st.answer = msg
         return [Send(st.return_to if st.return_to is not None else st.parent, msg)]
@@ -1280,8 +1303,7 @@ class SigningNode:
         response_present = st.participants - st.resp_absent
         if len(response_present) < config.min_participants:
             return self._fail(st, "participation below leader threshold")
-        pset = ParticipationSet(count=len(self.roster),
-                                response_present=frozenset(response_present),
+        pset = ParticipationSet(count=len(self.roster), response_present=response_present,
                                 commit_present=st.participants)
         exceptions = tuple(sorted(st.exceptions, key=lambda e: e.index))
         sig = CollectiveSignature(
@@ -1295,8 +1317,8 @@ class SigningNode:
         result = RoundResult(
             ok=True, round=config.round_number, view=self.current_view,
             attempts=st.key[2] + 1, statement=st.statement, signature=sig,
-            failed=(st.lead.failed - st.lead.refused) | frozenset(st.failed),
-            refused=st.lead.refused | frozenset(st.refused),
+            failed=(st.lead.failed - st.lead.refused) | st.failed,
+            refused=st.lead.refused | st.refused,
         )
         if st.refused:
             logger.info("leader %d: refusals (distinct from crashes) from %s",

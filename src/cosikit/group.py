@@ -253,7 +253,7 @@ class Group:
         return f"<Group {self.name} q={self.order if self.order < 1 << 64 else hex(self.order)}>"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Scalar:
     """Field element modulo the group order q."""
 

@@ -2,6 +2,7 @@ import copy
 import itertools
 import random
 from dataclasses import fields, replace
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -734,13 +735,17 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     # 7 witnesses, branching 2: node 1 has children 3 and 4, node 2 has 5 and
     # 6. Node 1's commit summarises a node outside its subtree, or names a
     # contributor outside the summarised node's subtree; the leader drops it
-    # rather than store a summary that a no-restart bridge would trust.
+    # rather than store a summary that a no-restart bridge would trust. A
+    # restart commit carries no summaries, so there the forgery starts from
+    # node 1's record of its child 3, and the commit is dropped for carrying
+    # a summary at all.
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
     send = sim._send
 
     def forging_send(src, dst, msg, when):
         if src == 1 and isinstance(msg, Commit):
-            real = msg.summaries[0]
+            real = (msg.summaries[0] if mode == MODE_NO_RESTART
+                    else sim.nodes[1].rounds[(msg.view, msg.round, msg.attempt)].records[3])
             forged = {"sibling-subtree": replace(real, index=5),
                       "sender": replace(real, index=1),
                       "contributor": replace(real, contributors=((5, real.tree_hash),))}
@@ -751,7 +756,80 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     assert result.signature.participation.response_present == frozenset(range(7)) - {1}
-    assert "dropping Commit from 1: it reports nodes outside its subtree" in caplog.text
+    why = ("it reports nodes outside its subtree" if mode == MODE_NO_RESTART
+           else "restart mode carries no commit-tree data")
+    assert f"dropping Commit from 1: {why}" in caplog.text
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_only_no_restart_rounds_ship_commit_tree_data(mode):
+    """Only a no-restart round binds a commit root, so only there do commits
+    summarise their contributors and challenges carry audit paths. Node 1
+    (children 4, 5 and 6) crashes before its response, so a restart round
+    restarts and a no-restart round bridges."""
+    sim = simnet.CosiSim(SimConfig(seed=5, n=13, branching=3, mode=mode,
+                                   failures=(FailureAction(1, "response", "crash"),)))
+    sent = []
+    send = sim._send
+
+    def recording_send(src, dst, msg, when):
+        sent.append(msg)
+        send(src, dst, msg, when)
+
+    sim._send = recording_send
+    _, result = sim.run_round(0)
+    assert result.ok and result.failed == frozenset({1})
+    commits = [m for m in sent if isinstance(m, Commit)]
+    challenges = [m for m in sent if isinstance(m, Challenge)]
+    if mode == MODE_RESTART:
+        assert result.attempts == 2
+        assert {m.attempt for m in commits} == {m.attempt for m in challenges} == {0, 1}
+        assert all(m.summaries == () for m in commits)
+        assert all(m.proof == CommitTreeProof(()) for m in challenges)
+    else:
+        assert result.attempts == 1
+        assert {m.sender for m in commits if m.summaries} == {1, 2, 3}
+        assert all(m.proof.steps for m in challenges)
+
+
+def test_restart_commit_with_a_summary_dropped(caplog):
+    # Node 1's restart commit summarises its own child 3 truthfully, as a
+    # no-restart commit would; the leader drops it all the same, and restarts
+    # without node 1.
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2))
+    send = sim._send
+
+    def summarising_send(src, dst, msg, when):
+        if src == 1 and isinstance(msg, Commit):
+            real = sim.nodes[1].rounds[(msg.view, msg.round, msg.attempt)].records[3]
+            msg = replace(msg, summaries=(real,))
+        send(src, dst, msg, when)
+
+    sim._send = summarising_send
+    _, result = sim.run_round(0)
+    assert result.ok and result.attempts == 2 and result.failed == frozenset({1})
+    assert result.signature.participation.response_present == frozenset(range(7)) - {1}
+    assert "dropping Commit from 1: restart mode carries no commit-tree data" in caplog.text
+
+
+def test_restart_challenge_with_an_audit_path_dropped(caplog):
+    # The leader's challenge to node 1 carries an audit path, which no restart
+    # challenge has: node 1 drops it and answers nothing, so the leader's
+    # response timer counts node 1 and its subtree out and restarts.
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2))
+    send = sim._send
+    path = CommitTreeProof((multisig.CommitStep(0, (bytes(32),)),))
+
+    def lifting_send(src, dst, msg, when):
+        if (src, dst) == (0, 1) and isinstance(msg, Challenge):
+            msg = replace(msg, proof=path)
+        send(src, dst, msg, when)
+
+    sim._send = lifting_send
+    _, result = sim.run_round(0)
+    assert result.ok and result.attempts == 2 and result.failed == frozenset({1})
+    assert "dropping Challenge from 0: restart mode carries no commit-tree data" in caplog.text
+    assert all(entry[:3] != (0, 0, 0) for entry in sim.nodes[1].nonce_log)
 
 
 # -- view changes -------------------------------------------------------------------
@@ -808,6 +886,58 @@ def test_deep_copied_node_drives_its_own_view():
         (0, 1, 0), (2, 1, 0), (3, 1, 0)]
     assert original.current_view == 0 and original.rounds == {}
     assert original._due == (due, b"due")
+
+
+def test_copies_of_messages_and_of_a_node_mid_round():
+    """Wire messages, round states and scalars are slotted frozen
+    dataclasses, which some Python 3.10 releases could not copy. A copy of
+    each wire message type equals the original, and node 1, copied as the
+    leader's challenge reaches it, answers its round as node 1 did: it
+    challenges its children, rejects liar 4 and sends up the same response."""
+    sim = simnet.CosiSim(SimConfig(seed=31, n=13, branching=3, mode=MODE_NO_RESTART,
+                                   failures=(FailureAction(4, "response", "lie"),)))
+    group = sim.roster.group
+    samples, to_node1, from_node1, clone = {}, [], [], None
+    send, deliver = sim._send, sim._deliver
+
+    def recording_send(src, dst, msg, when):
+        samples.setdefault(type(msg), msg)
+        if src == 1 and isinstance(msg, (Challenge, Response)):
+            from_node1.append(msg)
+        send(src, dst, msg, when)
+
+    def copying_deliver(dst, msg):  # messages as they arrive, the liar's lie included
+        nonlocal clone
+        if dst == 1 and isinstance(msg, (Challenge, Response)):
+            if clone is None:
+                clone = copy.deepcopy(sim.nodes[1])
+            to_node1.append(msg)
+        deliver(dst, msg)
+
+    sim._send, sim._deliver = recording_send, copying_deliver
+    _, result = sim.run_round(0)
+    assert result.ok and [e.index for e in result.signature.exceptions] == [4]
+    vote = schnorr_sign(KeyPair.from_secret(group, 5), b"vote", random.Random(1))
+    samples.update({
+        Refuse: Refuse(view=0, round=0, attempt=0, sender=2, reason=engine.REFUSE_STALE),
+        ViewChange: ViewChange(proposed_view=1, signer=2, signature=vote),
+        StampRequest: StampRequest(digest=bytes(32)),
+        StampReply: StampReply(ok=True, payload=b"receipt"),
+    })
+    assert set(samples) == set(get_args(engine.Message))
+    assert any(m.exceptions for m in from_node1 if isinstance(m, Response))
+    for msg in samples.values():
+        assert copy.copy(msg) == msg
+        # elements are equal only within one group object, so keep the group
+        assert copy.deepcopy(msg, {id(group): group}) == msg
+        assert encode_message(copy.deepcopy(msg), group) == encode_message(msg, group)
+
+    effects = []
+    for msg in to_node1:
+        effects += clone.handle_message(msg, 0.0)
+    assert [encode_message(e.msg, group) for e in effects if isinstance(e, Send)] == [
+        encode_message(m, group) for m in from_node1]
+    assert [len(m.proof.steps) for m in from_node1 if isinstance(m, Challenge)] == [2, 2, 2]
 
 
 def test_progress_timer_votes_only_without_round_state():

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -234,7 +236,7 @@ def test_every_message_charged_its_encoded_length(monkeypatch, cfg, sent_one):
 
 @pytest.mark.parametrize("cfg, msgs, sent_bytes, root_bytes, latency", [
     (SimConfig(seed=1, n=1024, branching=16, scheme="cosi", statement=bytes(32)),
-     4092, 1_727_851, 50_028, 1.2037),
+     4092, 221_991, 3_472, 1.2037),
     (SimConfig(seed=1, n=128, branching=8, scheme="cosi", group_name="prod",
                mode=MODE_NO_RESTART, statement=bytes(32), failures=_liars(5, 40, 77)),
      524, 150_367, 20_428, 1.2024),
@@ -260,7 +262,7 @@ _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
                  54, 8924, 3677, 1.00095, [(0, 1), (0, 5), (1, 5)],
                  id="no-restart-interior-liar-bridged-liar"),
     pytest.param(SimConfig(seed=33, failures=_liars(7), **_PROD_13),
-                 92, 13737, 4470, 1.60145, [(2, 7)], id="restart-leaf-liar"),
+                 92, 8033, 2102, 1.60145, [(2, 7)], id="restart-leaf-liar"),
     # 4 and 6 answer 1, 5 never does: 1's response timer fires
     pytest.param(SimConfig(seed=34, mode=MODE_NO_RESTART,
                            failures=_liars(6) + (FailureAction(5, "response", "crash"),),
@@ -302,6 +304,29 @@ def test_subtree_key_memo_stays_bounded(monkeypatch, bound):
     # children and, past liar 1, the three it bridges to.
     assert sizes[-1] == sizes[0]
     assert sizes[0][0] == min(6, engine.SUBTREE_KEY_MEMO)
+
+
+@pytest.mark.parametrize("mode", [multisig.MODE_RESTART, MODE_NO_RESTART])
+def test_one_more_round_retains_little_per_node(mode):
+    """What a node keeps of a round it took part in, read under tracemalloc as
+    the growth of traced memory over one more toy round at N=256, branching
+    16, once the tree is cached and before `ROUND_STATES_KEPT` drops any
+    round: at most 3,000 bytes per node."""
+    n = 256
+    sim = simnet.CosiSim(SimConfig(seed=1, n=n, branching=16, mode=mode))
+    tracemalloc.start()
+    try:
+        for r in range(2):
+            sim.run_round(r)
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        _, result = sim.run_round(2)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert result.ok and all(len(node.rounds) == 3 for node in sim.nodes)
+    assert retained <= 3000 * n, f"{retained / n:.0f} bytes per node"
 
 
 @pytest.mark.parametrize("mode", [multisig.MODE_RESTART, MODE_NO_RESTART])
