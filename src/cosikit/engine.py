@@ -263,7 +263,7 @@ _FLAG = _int(1, _read_flag)
 _DIGEST = _fixed(lambda g: DIGEST_SIZE, lambda g, raw: raw, lambda v: v)
 _ELEMENT = _fixed(lambda g: g.element_size, lambda g, raw: g.decode_element(raw))
 _SCALAR = _fixed(lambda g: g.scalar_size, lambda g, raw: g.decode_scalar(raw))
-_SIGNATURE = _fixed(lambda g: 2 * g.scalar_size, Signature.decode)
+_SIGNATURE = _fixed(lambda g: g.element_size + g.scalar_size, Signature.decode)
 # a u16 count, at most the roster size, then the indices strictly ascending
 _INDEX_SET = _Kind(lambda v: len(v).to_bytes(2, "big")
                    + b"".join([i.to_bytes(4, "big") for i in sorted(v)]),
@@ -802,9 +802,14 @@ class SigningNode:
             agg = agg * rec.aggregate
             participants |= st.topology.descendants(c) - rec.absent
         st.aggregate_commit = agg
-        st.participants = frozenset(participants)
-        unheard = st.topology.descendants(self.index) - st.participants
-        st.absent = _frozen(st.absent | unheard)
+        subtree = st.topology.descendants(self.index)
+        if len(participants) == len(subtree):
+            # the whole subtree took part, as at every leaf: hold the
+            # topology's own set, not a copy per round
+            st.participants = subtree
+        else:
+            st.participants = frozenset(participants)
+            st.absent = _frozen(st.absent | (subtree - st.participants))
         st.phase = PHASE_RESPONSE
 
         if st.parent is None:

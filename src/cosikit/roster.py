@@ -23,6 +23,7 @@ from .group import (
     Signature,
     group_by_name,
     verify_possession,
+    verify_possessions,
 )
 
 # Fraction of the old roster that must cosign a roster change: strictly more
@@ -118,12 +119,15 @@ def build_roster(entries: Sequence[RosterEntry], leader_index: int,
         if e.witness_id in seen:
             raise RosterError(f"duplicate witness id {e.witness_id.hex()}")
         seen.add(e.witness_id)
-        # Anyone can prove possession of the identity (r = v, c = H(g^v, O)),
-        # and so answer for such a witness in every round.
+        # Anyone can prove possession of the identity (R = g^v, s = v), and
+        # so answer for such a witness in every round.
         if e.key.public == e.key.public.group.identity:
             raise RosterError(f"identity public key for witness {e.witness_id.hex()}")
-        if not verify_possession(e.key):
-            raise RosterError(f"possession proof failed for witness {e.witness_id.hex()}")
+    if not verify_possessions([e.key for e in entries]):
+        # the batch names no entry: the single checks find the first bad one
+        for e in entries:
+            if not verify_possession(e.key):
+                raise RosterError(f"possession proof failed for witness {e.witness_id.hex()}")
     return WitnessRoster(version=version, entries=tuple(entries), leader_index=leader_index)
 
 

@@ -39,6 +39,7 @@ from .group import (
     prove_possession,
     schnorr_sign,
     schnorr_verify,
+    schnorr_verify_batch,
 )
 from .multisig import MODE_NAMES, MODE_RESTART
 from .roster import RosterEntry, WitnessRoster, build_roster
@@ -444,10 +445,14 @@ class NTreeSim(_Baseline):
         start = self.net.begin_round()
         statement = cfg.statement_for(round_index)
         req_size = 9 + len(statement)
-        sig_entry = 4 + 2 * self.cfg.group.scalar_size
+        sig_entry = 4 + cfg.group.element_size + cfg.group.scalar_size
         collected: dict[int, list[tuple[int, Signature]]] = {i: [] for i in range(cfg.n)}
         pending: dict[int, int] = {i: len(topo.children[i]) for i in range(cfg.n)}
         final: list = []
+
+        def verify_all(entry: list) -> bool:
+            return schnorr_verify_batch([(self.keys[j].public, statement, s)
+                                         for j, s in entry])
 
         def announce(i: int) -> None:
             done = self.net.process(i, EXP_UNITS)
@@ -460,9 +465,7 @@ class NTreeSim(_Baseline):
             sig = schnorr_sign(self.keys[i], statement, self.rngs[i])
             entry = [(i, sig)] + collected[i]
             if i == 0:
-                ok = all(schnorr_verify(self.keys[j].public, statement, s)
-                         for j, s in collected[i])
-                final.append((ok, entry))
+                final.append((verify_all(collected[i]), entry))
                 return
             parent = topo.parent[i]
             size = 9 + len(entry) * sig_entry
@@ -470,9 +473,10 @@ class NTreeSim(_Baseline):
 
         def on_subtree(parent: int, child: int, entry: list) -> None:
             done = self.net.process(parent, VERIFY_UNITS * len(entry))
-            for j, s in entry:
-                if not schnorr_verify(self.keys[j].public, statement, s):
-                    raise RuntimeError("ntree subtree signature failed")
+            if not verify_all(entry):
+                bad = [j for j, s in entry
+                       if not schnorr_verify(self.keys[j].public, statement, s)]
+                raise RuntimeError(f"ntree subtree signatures of nodes {bad} failed")
             collected[parent].extend(entry)
             pending[parent] -= 1
             if pending[parent] == 0:

@@ -151,7 +151,7 @@ def jvss_sign_round(states: list[JvssState], statement: bytes, rng) -> Signature
         w = sum(d.shares[st.index] for d in commit_dealings) % q
         partials.append((share_point(st.index, q),
                          (w - c.value * st.secret_share) % q))
-    return Signature(c=c, r=Scalar(group, interpolate(partials, q)))
+    return Signature(R=joint_commit, s=Scalar(group, interpolate(partials, q)))
 
 
 def _responders_with_distinct_points(states: list[JvssState], count: int,

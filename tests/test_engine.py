@@ -197,7 +197,7 @@ def _routed_messages(sender):
                            failed=frozenset(), refused=frozenset(), exceptions=(), **head),
         Refuse: Refuse(reason=engine.REFUSE_STALE, **head),
         ViewChange: ViewChange(proposed_view=1, signer=sender,
-                               signature=Signature(TOY.scalar(1), TOY.scalar(2))),
+                               signature=Signature(TOY.generator, TOY.scalar(2))),
     }
 
 
@@ -928,9 +928,12 @@ def test_copies_of_messages_and_of_a_node_mid_round():
     assert any(m.exceptions for m in from_node1 if isinstance(m, Response))
     for msg in samples.values():
         assert copy.copy(msg) == msg
-        # elements are equal only within one group object, so keep the group
-        assert copy.deepcopy(msg, {id(group): group}) == msg
+        assert copy.deepcopy(msg) == msg
         assert encode_message(copy.deepcopy(msg), group) == encode_message(msg, group)
+        # a copied group is the group, so sizing a copy adds no layout cache entry
+        size, split = frame_size(msg, group), len(type(msg).layout._split)
+        assert frame_size(copy.deepcopy(msg), copy.deepcopy(group)) == size
+        assert len(type(msg).layout._split) == split
 
     effects = []
     for msg in to_node1:
@@ -938,6 +941,20 @@ def test_copies_of_messages_and_of_a_node_mid_round():
     assert [encode_message(e.msg, group) for e in effects if isinstance(e, Send)] == [
         encode_message(m, group) for m in from_node1]
     assert [len(m.proof.steps) for m in from_node1 if isinstance(m, Challenge)] == [2, 2, 2]
+
+
+def test_whole_subtree_participation_holds_the_topology_set():
+    """A node whose whole subtree took part keeps the topology's cached set
+    as its participants; one that lost a child keeps its own, smaller set."""
+    sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3,
+                                   failures=(FailureAction(4, "commit", "crash"),)))
+    _, result = sim.run_round(0)
+    assert result.ok
+    for node in sim.nodes[:4] + sim.nodes[5:]:
+        for st in node.rounds.values():
+            subtree = st.topology.descendants(node.index)
+            assert (st.participants is subtree) == (4 not in subtree)
+            assert st.participants == subtree - {4}
 
 
 def test_progress_timer_votes_only_without_round_state():
@@ -1085,7 +1102,7 @@ def test_invalid_vote_signature_ignored():
     roster = make_toy_roster(secrets)
     node = make_node(0, roster, secrets)
     bogus = ViewChange(proposed_view=1, signer=2,
-                       signature=Signature(TOY.scalar(1), TOY.scalar(2)))
+                       signature=Signature(TOY.generator, TOY.scalar(2)))
     assert node.handle_message(bogus, 0.0) == []
     assert node.view_votes.get(1) is None
 
@@ -1167,7 +1184,7 @@ def test_message_codec_roundtrips():
                      4, elem, CommitTreeProof((multisig.CommitStep(0, ()),))),)),
         Refuse(view=0, round=0, attempt=0, sender=1, reason=engine.REFUSE_STATEMENT),
         ViewChange(proposed_view=3, signer=2,
-                   signature=Signature(TOY.scalar(1), TOY.scalar(2))),
+                   signature=Signature(TOY.generator, TOY.scalar(2))),
         StampRequest(digest=b"\x06" * 32),
         StampReply(ok=True, payload=b"receipt bytes"),
     ]
@@ -1259,7 +1276,7 @@ def _message_strategies(group):
                                                 max_size=3).map(tuple), **header),
         Refuse: st.builds(Refuse, reason=st.integers(0, 255), **header),
         ViewChange: st.builds(ViewChange, proposed_view=_U32, signer=_INDEX,
-                              signature=st.builds(Signature, scalar, scalar)),
+                              signature=st.builds(Signature, elem, scalar)),
         StampRequest: st.builds(StampRequest, digest=_DIGEST),
         StampReply: st.builds(StampReply, ok=st.booleans(), payload=st.binary(max_size=64)),
     }

@@ -1,4 +1,5 @@
 import collections
+import copy
 import hashlib
 import random
 
@@ -10,6 +11,7 @@ from cosikit.group import (
     ED25519,
     TOY,
     TAG_POSSESSION,
+    TAG_SIGN,
     DecodeError,
     KeyPair,
     SelfSignedKey,
@@ -19,7 +21,9 @@ from cosikit.group import (
     prove_possession,
     schnorr_sign,
     schnorr_verify,
+    schnorr_verify_batch,
     verify_possession,
+    verify_possessions,
 )
 from cosikit.engine import failing_partials
 from cosikit.group import Ed25519Group, Group, GroupElement, _half_split, _recover_x
@@ -71,7 +75,7 @@ def test_schnorr_mutations_reject(toy_rng):
     # challenges collide by chance one time in eleven
     kp = keygen(ED25519, toy_rng)
     sig = schnorr_sign(kp, b"m", toy_rng)
-    bumped = Signature(c=sig.c, r=sig.r + ED25519.scalar(1))
+    bumped = Signature(R=sig.R, s=sig.s + ED25519.scalar(1))
     assert not schnorr_verify(kp.public, b"m", bumped)
     other = keygen(ED25519, toy_rng)
     assert not schnorr_verify(other.public, b"m", sig)
@@ -121,8 +125,9 @@ def test_possession_roundtrip(toy_rng):
 
 
 def test_possession_swapped_key_rejects(toy_rng):
-    a = keygen(TOY, toy_rng)
-    b = keygen(TOY, toy_rng)
+    # in the toy group a proof holds for a wrong key one time in eleven
+    a = keygen(ED25519, toy_rng)
+    b = keygen(ED25519, toy_rng)
     proof_a = prove_possession(a, toy_rng).proof
     assert not verify_possession(SelfSignedKey(public=b.public, proof=proof_a))
 
@@ -623,6 +628,136 @@ def test_ed25519_decode_rejects_mixed_order_point(torsion):
     data = (mixed[1] | ((mixed[0] & 1) << 255)).to_bytes(32, "little")
     with pytest.raises(DecodeError, match="prime-order subgroup"):
         ED25519.decode_element(data)
+
+
+def test_groups_copy_as_themselves():
+    for group in (TOY, ED25519):
+        assert copy.copy(group) is group and copy.deepcopy(group) is group
+        assert copy.deepcopy(group.generator) == group.generator
+        assert copy.deepcopy(group.scalar(3)) == group.scalar(3)
+
+
+# -- (R, s) signatures and their batch check ------------------------------------
+
+def plain_point(data: bytes):
+    """The curve point an encoding names, through `ref_recover_x`."""
+    v = int.from_bytes(data, "little")
+    y = v & ((1 << 255) - 1)
+    x = ref_recover_x(y, v >> 255)
+    return (x, y, 1, x * y % P)
+
+
+PLAIN_G = bytes.fromhex("58" + "66" * 31)  # RFC 8032's base point, encoded
+
+
+def plain_schnorr_holds(public: bytes, statement: bytes, sig: bytes, tag: bytes) -> bool:
+    """[s]G + [c]A == R for c = SHA-512(tag | R | statement) mod L, on plain
+    integers: affine formulas, a bit-by-bit ladder and a hash read here."""
+    commit, s = sig[:32], int.from_bytes(sig[32:], "little")
+    c = int.from_bytes(hashlib.sha512(tag + commit + statement).digest(), "little") % L
+    total = affine_add(ref_pow(plain_point(PLAIN_G), s), ref_pow(plain_point(public), c))
+    return encode_affine(total) == commit
+
+
+def test_prod_possession_proofs_hold_on_plain_integers():
+    rng = random.Random(11)
+    for _ in range(3):
+        ssk = prove_possession(keygen(ED25519, rng), rng)
+        public, proof = ssk.public.encode(), ssk.proof.encode()
+        assert len(proof) == 64 and proof[:32] == ssk.proof.R.encode()
+        assert plain_schnorr_holds(public, public, proof, TAG_POSSESSION)
+        s = int.from_bytes(proof[32:], "little")
+        bumped = proof[:32] + ((s + 1) % L).to_bytes(32, "little")
+        assert not plain_schnorr_holds(public, public, bumped, TAG_POSSESSION)
+        assert not verify_possession(SelfSignedKey(ssk.public,
+                                                   Signature.decode(ED25519, bumped)))
+
+
+@pytest.mark.parametrize("order", [2, 4, 8])
+def test_signature_decode_rejects_mixed_order_commit(order, torsion):
+    rng = random.Random(12)
+    sig = schnorr_sign(keygen(ED25519, rng), b"m", rng)
+    assert Signature.decode(ED25519, sig.encode()) == sig
+    mixed = encode_affine(affine_add(affine(sig.R.raw), torsion[order]))
+    with pytest.raises(DecodeError, match="prime-order subgroup"):
+        Signature.decode(ED25519, mixed + sig.s.encode())
+
+
+SIGNATURE_MUTATIONS = ("s", "R", "key", "statement")
+
+
+def signed_items(group, rng, n, corrupt):
+    """n (public, statement, signature) items; each item in `corrupt` is
+    altered in one of `SIGNATURE_MUTATIONS`."""
+    items = []
+    for i in range(n):
+        kp = keygen(group, rng)
+        public, statement = kp.public, b"item %d" % i
+        sig = schnorr_sign(kp, statement, rng)
+        how = rng.choice(SIGNATURE_MUTATIONS) if i in corrupt else None
+        if how == "s":
+            sig = Signature(sig.R, sig.s + group.scalar(1))
+        elif how == "R":
+            sig = Signature(sig.R * group.generator, sig.s)
+        elif how == "key":
+            public = public * group.generator
+        elif how == "statement":
+            statement += b"!"
+        items.append((public, statement, sig))
+    return items
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=1, max_value=12), data=st.data())
+def test_signature_batch_agrees_with_single_checks(seed, n, data):
+    """A batch of signatures with different challenges passes exactly when
+    every single check does. In the toy group a mutation survives a check
+    one time in eleven, so there only agreement is asserted."""
+    corrupt = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3))
+    rng = random.Random(seed)
+    items = signed_items(ED25519, rng, n, corrupt)
+    assert {i for i, item in enumerate(items) if not schnorr_verify(*item)} == corrupt
+    assert schnorr_verify_batch(items) == (not corrupt)
+    # possession proofs whose signed statement is not the key's encoding
+    keys = [prove_possession(keygen(ED25519, rng), rng) for _ in range(n)]
+    keys = [SelfSignedKey(key.public, sig) if i in corrupt else key
+            for i, (key, (_, _, sig)) in enumerate(zip(keys, items))]
+    assert [verify_possession(key) for key in keys] == [i not in corrupt for i in range(n)]
+    assert verify_possessions(keys) == (not corrupt)
+    items = signed_items(TOY, rng, n, corrupt)
+    assert schnorr_verify_batch(items) == all(schnorr_verify(*item) for item in items)
+
+
+def test_signature_batch_runs_no_single_check(monkeypatch):
+    """Ed25519 checks a batch in one ladder; the toy group checks each item."""
+    calls = []
+    for cls in (Group, Ed25519Group):
+        real = cls.__dict__["check_response"]
+        monkeypatch.setattr(cls, "check_response",
+                            lambda self, *args, real=real: calls.append(self) or real(self, *args))
+    for group, expected in ((ED25519, 0), (TOY, 8)):
+        items = signed_items(group, random.Random(3), 8, ())
+        calls.clear()
+        assert schnorr_verify_batch(items)
+        assert len(calls) == expected
+
+
+def test_signature_batch_needs_prime_order_commits(torsion):
+    """Why `Signature.decode` checks R: two signatures whose R = g^v each
+    carry the same order-2 point, answered as R's challenge asks, fail
+    alone, but odd weights sum to an even one, so the point cancels in the
+    batch."""
+    t2 = GroupElement(ED25519, (*torsion[2], 1, torsion[2][0] * torsion[2][1] % P))
+    rng = random.Random(4)
+    items = []
+    for _ in range(2):
+        kp, v = keygen(ED25519, rng), ED25519.random_scalar(rng)
+        commit = ED25519.generator ** v * t2
+        c = challenge_hash(commit, b"m", TAG_SIGN)
+        items.append((kp.public, b"m", Signature(commit, v - c * kp.secret)))
+    assert not any(schnorr_verify(*item) for item in items)
+    assert schnorr_verify_batch(items)
 
 
 # -- Ed25519 decoding against independent references ---------------------------

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -9,16 +10,16 @@ from conftest import make_toy_roster, manual_round
 
 from cosikit.group import (
     ED25519,
-    TAG_POSSESSION,
     TOY,
     DecodeError,
     KeyPair,
     SelfSignedKey,
     Signature,
-    challenge_hash,
+    keygen,
     prove_possession,
     verify_possession,
 )
+from cosikit import roster as roster_module
 from cosikit.multisig import aggregate_public_key
 from cosikit.participation import Threshold
 from cosikit.roster import (
@@ -117,10 +118,9 @@ def test_roster_json_rejects_bad_proof(toy_rng):
 
 def forged_identity_key(group, rng):
     """A possession proof for the identity made without any secret: with
-    c = H(tag, g^v, O) and r = v, g^r * O^c = g^v."""
+    R = g^v and s = v, g^s * O^c = R whatever the challenge c."""
     v = group.random_scalar(rng)
-    c = challenge_hash(group.generator ** v, group.identity.encode(), TAG_POSSESSION)
-    return SelfSignedKey(public=group.identity, proof=Signature(c=c, r=v))
+    return SelfSignedKey(public=group.identity, proof=Signature(R=group.generator ** v, s=v))
 
 
 @pytest.mark.parametrize("group", [TOY, ED25519], ids=["toy", "prod"])
@@ -140,6 +140,37 @@ def test_identity_key_rejected(group):
                            "proof-hex": forged.proof.encode().hex(), "weight": 1})
     with pytest.raises(RosterError, match="identity"):
         roster_from_json_obj(obj)
+
+
+@pytest.fixture(scope="module")
+def prod_entries():
+    rng = random.Random(128)
+    return [RosterEntry(witness_id=f"w{i}".encode(),
+                        key=prove_possession(keygen(ED25519, rng), rng))
+            for i in range(128)]
+
+
+@pytest.mark.parametrize("how", ["s", "R"], ids=["tampered-s", "swapped-R"])
+def test_bad_proof_in_a_large_prod_roster_named(prod_entries, how, monkeypatch):
+    """The whole roster is checked as one batch; only a failed batch checks
+    proofs one by one, up to the first bad one, which the error names."""
+    checked = []
+    real = roster_module.verify_possession
+    monkeypatch.setattr(roster_module, "verify_possession",
+                        lambda key: checked.append(key) or real(key))
+    assert len(build_roster(prod_entries, 0)) == 128
+    assert checked == []
+    bad = 77
+    entries = list(prod_entries)
+    key = entries[bad].key
+    if how == "s":
+        proof = Signature(key.proof.R, key.proof.s + ED25519.scalar(1))
+    else:
+        proof = Signature(entries[12].key.proof.R, key.proof.s)
+    entries[bad] = replace(entries[bad], key=SelfSignedKey(key.public, proof))
+    with pytest.raises(RosterError, match=f"failed for witness {b'w77'.hex()}$"):
+        build_roster(entries, 0)
+    assert len(checked) == bad + 1
 
 
 def test_roster_json_rejects_mixed_order_key(mixed_generator):

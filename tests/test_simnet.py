@@ -6,6 +6,7 @@ import pytest
 
 from cosikit import engine, multisig, simnet
 from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_message
+from cosikit.group import Signature
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.simnet import (
@@ -90,6 +91,23 @@ def test_ntree_root_verifies_whole_tree():
     assert m.outcome == "ok"
     # root verifies all 30 descendants' signatures plus signs once
     assert m.root_compute == 30 * simnet.VERIFY_UNITS + simnet.EXP_UNITS
+
+
+def test_ntree_batch_names_a_bad_subtree_signature(monkeypatch):
+    """Each received list is checked as one batch in the prod group; a failed
+    batch is checked one by one to name the signer."""
+    cfg = SimConfig(seed=5, n=15, branching=2, scheme="ntree", group_name="prod")
+    assert run_sim(cfg)[0].outcome == "ok"
+    sim = simnet.NTreeSim(cfg)
+    bad, sign = sim.keys[9], simnet.schnorr_sign
+
+    def forging(keypair, statement, rng):
+        sig = sign(keypair, statement, rng)
+        return Signature(sig.R, sig.s + sig.s.group.scalar(1)) if keypair is bad else sig
+
+    monkeypatch.setattr(simnet, "schnorr_sign", forging)
+    with pytest.raises(RuntimeError, match=r"signatures of nodes \[9\] failed"):
+        sim.run_round(0)
 
 
 def test_jvss_round_signature_and_quadratic_messages():
