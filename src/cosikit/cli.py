@@ -393,7 +393,7 @@ def cmd_sign(args) -> int:
         fh.write(result.signature.to_bytes())
     pset = result.signature.participation
     print(f"signature written to {args.out} "
-          f"(present {len(pset.response_present)}/{pset.count})")
+          f"(present {pset.count - len(pset.response_absent)}/{pset.count})")
     return EXIT_OK
 
 

@@ -73,19 +73,21 @@ def adjust_key_for_absent(full: GroupElement,
     return acc
 
 
-def present_key(roster: WitnessRoster, present: frozenset[int]) -> GroupElement:
-    """Aggregate key of the `present` witnesses.
+def present_key(roster: WitnessRoster, absent: frozenset[int]) -> GroupElement:
+    """Aggregate key of the witnesses not in `absent`.
 
     When fewer witnesses are absent than present, the absent keys are divided
     out of the roster's cached full key; otherwise the present keys are
-    multiplied directly, with `aggregate_public_key`'s checks on `present`.
+    multiplied directly, with `aggregate_public_key`'s checks.
     """
-    everyone = frozenset(range(len(roster)))
-    absent = everyone - present
-    if present <= everyone and len(absent) < len(present):
+    count = len(roster)
+    for i in absent:
+        if not 0 <= i < count:
+            raise MultisigError(f"roster index {i} out of range")
+    if 2 * len(absent) < count:
         return adjust_key_for_absent(roster.aggregate_key(),
                                      [roster.public_key(i) for i in sorted(absent)])
-    return aggregate_public_key(roster, present)
+    return aggregate_public_key(roster, frozenset(range(count)) - absent)
 
 
 def collective_challenge(aggregate_commit: GroupElement, statement: bytes,
@@ -292,7 +294,7 @@ class CollectiveSignature:
         commit_root = r.take(merkle.DIGEST_SIZE) if mode == MODE_NO_RESTART else None
         challenge = group.decode_scalar(r.take(group.scalar_size))
         response = group.decode_scalar(r.take(group.scalar_size))
-        present = participation.decode_index_set(r)
+        absent = participation.decode_index_set(r)
         # Frame and check every record before decoding any commit: each
         # decode runs a subgroup check, so the indices bound that work first.
         records = []
@@ -309,9 +311,8 @@ class CollectiveSignature:
         r.done()
         exceptions = [CommitException(index, group.decode_element(commit), proof)
                       for index, commit, proof in records]
-        commit_present = present | frozenset(e.index for e in exceptions)
-        pset = ParticipationSet(count=witness_count, response_present=present,
-                                commit_present=commit_present)
+        pset = ParticipationSet(witness_count, response_absent=absent,
+                                commit_absent=absent.difference(e.index for e in exceptions))
         return cls(group=group, mode=mode, challenge=challenge, response=response,
                    participation=pset, commit_root=commit_root,
                    exceptions=tuple(exceptions))
@@ -349,8 +350,8 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
     if pset.count != anchor.witness_count:
         raise MultisigError(f"signature covers {pset.count} witnesses, "
                             f"certificate expects {anchor.witness_count}")
-    present = pset.response_present
-    if not present:
+    absent = pset.response_absent
+    if len(absent) == pset.count:
         raise MultisigError("zero-participant signature cannot be verified")
     if sig.group is not anchor.group:
         raise MultisigError("signature group does not match certificate group")
@@ -359,12 +360,12 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
     # wanting leader-mandatory verification express it as a Mandatory predicate.
     full_roster = anchor.roster
     if full_roster is not None:
-        adjusted_key = present_key(full_roster, present)
-        weights = full_roster.weights()
+        adjusted_key = present_key(full_roster, absent)
+        weights, total_weight = full_roster.weights(), full_roster.total_weight()
     else:
-        adjusted_key = roster_mod.verify_compact(anchor.compact, present,
+        adjusted_key = roster_mod.verify_compact(anchor.compact, absent,
                                                  key_proofs or [])
-        weights = None
+        weights = total_weight = None
 
     group = sig.group
     recomputed = (group.generator ** sig.response) * (adjusted_key ** sig.challenge)
@@ -395,11 +396,11 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
                 if expect.value != sig.challenge.value:
                     crypto_ok, reason = False, "challenge mismatch"
 
-    predicate_ok = participation.evaluate(predicate, pset, weights)
+    predicate_ok = participation.evaluate(predicate, pset, weights, total_weight)
     if crypto_ok and not predicate_ok:
         reason = "predicate rejected participation set"
     ok = crypto_ok and predicate_ok
     return VerifyResult(ok=ok, crypto_ok=crypto_ok, predicate_ok=predicate_ok,
                         reason="" if ok else reason,
-                        present_count=len(present), witness_count=pset.count,
-                        absent=tuple(sorted(pset.response_absent)))
+                        present_count=pset.count - len(absent), witness_count=pset.count,
+                        absent=tuple(sorted(absent)))

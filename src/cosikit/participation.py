@@ -1,14 +1,20 @@
 """Participation sets, their wire encodings, and verification predicates.
 
-A collective signature documents exactly which witnesses contributed. The
-set is encoded on the wire as whichever of absent-list / present-list /
-bitmap is smallest; verifiers evaluate arbitrary predicates over the set.
+A collective signature documents exactly which witnesses contributed. A set
+is held by its absent lists, so that decoding a signature, verifying it and
+evaluating its predicate take time in the absent witnesses, not the roster;
+the present sets are built only when read. On the wire a set is whichever
+of absent-list / present-list / bitmap is smallest; verifiers evaluate
+arbitrary predicates over it.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
+import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .group import Reader
@@ -19,78 +25,132 @@ VARIANT_BITMAP = 2
 
 MAX_PREDICATE_DEPTH = 16
 
+# the set bits of each byte value, LSB first, and each byte value inverted
+_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+_INVERTED = bytes(255 - b for b in range(256))
+
 
 class ParticipationError(ValueError):
     """Malformed participation encoding or predicate."""
 
 
-@dataclass(frozen=True)
+def _complement(indices: frozenset[int], count: int) -> frozenset[int]:
+    """The slots of `range(count)` not in `indices`."""
+    return frozenset(range(count)).difference(indices)
+
+
+def _check_range(indices: frozenset[int], count: int) -> None:
+    for idx in indices:
+        if not 0 <= idx < count:
+            raise ParticipationError(f"participant index {idx} out of range")
+
+
+def _check_subset(inner: frozenset[int], outer: frozenset[int]) -> None:
+    if not inner <= outer:
+        raise ParticipationError("response participants must be a subset of commit participants")
+
+
+@dataclass(frozen=True, init=False)
 class ParticipationSet:
     """Who took part in a signing round, out of `count` roster slots.
 
-    `commit_present` covers the commit phase; `response_present` the response
+    `commit_absent` covers the commit phase; `response_absent` the response
     phase. In restart mode the two coincide; in no-restart mode witnesses
-    lost between the phases appear only in `commit_present`.
+    lost between the phases are absent only from the response phase.
+
+    A set is built from its present sets, `ParticipationSet(count,
+    response_present, commit_present)`, the commit set defaulting to the
+    response set, or from its absent sets (`response_absent=`,
+    `commit_absent=`). A present set passed next to the absent set of the
+    same phase replaces it, which is what `dataclasses.replace(pset,
+    response_present=...)` relies on; the present form takes time in
+    `count`, the absent form in the absent sets. The present sets are kept
+    once built.
     """
 
     count: int
-    response_present: frozenset[int]
-    commit_present: frozenset[int] = None  # type: ignore[assignment]
+    response_absent: frozenset[int]
+    commit_absent: frozenset[int]
 
-    def __post_init__(self):
-        if self.commit_present is None:
-            object.__setattr__(self, "commit_present", self.response_present)
-        for idx in self.commit_present:
-            if not 0 <= idx < self.count:
-                raise ParticipationError(f"participant index {idx} out of range")
-        if not self.response_present <= self.commit_present:
-            raise ParticipationError("response participants must be a subset of commit participants")
+    def __init__(self, count: int, response_present: Iterable[int] | None = None,
+                 commit_present: Iterable[int] | None = None, *,
+                 response_absent: Iterable[int] | None = None,
+                 commit_absent: Iterable[int] | None = None):
+        cache = self.__dict__  # the frozen dataclass allows writes to it
+        if response_present is None and commit_present is None:
+            if response_absent is None:
+                raise TypeError("a participation set needs its response set, present or absent")
+            response_absent = frozenset(response_absent)
+            _check_range(response_absent, count)
+            commit_absent = response_absent if commit_absent is None else frozenset(commit_absent)
+            _check_subset(commit_absent, response_absent)
+        else:
+            response_present = (frozenset(response_present) if response_present is not None
+                                else _complement(frozenset(response_absent), count))
+            if commit_present is None:
+                commit_present = (response_present if commit_absent is None
+                                  else _complement(frozenset(commit_absent), count))
+            commit_present = frozenset(commit_present)
+            _check_range(commit_present, count)
+            _check_subset(response_present, commit_present)
+            response_absent = _complement(response_present, count)
+            # response <= commit, so equal sizes mean equal sets
+            commit_absent = (response_absent if len(commit_present) == len(response_present)
+                             else _complement(commit_present, count))
+            cache["response_present"] = response_present
+            cache["commit_present"] = commit_present
+        cache["count"] = count
+        cache["response_absent"] = response_absent
+        cache["commit_absent"] = commit_absent
 
-    @property
-    def response_absent(self) -> frozenset[int]:
-        return frozenset(range(self.count)) - self.response_present
+    @cached_property
+    def response_present(self) -> frozenset[int]:
+        return _complement(self.response_absent, self.count)
+
+    @cached_property
+    def commit_present(self) -> frozenset[int]:
+        if self.commit_absent == self.response_absent:
+            return self.response_present
+        return _complement(self.commit_absent, self.count)
 
     @property
     def dropped_after_commit(self) -> frozenset[int]:
-        return self.commit_present - self.response_present
+        return self.response_absent - self.commit_absent
 
 
-def encode_index_set(present: Iterable[int], count: int) -> bytes:
-    """Encode a present-set with the byte-minimal variant.
+def encode_index_set(absent: Iterable[int], count: int) -> bytes:
+    """Encode the set of `count` slots less `absent` with the byte-minimal
+    variant, in time proportional to the list it writes.
 
     Tie order prefers absent-list, then bitmap, then present-list. Layout:
     variant tag (1) | count/length (4, big-endian) | payload.
     """
-    present = frozenset(present)
-    for idx in present:
+    absent = frozenset(absent)
+    for idx in absent:
         if not 0 <= idx < count:
             raise ParticipationError(f"index {idx} out of range for count {count}")
-    absent = sorted(set(range(count)) - present)
-    sizes = {
-        VARIANT_ABSENT: 4 * len(absent),
-        VARIANT_BITMAP: (count + 7) // 8,
-        VARIANT_PRESENT: 4 * len(present),
-    }
-    preference = {VARIANT_ABSENT: 0, VARIANT_BITMAP: 1, VARIANT_PRESENT: 2}
-    variant = min(sizes, key=lambda v: (sizes[v], preference[v]))
-    if variant == VARIANT_ABSENT:
-        payload = b"".join(i.to_bytes(4, "big") for i in absent)
-        n = len(absent)
-    elif variant == VARIANT_PRESENT:
-        payload = b"".join(i.to_bytes(4, "big") for i in sorted(present))
-        n = len(present)
+    absent_size = 4 * len(absent)
+    present_size = 4 * count - absent_size
+    bitmap_size = (count + 7) // 8
+    if bitmap_size < absent_size and bitmap_size <= present_size:
+        buf = bytearray(b"\xff" * bitmap_size)  # LSB-first within each byte
+        if count % 8:
+            buf[-1] = (1 << count % 8) - 1
+        for i in absent:
+            buf[i >> 3] &= ~(1 << (i & 7))
+        return bytes([VARIANT_BITMAP]) + bitmap_size.to_bytes(4, "big") + bytes(buf)
+    if absent_size <= present_size:
+        variant, listed = VARIANT_ABSENT, sorted(absent)
     else:
-        buf = bytearray((count + 7) // 8)
-        for i in present:
-            buf[i // 8] |= 1 << (i % 8)  # LSB-first within each byte
-        payload = bytes(buf)
-        n = len(payload)
-    return bytes([variant]) + n.to_bytes(4, "big") + payload
+        variant, listed = VARIANT_PRESENT, sorted(_complement(absent, count))
+    return (bytes([variant]) + len(listed).to_bytes(4, "big")
+            + struct.pack(f">{len(listed)}I", *listed))
 
 
 def decode_index_set(r: Reader) -> frozenset[int]:
-    """Read a present-set at the reader's offset, out of `r.witness_count`
-    roster slots."""
+    """Read a participation set at the reader's offset, out of
+    `r.witness_count` roster slots, and hand back its absent set: an absent
+    list is read in time proportional to its length."""
     count = r.witness_count
     if len(r.data) - r.off < 5:
         raise ParticipationError("truncated participation encoding")
@@ -98,43 +158,41 @@ def decode_index_set(r: Reader) -> frozenset[int]:
     if variant in (VARIANT_ABSENT, VARIANT_PRESENT):
         if len(r.data) - r.off < 4 * n:
             raise ParticipationError("truncated index list")
-        indices = [r.u32() for _ in range(n)]
-        for a, b in zip(indices, indices[1:]):
-            if a >= b:
-                raise ParticipationError("index list not strictly sorted")
-        for i in indices:
-            if i >= count:
-                raise ParticipationError(f"index {i} out of range for count {count}")
+        indices = struct.unpack(f">{n}I", r.take(4 * n))
+        if any(a >= b for a, b in zip(indices, indices[1:])):
+            raise ParticipationError("index list not strictly sorted")
+        if indices and indices[-1] >= count:
+            i = indices[bisect.bisect_left(indices, count)]
+            raise ParticipationError(f"index {i} out of range for count {count}")
         listed = frozenset(indices)
-        return frozenset(range(count)) - listed if variant == VARIANT_ABSENT else listed
+        return listed if variant == VARIANT_ABSENT else _complement(listed, count)
     if variant == VARIANT_BITMAP:
         if n != (count + 7) // 8:
             raise ParticipationError("bitmap length does not match witness count")
         if len(r.data) - r.off < n:
             raise ParticipationError("truncated bitmap")
         bitmap = r.take(n)
-        present = set()
-        for i in range(count):
-            if bitmap[i // 8] & (1 << (i % 8)):
-                present.add(i)
-        # bits beyond `count` must be zero
-        for i in range(count, n * 8):
-            if bitmap[i // 8] & (1 << (i % 8)):
-                raise ParticipationError("bitmap has bits set beyond witness count")
-        return frozenset(present)
+        tail = count % 8
+        if tail and bitmap[-1] >> tail:
+            raise ParticipationError("bitmap has bits set beyond witness count")
+        absent = bitmap.translate(_INVERTED)
+        if tail:
+            absent = absent[:-1] + bytes([absent[-1] & ((1 << tail) - 1)])
+        return frozenset(8 * k + j for k, byte in enumerate(absent) if byte
+                         for j in _BITS[byte])
     raise ParticipationError(f"unknown participation variant {variant}")
 
 
 def encode_smallest(pset: ParticipationSet) -> bytes:
-    return encode_index_set(pset.response_present, pset.count)
+    return encode_index_set(pset.response_absent, pset.count)
 
 
 def decode(data: bytes, count: int) -> ParticipationSet:
     r = Reader(data, count)
-    present = decode_index_set(r)
+    absent = decode_index_set(r)
     if r.off != len(data):
         raise ParticipationError("trailing bytes after participation encoding")
-    return ParticipationSet(count=count, response_present=present)
+    return ParticipationSet(count, response_absent=absent)
 
 
 # ---------------------------------------------------------------------------
@@ -175,39 +233,64 @@ class Group:
 Predicate = Threshold | WeightedThreshold | Mandatory | AllOf | AnyOf | Group
 
 
-def evaluate(predicate, pset: ParticipationSet,
-             weights: Sequence[int] | None = None) -> bool:
-    """Evaluate a predicate over the response-phase participants."""
-    return _eval(predicate, pset.response_present, pset.count, weights, 0)
+def evaluate(predicate, pset: ParticipationSet, weights: Sequence[int] | None = None,
+             total_weight: int | None = None) -> bool:
+    """Evaluate a predicate over the response-phase participants.
+
+    The verdict is worked out from the absent set, in time proportional to
+    the absent witnesses and the predicate's size. `weights` holds one
+    weight per roster slot (1 each when omitted) and is read only by a
+    `WeightedThreshold`; a caller that keeps `sum(weights)` passes it as
+    `total_weight`, or it is summed when such a predicate needs it.
+    """
+    return _eval(predicate, None, pset.response_absent, pset.count, weights,
+                 total_weight, 0)
 
 
-def _eval(pred, present: frozenset[int], count: int,
-          weights: Sequence[int] | None, depth: int) -> bool:
+def _eval(pred, members: frozenset[int] | None, absent: frozenset[int], count: int,
+          weights: Sequence[int] | None, total_weight: int | None, depth: int) -> bool:
+    """`members` is the group a predicate counts within, None for the whole
+    roster; `absent` is the part of it that did not respond."""
     if depth > MAX_PREDICATE_DEPTH:
         raise ParticipationError("predicate nesting too deep")
     if isinstance(pred, Threshold):
-        return len(present) >= pred.minimum
+        return (count if members is None else len(members)) - len(absent) >= pred.minimum
     if isinstance(pred, WeightedThreshold):
-        if weights is None:
-            weights = [1] * count
-        for i in present:
-            if i >= len(weights):
-                raise ParticipationError(f"predicate weight index {i} out of range")
-        return sum(weights[i] for i in present) >= pred.minimum_weight
+        return (_present_weight(members, absent, count, weights, total_weight)
+                >= pred.minimum_weight)
     if isinstance(pred, Mandatory):
         if not 0 <= pred.index < count:
             raise ParticipationError(f"predicate index {pred.index} out of roster range")
-        return pred.index in present
+        return pred.index not in absent and (members is None or pred.index in members)
     if isinstance(pred, AllOf):
-        return all(_eval(p, present, count, weights, depth + 1) for p in pred.parts)
+        return all(_eval(p, members, absent, count, weights, total_weight, depth + 1)
+                   for p in pred.parts)
     if isinstance(pred, AnyOf):
-        return any(_eval(p, present, count, weights, depth + 1) for p in pred.parts)
+        return any(_eval(p, members, absent, count, weights, total_weight, depth + 1)
+                   for p in pred.parts)
     if isinstance(pred, Group):
         for i in pred.members:
             if not 0 <= i < count:
                 raise ParticipationError(f"predicate group member {i} out of roster range")
-        return _eval(pred.inner, present & pred.members, count, weights, depth + 1)
+        inner = pred.members if members is None else pred.members & members
+        return _eval(pred.inner, inner, absent & inner, count, weights, total_weight,
+                     depth + 1)
     raise ParticipationError(f"unknown predicate {pred!r}")
+
+
+def _present_weight(members: frozenset[int] | None, absent: frozenset[int], count: int,
+                    weights: Sequence[int] | None, total_weight: int | None) -> int:
+    if weights is None:
+        return (count if members is None else len(members)) - len(absent)
+    beyond = range(len(weights), count) if members is None else members
+    for i in beyond:
+        if i >= len(weights) and i not in absent:
+            raise ParticipationError(f"predicate weight index {i} out of range")
+    if members is not None:
+        return sum(weights[i] for i in members if i not in absent)
+    if total_weight is None:
+        total_weight = sum(weights[:count])
+    return total_weight - sum(weights[i] for i in absent)
 
 
 def predicate_to_json(pred) -> dict:

@@ -64,8 +64,19 @@ class WitnessRoster:
     def public_key(self, index: int) -> GroupElement:
         return self.entries[index].key.public
 
-    def weights(self) -> list[int]:
-        return [e.weight for e in self.entries]
+    def weights(self) -> tuple[int, ...]:
+        return self._weights
+
+    @cached_property
+    def _weights(self) -> tuple[int, ...]:
+        return tuple(e.weight for e in self.entries)
+
+    def total_weight(self) -> int:
+        return self._total_weight
+
+    @cached_property
+    def _total_weight(self) -> int:
+        return sum(self._weights)
 
     def aggregate_key(self) -> GroupElement:
         return self._aggregate_key
@@ -228,13 +239,14 @@ class ProvenKey:
     proof: merkle.InclusionProof
 
 
-def verify_compact(anchor: CompactAnchor, present: frozenset[int],
+def verify_compact(anchor: CompactAnchor, absent: frozenset[int],
                    proven_keys: Iterable[ProvenKey]) -> GroupElement:
-    """Resolve the adjusted aggregate key for `present` from a compact anchor.
+    """Resolve the adjusted aggregate key for the witnesses not in `absent`
+    from a compact anchor.
 
-    The caller supplies key-tree inclusion proofs covering either the present
-    set (keys are multiplied together) or the absent set (keys are divided
-    out of the certificate aggregate), whichever list it holds.
+    The caller supplies key-tree inclusion proofs covering either the absent
+    set (keys are divided out of the certificate aggregate) or the present
+    set (keys are multiplied together), whichever list it holds.
     """
     proven = {pk.index: pk for pk in proven_keys}
     for pk in proven.values():
@@ -242,13 +254,13 @@ def verify_compact(anchor: CompactAnchor, present: frozenset[int],
             raise RosterError(f"proven key index {pk.index} out of range")
         if not verify_key(anchor.key_tree_root, pk.index, pk.key, pk.proof):
             raise RosterError(f"key inclusion proof failed for index {pk.index}")
-    absent = frozenset(range(anchor.witness_count)) - present
     covered = frozenset(proven)
     if absent <= covered:
         acc = anchor.aggregate_key
         for idx in sorted(absent):
             acc = acc * proven[idx].key.inverse()
         return acc
+    present = frozenset(range(anchor.witness_count)) - absent
     if present <= covered:
         acc = anchor.group.identity
         for idx in sorted(present):

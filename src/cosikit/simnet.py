@@ -450,10 +450,6 @@ class NTreeSim(_Baseline):
         pending: dict[int, int] = {i: len(topo.children[i]) for i in range(cfg.n)}
         final: list = []
 
-        def verify_all(entry: list) -> bool:
-            return schnorr_verify_batch([(self.keys[j].public, statement, s)
-                                         for j, s in entry])
-
         def announce(i: int) -> None:
             done = self.net.process(i, EXP_UNITS)
             for c in topo.children[i]:
@@ -465,7 +461,8 @@ class NTreeSim(_Baseline):
             sig = schnorr_sign(self.keys[i], statement, self.rngs[i])
             entry = [(i, sig)] + collected[i]
             if i == 0:
-                final.append((verify_all(collected[i]), entry))
+                # on_subtree checked each child's list as it arrived
+                final.append(entry)
                 return
             parent = topo.parent[i]
             size = 9 + len(entry) * sig_entry
@@ -473,7 +470,8 @@ class NTreeSim(_Baseline):
 
         def on_subtree(parent: int, child: int, entry: list) -> None:
             done = self.net.process(parent, VERIFY_UNITS * len(entry))
-            if not verify_all(entry):
+            if not schnorr_verify_batch([(self.keys[j].public, statement, s)
+                                         for j, s in entry]):
                 bad = [j for j, s in entry
                        if not schnorr_verify(self.keys[j].public, statement, s)]
                 raise RuntimeError(f"ntree subtree signatures of nodes {bad} failed")
@@ -484,8 +482,8 @@ class NTreeSim(_Baseline):
 
         self.net.schedule(start, announce, 0)
         self.net.run(stop=lambda: bool(final))
-        ok, entries = final[0] if final else (False, [])
-        return self._metrics(round_index, start, ok), [s for _, s in sorted(entries)]
+        entries = final[0] if final else []
+        return self._metrics(round_index, start, bool(final)), [s for _, s in sorted(entries)]
 
 
 class JvssSim(_Baseline):

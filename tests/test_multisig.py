@@ -108,12 +108,13 @@ def test_present_key_matches_aggregate_public_key(monkeypatch, group):
         absent = frozenset(rng.sample(range(n), k))
         present = frozenset(range(n)) - absent
         before = len(direct_calls)
-        key = multisig.present_key(roster, present)
+        key = multisig.present_key(roster, absent)
         divided = len(direct_calls) == before
         assert key == real(roster, present), k
         # the full key is divided down only while fewer are absent than present
         assert divided == (k < n - k), k
-    for bad in (frozenset(), frozenset({n}), frozenset(range(n + 1))):
+    # everyone absent, and absent indices outside the roster
+    for bad in (frozenset(range(n)), frozenset({n}), frozenset({-1, 0})):
         with pytest.raises(MultisigError):
             multisig.present_key(roster, bad)
 
