@@ -139,9 +139,10 @@ class NodeRuntime:
 
     The loop runs only inside drain, serve_forever and run_leader_round, on
     the calling thread; in between, arrivals wait in socket buffers. Inbound
-    frames go straight to the node, each Send is a task that opens one
-    connection and writes one frame, each SetTimer is a `call_later`, and a
-    RoundDone resolves the future that run_leader_round waits on.
+    frames go straight to the node, and stamp requests straight to `stamps`;
+    each Send is a task that opens one connection and writes one frame, each
+    SetTimer is a `call_later`, and a RoundDone resolves the future that
+    run_leader_round waits on.
     """
 
     def __init__(self, node: SigningNode, roster: WitnessRoster, listen: str):
@@ -151,7 +152,7 @@ class NodeRuntime:
         self.listen_addr = _parse_addr(listen)
         self.loop = asyncio.new_event_loop()
         self.result = None
-        self.stamp_queue: list[bytes] | None = None  # a list while serving timestamps
+        self.stamps: TimestampAuthority | None = None  # set while serving timestamps
         # failed dials per destination index
         self.dial_failures: dict[int, int] = {}
         self._stamp_conns: dict[bytes, list[asyncio.StreamWriter]] = {}
@@ -172,13 +173,13 @@ class NodeRuntime:
             while (frame := await _read_frame_async(reader)) is not None:
                 msg = decode_frame_body(frame, self.group, len(self.roster))
                 if isinstance(msg, StampRequest):
-                    if self.stamp_queue is None:  # not serving timestamps
+                    if self.stamps is None:  # not serving timestamps
                         writer.write(encode_message(StampReply(ok=False, payload=b""),
                                                     self.group))
                         return
                     # hold the connection open for the round's reply
                     self._stamp_conns.setdefault(msg.digest, []).append(writer)
-                    self.stamp_queue.append(msg.digest)
+                    self.stamps.submit(msg.digest)
                     while await asyncio.wait_for(reader.read(4096), 300):
                         pass
                     return
@@ -428,16 +429,11 @@ def cmd_run_leader(args) -> int:
     try:
         if index != roster.leader_index:
             raise UsageError("the leader key must belong to the roster leader")
-        runtime.stamp_queue = []
+        runtime.stamps = authority
         runtime.start_server()
         print(f"timestamp leader up; round every {args.period}s")
         while True:
-            deadline = time.monotonic() + args.period
-            while time.monotonic() < deadline:
-                runtime.drain(0.3)
-                batch, runtime.stamp_queue = runtime.stamp_queue, []
-                for digest in batch:
-                    authority.submit(digest)
+            runtime.drain(args.period)
             if authority.pending_count:
                 try:
                     record, receipts = authority.round_close(time.time())

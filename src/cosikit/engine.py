@@ -33,7 +33,11 @@ votes. On activating a view, a node treats the round as due afresh.
 
 Nodes are purely reactive: they consume one message or timer event at a time
 and return effects (messages to send, timers to arm, round results). A node's
-state is plain data, so a copy of a node runs on its own. Its containers are
+state is plain data, so a copy of a node runs on its own. A round state holds
+each fact once: the announce it forwarded, its own commit-tree node as the
+`SubtreeSummary` its parent keeps for it, its commit-phase absences within its
+subtree, and the challenge it answered (at the leader, the one it built),
+which it sends on with its own sender and audit path. Its containers are
 bounded by the roster size or a named constant, except `view_votes`, one table
 per proposed view above its own, which a Byzantine voter can grow. The
 hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery
@@ -373,12 +377,15 @@ class SubtreeSummary:
                                                        ("tree_hash", _DIGEST), cls=tuple))),
                      ("absent", _INDEX_SET))
 
-    def step_for(self, child: int) -> CommitStep:
-        """Audit step placing `child`'s subtree hash within this node's
-        commit-tree inputs; `child == index` places the node's own commit."""
-        pos = 0 if child == self.index else 1 + [i for i, _ in self.contributors].index(child)
+    def steps_for(self, children) -> list[CommitStep]:
+        """Audit steps placing each of `children`'s subtree hashes within
+        this node's commit-tree inputs; `index` places the node's own commit."""
+        order = [self.index] + [i for i, _ in self.contributors]
         inputs = [commit_leaf_digest(self.commit)] + [h for _, h in self.contributors]
-        return commit_step(inputs, pos)
+        return [commit_step(inputs, order.index(child)) for child in children]
+
+    def step_for(self, child: int) -> CommitStep:
+        return self.steps_for((child,))[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -573,20 +580,12 @@ class _RoundState:
     pending_commit: frozenset = _NOBODY
     records: dict = field(default_factory=dict)  # direct contributor -> SubtreeSummary
     below: dict = field(default_factory=dict)  # one level further down -> SubtreeSummary
-    absent: frozenset = _NOBODY
+    absent: frozenset = _NOBODY  # commit-phase absences within this node's subtree
     failed: frozenset = _NOBODY
     refused: frozenset = _NOBODY
+    summary: Optional[SubtreeSummary] = None  # this node's own, once its commit is final
 
-    contributors: list = field(default_factory=list)  # sorted indices
-    inputs: list = field(default_factory=list)  # commit-tree inputs at this node
-    tree_hash: Optional[bytes] = None
-    aggregate_commit: Optional[GroupElement] = None
-    participants: frozenset = _NOBODY
-
-    challenge: Optional[Scalar] = None
-    commit_root: Optional[bytes] = None
-    global_commit: Optional[GroupElement] = None
-    proof: CommitTreeProof = _NO_PATH  # this node's hash up to the root
+    challenged: Optional[Challenge] = None  # as answered, or built at the leader
     return_to: Optional[int] = None  # where the response goes (may be a bridger)
 
     pending_resp: frozenset = _NOBODY
@@ -744,16 +743,16 @@ class SigningNode:
     # ------------------------------------------------------------------
 
     def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...] = ()) -> Challenge:
-        """The challenge for a node placed by `steps` below this one. Audit
-        paths fold bottom-up: `steps` lift the recipient's hash to ours, then
-        our own received path continues to the root. A restart challenge
-        binds no commit root and is sent without `steps`."""
-        late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
+        """The challenge this node answered, sent on to a node placed by
+        `steps` below it: they lift the recipient's hash to ours, and our own
+        audit path continues to the root. A restart challenge binds no commit
+        root and is sent without `steps`."""
+        c = st.challenged
         return Challenge(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            challenge=st.challenge, aggregate_commit=st.global_commit,
-            commit_root=st.commit_root, statement=st.statement if late else None,
-            proof=CommitTreeProof(steps + st.proof.steps) if steps else _NO_PATH,
+            view=c.view, round=c.round, attempt=c.attempt, sender=self.index,
+            challenge=c.challenge, aggregate_commit=c.aggregate_commit,
+            commit_root=c.commit_root, statement=c.statement,
+            proof=CommitTreeProof(steps + c.proof.steps) if steps else _NO_PATH,
         )
 
     def _refuse(self, st: _RoundState, dest: int, reason: int) -> list:
@@ -781,7 +780,7 @@ class SigningNode:
         on two-round Schnorr multisignatures needs (Drijvers et al., S&P 2019).
         """
         for other in self.rounds.values():
-            if other is not st and other.challenge is None:
+            if other is not st and other.challenged is None:
                 other.nonce = None
         st.nonce = self.group.random_scalar(self.rng)
         st.own_commit = self.group.generator ** st.nonce
@@ -791,25 +790,21 @@ class SigningNode:
         return [SetTimer(("commit",) + st.key, self._wait_budget(st))]
 
     def _finalize_commit(self, st: _RoundState, now: float) -> list:
-        contributors = st.contributors = sorted(st.records)
-        st.inputs = ([commit_leaf_digest(st.own_commit)]
-                     + [st.records[c].tree_hash for c in contributors])
-        st.tree_hash = commit_node_digest(st.inputs) if contributors else st.inputs[0]
-        agg = st.own_commit
-        participants = {self.index}
-        for c in contributors:
+        """Build this node's own summary. A node below it in no contributor's
+        subtree is a child it lost, already in `st.absent`."""
+        agg, contributors = st.own_commit, []
+        for c in sorted(st.records):
             rec = st.records[c]
             agg = agg * rec.aggregate
-            participants |= st.topology.descendants(c) - rec.absent
-        st.aggregate_commit = agg
-        subtree = st.topology.descendants(self.index)
-        if len(participants) == len(subtree):
-            # the whole subtree took part, as at every leaf: hold the
-            # topology's own set, not a copy per round
-            st.participants = subtree
-        else:
-            st.participants = frozenset(participants)
-            st.absent = _frozen(st.absent | (subtree - st.participants))
+            if rec.absent:
+                st.absent |= rec.absent
+            contributors.append((c, rec.tree_hash))
+        leaf = commit_leaf_digest(st.own_commit)
+        st.summary = SubtreeSummary(
+            index=self.index, commit=st.own_commit, aggregate=agg,
+            tree_hash=(commit_node_digest([leaf] + [h for _, h in contributors])
+                       if contributors else leaf),
+            contributors=tuple(contributors), absent=st.absent)
         st.phase = PHASE_RESPONSE
 
         if st.parent is None:
@@ -821,19 +816,16 @@ class SigningNode:
             # A newer session discarded our nonce: this commit could never be
             # answered, so tell the parent not to wait for our response.
             return self._refuse(st, st.parent, REFUSE_STALE)
+        own = st.summary
         # only no-restart mode bridges, and so reads the summaries
-        summaries = (tuple([st.records[c] for c in st.contributors])
+        summaries = (tuple([st.records[c] for c, _ in own.contributors])
                      if st.config.mode == MODE_NO_RESTART else ())
         msg = Commit(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate=st.aggregate_commit, commit=st.own_commit, tree_hash=st.tree_hash,
-            absent=st.absent, failed=st.failed, refused=st.refused, summaries=summaries,
+            aggregate=own.aggregate, commit=own.commit, tree_hash=own.tree_hash,
+            absent=own.absent, failed=st.failed, refused=st.refused, summaries=summaries,
         )
         return [Send(st.parent, msg)]
-
-    def _step_for(self, st: _RoundState, child: int) -> CommitStep:
-        """Audit step placing `child`'s subtree hash within this node's inputs."""
-        return commit_step(st.inputs, 1 + st.contributors.index(child))
 
     # ------------------------------------------------------------------
     # Message handling
@@ -876,7 +868,7 @@ class SigningNode:
             if st.phase == PHASE_REFUSED:
                 return [Send(msg.sender, st.answer)]
             st.parent = msg.sender
-            if st.phase != PHASE_COMMIT and st.tree_hash is not None:
+            if st.summary is not None:
                 return self._send_commit(st)
             return []
         if msg.mode not in (MODE_RESTART, MODE_NO_RESTART) \
@@ -1006,8 +998,8 @@ class SigningNode:
             # response now would be unsound.
             logger.warning("node %d: challenge before commit completion", self.index)
             return []
-        if st.challenge is not None:
-            if msg.challenge.value != st.challenge.value:
+        if st.challenged is not None:
+            if msg.challenge.value != st.challenged.challenge.value:
                 # A second, different challenge for the same (round, attempt):
                 # answering would reuse our nonce. Refuse.
                 return self._refuse(st, msg.sender, REFUSE_STALE)
@@ -1037,26 +1029,27 @@ class SigningNode:
             return []
         expect = multisig.collective_challenge(msg.aggregate_commit, statement, root)
         if expect.value != msg.challenge.value or (
-                root is not None and fold_commit_proof(st.tree_hash, msg.proof) != root):
+                root is not None and fold_commit_proof(st.summary.tree_hash, msg.proof) != root):
             return self._refuse_session(st, msg.sender, REFUSE_PROOF)
 
-        st.challenge = msg.challenge
-        st.commit_root = root
-        st.global_commit = msg.aggregate_commit
-        st.proof = msg.proof
+        st.challenged = msg
         st.return_to = msg.sender
         return self._challenge_descend(st, now)
 
     def _challenge_descend(self, st: _RoundState, now: float) -> list:
-        self.nonce_log.append(st.key + (st.nonce.value, st.challenge.value))
+        self.nonce_log.append(st.key + (st.nonce.value, st.challenged.challenge.value))
         del self.nonce_log[:-ROUND_STATES_KEPT]
-        st.pending_resp = _frozen(st.contributors)
-        if not st.pending_resp:
+        if not st.summary.contributors:
             return self._finalize_response(st, now)
-        lift = st.config.mode == MODE_NO_RESTART  # only a commit root needs a path
-        return [Send(child, self._challenge(st, (self._step_for(st, child),) if lift else ()))
-                for child in st.contributors] + [
-            SetTimer(("response",) + st.key, self._wait_budget(st))]
+        contributors = [c for c, _ in st.summary.contributors]
+        st.pending_resp = frozenset(contributors)
+        if st.config.mode == MODE_NO_RESTART:  # only a commit root needs a path
+            sends = [Send(child, self._challenge(st, (step,)))
+                     for child, step in zip(contributors, st.summary.steps_for(contributors))]
+        else:
+            msg = self._challenge(st)
+            sends = [Send(child, msg) for child in contributors]
+        return sends + [SetTimer(("response",) + st.key, self._wait_budget(st))]
 
     # -- response collection --
 
@@ -1084,7 +1077,7 @@ class SigningNode:
             # Rejecting it bridges its contributors, which should not wait
             # for its siblings: check it on arrival, not in the batch.
             s, key, expected = partial
-            if self.group.check_response(s, key, st.challenge, expected):
+            if self.group.check_response(s, key, st.challenged.challenge, expected):
                 self._accept_partial(st, msg)
                 return self._responses_done(st, now)
             partial = None
@@ -1119,7 +1112,7 @@ class SigningNode:
         held, st.held = st.held, None
         if not held:
             return []
-        liars = failing_partials(self.group, st.challenge,
+        liars = failing_partials(self.group, st.challenged.challenge,
                                  {sender: partial for sender, (_, partial) in held.items()})
         effects: list = []
         for sender, (msg, _) in held.items():
@@ -1140,11 +1133,11 @@ class SigningNode:
     def _anchor_steps_for(self, st: _RoundState, child: int) -> tuple[CommitStep, ...]:
         """Steps that lift a digest anchored at `child` up to this node's hash."""
         if child in st.records:
-            return (self._step_for(st, child),)
+            return (st.summary.step_for(child),)
         # One level further down: first place it within the contributor that reported it.
         for holder in st.records.values():
             if any(i == child for i, _ in holder.contributors):
-                return (holder.step_for(child), self._step_for(st, holder.index))
+                return (holder.step_for(child), st.summary.step_for(holder.index))
         raise EngineError(f"no record holds a summary for {child}")
 
     def _check_partial(self, st: _RoundState, rec: SubtreeSummary,
@@ -1188,14 +1181,14 @@ class SigningNode:
             if crashed:
                 st.failed |= {child}
             st.resp_absent = _frozen(st.resp_absent
-                                     | (st.topology.descendants(child) & st.participants))
+                                     | (st.topology.descendants(child) - st.absent))
             return effects
 
         rec = st.records.get(child)
         if rec is not None:
             # Its commit leaf is the whole subtree hash when it has no contributors.
             exc_steps = (rec.step_for(child),) if rec.contributors else ()
-            exc_steps += (self._step_for(st, child),)
+            exc_steps += (st.summary.step_for(child),)
             st.exceptions.append(CommitException(child, rec.commit,
                                                  CommitTreeProof(exc_steps)))
             st.resp_absent |= {child}
@@ -1205,7 +1198,7 @@ class SigningNode:
             for s, _ in rec.contributors:
                 st.pending_resp |= {s}
                 effects.append(Send(s, self._challenge(
-                    st, (rec.step_for(s), self._step_for(st, child)))))
+                    st, (rec.step_for(s), st.summary.step_for(child)))))
             if rec.contributors:
                 effects.append(SetTimer(("response",) + st.key, st.config.timeout_base))
         else:
@@ -1228,7 +1221,7 @@ class SigningNode:
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
         st.phase = PHASE_DONE
-        total = multisig.response_share(st.nonce, st.challenge, self.keypair.secret)
+        total = multisig.response_share(st.nonce, st.challenged.challenge, self.keypair.secret)
         for share in st.resp_shares.values():
             total = total + share
         if st.parent is None:
@@ -1258,7 +1251,7 @@ class SigningNode:
             for child in sorted(st.pending_commit):
                 effects.extend(self._commit_child_gone(st, child, now))
             return effects
-        if kind == "response" and st.phase == PHASE_RESPONSE and st.challenge is not None:
+        if kind == "response" and st.phase == PHASE_RESPONSE and st.challenged is not None:
             effects = self._settle_held(st)
             for child in sorted(st.pending_resp):
                 effects.extend(self._response_child_gone(st, child))
@@ -1274,15 +1267,18 @@ class SigningNode:
             return self._fail(st, "nonce discarded for a newer session")
         if st.config.mode == MODE_RESTART and (st.failed or st.refused):
             return self._restart_or_fail(st, now, "witness failure during commit phase")
-        if len(st.participants) < st.config.min_participants:
+        if len(st.topology.members) - len(st.absent) < st.config.min_participants:
             return self._fail(st, "participation below leader threshold")
-        if st.config.statement_timing == STATEMENT_AT_CHALLENGE and st.statement is None:
+        late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
+        if late and st.statement is None:
             st.statement = st.lead.materialize()
-        root = st.tree_hash if st.config.mode == MODE_NO_RESTART else None
-        st.challenge = multisig.collective_challenge(st.aggregate_commit, st.statement,
-                                                     root)
-        st.commit_root = root
-        st.global_commit = st.aggregate_commit
+        own = st.summary
+        root = own.tree_hash if st.config.mode == MODE_NO_RESTART else None
+        st.challenged = Challenge(
+            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
+            challenge=multisig.collective_challenge(own.aggregate, st.statement, root),
+            aggregate_commit=own.aggregate, commit_root=root,
+            statement=st.statement if late else None, proof=_NO_PATH)
         return self._challenge_descend(st, now)
 
     def _restart_or_fail(self, st: _RoundState, now: float, reason: str) -> list:
@@ -1305,15 +1301,17 @@ class SigningNode:
             if st.config.mode == MODE_RESTART:
                 return self._restart_or_fail(st, now, st.unresolvable)
             return self._fail(st, st.unresolvable)
-        response_present = st.participants - st.resp_absent
-        if len(response_present) < config.min_participants:
+        commit_absent = st.topology.absent | st.absent
+        response_absent = commit_absent | st.resp_absent
+        if len(self.roster) - len(response_absent) < config.min_participants:
             return self._fail(st, "participation below leader threshold")
-        pset = ParticipationSet(count=len(self.roster), response_present=response_present,
-                                commit_present=st.participants)
+        pset = ParticipationSet(count=len(self.roster), response_absent=response_absent,
+                                commit_absent=commit_absent)
         exceptions = tuple(sorted(st.exceptions, key=lambda e: e.index))
         sig = CollectiveSignature(
-            group=self.group, mode=st.config.mode, challenge=st.challenge, response=total,
-            participation=pset, commit_root=st.commit_root, exceptions=exceptions,
+            group=self.group, mode=st.config.mode, challenge=st.challenged.challenge,
+            response=total, participation=pset, commit_root=st.challenged.commit_root,
+            exceptions=exceptions,
         )
         check = multisig.verify_collective(self.roster, st.statement, sig,
                                            participation.Threshold(0))

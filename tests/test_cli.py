@@ -484,7 +484,7 @@ def test_witness_refuses_stamp_requests_at_once(toy_loopback):
         frame = cli.read_frame(sock)
     assert time.monotonic() - started < 1
     assert decode_frame_body(frame, TOY, 2) == StampReply(ok=False, payload=b"")
-    assert witness.stamp_queue is None and witness._stamp_conns == {}
+    assert witness.stamps is None and witness._stamp_conns == {}
 
 
 def test_predicate_file(tmp_path, capsys):

@@ -247,15 +247,15 @@ def test_second_conflicting_challenge_refused():
     node = make_node(1, roster, secrets, seed=7)
     node.handle_message(announce_for(roster), now=0.0)
     st = node.rounds[(0, 0, 0)]
-    c1 = multisig.collective_challenge(st.aggregate_commit, b"s")
+    c1 = multisig.collective_challenge(st.summary.aggregate, b"s")
     ch = Challenge(view=0, round=0, attempt=0, sender=0, challenge=c1,
-                   aggregate_commit=st.aggregate_commit, commit_root=None,
+                   aggregate_commit=st.summary.aggregate, commit_root=None,
                    statement=None, proof=CommitTreeProof(()))
     first = node.handle_message(ch, now=0.1)
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in first)
     conflicting = Challenge(view=0, round=0, attempt=0, sender=0,
                             challenge=c1 + TOY.scalar(1),
-                            aggregate_commit=st.aggregate_commit, commit_root=None,
+                            aggregate_commit=st.summary.aggregate, commit_root=None,
                             statement=None, proof=CommitTreeProof(()))
     effects = node.handle_message(conflicting, now=0.2)
     assert any(isinstance(e, Send) and isinstance(e.msg, Refuse) for e in effects)
@@ -267,8 +267,8 @@ def test_second_conflicting_challenge_refused():
 def _challenge_for(node, key, statement=b"s"):
     st = node.rounds[key]
     return Challenge(view=key[0], round=key[1], attempt=key[2], sender=0,
-                     challenge=multisig.collective_challenge(st.aggregate_commit, statement),
-                     aggregate_commit=st.aggregate_commit, commit_root=None,
+                     challenge=multisig.collective_challenge(st.summary.aggregate, statement),
+                     aggregate_commit=st.summary.aggregate, commit_root=None,
                      statement=None, proof=CommitTreeProof(()))
 
 
@@ -351,7 +351,7 @@ def test_restarting_an_older_round_keeps_its_own_statement():
         if isinstance(eff, Send) and not (isinstance(eff.msg, Response)
                                           and eff.msg.sender == 2):
             pending += nodes[eff.dest].handle_message(eff.msg, now=0.1)
-    assert nodes[0].rounds[(0, 0, 0)].challenge is not None  # 2's response is lost
+    assert nodes[0].rounds[(0, 0, 0)].challenged is not None  # 2's response is lost
     nodes[0].start_round(replace(config, round_number=1), b"B", now=0.2)
     sends = [e for e in nodes[0].on_timer(("response", 0, 0, 0), now=1.0)
              if isinstance(e, Send)]
@@ -394,10 +394,10 @@ def _lying_leader_challenge(mode, timing, signed, hook=None):
                                      mode=mode, timing=timing), now=0.0)
     st = node.rounds[(0, 0, 0)]
     leader_commit = TOY.generator ** TOY.scalar(5)
-    aggregate = leader_commit * st.aggregate_commit
+    aggregate = leader_commit * st.summary.aggregate
     root, proof = None, CommitTreeProof(())
     if mode == MODE_NO_RESTART:
-        inputs = [multisig.commit_leaf_digest(leader_commit), st.tree_hash]
+        inputs = [multisig.commit_leaf_digest(leader_commit), st.summary.tree_hash]
         root = multisig.commit_node_digest(inputs)
         proof = CommitTreeProof((multisig.commit_step(inputs, 1),))
     challenge = Challenge(view=0, round=0, attempt=0, sender=0,
@@ -943,9 +943,9 @@ def test_copies_of_messages_and_of_a_node_mid_round():
     assert [len(m.proof.steps) for m in from_node1 if isinstance(m, Challenge)] == [2, 2, 2]
 
 
-def test_whole_subtree_participation_holds_the_topology_set():
-    """A node whose whole subtree took part keeps the topology's cached set
-    as its participants; one that lost a child keeps its own, smaller set."""
+def test_whole_subtree_participation_holds_the_shared_empty_set():
+    """A node whose whole subtree took part holds the one shared empty set as
+    its commit-phase absences; one that lost a child holds its own set."""
     sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3,
                                    failures=(FailureAction(4, "commit", "crash"),)))
     _, result = sim.run_round(0)
@@ -953,8 +953,53 @@ def test_whole_subtree_participation_holds_the_topology_set():
     for node in sim.nodes[:4] + sim.nodes[5:]:
         for st in node.rounds.values():
             subtree = st.topology.descendants(node.index)
-            assert (st.participants is subtree) == (4 not in subtree)
-            assert st.participants == subtree - {4}
+            assert (st.absent is engine._NOBODY) == (4 not in subtree)
+            assert st.absent == subtree & {4}
+            assert st.summary.absent is st.absent
+
+
+def test_own_summary_equals_the_record_its_parent_keeps():
+    """A no-restart node's own summary is the record its parent (or the node
+    that bridged to it) keeps for it, past a dark interior node and an
+    interior liar."""
+    sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3, mode=MODE_NO_RESTART,
+                                   failures=(FailureAction(1, "announce", "crash"),
+                                             FailureAction(2, "response", "lie"))))
+    _, result = sim.run_round(0)
+    assert result.ok and result.failed == {1, 2}
+    checked = set()
+    for node in sim.nodes:
+        for st in node.rounds.values():
+            if st.parent is not None:
+                assert sim.nodes[st.parent].rounds[st.key].records[node.index] == st.summary
+                checked.add(node.index)
+    assert checked == set(range(13)) - {0, 1}
+    assert sim.nodes[0].rounds[(0, 0, 0)].records.keys() == {2, 3, 4, 5, 6}
+
+
+def test_restart_parent_sends_its_children_one_challenge():
+    """In restart mode a parent sends every child one challenge object: the
+    one it answered, with itself as sender."""
+    sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3,
+                                   statement_timing=engine.STATEMENT_AT_CHALLENGE))
+    sent = {}
+    send = sim._send
+
+    def record(src, dst, msg, when):
+        if isinstance(msg, Challenge):
+            sent.setdefault(src, []).append(msg)
+        send(src, dst, msg, when)
+
+    sim._send = record
+    _, result = sim.run_round(0)
+    assert result.ok and sent.keys() == {0, 1, 2, 3}
+    for src, msgs in sent.items():
+        st = sim.nodes[src].rounds[(0, 0, 0)]
+        assert len(msgs) == 3 and all(m is msgs[0] for m in msgs)
+        assert msgs[0] == replace(st.challenged, sender=src)
+        assert msgs[0].statement == b"cosi-round-0"
+        if src != 0:
+            assert st.challenged is sent[0][0]
 
 
 def test_progress_timer_votes_only_without_round_state():
