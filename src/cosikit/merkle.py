@@ -6,11 +6,11 @@ node count duplicates its last node. Proof steps record which side the
 sibling sits on, so the leaf index is fully determined by the path and
 composed proofs (sub-tree proof followed by outer-tree proof) remain plain
 concatenations. A tree proves one leaf (`prove`) or all of them in leaf
-order from one walk (`proofs`), as a timestamp round does. That walk joins
-every leaf's path bytes into one list, then `InclusionProof._bulk` turns the
-list into proofs in place: each is allocated bare and its one slot filled
-through the slot's descriptor, skipping the frozen `__init__` per proof. The
-results are the same frozen dataclass instances `InclusionProof(data)` makes.
+order from one walk. The walk (`paths`) returns every leaf's path bytes
+behind a prefix the caller gives: a timestamp round passes its receipts'
+common head, so each receipt's wire bytes are built whole and no proof object
+is made per leaf. `proofs` is the same walk with an empty prefix, its bytes
+turned into `InclusionProof`s in place by `InclusionProof._bulk`.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ class DigestTree:
     itself with an empty path.
 
     Every node below the root keeps the audit step it is to its sibling, as
-    wire bytes. `prove` joins one step per level for a single leaf; `proofs`
+    wire bytes. `prove` joins one step per level for a single leaf; `paths`
     builds every leaf's path in one walk that concatenates each node's path
     to the root once.
     """
@@ -168,6 +168,11 @@ class DigestTree:
         self.root = level[0]
         self._count = len(self._steps).to_bytes(2, "big")
 
+    @property
+    def proof_size(self) -> int:
+        """Bytes in every leaf's proof: all leaves sit at the same depth."""
+        return 2 + len(self._steps) * _STEP_SIZE
+
     def prove(self, index: int) -> InclusionProof:
         if not 0 <= index < self.leaf_count:
             raise IndexError("leaf index out of range")
@@ -175,7 +180,11 @@ class DigestTree:
             [steps[(index >> k) ^ 1] for k, steps in enumerate(self._steps)]))
 
     def proofs(self) -> list[InclusionProof]:
-        """Every leaf's proof, in leaf order, equal to `prove(i)` for each i.
+        """Every leaf's proof, in leaf order, equal to `prove(i)` for each i."""
+        return InclusionProof._bulk(self.paths(b""))
+
+    def paths(self, prefix: bytes) -> list[bytes]:
+        """`prefix + prove(i).data` for every leaf i, in leaf order.
 
         One walk over the leaf pairs (the level-1 nodes) keeps, per level
         k >= 1, the current pair's path from level k up to the root. Pair m's
@@ -184,10 +193,10 @@ class DigestTree:
         concatenated once, and the walk holds O(depth) bytes strings besides
         its result. Both leaves of a pair end in the same suffix.
         """
-        steps, count = self._steps, self._count
+        steps, head = self._steps, prefix + self._count
         depth = len(steps)
         if depth == 0:  # no leaf, or one leaf with an empty path
-            return [InclusionProof(count)] * self.leaf_count
+            return [head] * self.leaf_count
         suffix = [b""] * (depth + 1)  # suffix[depth] is the root's empty path
         bottom = steps[0]
         paths = []
@@ -197,10 +206,10 @@ class DigestTree:
                 suffix[k] = steps[k][(m >> (k - 1)) ^ 1] + suffix[k + 1]
                 k -= 1
             up = suffix[1]
-            paths.append(count + bottom[2 * m + 1] + up)
-            paths.append(count + bottom[2 * m] + up)
+            paths.append(head + bottom[2 * m + 1] + up)
+            paths.append(head + bottom[2 * m] + up)
         del paths[self.leaf_count:]  # the path of an odd leaf count's duplicate
-        return InclusionProof._bulk(paths)
+        return paths
 
 
 class MerkleTree(DigestTree):

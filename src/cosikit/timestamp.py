@@ -4,8 +4,10 @@ collectively signed timestamp records, and self-verifying receipts.
 Clients submit 32-byte hashes; once per round the queue is swapped out,
 rolled into a Merkle tree, and the record (round, wall time, tree root,
 previous-record hash) is signed through a collective signing round with a
-late-bound statement. Each client gets back the record, the signature, and
-an inclusion proof. In scalable mode every witness batches its own clients
+late-bound statement. Each client gets back a receipt: the record, the
+signature, and an inclusion proof. A receipt is held as its wire bytes, which
+a round builds in one pass over the tree, and its proof is read back from
+them. In scalable mode every witness batches its own clients
 into a local tree and the global tree commits all local trees transitively,
 so composed (local then global) proofs still verify against the one root.
 """
@@ -15,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Optional, Sequence
 
 from . import merkle, multisig
@@ -51,20 +52,6 @@ class TimestampRecord:
     def record_hash(self) -> bytes:
         return hashlib.sha256(b"cosi/stamp-record/v1" + self.pack()).digest()
 
-    def _receipt_head(self, signature: CollectiveSignature) -> bytes:
-        """What every receipt of this record and signature starts with: the
-        magic, the packed record and the length-prefixed signature.
-
-        Built once for the last signature asked for, which is compared by
-        identity and held, so a batch's receipts share one head and a receipt
-        with another signature gets its own."""
-        memo = self.__dict__.get("_head")
-        if memo is None or memo[0] is not signature:
-            sig = signature.to_bytes()
-            memo = (signature, RECEIPT_MAGIC + self.pack() + len(sig).to_bytes(4, "big") + sig)
-            self.__dict__["_head"] = memo  # frozen: bypass __setattr__, as cached_property does
-        return memo[1]
-
 
 def unpack_record(data: bytes) -> TimestampRecord:
     if len(data) != RECORD_SIZE:
@@ -77,44 +64,83 @@ def unpack_record(data: bytes) -> TimestampRecord:
     )
 
 
-@dataclass(frozen=True, slots=True)
+def _receipt_head(record: TimestampRecord, signature: CollectiveSignature,
+                  proof_size: int) -> bytes:
+    """What a receipt's wire bytes hold before its proof: the magic, the
+    packed record, the length-prefixed signature and the proof's length."""
+    sig = signature.to_bytes()
+    return b"".join((RECEIPT_MAGIC, record.pack(), len(sig).to_bytes(4, "big"), sig,
+                     proof_size.to_bytes(4, "big")))
+
+
+_SIG_LEN_AT = len(RECEIPT_MAGIC) + RECORD_SIZE  # offset of the signature's u32 length
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class StampReceipt:
+    """A record, its collective signature and one client's inclusion proof,
+    held as the receipt's wire bytes (`data`): the magic, the packed record,
+    the u32-length-prefixed signature, then the u32-length-prefixed proof.
+
+    `proof` is read from the tail of `data` on each access, so a receipt
+    holds its audit path once, and `to_bytes` returns `data` itself."""
+
     record: TimestampRecord
     signature: CollectiveSignature
-    proof: InclusionProof
+    data: bytes
+
+    def __init__(self, record: TimestampRecord, signature: CollectiveSignature,
+                 proof: InclusionProof):
+        head = _receipt_head(record, signature, len(proof.data))
+        object.__setattr__(self, "record", record)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "data", head + proof.data)
+
+    @property
+    def proof(self) -> InclusionProof:
+        data = self.data
+        sig_len = int.from_bytes(data[_SIG_LEN_AT:_SIG_LEN_AT + 4], "big")
+        return InclusionProof(data[_SIG_LEN_AT + 4 + sig_len + 4:])
+
+    def __repr__(self) -> str:
+        return (f"StampReceipt(record={self.record!r}, signature={self.signature!r}, "
+                f"proof={self.proof!r})")
 
     def to_bytes(self) -> bytes:
-        proof = self.proof.data  # the proof's wire form
-        return b"".join((self.record._receipt_head(self.signature),
-                         len(proof).to_bytes(4, "big"), proof))
+        return self.data
 
     @classmethod
     def from_bytes(cls, data: bytes, witness_count: int) -> "StampReceipt":
+        data = bytes(data)
         r = Reader(data, witness_count)
         if r.take(4) != RECEIPT_MAGIC:
             raise TimestampError("bad receipt magic")
         record = unpack_record(r.take(RECORD_SIZE))
         signature = CollectiveSignature.from_bytes(r.take(r.u32()), witness_count)
-        proof = InclusionProof.decode(r.take(r.u32()))
+        InclusionProof.decode(r.take(r.u32()))  # its length and side-byte checks
         if r.off != len(data):
             raise TimestampError("trailing bytes in receipt")
-        return cls(record=record, signature=signature, proof=proof)
+        return cls._bulk(record, signature, [data])[0]
 
     @classmethod
     def _bulk(cls, record: TimestampRecord, signature: CollectiveSignature,
-              proofs: list[InclusionProof]) -> list["StampReceipt"]:
-        """`[cls(record, signature, p) for p in proofs]` without the frozen
+              items: list[bytes]) -> list["StampReceipt"]:
+        """`items[i]`, each a receipt's wire bytes for this record and
+        signature, becomes that receipt for every i, without the frozen
         `__init__`: each receipt is allocated bare and its slots set through
-        their descriptors, which the frozen `__setattr__` does not guard."""
-        receipts = list(map(object.__new__, repeat(cls, len(proofs))))
-        set_record = cls.record.__set__
-        set_signature = cls.signature.__set__
-        set_proof = cls.proof.__set__
-        for receipt, proof in zip(receipts, proofs):
+        their descriptors, which the frozen `__setattr__` does not guard. In
+        place, so no second list of the receipts' size is held; returns
+        `items`."""
+        new = object.__new__
+        set_record, set_signature, set_data = (
+            cls.record.__set__, cls.signature.__set__, cls.data.__set__)
+        for i, data in enumerate(items):
+            receipt = new(cls)
             set_record(receipt, record)
             set_signature(receipt, signature)
-            set_proof(receipt, proof)
-        return receipts
+            set_data(receipt, data)
+            items[i] = receipt
+        return items
 
 
 def _check_hash(digest: bytes) -> bytes:
@@ -161,10 +187,11 @@ class TimestampAuthority:
     def round_close(self, clock: float) -> tuple[TimestampRecord, dict[bytes, StampReceipt]]:
         """Swap the queue, sign this round's record, and build receipts.
 
-        Every audit path comes from one walk over the tree (`proofs`), and
-        the receipts, built in bulk, share the record and signature, so
-        encoding them builds their common head once. A repeated hash maps to
-        the receipt of its last position."""
+        Every proof has the tree's `proof_size`, so all of a round's receipts
+        start with one head. One walk over the tree (`paths`) writes each
+        receipt's wire bytes as that head and the leaf's audit path, and the
+        receipts are built in bulk over them. A repeated hash maps to the
+        receipt of its last position."""
         with self._lock:
             batch, self._queue = self._queue, []
         tree = MerkleTree(batch)
@@ -186,7 +213,8 @@ class TimestampAuthority:
                 f"signing failed for round {record.round_number}") from cause
         self.next_round += 1
         self.prev_hash = record.record_hash()
-        receipts = StampReceipt._bulk(record, signature, tree.proofs())
+        head = _receipt_head(record, signature, tree.proof_size)
+        receipts = StampReceipt._bulk(record, signature, tree.paths(head))
         return record, dict(zip(batch, receipts))
 
 

@@ -220,6 +220,16 @@ def test_proofs_walk_matches_prove(size):
     assert_proofs_match_prove(MerkleTree([i.to_bytes(2, "big") for i in range(size)]))
 
 
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 7, 64])
+def test_paths_walk_prefixes_every_proof(size):
+    tree = MerkleTree([i.to_bytes(2, "big") for i in range(size)])
+    prefix = b"a receipt's head"
+    paths = tree.paths(prefix)
+    assert paths == [prefix + tree.prove(i).data for i in range(size)]
+    assert {len(p) for p in paths} <= {len(prefix) + tree.proof_size}
+    assert tree.paths(b"") == [p.data for p in tree.proofs()]
+
+
 @settings(max_examples=40, deadline=None)
 @given(digests=st.lists(st.binary(min_size=32, max_size=32), max_size=80))
 def test_proofs_walk_matches_prove_on_random_digests(digests):

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -128,6 +129,7 @@ def test_receipts_of_interleaved_batches_encode_field_by_field(authority_env):
     for receipt in interleaved:
         blob = receipt.to_bytes()
         assert blob == reference_receipt_bytes(receipt)
+        assert receipt.to_bytes() is blob  # the receipt's own bytes, not a new encoding
         assert StampReceipt.from_bytes(blob, 3).to_bytes() == blob
 
 
@@ -311,6 +313,69 @@ def test_receipt_file_roundtrip(authority_env):
     assert verify_receipt(roster, d, back, Threshold(2)).ok
     with pytest.raises(TimestampError):
         StampReceipt.from_bytes(blob + b"\x00", len(roster))
+
+
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_receipt_decoded_from_any_buffer(authority_env, kind):
+    _, authority = authority_env
+    digests = [h(bytes([i])) for i in range(5)]
+    for d in digests:
+        authority.submit(d)
+    _, receipts = authority.round_close(clock=513.0)
+    receipt = receipts[digests[4]]
+    back = StampReceipt.from_bytes(kind(receipt.to_bytes()), 3)
+    assert type(back.to_bytes()) is bytes
+    assert back == receipt and hash(back) == hash(receipt)
+    assert back.proof == receipt.proof and back.proof.leaf_index == 4
+
+
+def test_receipt_with_a_bad_proof_rejected(authority_env):
+    _, authority = authority_env
+    digests = [h(bytes([i])) for i in range(5)]
+    for d in digests:
+        authority.submit(d)
+    _, receipts = authority.round_close(clock=514.0)
+    blob, proof = receipts[digests[2]].to_bytes(), receipts[digests[2]].proof.data
+    at = len(blob) - len(proof)  # where the proof's step count starts
+    bad_side = bytearray(blob)
+    bad_side[at + 2 + 33] = 2  # the second step's side byte
+    with pytest.raises(ValueError, match="bad audit step side"):
+        StampReceipt.from_bytes(bad_side, 3)
+    bad_count = bytearray(blob)
+    bad_count[at + 1] += 1  # one step more than the proof holds
+    with pytest.raises(ValueError, match="bad inclusion proof length"):
+        StampReceipt.from_bytes(bad_count, 3)
+    # one step more than the proof's count, with the receipt's length field to match
+    longer = (blob[:at - 4] + (len(proof) + 33).to_bytes(4, "big") + proof
+              + bytes([merkle.SIBLING_RIGHT]) + bytes(32))
+    with pytest.raises(ValueError, match="bad inclusion proof length"):
+        StampReceipt.from_bytes(longer, 3)
+
+
+def test_round_close_holds_each_audit_path_once():
+    # A round's receipts are their wire bytes, so a round and the encoding
+    # of every receipt leave behind those bytes and a small constant per
+    # receipt: its slots, its bytes object's header, its dict entry and its
+    # place in the list of encodings. A second copy of each 398-byte path (a
+    # proof object per leaf) would exceed this bound.
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    signature = manual_round(roster, secrets, b"statement")
+    authority = TimestampAuthority(lambda statement: signature)
+    for i in range(4096):
+        authority.submit(h(i.to_bytes(4, "big")))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, receipts = authority.round_close(clock=515.0)
+        blobs = [receipt.to_bytes() for receipt in receipts.values()]
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(receipts) == 4096
+    wire = sum(map(len, blobs))
+    assert len(receipts[h(bytes(4))].proof.data) == 2 + 12 * 33
+    assert wire < held <= wire + 4096 * 200
 
 
 def test_every_cut_of_a_receipt_rejected():
