@@ -5,7 +5,7 @@ Ed25519, 32-byte encodings) and a brute-forceable toy group (the order-11
 subgroup of Z_23* generated by 2, 2-byte encodings) used by oracle tests.
 All protocol arithmetic in the rest of the package goes through this module.
 
-Ed25519 exponentiation takes one of two paths, both on signed digits. A
+Ed25519 exponentiation takes one of three paths, all on signed digits. A
 power of the generator (recognised by identity: the generator's coordinates
 are derived once, at import) writes k mod L in radix 32 with digits in
 [-15, 16], and adds one entry per nonzero digit from a fixed-base table of
@@ -14,11 +14,17 @@ additions for a random k. The entries are affine, stored as (y + x, y - x,
 2d*x*y), so each addition is a mixed one of 7 field multiplications; a
 negative digit adds an entry with y + x and y - x swapped and 2d*x*y
 negated. The table (867 entries, about 0.22 MB) is built lazily by the first
-such power and then reused for the life of the process. Any other base uses
-a width-5 NAF. One doubling and 7 additions precompute its odd multiples
-1, 3 .. 15 in the cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
-(CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped and
-2d*T negated, so negations cost nothing. Adding a cached entry takes 8 field
+such power and then reused for the life of the process. A roster's
+aggregate key, which every full-roster verification raises to a challenge,
+keeps a table of its own (`Group.keep_table`) and walks it the same way.
+Its first power takes the ladder below, so that a process which checks one
+signature pays no table; its second builds the table, in about 5.5 ms, and
+every later power walks it, in about 0.14 ms against 0.83 ms for the ladder
+(2-vCPU machine, Python 3.11). Every other base uses a width-5 NAF. One
+doubling and 7 additions precompute its odd multiples 1, 3 .. 15 in the
+cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al. (CHES 2011); a
+negative digit adds an entry with Y + X and Y - X swapped and 2d*T negated,
+so negations cost nothing. Adding a cached entry takes 8 field
 multiplications, where adding two extended points takes 9. The recoded
 exponent has odd digits in [-15, 15] with at least four zeros after each, so
 it costs about one addition per six bits: 49 additions and 252 doublings for
@@ -262,6 +268,13 @@ class Group:
         """
         return all(self.check_response(s, key, c, commit) for s, key, c, commit in items)
 
+    def keep_table(self, element: "GroupElement") -> "GroupElement":
+        """An element equal to element that keeps a fixed-base table, as
+        the generator does: for a base raised to many powers, such as a
+        roster's aggregate key. This class keeps no tables and returns
+        element itself."""
+        return element
+
     def random_scalar(self, rng, nonzero: bool = True) -> "Scalar":
         """Uniform scalar via unbiased modular rejection sampling.
 
@@ -322,6 +335,9 @@ class GroupElement:
     """Element of the prime-order group. Immutable; equality is value equality."""
 
     __slots__ = ("group", "raw", "_enc", "_win")
+    # A class default: only a `_KeptElement` has the slot, so no other
+    # element grows by it.
+    _rows = None
 
     def __init__(self, group: Group, raw):
         self.group = group
@@ -334,7 +350,10 @@ class GroupElement:
 
     def __pow__(self, k) -> "GroupElement":
         exp = k.value if isinstance(k, Scalar) else int(k)
-        return GroupElement(self.group, self.group._pow(self.raw, exp % self.group.order))
+        group = self.group
+        if self._rows is None:
+            return GroupElement(group, group._pow(self.raw, exp % group.order))
+        return GroupElement(group, group._pow_kept(self, exp % group.order))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.group, self.group._inv(self.raw))
@@ -354,6 +373,18 @@ class GroupElement:
 
     def __repr__(self) -> str:
         return f"<{self.group.name} element {self.encode().hex()}>"
+
+
+class _KeptElement(GroupElement):
+    """An element that keeps a fixed-base table (`Group.keep_table`). Its
+    `_rows` counts the ladder powers taken, 0 or 1, and holds the table from
+    its second power on."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, group: Group, raw):
+        super().__init__(group, raw)
+        self._rows = 0
 
 
 # ---------------------------------------------------------------------------
@@ -622,30 +653,44 @@ class Ed25519Group(Group):
     def _mul(self, a, b):
         return self._add(a, b)
 
-    def _fixed_base_rows(self):
-        """Row i holds j * 32^i * G for j = 0..16, for i = 0..50, in the
-        affine form (y + x, y - x, 2d*x*y). 51 rows cover every k < L: as
-        L < 2^253, the top digit (bits 250 to 252, plus a carry) is at most
-        8, so it never carries out."""
-        rows = self._g_rows
-        if rows is None:
-            points = []
-            base = _G
-            for _ in range(51):
-                row = [self._IDENT, base]
-                for _ in range(15):
-                    row.append(self._add(row[-1], base))
-                points.extend(row)
-                base = self._double(row[16])
-            entries = []
-            for (x, y, _, _), zi in zip(points, _invert_all([p[2] for p in points])):
-                x, y = x * zi % _P, y * zi % _P
-                entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
-            # One assignment: threads that race here each build an equal
-            # table, and whichever lands last is kept.
-            self._g_rows = rows = tuple(tuple(entries[i:i + 17])
-                                        for i in range(0, len(entries), 17))
-        return rows
+    def _fixed_base_rows(self, base):
+        """Row i holds j * 32^i * base for j = 0..16, for i = 0..50, in the
+        affine form (y + x, y - x, 2d*x*y), for one inversion in all. 51
+        rows cover every k < L: as L < 2^253, the top digit (bits 250 to
+        252, plus a carry) is at most 8, so it never carries out."""
+        points = []
+        for _ in range(51):
+            row = [self._IDENT, base]
+            for _ in range(15):
+                row.append(self._add(row[-1], base))
+            points.extend(row)
+            base = self._double(row[16])
+        entries = []
+        for (x, y, _, _), zi in zip(points, _invert_all([p[2] for p in points])):
+            x, y = x * zi % _P, y * zi % _P
+            entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
+        return tuple(tuple(entries[i:i + 17]) for i in range(0, len(entries), 17))
+
+    def _comb(self, rows, k):
+        """base^k for the base of `rows`, a `_fixed_base_rows` table.
+
+        k = sum of d_i * 32^i with signed digits d_i in [-15, 16], so base^k
+        adds one entry of row i per nonzero digit over the 51 rows and
+        doubles nothing. A negative digit adds the negation of entry -d_i:
+        y + x and y - x swapped, 2d*x*y negated."""
+        add = self._add_affine
+        k %= _L
+        r = self._IDENT
+        for row in rows:
+            d = k & 31
+            k >>= 5
+            if d > 16:
+                k += 1
+                ypx, ymx, xy2d = row[32 - d]
+                r = add(r, (ymx, ypx, -xy2d))
+            elif d:
+                r = add(r, row[d])
+        return r
 
     def _window(self, a):
         """a^1, a^3 .. a^15 as cached entries: the odd powers a width-5 NAF
@@ -699,24 +744,31 @@ class Ed25519Group(Group):
 
     def _pow(self, a, k):
         if a is _G:
-            # k = sum of d_i * 32^i with signed digits d_i in [-15, 16], so
-            # G^k adds one entry of row i per nonzero digit over the 51 rows
-            # and doubles nothing. A negative digit adds the negation of
-            # entry -d_i: y + x and y - x swapped, 2d*x*y negated.
-            add = self._add_affine
-            k %= _L
-            r = self._IDENT
-            for row in self._fixed_base_rows():
-                d = k & 31
-                k >>= 5
-                if d > 16:
-                    k += 1
-                    ypx, ymx, xy2d = row[32 - d]
-                    r = add(r, (ymx, ypx, -xy2d))
-                elif d:
-                    r = add(r, row[d])
-            return r
+            rows = self._g_rows
+            if rows is None:
+                # One assignment: threads that race here each build an
+                # equal table, and whichever lands last is kept.
+                self._g_rows = rows = self._fixed_base_rows(_G)
+            return self._comb(rows, k)
         return self._straus([(self._window(a), k)])
+
+    def keep_table(self, element):
+        return _KeptElement(self, element.raw)
+
+    def _pow_kept(self, a, k):
+        """a^k for an element made by `keep_table`. Its first power runs
+        the ladder, so that a process which powers it once builds no table;
+        its second builds the table, and every later power walks it."""
+        rows = a._rows
+        if type(rows) is int:  # the ladder powers taken so far, 0 or 1
+            if not rows:
+                a._rows = 1
+                return self._pow(a.raw, k)
+            # One assignment, as for G's table. A thread that took the first
+            # power in a race can set 1 back over it; the next power then
+            # builds an equal table again.
+            a._rows = rows = self._fixed_base_rows(a.raw)
+        return self._comb(rows, k)
 
     def _key_window(self, key):
         """The window of a key element, built on its first use as a key and

@@ -83,11 +83,13 @@ class WitnessRoster:
 
     @cached_property
     def _aggregate_key(self) -> GroupElement:
-        # Stored in the instance dict, which the frozen dataclass allows.
+        # Stored in the instance dict, which the frozen dataclass allows. The
+        # key is raised to a challenge by every full-roster verification, so
+        # it keeps a fixed-base table, which deep copies of the roster share.
         acc = self.group.identity
         for e in self.entries:
             acc = acc * e.key.public
-        return acc
+        return self.group.keep_table(acc)
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,7 +1,8 @@
-"""Shared fixtures: toy-group rosters with known secrets, a manual
-(protocol-level) signing-round helper used to build signatures without the
-engine, so library behavior is testable in isolation, and Ed25519 points
-outside the prime-order subgroup, found with an affine reference."""
+"""Shared fixtures: rosters with known secrets (in the toy group unless
+another is named), a manual (protocol-level) signing-round helper used to
+build signatures without the engine, so library behavior is testable in
+isolation, and Ed25519 points outside the prime-order subgroup, found with
+an affine reference."""
 
 from __future__ import annotations
 
@@ -17,12 +18,16 @@ from cosikit.roster import RosterEntry, WitnessRoster, build_roster
 from cosikit.topology import tree_for
 
 
-def make_toy_roster(secrets, leader_index: int = 0, version: int = 0,
-                    weights=None, rng=None) -> WitnessRoster:
+def make_toy_roster(secrets, **kwargs) -> WitnessRoster:
+    return make_roster(TOY, secrets, **kwargs)
+
+
+def make_roster(group, secrets, leader_index: int = 0, version: int = 0,
+                weights=None, rng=None) -> WitnessRoster:
     rng = rng or random.Random(1234)
     entries = []
     for i, x in enumerate(secrets):
-        kp = KeyPair.from_secret(TOY, x)
+        kp = KeyPair.from_secret(group, x)
         entries.append(RosterEntry(
             witness_id=f"w{i}".encode(),
             key=prove_possession(kp, rng),
@@ -35,19 +40,20 @@ def manual_round(roster: WitnessRoster, secrets, statement: bytes,
                  absent=frozenset(), response_absent=frozenset(),
                  mode: int = MODE_RESTART, branching: int = 2,
                  rng=None) -> CollectiveSignature:
-    """Run the signing math directly (no engine): `absent` witnesses never
-    commit, `response_absent` witnesses commit but never respond (no-restart
-    mode only, they become commit exceptions)."""
+    """Run the signing math directly (no engine), in the roster's group:
+    `absent` witnesses never commit, `response_absent` witnesses commit but
+    never respond (no-restart mode only, they become commit exceptions)."""
     rng = rng or random.Random(99)
+    group = roster.group
     n = len(roster)
     absent = frozenset(absent)
     response_absent = frozenset(response_absent)
     commit_present = frozenset(range(n)) - absent
     responders = commit_present - response_absent
 
-    nonces = {i: TOY.random_scalar(rng) for i in sorted(commit_present)}
-    commits = {i: TOY.generator ** v for i, v in nonces.items()}
-    aggregate = multisig.aggregate_elements(TOY, commits.values())
+    nonces = {i: group.random_scalar(rng) for i in sorted(commit_present)}
+    commits = {i: group.generator ** v for i, v in nonces.items()}
+    aggregate = multisig.aggregate_elements(group, commits.values())
 
     commit_root = None
     exceptions = ()
@@ -65,13 +71,13 @@ def manual_round(roster: WitnessRoster, secrets, statement: bytes,
             raise ValueError("response-phase dropouts need no-restart mode")
         challenge = multisig.collective_challenge(aggregate, statement)
 
-    total = TOY.scalar(0)
+    total = group.scalar(0)
     for i in sorted(responders):
-        secret = TOY.scalar(secrets[i])
+        secret = group.scalar(secrets[i])
         total = total + multisig.response_share(nonces[i], challenge, secret)
     pset = ParticipationSet(count=n, response_present=responders,
                             commit_present=commit_present)
-    return CollectiveSignature(group=TOY, mode=mode, challenge=challenge,
+    return CollectiveSignature(group=group, mode=mode, challenge=challenge,
                                response=total, participation=pset,
                                commit_root=commit_root, exceptions=exceptions)
 

@@ -1,5 +1,6 @@
 import collections
 import copy
+import functools
 import hashlib
 import random
 
@@ -315,16 +316,83 @@ def test_fixed_base_table_built_once(monkeypatch, ops):
 
 
 def test_fixed_base_table_matches_affine_reference():
-    table = ED25519._fixed_base_rows()
-    base = affine(ED25519.generator.raw)
-    for row in table:
-        point = (0, 1)
-        for j, entry in enumerate(row):
-            x, y = point
-            assert entry == ((y + x) % P, (y - x) % P, 2 * D * x * y % P), j
-            point = affine_add(point, base)
-        for _ in range(5):
-            base = affine_add(base, base)
+    """G's table, and one built for another base."""
+    for raw in (ED25519.generator.raw, kept_keys()[0].raw):
+        table = ED25519._fixed_base_rows(raw)
+        assert len(table) == 51 and all(len(row) == 17 for row in table)
+        base = affine(raw)
+        for row in table:
+            point = (0, 1)
+            for j, entry in enumerate(row):
+                x, y = point
+                assert entry == ((y + x) % P, (y - x) % P, 2 * D * x * y % P), j
+                point = affine_add(point, base)
+            for _ in range(5):
+                base = affine_add(base, base)
+
+
+@functools.cache
+def kept_keys():
+    """Two random keys marked by `keep_table`, each powered twice, so that
+    each now holds its own fixed-base table."""
+    rng = random.Random(41)
+    keys = [ED25519.keep_table(keygen(ED25519, rng).public) for _ in range(2)]
+    for key in keys:
+        key ** 3, key ** 5
+        assert len(key._rows) == 51
+    return keys
+
+
+def assert_comb_matches_ladder(k):
+    for key in kept_keys():
+        comb = (key ** k).raw
+        ladder = ED25519._straus([(ED25519._window(key.raw), k)])
+        assert ED25519._eq(comb, ladder), k
+        assert_extended(comb)
+
+
+# k < L throughout, so the walk sees these digits unreduced. Besides 0, 1 and
+# L - 1: digits on either side of where a signed digit turns negative, 16 in
+# each of the 50 full rows, and 17 in each, whose carry runs up through every
+# row into the top one.
+COMB_SCALARS = {"0": 0, "1": 1, "15": 15, "16": 16, "17": 17, "31": 31, "32": 32,
+                "L-1": L - 1, "16 in every row": radix32(*[16] * 50),
+                "17 in every row": radix32(*[17] * 50)}
+
+
+@pytest.mark.parametrize("k", COMB_SCALARS.values(), ids=COMB_SCALARS.keys())
+def test_kept_key_comb_edge_scalars_match_ladder(k):
+    assert k < L
+    assert_comb_matches_ladder(k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=0, max_value=L - 1))
+def test_kept_key_comb_matches_ladder(k):
+    assert_comb_matches_ladder(k)
+
+
+def test_kept_key_builds_its_table_on_its_second_power(ops):
+    """No table at the first power, one at the second, and from then on
+    table walks of at most 51 affine additions and no doubling. The toy
+    group keeps no table."""
+    rng = random.Random(43)
+    key = ED25519.keep_table(keygen(ED25519, rng).public)
+    ops.clear()
+    key ** (L - 1)
+    assert key._rows == 1 and ops["_double"] >= 248 and "_add_affine" not in ops
+    key ** rng.randrange(L)
+    rows = key._rows
+    assert len(rows) == 51
+    for _ in range(3):
+        ops.clear()
+        key ** rng.randrange(L)
+        assert key._rows is rows
+        assert set(ops) <= {"_add_affine"} and ops["_add_affine"] <= 51
+    toy = TOY.keep_table(TOY.generator ** 3)
+    for k in range(3):
+        assert toy ** k == TOY.generator ** (3 * k)
+    assert toy._rows is None
 
 
 # -- Signed windows and the multi-base ladder ---------------------------------

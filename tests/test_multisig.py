@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import random
@@ -10,7 +11,7 @@ from conftest import assert_cuts_rejected, make_toy_roster, manual_round, swap_g
 from cosikit import multisig
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, challenge_hash, keygen, \
     prove_possession
-from cosikit.group import TAG_SIGN
+from cosikit.group import TAG_SIGN, Ed25519Group
 from cosikit.multisig import (
     MODE_NO_RESTART,
     MODE_RESTART,
@@ -29,7 +30,14 @@ from cosikit.multisig import (
 )
 from cosikit.engine import Response, decode_frame_body, encode_message
 from cosikit.participation import ParticipationSet, Threshold
-from cosikit.roster import RosterEntry, build_roster
+from cosikit.roster import (
+    ProvenKey,
+    RosterEntry,
+    build_key_tree,
+    build_roster,
+    compact_certificate,
+    full_certificate,
+)
 from cosikit.topology import tree_for
 
 
@@ -354,6 +362,88 @@ def test_unforgeability_smoke_mutations():
     for mutant in variants():
         res = verify_collective(roster, b"prod", mutant, Threshold(1))
         assert not res.crypto_ok
+
+
+# -- the roster key's fixed-base table ---------------------------------------------
+
+def _tabled_round(seed, n=4):
+    """A full-participation restart signature, verified twice, so that its
+    roster's key now holds a fixed-base table."""
+    roster, sig = _prod_round(random.Random(seed), n=n)
+    for _ in range(2):
+        assert verify_collective(roster, b"prod", sig, Threshold(n)).ok
+    assert len(roster.aggregate_key()._rows) == 51
+    return roster, sig
+
+
+def test_roster_key_builds_its_table_on_its_second_power():
+    roster, sig = _prod_round(random.Random(51), n=4)
+    key = roster.aggregate_key()
+    assert key._rows == 0
+    assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
+    assert key._rows == 1  # the first power ran the ladder
+    assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
+    rows = key._rows
+    assert len(rows) == 51
+    assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
+    assert roster.aggregate_key() is key and key._rows is rows
+
+
+def test_compact_certificate_walks_the_roster_key_table(monkeypatch):
+    roster, sig = _tabled_round(52)
+    rows = roster.aggregate_key()._rows
+    walked = []
+    real = Ed25519Group._comb
+    monkeypatch.setattr(Ed25519Group, "_comb",
+                        lambda self, table, k: walked.append(table) or real(self, table, k))
+    cert = compact_certificate(roster)
+    assert cert.compact.aggregate_key is roster.aggregate_key()
+    assert verify_collective(cert, b"prod", sig, Threshold(4)).ok
+    # one walk of G's table and one of the roster key's, that very object
+    assert len(walked) == 2 and walked[0] is ED25519._g_rows and walked[1] is rows
+
+
+def test_absent_witness_leaves_no_table_on_the_adjusted_key(monkeypatch):
+    roster, sig = _prod_round(random.Random(53), n=5, response_absent={2},
+                              mode=MODE_NO_RESTART)
+    keys = []
+    real_present_key = multisig.present_key
+    monkeypatch.setattr(multisig, "present_key",
+                        lambda r, absent: keys.append(real_present_key(r, absent)) or keys[-1])
+    built = []
+    real_rows = Ed25519Group._fixed_base_rows
+    monkeypatch.setattr(Ed25519Group, "_fixed_base_rows",
+                        lambda self, base: built.append(base) or real_rows(self, base))
+    tree = build_key_tree(roster)
+    proofs = [ProvenKey(2, roster.public_key(2), tree.prove(2))]
+    cert = compact_certificate(roster)
+    for _ in range(3):
+        assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
+        assert verify_collective(cert, b"prod", sig, Threshold(4), proofs).ok
+    assert len(keys) == 3 and all(key._rows is None for key in keys)
+    assert roster.aggregate_key()._rows == 0 and built == []
+
+
+def test_tabled_roster_key_rejects_tampering():
+    roster, sig = _tabled_round(54)
+    rows = roster.aggregate_key()._rows
+    bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
+    bumped_s = dataclasses.replace(sig, response=sig.response + ED25519.scalar(1))
+    for cert in (full_certificate(roster), compact_certificate(roster)):
+        assert verify_collective(cert, b"prod", sig, Threshold(4)).ok
+        for statement, bad in ((b"prodX", sig), (b"prod", bumped_c), (b"prod", bumped_s)):
+            res = verify_collective(cert, statement, bad, Threshold(4))
+            assert not res.crypto_ok and res.reason == "challenge mismatch"
+    assert roster.aggregate_key()._rows is rows
+
+
+def test_roster_deep_copy_shares_the_key_table():
+    roster, sig = _tabled_round(55)
+    twin = copy.deepcopy(roster)
+    assert twin.aggregate_key() is not roster.aggregate_key()
+    assert twin.aggregate_key()._rows is roster.aggregate_key()._rows
+    assert verify_collective(twin, b"prod", sig, Threshold(4)).ok
+    assert not verify_collective(twin, b"prodX", sig, Threshold(4)).ok
 
 
 # -- commit tree ----------------------------------------------------------------

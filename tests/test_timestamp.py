@@ -5,12 +5,14 @@ import tracemalloc
 
 import pytest
 
-from conftest import assert_cuts_rejected, make_toy_roster, manual_round
+from conftest import assert_cuts_rejected, make_roster, make_toy_roster, manual_round
 
 from cosikit import merkle
+from cosikit.group import ED25519
 from cosikit.merkle import InclusionProof, MerkleTree, empty_tree_root, leaf_hash
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
+from cosikit.roster import compact_certificate, full_certificate
 from cosikit.timestamp import (
     GENESIS_HASH,
     RECEIPT_MAGIC,
@@ -411,6 +413,60 @@ def test_time_check(authority_env):
     other_nonce = h(b"new nonce")
     assert not time_check(other_nonce, receipt, roster, Threshold(2),
                           local_clock=1030.0, tolerance=60.0)
+
+
+# -- receipts under an Ed25519 roster key's fixed-base table ----------------------
+
+def prod_receipts(seed: int, n: int = 4, count: int = 8):
+    """An Ed25519 roster, every witness signing, and one batch's receipts."""
+    rng = random.Random(seed)
+    secrets = [ED25519.random_scalar(rng).value for _ in range(n)]
+    roster = make_roster(ED25519, secrets, rng=rng)
+    authority = TimestampAuthority(
+        lambda statement: manual_round(roster, secrets, statement, rng=rng))
+    for i in range(count):
+        authority.submit(h(i.to_bytes(4, "big")))
+    _, receipts = authority.round_close(clock=700.0)
+    return roster, receipts
+
+
+def test_prod_receipt_tampering_rejected_under_a_tabled_key():
+    roster, receipts = prod_receipts(71)
+    digest, receipt = next(iter(receipts.items()))
+    record, sig, proof = receipt.record, receipt.signature, receipt.proof
+    one = ED25519.scalar(1)
+    tampered = [
+        StampReceipt(dataclasses.replace(record, wall_time=record.wall_time + 1), sig, proof),
+        StampReceipt(record, dataclasses.replace(sig, challenge=sig.challenge + one), proof),
+        StampReceipt(record, dataclasses.replace(sig, response=sig.response + one), proof),
+    ]
+    for cert in (full_certificate(roster), compact_certificate(roster)):
+        for _ in range(2):
+            assert verify_receipt(cert, digest, receipt, Threshold(4)).ok
+        assert len(roster.aggregate_key()._rows) == 51
+        for bad in tampered:
+            result = verify_receipt(cert, digest, bad, Threshold(4))
+            assert not result.ok and result.reason == "challenge mismatch"
+
+
+def test_prod_receipt_verifications_keep_one_table_per_roster():
+    # The first verification powers the roster key by the ladder and the
+    # second builds its table, about 213 KB; the next 198 walk that table
+    # and retain nothing. A table per call, kept, would exceed the bound.
+    roster, receipts = prod_receipts(72)
+    digest, receipt = next(iter(receipts.items()))
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            assert verify_receipt(roster, digest, receipt, Threshold(4)).ok
+        after_two = tracemalloc.get_traced_memory()[0]
+        for _ in range(198):
+            assert verify_receipt(roster, digest, receipt, Threshold(4)).ok
+        held = tracemalloc.get_traced_memory()[0] - after_two
+    finally:
+        tracemalloc.stop()
+    assert len(roster.aggregate_key()._rows) == 51
+    assert held < 300_000
 
 
 # -- scalable mode ----------------------------------------------------------------
