@@ -37,12 +37,19 @@ state is plain data, so a copy of a node runs on its own. A round state holds
 each fact once: the announce it forwarded, its own commit-tree node as the
 `SubtreeSummary` its parent keeps for it, its commit-phase absences within its
 subtree, and the challenge it answered (at the leader, the one it built),
-which it sends on with its own sender and audit path. Its containers are
-bounded by the roster size or a named constant, except `view_votes`, one table
-per proposed view above its own, which a Byzantine voter can grow. The
-hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery
-and clocks and must serialize events per node. The TCP runner does not yet
-call `round_due`, so over TCP no view changes.
+which it sends on with its own sender and audit path. A session's witnesses
+share one key tuple and one `RoundConfig`, derived from its announce. Once a
+session is done or refused, the node keeps of it only what a later frame for it
+reads (`_Finished`): the phase, the mode, the parent and the return address,
+the challenge scalar it answered, the response or refusal it sent, and what
+rebuilds the commit it sent up (its summary, in no-restart mode its
+contributors' records, and the final failed and refused sets); a nonce it
+answered with stays only in `nonce_log`. The node's containers are bounded by
+the roster size or a named constant, except `view_votes`, one table per
+proposed view above its own, which a Byzantine voter can grow. The hosting
+runtime (the simulator, or the TCP runner in the CLI) owns delivery and clocks
+and must serialize events per node. The TCP runner does not yet call
+`round_due`, so over TCP no view changes.
 """
 
 from __future__ import annotations
@@ -50,6 +57,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Callable, NamedTuple, Optional, get_args
 
@@ -83,7 +91,11 @@ STATEMENT_AT_CHALLENGE = 1
 # three dead ones it bridges to.
 SUBTREE_KEY_MEMO = 64
 
-# Rounds' states a node keeps (`SigningNode.rounds`), oldest dropped first.
+# Rounds' states a node keeps (`SigningNode.rounds`), oldest dropped first, so
+# that a late or repeated frame still gets its answer. Of a finished round a
+# node keeps only what such a frame reads (`_Finished`): under tracemalloc, in
+# the toy group at N=256 and B=16, about 680 bytes per node in restart mode and
+# 830 in no-restart mode, so some 11 and 13 KB per node for all of them.
 ROUND_STATES_KEPT = 16
 
 # Seconds a non-leader waits for a due round to reach it before it votes for
@@ -562,14 +574,36 @@ class _Lead:
         return self.statement() if callable(self.statement) else self.statement
 
 
+# The empty summary table of every round state that holds none, as a leaf's
+# never does. It is never written: a node with children gets its own
+# `records` when it starts collecting commits, and its `below` is the first
+# non-empty table a commit brings.
+_NO_SUMMARIES: dict = {}
+
+
+@lru_cache(maxsize=ROUND_STATES_KEPT)
+def _announced(view: int, rnd: int, attempt: int, mode: int, timing: int, branching: int,
+               timeout_ms: int) -> tuple[tuple, RoundConfig]:
+    """The key and config of an announced session, one pair per session that
+    every node of one process shares."""
+    # timeout_base, 4 * rtt_hint, comes out exactly timeout_ms / 1000
+    return (view, rnd, attempt), RoundConfig(round_number=rnd, mode=mode,
+                                             statement_timing=timing,
+                                             branching=branching,
+                                             rtt_hint=timeout_ms / 4000)
+
+
 @dataclass(slots=True)
 class _RoundState:
+    """A session in progress; once done or refused it is cut down to a
+    `_Finished` record."""
+
     key: tuple  # (view, round, attempt)
     config: RoundConfig
     topology: TreeTopology
     parent: Optional[int]  # None at the leader
     statement: Optional[bytes] = None
-    phase: str = PHASE_COMMIT
+    phase: str = PHASE_COMMIT  # or PHASE_RESPONSE
     announce: Optional[Announce] = None  # as this node sent it (none at a leaf), to bridge
     lead: Optional[_Lead] = None  # at the leader only
 
@@ -578,8 +612,9 @@ class _RoundState:
 
     # index sets are frozensets, `_NOBODY` while empty
     pending_commit: frozenset = _NOBODY
-    records: dict = field(default_factory=dict)  # direct contributor -> SubtreeSummary
-    below: dict = field(default_factory=dict)  # one level further down -> SubtreeSummary
+    # direct contributor, and one level further down, -> SubtreeSummary
+    records: dict = field(default_factory=lambda: _NO_SUMMARIES)
+    below: dict = field(default_factory=lambda: _NO_SUMMARIES)
     absent: frozenset = _NOBODY  # commit-phase absences within this node's subtree
     failed: frozenset = _NOBODY
     refused: frozenset = _NOBODY
@@ -590,11 +625,30 @@ class _RoundState:
 
     pending_resp: frozenset = _NOBODY
     held: Optional[dict] = None  # sender -> (Response, partial), checked once none is pending
-    resp_shares: dict = field(default_factory=dict)  # index -> Scalar aggregate
+    resp_shares: tuple = ()  # accepted contributors' aggregate responses
     resp_absent: frozenset = _NOBODY
-    exceptions: list = field(default_factory=list)  # CommitException, anchored at this node
+    exceptions: tuple = ()  # CommitException, anchored at this node
     unresolvable: Optional[str] = None
-    answer: Optional[Response | Refuse] = None  # the response sent up, or the refusal
+
+
+@dataclass(slots=True)
+class _Finished:
+    """A done or refused session: what a later frame for its key reads. A
+    re-announce gets the commit sent up, rebuilt from `summary`, `summaries`
+    and the final `failed` and `refused`, or the refusal; a repeated
+    challenge gets `answer` again, and a conflicting one `REFUSE_STALE`."""
+
+    key: tuple
+    phase: str  # PHASE_DONE or PHASE_REFUSED
+    mode: int
+    parent: Optional[int]
+    return_to: Optional[int]
+    answer: Optional[Response | Refuse]  # none at the leader
+    challenge: Optional[Scalar] = None  # the one answered; none if refused
+    summary: Optional[SubtreeSummary] = None  # none if refused
+    summaries: tuple = ()  # the contributors' records a no-restart commit carries
+    failed: frozenset = _NOBODY
+    refused: frozenset = _NOBODY
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +659,14 @@ def view_leader(roster: WitnessRoster, view: int) -> int:
     """Deterministic leader schedule: view v is led by the roster's leader
     index plus v, mod N."""
     return (roster.leader_index + view) % len(roster)
+
+
+def _contributor_records(st: _RoundState) -> tuple:
+    """The records of a node's contributors that its commit carries: only
+    no-restart mode bridges, and so reads them."""
+    if st.config.mode != MODE_NO_RESTART:
+        return ()
+    return tuple([st.records[c] for c, _ in st.summary.contributors])
 
 
 def failing_partials(group, c: Scalar, partials: dict) -> list[int]:
@@ -755,16 +817,28 @@ class SigningNode:
             proof=CommitTreeProof(steps + c.proof.steps) if steps else _NO_PATH,
         )
 
-    def _refuse(self, st: _RoundState, dest: int, reason: int) -> list:
+    def _refuse(self, st: _RoundState | _Finished, dest: int, reason: int) -> list:
         return [Send(dest, Refuse(view=st.key[0], round=st.key[1], attempt=st.key[2],
                                   sender=self.index, reason=reason))]
 
     def _refuse_session(self, st: _RoundState, dest: int, reason: int) -> list:
         """Refuse the session for good: a re-announce gets the same refusal."""
-        st.phase = PHASE_REFUSED
         effects = self._refuse(st, dest, reason)
-        st.answer = effects[0].msg
+        self._finish(st, PHASE_REFUSED, effects[0].msg)
         return effects
+
+    def _finish(self, st: _RoundState, phase: str, answer: Optional[Response | Refuse]) -> None:
+        """Cut a session that is done or refused down to its `_Finished`
+        record, unless it has been trimmed already."""
+        if self.rounds.get(st.key) is not st:
+            return
+        if phase == PHASE_REFUSED:
+            done = _Finished(st.key, phase, st.config.mode, st.parent, st.return_to, answer)
+        else:
+            done = _Finished(st.key, phase, st.config.mode, st.parent, st.return_to, answer,
+                             st.challenged.challenge, st.summary, _contributor_records(st),
+                             st.failed, st.refused)
+        self.rounds[st.key] = done
 
     # ------------------------------------------------------------------
     # Shared participation logic
@@ -780,13 +854,14 @@ class SigningNode:
         on two-round Schnorr multisignatures needs (Drijvers et al., S&P 2019).
         """
         for other in self.rounds.values():
-            if other is not st and other.challenged is None:
+            if other is not st and isinstance(other, _RoundState) and other.challenged is None:
                 other.nonce = None
         st.nonce = self.group.random_scalar(self.rng)
         st.own_commit = self.group.generator ** st.nonce
         st.pending_commit = _frozen(st.topology.children[self.index])
         if not st.pending_commit:
             return self._finalize_commit(st, now)
+        st.records = {}
         return [SetTimer(("commit",) + st.key, self._wait_budget(st))]
 
     def _finalize_commit(self, st: _RoundState, now: float) -> list:
@@ -816,10 +891,10 @@ class SigningNode:
             # A newer session discarded our nonce: this commit could never be
             # answered, so tell the parent not to wait for our response.
             return self._refuse(st, st.parent, REFUSE_STALE)
+        return self._commit_up(st, _contributor_records(st))
+
+    def _commit_up(self, st: _RoundState | _Finished, summaries: tuple) -> list:
         own = st.summary
-        # only no-restart mode bridges, and so reads the summaries
-        summaries = (tuple([st.records[c] for c, _ in own.contributors])
-                     if st.config.mode == MODE_NO_RESTART else ())
         msg = Commit(
             view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
             aggregate=own.aggregate, commit=own.commit, tree_hash=own.tree_hash,
@@ -848,6 +923,8 @@ class SigningNode:
         if st is None:
             logger.debug("node %d has no state for round %s", self.index, key)
             return []
+        if isinstance(st, _Finished):
+            return self._on_finished(st, msg)
         if isinstance(msg, Commit):
             return self._on_commit(st, msg, now)
         if isinstance(msg, Challenge):
@@ -856,17 +933,36 @@ class SigningNode:
             return self._on_response(st, msg, now)
         return self._on_refuse(st, msg, now)
 
+    # -- finished sessions --
+
+    def _on_finished(self, done: _Finished, msg: Message) -> list:
+        """A frame for a session this node has finished. A re-announce gets
+        the commit sent up, to the announcer as the new parent, or the
+        refusal; a repeated challenge the response sent, and a conflicting one
+        `REFUSE_STALE`, as answering it would reuse the nonce. A done
+        session's nonce was answered, so it was never discarded."""
+        if done.phase == PHASE_REFUSED:
+            return [Send(msg.sender, done.answer)] if isinstance(msg, Announce) else []
+        if isinstance(msg, Announce):
+            done.parent = msg.sender
+            return self._commit_up(done, done.summaries)
+        if not isinstance(msg, Challenge) or self._carries_commit_tree(done.mode, msg):
+            return []
+        if msg.challenge.value != done.challenge.value:
+            return self._refuse(done, msg.sender, REFUSE_STALE)
+        done.return_to = msg.sender
+        return [] if done.answer is None else [Send(done.return_to, done.answer)]
+
     # -- announce --
 
     def _on_announce(self, msg: Announce, now: float) -> list:
         key = (msg.view, msg.round, msg.attempt)
         st = self.rounds.get(key)
+        if isinstance(st, _Finished):
+            return self._on_finished(st, msg)
         if st is not None:
             # Re-announce, possibly from a bridging ancestor: adopt it as the
-            # new parent and resend our commit (or refusal) if we already
-            # produced one.
-            if st.phase == PHASE_REFUSED:
-                return [Send(msg.sender, st.answer)]
+            # new parent and resend our commit if we already produced one.
             st.parent = msg.sender
             if st.summary is not None:
                 return self._send_commit(st)
@@ -889,10 +985,8 @@ class SigningNode:
             return []
         if self.index in msg.failed or self.index not in topo.members:
             return []
-        # timeout_base, 4 * rtt_hint, comes out exactly timeout_ms / 1000
-        config = RoundConfig(round_number=msg.round, mode=msg.mode,
-                             statement_timing=msg.timing, branching=msg.branching,
-                             rtt_hint=msg.timeout_ms / 4000)
+        key, config = _announced(msg.view, msg.round, msg.attempt, msg.mode, msg.timing,
+                                 msg.branching, msg.timeout_ms)
         st = _RoundState(key=key, config=config, topology=topo, parent=msg.sender,
                          statement=msg.statement)
         self.rounds[key] = st
@@ -911,7 +1005,8 @@ class SigningNode:
     def _on_commit(self, st: _RoundState, msg: Commit, now: float) -> list:
         if st.phase != PHASE_COMMIT or msg.sender not in st.pending_commit:
             return []
-        if self._carries_commit_tree(st, msg) or not self._reports_below_sender(st, msg):
+        if self._carries_commit_tree(st.config.mode, msg) \
+                or not self._reports_below_sender(st, msg):
             return []
         below = {s.index: s for s in msg.summaries}
         st.records[msg.sender] = SubtreeSummary(
@@ -920,7 +1015,11 @@ class SigningNode:
             contributors=tuple(sorted((i, s.tree_hash) for i, s in below.items())),
             absent=msg.absent,
         )
-        st.below.update(below)
+        if below:
+            if st.below:
+                st.below.update(below)
+            else:
+                st.below = below
         st.failed = _frozen(st.failed | msg.failed)
         st.refused = _frozen(st.refused | msg.refused)
         st.pending_commit = _frozen(st.pending_commit - {msg.sender})
@@ -928,11 +1027,11 @@ class SigningNode:
             return self._finalize_commit(st, now)
         return []
 
-    def _carries_commit_tree(self, st: _RoundState, msg: Commit | Challenge) -> bool:
+    def _carries_commit_tree(self, mode: int, msg: Commit | Challenge) -> bool:
         """Restart mode ships no commit-tree data, as no node there reads it:
         a commit with summaries, or a challenge with an audit path, is dropped
         and the phase timer treats its sender as silent."""
-        if st.config.mode != MODE_RESTART \
+        if mode != MODE_RESTART \
                 or not (msg.summaries if isinstance(msg, Commit) else msg.proof.steps):
             return False
         logger.warning("node %d: dropping %s from %d: restart mode carries no commit-tree "
@@ -991,7 +1090,7 @@ class SigningNode:
     # -- challenge --
 
     def _on_challenge(self, st: _RoundState, msg: Challenge, now: float) -> list:
-        if st.phase == PHASE_REFUSED or self._carries_commit_tree(st, msg):
+        if self._carries_commit_tree(st.config.mode, msg):
             return []
         if st.phase == PHASE_COMMIT:
             # Our commit never made it into the aggregate; contributing a
@@ -1003,9 +1102,7 @@ class SigningNode:
                 # A second, different challenge for the same (round, attempt):
                 # answering would reuse our nonce. Refuse.
                 return self._refuse(st, msg.sender, REFUSE_STALE)
-            st.return_to = msg.sender
-            if st.answer is not None:
-                return [Send(st.return_to, st.answer)]
+            st.return_to = msg.sender  # the response, once built, goes there
             return []
         if st.nonce is None:
             logger.info("node %d: challenge for %s, whose nonce a newer session "
@@ -1096,15 +1193,15 @@ class SigningNode:
 
     def _accept_partial(self, st: _RoundState, msg: Response) -> None:
         st.pending_resp = _frozen(st.pending_resp - {msg.sender})
-        st.resp_shares[msg.sender] = msg.aggregate_response
+        st.resp_shares += (msg.aggregate_response,)
         st.resp_absent = _frozen(st.resp_absent | msg.absent)
         st.failed = _frozen(st.failed | msg.failed)
         st.refused = _frozen(st.refused | msg.refused)
         if msg.exceptions:  # none in restart mode, which builds no anchor
             anchor = self._anchor_steps_for(st, msg.sender)
-            for exc in msg.exceptions:
-                st.exceptions.append(CommitException(
-                    exc.index, exc.commit, CommitTreeProof(exc.proof.steps + anchor)))
+            st.exceptions += tuple([CommitException(exc.index, exc.commit,
+                                                    CommitTreeProof(exc.proof.steps + anchor))
+                                    for exc in msg.exceptions])
 
     def _settle_held(self, st: _RoundState) -> list:
         """Check the held partials in one batch; accept them, and reject
@@ -1189,8 +1286,7 @@ class SigningNode:
             # Its commit leaf is the whole subtree hash when it has no contributors.
             exc_steps = (rec.step_for(child),) if rec.contributors else ()
             exc_steps += (st.summary.step_for(child),)
-            st.exceptions.append(CommitException(child, rec.commit,
-                                                 CommitTreeProof(exc_steps)))
+            st.exceptions += (CommitException(child, rec.commit, CommitTreeProof(exc_steps)),)
             st.resp_absent |= {child}
             if crashed:
                 st.failed |= {child}
@@ -1211,28 +1307,28 @@ class SigningNode:
                 # reachable holds the data to prove or replace them.
                 st.unresolvable = f"witness {child} and its subtree data are unreachable"
             else:
-                st.exceptions.append(CommitException(
-                    child, summary.commit,
-                    CommitTreeProof(self._anchor_steps_for(st, child))))
+                st.exceptions += (CommitException(
+                    child, summary.commit, CommitTreeProof(self._anchor_steps_for(st, child))),)
                 st.resp_absent |= {child}
                 if crashed:
                     st.failed |= {child}
         return effects
 
     def _finalize_response(self, st: _RoundState, now: float) -> list:
-        st.phase = PHASE_DONE
         total = multisig.response_share(st.nonce, st.challenged.challenge, self.keypair.secret)
-        for share in st.resp_shares.values():
+        for share in st.resp_shares:
             total = total + share
         if st.parent is None:
-            return self._leader_after_response(st, total, now)
-        msg = Response(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate_response=total, absent=st.resp_absent, failed=st.failed,
-            refused=st.refused, exceptions=tuple(st.exceptions),
-        )
-        st.answer = msg
-        return [Send(st.return_to if st.return_to is not None else st.parent, msg)]
+            effects, msg = self._leader_after_response(st, total, now), None
+        else:
+            msg = Response(
+                view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
+                aggregate_response=total, absent=st.resp_absent, failed=st.failed,
+                refused=st.refused, exceptions=st.exceptions,
+            )
+            effects = [Send(st.return_to if st.return_to is not None else st.parent, msg)]
+        self._finish(st, PHASE_DONE, msg)
+        return effects
 
     # ------------------------------------------------------------------
     # Timers

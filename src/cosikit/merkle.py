@@ -9,8 +9,7 @@ concatenations. A tree proves one leaf (`prove`) or all of them in leaf
 order from one walk. The walk (`paths`) returns every leaf's path bytes
 behind a prefix the caller gives: a timestamp round passes its receipts'
 common head, so each receipt's wire bytes are built whole and no proof object
-is made per leaf. `proofs` is the same walk with an empty prefix, its bytes
-turned into `InclusionProof`s in place by `InclusionProof._bulk`.
+is made per leaf.
 """
 
 from __future__ import annotations
@@ -92,19 +91,6 @@ class InclusionProof:
             raise ValueError("bad audit step side")
         return cls(data)
 
-    @classmethod
-    def _bulk(cls, items: list) -> list["InclusionProof"]:
-        """`items[i] = cls(items[i])` for every i, without the frozen
-        `__init__`: the slot is set through its descriptor, which the frozen
-        `__setattr__` does not guard. In place, so no second list of the
-        proofs' size is held; returns `items`."""
-        new, set_data = object.__new__, cls.data.__set__
-        for i, data in enumerate(items):
-            proof = new(cls)
-            set_data(proof, data)
-            items[i] = proof
-        return items
-
 
 def fold_proof(leaf_digest: bytes, proof: InclusionProof) -> bytes:
     """Recompute the root implied by a leaf digest and an audit path."""
@@ -178,10 +164,6 @@ class DigestTree:
             raise IndexError("leaf index out of range")
         return InclusionProof(self._count + b"".join(
             [steps[(index >> k) ^ 1] for k, steps in enumerate(self._steps)]))
-
-    def proofs(self) -> list[InclusionProof]:
-        """Every leaf's proof, in leaf order, equal to `prove(i)` for each i."""
-        return InclusionProof._bulk(self.paths(b""))
 
     def paths(self, prefix: bytes) -> list[bytes]:
         """`prefix + prove(i).data` for every leaf i, in leaf order.

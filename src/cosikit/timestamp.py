@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -160,8 +161,12 @@ class TimestampAuthority:
 
     def __init__(self, signer: Callable[[bytes], Optional[CollectiveSignature]]):
         self.signer = signer
-        self._lock = threading.Lock()
-        self._queue: list[bytes] = []
+        # Submitters append on the right, taking no lock: a deque's append,
+        # popleft and extendleft are each atomic. A drain pops the count of
+        # hashes it saw from the left, so one submitted meanwhile waits for
+        # the next drain; drains, and putting a batch back, take `_drain_lock`.
+        self._queue: deque[bytes] = deque()
+        self._drain_lock = threading.Lock()
         self.next_round = 1
         self.prev_hash = GENESIS_HASH
 
@@ -169,31 +174,32 @@ class TimestampAuthority:
         """Queue a hash for the next round that closes."""
         if len(digest) != 32:
             raise TimestampError("submitted hashes must be 32 bytes")
-        with self._lock:
-            self._queue.append(digest)
+        self._queue.append(digest)
+
+    def _drain(self) -> list[bytes]:
+        """The hashes queued so far, oldest first, taken off the queue."""
+        with self._drain_lock:
+            pop = self._queue.popleft
+            return [pop() for _ in range(len(self._queue))]
 
     def drop_pending(self) -> list[bytes]:
         """Empties the queue, a failed round's retained batch included, and
         returns the hashes it held."""
-        with self._lock:
-            batch, self._queue = self._queue, []
-        return batch
+        return self._drain()
 
     @property
     def pending_count(self) -> int:
-        with self._lock:
-            return len(self._queue)
+        return len(self._queue)
 
     def round_close(self, clock: float) -> tuple[TimestampRecord, dict[bytes, StampReceipt]]:
-        """Swap the queue, sign this round's record, and build receipts.
+        """Drain the queue, sign this round's record, and build receipts.
 
         Every proof has the tree's `proof_size`, so all of a round's receipts
         start with one head. One walk over the tree (`paths`) writes each
         receipt's wire bytes as that head and the leaf's audit path, and the
         receipts are built in bulk over them. A repeated hash maps to the
         receipt of its last position."""
-        with self._lock:
-            batch, self._queue = self._queue, []
+        batch = self._drain()
         tree = MerkleTree(batch)
         record = TimestampRecord(
             round_number=self.next_round,
@@ -207,8 +213,8 @@ class TimestampAuthority:
         except Exception as exc:
             signature, cause = None, exc
         if signature is None:
-            with self._lock:
-                self._queue = batch + self._queue  # retain for the next round
+            with self._drain_lock:  # retain for the next round, ahead of later hashes
+                self._queue.extendleft(reversed(batch))
             raise TimestampError(
                 f"signing failed for round {record.round_number}") from cause
         self.next_round += 1

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from cosikit import multisig
+from cosikit import engine, multisig
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, _recover_x, prove_possession
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CollectiveSignature
 from cosikit.participation import ParticipationSet
@@ -91,6 +91,25 @@ def assert_cuts_rejected(decode, data: bytes) -> None:
             decode(data[:cut])
     with pytest.raises(ValueError):
         decode(data + b"\x00")
+
+
+@pytest.fixture
+def round_states(monkeypatch):
+    """A function of a simulator, called after its run: (node index, round
+    state) for every session of its nodes. A session a node finished is read
+    as it stood when it finished, before the node cut it down to the record a
+    later frame reads (`engine._Finished`); the rest as they stand."""
+    finished = []
+    finish = engine.SigningNode._finish
+
+    def keep(node, st, phase, answer):
+        finished.append((node.index, st))
+        finish(node, st, phase, answer)
+
+    monkeypatch.setattr(engine.SigningNode, "_finish", keep)
+    return lambda sim: finished + [(node.index, st) for node in sim.nodes
+                                   for st in node.rounds.values()
+                                   if isinstance(st, engine._RoundState)]
 
 
 @pytest.fixture

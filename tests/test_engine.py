@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import itertools
 import random
 from dataclasses import fields, replace
@@ -943,22 +944,25 @@ def test_copies_of_messages_and_of_a_node_mid_round():
     assert [len(m.proof.steps) for m in from_node1 if isinstance(m, Challenge)] == [2, 2, 2]
 
 
-def test_whole_subtree_participation_holds_the_shared_empty_set():
+def test_whole_subtree_participation_holds_the_shared_empty_set(round_states):
     """A node whose whole subtree took part holds the one shared empty set as
     its commit-phase absences; one that lost a child holds its own set."""
     sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3,
                                    failures=(FailureAction(4, "commit", "crash"),)))
     _, result = sim.run_round(0)
-    assert result.ok
-    for node in sim.nodes[:4] + sim.nodes[5:]:
-        for st in node.rounds.values():
-            subtree = st.topology.descendants(node.index)
-            assert (st.absent is engine._NOBODY) == (4 not in subtree)
-            assert st.absent == subtree & {4}
-            assert st.summary.absent is st.absent
+    assert result.ok and result.attempts == 2
+    states = [(i, st) for i, st in round_states(sim) if i != 4]
+    assert sorted(i for i, _ in states) == sorted(list(set(range(13)) - {4}) * 2)
+    for i, st in states:
+        subtree = st.topology.descendants(i)
+        assert (st.absent is engine._NOBODY) == (4 not in subtree)
+        assert st.absent == subtree & {4}
+        assert st.summary.absent is st.absent
+        kept = sim.nodes[i].rounds[st.key]
+        assert isinstance(kept, engine._RoundState) or kept.summary is st.summary
 
 
-def test_own_summary_equals_the_record_its_parent_keeps():
+def test_own_summary_equals_the_record_its_parent_keeps(round_states):
     """A no-restart node's own summary is the record its parent (or the node
     that bridged to it) keeps for it, past a dark interior node and an
     interior liar."""
@@ -967,17 +971,18 @@ def test_own_summary_equals_the_record_its_parent_keeps():
                                              FailureAction(2, "response", "lie"))))
     _, result = sim.run_round(0)
     assert result.ok and result.failed == {1, 2}
+    states = {(i, st.key): st for i, st in round_states(sim)}
     checked = set()
-    for node in sim.nodes:
-        for st in node.rounds.values():
-            if st.parent is not None:
-                assert sim.nodes[st.parent].rounds[st.key].records[node.index] == st.summary
-                checked.add(node.index)
+    for (i, key), st in states.items():
+        if st.parent is not None:
+            assert states[(st.parent, key)].records[i] == st.summary
+            checked.add(i)
     assert checked == set(range(13)) - {0, 1}
-    assert sim.nodes[0].rounds[(0, 0, 0)].records.keys() == {2, 3, 4, 5, 6}
+    assert states[(0, (0, 0, 0))].records.keys() == {2, 3, 4, 5, 6}
+    assert engine._NO_SUMMARIES == {}  # the leaves' shared table, never written
 
 
-def test_restart_parent_sends_its_children_one_challenge():
+def test_restart_parent_sends_its_children_one_challenge(round_states):
     """In restart mode a parent sends every child one challenge object: the
     one it answered, with itself as sender."""
     sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3,
@@ -993,14 +998,125 @@ def test_restart_parent_sends_its_children_one_challenge():
     sim._send = record
     _, result = sim.run_round(0)
     assert result.ok and sent.keys() == {0, 1, 2, 3}
+    states = dict(round_states(sim))
     for src, msgs in sent.items():
-        st = sim.nodes[src].rounds[(0, 0, 0)]
+        st = states[src]
         assert len(msgs) == 3 and all(m is msgs[0] for m in msgs)
         assert msgs[0] == replace(st.challenged, sender=src)
         assert msgs[0].statement == b"cosi-round-0"
         if src != 0:
             assert st.challenged is sent[0][0]
 
+
+# What a finished session answers, as SHA-256 over every reply below; the
+# digests were taken before finished sessions were cut down to `_Finished`.
+FINISHED_REPLIES = {
+    (MODE_RESTART, engine.STATEMENT_AT_ANNOUNCE):
+        "4898254de07268cc21affe63c16468118521569b3119e6ca36edd31c5a4349ab",
+    (MODE_RESTART, engine.STATEMENT_AT_CHALLENGE):
+        "001bf1cc64c5c8f1afb33cf630cdc7293c9c1ad1d20e4bb8bed932a4ee465e63",
+    (MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE):
+        "9ffaed0c706d8cbdba51df05cd60635e880a103f99a862687d2b4ebb84bf243e",
+    (MODE_NO_RESTART, engine.STATEMENT_AT_CHALLENGE):
+        "ac30d4f9969792a518fd4bcc89ba81034a399f75b14417922f620bcab6d3dd2f",
+}
+
+
+@pytest.mark.parametrize("timing", [engine.STATEMENT_AT_ANNOUNCE,
+                                    engine.STATEMENT_AT_CHALLENGE])
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_finished_session_answers_late_frames_as_it_did(mode, timing):
+    """A node that finished a session, done or refused, answers a repeated
+    announce, a repeated challenge and a conflicting challenge for it: a done
+    one with the commit it sent, carrying its final failed and refused sets,
+    the response it sent, and `REFUSE_STALE`; a refused one with its refusal,
+    and nothing. Leaf 5 refuses every statement and leaf 7 lies, so the
+    restart rounds take three or two attempts. The replies' bytes are
+    pinned."""
+    sim = simnet.CosiSim(SimConfig(seed=6, n=13, branching=3, mode=mode,
+                                   statement_timing=timing,
+                                   failures=(FailureAction(7, "response", "lie"),)))
+    sim.nodes[5].hook = lambda statement, now: False
+    sent = []
+    send = sim._send
+
+    def record(src, dst, msg, when):
+        sent.append((src, dst, msg))
+        send(src, dst, msg, when)
+
+    sim._send = record
+    _, result = sim.run_round(0)
+    assert result.ok and result.failed == {7} and result.refused == {5}
+    if mode == MODE_NO_RESTART:
+        assert result.attempts == 1
+    else:  # a refusal at announce restarts before the liar is found
+        assert result.attempts == (3 if timing == engine.STATEMENT_AT_ANNOUNCE else 2)
+    replies, phases = [], []
+    for node in sim.nodes:
+        for key, st in sorted(node.rounds.items()):
+            if st.phase not in (engine.PHASE_DONE, engine.PHASE_REFUSED):
+                continue
+            phases.append(st.phase)
+            of_key = [(src, dst, m) for src, dst, m in sent
+                      if (m.view, m.round, m.attempt) == key]
+            ann = next(m for src, dst, m in of_key if isinstance(m, Announce)
+                       and node.index in (src, dst))
+            ups = [m for src, _, m in of_key if src == node.index
+                   and isinstance(m, (Commit, Response, Refuse))]
+            challenges = [m for src, dst, m in of_key if isinstance(m, Challenge)
+                          and node.index in (src, dst)]
+            log = list(node.nonce_log)
+            effects = node.handle_message(ann, 1.0)
+            if st.phase == engine.PHASE_REFUSED:
+                assert effects == [Send(ann.sender, next(m for m in ups
+                                                         if isinstance(m, Refuse)))]
+            else:
+                [(dest, reply)] = [(e.dest, e.msg) for e in effects]
+                assert dest == ann.sender and isinstance(reply, Commit)
+                if node.index != 0:  # the leader sent no commit to compare with
+                    commit = [m for m in ups if isinstance(m, Commit)][-1]
+                    answer = [m for m in ups if isinstance(m, Response)][-1]
+                    assert reply == replace(commit, failed=answer.failed,
+                                            refused=answer.refused)
+            if challenges:
+                ch = challenges[0]
+                again = node.handle_message(ch, 1.0)
+                conflicting = node.handle_message(
+                    replace(ch, challenge=ch.challenge + TOY.scalar(1)), 1.0)
+                if st.phase == engine.PHASE_REFUSED:
+                    assert again == conflicting == []
+                else:
+                    answer = [m for m in ups if isinstance(m, Response)]
+                    assert again == [Send(ch.sender, m) for m in answer[-1:]]
+                    assert conflicting == [Send(ch.sender, Refuse(
+                        view=key[0], round=key[1], attempt=key[2], sender=node.index,
+                        reason=engine.REFUSE_STALE))]
+                effects += again + conflicting
+            assert node.nonce_log == log
+            replies += [node.index.to_bytes(4, "big") + e.dest.to_bytes(4, "big")
+                        + encode_message(e.msg, TOY) for e in effects]
+    assert engine.PHASE_DONE in phases and engine.PHASE_REFUSED in phases
+    assert hashlib.sha256(b"".join(replies)).hexdigest() == FINISHED_REPLIES[(mode, timing)]
+
+
+def test_nodes_of_a_session_share_its_key_and_config(round_states):
+    """The witnesses of a session hold one key tuple and one `RoundConfig`
+    for it, derived from its announce, and a finished session's record is
+    filed under that key."""
+    sim = simnet.CosiSim(SimConfig(seed=5, n=64, branching=4))
+    for r in range(2):
+        assert sim.run_round(r)[1].ok
+    witnesses = [st for i, st in round_states(sim) if i != 0]
+    for r in range(2):
+        of_round = [st for st in witnesses if st.key[1] == r]
+        assert len(of_round) == 63
+        assert len({id(st.key) for st in of_round}) == 1
+        assert len({id(st.config) for st in of_round}) == 1
+        assert of_round[0].config.round_number == r
+        for node in sim.nodes[1:]:
+            [(key, done)] = [(k, d) for k, d in node.rounds.items() if k[1] == r]
+            assert isinstance(done, engine._Finished)
+            assert key is done.key is of_round[0].key
 
 def test_progress_timer_votes_only_without_round_state():
     secrets = [3, 4, 5, 6]

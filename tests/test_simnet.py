@@ -329,7 +329,9 @@ def test_one_more_round_retains_little_per_node(mode):
     """What a node keeps of a round it took part in, read under tracemalloc as
     the growth of traced memory over one more toy round at N=256, branching
     16, once the tree is cached and before `ROUND_STATES_KEPT` drops any
-    round: at most 3,000 bytes per node."""
+    round: about a fifth above the 680 bytes per node (restart) and 833
+    (no-restart) that Python 3.11 to 3.13 read, which Python 3.10 reads as
+    741 and 874."""
     n = 256
     sim = simnet.CosiSim(SimConfig(seed=1, n=n, branching=16, mode=mode))
     tracemalloc.start()
@@ -344,7 +346,8 @@ def test_one_more_round_retains_little_per_node(mode):
     finally:
         tracemalloc.stop()
     assert result.ok and all(len(node.rounds) == 3 for node in sim.nodes)
-    assert retained <= 3000 * n, f"{retained / n:.0f} bytes per node"
+    bound = {multisig.MODE_RESTART: 820, MODE_NO_RESTART: 1000}[mode]
+    assert retained <= bound * n, f"{retained / n:.0f} bytes per node"
 
 
 @pytest.mark.parametrize("mode", [multisig.MODE_RESTART, MODE_NO_RESTART])

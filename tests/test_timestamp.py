@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import random
+import sys
+import threading
+import time
 import tracemalloc
 
 import pytest
@@ -225,6 +228,55 @@ def test_failed_round_retains_queue():
     assert record.round_number == 1  # the failed attempt consumed no round number
     assert set(receipts) == {first, second}
     assert verify_receipt(roster, first, receipts[first], Threshold(2)).ok
+
+
+def test_hashes_submitted_during_round_closes_land_in_one_batch_each():
+    """Four threads submit 3,000 hashes each while round_close runs again and
+    again, every third signing failing, so its batch goes back ahead of
+    what came in meanwhile: each hash is in exactly one signed batch, and each
+    thread's hashes keep their order within and across batches."""
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    signature = manual_round(roster, secrets, b"any record", rng=random.Random(9))
+    calls = [0]
+
+    def signer(statement: bytes):
+        calls[0] += 1
+        return None if calls[0] % 3 == 1 else signature
+
+    authority = TimestampAuthority(signer)
+    submitted = [[h(b"%d/%d" % (t, i)) for i in range(3000)] for t in range(4)]
+
+    def submit_all(hashes):
+        for i, d in enumerate(hashes):
+            authority.submit(d)
+            if i % 10 == 0:
+                time.sleep(0)  # let the other threads, and round_close, in
+
+    threads = [threading.Thread(target=submit_all, args=(hashes,)) for hashes in submitted]
+    batches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for t in threads:
+            t.start()
+        while any(t.is_alive() for t in threads) or authority.pending_count:
+            try:
+                batches.append(list(authority.round_close(clock=600.0)[1]))
+            except TimestampError:
+                pass
+    finally:
+        sys.setswitchinterval(interval)
+        for t in threads:
+            t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    stamped = [d for batch in batches for d in batch]
+    assert len(stamped) == len(set(stamped)) == 12000
+    assert set(stamped) == {d for hashes in submitted for d in hashes}
+    assert len([b for b in batches if b]) > 10 and calls[0] > len(batches)
+    position = {d: i for i, d in enumerate(stamped)}
+    for hashes in submitted:
+        assert [position[d] for d in hashes] == sorted(position[d] for d in hashes)
 
 
 def test_signer_exception_chained_and_batch_requeued():

@@ -240,9 +240,10 @@ def test_tree_for_errors_raised_on_every_call():
             tree_for(16, 4, 3, {16})
 
 
-def test_round_states_share_one_topology():
+def test_round_states_share_one_topology(round_states):
     sim = simnet.CosiSim(simnet.SimConfig(seed=5, n=64, branching=4))
     _, result = sim.run_round(0)
     assert result is not None and result.ok
-    topologies = {id(st.topology) for node in sim.nodes for st in node.rounds.values()}
-    assert topologies == {id(tree_for(64, 4, 0))}
+    states = round_states(sim)
+    assert sorted(i for i, _ in states) == list(range(64))
+    assert {id(st.topology) for _, st in states} == {id(tree_for(64, 4, 0))}
