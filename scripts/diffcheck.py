@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Differential check: run the same seeded cases against this tree and a git
-revision, and report the first case whose results differ.
+revision, and report the first case whose results differ and every field that
+differs in any case.
 
     python scripts/diffcheck.py --base HEAD~1 --cases 1000
 
@@ -17,8 +18,11 @@ latency, view, each node's messages, bytes and compute units, the
 signature's bytes, the attempts, the reason, and the failed and refused
 sets. A case that raises is compared by its exception.
 
-Exits 0 when every case matches; otherwise prints the first differing case's
-seed, field and configuration, and exits 1.
+Exits 0 when every case matches. Otherwise it prints the first differing
+case's seed, field and configuration, then every field path that differs over
+all the cases, list indices collapsed to `[]` (`rounds[].latency`), each with
+its count of cases and its first seed, and exits 1. A declared behaviour
+change can so list exactly what moved.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import argparse
 import json
 import logging
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -95,24 +100,21 @@ def emit(src: str, cases: int, first_seed: int) -> None:
               flush=True)
 
 
-def first_difference(base, here, path: str = "") -> Optional[str]:
-    """The path of the first field where `base` and `here` differ, with both
-    values; None if they are equal."""
+def differences(base, here, path: str = ""):
+    """Yield (path, what differs) for each field where `base` and `here`
+    differ, in order."""
     if isinstance(base, dict) and isinstance(here, dict):
         for key in sorted(base.keys() | here.keys()):
             if key not in base or key not in here:
-                return f"{path}.{key}: present only in {'here' if key in here else 'base'}"
-            found = first_difference(base[key], here[key], f"{path}.{key}")
-            if found:
-                return found
-        return None
-    if isinstance(base, list) and isinstance(here, list) and len(base) == len(here):
+                yield (f"{path}.{key}".lstrip("."),
+                       f"present only in {'here' if key in here else 'base'}")
+            else:
+                yield from differences(base[key], here[key], f"{path}.{key}")
+    elif isinstance(base, list) and isinstance(here, list) and len(base) == len(here):
         for i, (a, b) in enumerate(zip(base, here)):
-            found = first_difference(a, b, f"{path}[{i}]")
-            if found:
-                return found
-        return None
-    return None if base == here else f"{path.lstrip('.')}: base {base!r}, here {here!r}"
+            yield from differences(a, b, f"{path}[{i}]")
+    elif base != here:
+        yield path.lstrip("."), f"base {base!r}, here {here!r}"
 
 
 def _lines(src: Path, cases: int, first_seed: int) -> tuple:
@@ -126,30 +128,42 @@ def _lines(src: Path, cases: int, first_seed: int) -> tuple:
 def compare(base_src: Path, here_src: Path, cases: int = 1000,
             first_seed: int = 1) -> tuple[int, Optional[str]]:
     """Run the cases against both trees' `src`, side by side. Returns the
-    number of cases compared and, at the first difference, a report naming
-    its seed and field (None if every case matched)."""
+    number of cases compared and, if any differ, a report (None if every case
+    matched): the first differing case's seed, field and configuration, then
+    each differing field path with its count of cases and its first seed."""
     base_proc, base_lines = _lines(base_src, cases, first_seed)
     here_proc, here_lines = _lines(here_src, cases, first_seed)
-    compared, report = 0, None
+    compared, differing, report = 0, 0, []
+    paths: dict[str, list[int]] = {}  # collapsed path -> [cases, first seed]
     try:
         for seed in range(first_seed, first_seed + cases):
             base_line, here_line = next(base_lines, ""), next(here_lines, "")
             if not base_line or not here_line:
-                report = f"seed {seed}: a tree stopped without writing its case"
+                report.append(f"seed {seed}: a tree stopped without writing its case")
                 break
             compared += 1
             if base_line == here_line:
                 continue
             base, here = json.loads(base_line), json.loads(here_line)
-            found = first_difference(base, here) or "the lines differ only in layout"
-            report = f"seed {seed}: {found}\n  case: {json.dumps(base['case'])}"
-            break
+            found = list(differences(base, here)) or [
+                ("(layout)", "the lines differ only in layout")]
+            if not differing:
+                path, what = found[0]
+                report += [f"seed {seed}: {path}: {what}",
+                           f"  case: {json.dumps(base['case'])}"]
+            differing += 1
+            for path in dict.fromkeys(re.sub(r"\[\d+\]", "[]", p) for p, _ in found):
+                paths.setdefault(path, [0, seed])[0] += 1
     finally:
         for proc in (base_proc, here_proc):
             proc.kill()
             proc.wait()
             proc.stdout.close()
-    return compared, report
+    if differing:
+        report.append(f"fields that differ, in {differing} of {compared} cases:")
+        report += [f"  {path}: {count} cases, first seed {first}"
+                   for path, (count, first) in sorted(paths.items())]
+    return compared, "\n".join(report) or None
 
 
 def _git(*args: str) -> None:
@@ -180,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
         finally:
             _git("worktree", "remove", "--force", str(tree))
     if report:
-        print(f"sim: differs from {args.base} after {compared} cases\n{report}")
+        print(f"sim: differs from {args.base} over {compared} cases\n{report}")
         return 1
     print(f"sim: {compared} cases (seeds {args.first_seed}-"
           f"{args.first_seed + compared - 1}) match {args.base}")

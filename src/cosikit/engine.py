@@ -8,10 +8,10 @@ replays the round from phase 1, no-restart mode documents commit-phase
 dropouts in the participation set and response-phase dropouts as commit
 exceptions, bridging past dead interior nodes to their children with the
 announce that opened the round at the bridging node. Only no-restart mode
-binds a commit root, so only its commits summarise their contributors and only
-its challenges carry audit paths. A leader carries each round's statement and
-its failed and refused witnesses from attempt to attempt, so a round restarts
-with its own data however rounds overlap.
+binds a commit root, so only its commits carry their contributors' heads and
+only its challenges carry audit paths. A leader carries each round's statement
+and its failed and refused witnesses from attempt to attempt, so a round
+restarts with its own data however rounds overlap.
 
 A witness's one extension point is its statement validation hook,
 `hook(statement, now) -> bool`: it runs before the witness commits to an
@@ -42,13 +42,14 @@ share one key tuple and one `RoundConfig`, derived from its announce. Once a
 session is done or refused, the node keeps of it only what a later frame for it
 reads (`_Finished`): the phase, the mode, the parent and the return address,
 the challenge scalar it answered, the response or refusal it sent, and what
-rebuilds the commit it sent up (its summary, in no-restart mode its
-contributors' records, and the final failed and refused sets); a nonce it
-answered with stays only in `nonce_log`. The node's containers are bounded by
-the roster size or a named constant, except `view_votes`, one table per
-proposed view above its own, which a Byzantine voter can grow. The hosting
-runtime (the simulator, or the TCP runner in the CLI) owns delivery and clocks
-and must serialize events per node. The TCP runner does not yet call
+rebuilds the commit it sent up (its head, in no-restart mode its contributors'
+heads, and the final failed and refused sets); a nonce it answered with stays
+only in `nonce_log`. A session whose commit is out when a newer session
+discards its nonce is finished then, refused as stale. The node's containers
+are bounded by the roster size or a named constant, except `view_votes`, one
+table per proposed view above its own, which a Byzantine voter can grow. The
+hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery and
+clocks and must serialize events per node. The TCP runner does not yet call
 `round_due`, so over TCP no view changes.
 """
 
@@ -58,7 +59,7 @@ import hashlib
 import logging
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, get_args
 
 from . import multisig, participation
@@ -94,8 +95,8 @@ SUBTREE_KEY_MEMO = 64
 # Rounds' states a node keeps (`SigningNode.rounds`), oldest dropped first, so
 # that a late or repeated frame still gets its answer. Of a finished round a
 # node keeps only what such a frame reads (`_Finished`): under tracemalloc, in
-# the toy group at N=256 and B=16, about 680 bytes per node in restart mode and
-# 830 in no-restart mode, so some 11 and 13 KB per node for all of them.
+# the toy group at N=256 and B=16, about 610 bytes per node in restart mode and
+# 690 in no-restart mode, so some 10 and 11 KB per node for all of them.
 ROUND_STATES_KEPT = 16
 
 # Seconds a non-leader waits for a due round to reach it before it votes for
@@ -296,14 +297,12 @@ _NO_PATH = CommitTreeProof(())
 
 class _Layout:
     """A wire type's fields in order, as (name, kind) pairs. Set as a
-    dataclass's `layout`, it builds that class; `cls=tuple` lays out plain
-    tuples by position."""
+    dataclass's `layout`, it builds that class; else it builds `cls`."""
 
     def __init__(self, *fields: tuple, cls=None):
         self.fields = fields
-        self._get = [(itemgetter(i) if cls is tuple else attrgetter(name), kind)
-                     for i, (name, kind) in enumerate(fields)]
-        self._make = (lambda *values: values) if cls is tuple else cls
+        self._get = [(attrgetter(name), kind) for name, kind in fields]
+        self._make = cls
         self._split: dict = {}  # group -> (sum of the fixed widths, variable fields)
 
     def __set_name__(self, owner, name: str) -> None:
@@ -372,32 +371,27 @@ class Announce:
 
 @dataclass(frozen=True, slots=True)
 class SubtreeSummary:
-    """What a node knows about one contributor's subtree, and in no-restart
-    mode reports about each direct contributor: enough for the recipient to
-    build exception records and bridge one level down."""
+    """The head of one commit-tree node, the same in memory and on the wire: a
+    node keeps its own and its contributors', and a no-restart commit carries
+    its contributors', for the recipient to build exceptions and bridge past."""
 
     index: int
-    commit: GroupElement  # the contributor's individual commit
+    commit: GroupElement  # the node's individual commit
     aggregate: GroupElement  # its subtree aggregate commit
     tree_hash: bytes
-    contributors: tuple[tuple[int, bytes], ...]  # (index, tree hash) of its contributors
-    absent: frozenset[int]
+    absent: frozenset[int]  # commit-phase absences within its subtree
 
     layout = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("aggregate", _ELEMENT),
-                     ("tree_hash", _DIGEST),
-                     ("contributors", _records(_Layout(("index", _INDEX),
-                                                       ("tree_hash", _DIGEST), cls=tuple))),
-                     ("absent", _INDEX_SET))
+                     ("tree_hash", _DIGEST), ("absent", _INDEX_SET))
 
-    def steps_for(self, children) -> list[CommitStep]:
-        """Audit steps placing each of `children`'s subtree hashes within
-        this node's commit-tree inputs; `index` places the node's own commit."""
-        order = [self.index] + [i for i, _ in self.contributors]
-        inputs = [commit_leaf_digest(self.commit)] + [h for _, h in self.contributors]
-        return [commit_step(inputs, order.index(child)) for child in children]
 
-    def step_for(self, child: int) -> CommitStep:
-        return self.steps_for((child,))[0]
+def _audit_steps(head: SubtreeSummary, contributors, nodes) -> list[CommitStep]:
+    """Audit steps placing each of `nodes`' subtree hashes within the
+    commit-tree inputs of `head`'s node: its own commit, which `head.index`
+    places, then its `contributors`' heads in index order."""
+    order = [head.index] + [c.index for c in contributors]
+    inputs = [commit_leaf_digest(head.commit)] + [c.tree_hash for c in contributors]
+    return [commit_step(inputs, order.index(node)) for node in nodes]
 
 
 @dataclass(frozen=True, slots=True)
@@ -612,7 +606,7 @@ class _RoundState:
 
     # index sets are frozensets, `_NOBODY` while empty
     pending_commit: frozenset = _NOBODY
-    # direct contributor, and one level further down, -> SubtreeSummary
+    # direct contributor -> its head (records), -> the heads its commit carried (below)
     records: dict = field(default_factory=lambda: _NO_SUMMARIES)
     below: dict = field(default_factory=lambda: _NO_SUMMARIES)
     absent: frozenset = _NOBODY  # commit-phase absences within this node's subtree
@@ -646,7 +640,7 @@ class _Finished:
     answer: Optional[Response | Refuse]  # none at the leader
     challenge: Optional[Scalar] = None  # the one answered; none if refused
     summary: Optional[SubtreeSummary] = None  # none if refused
-    summaries: tuple = ()  # the contributors' records a no-restart commit carries
+    summaries: tuple = ()  # the contributors' heads a no-restart commit carries
     failed: frozenset = _NOBODY
     refused: frozenset = _NOBODY
 
@@ -661,12 +655,15 @@ def view_leader(roster: WitnessRoster, view: int) -> int:
     return (roster.leader_index + view) % len(roster)
 
 
+def _contributors(st: _RoundState) -> list[SubtreeSummary]:
+    """A node's contributors' heads: its commit-tree inputs after its own commit."""
+    return [st.records[c] for c in sorted(st.records)]
+
+
 def _contributor_records(st: _RoundState) -> tuple:
-    """The records of a node's contributors that its commit carries: only
+    """The heads of a node's contributors that its commit carries: only
     no-restart mode bridges, and so reads them."""
-    if st.config.mode != MODE_NO_RESTART:
-        return ()
-    return tuple([st.records[c] for c, _ in st.summary.contributors])
+    return tuple(_contributors(st)) if st.config.mode == MODE_NO_RESTART else ()
 
 
 def failing_partials(group, c: Scalar, partials: dict) -> list[int]:
@@ -817,15 +814,18 @@ class SigningNode:
             proof=CommitTreeProof(steps + c.proof.steps) if steps else _NO_PATH,
         )
 
+    def _refusal(self, st: _RoundState | _Finished, reason: int) -> Refuse:
+        return Refuse(view=st.key[0], round=st.key[1], attempt=st.key[2],
+                      sender=self.index, reason=reason)
+
     def _refuse(self, st: _RoundState | _Finished, dest: int, reason: int) -> list:
-        return [Send(dest, Refuse(view=st.key[0], round=st.key[1], attempt=st.key[2],
-                                  sender=self.index, reason=reason))]
+        return [Send(dest, self._refusal(st, reason))]
 
     def _refuse_session(self, st: _RoundState, dest: int, reason: int) -> list:
         """Refuse the session for good: a re-announce gets the same refusal."""
-        effects = self._refuse(st, dest, reason)
-        self._finish(st, PHASE_REFUSED, effects[0].msg)
-        return effects
+        refusal = self._refusal(st, reason)
+        self._finish(st, PHASE_REFUSED, refusal)
+        return [Send(dest, refusal)]
 
     def _finish(self, st: _RoundState, phase: str, answer: Optional[Response | Refuse]) -> None:
         """Cut a session that is done or refused down to its `_Finished`
@@ -852,10 +852,15 @@ class SigningNode:
         other round state's nonce that no challenge has used yet, so that
         state can never answer one. Concurrent sessions are what the forgery
         on two-round Schnorr multisignatures needs (Drijvers et al., S&P 2019).
+        A witness whose commit for such a session is already out finishes it
+        as refused-stale, which a re-announce is then told.
         """
-        for other in self.rounds.values():
-            if other is not st and isinstance(other, _RoundState) and other.challenged is None:
-                other.nonce = None
+        for other in list(self.rounds.values()):
+            if other is st or not isinstance(other, _RoundState) or other.challenged is not None:
+                continue
+            other.nonce = None
+            if other.phase == PHASE_RESPONSE and other.lead is None:
+                self._finish(other, PHASE_REFUSED, self._refusal(other, REFUSE_STALE))
         st.nonce = self.group.random_scalar(self.rng)
         st.own_commit = self.group.generator ** st.nonce
         st.pending_commit = _frozen(st.topology.children[self.index])
@@ -867,19 +872,17 @@ class SigningNode:
     def _finalize_commit(self, st: _RoundState, now: float) -> list:
         """Build this node's own summary. A node below it in no contributor's
         subtree is a child it lost, already in `st.absent`."""
-        agg, contributors = st.own_commit, []
-        for c in sorted(st.records):
-            rec = st.records[c]
+        agg, contributors = st.own_commit, _contributors(st)
+        for rec in contributors:
             agg = agg * rec.aggregate
             if rec.absent:
                 st.absent |= rec.absent
-            contributors.append((c, rec.tree_hash))
         leaf = commit_leaf_digest(st.own_commit)
         st.summary = SubtreeSummary(
             index=self.index, commit=st.own_commit, aggregate=agg,
-            tree_hash=(commit_node_digest([leaf] + [h for _, h in contributors])
+            tree_hash=(commit_node_digest([leaf] + [c.tree_hash for c in contributors])
                        if contributors else leaf),
-            contributors=tuple(contributors), absent=st.absent)
+            absent=st.absent)
         st.phase = PHASE_RESPONSE
 
         if st.parent is None:
@@ -890,7 +893,7 @@ class SigningNode:
         if st.nonce is None:
             # A newer session discarded our nonce: this commit could never be
             # answered, so tell the parent not to wait for our response.
-            return self._refuse(st, st.parent, REFUSE_STALE)
+            return self._refuse_session(st, st.parent, REFUSE_STALE)
         return self._commit_up(st, _contributor_records(st))
 
     def _commit_up(self, st: _RoundState | _Finished, summaries: tuple) -> list:
@@ -1008,18 +1011,13 @@ class SigningNode:
         if self._carries_commit_tree(st.config.mode, msg) \
                 or not self._reports_below_sender(st, msg):
             return []
-        below = {s.index: s for s in msg.summaries}
         st.records[msg.sender] = SubtreeSummary(
             index=msg.sender, commit=msg.commit, aggregate=msg.aggregate,
-            tree_hash=msg.tree_hash,
-            contributors=tuple(sorted((i, s.tree_hash) for i, s in below.items())),
-            absent=msg.absent,
-        )
-        if below:
-            if st.below:
-                st.below.update(below)
-            else:
-                st.below = below
+            tree_hash=msg.tree_hash, absent=msg.absent)
+        if msg.summaries:
+            if st.below is _NO_SUMMARIES:
+                st.below = {}
+            st.below[msg.sender] = tuple(sorted(msg.summaries, key=attrgetter("index")))
         st.failed = _frozen(st.failed | msg.failed)
         st.refused = _frozen(st.refused | msg.refused)
         st.pending_commit = _frozen(st.pending_commit - {msg.sender})
@@ -1039,14 +1037,13 @@ class SigningNode:
         return True
 
     def _reports_below_sender(self, st: _RoundState, msg: Commit | Response) -> bool:
-        """A child may report only nodes strictly below itself, and summarise
-        only contributors strictly below each summary's node; otherwise its
-        message is dropped and the phase timer treats it as silent."""
+        """A child may report only nodes strictly below itself, and each head
+        it carries only absences strictly below that head's node; otherwise
+        its message is dropped and the phase timer treats it as silent."""
         claims = [(msg.sender, msg.absent | msg.failed | msg.refused)]
         if isinstance(msg, Commit) and msg.summaries:
             claims.append((msg.sender, {s.index for s in msg.summaries}))
-            claims += [(s.index, {i for i, _ in s.contributors})
-                       for s in msg.summaries if s.contributors]
+            claims += [(s.index, s.absent) for s in msg.summaries if s.absent]
         for node, nodes in claims:
             if nodes and (node in nodes or not nodes <= st.topology.descendants(node)):
                 logger.warning("node %d: dropping %s from %d: it reports nodes outside "
@@ -1136,13 +1133,13 @@ class SigningNode:
     def _challenge_descend(self, st: _RoundState, now: float) -> list:
         self.nonce_log.append(st.key + (st.nonce.value, st.challenged.challenge.value))
         del self.nonce_log[:-ROUND_STATES_KEPT]
-        if not st.summary.contributors:
+        if not st.records:
             return self._finalize_response(st, now)
-        contributors = [c for c, _ in st.summary.contributors]
+        contributors = sorted(st.records)
         st.pending_resp = frozenset(contributors)
         if st.config.mode == MODE_NO_RESTART:  # only a commit root needs a path
             sends = [Send(child, self._challenge(st, (step,)))
-                     for child, step in zip(contributors, st.summary.steps_for(contributors))]
+                     for child, step in zip(contributors, self._steps(st, contributors))]
         else:
             msg = self._challenge(st)
             sends = [Send(child, msg) for child in contributors]
@@ -1164,13 +1161,12 @@ class SigningNode:
             st.failed = _frozen(st.failed | msg.failed)
             st.refused = _frozen(st.refused | msg.refused)
             return self._responses_done(st, now)
-        # A direct contributor, or a bridged one we only know through a summary.
-        rec = st.records.get(msg.sender) or st.below.get(msg.sender)
+        # A direct contributor, or a bridged one we only know by its head.
+        rec = st.records.get(msg.sender) or self._bridged(st, msg.sender)[1]
         if rec is None:
             return []
         partial = self._check_partial(st, rec, msg)
-        if partial is not None and st.config.mode == MODE_NO_RESTART and rec.contributors \
-                and msg.sender in st.records:
+        if partial is not None and msg.sender in st.below:
             # Rejecting it bridges its contributors, which should not wait
             # for its siblings: check it on arrival, not in the batch.
             s, key, expected = partial
@@ -1227,15 +1223,24 @@ class SigningNode:
             return []
         return self._settle_held(st) + self._finalize_response(st, now)
 
+    def _steps(self, st: _RoundState, nodes) -> list[CommitStep]:
+        """Audit steps placing each of `nodes` among this node's commit-tree inputs."""
+        return _audit_steps(st.summary, _contributors(st), nodes)
+
+    @staticmethod
+    def _bridged(st: _RoundState, node: int) -> tuple:
+        """The contributor whose commit carried `node`'s head, and that head."""
+        return next(((holder, head) for holder, heads in st.below.items() for head in heads
+                     if head.index == node), (None, None))
+
     def _anchor_steps_for(self, st: _RoundState, child: int) -> tuple[CommitStep, ...]:
         """Steps that lift a digest anchored at `child` up to this node's hash."""
         if child in st.records:
-            return (st.summary.step_for(child),)
-        # One level further down: first place it within the contributor that reported it.
-        for holder in st.records.values():
-            if any(i == child for i, _ in holder.contributors):
-                return (holder.step_for(child), st.summary.step_for(holder.index))
-        raise EngineError(f"no record holds a summary for {child}")
+            return tuple(self._steps(st, (child,)))
+        # One level further down: first place it within the contributor that carried it.
+        holder, _ = self._bridged(st, child)
+        return (_audit_steps(st.records[holder], st.below[holder], (child,))[0],
+                self._steps(st, (holder,))[0])
 
     def _check_partial(self, st: _RoundState, rec: SubtreeSummary,
                        msg: Response) -> Optional[tuple]:
@@ -1283,26 +1288,28 @@ class SigningNode:
 
         rec = st.records.get(child)
         if rec is not None:
+            heads = st.below.get(child, ())
+            own, *steps = _audit_steps(rec, heads, [child] + [h.index for h in heads])
+            up = self._steps(st, (child,))[0]
             # Its commit leaf is the whole subtree hash when it has no contributors.
-            exc_steps = (rec.step_for(child),) if rec.contributors else ()
-            exc_steps += (st.summary.step_for(child),)
+            exc_steps = (own, up) if heads else (up,)
             st.exceptions += (CommitException(child, rec.commit, CommitTreeProof(exc_steps)),)
             st.resp_absent |= {child}
             if crashed:
                 st.failed |= {child}
             # Bridge the gap: ask the dead child's own contributors directly.
-            for s, _ in rec.contributors:
-                st.pending_resp |= {s}
-                effects.append(Send(s, self._challenge(
-                    st, (rec.step_for(s), st.summary.step_for(child)))))
-            if rec.contributors:
+            for head, step in zip(heads, steps):
+                st.pending_resp |= {head.index}
+                effects.append(Send(head.index, self._challenge(st, (step, up))))
+            if heads:
                 effects.append(SetTimer(("response",) + st.key, st.config.timeout_base))
         else:
-            # A bridged grandchild we only know through a summary.
-            summary = st.below.get(child)
+            # A bridged grandchild we only know by its head. It has
+            # contributors iff a node of its subtree besides itself committed.
+            _, summary = self._bridged(st, child)
             if summary is None:
                 st.unresolvable = f"no commit data for unresponsive witness {child}"
-            elif summary.contributors:
+            elif st.topology.descendants(child) - summary.absent != {child}:
                 # Its own contributors' commits are in the aggregate but nobody
                 # reachable holds the data to prove or replace them.
                 st.unresolvable = f"witness {child} and its subtree data are unreachable"

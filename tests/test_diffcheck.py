@@ -1,8 +1,9 @@
 """`scripts/diffcheck.py`: a tree run against itself shows no difference, and
 a copy whose simulator links are slower is named by its first differing
-field."""
+field, and listed by every field that differs."""
 
 import importlib.util
+import re
 import shutil
 from pathlib import Path
 
@@ -28,6 +29,11 @@ def test_copy_with_another_rtt_named_by_field(tmp_path):
     assert text.count("rtt: ClassVar[float] = 0.2") == 1
     simnet.write_text(text.replace("rtt: ClassVar[float] = 0.2", "rtt: ClassVar[float] = 0.3"))
     compared, report = load_diffcheck().compare(ROOT / "src", tmp_path, cases=40)
-    first = report.splitlines()[0]
-    assert first.startswith(f"seed {compared}: rounds[0].latency: base '")
-    assert report.splitlines()[1].startswith('  case: {"branching": ')
+    assert compared == 40
+    lines = report.splitlines()
+    first = re.match(r"seed (\d+): rounds\[0\]\.latency: base '", lines[0])
+    assert first
+    assert lines[1].startswith('  case: {"branching": ')
+    assert re.fullmatch(r"fields that differ, in \d+ of 40 cases:", lines[2])
+    listed = {line.split(": ")[0].strip(): line for line in lines[3:]}
+    assert listed["rounds[].latency"].endswith(f" cases, first seed {first.group(1)}")

@@ -265,8 +265,9 @@ def test_second_conflicting_challenge_refused():
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in again)
 
 
-def _challenge_for(node, key, statement=b"s"):
-    st = node.rounds[key]
+def _challenge_for(st, statement=b"s"):
+    """The restart challenge that answers round state `st`'s commit."""
+    key = st.key
     return Challenge(view=key[0], round=key[1], attempt=key[2], sender=0,
                      challenge=multisig.collective_challenge(st.summary.aggregate, statement),
                      aggregate_commit=st.summary.aggregate, commit_root=None,
@@ -278,15 +279,18 @@ def test_new_session_discards_unanswered_nonce():
     roster = make_toy_roster(secrets)
     node = make_node(1, roster, secrets, seed=7)
     node.handle_message(announce_for(roster, rnd=0), now=0.0)  # session A: commit out
+    # built while A is live: opening B finishes A, refused as stale
+    challenge_a = _challenge_for(node.rounds[(0, 0, 0)])
     node.handle_message(announce_for(roster, rnd=1), now=0.1)  # session B
-    assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.2) == []
+    assert node.rounds[(0, 0, 0)].phase == engine.PHASE_REFUSED
+    assert node.handle_message(challenge_a, now=0.2) == []
     assert node.nonce_log == []
     # a re-announce of A refuses it as stale and opens no session
     again = node.handle_message(announce_for(roster, rnd=0), now=0.25)
     assert [(type(e.msg), e.msg.reason) for e in again] == [(Refuse, engine.REFUSE_STALE)]
-    assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.3) == []
+    assert node.handle_message(challenge_a, now=0.3) == []
     st = node.rounds[(0, 1, 0)]
-    challenge_b = _challenge_for(node, (0, 1, 0))
+    challenge_b = _challenge_for(st)
     effects = node.handle_message(challenge_b, now=0.4)
     assert [(e.dest, type(e.msg)) for e in effects] == [(0, Response)]
     share = effects[0].msg.aggregate_response
@@ -301,6 +305,7 @@ def test_interior_commit_finished_after_newer_session_cannot_answer():
     roster = make_toy_roster(secrets)
     node = make_node(1, roster, secrets)  # children 3, 4 in the 7-node binary tree
     node.handle_message(announce_for(roster, rnd=0), now=0.0)  # A waits for 3 and 4
+    session_a = node.rounds[(0, 0, 0)]
     node.handle_message(announce_for(roster, rnd=1), now=0.1)  # B opens first
     effects = []
     for child in (3, 4):
@@ -310,7 +315,8 @@ def test_interior_commit_finished_after_newer_session_cannot_answer():
     # A's commit could never be answered: node 1 refuses it as stale instead
     assert [(e.dest, type(e.msg), e.msg.reason) for e in effects] == [
         (0, Refuse, engine.REFUSE_STALE)]
-    assert node.handle_message(_challenge_for(node, (0, 0, 0)), now=0.4) == []
+    assert node.rounds[(0, 0, 0)].phase == engine.PHASE_REFUSED
+    assert node.handle_message(_challenge_for(session_a), now=0.4) == []
     assert node.nonce_log == []
 
 
@@ -731,12 +737,13 @@ def test_reports_outside_senders_subtree_dropped(mode, kind, caplog):
 
 
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
-@pytest.mark.parametrize("forgery", ["sibling-subtree", "sender", "contributor"])
+@pytest.mark.parametrize("forgery", ["sibling-subtree", "sender", "absent"])
 def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     # 7 witnesses, branching 2: node 1 has children 3 and 4, node 2 has 5 and
-    # 6. Node 1's commit summarises a node outside its subtree, or names a
-    # contributor outside the summarised node's subtree; the leader drops it
-    # rather than store a summary that a no-restart bridge would trust. A
+    # 6. Node 1's commit carries the head of a node outside its subtree, or a
+    # head whose absent set names a node outside that head's subtree; the
+    # leader drops it rather than store a head that a no-restart bridge would
+    # trust. A
     # restart commit carries no summaries, so there the forgery starts from
     # node 1's record of its child 3, and the commit is dropped for carrying
     # a summary at all.
@@ -749,7 +756,7 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
                     else sim.nodes[1].rounds[(msg.view, msg.round, msg.attempt)].records[3])
             forged = {"sibling-subtree": replace(real, index=5),
                       "sender": replace(real, index=1),
-                      "contributor": replace(real, contributors=((5, real.tree_hash),))}
+                      "absent": replace(real, absent=frozenset({5}))}
             msg = replace(msg, summaries=msg.summaries + (forged[forgery],))
         send(src, dst, msg, when)
 
@@ -765,7 +772,7 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
 def test_only_no_restart_rounds_ship_commit_tree_data(mode):
     """Only a no-restart round binds a commit root, so only there do commits
-    summarise their contributors and challenges carry audit paths. Node 1
+    carry their contributors' heads and challenges carry audit paths. Node 1
     (children 4, 5 and 6) crashes before its response, so a restart round
     restarts and a no-restart round bridges."""
     sim = simnet.CosiSim(SimConfig(seed=5, n=13, branching=3, mode=mode,
@@ -959,7 +966,13 @@ def test_whole_subtree_participation_holds_the_shared_empty_set(round_states):
         assert st.absent == subtree & {4}
         assert st.summary.absent is st.absent
         kept = sim.nodes[i].rounds[st.key]
-        assert isinstance(kept, engine._RoundState) or kept.summary is st.summary
+        if st.key[2] == 1:
+            assert kept.summary is st.summary
+        elif i == 0:  # the leader's superseded attempt
+            assert isinstance(kept, engine._RoundState)
+        else:  # superseded with its commit out: finished, refused as stale
+            assert kept.phase == engine.PHASE_REFUSED
+            assert kept.answer.reason == engine.REFUSE_STALE
 
 
 def test_own_summary_equals_the_record_its_parent_keeps(round_states):
@@ -1016,9 +1029,9 @@ FINISHED_REPLIES = {
     (MODE_RESTART, engine.STATEMENT_AT_CHALLENGE):
         "001bf1cc64c5c8f1afb33cf630cdc7293c9c1ad1d20e4bb8bed932a4ee465e63",
     (MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE):
-        "9ffaed0c706d8cbdba51df05cd60635e880a103f99a862687d2b4ebb84bf243e",
+        "ae458191358f15cf7bb740c0a6facf8bcb9cde49afecfac9fdf850d9d98922b4",
     (MODE_NO_RESTART, engine.STATEMENT_AT_CHALLENGE):
-        "ac30d4f9969792a518fd4bcc89ba81034a399f75b14417922f620bcab6d3dd2f",
+        "316898cf9689c523b96bc61f619245ac74e1e687cb59fb9b302e07f389a02192",
 }
 
 
@@ -1031,8 +1044,13 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
     one with the commit it sent, carrying its final failed and refused sets,
     the response it sent, and `REFUSE_STALE`; a refused one with its refusal,
     and nothing. Leaf 5 refuses every statement and leaf 7 lies, so the
-    restart rounds take three or two attempts. The replies' bytes are
-    pinned."""
+    restart rounds take three or two attempts. A witness whose commit for an
+    attempt is out when the next attempt's announce reaches it refuses the
+    superseded one as stale without a word: it answers a re-announce with
+    `REFUSE_STALE` and a challenge with nothing, as it did before such a
+    session was finished. The replies' bytes are pinned, those to superseded
+    sessions left out, as the pins were taken while such a session stayed
+    unfinished."""
     sim = simnet.CosiSim(SimConfig(seed=6, n=13, branching=3, mode=mode,
                                    statement_timing=timing,
                                    failures=(FailureAction(7, "response", "lie"),)))
@@ -1051,7 +1069,7 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
         assert result.attempts == 1
     else:  # a refusal at announce restarts before the liar is found
         assert result.attempts == (3 if timing == engine.STATEMENT_AT_ANNOUNCE else 2)
-    replies, phases = [], []
+    replies, phases, superseded = [], [], 0
     for node in sim.nodes:
         for key, st in sorted(node.rounds.items()):
             if st.phase not in (engine.PHASE_DONE, engine.PHASE_REFUSED):
@@ -1067,9 +1085,14 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
                           and node.index in (src, dst)]
             log = list(node.nonce_log)
             effects = node.handle_message(ann, 1.0)
+            refusal = next((m for m in ups if isinstance(m, Refuse)), None)
+            stale = st.phase == engine.PHASE_REFUSED and refusal is None
+            if stale:
+                assert isinstance(ups[-1], Commit) and key[2] < result.attempts - 1
+                refusal = Refuse(view=key[0], round=key[1], attempt=key[2],
+                                 sender=node.index, reason=engine.REFUSE_STALE)
             if st.phase == engine.PHASE_REFUSED:
-                assert effects == [Send(ann.sender, next(m for m in ups
-                                                         if isinstance(m, Refuse)))]
+                assert effects == [Send(ann.sender, refusal)]
             else:
                 [(dest, reply)] = [(e.dest, e.msg) for e in effects]
                 assert dest == ann.sender and isinstance(reply, Commit)
@@ -1093,8 +1116,13 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
                         reason=engine.REFUSE_STALE))]
                 effects += again + conflicting
             assert node.nonce_log == log
+            if stale:
+                superseded += 1
+                continue
             replies += [node.index.to_bytes(4, "big") + e.dest.to_bytes(4, "big")
                         + encode_message(e.msg, TOY) for e in effects]
+    # only a refusal at announce restarts an attempt from its commit phase
+    assert (superseded > 0) == (mode == MODE_RESTART and timing == engine.STATEMENT_AT_ANNOUNCE)
     assert engine.PHASE_DONE in phases and engine.PHASE_REFUSED in phases
     assert hashlib.sha256(b"".join(replies)).hexdigest() == FINISHED_REPLIES[(mode, timing)]
 
@@ -1333,7 +1361,7 @@ def test_message_codec_roundtrips():
                refused=frozenset({9}),
                summaries=(engine.SubtreeSummary(
                    index=5, commit=elem, aggregate=elem, tree_hash=b"\x02" * 32,
-                   contributors=((7, b"\x03" * 32),), absent=frozenset({8})),)),
+                   absent=frozenset({8})),)),
         Challenge(view=0, round=1, attempt=0, sender=2, challenge=TOY.scalar(6),
                   aggregate_commit=elem, commit_root=b"\x04" * 32,
                   statement=b"late",
@@ -1418,9 +1446,7 @@ def _message_strategies(group):
     scalar = st.integers(0, group.order - 1).map(group.scalar)
     header = dict(view=_U32, round=_U32, attempt=_U16, sender=_INDEX)
     summary = st.builds(engine.SubtreeSummary, index=_INDEX, commit=elem, aggregate=elem,
-                        tree_hash=_DIGEST,
-                        contributors=st.lists(st.tuples(_INDEX, _DIGEST), max_size=4).map(tuple),
-                        absent=_INDEX_SET)
+                        tree_hash=_DIGEST, absent=_INDEX_SET)
     return {
         Announce: st.builds(Announce, mode=st.integers(0, 255), timing=st.integers(0, 255),
                             branching=_U16, timeout_ms=_U32, topology_digest=_DIGEST,
@@ -1532,8 +1558,7 @@ def test_frame_rejects_mixed_order_element(field, mixed_generator):
     else:
         summary = engine.SubtreeSummary(
             index=3, commit=at("summary-commit"), aggregate=at("summary-aggregate"),
-            tree_hash=b"\x02" * 32, contributors=((4, b"\x03" * 32),),
-            absent=frozenset())
+            tree_hash=b"\x02" * 32, absent=frozenset())
         msg = Commit(view=0, round=1, attempt=0, sender=1, aggregate=at("aggregate"),
                      commit=at("commit"), tree_hash=b"\x01" * 32, absent=frozenset(),
                      failed=frozenset(), refused=frozenset(), summaries=(summary,))
@@ -1553,8 +1578,7 @@ def test_every_cut_of_a_record_frame_rejected():
                         exceptions=(CommitException(5, elem, proof),
                                     CommitException(3, elem, proof)))
     summary = engine.SubtreeSummary(
-        index=3, commit=elem, aggregate=elem, tree_hash=b"\x02" * 32,
-        contributors=((4, b"\x03" * 32), (6, b"\x07" * 32)), absent=frozenset({6}))
+        index=3, commit=elem, aggregate=elem, tree_hash=b"\x02" * 32, absent=frozenset({6}))
     commit = Commit(view=0, round=1, attempt=0, sender=1, aggregate=elem, commit=elem,
                     tree_hash=b"\x01" * 32, absent=frozenset({6}), failed=frozenset(),
                     refused=frozenset(), summaries=(summary, replace(summary, index=5)))
@@ -1581,7 +1605,7 @@ def test_frame_records_checked_before_any_element_decode(monkeypatch, kind, patc
     else:
         summary = engine.SubtreeSummary(
             index=3, commit=elem, aggregate=elem, tree_hash=b"\x02" * 32,
-            contributors=((4, b"\x03" * 32),), absent=frozenset())
+            absent=frozenset())
         msg = Commit(view=0, round=1, attempt=0, sender=1, aggregate=elem, commit=elem,
                      tree_hash=b"\x01" * 32, absent=frozenset(), failed=frozenset(),
                      refused=frozenset(), summaries=(summary, replace(summary, index=5)))
