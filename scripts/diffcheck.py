@@ -13,10 +13,12 @@ canonical JSON line per case; the two streams are compared line by line.
 Its one suite, `sim`, draws a random simulator configuration from each
 case's seed: N 1-200, branching 1-5, either mode and statement
 timing, view change on or off, up to three crash, omit or lie failures,
-0-3 restarts and 1-4 rounds, in the toy group. Compared per round: outcome,
-latency, view, each node's messages, bytes and compute units, the
-signature's bytes, the attempts, the reason, and the failed and refused
-sets. A case that raises is compared by its exception.
+0-3 restarts and 1-4 rounds, in the toy group. About one case in four has
+its witnesses validate statements by one of the `REFUSING` policies,
+under which they refuse the simulator's statements. Compared per round: outcome, latency, view, each node's
+messages, bytes and compute units, the signature's bytes, the attempts, the
+reason, and the failed and refused sets. A case that raises is compared by
+its exception.
 
 Exits 0 when every case matches. Otherwise it prints the first differing
 case's seed, field and configuration, then every field path that differs over
@@ -41,13 +43,16 @@ from typing import Optional
 REPO = Path(__file__).resolve().parent.parent
 PHASES = ("announce", "commit", "challenge", "response")
 BEHAVIORS = ("crash", "omit", "lie")
+# validation policies under which witnesses refuse the simulator's statements;
+# a constant, so that a seed draws the same case from every revision
+REFUSING = ("hash-chain", "timestamp-window")
 
 
 def draw_sim_case(seed: int) -> dict:
     """The simulator configuration of case `seed`, as plain JSON values."""
     rng = random.Random(seed)
     n = rng.randint(1, 200)
-    return {
+    case = {
         "seed": seed, "n": n, "branching": rng.randint(1, 5),
         "mode": rng.choice(("restart", "norestart")),
         "statement_timing": rng.randint(0, 1),
@@ -57,6 +62,10 @@ def draw_sim_case(seed: int) -> dict:
         "max_restarts": rng.randint(0, 3),
         "rounds": rng.randint(1, 4),
     }
+    # drawn after the other fields, whose draws so do not depend on it
+    case["validation_policy"] = (rng.choice(REFUSING) if rng.random() < 0.25
+                                 else "accept-all")
+    return case
 
 
 def run_sim_case(seed: int) -> dict:
@@ -69,7 +78,7 @@ def run_sim_case(seed: int) -> dict:
         seed=seed, n=case["n"], branching=case["branching"],
         mode=multisig.MODE_NAMES[case["mode"]], statement_timing=case["statement_timing"],
         view_change=case["view_change"], max_restarts=case["max_restarts"],
-        rounds=case["rounds"],
+        rounds=case["rounds"], validation_policy=case["validation_policy"],
         failures=tuple(simnet.FailureAction(*f) for f in case["failures"]))
     try:
         out = simnet.run_sim_detailed(cfg)

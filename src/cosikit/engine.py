@@ -9,9 +9,14 @@ dropouts in the participation set and response-phase dropouts as commit
 exceptions, bridging past dead interior nodes to their children with the
 announce that opened the round at the bridging node. Only no-restart mode
 binds a commit root, so only its commits carry their contributors' heads and
-only its challenges carry audit paths. A leader carries each round's statement
-and its failed and refused witnesses from attempt to attempt, so a round
-restarts with its own data however rounds overlap.
+only its challenges carry audit paths. A commit-tree node's hash is the
+binary digest tree over its own commit leaf and its contributors' hashes
+(`multisig.CommitTree`'s rule), and every audit path, in a challenge or a
+commit exception, is a `merkle.InclusionProof` composed node by node. A
+leader carries each round's statement and its failed and refused witnesses
+from attempt to attempt, so a round restarts with its own data however rounds
+overlap. A leader adopts no parent for its own session, whoever echoes its
+announce.
 
 A witness's one extension point is its statement validation hook,
 `hook(statement, now) -> bool`: it runs before the witness commits to an
@@ -65,18 +70,14 @@ from typing import Callable, NamedTuple, Optional, get_args
 from . import multisig, participation
 from .group import (DecodeError, GroupElement, KeyPair, Reader, Scalar, Signature,
                     schnorr_sign, schnorr_verify)
-from .merkle import DIGEST_SIZE
+from .merkle import DIGEST_SIZE, DigestTree, InclusionProof, digest_root, fold_proof
 from .multisig import (
     MODE_NO_RESTART,
     MODE_RESTART,
     CollectiveSignature,
     CommitException,
-    CommitStep,
-    CommitTreeProof,
     commit_leaf_digest,
-    commit_node_digest,
-    commit_step,
-    fold_commit_proof,
+    read_commit_proof,
 )
 from .participation import ParticipationSet
 from .roster import WitnessRoster
@@ -288,11 +289,11 @@ _INDEX_SET = _Kind(lambda v: len(v).to_bytes(2, "big")
 _BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u32()),
                size=lambda v, g: 4 + len(v))
 _OPT_BYTES = _opt_bytes()
-_PROOF = _Kind(lambda v: v.encode(), lambda r, g: CommitTreeProof.decode(r),
-               size=lambda v, g: v.wire_size())
+_PROOF = _Kind(lambda v: v.encode(), lambda r, g: read_commit_proof(r),
+               size=lambda v, g: len(v.data))
 # The empty audit path, which every restart challenge carries: it binds no
 # commit root, so no node folds a path up to one.
-_NO_PATH = CommitTreeProof(())
+_NO_PATH = InclusionProof(b"\x00\x00")
 
 
 class _Layout:
@@ -385,13 +386,14 @@ class SubtreeSummary:
                      ("tree_hash", _DIGEST), ("absent", _INDEX_SET))
 
 
-def _audit_steps(head: SubtreeSummary, contributors, nodes) -> list[CommitStep]:
-    """Audit steps placing each of `nodes`' subtree hashes within the
-    commit-tree inputs of `head`'s node: its own commit, which `head.index`
-    places, then its `contributors`' heads in index order."""
+def _audit_steps(head: SubtreeSummary, contributors, nodes) -> list[InclusionProof]:
+    """Audit paths lifting each of `nodes`' subtree hashes to the tree hash
+    of `head`'s node, whose digest tree is over its own commit, which
+    `head.index` places, then its `contributors`' heads in index order. A
+    node without contributors is its own commit leaf: its path is empty."""
     order = [head.index] + [c.index for c in contributors]
-    inputs = [commit_leaf_digest(head.commit)] + [c.tree_hash for c in contributors]
-    return [commit_step(inputs, order.index(node)) for node in nodes]
+    tree = DigestTree([commit_leaf_digest(head.commit)] + [c.tree_hash for c in contributors])
+    return [tree.prove(order.index(node)) for node in nodes]
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,7 +418,7 @@ class Challenge(_Routed):
     aggregate_commit: GroupElement
     commit_root: Optional[bytes]
     statement: Optional[bytes]
-    proof: CommitTreeProof  # the recipient's subtree hash up to the commit root;
+    proof: InclusionProof  # the recipient's subtree hash up to the commit root;
     # `_NO_PATH` in restart mode
 
     tag = 3
@@ -801,17 +803,17 @@ class SigningNode:
     # Outgoing messages
     # ------------------------------------------------------------------
 
-    def _challenge(self, st: _RoundState, steps: tuple[CommitStep, ...] = ()) -> Challenge:
+    def _challenge(self, st: _RoundState, path: Optional[InclusionProof] = None) -> Challenge:
         """The challenge this node answered, sent on to a node placed by
-        `steps` below it: they lift the recipient's hash to ours, and our own
+        `path` below it: it lifts the recipient's hash to ours, and our own
         audit path continues to the root. A restart challenge binds no commit
-        root and is sent without `steps`."""
+        root and is sent without `path`."""
         c = st.challenged
         return Challenge(
             view=c.view, round=c.round, attempt=c.attempt, sender=self.index,
             challenge=c.challenge, aggregate_commit=c.aggregate_commit,
             commit_root=c.commit_root, statement=c.statement,
-            proof=CommitTreeProof(steps + c.proof.steps) if steps else _NO_PATH,
+            proof=_NO_PATH if path is None else path.compose(c.proof),
         )
 
     def _refusal(self, st: _RoundState | _Finished, reason: int) -> Refuse:
@@ -880,7 +882,7 @@ class SigningNode:
         leaf = commit_leaf_digest(st.own_commit)
         st.summary = SubtreeSummary(
             index=self.index, commit=st.own_commit, aggregate=agg,
-            tree_hash=(commit_node_digest([leaf] + [c.tree_hash for c in contributors])
+            tree_hash=(digest_root([leaf] + [c.tree_hash for c in contributors])
                        if contributors else leaf),
             absent=st.absent)
         st.phase = PHASE_RESPONSE
@@ -947,6 +949,8 @@ class SigningNode:
         if done.phase == PHASE_REFUSED:
             return [Send(msg.sender, done.answer)] if isinstance(msg, Announce) else []
         if isinstance(msg, Announce):
+            if done.parent is None:  # our own session: its commit goes nowhere
+                return []
             done.parent = msg.sender
             return self._commit_up(done, done.summaries)
         if not isinstance(msg, Challenge) or self._carries_commit_tree(done.mode, msg):
@@ -965,7 +969,10 @@ class SigningNode:
             return self._on_finished(st, msg)
         if st is not None:
             # Re-announce, possibly from a bridging ancestor: adopt it as the
-            # new parent and resend our commit if we already produced one.
+            # new parent and resend our commit if we already produced one. An
+            # echo of a session this node leads has no parent to adopt.
+            if st.lead is not None:
+                return []
             st.parent = msg.sender
             if st.summary is not None:
                 return self._send_commit(st)
@@ -1029,8 +1036,8 @@ class SigningNode:
         """Restart mode ships no commit-tree data, as no node there reads it:
         a commit with summaries, or a challenge with an audit path, is dropped
         and the phase timer treats its sender as silent."""
-        if mode != MODE_RESTART \
-                or not (msg.summaries if isinstance(msg, Commit) else msg.proof.steps):
+        if mode != MODE_RESTART or not (msg.summaries if isinstance(msg, Commit)
+                                        else msg.proof.data != _NO_PATH.data):
             return False
         logger.warning("node %d: dropping %s from %d: restart mode carries no commit-tree "
                        "data", self.index, type(msg).__name__, msg.sender)
@@ -1038,17 +1045,27 @@ class SigningNode:
 
     def _reports_below_sender(self, st: _RoundState, msg: Commit | Response) -> bool:
         """A child may report only nodes strictly below itself, and each head
-        it carries only absences strictly below that head's node; otherwise
-        its message is dropped and the phase timer treats it as silent."""
+        it carries only absences strictly below that head's node; the heads
+        it carries head disjoint subtrees, as contributors do, so that no
+        path through its commit tree outgrows its subtree (`_check_partial`).
+        Otherwise its message is dropped and the phase timer treats it as
+        silent."""
         claims = [(msg.sender, msg.absent | msg.failed | msg.refused)]
+        heads: frozenset | tuple = ()
         if isinstance(msg, Commit) and msg.summaries:
-            claims.append((msg.sender, {s.index for s in msg.summaries}))
+            heads = frozenset(s.index for s in msg.summaries)
+            claims.append((msg.sender, heads))
             claims += [(s.index, s.absent) for s in msg.summaries if s.absent]
         for node, nodes in claims:
             if nodes and (node in nodes or not nodes <= st.topology.descendants(node)):
                 logger.warning("node %d: dropping %s from %d: it reports nodes outside "
                                "its subtree", self.index, type(msg).__name__, msg.sender)
                 return False
+        if heads and (len(heads) < len(msg.summaries) or any(
+                len(heads & st.topology.descendants(h)) > 1 for h in heads)):
+            logger.warning("node %d: dropping Commit from %d: its heads overlap",
+                           self.index, msg.sender)
+            return False
         return True
 
     def _on_refuse(self, st: _RoundState, msg: Refuse, now: float) -> list:
@@ -1123,7 +1140,7 @@ class SigningNode:
             return []
         expect = multisig.collective_challenge(msg.aggregate_commit, statement, root)
         if expect.value != msg.challenge.value or (
-                root is not None and fold_commit_proof(st.summary.tree_hash, msg.proof) != root):
+                root is not None and fold_proof(st.summary.tree_hash, msg.proof) != root):
             return self._refuse_session(st, msg.sender, REFUSE_PROOF)
 
         st.challenged = msg
@@ -1138,8 +1155,8 @@ class SigningNode:
         contributors = sorted(st.records)
         st.pending_resp = frozenset(contributors)
         if st.config.mode == MODE_NO_RESTART:  # only a commit root needs a path
-            sends = [Send(child, self._challenge(st, (step,)))
-                     for child, step in zip(contributors, self._steps(st, contributors))]
+            sends = [Send(child, self._challenge(st, path))
+                     for child, path in zip(contributors, self._steps(st, contributors))]
         else:
             msg = self._challenge(st)
             sends = [Send(child, msg) for child in contributors]
@@ -1196,7 +1213,7 @@ class SigningNode:
         if msg.exceptions:  # none in restart mode, which builds no anchor
             anchor = self._anchor_steps_for(st, msg.sender)
             st.exceptions += tuple([CommitException(exc.index, exc.commit,
-                                                    CommitTreeProof(exc.proof.steps + anchor))
+                                                    exc.proof.compose(anchor))
                                     for exc in msg.exceptions])
 
     def _settle_held(self, st: _RoundState) -> list:
@@ -1223,8 +1240,8 @@ class SigningNode:
             return []
         return self._settle_held(st) + self._finalize_response(st, now)
 
-    def _steps(self, st: _RoundState, nodes) -> list[CommitStep]:
-        """Audit steps placing each of `nodes` among this node's commit-tree inputs."""
+    def _steps(self, st: _RoundState, nodes) -> list[InclusionProof]:
+        """Audit paths lifting each of `nodes`' hashes to this node's tree hash."""
         return _audit_steps(st.summary, _contributors(st), nodes)
 
     @staticmethod
@@ -1233,14 +1250,14 @@ class SigningNode:
         return next(((holder, head) for holder, heads in st.below.items() for head in heads
                      if head.index == node), (None, None))
 
-    def _anchor_steps_for(self, st: _RoundState, child: int) -> tuple[CommitStep, ...]:
-        """Steps that lift a digest anchored at `child` up to this node's hash."""
+    def _anchor_steps_for(self, st: _RoundState, child: int) -> InclusionProof:
+        """The path that lifts a digest anchored at `child` up to this node's hash."""
         if child in st.records:
-            return tuple(self._steps(st, (child,)))
+            return self._steps(st, (child,))[0]
         # One level further down: first place it within the contributor that carried it.
         holder, _ = self._bridged(st, child)
-        return (_audit_steps(st.records[holder], st.below[holder], (child,))[0],
-                self._steps(st, (holder,))[0])
+        return _audit_steps(st.records[holder], st.below[holder], (child,))[0].compose(
+            self._steps(st, (holder,))[0])
 
     def _check_partial(self, st: _RoundState, rec: SubtreeSummary,
                        msg: Response) -> Optional[tuple]:
@@ -1255,6 +1272,14 @@ class SigningNode:
         participants = subtree - rec.absent
         if not msg.absent <= participants:
             return None
+        if msg.exceptions:
+            # Composed with our anchor, an honest path has fewer steps than
+            # our subtree has members (see `read_commit_proof`); a longer one
+            # would make the frame or signature that carries it undecodable.
+            room = (len(st.topology.descendants(self.index)) - 1
+                    - self._anchor_steps_for(st, rec.index).step_count)
+            if any(exc.proof.step_count > room for exc in msg.exceptions):
+                return None
         for exc in msg.exceptions:
             if not multisig.verify_commit_inclusion(rec.tree_hash, exc.commit, exc.proof):
                 return None
@@ -1289,18 +1314,16 @@ class SigningNode:
         rec = st.records.get(child)
         if rec is not None:
             heads = st.below.get(child, ())
-            own, *steps = _audit_steps(rec, heads, [child] + [h.index for h in heads])
+            own, *paths = _audit_steps(rec, heads, [child] + [h.index for h in heads])
             up = self._steps(st, (child,))[0]
-            # Its commit leaf is the whole subtree hash when it has no contributors.
-            exc_steps = (own, up) if heads else (up,)
-            st.exceptions += (CommitException(child, rec.commit, CommitTreeProof(exc_steps)),)
+            st.exceptions += (CommitException(child, rec.commit, own.compose(up)),)
             st.resp_absent |= {child}
             if crashed:
                 st.failed |= {child}
             # Bridge the gap: ask the dead child's own contributors directly.
-            for head, step in zip(heads, steps):
+            for head, path in zip(heads, paths):
                 st.pending_resp |= {head.index}
-                effects.append(Send(head.index, self._challenge(st, (step, up))))
+                effects.append(Send(head.index, self._challenge(st, path.compose(up))))
             if heads:
                 effects.append(SetTimer(("response",) + st.key, st.config.timeout_base))
         else:
@@ -1315,7 +1338,7 @@ class SigningNode:
                 st.unresolvable = f"witness {child} and its subtree data are unreachable"
             else:
                 st.exceptions += (CommitException(
-                    child, summary.commit, CommitTreeProof(self._anchor_steps_for(st, child))),)
+                    child, summary.commit, self._anchor_steps_for(st, child)),)
                 st.resp_absent |= {child}
                 if crashed:
                     st.failed |= {child}

@@ -1,15 +1,22 @@
 """Binary Merkle trees with audit-path inclusion proofs.
 
-Used for the roster key tree and the per-round timestamp trees. Leaves and
-interior nodes are hashed under distinct domain tags; a level with an odd
-node count duplicates its last node. Proof steps record which side the
-sibling sits on, so the leaf index is fully determined by the path and
+Used for the roster key tree, the per-round timestamp trees and the commit
+tree. Leaves and interior nodes are hashed under distinct domain tags; a level
+with an odd node count duplicates its last node. Proof steps record which side
+the sibling sits on, so the leaf index is fully determined by the path and
 composed proofs (sub-tree proof followed by outer-tree proof) remain plain
 concatenations. A tree proves one leaf (`prove`) or all of them in leaf
 order from one walk. The walk (`paths`) returns every leaf's path bytes
 behind a prefix the caller gives: a timestamp round passes its receipts'
 common head, so each receipt's wire bytes are built whole and no proof object
 is made per leaf.
+
+A tree of trees (`TreeOfTrees`) nests digest trees along a spanning tree:
+each node's tree is over its own digest, then its children's roots in child
+order, and a node's proof is its own path composed with each ancestor's. The
+commit tree applies it to individual commits and the scalable timestamp tree
+to local batch roots; a signing node, which needs only its own tree's root,
+folds it with `digest_root`.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from .group import TAG_EMPTY_TREE, TAG_MERKLE_LEAF, TAG_MERKLE_NODE
+from .group import TAG_EMPTY_TREE, TAG_MERKLE_LEAF, TAG_MERKLE_NODE, DecodeError
 
 DIGEST_SIZE = 32
 
@@ -25,7 +32,7 @@ SIBLING_LEFT = 0
 SIBLING_RIGHT = 1
 _SIDE_BYTE = (bytes([SIBLING_LEFT]), bytes([SIBLING_RIGHT]))
 _SIDE_BYTES = b"".join(_SIDE_BYTE)
-_STEP_SIZE = 1 + DIGEST_SIZE  # side byte, then the sibling digest
+STEP_SIZE = 1 + DIGEST_SIZE  # side byte, then the sibling digest
 
 
 def leaf_hash(data: bytes) -> bytes:
@@ -61,20 +68,24 @@ class InclusionProof:
     data: bytes
 
     @property
+    def step_count(self) -> int:
+        return int.from_bytes(self.data[:2], "big")
+
+    @property
     def path(self) -> tuple[AuditStep, ...]:
         d = self.data
-        return tuple(AuditStep(d[off], d[off + 1:off + _STEP_SIZE])
-                     for off in range(2, len(d), _STEP_SIZE))
+        return tuple(AuditStep(d[off], d[off + 1:off + STEP_SIZE])
+                     for off in range(2, len(d), STEP_SIZE))
 
     @property
     def leaf_index(self) -> int:
         # A left-side sibling means this node was the right child at that level.
-        sides = self.data[2::_STEP_SIZE]
+        sides = self.data[2::STEP_SIZE]
         return sum(1 << k for k, side in enumerate(sides) if side == SIBLING_LEFT)
 
     def compose(self, outer: "InclusionProof") -> "InclusionProof":
         """Proof for a leaf of an inner tree whose root is a leaf of an outer tree."""
-        count = int.from_bytes(self.data[:2], "big") + int.from_bytes(outer.data[:2], "big")
+        count = self.step_count + outer.step_count
         return InclusionProof(count.to_bytes(2, "big") + self.data[2:] + outer.data[2:])
 
     def encode(self) -> bytes:
@@ -84,19 +95,19 @@ class InclusionProof:
     def decode(cls, data: bytes) -> "InclusionProof":
         data = bytes(data)
         if len(data) < 2:
-            raise ValueError("truncated inclusion proof")
-        if len(data) != 2 + int.from_bytes(data[:2], "big") * _STEP_SIZE:
-            raise ValueError("bad inclusion proof length")
-        if data[2::_STEP_SIZE].translate(None, _SIDE_BYTES):
-            raise ValueError("bad audit step side")
+            raise DecodeError("truncated inclusion proof")
+        if len(data) != 2 + int.from_bytes(data[:2], "big") * STEP_SIZE:
+            raise DecodeError("bad inclusion proof length")
+        if data[2::STEP_SIZE].translate(None, _SIDE_BYTES):
+            raise DecodeError("bad audit step side")
         return cls(data)
 
 
 def fold_proof(leaf_digest: bytes, proof: InclusionProof) -> bytes:
     """Recompute the root implied by a leaf digest and an audit path."""
     cur, data = leaf_digest, proof.data
-    for off in range(2, len(data), _STEP_SIZE):
-        sibling = data[off + 1:off + _STEP_SIZE]
+    for off in range(2, len(data), STEP_SIZE):
+        sibling = data[off + 1:off + STEP_SIZE]
         if data[off] == SIBLING_RIGHT:
             cur = node_hash(cur, sibling)
         else:
@@ -109,6 +120,24 @@ def verify_inclusion(root: bytes, leaf_data: bytes, proof: InclusionProof,
     if index is not None and index != proof.leaf_index:
         return False
     return fold_proof(leaf_hash(leaf_data), proof) == root
+
+
+def _level_above(level: list[bytes]) -> list[bytes]:
+    """The digests one level above `level`, which an odd count pads in place
+    by duplicating its last digest."""
+    if len(level) % 2 == 1:
+        level.append(level[-1])
+    sha256, tag = hashlib.sha256, TAG_MERKLE_NODE
+    return [sha256(tag + left + right).digest() for left, right in zip(level[0::2], level[1::2])]
+
+
+def digest_root(digests: list[bytes]) -> bytes:
+    """`DigestTree(digests).root` for one or more digests, folded level by
+    level with no audit steps kept: a single digest is its own root."""
+    level = list(digests)
+    while len(level) > 1:
+        level = _level_above(level)
+    return level[0]
 
 
 class DigestTree:
@@ -140,24 +169,21 @@ class DigestTree:
             self.root = empty_tree_root()
             self._count = b"\x00\x00"
             return
-        sha256, tag = hashlib.sha256, TAG_MERKLE_NODE
         left_side, right_side = _SIDE_BYTE
         while len(level) > 1:
-            if len(level) % 2 == 1:
-                level.append(level[-1])
-            lefts, rights = level[0::2], level[1::2]
+            above = _level_above(level)
             steps = [b""] * len(level)
-            steps[0::2] = [left_side + d for d in lefts]
-            steps[1::2] = [right_side + d for d in rights]
+            steps[0::2] = [left_side + d for d in level[0::2]]
+            steps[1::2] = [right_side + d for d in level[1::2]]
             self._steps.append(steps)
-            level = [sha256(tag + left + right).digest() for left, right in zip(lefts, rights)]
+            level = above
         self.root = level[0]
         self._count = len(self._steps).to_bytes(2, "big")
 
     @property
     def proof_size(self) -> int:
         """Bytes in every leaf's proof: all leaves sit at the same depth."""
-        return 2 + len(self._steps) * _STEP_SIZE
+        return 2 + len(self._steps) * STEP_SIZE
 
     def prove(self, index: int) -> InclusionProof:
         if not 0 <= index < self.leaf_count:
@@ -206,3 +232,30 @@ class MerkleTree(DigestTree):
     # Bound on this class too, so that MerkleTree.prove can be wrapped (as
     # perfbench's tracer does) without touching DigestTree.prove.
     prove = DigestTree.prove
+
+
+class TreeOfTrees:
+    """Digest trees nested along a spanning tree, built in post-order: each
+    node's tree is over its own digest, then its children's roots in the
+    topology's child order, and the root node's root commits every digest. A
+    node without children is its own digest, as a one-digest tree is."""
+
+    def __init__(self, topology, own: dict[int, bytes]):
+        self.topology = topology
+        self.node_trees: dict[int, DigestTree] = {}
+        for node in topology.postorder(topology.root):
+            self.node_trees[node] = DigestTree(
+                [own[node]] + [self.node_trees[c].root for c in topology.children[node]])
+        self.root = self.node_trees[topology.root].root
+
+    def prove(self, node: int) -> InclusionProof:
+        """Path from `node`'s own digest up to the root: its place in its own
+        tree, then its tree's place in each ancestor's."""
+        topo = self.topology
+        proof = self.node_trees[node].prove(0)
+        while node != topo.root:
+            parent = topo.parent[node]
+            proof = proof.compose(
+                self.node_trees[parent].prove(1 + topo.children[parent].index(node)))
+            node = parent
+        return proof

@@ -8,11 +8,15 @@ r_i = v_i - c*x_i sum into the aggregate response. Witnesses that vanish
 between phases are documented rather than fatal: absent-from-commit witnesses
 just shrink the aggregate key, while absent-from-response witnesses appear as
 commit exceptions whose individual commits are divided back out by verifiers.
+
+The commit tree mirrors the spanning tree: a node's hash is the binary digest
+tree (`merkle.digest_root`) over its own commit leaf, then its contributors'
+hashes in index order, so an exception's proof is a plain
+`merkle.InclusionProof` whose steps compose bottom-up, node by node.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -114,122 +118,40 @@ def commit_leaf_digest(commit: GroupElement) -> bytes:
     return merkle.leaf_hash(commit.encode())
 
 
-def commit_node_digest(inputs: Sequence[bytes]) -> bytes:
-    """Interior digest over [own commit leaf, child subtree hashes...].
-
-    An odd input count duplicates the last digest before hashing.
-    """
-    if not inputs:
-        raise MultisigError("interior commit node needs at least one input")
-    padded = list(inputs)
-    if len(padded) > 1 and len(padded) % 2 == 1:
-        padded.append(padded[-1])
-    return hashlib.sha256(merkle.TAG_MERKLE_NODE + b"".join(padded)).digest()
+# A commit-tree proof is an audit path of the binary rule (`merkle.InclusionProof`)
+# and folds as one; perfbench's tracer wraps it and its fold by these names.
+CommitTreeProof = merkle.InclusionProof
+fold_commit_proof = merkle.fold_proof
 
 
-@dataclass(frozen=True)
-class CommitStep:
-    """One level of a commit-tree audit path: this node's digest is inserted
-    at `position` among `others`, and the padded multi-hash gives the parent."""
-
-    position: int
-    others: tuple[bytes, ...]
-
-    def __post_init__(self):
-        if not 0 <= self.position <= len(self.others):
-            raise MultisigError("commit step position out of range")
-
-
-def commit_step(inputs: Sequence[bytes], position: int) -> CommitStep:
-    """The audit step placing `inputs[position]` among a node's inputs
-    [own commit leaf, child subtree hashes...]."""
-    return CommitStep(position, tuple(inputs[:position]) + tuple(inputs[position + 1:]))
-
-
-@dataclass(frozen=True)
-class CommitTreeProof:
-    """Audit path from a commit-tree digest up to the root, bottom-up.
-
-    Wire layout: step count (2) | per step: position (2) | digest count (2) |
-    digests (32 each), all big-endian.
-    """
-
-    steps: tuple[CommitStep, ...]
-
-    def encode(self) -> bytes:
-        out = [len(self.steps).to_bytes(2, "big")]
-        for step in self.steps:
-            out.append(step.position.to_bytes(2, "big"))
-            out.append(len(step.others).to_bytes(2, "big"))
-            out.extend(step.others)
-        return b"".join(out)
-
-    def wire_size(self) -> int:
-        """`len(self.encode())`, counted from the step and digest counts."""
-        return 2 + sum(4 + merkle.DIGEST_SIZE * len(step.others) for step in self.steps)
-
-    @classmethod
-    def decode(cls, r: Reader) -> "CommitTreeProof":
-        """Read the proof at the reader's offset."""
-        steps = []
-        for _ in range(r.u16()):
-            position, n = r.u16(), r.u16()
-            if position > n:
-                raise DecodeError("commit step position out of range")
-            steps.append(CommitStep(position, tuple(r.take(merkle.DIGEST_SIZE)
-                                                    for _ in range(n))))
-        return cls(tuple(steps))
-
-
-def fold_commit_proof(leaf_digest: bytes, proof: CommitTreeProof) -> bytes:
-    cur = leaf_digest
-    for step in proof.steps:
-        inputs = list(step.others[:step.position]) + [cur] + list(step.others[step.position:])
-        cur = commit_node_digest(inputs)
-    return cur
+def read_commit_proof(r: Reader) -> merkle.InclusionProof:
+    """The commit-tree proof at the reader's offset, in frames and signatures
+    alike: a u16 step count, at most the roster size (`Reader.count`), then
+    the steps, each a side byte of 0 or 1 and a digest. An honest path has
+    fewer steps than witnesses: each node on it with k contributors adds
+    ceil(log2(k + 1)) <= k steps, and no witness contributes to two nodes,
+    nor the leader to any."""
+    start = r.off
+    r.take(r.count() * merkle.STEP_SIZE)
+    return merkle.InclusionProof.decode(r.data[start:r.off])
 
 
 def verify_commit_inclusion(root: bytes, commit: GroupElement,
-                            proof: CommitTreeProof) -> bool:
-    return fold_commit_proof(commit_leaf_digest(commit), proof) == root
+                            proof: merkle.InclusionProof) -> bool:
+    return merkle.fold_proof(commit_leaf_digest(commit), proof) == root
 
 
-class CommitTree:
+class CommitTree(merkle.TreeOfTrees):
     """Merkle tree over individual commits, one node per witness, structured
-    exactly like the spanning tree that produced them."""
+    exactly like the spanning tree that produced them: each node's hash is the
+    digest tree over its own commit leaf, then its children's hashes."""
 
     def __init__(self, topology: TreeTopology, commits: Mapping[int, GroupElement]):
         missing = topology.members - set(commits)
         if missing:
             raise MultisigError(f"missing commits for participants {sorted(missing)}")
-        self.topology = topology
-        self.commits = dict(commits)
-        self.node_digest: dict[int, bytes] = {}
-        self.inputs: dict[int, list[bytes]] = {}
-        for node in topology.postorder(topology.root):
-            leaf = commit_leaf_digest(self.commits[node])
-            kids = topology.children[node]
-            if not kids:
-                self.node_digest[node] = leaf
-            else:
-                inputs = [leaf] + [self.node_digest[c] for c in kids]
-                self.inputs[node] = inputs
-                self.node_digest[node] = commit_node_digest(inputs)
-        self.root = self.node_digest[topology.root]
-
-    def prove(self, index: int) -> CommitTreeProof:
-        if index not in self.node_digest:
-            raise MultisigError(f"witness {index} is not in the commit tree")
-        steps = []
-        if index in self.inputs:
-            steps.append(commit_step(self.inputs[index], 0))
-        node = index
-        while node != self.topology.root:
-            parent = self.topology.parent[node]
-            pos = 1 + self.topology.children[parent].index(node)
-            steps.append(commit_step(self.inputs[parent], pos))
-            node = parent
-        return CommitTreeProof(tuple(steps))
+        super().__init__(topology, {node: commit_leaf_digest(commits[node])
+                                    for node in topology.members})
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +165,7 @@ class CommitException:
 
     index: int
     commit: GroupElement
-    proof: CommitTreeProof
+    proof: merkle.InclusionProof
 
 
 @dataclass(frozen=True)
@@ -277,11 +199,9 @@ class CollectiveSignature:
         out.append(participation.encode_smallest(self.participation))
         out.append(len(self.exceptions).to_bytes(2, "big"))
         for exc in self.exceptions:
-            proof_bytes = exc.proof.encode()
             out.append(exc.index.to_bytes(4, "big"))
             out.append(exc.commit.encode())
-            out.append(len(proof_bytes).to_bytes(2, "big"))
-            out.append(proof_bytes)
+            out.append(exc.proof.encode())
         return b"".join(out)
 
     @classmethod
@@ -302,12 +222,7 @@ class CollectiveSignature:
             index = r.index()
             if records and index <= records[-1][0]:
                 raise DecodeError("exception indices not strictly ascending")
-            commit = r.take(group.element_size)
-            end = r.u16() + r.off  # the proof's length, read first, then its start
-            proof = CommitTreeProof.decode(r)
-            if r.off != end:
-                raise DecodeError("commit tree proof does not fill its length")
-            records.append((index, commit, proof))
+            records.append((index, r.take(group.element_size), read_commit_proof(r)))
         r.done()
         exceptions = [CommitException(index, group.decode_element(commit), proof)
                       for index, commit, proof in records]

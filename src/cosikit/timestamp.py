@@ -273,39 +273,21 @@ def time_check(nonce: bytes, receipt: StampReceipt,
 # Scalable mode: per-witness local trees committed by one global tree
 # ---------------------------------------------------------------------------
 
-class GlobalStampTree:
+class GlobalStampTree(merkle.TreeOfTrees):
     """Global timestamp tree mirroring the spanning tree.
 
     Each witness folds its local tree root together with its children's
     subtree roots (digest-level tree, interior hashing only); the resulting
     root transitively commits every request. Client proofs compose: the
-    local-tree path, then the witness-to-root path.
+    local-tree path, then the witness-to-root path (`prove`).
     """
 
     def __init__(self, topology: TreeTopology, local_hashes: dict[int, list[bytes]]):
-        self.topology = topology
-        self.local_trees: dict[int, MerkleTree] = {}
-        self.node_trees: dict[int, merkle.DigestTree] = {}
-        for node in topology.postorder(topology.root):
-            local = MerkleTree([_check_hash(h) for h in local_hashes.get(node, [])])
-            self.local_trees[node] = local
-            digests = [local.root] + [self.node_trees[c].root
-                                      for c in topology.children[node]]
-            self.node_trees[node] = merkle.DigestTree(digests)
-        self.root = self.node_trees[topology.root].root
-
-    def witness_to_root_proof(self, witness: int) -> InclusionProof:
-        """Path from a witness's local tree root up to the global root."""
-        proof = self.node_trees[witness].prove(0)
-        node = witness
-        while node != self.topology.root:
-            parent = self.topology.parent[node]
-            slot = 1 + self.topology.children[parent].index(node)
-            proof = proof.compose(self.node_trees[parent].prove(slot))
-            node = parent
-        return proof
+        self.local_trees = {
+            node: MerkleTree([_check_hash(h) for h in local_hashes.get(node, [])])
+            for node in topology.members}
+        super().__init__(topology, {node: tree.root for node, tree in self.local_trees.items()})
 
     def prove_request(self, witness: int, leaf_index: int) -> InclusionProof:
         """Composed proof for one client hash at one witness."""
-        return self.local_trees[witness].prove(leaf_index).compose(
-            self.witness_to_root_proof(witness))
+        return self.local_trees[witness].prove(leaf_index).compose(self.prove(witness))

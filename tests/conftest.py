@@ -12,6 +12,7 @@ import pytest
 
 from cosikit import engine, multisig
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, _recover_x, prove_possession
+from cosikit.merkle import InclusionProof
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CollectiveSignature
 from cosikit.participation import ParticipationSet
 from cosikit.roster import RosterEntry, WitnessRoster, build_roster
@@ -34,6 +35,16 @@ def make_roster(group, secrets, leader_index: int = 0, version: int = 0,
             weight=1 if weights is None else weights[i],
         ))
     return build_roster(entries, leader_index=leader_index, version=version)
+
+
+def audit_path(*steps) -> InclusionProof:
+    """The inclusion proof of `steps`, bottom-up, each (side, sibling digest)."""
+    return InclusionProof(len(steps).to_bytes(2, "big")
+                          + b"".join(bytes([side]) + digest for side, digest in steps))
+
+
+# the empty audit path, which a restart challenge carries
+NO_PATH = audit_path()
 
 
 def manual_round(roster: WitnessRoster, secrets, statement: bytes,

@@ -37,3 +37,14 @@ def test_copy_with_another_rtt_named_by_field(tmp_path):
     assert re.fullmatch(r"fields that differ, in \d+ of 40 cases:", lines[2])
     listed = {line.split(": ")[0].strip(): line for line in lines[3:]}
     assert listed["rounds[].latency"].endswith(f" cases, first seed {first.group(1)}")
+
+
+def test_refusing_policies_are_registered_and_drawn():
+    """The script names its refusing policies itself, so a seed draws the same
+    case from any revision; each is a registered hook and some case draws it."""
+    from cosikit import engine
+
+    diffcheck = load_diffcheck()
+    assert set(diffcheck.REFUSING) < set(engine.HOOKS)
+    drawn = {diffcheck.draw_sim_case(seed)["validation_policy"] for seed in range(40)}
+    assert drawn == set(diffcheck.REFUSING) | {"accept-all"}

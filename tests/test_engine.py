@@ -8,7 +8,7 @@ from typing import get_args
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_cuts_rejected, make_toy_roster, swap_generator
+from conftest import NO_PATH, assert_cuts_rejected, audit_path, make_toy_roster, swap_generator
 
 from cosikit import engine, multisig, simnet
 from cosikit.engine import (
@@ -33,7 +33,8 @@ from cosikit.engine import (
     view_vote_statement,
 )
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Signature, schnorr_sign
-from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException, CommitTreeProof
+from cosikit.merkle import DigestTree, fold_proof
+from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException
 from cosikit.participation import Threshold
 from cosikit.simnet import FailureAction, SimConfig
 from cosikit.timestamp import GENESIS_HASH, TimestampRecord
@@ -113,7 +114,7 @@ def test_challenge_before_commit_is_ignored():
     node.handle_message(announce_for(roster), now=0.0)
     challenge = Challenge(view=0, round=0, attempt=0, sender=0,
                           challenge=TOY.scalar(3), aggregate_commit=TOY.generator,
-                          commit_root=None, statement=None, proof=CommitTreeProof(()))
+                          commit_root=None, statement=None, proof=NO_PATH)
     assert node.handle_message(challenge, now=0.1) == []
 
 
@@ -193,7 +194,7 @@ def _routed_messages(sender):
                        summaries=(), **head),
         Challenge: Challenge(challenge=TOY.scalar(6), aggregate_commit=elem,
                              commit_root=None, statement=None,
-                             proof=CommitTreeProof(()), **head),
+                             proof=NO_PATH, **head),
         Response: Response(aggregate_response=TOY.scalar(9), absent=frozenset(),
                            failed=frozenset(), refused=frozenset(), exceptions=(), **head),
         Refuse: Refuse(reason=engine.REFUSE_STALE, **head),
@@ -251,13 +252,13 @@ def test_second_conflicting_challenge_refused():
     c1 = multisig.collective_challenge(st.summary.aggregate, b"s")
     ch = Challenge(view=0, round=0, attempt=0, sender=0, challenge=c1,
                    aggregate_commit=st.summary.aggregate, commit_root=None,
-                   statement=None, proof=CommitTreeProof(()))
+                   statement=None, proof=NO_PATH)
     first = node.handle_message(ch, now=0.1)
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in first)
     conflicting = Challenge(view=0, round=0, attempt=0, sender=0,
                             challenge=c1 + TOY.scalar(1),
                             aggregate_commit=st.summary.aggregate, commit_root=None,
-                            statement=None, proof=CommitTreeProof(()))
+                            statement=None, proof=NO_PATH)
     effects = node.handle_message(conflicting, now=0.2)
     assert any(isinstance(e, Send) and isinstance(e.msg, Refuse) for e in effects)
     # the same challenge again just resends the stored response
@@ -271,7 +272,7 @@ def _challenge_for(st, statement=b"s"):
     return Challenge(view=key[0], round=key[1], attempt=key[2], sender=0,
                      challenge=multisig.collective_challenge(st.summary.aggregate, statement),
                      aggregate_commit=st.summary.aggregate, commit_root=None,
-                     statement=None, proof=CommitTreeProof(()))
+                     statement=None, proof=NO_PATH)
 
 
 def test_new_session_discards_unanswered_nonce():
@@ -402,11 +403,10 @@ def _lying_leader_challenge(mode, timing, signed, hook=None):
     st = node.rounds[(0, 0, 0)]
     leader_commit = TOY.generator ** TOY.scalar(5)
     aggregate = leader_commit * st.summary.aggregate
-    root, proof = None, CommitTreeProof(())
+    root, proof = None, NO_PATH
     if mode == MODE_NO_RESTART:
-        inputs = [multisig.commit_leaf_digest(leader_commit), st.summary.tree_hash]
-        root = multisig.commit_node_digest(inputs)
-        proof = CommitTreeProof((multisig.commit_step(inputs, 1),))
+        tree = DigestTree([multisig.commit_leaf_digest(leader_commit), st.summary.tree_hash])
+        root, proof = tree.root, tree.prove(1)
     challenge = Challenge(view=0, round=0, attempt=0, sender=0,
                           challenge=multisig.collective_challenge(aggregate, signed, root),
                           aggregate_commit=aggregate, commit_root=root,
@@ -578,7 +578,7 @@ def test_parent_rejects_a_response_whose_exception_reports_do_not_hold(forgery, 
         if src == 1 and dst == 0 and isinstance(msg, Response):
             # a commit exception for node 3 whose proof folds to no tree hash
             # of node 1's, reported with node 3 absent, or alone
-            bogus = (CommitException(3, sim.group.generator, CommitTreeProof(())),)
+            bogus = (CommitException(3, sim.group.generator, NO_PATH),)
             absent = msg.absent if forgery == "exception-without-dropout" else frozenset({3})
             msg = replace(msg, absent=absent, exceptions=bogus)
         send(src, dst, msg, when)
@@ -769,6 +769,31 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     assert f"dropping Commit from 1: {why}" in caplog.text
 
 
+@pytest.mark.parametrize("forgery", ["duplicate", "nested"])
+def test_commit_with_overlapping_heads_dropped(forgery, caplog):
+    # 15 witnesses, branching 2: node 1 has children 3 and 4, and 3 has 7 and
+    # 8. Node 1's no-restart commit carries 3's head twice, or 3's head and a
+    # head for 7, inside 3's subtree. Contributors head disjoint subtrees;
+    # overlapping heads would let node 1's tree lengthen the paths its parent
+    # builds through it past what the parent's own parent accepts.
+    sim = simnet.CosiSim(SimConfig(seed=4, n=15, branching=2, mode=MODE_NO_RESTART))
+    send = sim._send
+
+    def forging_send(src, dst, msg, when):
+        if src == 1 and isinstance(msg, Commit):
+            head = msg.summaries[0]
+            assert head.index == 3
+            extra = head if forgery == "duplicate" else replace(head, index=7)
+            msg = replace(msg, summaries=msg.summaries + (extra,))
+        send(src, dst, msg, when)
+
+    sim._send = forging_send
+    _, result = sim.run_round(0)
+    assert result.ok and result.failed == frozenset({1})
+    assert result.signature.participation.response_present == frozenset(range(15)) - {1}
+    assert "dropping Commit from 1: its heads overlap" in caplog.text
+
+
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
 def test_only_no_restart_rounds_ship_commit_tree_data(mode):
     """Only a no-restart round binds a commit root, so only there do commits
@@ -793,11 +818,11 @@ def test_only_no_restart_rounds_ship_commit_tree_data(mode):
         assert result.attempts == 2
         assert {m.attempt for m in commits} == {m.attempt for m in challenges} == {0, 1}
         assert all(m.summaries == () for m in commits)
-        assert all(m.proof == CommitTreeProof(()) for m in challenges)
+        assert all(m.proof == NO_PATH for m in challenges)
     else:
         assert result.attempts == 1
         assert {m.sender for m in commits if m.summaries} == {1, 2, 3}
-        assert all(m.proof.steps for m in challenges)
+        assert all(m.proof.path for m in challenges)
 
 
 def test_restart_commit_with_a_summary_dropped(caplog):
@@ -826,7 +851,7 @@ def test_restart_challenge_with_an_audit_path_dropped(caplog):
     # response timer counts node 1 and its subtree out and restarts.
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2))
     send = sim._send
-    path = CommitTreeProof((multisig.CommitStep(0, (bytes(32),)),))
+    path = audit_path((0, bytes(32)))
 
     def lifting_send(src, dst, msg, when):
         if (src, dst) == (0, 1) and isinstance(msg, Challenge):
@@ -948,7 +973,8 @@ def test_copies_of_messages_and_of_a_node_mid_round():
         effects += clone.handle_message(msg, 0.0)
     assert [encode_message(e.msg, group) for e in effects if isinstance(e, Send)] == [
         encode_message(m, group) for m in from_node1]
-    assert [len(m.proof.steps) for m in from_node1 if isinstance(m, Challenge)] == [2, 2, 2]
+    # two steps in node 1's four-input tree, two in the leader's
+    assert [len(m.proof.path) for m in from_node1 if isinstance(m, Challenge)] == [4, 4, 4]
 
 
 def test_whole_subtree_participation_holds_the_shared_empty_set(round_states):
@@ -1022,16 +1048,18 @@ def test_restart_parent_sends_its_children_one_challenge(round_states):
 
 
 # What a finished session answers, as SHA-256 over every reply below; the
-# digests were taken before finished sessions were cut down to `_Finished`.
+# digests were taken before finished sessions were cut down to `_Finished`,
+# and retaken when commit-tree nodes became binary digest trees and the leader
+# stopped answering an echo of its own announce.
 FINISHED_REPLIES = {
     (MODE_RESTART, engine.STATEMENT_AT_ANNOUNCE):
-        "4898254de07268cc21affe63c16468118521569b3119e6ca36edd31c5a4349ab",
+        "8d1547b6fd83b3382cde97cf70f22d7f892d89be6e1532a17450bd593e777a85",
     (MODE_RESTART, engine.STATEMENT_AT_CHALLENGE):
-        "001bf1cc64c5c8f1afb33cf630cdc7293c9c1ad1d20e4bb8bed932a4ee465e63",
+        "72e5b50e810209f64cc0b69ab950fe5b81af15fca65b1b8fb46bd8217f66654c",
     (MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE):
-        "ae458191358f15cf7bb740c0a6facf8bcb9cde49afecfac9fdf850d9d98922b4",
+        "8b12aacec7414505d59df6aa6f040acbf7235487396f7e4bdaeb269b8c9225cc",
     (MODE_NO_RESTART, engine.STATEMENT_AT_CHALLENGE):
-        "316898cf9689c523b96bc61f619245ac74e1e687cb59fb9b302e07f389a02192",
+        "b2c11dbfb031a4d8bf1bf33a838750e93b332323b78655f0dfb9bb39b2297e8f",
 }
 
 
@@ -1093,14 +1121,14 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
                                  sender=node.index, reason=engine.REFUSE_STALE)
             if st.phase == engine.PHASE_REFUSED:
                 assert effects == [Send(ann.sender, refusal)]
+            elif node.index == 0:  # an echo of the leader's own announce
+                assert effects == []
             else:
                 [(dest, reply)] = [(e.dest, e.msg) for e in effects]
                 assert dest == ann.sender and isinstance(reply, Commit)
-                if node.index != 0:  # the leader sent no commit to compare with
-                    commit = [m for m in ups if isinstance(m, Commit)][-1]
-                    answer = [m for m in ups if isinstance(m, Response)][-1]
-                    assert reply == replace(commit, failed=answer.failed,
-                                            refused=answer.refused)
+                commit = [m for m in ups if isinstance(m, Commit)][-1]
+                answer = [m for m in ups if isinstance(m, Response)][-1]
+                assert reply == replace(commit, failed=answer.failed, refused=answer.refused)
             if challenges:
                 ch = challenges[0]
                 again = node.handle_message(ch, 1.0)
@@ -1125,6 +1153,31 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
     assert (superseded > 0) == (mode == MODE_RESTART and timing == engine.STATEMENT_AT_ANNOUNCE)
     assert engine.PHASE_DONE in phases and engine.PHASE_REFUSED in phases
     assert hashlib.sha256(b"".join(replies)).hexdigest() == FINISHED_REPLIES[(mode, timing)]
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_leader_ignores_an_echo_of_its_own_announce(mode):
+    """Node 2 sends the announce it forwards back to the leader, once, while
+    the round runs and again after it: the leader adopts no parent for its
+    own session, so it still builds the challenge and the round signs, and
+    its finished session answers the late echo with nothing."""
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
+    send, echoes = sim._send, []
+
+    def echoing_send(src, dst, msg, when):
+        send(src, dst, msg, when)
+        if src == 2 and isinstance(msg, Announce) and not echoes:
+            echoes.append(msg)
+            send(2, 0, msg, when)
+
+    sim._send = echoing_send
+    _, result = sim.run_round(0)
+    assert echoes and result is not None and result.ok and result.attempts == 1
+    assert multisig.verify_collective(sim.roster, result.statement, result.signature,
+                                      Threshold(7)).ok
+    leader = sim.nodes[0]
+    assert leader.rounds[(0, 0, 0)].parent is None
+    assert leader.handle_message(echoes[0], 5.0) == []
 
 
 def test_nodes_of_a_session_share_its_key_and_config(round_states):
@@ -1365,12 +1418,12 @@ def test_message_codec_roundtrips():
         Challenge(view=0, round=1, attempt=0, sender=2, challenge=TOY.scalar(6),
                   aggregate_commit=elem, commit_root=b"\x04" * 32,
                   statement=b"late",
-                  proof=CommitTreeProof((multisig.CommitStep(1, (b"\x05" * 32,)),))),
+                  proof=audit_path((1, b"\x05" * 32))),
         Response(view=0, round=1, attempt=2, sender=3,
                  aggregate_response=TOY.scalar(9), absent=frozenset({4}),
                  failed=frozenset({4}), refused=frozenset(),
                  exceptions=(CommitException(
-                     4, elem, CommitTreeProof((multisig.CommitStep(0, ()),))),)),
+                     4, elem, audit_path((0, b"\x06" * 32))),)),
         Refuse(view=0, round=0, attempt=0, sender=1, reason=engine.REFUSE_STATEMENT),
         ViewChange(proposed_view=3, signer=2,
                    signature=Signature(TOY.generator, TOY.scalar(2))),
@@ -1394,31 +1447,28 @@ def test_frame_bytes_pinned():
     def d(b):
         return bytes([b]) * 32
 
-    step = multisig.CommitStep
     challenge = Challenge(view=1, round=7, attempt=1, sender=2, challenge=TOY.scalar(6),
                           aggregate_commit=e3, commit_root=d(4), statement=None,
-                          proof=CommitTreeProof((step(1, (d(5),)), step(0, (d(6), d(7))))))
+                          proof=audit_path((1, d(5)), (0, d(6)), (1, d(7))))
     response = Response(
         view=1, round=7, attempt=1, sender=3, aggregate_response=TOY.scalar(9),
         absent=frozenset({3, 5}), failed=frozenset({5}), refused=frozenset(),
-        exceptions=(CommitException(3, e3, CommitTreeProof((step(0, (d(8),)),
-                                                            step(2, (d(9), d(10)))))),
-                    CommitException(5, e5, CommitTreeProof((step(1, (d(11),)),)))))
+        exceptions=(CommitException(3, e3, audit_path((0, d(8)), (1, d(9)), (0, d(10)))),
+                    CommitException(5, e5, audit_path((1, d(11))))))
     # recorded bytes: a change here is a wire-format change
     pinned = {
-        challenge: ("000000a303000000010000000700010000000206000800010000002004040404"
-                    "0404040404040404040404040404040404040404040404040404040400000200"
-                    "0100010505050505050505050505050505050505050505050505050505050505"
-                    "0505050000000206060606060606060606060606060606060606060606060606"
-                    "0606060606060607070707070707070707070707070707070707070707070707"
-                    "07070707070707"),
-        response: ("000000c104000000010000000700010000000309000002000000030000000500"
-                   "0100000005000000020000000308000002000000010808080808080808080808"
-                   "0808080808080808080808080808080808080808080002000209090909090909"
-                   "090909090909090909090909090909090909090909090909090a0a0a0a0a0a0a"
-                   "0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a00000005090000"
-                   "01000100010b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"
-                   "0b0b0b0b0b"),
+        challenge: ("0000009e03000000010000000700010000000206000800010000002004040404"
+                    "0404040404040404040404040404040404040404040404040404040400000301"
+                    "0505050505050505050505050505050505050505050505050505050505050505"
+                    "0006060606060606060606060606060606060606060606060606060606060606"
+                    "0601070707070707070707070707070707070707070707070707070707070707"
+                    "0707"),
+        response: ("000000b904000000010000000700010000000309000002000000030000000500"
+                   "0100000005000000020000000308000003000808080808080808080808080808"
+                   "0808080808080808080808080808080808080109090909090909090909090909"
+                   "09090909090909090909090909090909090909000a0a0a0a0a0a0a0a0a0a0a0a"
+                   "0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0000000509000001010b0b0b"
+                   "0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"),
     }
     for msg, frame_hex in pinned.items():
         frame = encode_message(msg, TOY)
@@ -1434,10 +1484,8 @@ _WITNESSES = 64  # the roster size that drawn frames are decoded against
 _INDEX = st.integers(0, _WITNESSES - 1)
 _INDEX_SET = st.frozensets(_INDEX, max_size=6)
 _OPT_BYTES = st.none() | st.binary(max_size=48)
-_STEP = st.lists(_DIGEST, max_size=4).flatmap(
-    lambda others: st.builds(multisig.CommitStep, st.integers(0, len(others)),
-                             st.just(tuple(others))))
-_PROOF = st.lists(_STEP, max_size=4).map(lambda steps: CommitTreeProof(tuple(steps)))
+_PROOF = st.lists(st.tuples(st.integers(0, 1), _DIGEST), max_size=6).map(
+    lambda steps: audit_path(*steps))
 
 
 def _message_strategies(group):
@@ -1502,16 +1550,14 @@ def test_mutated_pinned_frames_decode_only_to_themselves():
     def d(b):
         return bytes([b]) * 32
 
-    step = multisig.CommitStep
     challenge = Challenge(view=1, round=7, attempt=1, sender=2, challenge=TOY.scalar(6),
                           aggregate_commit=e3, commit_root=d(4), statement=None,
-                          proof=CommitTreeProof((step(1, (d(5),)), step(0, (d(6), d(7))))))
+                          proof=audit_path((1, d(5)), (0, d(6)), (1, d(7))))
     response = Response(
         view=1, round=7, attempt=1, sender=3, aggregate_response=TOY.scalar(9),
         absent=frozenset({3, 5}), failed=frozenset({5}), refused=frozenset(),
-        exceptions=(CommitException(3, e3, CommitTreeProof((step(0, (d(8),)),
-                                                            step(2, (d(9), d(10)))))),
-                    CommitException(5, e5, CommitTreeProof((step(1, (d(11),)),)))))
+        exceptions=(CommitException(3, e3, audit_path((0, d(8)), (1, d(9)), (0, d(10)))),
+                    CommitException(5, e5, audit_path((1, d(11))))))
     accepted = 0
     for msg in (challenge, response):
         body = encode_message(msg, TOY)[4:]
@@ -1550,7 +1596,7 @@ def test_frame_rejects_mixed_order_element(field, mixed_generator):
         return g if field == name else h
 
     if field == "exception":
-        proof = CommitTreeProof((multisig.CommitStep(0, (b"\x08" * 32,)),))
+        proof = audit_path((0, b"\x08" * 32))
         msg = Response(view=0, round=1, attempt=0, sender=2,
                        aggregate_response=ED25519.scalar(9), absent=frozenset({3}),
                        failed=frozenset(), refused=frozenset(),
@@ -1570,8 +1616,7 @@ def test_frame_rejects_mixed_order_element(field, mixed_generator):
 
 def test_every_cut_of_a_record_frame_rejected():
     elem = KeyPair.from_secret(TOY, 3).public
-    proof = CommitTreeProof((multisig.CommitStep(1, (b"\x04" * 32, b"\x05" * 32)),
-                             multisig.CommitStep(0, (b"\x06" * 32,))))
+    proof = audit_path((1, b"\x04" * 32), (0, b"\x05" * 32), (1, b"\x06" * 32))
     response = Response(view=0, round=1, attempt=0, sender=2,
                         aggregate_response=TOY.scalar(9), absent=frozenset({3, 5}),
                         failed=frozenset({6}), refused=frozenset(),
@@ -1593,7 +1638,7 @@ def test_every_cut_of_a_record_frame_rejected():
 def test_frame_records_checked_before_any_element_decode(monkeypatch, kind, patch):
     elem = KeyPair.from_secret(TOY, 3).public
     if kind == "response":
-        proof = CommitTreeProof((multisig.CommitStep(0, (b"\x08" * 32,)),))
+        proof = audit_path((0, b"\x08" * 32))
         msg = Response(view=0, round=1, attempt=0, sender=2,
                        aggregate_response=TOY.scalar(9), absent=frozenset({3, 5}),
                        failed=frozenset(), refused=frozenset(),
@@ -1639,3 +1684,148 @@ def test_frame_records_checked_before_any_element_decode(monkeypatch, kind, patc
     with pytest.raises(ValueError):
         decode_frame_body(bytes(data), TOY, 7)
     assert len(calls) == decoded
+
+
+# -- the commit tree, rebuilt apart from cosikit -------------------------------------
+
+# The toy group (2 generating the order-11 subgroup of Z_23*, elements as two
+# little-endian bytes) and the Merkle domain tags, copied from the protocol's
+# documentation so that a fault in cosikit's own hashing cannot hide itself.
+_TOY_P, _TOY_G = 23, 2
+_TAG_LEAF, _TAG_NODE = b"cosi/merkle/leaf/v1", b"cosi/merkle/node/v1"
+
+
+def _oracle_root(digests):
+    """Binary Merkle root over digests; an odd level duplicates its last."""
+    level = list(digests)
+    while len(level) > 1:
+        if len(level) % 2:
+            level.append(level[-1])
+        level = [hashlib.sha256(_TAG_NODE + level[i] + level[i + 1]).digest()
+                 for i in range(0, len(level), 2)]
+    return level[0]
+
+
+def _oracle_fold(digest, proof_bytes):
+    """The root an audit path's wire bytes lift `digest` to: a u16 step count,
+    then per step a side byte (1: the sibling sits on the right) and a digest."""
+    count = int.from_bytes(proof_bytes[:2], "big")
+    assert len(proof_bytes) == 2 + 33 * count
+    for k in range(count):
+        side, sibling = proof_bytes[2 + 33 * k], proof_bytes[3 + 33 * k:35 + 33 * k]
+        pair = digest + sibling if side == 1 else sibling + digest
+        digest = hashlib.sha256(_TAG_NODE + pair).digest()
+    return digest
+
+
+def test_commit_root_matches_an_oracle_built_from_hashlib():
+    """A no-restart toy round at N=13, B=3 whose interior node 1 lies: the
+    signed commit root is the binary digest tree over each node's own commit
+    leaf, then its children's tree hashes in index order, rebuilt from each
+    node's nonce and the breadth-first tree; node 1's exception proof folds
+    its commit up to that root."""
+    n, b = 13, 3
+    sim = simnet.CosiSim(SimConfig(seed=11, n=n, branching=b, mode=MODE_NO_RESTART,
+                                   failures=(FailureAction(1, "response", "lie"),)))
+    _, result = sim.run_round(0)
+    sig = result.signature
+    assert result.ok and [e.index for e in sig.exceptions] == [1]
+
+    def leaf(i):
+        [(*_, nonce, _)] = sim.nodes[i].nonce_log
+        element = pow(_TOY_G, nonce, _TOY_P).to_bytes(2, "little")
+        return hashlib.sha256(_TAG_LEAF + element).digest()
+
+    def tree_hash(i):
+        children = [c for c in range(n) if c and (c - 1) // b == i]
+        return _oracle_root([leaf(i)] + [tree_hash(c) for c in children])
+
+    assert sig.commit_root == tree_hash(0)
+    [exc] = sig.exceptions
+    assert hashlib.sha256(_TAG_LEAF + exc.commit.encode()).digest() == leaf(1)
+    assert _oracle_fold(leaf(1), exc.proof.encode()) == sig.commit_root
+    # its own four-input tree, then the leader's
+    assert len(exc.proof.path) == 4
+
+
+def _exception_frames(sim):
+    """Records every Response with exceptions that the simulator sends."""
+    frames, send = [], sim._send
+
+    def recording_send(src, dst, msg, when):
+        if isinstance(msg, Response) and msg.exceptions:
+            frames.append(msg)
+        send(src, dst, msg, when)
+
+    sim._send = recording_send
+    return frames
+
+
+@pytest.mark.parametrize("case", ["chain", "bridged-grandchild"])
+def test_deepest_honest_proofs_decode(case):
+    """A proof's step count is bounded by the roster size, and the deepest
+    honest proofs stay within it: at branching 1 and N=64 the last node's
+    exception climbs 63 one-step levels; node 5, a liar bridged past its lying
+    parent 1, is proved within 1's tree and then the leader's. Every frame
+    and the signature that carry them decode against the roster."""
+    if case == "chain":
+        cfg = SimConfig(seed=3, n=64, branching=1, mode=MODE_NO_RESTART,
+                        failures=(FailureAction(63, "response", "lie"),))
+        depths = {63: 63}
+    else:
+        cfg = SimConfig(seed=32, n=13, branching=3, mode=MODE_NO_RESTART,
+                        failures=(FailureAction(1, "response", "lie"),
+                                  FailureAction(5, "response", "lie")))
+        depths = {1: 4, 5: 4}
+    sim = simnet.CosiSim(cfg)
+    frames = _exception_frames(sim)
+    _, result = sim.run_round(0)
+    sig = result.signature
+    assert result.ok and {e.index: len(e.proof.path) for e in sig.exceptions} == depths
+    assert frames
+    for msg in frames:
+        assert decode_frame_body(encode_message(msg, TOY)[4:], TOY, cfg.n) == msg
+    assert multisig.CollectiveSignature.from_bytes(sig.to_bytes(), cfg.n) == sig
+    assert multisig.verify_collective(sim.roster, result.statement, sig,
+                                      Threshold(cfg.n - len(depths))).ok
+
+
+def test_interior_liar_with_an_overlong_exception_proof_is_rejected():
+    """Node 5, a leaf, commits to its parent 2 with a forged tree hash: the
+    fold of its commit along N-1 made-up steps, which node 2 takes into its
+    own tree. Node 2 then reports 5 dropped and proves 5's commit along those
+    steps and its own, N steps that fold to 2's tree hash. Composed with the
+    leader's two, the path would outgrow any frame or signature the roster
+    may decode, so the leader rejects 2's partial, bridges to 5, and signs
+    without 2 alone."""
+    n = 6
+    sim = simnet.CosiSim(SimConfig(seed=5, n=n, branching=2, mode=MODE_NO_RESTART))
+    forged = audit_path(*[(k % 2, bytes([k]) * 32) for k in range(n - 1)])
+    send = sim._send
+
+    def colluding_send(src, dst, msg, when):
+        if (src, dst) == (5, 2) and isinstance(msg, Commit):
+            # 5 takes the forged hash for its own, so it accepts the
+            # challenges whose paths lift that hash
+            st = sim.nodes[5].rounds[(0, 0, 0)]
+            forged_hash = fold_proof(multisig.commit_leaf_digest(msg.commit), forged)
+            st.summary = replace(st.summary, tree_hash=forged_hash)
+            msg = replace(msg, tree_hash=forged_hash)
+        elif (src, dst) == (5, 2) and isinstance(msg, Response):
+            return  # node 2 reports 5 dropped
+        elif (src, dst) == (2, 0) and isinstance(msg, Response):
+            [exc] = msg.exceptions
+            assert exc.index == 5 and exc.proof.step_count == 1
+            long = CommitException(5, exc.commit, forged.compose(exc.proof))
+            assert long.proof.step_count == n
+            msg = replace(msg, exceptions=(long,))
+        send(src, dst, msg, when)
+
+    sim._send = colluding_send
+    _, result = sim.run_round(0)
+    sig = result.signature
+    assert result.ok and 2 in result.failed and 5 not in result.failed
+    assert [e.index for e in sig.exceptions] == [2]
+    assert all(e.proof.step_count < n for e in sig.exceptions)
+    assert multisig.CollectiveSignature.from_bytes(sig.to_bytes(), n) == sig
+    assert multisig.verify_collective(sim.roster, result.statement, sig, Threshold(n - 1)).ok

@@ -6,11 +6,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_cuts_rejected, make_toy_roster, manual_round, swap_generator
+from conftest import assert_cuts_rejected, audit_path, make_toy_roster, manual_round, \
+    swap_generator
 
 from cosikit import multisig
-from cosikit.group import ED25519, TOY, DecodeError, KeyPair, challenge_hash, keygen, \
-    prove_possession
+from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Reader, challenge_hash, \
+    keygen, prove_possession
 from cosikit.group import TAG_SIGN, Ed25519Group
 from cosikit.multisig import (
     MODE_NO_RESTART,
@@ -18,7 +19,6 @@ from cosikit.multisig import (
     CollectiveSignature,
     CommitException,
     CommitTree,
-    CommitTreeProof,
     MultisigError,
     aggregate_elements,
     aggregate_public_key,
@@ -530,17 +530,17 @@ def test_no_restart_signature_bytes_pinned():
     sig = manual_round(make_toy_roster(secrets), secrets, b"pinned",
                        response_absent={1, 5}, mode=MODE_NO_RESTART)
     # recorded bytes: a change here is a wire-format change
-    pinned = ("4353473102017670ce865a7a4f17f6e4ff83e87326a17165029302597df9dadc"
-              "755cd6d4fd280600060002000000015d0002000000010900008a000200000002"
-              "c3661faf3ee337a9d6cdfc2bfc4b989e3516db5c90d29fb2b9014a5ccab5539b"
-              "fafed9e80b16f1bf997df0aeadaed3e0b5880be8f46323b7aa4b099440d7198e"
-              "00010002fafed9e80b16f1bf997df0aeadaed3e0b5880be8f46323b7aa4b0994"
-              "40d7198eab5c98a866fd06952bcdab400878cf29f8f8e4b0e1865536150ceaba"
-              "12cb6bf9000000050200008a000200010002935b8473db4a4e3b33d0bdb61669"
-              "e64a828a4c112d19682ededa16a31ad6bd8efafed9e80b16f1bf997df0aeadae"
-              "d3e0b5880be8f46323b7aa4b099440d7198e00020002fafed9e80b16f1bf997d"
-              "f0aeadaed3e0b5880be8f46323b7aa4b099440d7198ef8dc0380163a69aa669b"
-              "6085c738c1cc160a73cd22e49132ca6fba9e9d721737")
+    pinned = ("435347310201295f03a5c553ceaac2ef50e226908e313634d59be4bdf69e5529"
+              "19c13d6a0abf0a00070002000000015d0002000000010900000401c3661faf3e"
+              "e337a9d6cdfc2bfc4b989e3516db5c90d29fb2b9014a5ccab5539b0183601dc3"
+              "48b6af002db955eccdb14f285248d0c227f1a9a0949cf6a5e4d8771b00fafed9"
+              "e80b16f1bf997df0aeadaed3e0b5880be8f46323b7aa4b099440d7198e012e28"
+              "eee08855b1f115c6e474ac5834a21c41a067cba96206e5e5ce51d3f66dee0000"
+              "00050200000400935b8473db4a4e3b33d0bdb61669e64a828a4c112d19682ede"
+              "da16a31ad6bd8e0183601dc348b6af002db955eccdb14f285248d0c227f1a9a0"
+              "949cf6a5e4d8771b01dc2bb8eeb38debd04ba9415a1c365c77c1b4d17e2e7633"
+              "153532ba05b67f663400f76dde26d97f9ee6b122b544f141ec9494e5264fb931"
+              "0eb72a5fd53180608127")
     assert sig.to_bytes().hex() == pinned
     assert CollectiveSignature.from_bytes(sig.to_bytes(), 7) == sig
 
@@ -553,7 +553,7 @@ def _exception_blob():
                        response_absent={1, 5}, mode=MODE_NO_RESTART)
     count_at = len(dataclasses.replace(sig, exceptions=()).to_bytes()) - 2
     first = count_at + 2
-    second = first + 4 + TOY.element_size + 2 + len(sig.exceptions[0].proof.encode())
+    second = first + 4 + TOY.element_size + len(sig.exceptions[0].proof.encode())
     return bytearray(sig.to_bytes()), count_at, (first, second)
 
 
@@ -592,17 +592,18 @@ def test_every_cut_of_an_exception_signature_rejected():
     secrets = [3, 4, 5, 6, 7, 8, 9]
     sig = manual_round(make_toy_roster(secrets), secrets, b"cuts",
                        response_absent={3, 6}, mode=MODE_NO_RESTART)
-    assert [len(e.proof.steps) for e in sig.exceptions] == [2, 2]
+    assert [len(e.proof.path) for e in sig.exceptions] == [4, 4]
     data = sig.to_bytes()
     assert CollectiveSignature.from_bytes(data, 7) == sig
     assert_cuts_rejected(lambda d: CollectiveSignature.from_bytes(d, 7), data)
 
 
-def test_step_position_past_its_digests_is_a_decode_error():
-    """A commit-tree proof step whose position exceeds its digest count is a
-    malformed encoding, in a signature and in a frame alike."""
+def test_side_byte_other_than_0_or_1_is_a_decode_error():
+    """An audit step's side byte names the sibling's side, left (0) or right
+    (1); any other value is a malformed encoding, in a signature and in a
+    frame alike."""
     elem = KeyPair.from_secret(TOY, 3).public
-    proof = CommitTreeProof((multisig.CommitStep(2, (b"\x04" * 32, b"\x05" * 32)),))
+    proof = audit_path((0, b"\x04" * 32), (1, b"\x05" * 32))
     encoded = proof.encode()
     sig = CollectiveSignature(
         group=TOY, mode=MODE_NO_RESTART, challenge=TOY.scalar(5), response=TOY.scalar(7),
@@ -615,11 +616,57 @@ def test_step_position_past_its_digests_is_a_decode_error():
         exceptions=(CommitException(1, elem, proof),)), TOY)[4:]
     for data, decode in ((sig.to_bytes(), lambda d: CollectiveSignature.from_bytes(d, 3)),
                          (frame, lambda d: decode_frame_body(d, TOY, 3))):
-        at = data.index(encoded) + 2  # past the step count
-        assert decode(data).exceptions[0].proof == proof  # position 2 of 2 digests
-        bad = data[:at] + (3).to_bytes(2, "big") + data[at + 2:]
-        with pytest.raises(DecodeError, match="position out of range"):
-            decode(bad)
+        at = data.index(encoded) + 2 + 33  # the second step's side byte
+        assert decode(data).exceptions[0].proof == proof
+        for side in (2, 255):
+            bad = data[:at] + bytes([side]) + data[at + 1:]
+            with pytest.raises(DecodeError, match="bad audit step side"):
+                decode(bad)
+
+
+@pytest.mark.parametrize("where", ["signature", "frame"])
+def test_proof_longer_than_the_roster_rejected_before_any_digest(monkeypatch, where):
+    """A commit-tree proof's step count is bounded by the roster size, as an
+    honest path has fewer steps than witnesses: a count past it fails before
+    any step is read, and in a signature before any commit is decoded."""
+    elem = KeyPair.from_secret(TOY, 3).public
+    proof = audit_path(*[(0, bytes([k]) * 32) for k in range(3)])
+    exc = CommitException(1, elem, proof)
+    if where == "signature":
+        data = CollectiveSignature(
+            group=TOY, mode=MODE_NO_RESTART, challenge=TOY.scalar(5), response=TOY.scalar(7),
+            participation=ParticipationSet(count=3, response_present=frozenset({0, 2}),
+                                           commit_present=frozenset({0, 1, 2})),
+            commit_root=b"\x01" * 32, exceptions=(exc,)).to_bytes()
+
+        def decode(d):
+            return CollectiveSignature.from_bytes(d, 3)
+    else:
+        data = encode_message(Response(
+            view=0, round=1, attempt=0, sender=0, aggregate_response=TOY.scalar(9),
+            absent=frozenset({1}), failed=frozenset(), refused=frozenset(),
+            exceptions=(exc,)), TOY)[4:]
+
+        def decode(d):
+            return decode_frame_body(d, TOY, 3)
+    assert decode(data).exceptions == (exc,)  # three steps for three witnesses
+    at = data.index(proof.encode())
+    # four steps' worth of bytes, so only the bound can reject the count
+    longer = audit_path(*[(0, bytes([k]) * 32) for k in range(4)]).encode()
+    calls = []
+    read = Reader.take
+
+    def counted(self, n):
+        calls.append(n)
+        return read(self, n)
+
+    if where == "signature":
+        monkeypatch.setattr(type(TOY), "decode_element",
+                            lambda self, raw: pytest.fail("a commit was decoded"))
+    monkeypatch.setattr(Reader, "take", counted)
+    with pytest.raises(DecodeError, match="4 records for 3 witnesses"):
+        decode(data[:at] + longer + data[at + len(proof.encode()):])
+    assert calls[-1] == 2  # the step count was the last read
 
 
 def test_exception_commit_outside_subgroup_rejected(mixed_generator):
@@ -629,8 +676,7 @@ def test_exception_commit_outside_subgroup_rejected(mixed_generator):
         participation=ParticipationSet(count=3, response_present=frozenset({0, 2}),
                                        commit_present=frozenset({0, 1, 2})),
         commit_root=b"\x01" * 32,
-        exceptions=(CommitException(1, ED25519.generator, CommitTreeProof(
-            (multisig.CommitStep(0, (b"\x02" * 32,)),))),))
+        exceptions=(CommitException(1, ED25519.generator, audit_path((0, b"\x02" * 32))),))
     data = sig.to_bytes()
     assert CollectiveSignature.from_bytes(data, 3) == sig
     with pytest.raises(DecodeError, match="prime-order subgroup"):

@@ -17,7 +17,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_toy_roster
+from conftest import NO_PATH, make_toy_roster
 from cosikit import multisig, participation
 from cosikit.group import TOY, DecodeError
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CollectiveSignature, CommitException
@@ -118,8 +118,7 @@ def signature(pset: ParticipationSet, exceptions=None) -> CollectiveSignature:
     return CollectiveSignature(
         group=TOY, mode=MODE_NO_RESTART, challenge=TOY.scalar(3), response=TOY.scalar(5),
         participation=pset, commit_root=ROOT,
-        exceptions=tuple(CommitException(i, TOY.generator, multisig.CommitTreeProof(()))
-                         for i in exceptions))
+        exceptions=tuple(CommitException(i, TOY.generator, NO_PATH) for i in exceptions))
 
 
 # -- round trips and verdicts ------------------------------------------------
@@ -206,9 +205,8 @@ def _splice(count: int, participation_bytes: bytes, exceptions: list[int]) -> by
     """Signature bytes with the given participation encoding and exception
     records, however malformed."""
     head = signature(ParticipationSet(count, frozenset(range(count)))).to_bytes()
-    proof = multisig.CommitTreeProof(()).encode()
-    records = b"".join(i.to_bytes(4, "big") + TOY.generator.encode()
-                       + len(proof).to_bytes(2, "big") + proof for i in exceptions)
+    records = b"".join(i.to_bytes(4, "big") + TOY.generator.encode() + NO_PATH.encode()
+                       for i in exceptions)
     return (head[:PARTICIPATION_OFFSET] + participation_bytes
             + len(exceptions).to_bytes(2, "big") + records)
 

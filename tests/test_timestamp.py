@@ -13,7 +13,7 @@ from conftest import assert_cuts_rejected, make_roster, make_toy_roster, manual_
 from cosikit import merkle
 from cosikit.group import ED25519
 from cosikit.merkle import InclusionProof, MerkleTree, empty_tree_root, leaf_hash
-from cosikit.multisig import MODE_NO_RESTART
+from cosikit.multisig import MODE_NO_RESTART, CommitTree, verify_commit_inclusion
 from cosikit.participation import Threshold
 from cosikit.roster import compact_certificate, full_certificate
 from cosikit.timestamp import (
@@ -543,10 +543,27 @@ def test_scalable_seven_witnesses():
     # composition associativity: local proof + witness path == direct proof
     for i in range(7):
         local = tree.local_trees[i].prove(0)
-        up = tree.witness_to_root_proof(i)
+        up = tree.prove(i)
         assert local.compose(up) == tree.prove_request(i, 0)
         folded = merkle.fold_proof(merkle.leaf_hash(queues[i][0]), local.compose(up))
         assert folded == tree.root
+
+
+@pytest.mark.parametrize("n, branching, failed", [(1, 2, ()), (7, 2, ()), (13, 3, (2,)),
+                                                  (20, 4, (1, 7))])
+def test_commit_tree_and_stamp_tree_share_one_rule(n, branching, failed):
+    """Given the same digest at every node, the commit tree and the global
+    stamp tree are one tree: the same root and the same proof for each node.
+    An Ed25519 commit's encoding is 32 bytes, so a stamp queue holding only
+    it has the commit's leaf digest as its local root."""
+    topo = tree_for(n, branching, 0, failed=set(failed))
+    commits = {i: ED25519.generator ** (i + 2) for i in topo.members}
+    commit_tree = CommitTree(topo, commits)
+    stamp_tree = GlobalStampTree(topo, {i: [c.encode()] for i, c in commits.items()})
+    assert commit_tree.root == stamp_tree.root
+    for i in topo.members:
+        assert commit_tree.prove(i) == stamp_tree.prove(i)
+        assert verify_commit_inclusion(stamp_tree.root, commits[i], stamp_tree.prove(i))
 
 
 def test_scalable_empty_witness_queues():
