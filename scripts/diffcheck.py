@@ -23,8 +23,9 @@ its exception.
 Exits 0 when every case matches. Otherwise it prints the first differing
 case's seed, field and configuration, then every field path that differs over
 all the cases, list indices collapsed to `[]` (`rounds[].latency`), each with
-its count of cases and its first seed, and exits 1. A declared behaviour
-change can so list exactly what moved.
+its count of cases, how many of those ran in each mode, and its first seed,
+and exits 1. A declared behaviour change can so list exactly what moved, and
+in which mode.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from pathlib import Path
 from typing import Optional
 
 REPO = Path(__file__).resolve().parent.parent
+MODES = ("restart", "norestart")
 PHASES = ("announce", "commit", "challenge", "response")
 BEHAVIORS = ("crash", "omit", "lie")
 # validation policies under which witnesses refuse the simulator's statements;
@@ -54,7 +56,7 @@ def draw_sim_case(seed: int) -> dict:
     n = rng.randint(1, 200)
     case = {
         "seed": seed, "n": n, "branching": rng.randint(1, 5),
-        "mode": rng.choice(("restart", "norestart")),
+        "mode": rng.choice(MODES),
         "statement_timing": rng.randint(0, 1),
         "view_change": rng.random() < 0.5,
         "failures": [[rng.randrange(n), rng.choice(PHASES), rng.choice(BEHAVIORS)]
@@ -139,11 +141,12 @@ def compare(base_src: Path, here_src: Path, cases: int = 1000,
     """Run the cases against both trees' `src`, side by side. Returns the
     number of cases compared and, if any differ, a report (None if every case
     matched): the first differing case's seed, field and configuration, then
-    each differing field path with its count of cases and its first seed."""
+    each differing field path with its count of cases, its cases per mode,
+    and its first seed."""
     base_proc, base_lines = _lines(base_src, cases, first_seed)
     here_proc, here_lines = _lines(here_src, cases, first_seed)
     compared, differing, report = 0, 0, []
-    paths: dict[str, list[int]] = {}  # collapsed path -> [cases, first seed]
+    paths: dict[str, tuple] = {}  # collapsed path -> (first seed, cases per mode)
     try:
         for seed in range(first_seed, first_seed + cases):
             base_line, here_line = next(base_lines, ""), next(here_lines, "")
@@ -162,7 +165,8 @@ def compare(base_src: Path, here_src: Path, cases: int = 1000,
                            f"  case: {json.dumps(base['case'])}"]
             differing += 1
             for path in dict.fromkeys(re.sub(r"\[\d+\]", "[]", p) for p, _ in found):
-                paths.setdefault(path, [0, seed])[0] += 1
+                modes = paths.setdefault(path, (seed, dict.fromkeys(MODES, 0)))[1]
+                modes[base["case"]["mode"]] += 1
     finally:
         for proc in (base_proc, here_proc):
             proc.kill()
@@ -170,8 +174,10 @@ def compare(base_src: Path, here_src: Path, cases: int = 1000,
             proc.stdout.close()
     if differing:
         report.append(f"fields that differ, in {differing} of {compared} cases:")
-        report += [f"  {path}: {count} cases, first seed {first}"
-                   for path, (count, first) in sorted(paths.items())]
+        report += [f"  {path}: {sum(modes.values())} cases ("
+                   + ", ".join(f"{n} {mode}" for mode, n in modes.items())
+                   + f"), first seed {first}"
+                   for path, (first, modes) in sorted(paths.items())]
     return compared, "\n".join(report) or None
 
 

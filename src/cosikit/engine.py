@@ -8,11 +8,12 @@ replays the round from phase 1, no-restart mode documents commit-phase
 dropouts in the participation set and response-phase dropouts as commit
 exceptions, bridging past dead interior nodes to their children with the
 announce that opened the round at the bridging node. Only no-restart mode
-binds a commit root, so only its commits carry their contributors' heads and
-only its challenges carry audit paths. A commit-tree node's hash is the
-binary digest tree over its own commit leaf and its contributors' hashes
-(`multisig.CommitTree`'s rule), and every audit path, in a challenge or a
-commit exception, is a `merkle.InclusionProof` composed node by node. A
+binds a commit root, so each mode has its own commit and challenge forms,
+whose frame tags name the mode, and a session drops the other mode's: only
+no-restart commits carry commit-tree data, and only no-restart challenges
+audit paths. A commit-tree node's hash is the binary digest tree over its own
+commit leaf and its contributors' hashes (`multisig.CommitTree`'s rule), and
+every audit path is a `merkle.InclusionProof` composed node by node. A
 leader carries each round's statement and its failed and refused witnesses
 from attempt to attempt, so a round restarts with its own data however rounds
 overlap. A leader adopts no parent for its own session, whoever echoes its
@@ -45,7 +46,7 @@ subtree, and the challenge it answered (at the leader, the one it built),
 which it sends on with its own sender and audit path. A session's witnesses
 share one key tuple and one `RoundConfig`, derived from its announce. Once a
 session is done or refused, the node keeps of it only what a later frame for it
-reads (`_Finished`): the phase, the mode, the parent and the return address,
+reads (`_Finished`): the phase, the config, the parent and the return address,
 the challenge scalar it answered, the response or refusal it sent, and what
 rebuilds the commit it sent up (its head, in no-restart mode its contributors'
 heads, and the final failed and refused sets); a nonce it answered with stays
@@ -96,8 +97,8 @@ SUBTREE_KEY_MEMO = 64
 # Rounds' states a node keeps (`SigningNode.rounds`), oldest dropped first, so
 # that a late or repeated frame still gets its answer. Of a finished round a
 # node keeps only what such a frame reads (`_Finished`): under tracemalloc, in
-# the toy group at N=256 and B=16, about 610 bytes per node in restart mode and
-# 690 in no-restart mode, so some 10 and 11 KB per node for all of them.
+# the toy group at N=256 and B=16, about 510 bytes per node in restart mode and
+# 690 in no-restart mode, so some 8 and 11 KB per node for all of them.
 ROUND_STATES_KEPT = 16
 
 # Seconds a non-leader waits for a due round to reach it before it votes for
@@ -291,9 +292,6 @@ _BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u3
 _OPT_BYTES = _opt_bytes()
 _PROOF = _Kind(lambda v: v.encode(), lambda r, g: read_commit_proof(r),
                size=lambda v, g: len(v.data))
-# The empty audit path, which every restart challenge carries: it binds no
-# commit root, so no node folds a path up to one.
-_NO_PATH = InclusionProof(b"\x00\x00")
 
 
 class _Layout:
@@ -377,9 +375,9 @@ class SubtreeSummary:
     its contributors', for the recipient to build exceptions and bridge past."""
 
     index: int
-    commit: GroupElement  # the node's individual commit
+    commit: Optional[GroupElement]  # the node's individual commit; none in restart mode
     aggregate: GroupElement  # its subtree aggregate commit
-    tree_hash: bytes
+    tree_hash: Optional[bytes]  # none in restart mode, which binds no commit tree
     absent: frozenset[int]  # commit-phase absences within its subtree
 
     layout = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("aggregate", _ELEMENT),
@@ -397,14 +395,14 @@ def _audit_steps(head: SubtreeSummary, contributors, nodes) -> list[InclusionPro
 
 
 @dataclass(frozen=True, slots=True)
-class Commit(_Routed):
+class Commit(_Routed):  # a no-restart commit
     aggregate: GroupElement  # subtree aggregate commit
     commit: GroupElement  # sender's individual commit
     tree_hash: bytes
     absent: frozenset[int]  # commit-phase absences within the sender's subtree
     failed: frozenset[int]
     refused: frozenset[int]
-    summaries: tuple[SubtreeSummary, ...]  # none in restart mode
+    summaries: tuple[SubtreeSummary, ...]
 
     tag = 2
     layout = _Layout(*_HEADER, ("aggregate", _ELEMENT), ("commit", _ELEMENT),
@@ -413,18 +411,40 @@ class Commit(_Routed):
 
 
 @dataclass(frozen=True, slots=True)
-class Challenge(_Routed):
+class RestartCommit(_Routed):  # all that a restart node reads of a child's subtree
+    aggregate: GroupElement
+    absent: frozenset[int]
+    failed: frozenset[int]
+    refused: frozenset[int]
+
+    tag = 9
+    layout = _Layout(*_HEADER, ("aggregate", _ELEMENT), ("absent", _INDEX_SET),
+                     ("failed", _INDEX_SET), ("refused", _INDEX_SET))
+
+
+@dataclass(frozen=True, slots=True)
+class Challenge(_Routed):  # a no-restart challenge
     challenge: Scalar
     aggregate_commit: GroupElement
     commit_root: Optional[bytes]
     statement: Optional[bytes]
-    proof: InclusionProof  # the recipient's subtree hash up to the commit root;
-    # `_NO_PATH` in restart mode
+    proof: InclusionProof  # the recipient's subtree hash up to the commit root
 
     tag = 3
     layout = _Layout(*_HEADER, ("challenge", _SCALAR), ("aggregate_commit", _ELEMENT),
                      ("commit_root", _opt_bytes(DIGEST_SIZE)), ("statement", _OPT_BYTES),
                      ("proof", _PROOF))
+
+
+@dataclass(frozen=True, slots=True)
+class RestartChallenge(_Routed):
+    challenge: Scalar
+    aggregate_commit: GroupElement
+    statement: Optional[bytes]
+
+    tag = 10
+    layout = _Layout(*_HEADER, ("challenge", _SCALAR), ("aggregate_commit", _ELEMENT),
+                     ("statement", _OPT_BYTES))
 
 
 # A Response's commit exceptions; a signature writes them its own way.
@@ -486,8 +506,12 @@ class StampReply:
 
 
 Message = (Announce | Commit | Challenge | Response | Refuse | ViewChange
-           | StampRequest | StampReply)
+           | StampRequest | StampReply | RestartCommit | RestartChallenge)
 _MESSAGE_TYPES = {cls.tag: cls for cls in get_args(Message)}
+_COMMITS, _CHALLENGES = (Commit, RestartCommit), (Challenge, RestartChallenge)
+# the commit and challenge forms that a session of each mode drops
+_OTHER_FORMS = {MODE_RESTART: (Commit, Challenge),
+                MODE_NO_RESTART: (RestartCommit, RestartChallenge)}
 
 
 def encode_message(msg, group) -> bytes:
@@ -616,7 +640,7 @@ class _RoundState:
     refused: frozenset = _NOBODY
     summary: Optional[SubtreeSummary] = None  # this node's own, once its commit is final
 
-    challenged: Optional[Challenge] = None  # as answered, or built at the leader
+    challenged: Optional[Challenge | RestartChallenge] = None  # as answered, or the leader's
     return_to: Optional[int] = None  # where the response goes (may be a bridger)
 
     pending_resp: frozenset = _NOBODY
@@ -636,7 +660,7 @@ class _Finished:
 
     key: tuple
     phase: str  # PHASE_DONE or PHASE_REFUSED
-    mode: int
+    config: RoundConfig  # the session's, shared
     parent: Optional[int]
     return_to: Optional[int]
     answer: Optional[Response | Refuse]  # none at the leader
@@ -660,12 +684,6 @@ def view_leader(roster: WitnessRoster, view: int) -> int:
 def _contributors(st: _RoundState) -> list[SubtreeSummary]:
     """A node's contributors' heads: its commit-tree inputs after its own commit."""
     return [st.records[c] for c in sorted(st.records)]
-
-
-def _contributor_records(st: _RoundState) -> tuple:
-    """The heads of a node's contributors that its commit carries: only
-    no-restart mode bridges, and so reads them."""
-    return tuple(_contributors(st)) if st.config.mode == MODE_NO_RESTART else ()
 
 
 def failing_partials(group, c: Scalar, partials: dict) -> list[int]:
@@ -803,18 +821,12 @@ class SigningNode:
     # Outgoing messages
     # ------------------------------------------------------------------
 
-    def _challenge(self, st: _RoundState, path: Optional[InclusionProof] = None) -> Challenge:
-        """The challenge this node answered, sent on to a node placed by
-        `path` below it: it lifts the recipient's hash to ours, and our own
-        audit path continues to the root. A restart challenge binds no commit
-        root and is sent without `path`."""
+    def _challenge(self, st: _RoundState, path: InclusionProof) -> Challenge:
+        """The no-restart challenge this node answered, sent on to a node
+        placed by `path` below it: it lifts the recipient's hash to ours, and
+        our own audit path continues to the root."""
         c = st.challenged
-        return Challenge(
-            view=c.view, round=c.round, attempt=c.attempt, sender=self.index,
-            challenge=c.challenge, aggregate_commit=c.aggregate_commit,
-            commit_root=c.commit_root, statement=c.statement,
-            proof=_NO_PATH if path is None else path.compose(c.proof),
-        )
+        return replace(c, sender=self.index, proof=path.compose(c.proof))
 
     def _refusal(self, st: _RoundState | _Finished, reason: int) -> Refuse:
         return Refuse(view=st.key[0], round=st.key[1], attempt=st.key[2],
@@ -835,11 +847,11 @@ class SigningNode:
         if self.rounds.get(st.key) is not st:
             return
         if phase == PHASE_REFUSED:
-            done = _Finished(st.key, phase, st.config.mode, st.parent, st.return_to, answer)
+            done = _Finished(st.key, phase, st.config, st.parent, st.return_to, answer)
         else:
-            done = _Finished(st.key, phase, st.config.mode, st.parent, st.return_to, answer,
-                             st.challenged.challenge, st.summary, _contributor_records(st),
-                             st.failed, st.refused)
+            heads = tuple(_contributors(st)) if st.config.mode == MODE_NO_RESTART else ()
+            done = _Finished(st.key, phase, st.config, st.parent, st.return_to, answer,
+                             st.challenged.challenge, st.summary, heads, st.failed, st.refused)
         self.rounds[st.key] = done
 
     # ------------------------------------------------------------------
@@ -872,19 +884,21 @@ class SigningNode:
         return [SetTimer(("commit",) + st.key, self._wait_budget(st))]
 
     def _finalize_commit(self, st: _RoundState, now: float) -> list:
-        """Build this node's own summary. A node below it in no contributor's
-        subtree is a child it lost, already in `st.absent`."""
+        """Build this node's own summary, in no-restart mode with its tree hash.
+        A node below it in no contributor's subtree is a child it lost, already
+        in `st.absent`."""
         agg, contributors = st.own_commit, _contributors(st)
         for rec in contributors:
             agg = agg * rec.aggregate
             if rec.absent:
                 st.absent |= rec.absent
-        leaf = commit_leaf_digest(st.own_commit)
-        st.summary = SubtreeSummary(
-            index=self.index, commit=st.own_commit, aggregate=agg,
-            tree_hash=(digest_root([leaf] + [c.tree_hash for c in contributors])
-                       if contributors else leaf),
-            absent=st.absent)
+        commit = tree_hash = None
+        if st.config.mode == MODE_NO_RESTART:
+            commit, tree_hash = st.own_commit, commit_leaf_digest(st.own_commit)
+            if contributors:
+                tree_hash = digest_root([tree_hash] + [c.tree_hash for c in contributors])
+        st.summary = SubtreeSummary(index=self.index, commit=commit, aggregate=agg,
+                                    tree_hash=tree_hash, absent=st.absent)
         st.phase = PHASE_RESPONSE
 
         if st.parent is None:
@@ -896,15 +910,20 @@ class SigningNode:
             # A newer session discarded our nonce: this commit could never be
             # answered, so tell the parent not to wait for our response.
             return self._refuse_session(st, st.parent, REFUSE_STALE)
-        return self._commit_up(st, _contributor_records(st))
+        return self._commit_up(st)
 
-    def _commit_up(self, st: _RoundState | _Finished, summaries: tuple) -> list:
-        own = st.summary
-        msg = Commit(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            aggregate=own.aggregate, commit=own.commit, tree_hash=own.tree_hash,
-            absent=own.absent, failed=st.failed, refused=st.refused, summaries=summaries,
-        )
+    def _commit_up(self, st: _RoundState | _Finished) -> list:
+        own, (view, rnd, attempt) = st.summary, st.key
+        if st.config.mode == MODE_RESTART:
+            msg = RestartCommit(view=view, round=rnd, attempt=attempt, sender=self.index,
+                                aggregate=own.aggregate, absent=own.absent,
+                                failed=st.failed, refused=st.refused)
+        else:  # with its contributors' heads, which only no-restart bridging reads
+            heads = st.summaries if isinstance(st, _Finished) else tuple(_contributors(st))
+            msg = Commit(view=view, round=rnd, attempt=attempt, sender=self.index,
+                         aggregate=own.aggregate, commit=own.commit, tree_hash=own.tree_hash,
+                         absent=own.absent, failed=st.failed, refused=st.refused,
+                         summaries=heads)
         return [Send(st.parent, msg)]
 
     # ------------------------------------------------------------------
@@ -928,11 +947,15 @@ class SigningNode:
         if st is None:
             logger.debug("node %d has no state for round %s", self.index, key)
             return []
+        if isinstance(msg, _OTHER_FORMS[st.config.mode]):  # its sender counts as silent
+            logger.warning("node %d: dropping %s from %d: it has the other mode's form",
+                           self.index, type(msg).__name__, msg.sender)
+            return []
         if isinstance(st, _Finished):
             return self._on_finished(st, msg)
-        if isinstance(msg, Commit):
+        if isinstance(msg, _COMMITS):
             return self._on_commit(st, msg, now)
-        if isinstance(msg, Challenge):
+        if isinstance(msg, _CHALLENGES):
             return self._on_challenge(st, msg, now)
         if isinstance(msg, Response):
             return self._on_response(st, msg, now)
@@ -952,8 +975,8 @@ class SigningNode:
             if done.parent is None:  # our own session: its commit goes nowhere
                 return []
             done.parent = msg.sender
-            return self._commit_up(done, done.summaries)
-        if not isinstance(msg, Challenge) or self._carries_commit_tree(done.mode, msg):
+            return self._commit_up(done)
+        if not isinstance(msg, _CHALLENGES):
             return []
         if msg.challenge.value != done.challenge.value:
             return self._refuse(done, msg.sender, REFUSE_STALE)
@@ -1012,16 +1035,16 @@ class SigningNode:
 
     # -- commit collection --
 
-    def _on_commit(self, st: _RoundState, msg: Commit, now: float) -> list:
+    def _on_commit(self, st: _RoundState, msg: Commit | RestartCommit, now: float) -> list:
         if st.phase != PHASE_COMMIT or msg.sender not in st.pending_commit:
             return []
-        if self._carries_commit_tree(st.config.mode, msg) \
-                or not self._reports_below_sender(st, msg):
+        if not self._reports_below_sender(st, msg):
             return []
+        tree = isinstance(msg, Commit)
         st.records[msg.sender] = SubtreeSummary(
-            index=msg.sender, commit=msg.commit, aggregate=msg.aggregate,
-            tree_hash=msg.tree_hash, absent=msg.absent)
-        if msg.summaries:
+            index=msg.sender, commit=msg.commit if tree else None, aggregate=msg.aggregate,
+            tree_hash=msg.tree_hash if tree else None, absent=msg.absent)
+        if tree and msg.summaries:
             if st.below is _NO_SUMMARIES:
                 st.below = {}
             st.below[msg.sender] = tuple(sorted(msg.summaries, key=attrgetter("index")))
@@ -1031,17 +1054,6 @@ class SigningNode:
         if not st.pending_commit:
             return self._finalize_commit(st, now)
         return []
-
-    def _carries_commit_tree(self, mode: int, msg: Commit | Challenge) -> bool:
-        """Restart mode ships no commit-tree data, as no node there reads it:
-        a commit with summaries, or a challenge with an audit path, is dropped
-        and the phase timer treats its sender as silent."""
-        if mode != MODE_RESTART or not (msg.summaries if isinstance(msg, Commit)
-                                        else msg.proof.data != _NO_PATH.data):
-            return False
-        logger.warning("node %d: dropping %s from %d: restart mode carries no commit-tree "
-                       "data", self.index, type(msg).__name__, msg.sender)
-        return True
 
     def _reports_below_sender(self, st: _RoundState, msg: Commit | Response) -> bool:
         """A child may report only nodes strictly below itself, and each head
@@ -1094,7 +1106,7 @@ class SigningNode:
             st.pending_commit = st.pending_commit.union(grandchildren)
             effects = [Send(g, st.announce) for g in grandchildren]
             effects.append(SetTimer(("commit",) + st.key, st.config.timeout_base))
-        elif st.config.mode == MODE_RESTART and grandchildren:
+        elif grandchildren:
             # The subtree is lost for this attempt; the restart will re-attach it.
             st.absent |= st.topology.descendants(child)
         if not st.pending_commit:
@@ -1103,9 +1115,8 @@ class SigningNode:
 
     # -- challenge --
 
-    def _on_challenge(self, st: _RoundState, msg: Challenge, now: float) -> list:
-        if self._carries_commit_tree(st.config.mode, msg):
-            return []
+    def _on_challenge(self, st: _RoundState, msg: Challenge | RestartChallenge,
+                      now: float) -> list:
         if st.phase == PHASE_COMMIT:
             # Our commit never made it into the aggregate; contributing a
             # response now would be unsound.
@@ -1158,7 +1169,7 @@ class SigningNode:
             sends = [Send(child, self._challenge(st, path))
                      for child, path in zip(contributors, self._steps(st, contributors))]
         else:
-            msg = self._challenge(st)
+            msg = replace(st.challenged, sender=self.index)
             sends = [Send(child, msg) for child in contributors]
         return sends + [SetTimer(("response",) + st.key, self._wait_budget(st))]
 
@@ -1398,13 +1409,14 @@ class SigningNode:
         late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
         if late and st.statement is None:
             st.statement = st.lead.materialize()
-        own = st.summary
-        root = own.tree_hash if st.config.mode == MODE_NO_RESTART else None
-        st.challenged = Challenge(
-            view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
-            challenge=multisig.collective_challenge(own.aggregate, st.statement, root),
-            aggregate_commit=own.aggregate, commit_root=root,
-            statement=st.statement if late else None, proof=_NO_PATH)
+        own, root = st.summary, st.summary.tree_hash  # no root in restart mode
+        c = dict(view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
+                 challenge=multisig.collective_challenge(own.aggregate, st.statement, root),
+                 aggregate_commit=own.aggregate, statement=st.statement if late else None)
+        if root is None:
+            st.challenged = RestartChallenge(**c)
+        else:  # the root's own audit path is empty
+            st.challenged = Challenge(**c, commit_root=root, proof=InclusionProof(b"\x00\x00"))
         return self._challenge_descend(st, now)
 
     def _restart_or_fail(self, st: _RoundState, now: float, reason: str) -> list:
@@ -1423,9 +1435,7 @@ class SigningNode:
         config = st.config
         if st.config.mode == MODE_RESTART and (st.resp_absent or st.failed or st.refused):
             return self._restart_or_fail(st, now, "witness failure during response phase")
-        if st.unresolvable:
-            if st.config.mode == MODE_RESTART:
-                return self._restart_or_fail(st, now, st.unresolvable)
+        if st.unresolvable:  # only no-restart bridging leaves a dropout unresolvable
             return self._fail(st, st.unresolvable)
         commit_absent = st.topology.absent | st.absent
         response_absent = commit_absent | st.resp_absent
@@ -1436,7 +1446,7 @@ class SigningNode:
         exceptions = tuple(sorted(st.exceptions, key=lambda e: e.index))
         sig = CollectiveSignature(
             group=self.group, mode=st.config.mode, challenge=st.challenged.challenge,
-            response=total, participation=pset, commit_root=st.challenged.commit_root,
+            response=total, participation=pset, commit_root=st.summary.tree_hash,
             exceptions=exceptions,
         )
         check = multisig.verify_collective(self.roster, st.statement, sig,

@@ -248,8 +248,8 @@ def _build_signers(cfg: SimConfig) -> tuple[WitnessRoster, list, list[random.Ran
 # cosi scheme: the engine state machines under the virtual network
 # ---------------------------------------------------------------------------
 
-_MSG_PHASE = {Announce: "announce", Commit: "commit", Challenge: "challenge",
-              Response: "response"}
+_MSG_PHASE = {Announce: "announce", Commit: "commit", engine.RestartCommit: "commit",
+              Challenge: "challenge", engine.RestartChallenge: "challenge", Response: "response"}
 
 
 class CosiSim:

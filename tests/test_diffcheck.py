@@ -1,6 +1,6 @@
 """`scripts/diffcheck.py`: a tree run against itself shows no difference, and
 a copy whose simulator links are slower is named by its first differing
-field, and listed by every field that differs."""
+field, and listed by every field that differs, with its cases per mode."""
 
 import importlib.util
 import re
@@ -36,7 +36,35 @@ def test_copy_with_another_rtt_named_by_field(tmp_path):
     assert lines[1].startswith('  case: {"branching": ')
     assert re.fullmatch(r"fields that differ, in \d+ of 40 cases:", lines[2])
     listed = {line.split(": ")[0].strip(): line for line in lines[3:]}
-    assert listed["rounds[].latency"].endswith(f" cases, first seed {first.group(1)}")
+    latency = re.fullmatch(r"  rounds\[\]\.latency: (\d+) cases \((\d+) restart, (\d+) "
+                           r"norestart\), first seed (\d+)", listed["rounds[].latency"])
+    assert latency and latency.group(4) == first.group(1)
+    count, restart, norestart = (int(latency.group(i)) for i in (1, 2, 3))
+    assert count == restart + norestart and restart > 0 and norestart > 0
+
+
+def test_fields_listed_with_their_cases_per_mode(tmp_path):
+    """A copy that charges each no-restart challenge one byte more differs
+    only in no-restart cases, and only in their byte counts."""
+    shutil.copytree(ROOT / "src" / "cosikit", tmp_path / "cosikit")
+    simnet = tmp_path / "cosikit" / "simnet.py"
+    text = simnet.read_text()
+    charge = "frame_size(msg, self.group), when,"
+    assert text.count(charge) == 1
+    simnet.write_text(text.replace(charge, "frame_size(msg, self.group)\n"
+                                   "                          + (type(msg) is Challenge), when,"))
+    diffcheck = load_diffcheck()
+    compared, report = diffcheck.compare(ROOT / "src", tmp_path, cases=40)
+    assert compared == 40
+    listed = dict(re.fullmatch(r"  (\S+): \d+ cases \((.*)\), first seed \d+", line).groups()
+                  for line in report.splitlines()[3:])
+    norestart = sum(diffcheck.draw_sim_case(seed)["mode"] == "norestart"
+                    for seed in range(1, 41))
+    assert set(listed) == {"rounds[].nodes[].bytes_sent", "rounds[].nodes[].bytes_recv"}
+    for modes in listed.values():
+        restart_cases, norestart_cases = re.fullmatch(r"(\d+) restart, (\d+) norestart",
+                                                      modes).groups()
+        assert restart_cases == "0" and 0 < int(norestart_cases) <= norestart
 
 
 def test_refusing_policies_are_registered_and_drawn():

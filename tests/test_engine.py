@@ -10,13 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NO_PATH, assert_cuts_rejected, audit_path, make_toy_roster, swap_generator
 
-from cosikit import engine, multisig, simnet
+from cosikit import engine, merkle, multisig, simnet
 from cosikit.engine import (
     Announce,
     Challenge,
     Commit,
     Refuse,
     Response,
+    RestartChallenge,
+    RestartCommit,
     Send,
     SigningNode,
     StampReply,
@@ -39,6 +41,9 @@ from cosikit.participation import Threshold
 from cosikit.simnet import FailureAction, SimConfig
 from cosikit.timestamp import GENESIS_HASH, TimestampRecord
 from cosikit.topology import tree_for
+
+# each message type's two forms, the no-restart one first
+COMMITS, CHALLENGES = (Commit, RestartCommit), (Challenge, RestartChallenge)
 
 
 def make_node(index, roster, secrets, hook=None, seed=0):
@@ -64,10 +69,10 @@ def test_leaf_witness_commit_is_own_commit():
     sends = [e for e in effects if isinstance(e, Send)]
     assert len(sends) == 1 and sends[0].dest == 0
     msg = sends[0].msg
-    assert isinstance(msg, Commit)
-    assert msg.aggregate == msg.commit  # leaf: aggregate equals own commit
+    assert isinstance(msg, RestartCommit)
+    # leaf: aggregate equals own commit
+    assert msg.aggregate == node.rounds[(0, 0, 0)].own_commit
     assert msg.absent == frozenset()
-    assert msg.summaries == ()
 
 
 def test_interior_witness_waits_for_children():
@@ -78,7 +83,7 @@ def test_interior_witness_waits_for_children():
     sends = [e for e in effects if isinstance(e, Send)]
     assert {s.dest for s in sends} == {3, 4}  # forwards the announce
     assert all(isinstance(s.msg, Announce) for s in sends)
-    assert not any(isinstance(s.msg, Commit) for s in sends)
+    assert not any(isinstance(s.msg, COMMITS) for s in sends)
 
 
 def test_witness_bridges_with_the_announced_timeout():
@@ -112,9 +117,9 @@ def test_challenge_before_commit_is_ignored():
     roster = make_toy_roster(secrets)
     node = make_node(1, roster, secrets)
     node.handle_message(announce_for(roster), now=0.0)
-    challenge = Challenge(view=0, round=0, attempt=0, sender=0,
-                          challenge=TOY.scalar(3), aggregate_commit=TOY.generator,
-                          commit_root=None, statement=None, proof=NO_PATH)
+    challenge = RestartChallenge(view=0, round=0, attempt=0, sender=0,
+                                 challenge=TOY.scalar(3), aggregate_commit=TOY.generator,
+                                 statement=None)
     assert node.handle_message(challenge, now=0.1) == []
 
 
@@ -195,6 +200,10 @@ def _routed_messages(sender):
         Challenge: Challenge(challenge=TOY.scalar(6), aggregate_commit=elem,
                              commit_root=None, statement=None,
                              proof=NO_PATH, **head),
+        RestartCommit: RestartCommit(aggregate=elem, absent=frozenset(), failed=frozenset(),
+                                     refused=frozenset(), **head),
+        RestartChallenge: RestartChallenge(challenge=TOY.scalar(6), aggregate_commit=elem,
+                                           statement=None, **head),
         Response: Response(aggregate_response=TOY.scalar(9), absent=frozenset(),
                            failed=frozenset(), refused=frozenset(), exceptions=(), **head),
         Refuse: Refuse(reason=engine.REFUSE_STALE, **head),
@@ -250,15 +259,11 @@ def test_second_conflicting_challenge_refused():
     node.handle_message(announce_for(roster), now=0.0)
     st = node.rounds[(0, 0, 0)]
     c1 = multisig.collective_challenge(st.summary.aggregate, b"s")
-    ch = Challenge(view=0, round=0, attempt=0, sender=0, challenge=c1,
-                   aggregate_commit=st.summary.aggregate, commit_root=None,
-                   statement=None, proof=NO_PATH)
+    ch = RestartChallenge(view=0, round=0, attempt=0, sender=0, challenge=c1,
+                          aggregate_commit=st.summary.aggregate, statement=None)
     first = node.handle_message(ch, now=0.1)
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in first)
-    conflicting = Challenge(view=0, round=0, attempt=0, sender=0,
-                            challenge=c1 + TOY.scalar(1),
-                            aggregate_commit=st.summary.aggregate, commit_root=None,
-                            statement=None, proof=NO_PATH)
+    conflicting = replace(ch, challenge=c1 + TOY.scalar(1))
     effects = node.handle_message(conflicting, now=0.2)
     assert any(isinstance(e, Send) and isinstance(e.msg, Refuse) for e in effects)
     # the same challenge again just resends the stored response
@@ -269,10 +274,10 @@ def test_second_conflicting_challenge_refused():
 def _challenge_for(st, statement=b"s"):
     """The restart challenge that answers round state `st`'s commit."""
     key = st.key
-    return Challenge(view=key[0], round=key[1], attempt=key[2], sender=0,
-                     challenge=multisig.collective_challenge(st.summary.aggregate, statement),
-                     aggregate_commit=st.summary.aggregate, commit_root=None,
-                     statement=None, proof=NO_PATH)
+    return RestartChallenge(
+        view=key[0], round=key[1], attempt=key[2], sender=0,
+        challenge=multisig.collective_challenge(st.summary.aggregate, statement),
+        aggregate_commit=st.summary.aggregate, statement=None)
 
 
 def test_new_session_discards_unanswered_nonce():
@@ -403,15 +408,14 @@ def _lying_leader_challenge(mode, timing, signed, hook=None):
     st = node.rounds[(0, 0, 0)]
     leader_commit = TOY.generator ** TOY.scalar(5)
     aggregate = leader_commit * st.summary.aggregate
-    root, proof = None, NO_PATH
-    if mode == MODE_NO_RESTART:
-        tree = DigestTree([multisig.commit_leaf_digest(leader_commit), st.summary.tree_hash])
-        root, proof = tree.root, tree.prove(1)
-    challenge = Challenge(view=0, round=0, attempt=0, sender=0,
-                          challenge=multisig.collective_challenge(aggregate, signed, root),
-                          aggregate_commit=aggregate, commit_root=root,
-                          statement=None if at_announce else b"honest", proof=proof)
-    return node, challenge
+    head = dict(view=0, round=0, attempt=0, sender=0, aggregate_commit=aggregate,
+                statement=None if at_announce else b"honest")
+    if mode == MODE_RESTART:
+        return node, RestartChallenge(
+            challenge=multisig.collective_challenge(aggregate, signed), **head)
+    tree = DigestTree([multisig.commit_leaf_digest(leader_commit), st.summary.tree_hash])
+    return node, Challenge(challenge=multisig.collective_challenge(aggregate, signed, tree.root),
+                           commit_root=tree.root, proof=tree.prove(1), **head)
 
 
 @pytest.mark.parametrize("timing", [engine.STATEMENT_AT_ANNOUNCE,
@@ -720,6 +724,8 @@ def test_omitted_message_leaves_only_its_sender_out(mode, phase):
 def test_reports_outside_senders_subtree_dropped(mode, kind, caplog):
     # node 1 names the leader and its sibling 2 as failed; the leader drops
     # the message and its phase timer treats node 1 as silent
+    if kind is Commit and mode == MODE_RESTART:
+        kind = RestartCommit
     sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3, mode=mode))
     send = sim._send
 
@@ -743,17 +749,20 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     # 6. Node 1's commit carries the head of a node outside its subtree, or a
     # head whose absent set names a node outside that head's subtree; the
     # leader drops it rather than store a head that a no-restart bridge would
-    # trust. A
-    # restart commit carries no summaries, so there the forgery starts from
-    # node 1's record of its child 3, and the commit is dropped for carrying
-    # a summary at all.
+    # trust. A restart commit has no summaries, so there node 1 sends the
+    # no-restart form, carrying the forged head, and the leader drops it for
+    # its form.
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
     send = sim._send
 
     def forging_send(src, dst, msg, when):
-        if src == 1 and isinstance(msg, Commit):
-            real = (msg.summaries[0] if mode == MODE_NO_RESTART
-                    else sim.nodes[1].rounds[(msg.view, msg.round, msg.attempt)].records[3])
+        if src == 1 and isinstance(msg, COMMITS):
+            if mode == MODE_RESTART:  # the no-restart form, with a head for child 3
+                msg = _in_other_form(msg)
+                real = engine.SubtreeSummary(index=3, commit=msg.commit, aggregate=msg.aggregate,
+                                             tree_hash=bytes(32), absent=frozenset())
+            else:
+                real = msg.summaries[0]
             forged = {"sibling-subtree": replace(real, index=5),
                       "sender": replace(real, index=1),
                       "absent": replace(real, absent=frozenset({5}))}
@@ -765,7 +774,7 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     assert result.ok and result.failed == frozenset({1})
     assert result.signature.participation.response_present == frozenset(range(7)) - {1}
     why = ("it reports nodes outside its subtree" if mode == MODE_NO_RESTART
-           else "restart mode carries no commit-tree data")
+           else "it has the other mode's form")
     assert f"dropping Commit from 1: {why}" in caplog.text
 
 
@@ -797,7 +806,8 @@ def test_commit_with_overlapping_heads_dropped(forgery, caplog):
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
 def test_only_no_restart_rounds_ship_commit_tree_data(mode):
     """Only a no-restart round binds a commit root, so only there do commits
-    carry their contributors' heads and challenges carry audit paths. Node 1
+    carry their contributors' heads and challenges carry audit paths; a
+    restart round sends the restart forms, which have neither. Node 1
     (children 4, 5 and 6) crashes before its response, so a restart round
     restarts and a no-restart round bridges."""
     sim = simnet.CosiSim(SimConfig(seed=5, n=13, branching=3, mode=mode,
@@ -812,57 +822,142 @@ def test_only_no_restart_rounds_ship_commit_tree_data(mode):
     sim._send = recording_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
-    commits = [m for m in sent if isinstance(m, Commit)]
-    challenges = [m for m in sent if isinstance(m, Challenge)]
+    commits = [m for m in sent if isinstance(m, COMMITS)]
+    challenges = [m for m in sent if isinstance(m, CHALLENGES)]
+    forms = {type(m) for m in commits + challenges}
     if mode == MODE_RESTART:
         assert result.attempts == 2
         assert {m.attempt for m in commits} == {m.attempt for m in challenges} == {0, 1}
-        assert all(m.summaries == () for m in commits)
-        assert all(m.proof == NO_PATH for m in challenges)
+        assert forms == {RestartCommit, RestartChallenge}
     else:
         assert result.attempts == 1
+        assert forms == {Commit, Challenge}
         assert {m.sender for m in commits if m.summaries} == {1, 2, 3}
         assert all(m.proof.path for m in challenges)
 
 
-def test_restart_commit_with_a_summary_dropped(caplog):
-    # Node 1's restart commit summarises its own child 3 truthfully, as a
-    # no-restart commit would; the leader drops it all the same, and restarts
-    # without node 1.
-    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2))
+def _in_other_form(msg):
+    """A commit or challenge in the other mode's form: a restart form gains
+    made-up commit-tree fields, and a no-restart form loses its own."""
+    head = dict(view=msg.view, round=msg.round, attempt=msg.attempt, sender=msg.sender)
+    if isinstance(msg, RestartCommit):
+        return Commit(aggregate=msg.aggregate, commit=msg.aggregate, tree_hash=bytes(32),
+                      absent=msg.absent, failed=msg.failed, refused=msg.refused,
+                      summaries=(), **head)
+    if isinstance(msg, Commit):
+        return RestartCommit(aggregate=msg.aggregate, absent=msg.absent, failed=msg.failed,
+                             refused=msg.refused, **head)
+    if isinstance(msg, RestartChallenge):
+        return Challenge(challenge=msg.challenge, aggregate_commit=msg.aggregate_commit,
+                         commit_root=bytes(32), statement=msg.statement,
+                         proof=audit_path((0, bytes(32))), **head)
+    return RestartChallenge(challenge=msg.challenge, aggregate_commit=msg.aggregate_commit,
+                            statement=msg.statement, **head)
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_commit_of_the_other_modes_form_dropped(mode, caplog):
+    """Node 1 (children 3 and 4) sends its commit in the other mode's form;
+    the leader drops it and its commit timer counts node 1 out. A restart
+    round restarts without node 1, and a no-restart round bridges to 3 and
+    4."""
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
     send = sim._send
 
-    def summarising_send(src, dst, msg, when):
-        if src == 1 and isinstance(msg, Commit):
-            real = sim.nodes[1].rounds[(msg.view, msg.round, msg.attempt)].records[3]
-            msg = replace(msg, summaries=(real,))
+    def converting_send(src, dst, msg, when):
+        if src == 1 and isinstance(msg, COMMITS):
+            msg = _in_other_form(msg)
         send(src, dst, msg, when)
 
-    sim._send = summarising_send
+    sim._send = converting_send
     _, result = sim.run_round(0)
-    assert result.ok and result.attempts == 2 and result.failed == frozenset({1})
+    assert result.ok and result.failed == frozenset({1})
+    assert result.attempts == (2 if mode == MODE_RESTART else 1)
     assert result.signature.participation.response_present == frozenset(range(7)) - {1}
-    assert "dropping Commit from 1: restart mode carries no commit-tree data" in caplog.text
+    sent = "Commit" if mode == MODE_RESTART else "RestartCommit"
+    assert f"dropping {sent} from 1: it has the other mode's form" in caplog.text
 
 
-def test_restart_challenge_with_an_audit_path_dropped(caplog):
-    # The leader's challenge to node 1 carries an audit path, which no restart
-    # challenge has: node 1 drops it and answers nothing, so the leader's
-    # response timer counts node 1 and its subtree out and restarts.
-    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2))
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_challenge_of_the_other_modes_form_dropped(mode, caplog):
+    """The leader's challenge to node 1 (children 3 and 4) comes in the other
+    mode's form: node 1 drops it and answers nothing, so the leader's
+    response timer counts node 1 out. A restart round restarts without it,
+    and a no-restart round makes it an exception and bridges to 3 and 4."""
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
     send = sim._send
-    path = audit_path((0, bytes(32)))
 
-    def lifting_send(src, dst, msg, when):
-        if (src, dst) == (0, 1) and isinstance(msg, Challenge):
-            msg = replace(msg, proof=path)
+    def converting_send(src, dst, msg, when):
+        if (src, dst) == (0, 1) and isinstance(msg, CHALLENGES):
+            msg = _in_other_form(msg)
         send(src, dst, msg, when)
 
-    sim._send = lifting_send
+    sim._send = converting_send
     _, result = sim.run_round(0)
-    assert result.ok and result.attempts == 2 and result.failed == frozenset({1})
-    assert "dropping Challenge from 0: restart mode carries no commit-tree data" in caplog.text
+    assert result.ok and result.failed == frozenset({1})
+    if mode == MODE_RESTART:
+        assert result.attempts == 2
+        assert result.signature.participation.response_present == frozenset(range(7)) - {1}
+    else:
+        assert result.attempts == 1
+        assert [e.index for e in result.signature.exceptions] == [1]
+        assert multisig.verify_collective(sim.roster, result.statement, result.signature,
+                                          Threshold(6)).ok
+    sent = "Challenge" if mode == MODE_RESTART else "RestartChallenge"
+    assert f"dropping {sent} from 0: it has the other mode's form" in caplog.text
     assert all(entry[:3] != (0, 0, 0) for entry in sim.nodes[1].nonce_log)
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
+def test_finished_session_drops_the_other_modes_form(mode, caplog):
+    """A session that node 1 has finished answers a repeated challenge, and
+    drops the same challenge, or its own commit, in the other mode's form."""
+    sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
+    sent = []
+    send = sim._send
+
+    def recording_send(src, dst, msg, when):
+        sent.append((src, dst, msg))
+        send(src, dst, msg, when)
+
+    sim._send = recording_send
+    _, result = sim.run_round(0)
+    assert result.ok
+    node = sim.nodes[1]
+    assert node.rounds[(0, 0, 0)].phase == engine.PHASE_DONE
+    challenge = next(m for src, dst, m in sent if (src, dst) == (0, 1)
+                     and isinstance(m, CHALLENGES))
+    commit = next(m for src, _, m in sent if src == 1 and isinstance(m, COMMITS))
+    [answer] = [e.msg for e in node.handle_message(challenge, 1.0)]
+    assert isinstance(answer, Response)
+    caplog.clear()
+    for msg in (challenge, commit):
+        assert node.handle_message(_in_other_form(msg), 1.0) == []
+        assert (f"dropping {type(_in_other_form(msg)).__name__} from {msg.sender}: "
+                "it has the other mode's form") in caplog.text
+
+
+def test_restart_round_builds_no_commit_tree(monkeypatch):
+    """A restart round hashes no commit leaf and folds no tree hash; a
+    no-restart round, the control, does both."""
+    calls = {"commit_leaf_digest": 0, "digest_root": 0}
+    for module in (engine, multisig, merkle):
+        for name in calls:
+            real = getattr(module, name, None)
+            if real is not None:
+                def counted(*args, _real=real, _name=name):
+                    calls[_name] += 1
+                    return _real(*args)
+                monkeypatch.setattr(module, name, counted)
+    for mode in (MODE_RESTART, MODE_NO_RESTART):
+        for name in calls:
+            calls[name] = 0
+        out = simnet.run_sim_detailed(SimConfig(seed=5, n=40, branching=3, mode=mode))
+        assert out.results[0].ok
+        if mode == MODE_RESTART:
+            assert calls == {"commit_leaf_digest": 0, "digest_root": 0}
+        else:
+            assert calls["commit_leaf_digest"] >= 40 and calls["digest_root"] > 0
 
 
 # -- view changes -------------------------------------------------------------------
@@ -956,6 +1051,8 @@ def test_copies_of_messages_and_of_a_node_mid_round():
         ViewChange: ViewChange(proposed_view=1, signer=2, signature=vote),
         StampRequest: StampRequest(digest=bytes(32)),
         StampReply: StampReply(ok=True, payload=b"receipt"),
+        RestartCommit: _routed_messages(2)[RestartCommit],
+        RestartChallenge: _routed_messages(2)[RestartChallenge],
     })
     assert set(samples) == set(get_args(engine.Message))
     assert any(m.exceptions for m in from_node1 if isinstance(m, Response))
@@ -1030,7 +1127,7 @@ def test_restart_parent_sends_its_children_one_challenge(round_states):
     send = sim._send
 
     def record(src, dst, msg, when):
-        if isinstance(msg, Challenge):
+        if isinstance(msg, RestartChallenge):
             sent.setdefault(src, []).append(msg)
         send(src, dst, msg, when)
 
@@ -1050,12 +1147,14 @@ def test_restart_parent_sends_its_children_one_challenge(round_states):
 # What a finished session answers, as SHA-256 over every reply below; the
 # digests were taken before finished sessions were cut down to `_Finished`,
 # and retaken when commit-tree nodes became binary digest trees and the leader
-# stopped answering an echo of its own announce.
+# stopped answering an echo of its own announce, and when restart commits took
+# their own form (the earlier replies, each restart commit re-encoded in that
+# form, hash to the restart digests).
 FINISHED_REPLIES = {
     (MODE_RESTART, engine.STATEMENT_AT_ANNOUNCE):
-        "8d1547b6fd83b3382cde97cf70f22d7f892d89be6e1532a17450bd593e777a85",
+        "b4259dc8210a65c8c29c95731dd040b79c379ab06daa8fb8f0bb0d27b07e38f1",
     (MODE_RESTART, engine.STATEMENT_AT_CHALLENGE):
-        "72e5b50e810209f64cc0b69ab950fe5b81af15fca65b1b8fb46bd8217f66654c",
+        "89e0e2818773b2f729640fcf7a78f8757a4967f0370717b6cac8baaae878ef4d",
     (MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE):
         "8b12aacec7414505d59df6aa6f040acbf7235487396f7e4bdaeb269b8c9225cc",
     (MODE_NO_RESTART, engine.STATEMENT_AT_CHALLENGE):
@@ -1108,15 +1207,15 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
             ann = next(m for src, dst, m in of_key if isinstance(m, Announce)
                        and node.index in (src, dst))
             ups = [m for src, _, m in of_key if src == node.index
-                   and isinstance(m, (Commit, Response, Refuse))]
-            challenges = [m for src, dst, m in of_key if isinstance(m, Challenge)
+                   and isinstance(m, (*COMMITS, Response, Refuse))]
+            challenges = [m for src, dst, m in of_key if isinstance(m, CHALLENGES)
                           and node.index in (src, dst)]
             log = list(node.nonce_log)
             effects = node.handle_message(ann, 1.0)
             refusal = next((m for m in ups if isinstance(m, Refuse)), None)
             stale = st.phase == engine.PHASE_REFUSED and refusal is None
             if stale:
-                assert isinstance(ups[-1], Commit) and key[2] < result.attempts - 1
+                assert isinstance(ups[-1], COMMITS) and key[2] < result.attempts - 1
                 refusal = Refuse(view=key[0], round=key[1], attempt=key[2],
                                  sender=node.index, reason=engine.REFUSE_STALE)
             if st.phase == engine.PHASE_REFUSED:
@@ -1125,8 +1224,8 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
                 assert effects == []
             else:
                 [(dest, reply)] = [(e.dest, e.msg) for e in effects]
-                assert dest == ann.sender and isinstance(reply, Commit)
-                commit = [m for m in ups if isinstance(m, Commit)][-1]
+                assert dest == ann.sender and isinstance(reply, COMMITS)
+                commit = [m for m in ups if isinstance(m, COMMITS)][-1]
                 answer = [m for m in ups if isinstance(m, Response)][-1]
                 assert reply == replace(commit, failed=answer.failed, refused=answer.refused)
             if challenges:
@@ -1419,6 +1518,10 @@ def test_message_codec_roundtrips():
                   aggregate_commit=elem, commit_root=b"\x04" * 32,
                   statement=b"late",
                   proof=audit_path((1, b"\x05" * 32))),
+        RestartCommit(view=1, round=2, attempt=1, sender=4, aggregate=elem,
+                      absent=frozenset({5}), failed=frozenset(), refused=frozenset({9})),
+        RestartChallenge(view=0, round=1, attempt=0, sender=2, challenge=TOY.scalar(6),
+                         aggregate_commit=elem, statement=b"late"),
         Response(view=0, round=1, attempt=2, sender=3,
                  aggregate_response=TOY.scalar(9), absent=frozenset({4}),
                  failed=frozenset({4}), refused=frozenset(),
@@ -1440,7 +1543,8 @@ def test_message_codec_roundtrips():
 
 
 def test_frame_bytes_pinned():
-    """Challenge and Response frames keep their byte layout."""
+    """Challenge and Response frames, and the restart commit and challenge
+    forms, keep their byte layout."""
     e3 = KeyPair.from_secret(TOY, 3).public
     e5 = KeyPair.from_secret(TOY, 5).public
 
@@ -1469,6 +1573,15 @@ def test_frame_bytes_pinned():
                    "09090909090909090909090909090909090909000a0a0a0a0a0a0a0a0a0a0a0a"
                    "0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0a0000000509000001010b0b0b"
                    "0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b"),
+        # tag 9 | header | aggregate | absent {3, 5} | failed {5} | refused {}
+        RestartCommit(view=1, round=7, attempt=1, sender=3, aggregate=e3,
+                      absent=frozenset({3, 5}), failed=frozenset({5}), refused=frozenset()):
+            "0000002309000000010000000700010000000308000002000000030000000500010000000500"
+            "00",
+        # tag 10 | header | challenge | aggregate commit | statement b"late"
+        RestartChallenge(view=1, round=7, attempt=1, sender=2, challenge=TOY.scalar(6),
+                         aggregate_commit=e3, statement=b"late"):
+            "0000001c0a00000001000000070001000000020600080001000000046c617465",
     }
     for msg, frame_hex in pinned.items():
         frame = encode_message(msg, TOY)
@@ -1505,6 +1618,10 @@ def _message_strategies(group):
         Challenge: st.builds(Challenge, challenge=scalar, aggregate_commit=elem,
                              commit_root=st.none() | _DIGEST, statement=_OPT_BYTES,
                              proof=_PROOF, **header),
+        RestartCommit: st.builds(RestartCommit, aggregate=elem, absent=_INDEX_SET,
+                                 failed=_INDEX_SET, refused=_INDEX_SET, **header),
+        RestartChallenge: st.builds(RestartChallenge, challenge=scalar, aggregate_commit=elem,
+                                    statement=_OPT_BYTES, **header),
         Response: st.builds(Response, aggregate_response=scalar, absent=_INDEX_SET,
                             failed=_INDEX_SET, refused=_INDEX_SET,
                             exceptions=st.lists(st.builds(CommitException, _INDEX, elem, _PROOF),

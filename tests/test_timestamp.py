@@ -234,7 +234,11 @@ def test_hashes_submitted_during_round_closes_land_in_one_batch_each():
     """Four threads submit 3,000 hashes each while round_close runs again and
     again, every third signing failing, so its batch goes back ahead of
     what came in meanwhile: each hash is in exactly one signed batch, and each
-    thread's hashes keep their order within and across batches."""
+    thread's hashes keep their order within and across batches. The closing
+    loop paces the threads: each submits its hashes in chunks of 100 and,
+    after a chunk, waits until a non-empty batch has been signed since that
+    chunk began, so at least 29 batches are signed however fast the threads
+    run, and they keep submitting while round_close runs."""
     secrets = [3, 4, 5]
     roster = make_toy_roster(secrets)
     signature = manual_round(roster, secrets, b"any record", rng=random.Random(9))
@@ -246,15 +250,22 @@ def test_hashes_submitted_during_round_closes_land_in_one_batch_each():
 
     authority = TimestampAuthority(signer)
     submitted = [[h(b"%d/%d" % (t, i)) for i in range(3000)] for t in range(4)]
+    signed = threading.Condition()
+    batches = []
 
     def submit_all(hashes):
-        for i, d in enumerate(hashes):
-            authority.submit(d)
-            if i % 10 == 0:
-                time.sleep(0)  # let the other threads, and round_close, in
+        for start in range(0, len(hashes), 100):
+            with signed:
+                seen = len([b for b in batches if b])
+            for i, d in enumerate(hashes[start:start + 100]):
+                authority.submit(d)
+                if i % 10 == 0:
+                    time.sleep(0)  # let the other threads, and round_close, in
+            with signed:
+                assert signed.wait_for(lambda: len([b for b in batches if b]) > seen,
+                                       timeout=30)
 
     threads = [threading.Thread(target=submit_all, args=(hashes,)) for hashes in submitted]
-    batches = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -262,9 +273,12 @@ def test_hashes_submitted_during_round_closes_land_in_one_batch_each():
             t.start()
         while any(t.is_alive() for t in threads) or authority.pending_count:
             try:
-                batches.append(list(authority.round_close(clock=600.0)[1]))
+                batch = list(authority.round_close(clock=600.0)[1])
             except TimestampError:
-                pass
+                continue
+            with signed:
+                batches.append(batch)
+                signed.notify_all()
     finally:
         sys.setswitchinterval(interval)
         for t in threads:
