@@ -126,6 +126,10 @@ class RoundConfig:
     rtt_hint: float = 0.2
 
     def __post_init__(self):
+        if self.mode not in (MODE_RESTART, MODE_NO_RESTART):
+            raise ValueError(f"unknown signature mode {self.mode}")
+        if self.statement_timing not in (STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE):
+            raise ValueError(f"unknown statement timing {self.statement_timing}")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
 

@@ -7,25 +7,29 @@ All protocol arithmetic in the rest of the package goes through this module.
 
 Ed25519 exponentiation takes one of three paths, all on signed digits. A
 power of the generator (recognised by identity: the generator's coordinates
-are derived once, at import) writes k mod L in radix 32 with digits in
-[-15, 16], and adds one entry per nonzero digit from a fixed-base table of
-51 rows of 17 multiples j * 32^i * G, j = 0..16, with no doublings: about 49
-additions for a random k. The entries are affine, stored as (y + x, y - x,
-2d*x*y), so each addition is a mixed one of 7 field multiplications; a
-negative digit adds an entry with y + x and y - x swapped and 2d*x*y
-negated. The table (867 entries, about 0.22 MB) is built lazily by the first
-such power and then reused for the life of the process. A roster's
+are derived once, at import) writes k mod L in radix 64 with digits in
+[-31, 32], and adds one entry per nonzero digit from a fixed-base table of
+43 rows of 33 multiples j * 64^i * G, j = 0..32, with no doublings: about 42
+additions for a random k, where a radix-32 table of 51 rows of 17 takes 49
+(Bernstein et al., CHES 2011). The entries are affine, stored as (y + x,
+y - x, 2d*x*y), so each addition is a mixed one of 7 field multiplications;
+a negative digit adds an entry with y + x and y - x swapped and 2d*x*y
+negated. The table (1,419 entries, about 0.35 MB under tracemalloc, where
+radix 32 holds 867 and 0.21 MB) is built lazily by the first such power, in
+about 17 ms, and then reused for the life of the process. A roster's
 aggregate key, which every full-roster verification raises to a challenge,
 keeps a table of its own (`Group.keep_table`) and walks it the same way.
 Its first power takes the ladder below, so that a process which checks one
-signature pays no table; its second builds the table, in about 5.5 ms, and
-every later power walks it, in about 0.14 ms against 0.83 ms for the ladder
-(2-vCPU machine, Python 3.11). Every other base uses a width-5 NAF. One
-doubling and 7 additions precompute its odd multiples 1, 3 .. 15 in the
-cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al. (CHES 2011); a
-negative digit adds an entry with Y + X and Y - X swapped and 2d*T negated,
-so negations cost nothing. Adding a cached entry takes 8 field
-multiplications, where adding two extended points takes 9. The recoded
+signature pays no table; its second builds the table, and every later power
+walks it, in about 0.25 ms against 1.6 ms for the ladder, so the table has
+paid for itself by about the 14th power (2-vCPU machine, Python 3.11; a
+radix-32 table, measured beside it, takes 12 ms to build and 0.33 ms to
+walk, and pays for itself by about the 9th). Every other base uses a
+width-5 NAF. One doubling and 7 additions precompute its odd multiples
+1, 3 .. 15 in the cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
+(CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped
+and 2d*T negated, so negations cost nothing. Adding a cached entry takes 8
+field multiplications, where adding two extended points takes 9. The recoded
 exponent has odd digits in [-15, 15] with at least four zeros after each, so
 it costs about one addition per six bits: 49 additions and 252 doublings for
 a 253-bit exponent, where an unsigned 4-bit window takes 72 and 248.
@@ -33,6 +37,19 @@ Doublings use the dedicated a = -1 formula of RFC 8032, which never reads T.
 The ladder therefore computes T, one multiplication, only on a step whose
 next step is an addition, and for its result (Hisil et al., ASIACRYPT 2008):
 on about 51 of a^k's 301 steps.
+
+Field products are reduced in one of two ways. A product that a formula
+returns is reduced by `% p`, so every coordinate of every point returned is
+canonical, in [0, p). A product that only feeds later products of the same
+formula (a, b, c and dd of an addition, the four squares of a doubling) is
+folded instead, by 2^255 = 19 (mod p): t becomes (t mod 2^255) + 19 *
+floor(t / 2^255), which is congruent to t and costs about two thirds of
+`% p` (Bernstein, "Curve25519: new Diffie-Hellman speed records", PKC 2006).
+Folded values, and the sums and differences of them that the returned
+products multiply, stay below 2^262 in magnitude: a few bits more than a
+reduced value, and still nine 30-bit digits of a Python int. Each returned
+product is then the same residue as if every product had been reduced, so
+the kernels return the same tuples, bit for bit.
 
 `check_response` tests g^s * A^c == R without a full-length A^c. A
 truncated extended Euclid splits c into c0 = c*t (mod L) with c0 and an odd
@@ -42,7 +59,7 @@ g^(-s*t), is then checked by one joint ladder over the windows of A and R
 SAC 2005; Pornin, https://eprint.iacr.org/2020/454). A key element keeps its
 window once it has been used as a key, and a node keeps one key element per
 child subtree, so a child's key window is built once, not every round. One
-check costs about 49 additions (56 when it builds the key's window), 49
+check costs about 49 additions (56 when it builds the key's window), 42
 table additions and 127 doublings.
 
 `check_responses` checks several responses to one challenge c at once, as
@@ -51,7 +68,7 @@ gets a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
 generator's stream moves, and one `check_response` tests g^(sum w_i*s_i) *
 A^c == W for A = prod K_i^w_i and W = prod V_i^w_i, each product one Straus
 ladder over the signed windows of its bases. A batch of 8 costs about 461
-additions (517 when it builds the 8 key windows), 49 table additions and
+additions (517 when it builds the 8 key windows), 42 table additions and
 390 doublings (398). If any item fails, the batch passes with probability
 at most 2^-127 (Bellare, Garay and Rabin, EUROCRYPT 1998), provided every
 key and every commit lies in the prime-order subgroup; decoding guarantees
@@ -71,8 +88,8 @@ weight w_i, and one Straus ladder over the keys, with exponents
 w_i*c_i mod L, and over the negated R_i, with exponents w_i, must equal one
 table power g^(-sum w_i*s_i). That costs about 78 additions and 2
 doublings per item (42 additions for the key and 21 for R in the ladder,
-the rest building their two windows), plus 252 doublings and 49 table
-additions in all, against about 105 additions (49 from the table) and 127
+the rest building their two windows), plus 252 doublings and 42 table
+additions in all, against about 98 additions (42 from the table) and 127
 doublings per item checked one by one. The batch shares the 2^-127 bound
 above, and again only because every key and every R lies in the
 prime-order subgroup: `Signature.decode` checks R as it checks any element.
@@ -436,6 +453,7 @@ class ToyGroup(Group):
 # ---------------------------------------------------------------------------
 
 _P = 2**255 - 19
+_LOW255 = (1 << 255) - 1
 _L = 2**252 + 27742317777372353535851937790883648493
 _D = (-121665 * pow(121666, _P - 2, _P)) % _P
 _D2 = 2 * _D % _P
@@ -609,10 +627,14 @@ class Ed25519Group(Group):
         not wanted (it is then None). Reads p's T."""
         x1, y1, z1, t1 = p
         ypx, ymx, z2, t2d = q
-        a = (y1 - x1) * ymx % _P
-        b = (y1 + x1) * ypx % _P
-        c = t1 * t2d % _P
-        dd = z1 * z2 % _P
+        a = (y1 - x1) * ymx
+        a = (a & _LOW255) + 19 * (a >> 255)
+        b = (y1 + x1) * ypx
+        b = (b & _LOW255) + 19 * (b >> 255)
+        c = t1 * t2d
+        c = (c & _LOW255) + 19 * (c >> 255)
+        dd = z1 * z2
+        dd = (dd & _LOW255) + 19 * (dd >> 255)
         e, f, g, h = b - a, dd - c, dd + c, b + a
         return (e * f % _P, g * h % _P, f * g % _P, e * h % _P if with_t else None)
 
@@ -620,12 +642,17 @@ class Ed25519Group(Group):
         # RFC 8032 section 5.1.4 (Hisil et al. 2008, a = -1). T is not read,
         # and is None in the result unless wanted.
         x, y, z, _ = p
-        a = x * x % _P
-        b = y * y % _P
-        c = 2 * z * z % _P
-        h = a + b
+        a = x * x
+        a = (a & _LOW255) + 19 * (a >> 255)
+        b = y * y
+        b = (b & _LOW255) + 19 * (b >> 255)
+        c = 2 * z * z
+        c = (c & _LOW255) + 19 * (c >> 255)
         s = x + y
-        e = h - s * s % _P
+        s = s * s
+        s = (s & _LOW255) + 19 * (s >> 255)
+        h = a + b
+        e = h - s
         g = a - b
         f = c + g
         return (e * f % _P, g * h % _P, f * g % _P, e * h % _P if with_t else None)
@@ -643,9 +670,12 @@ class Ed25519Group(Group):
         _add with Z2 = 1, which saves two multiplications."""
         x1, y1, z1, t1 = p
         ypx, ymx, xy2d = q
-        a = (y1 - x1) * ymx % _P
-        b = (y1 + x1) * ypx % _P
-        c = t1 * xy2d % _P
+        a = (y1 - x1) * ymx
+        a = (a & _LOW255) + 19 * (a >> 255)
+        b = (y1 + x1) * ypx
+        b = (b & _LOW255) + 19 * (b >> 255)
+        c = t1 * xy2d
+        c = (c & _LOW255) + 19 * (c >> 255)
         dd = 2 * z1
         e, f, g, h = b - a, dd - c, dd + c, b + a
         return (e * f % _P, g * h % _P, f * g % _P, e * h % _P)
@@ -654,39 +684,40 @@ class Ed25519Group(Group):
         return self._add(a, b)
 
     def _fixed_base_rows(self, base):
-        """Row i holds j * 32^i * base for j = 0..16, for i = 0..50, in the
-        affine form (y + x, y - x, 2d*x*y), for one inversion in all. 51
-        rows cover every k < L: as L < 2^253, the top digit (bits 250 to
-        252, plus a carry) is at most 8, so it never carries out."""
+        """Row i holds j * 64^i * base for j = 0..32, for i = 0..42, in the
+        affine form (y + x, y - x, 2d*x*y), for one inversion in all. 43
+        rows cover every k < L: as L < 2^253, the top digit (bit 252, plus a
+        carry) is at most 2, so it never carries out."""
         points = []
-        for _ in range(51):
+        for _ in range(43):
             row = [self._IDENT, base]
-            for _ in range(15):
-                row.append(self._add(row[-1], base))
+            step = self._cached(base)
+            for _ in range(31):
+                row.append(self._add_cached(row[-1], step))
             points.extend(row)
-            base = self._double(row[16])
-        entries = []
-        for (x, y, _, _), zi in zip(points, _invert_all([p[2] for p in points])):
-            x, y = x * zi % _P, y * zi % _P
-            entries.append(((y + x) % _P, (y - x) % _P, 2 * _D * x * y % _P))
-        return tuple(tuple(entries[i:i + 17]) for i in range(0, len(entries), 17))
+            base = self._double(row[32])
+        # x*y = T/Z, so an entry is (Y + X, Y - X, 2d*T) over Z
+        entries = [((y + x) * zi % _P, (y - x) * zi % _P, t * zi % _P * _D2 % _P)
+                   for (x, y, _, t), zi in zip(points, _invert_all([p[2] for p in points]))]
+        return tuple(tuple(entries[i:i + 33]) for i in range(0, len(entries), 33))
 
     def _comb(self, rows, k):
         """base^k for the base of `rows`, a `_fixed_base_rows` table.
 
-        k = sum of d_i * 32^i with signed digits d_i in [-15, 16], so base^k
-        adds one entry of row i per nonzero digit over the 51 rows and
-        doubles nothing. A negative digit adds the negation of entry -d_i:
-        y + x and y - x swapped, 2d*x*y negated."""
+        k = sum of d_i * 64^i with signed digits d_i in [-31, 32], so base^k
+        adds one entry of row i per nonzero digit over the 43 rows and
+        doubles nothing: about 42 additions for a random k. A negative digit
+        adds the negation of entry -d_i: y + x and y - x swapped, 2d*x*y
+        negated."""
         add = self._add_affine
         k %= _L
         r = self._IDENT
         for row in rows:
-            d = k & 31
-            k >>= 5
-            if d > 16:
+            d = k & 63
+            k >>= 6
+            if d > 32:
                 k += 1
-                ypx, ymx, xy2d = row[32 - d]
+                ypx, ymx, xy2d = row[64 - d]
                 r = add(r, (ymx, ypx, -xy2d))
             elif d:
                 r = add(r, row[d])

@@ -269,6 +269,17 @@ def deployment(tmp_path, cli_process):
         assert not thread.is_alive()
 
 
+# The round-trip hint of the loopback rounds that must sign with every
+# witness. A leader waits 4 * rtt per tree level for each phase, so 8 s here.
+# On a shared virtual machine a process can stall for tenths of a second (a
+# 7 ms response handler has taken 118 ms, a frame 163 ms to be read, and the
+# test process, which hosts witness 1, has paused 0.42 s in a collection),
+# which the 0.4 s phases of a 0.05 s hint did not always absorb; a witness
+# then missed the round and the signature had 2 of 3 present. A round whose
+# witnesses all answer still ends when the last response arrives.
+LIVE_ROUND_RTT = "1.0"
+
+
 def test_sign_and_verify_over_loopback(tmp_path, capsys, deployment):
     roster_path, keyfiles, _ = deployment
     statement = tmp_path / "statement.bin"
@@ -276,7 +287,7 @@ def test_sign_and_verify_over_loopback(tmp_path, capsys, deployment):
     sig_path = tmp_path / "out.sig"
     rc = main(["sign", "--roster", str(roster_path), "--key", str(keyfiles[0]),
                "--statement-file", str(statement), "--out", str(sig_path),
-               "--rtt", "0.05", "--timeout", "30", "--round", "0"])
+               "--rtt", LIVE_ROUND_RTT, "--timeout", "30", "--round", "0"])
     assert rc == 0
     assert main(["verify", "--roster", str(roster_path),
                  "--statement-file", str(statement), "--sig", str(sig_path),
@@ -534,7 +545,7 @@ def test_run_leader_timestamp_service_end_to_end(tmp_path, deployment, cli_proce
     roster_path, keyfiles, roster = deployment
     leader_endpoint = roster.entries[0].endpoint
     cli_process(["run-leader", "--roster", str(roster_path), "--key", str(keyfiles[0]),
-                 "--period", "1.0", "--rtt", "0.05", "--timeout", "20"],
+                 "--period", "1.0", "--rtt", LIVE_ROUND_RTT, "--timeout", "20"],
                 cli._parse_addr(leader_endpoint))
     doc = tmp_path / "serviced.txt"
     doc.write_bytes(b"service me")

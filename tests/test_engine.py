@@ -171,6 +171,18 @@ def test_announce_with_unknown_mode_or_timing_dropped(field, caplog):
     assert "unknown mode or statement timing" in caplog.text
 
 
+@pytest.mark.parametrize("bad, cause", [
+    ({"mode": 5}, "unknown signature mode 5"),
+    ({"statement_timing": 2}, "unknown statement timing 2"),
+    ({"max_restarts": -1}, "max_restarts must be >= 0"),
+])
+def test_round_config_rejects_unknown_values(bad, cause):
+    # a leader would send an announce that every witness drops, and its
+    # commit timer would then fail on the mode
+    with pytest.raises(ValueError, match=cause):
+        engine.RoundConfig(round_number=0, **bad)
+
+
 def test_frame_index_sets_bounded_by_roster():
     roster = make_toy_roster([1, 2, 3])
     frame = bytearray(encode_message(

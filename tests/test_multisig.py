@@ -372,7 +372,7 @@ def _tabled_round(seed, n=4):
     roster, sig = _prod_round(random.Random(seed), n=n)
     for _ in range(2):
         assert verify_collective(roster, b"prod", sig, Threshold(n)).ok
-    assert len(roster.aggregate_key()._rows) == 51
+    assert len(roster.aggregate_key()._rows) == 43
     return roster, sig
 
 
@@ -384,7 +384,7 @@ def test_roster_key_builds_its_table_on_its_second_power():
     assert key._rows == 1  # the first power ran the ladder
     assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
     rows = key._rows
-    assert len(rows) == 51
+    assert len(rows) == 43
     assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
     assert roster.aggregate_key() is key and key._rows is rows
 

@@ -1,3 +1,4 @@
+import collections
 import csv
 import gc
 import tracemalloc
@@ -7,7 +8,7 @@ import pytest
 
 from cosikit import engine, multisig, simnet
 from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_message
-from cosikit.group import Signature
+from cosikit.group import Ed25519Group, Signature
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.simnet import (
@@ -295,6 +296,33 @@ def test_benchmark_shaped_rounds_pinned(cfg, msgs, sent_bytes, root_bytes, laten
     assert m.outcome == "ok"
     assert (m.total_msgs, m.total_bytes_sent, m.root_bytes) == (msgs, sent_bytes, root_bytes)
     assert m.latency == pytest.approx(latency, abs=1e-6)
+
+
+def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
+    """Ed25519 kernel calls of the prod round above, a cost that does not
+    depend on the machine's speed: fixed-base powers (`_comb`), Straus
+    ladders and ladder windows in building the roster, in the first round
+    (which also builds every subtree key's window) and in the next. A change
+    that adds a ladder or a window moves them."""
+    calls = collections.Counter()
+    for name in ("_comb", "_straus", "_window"):
+        real = getattr(Ed25519Group, name)
+
+        def counted(self, *args, name=name, real=real):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(Ed25519Group, name, counted)
+    sim = simnet.CosiSim(SimConfig(seed=1, n=128, branching=8, scheme="cosi",
+                                   group_name="prod", mode=MODE_NO_RESTART,
+                                   statement=bytes(32), failures=_liars(5, 40, 77)))
+    counts = {"roster": dict(calls)}
+    for rnd in range(2):
+        calls.clear()
+        assert sim.run_round(rnd)[1].ok
+        counts[f"round {rnd}"] = dict(calls)
+    assert counts == {"roster": {"_comb": 257, "_straus": 1, "_window": 256},
+                      "round 0": {"_comb": 176, "_straus": 78, "_window": 317},
+                      "round 1": {"_comb": 176, "_straus": 78, "_window": 182}}
 
 
 _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")

@@ -509,7 +509,7 @@ def test_prod_receipt_tampering_rejected_under_a_tabled_key():
     for cert in (full_certificate(roster), compact_certificate(roster)):
         for _ in range(2):
             assert verify_receipt(cert, digest, receipt, Threshold(4)).ok
-        assert len(roster.aggregate_key()._rows) == 51
+        assert len(roster.aggregate_key()._rows) == 43
         for bad in tampered:
             result = verify_receipt(cert, digest, bad, Threshold(4))
             assert not result.ok and result.reason == "challenge mismatch"
@@ -517,7 +517,7 @@ def test_prod_receipt_tampering_rejected_under_a_tabled_key():
 
 def test_prod_receipt_verifications_keep_one_table_per_roster():
     # The first verification powers the roster key by the ladder and the
-    # second builds its table, about 213 KB; the next 198 walk that table
+    # second builds its table, about 355 KB; the next 198 walk that table
     # and retain nothing. A table per call, kept, would exceed the bound.
     roster, receipts = prod_receipts(72)
     digest, receipt = next(iter(receipts.items()))
@@ -531,7 +531,7 @@ def test_prod_receipt_verifications_keep_one_table_per_roster():
         held = tracemalloc.get_traced_memory()[0] - after_two
     finally:
         tracemalloc.stop()
-    assert len(roster.aggregate_key()._rows) == 51
+    assert len(roster.aggregate_key()._rows) == 43
     assert held < 300_000
 
 
