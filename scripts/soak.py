@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
-"""Memory soak: a long-lived simulation or timestamp authority must hold
-bounded state.
+"""Memory soak: a long-lived simulation, timestamp authority or verifier must
+hold bounded state.
 
 Runs a 16-node toy cosi simulation (branching 3, a lying witness, view change
-on) in each mode, and a timestamp authority that closes small batches through
-a 4-witness toy simulation and encodes every receipt: warm-up rounds first,
-then more rounds under `tracemalloc`. Exits 1 if traced memory grows by more
-than `LIMIT_KB` over the measured rounds, whichever container holds it, so a
-receipt, head or record that outlives its batch fails it. It also prints, in
-each mode, the bytes each node retains over one more toy round at N=256,
-branching 16, as
+on) in each mode, a timestamp authority that closes small batches through
+a 4-witness toy simulation and encodes every receipt, and a verifier that
+checks prod signatures with different absent sets against one roster: warm-up
+rounds first, then more rounds under `tracemalloc`. Exits 1 if traced memory
+grows by more than `LIMIT_KB` over the measured rounds, whichever container
+holds it, so a receipt, head or record that outlives its batch fails it, and
+so does a present-key table that outlives its replacement in the roster's
+slot. It also prints, in each mode, the bytes each node retains over one
+more toy round at N=256, branching 16, as
 `tests/test_simnet.py::test_one_more_round_retains_little_per_node` bounds it.
 
     python scripts/soak.py
@@ -27,10 +29,14 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cosikit import simnet, timestamp  # noqa: E402
-from cosikit.multisig import MODE_NAMES  # noqa: E402
+from cosikit.multisig import (MODE_NAMES, MODE_NO_RESTART, CollectiveSignature,  # noqa: E402
+                              verify_collective)
+from cosikit.participation import Threshold  # noqa: E402
 
 WARMUP, ROUNDS, LIMIT_KB = 100, 1000, 64
 STAMP_HASHES = 16  # hashes per timestamp batch
+# verifies of one signature in a row: a ladder, a table build, then walks
+VERIFY_RUN = 20
 
 
 def growth(start, warmup: int, rounds: int) -> int:
@@ -88,6 +94,32 @@ def stamp_batches():
     return step
 
 
+def verify_runs():
+    """A step that decodes and verifies one of three prod signatures against
+    one 8-witness roster, each signature with a different lying witness and
+    so a different absent set, in runs of `VERIFY_RUN` verifies of the same
+    one. Each run's first verify replaces the roster's present-key slot and
+    its second builds that key's fixed-base table, so every run drops the
+    table of the run before it. A rejected signature raises."""
+    signed = []
+    for liar in (2, 5, 7):
+        # one seed, so each simulation builds the same roster
+        sim = simnet.CosiSim(simnet.SimConfig(
+            seed=1, n=8, branching=3, group_name="prod", mode=MODE_NO_RESTART,
+            failures=(simnet.FailureAction(liar, "response", "lie"),)))
+        _, result = sim.run_round(0)
+        signed.append((result.statement, result.signature.to_bytes()))
+    roster = sim.roster
+    predicate = Threshold(len(roster) - 1)
+
+    def step(v: int) -> None:
+        statement, blob = signed[v // VERIFY_RUN % len(signed)]
+        sig = CollectiveSignature.from_bytes(blob, len(roster))
+        if not verify_collective(roster, statement, sig, predicate).ok:
+            raise SystemExit(f"verify {v} rejected")
+    return step
+
+
 def report(name: str, grown: int, what: str) -> bool:
     within = grown <= LIMIT_KB * 1024
     print(f"{name}: traced memory grew {grown / 1024:.1f} KB over {ROUNDS} {what} "
@@ -108,6 +140,8 @@ def main() -> int:
         print(f"{name}: one more round at N=256, B=16 retains {kept / 256:,.0f} B per node")
     ok &= report("timestamp", growth(stamp_batches, WARMUP, ROUNDS),
                  f"{STAMP_HASHES}-hash batches")
+    ok &= report("verify", growth(verify_runs, WARMUP, ROUNDS),
+                 f"prod verifies in runs of {VERIFY_RUN}")
     return 0 if ok else 1
 
 

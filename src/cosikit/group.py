@@ -9,22 +9,25 @@ Ed25519 exponentiation takes one of three paths, all on signed digits. A
 power of the generator (recognised by identity: the generator's coordinates
 are derived once, at import) writes k mod L in radix 64 with digits in
 [-31, 32], and adds one entry per nonzero digit from a fixed-base table of
-43 rows of 33 multiples j * 64^i * G, j = 0..32, with no doublings: about 42
+42 rows of 33 multiples j * 64^i * G, j = 0..32, and a top row of 3, j =
+0..2 (the top digit of a k < L is at most 2), with no doublings: about 42
 additions for a random k, where a radix-32 table of 51 rows of 17 takes 49
 (Bernstein et al., CHES 2011). The entries are affine, stored as (y + x,
 y - x, 2d*x*y), so each addition is a mixed one of 7 field multiplications;
 a negative digit adds an entry with y + x and y - x swapped and 2d*x*y
-negated. The table (1,419 entries, about 0.35 MB under tracemalloc, where
+negated. The table (1,389 entries, about 0.34 MB under tracemalloc, where
 radix 32 holds 867 and 0.21 MB) is built lazily by the first such power, in
 about 17 ms, and then reused for the life of the process. A roster's
 aggregate key, which every full-roster verification raises to a challenge,
-keeps a table of its own (`Group.keep_table`) and walks it the same way.
-Its first power takes the ladder below, so that a process which checks one
-signature pays no table; its second builds the table, and every later power
-walks it, in about 0.25 ms against 1.6 ms for the ladder, so the table has
-paid for itself by about the 14th power (2-vCPU machine, Python 3.11; a
-radix-32 table, measured beside it, takes 12 ms to build and 0.33 ms to
-walk, and pays for itself by about the 9th). Every other base uses a
+keeps a table of its own (`Group.keep_table`) and walks it the same way, and
+so does the present key of the last absent set a roster verified
+(`WitnessRoster.kept_present_key`). Such a key's first power takes the
+ladder below, so that a process which checks one signature pays no table;
+its second builds the table, and every later power walks it, in about
+0.25 ms against 1.6 ms for the ladder, so the table has paid for itself by
+about the 14th power (2-vCPU machine, Python 3.11; a radix-32 table,
+measured beside it, takes 12 ms to build and 0.33 ms to walk, and pays for
+itself by about the 9th). Every other base uses a
 width-5 NAF. One doubling and 7 additions precompute its odd multiples
 1, 3 .. 15 in the cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
 (CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped
@@ -106,8 +109,10 @@ half each lie in 2E. Whether a point lies in 2E is whether its Montgomery
 coordinate is a square, and whether a half does can be read from the
 halving equation without finding the half (Pornin, "Point-Halving and
 Subgroup Membership in Twisted Edwards Curves", 2022). The test costs three
-square roots, five Jacobi symbols and one inversion, against about 252
-doublings and 60 additions for [L]P.
+square roots, three Jacobi symbols and one inversion, against about 252
+doublings and 60 additions for [L]P: whether the point's own coordinate is
+a square is read from the first square root, and the last halving needs no
+choice between two candidates (`_in_prime_subgroup`).
 
 The arithmetic runs on plain Python integers and is variable-time: its
 running time depends on the scalar's digits (zero digits skip their
@@ -507,49 +512,55 @@ def _is_square(a: int) -> bool:
     return n == 1 and t == 1
 
 
-def _halving_sigma(u: int) -> int:
-    """(U + 1/U) / 2, where U and 1/U are the Montgomery coordinates of the
-    two halves of a point in 2E with Montgomery coordinate u (u a nonzero
-    square). They are the roots of U^2 - 2*sigma*U + 1, and sigma is
-    u + sqrt(u^2 + A*u + 1) or u - sqrt(...): the one whose sigma^2 - 1 is a
-    square, so that U is in F_p."""
-    r = _sqrt_ratio(u * (u + _A) + 1, 1)
-    sigma = (u + r) % _P
-    return sigma if _is_square(sigma * sigma - 1) else (u - r) % _P
-
-
 def _in_prime_subgroup(x: int, y: int) -> bool:
     """Whether the curve point (x, y) lies in the subgroup of order L.
 
     E(F_p) is cyclic of order 8L, so that subgroup is 8E: P is in it iff P,
     a half of P and a half of that half each lie in 2E (a point's two
     halves differ by (0, -1), which lies in 2E). For x != 0, P lies in 2E
-    iff its Montgomery coordinate u = (1 + y) / (1 - y) is a square. A half
-    with coordinate U lies in 2E iff U is a square, and since
-    (U + 1)^2 = 2U*(sigma + 1) and 2 is not a square (p = 5 mod 8), iff
-    sigma + 1 is not (Pornin, "Point-Halving and Subgroup Membership in
-    Twisted Edwards Curves", 2022).
+    iff its Montgomery coordinate u = (1 + y) / (1 - y) is a square. The
+    two halves have Montgomery coordinates U and 1/U, the roots of
+    U^2 - 2*sigma*U + 1 for sigma = u + r or u - r, r = sqrt(u^2 + A*u + 1):
+    the one whose sigma^2 - 1 is a square, so that U is in F_p. A half lies
+    in 2E iff U is a square, and since (U + 1)^2 = 2U*(sigma + 1) and 2 is
+    not a square (p = 5 mod 8), iff sigma + 1 is not (Pornin, "Point-Halving
+    and Subgroup Membership in Twisted Edwards Curves", 2022).
+
+    Two facts save two of the five Legendre symbols this reads as written.
+    First, u^2 + A*u + 1 = v^2 / u for P's Montgomery v, and v != 0, so the
+    square root r exists exactly when u is a square: the test of u is the
+    first square root's None. Second, the last halving needs no choice of
+    sigma. For s+ = U + r' and s- = U - r', with r' either root of
+    U^2 + A*U + 1, (s+ + 1)(s- + 1) = (2 - A)*U, a non-square as 2 - A is
+    one and U is a square, so s+ + 1 and s- + 1 have opposite symbols. If
+    s+ is the right sigma, s+^2 - 1 = (s+ - 1)(s+ + 1) is a square, so
+    s+ + 1 has the symbol of s+ - 1. If s- is, s+^2 - 1 is not, so s+ - 1
+    has the symbol opposite to s+ + 1's, which is s- + 1's. Either way the
+    half's half lies in 2E iff s+ - 1 is not a square.
 
     No value below is 0 once x != 0. Then y != +-1, so u is neither 0 nor
     infinite. u^2 + A*u + 1 has no root, as A^2 - 4 is not a square. The
     two candidates for sigma^2 - 1 multiply to (A^2 - 4)*u^2, a non-square:
     neither is 0 and exactly one is a square, so sigma != +-1. U != 0 since
-    U * (1/U) = 1, and all of this holds again one halving down. Each
-    square root taken exists: u^2 + A*u + 1 = v^2 / u for P's Montgomery v,
-    sigma is chosen so that sigma^2 - 1 is a square, and
+    U * (1/U) = 1, and all of this holds again one halving down, where
+    s+ - 1 != 0 as s+^2 - 1 is 0 for neither candidate. Each later square
+    root taken exists: sigma is chosen so that sigma^2 - 1 is a square, and
     U^2 + A*U + 1 = (U^2 - 1)^2 / (4u*U) with u and U both squares.
     """
     if x == 0:
         # (0, 1) is the identity, (0, -1) has order 2.
         return y == 1
     u = (1 + y) * pow(1 - y, -1, _P) % _P
-    if not _is_square(u):
+    r = _sqrt_ratio(u * (u + _A) + 1, 1)
+    if r is None:
         return False
-    sigma = _halving_sigma(u)
+    sigma = (u + r) % _P
+    if not _is_square(sigma * sigma - 1):
+        sigma = (u - r) % _P
     if _is_square(sigma + 1):
         return False
     half = (sigma + _sqrt_ratio(sigma * sigma - 1, 1)) % _P
-    return not _is_square(_halving_sigma(half) + 1)
+    return not _is_square(half + _sqrt_ratio(half * (half + _A) + 1, 1) - 1)
 
 
 # The base point, derived once. `_pow` recognises it by identity, so every
@@ -684,18 +695,20 @@ class Ed25519Group(Group):
         return self._add(a, b)
 
     def _fixed_base_rows(self, base):
-        """Row i holds j * 64^i * base for j = 0..32, for i = 0..42, in the
-        affine form (y + x, y - x, 2d*x*y), for one inversion in all. 43
-        rows cover every k < L: as L < 2^253, the top digit (bit 252, plus a
-        carry) is at most 2, so it never carries out."""
+        """Row i holds j * 64^i * base for j = 0..32, for i = 0..41, and the
+        top row, i = 42, for j = 0..2 only, in the affine form (y + x,
+        y - x, 2d*x*y), for one inversion in all. 43 rows cover every k < L:
+        as L < 2^253, the top digit (bit 252, plus a carry) is at most 2, so
+        it never carries out."""
         points = []
-        for _ in range(43):
+        for _ in range(42):
             row = [self._IDENT, base]
             step = self._cached(base)
             for _ in range(31):
                 row.append(self._add_cached(row[-1], step))
             points.extend(row)
             base = self._double(row[32])
+        points += (self._IDENT, base, self._double(base))
         # x*y = T/Z, so an entry is (Y + X, Y - X, 2d*T) over Z
         entries = [((y + x) * zi % _P, (y - x) * zi % _P, t * zi % _P * _D2 % _P)
                    for (x, y, _, t), zi in zip(points, _invert_all([p[2] for p in points]))]

@@ -80,18 +80,26 @@ def adjust_key_for_absent(full: GroupElement,
 def present_key(roster: WitnessRoster, absent: frozenset[int]) -> GroupElement:
     """Aggregate key of the witnesses not in `absent`.
 
-    When fewer witnesses are absent than present, the absent keys are divided
-    out of the roster's cached full key; otherwise the present keys are
-    multiplied directly, with `aggregate_public_key`'s checks.
+    With no one absent it is the roster's full key. Otherwise the roster's
+    one slot (`WitnessRoster.kept_present_key`) keeps it, with a fixed-base
+    table, for as long as the same set is asked for again. A new set's key
+    divides the absent keys out of the full key when fewer witnesses are
+    absent than present, and otherwise multiplies the present keys directly,
+    with `aggregate_public_key`'s checks.
     """
     count = len(roster)
     for i in absent:
         if not 0 <= i < count:
             raise MultisigError(f"roster index {i} out of range")
-    if 2 * len(absent) < count:
-        return adjust_key_for_absent(roster.aggregate_key(),
-                                     [roster.public_key(i) for i in sorted(absent)])
-    return aggregate_public_key(roster, frozenset(range(count)) - absent)
+    if not absent:
+        return roster.aggregate_key()
+
+    def make() -> GroupElement:
+        if 2 * len(absent) < count:
+            return adjust_key_for_absent(roster.aggregate_key(),
+                                         [roster.public_key(i) for i in sorted(absent)])
+        return aggregate_public_key(roster, frozenset(range(count)) - absent)
+    return roster.kept_present_key(absent, make)
 
 
 def collective_challenge(aggregate_commit: GroupElement, statement: bytes,

@@ -50,6 +50,20 @@ class RosterEntry:
 
 @dataclass(frozen=True)
 class WitnessRoster:
+    """An ordered, validated witness list with a designated leader.
+
+    Besides its full aggregate key, a roster keeps the present key of one
+    absent set in one slot: the last non-empty set that
+    `multisig.present_key` was asked for, with that set's key made by
+    `Group.keep_table`. A signature's absent witnesses (crashed, lying, or
+    the leader of a replaced view) tend to stay absent round after round,
+    so a recurring set reuses one element, whose second power builds a
+    fixed-base table and whose later powers walk it. A different set
+    replaces the slot, and its key starts again from the ladder, so a set
+    that changes on every call builds no table. Deep copies of the roster
+    copy the slot and share its table.
+    """
+
     version: int
     entries: tuple[RosterEntry, ...]
     leader_index: int
@@ -90,6 +104,20 @@ class WitnessRoster:
         for e in self.entries:
             acc = acc * e.key.public
         return self.group.keep_table(acc)
+
+    def kept_present_key(self, absent: frozenset[int],
+                         make: Callable[[], GroupElement]) -> GroupElement:
+        """The kept present key for a non-empty absent set: the slot's key
+        if the slot holds this set, else `make()` marked by `keep_table`,
+        which then replaces the slot."""
+        slot = self.__dict__.get("_absent_slot")
+        if slot is not None and slot[0] == absent:
+            return slot[1]
+        key = self.group.keep_table(make())
+        # One assignment, as for a kept table: threads that race here each
+        # store a correct key, and whichever lands last is kept.
+        self.__dict__["_absent_slot"] = (absent, key)
+        return key
 
     def to_json_obj(self) -> dict:
         return {

@@ -6,6 +6,7 @@ an affine reference."""
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -102,6 +103,20 @@ def assert_cuts_rejected(decode, data: bytes) -> None:
             decode(data[:cut])
     with pytest.raises(ValueError):
         decode(data + b"\x00")
+
+
+def count_calls(monkeypatch, owner, names) -> collections.Counter:
+    """Calls of each named function of `owner`, a class or a module, counted
+    in the Counter returned for as long as the test runs."""
+    calls = collections.Counter()
+    for name in names:
+        real = getattr(owner, name)
+
+        def counted(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import D, L, P, affine, affine_add, cached_affine, encode_affine, ref_pow
+from conftest import D, L, P, affine, affine_add, cached_affine, count_calls, encode_affine, \
+    ref_pow
 from cosikit.group import (
     ED25519,
     TOY,
@@ -26,6 +27,7 @@ from cosikit.group import (
     verify_possession,
     verify_possessions,
 )
+from cosikit import group as group_mod
 from cosikit.engine import failing_partials
 from cosikit.group import Ed25519Group, Group, GroupElement, _half_split, _recover_x
 
@@ -390,12 +392,17 @@ def ops(monkeypatch):
     return calls
 
 
+# 42 rows of 33 entries, j = 0..32, and a top row of 3: the top digit of a
+# k < L is at most 2
+TABLE_SHAPE = [33] * 42 + [3]
+
+
 def test_fixed_base_table_built_once(monkeypatch, ops):
     monkeypatch.setattr(ED25519, "_g_rows", None)
     g = ED25519.generator
     assert g ** 5 == ED25519.decode_element(g.encode()) ** 5
     rows = ED25519._g_rows
-    assert len(rows) == 43 and all(len(row) == 33 for row in rows)
+    assert [len(row) for row in rows] == TABLE_SHAPE
     for k in (7, 2**200 + 3, L - 1):
         ops.clear()
         g ** k
@@ -410,7 +417,7 @@ def test_fixed_base_table_matches_affine_reference():
     """G's table, and one built for another base."""
     for raw in (ED25519.generator.raw, kept_keys()[0].raw):
         table = ED25519._fixed_base_rows(raw)
-        assert len(table) == 43 and all(len(row) == 33 for row in table)
+        assert [len(row) for row in table] == TABLE_SHAPE
         base = affine(raw)
         for row in table:
             point = (0, 1)
@@ -1034,6 +1041,24 @@ def test_decode_every_torsion_coset_matches_reference(k, small_order):
     base = affine((ED25519.generator ** k).raw)
     points = [affine_add(base, t) for t in small_order]
     assert assert_decode_matches_reference(points) == [True] + [False] * 7
+
+
+# (Jacobi symbols, square roots) one decode of G^k plus the multiple j of a
+# point of order 8 reads, by j. For odd j, u is not a square and the first
+# square root after x's is None; for j = 2 and 6 the first half is not in 2E;
+# j = 0 and 4 run all three levels, where the last needs no choice of sigma.
+DECODE_OPS = {0: (3, 4), 1: (0, 2), 2: (2, 2), 3: (0, 2),
+              4: (3, 4), 5: (0, 2), 6: (2, 2), 7: (0, 2)}
+
+
+def test_decode_square_roots_and_jacobi_symbols_per_coset(monkeypatch, small_order):
+    calls = count_calls(monkeypatch, group_mod, ("_is_square", "_sqrt_ratio"))
+    base = affine((ED25519.generator ** 0x5EED).raw)
+    for j, t in enumerate(small_order):
+        point = affine_add(base, t)
+        calls.clear()
+        assert decodes(point) == ref_in_subgroup(*point) == (j == 0)
+        assert (calls["_is_square"], calls["_sqrt_ratio"]) == DECODE_OPS[j], j
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,10 +6,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import assert_cuts_rejected, audit_path, make_toy_roster, manual_round, \
-    swap_generator
+from conftest import assert_cuts_rejected, audit_path, count_calls, make_toy_roster, \
+    manual_round, swap_generator
 
-from cosikit import multisig
+from cosikit import multisig, roster as roster_mod
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Reader, challenge_hash, \
     keygen, prove_possession
 from cosikit.group import TAG_SIGN, Ed25519Group
@@ -287,14 +287,21 @@ def test_aggregation_order_independent(seed):
     assert total.value == back.value
 
 
-def _prod_round(rng, n=3, response_absent=frozenset(), mode=MODE_RESTART):
+def _prod_keys(rng, n):
     keys = [keygen(ED25519, rng) for _ in range(n)]
     entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(k, rng))
                for i, k in enumerate(keys)]
-    roster = build_roster(entries, 0)
-    commit_present = frozenset(range(n))
-    responders = commit_present - frozenset(response_absent)
-    nonces = {i: ED25519.random_scalar(rng) for i in range(n)}
+    return build_roster(entries, 0), keys
+
+
+def _prod_sign(rng, keys, response_absent=frozenset(), mode=MODE_RESTART):
+    """A collective signature on b"prod" by the witnesses of `keys` not in
+    `response_absent`. In no-restart mode the absent ones commit and become
+    commit exceptions; in restart mode they are absent from both phases."""
+    n = len(keys)
+    responders = frozenset(range(n)) - frozenset(response_absent)
+    commit_present = frozenset(range(n)) if mode == MODE_NO_RESTART else responders
+    nonces = {i: ED25519.random_scalar(rng) for i in sorted(commit_present)}
     commits = {i: ED25519.generator ** v for i, v in nonces.items()}
     agg = aggregate_elements(ED25519, commits.values())
     root = None
@@ -313,10 +320,14 @@ def _prod_round(rng, n=3, response_absent=frozenset(), mode=MODE_RESTART):
         total = total + response_share(nonces[i], c, keys[i].secret)
     pset = ParticipationSet(count=n, response_present=responders,
                             commit_present=commit_present)
-    sig = CollectiveSignature(group=ED25519, mode=mode, challenge=c, response=total,
-                              participation=pset, commit_root=root,
-                              exceptions=exceptions)
-    return roster, sig
+    return CollectiveSignature(group=ED25519, mode=mode, challenge=c, response=total,
+                               participation=pset, commit_root=root,
+                               exceptions=exceptions)
+
+
+def _prod_round(rng, n=3, response_absent=frozenset(), mode=MODE_RESTART):
+    roster, keys = _prod_keys(rng, n)
+    return roster, _prod_sign(rng, keys, response_absent, mode)
 
 
 def test_unforgeability_smoke_mutations():
@@ -403,13 +414,13 @@ def test_compact_certificate_walks_the_roster_key_table(monkeypatch):
     assert len(walked) == 2 and walked[0] is ED25519._g_rows and walked[1] is rows
 
 
-def test_absent_witness_leaves_no_table_on_the_adjusted_key(monkeypatch):
+def test_compact_certificate_leaves_no_table_on_the_adjusted_key(monkeypatch):
     roster, sig = _prod_round(random.Random(53), n=5, response_absent={2},
                               mode=MODE_NO_RESTART)
     keys = []
-    real_present_key = multisig.present_key
-    monkeypatch.setattr(multisig, "present_key",
-                        lambda r, absent: keys.append(real_present_key(r, absent)) or keys[-1])
+    real_verify_compact = roster_mod.verify_compact
+    monkeypatch.setattr(roster_mod, "verify_compact",
+                        lambda *args: keys.append(real_verify_compact(*args)) or keys[-1])
     built = []
     real_rows = Ed25519Group._fixed_base_rows
     monkeypatch.setattr(Ed25519Group, "_fixed_base_rows",
@@ -418,7 +429,6 @@ def test_absent_witness_leaves_no_table_on_the_adjusted_key(monkeypatch):
     proofs = [ProvenKey(2, roster.public_key(2), tree.prove(2))]
     cert = compact_certificate(roster)
     for _ in range(3):
-        assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
         assert verify_collective(cert, b"prod", sig, Threshold(4), proofs).ok
     assert len(keys) == 3 and all(key._rows is None for key in keys)
     assert roster.aggregate_key()._rows == 0 and built == []
@@ -442,6 +452,116 @@ def test_roster_deep_copy_shares_the_key_table():
     twin = copy.deepcopy(roster)
     assert twin.aggregate_key() is not roster.aggregate_key()
     assert twin.aggregate_key()._rows is roster.aggregate_key()._rows
+    assert verify_collective(twin, b"prod", sig, Threshold(4)).ok
+    assert not verify_collective(twin, b"prodX", sig, Threshold(4)).ok
+
+
+# -- the present key's slot ------------------------------------------------------
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Calls of the ladder, the table build and the table walk, counted."""
+    return count_calls(monkeypatch, Ed25519Group, ("_straus", "_fixed_base_rows", "_comb"))
+
+
+@pytest.fixture
+def present_keys(monkeypatch):
+    """Every key `present_key` hands to `verify_collective`, in order."""
+    keys = []
+    real = multisig.present_key
+    monkeypatch.setattr(multisig, "present_key",
+                        lambda r, absent: keys.append(real(r, absent)) or keys[-1])
+    return keys
+
+
+def _absent_signatures(seed, *absent_sets, mode=MODE_NO_RESTART):
+    """A 6-witness prod roster and one signature per absent set."""
+    rng = random.Random(seed)
+    roster, keys = _prod_keys(rng, 6)
+    return roster, [_prod_sign(rng, keys, absent, mode) for absent in absent_sets]
+
+
+def _verify_counted(roster, sig, calls):
+    calls.clear()
+    res = verify_collective(roster, b"prod", sig, Threshold(1))
+    return res, dict(calls)
+
+
+# G's power walks G's table in every verify; the present key's powers run the
+# ladder, then build its table and walk it, then walk it
+LADDER = {"_comb": 1, "_straus": 1}
+BUILD = {"_comb": 2, "_fixed_base_rows": 1}
+WALK = {"_comb": 2}
+
+
+def test_repeated_absent_set_runs_ladder_then_builds_then_walks(kernel_calls,
+                                                                present_keys):
+    roster, (sig,) = _absent_signatures(56, {1, 4})
+    steps = []
+    for _ in range(4):
+        res, calls = _verify_counted(roster, sig, kernel_calls)
+        assert res.ok
+        steps.append(calls)
+    assert steps == [LADDER, BUILD, WALK, WALK]
+    key = present_keys[0]
+    assert all(k is key for k in present_keys) and len(present_keys) == 4
+    assert len(key._rows) == 43
+    assert multisig.present_key(roster, frozenset({1, 4})) is key
+    # no one absent: the full key, and the slot is left as it was
+    assert multisig.present_key(roster, frozenset()) is roster.aggregate_key()
+    assert multisig.present_key(roster, frozenset({1, 4})) is key
+
+
+def test_new_absent_set_replaces_the_slot(kernel_calls, present_keys):
+    roster, (sig_a, sig_b) = _absent_signatures(57, {1, 4}, {2})
+    for _ in range(2):
+        assert verify_collective(roster, b"prod", sig_a, Threshold(1)).ok
+    key_a = present_keys[-1]
+    assert len(key_a._rows) == 43
+    res, calls = _verify_counted(roster, sig_b, kernel_calls)
+    assert res.ok and calls == LADDER
+    key_b = present_keys[-1]
+    assert key_b is not key_a and key_b._rows == 1
+    assert multisig.present_key(roster, frozenset({2})) is key_b
+    # the first set's key was dropped: its next power is a new key's ladder
+    res, calls = _verify_counted(roster, sig_a, kernel_calls)
+    assert res.ok and calls == LADDER and present_keys[-1] is not key_a
+
+
+def test_alternating_absent_sets_build_no_table(kernel_calls):
+    roster, sigs = _absent_signatures(58, {1, 4}, {2})
+    for _ in range(3):
+        for sig in sigs:
+            res, calls = _verify_counted(roster, sig, kernel_calls)
+            assert res.ok and calls == LADDER
+
+
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART], ids=["restart", "no-restart"])
+def test_tabled_present_key_rejects_tampering(mode):
+    roster, (sig,) = _absent_signatures(59, {0, 3, 5}, mode=mode)
+    for _ in range(2):
+        assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
+    key = multisig.present_key(roster, frozenset({0, 3, 5}))
+    rows = key._rows
+    assert len(rows) == 43
+    bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
+    bumped_s = dataclasses.replace(sig, response=sig.response + ED25519.scalar(1))
+    for statement, bad in ((b"prodX", sig), (b"prod", bumped_c), (b"prod", bumped_s)):
+        res = verify_collective(roster, statement, bad, Threshold(3))
+        assert not res.crypto_ok and res.reason == "challenge mismatch"
+    assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
+    assert multisig.present_key(roster, frozenset({0, 3, 5})) is key and key._rows is rows
+
+
+def test_roster_deep_copy_keeps_the_present_key_slot():
+    roster, (sig,) = _absent_signatures(60, {2, 3})
+    for _ in range(2):
+        assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
+    key = multisig.present_key(roster, frozenset({2, 3}))
+    assert len(key._rows) == 43
+    twin = copy.deepcopy(roster)
+    twin_key = multisig.present_key(twin, frozenset({2, 3}))
+    assert twin_key is not key and twin_key._rows is key._rows
     assert verify_collective(twin, b"prod", sig, Threshold(4)).ok
     assert not verify_collective(twin, b"prodX", sig, Threshold(4)).ok
 

@@ -1,12 +1,14 @@
-import collections
 import csv
+import dataclasses
 import gc
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from cosikit import engine, multisig, simnet
+from conftest import count_calls
+
+from cosikit import engine, multisig, simnet, timestamp
 from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_message
 from cosikit.group import Ed25519Group, Signature
 from cosikit.multisig import MODE_NO_RESTART
@@ -298,31 +300,63 @@ def test_benchmark_shaped_rounds_pinned(cfg, msgs, sent_bytes, root_bytes, laten
     assert m.latency == pytest.approx(latency, abs=1e-6)
 
 
+KERNELS = ("_comb", "_straus", "_window")
+
+
 def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
     """Ed25519 kernel calls of the prod round above, a cost that does not
     depend on the machine's speed: fixed-base powers (`_comb`), Straus
     ladders and ladder windows in building the roster, in the first round
-    (which also builds every subtree key's window) and in the next. A change
-    that adds a ladder or a window moves them."""
-    calls = collections.Counter()
-    for name in ("_comb", "_straus", "_window"):
-        real = getattr(Ed25519Group, name)
-
-        def counted(self, *args, name=name, real=real):
-            calls[name] += 1
-            return real(self, *args)
-        monkeypatch.setattr(Ed25519Group, name, counted)
+    (which also builds every subtree key's window) and in the next two. A
+    change that adds a ladder or a window moves them. Every round's
+    signature leaves the three liars absent, so the leader's self-check
+    powers the roster's kept present key: by the ladder in round 0, by the
+    table it builds in round 1 and by walking that table in round 2."""
+    calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
     sim = simnet.CosiSim(SimConfig(seed=1, n=128, branching=8, scheme="cosi",
                                    group_name="prod", mode=MODE_NO_RESTART,
                                    statement=bytes(32), failures=_liars(5, 40, 77)))
     counts = {"roster": dict(calls)}
-    for rnd in range(2):
+    for rnd in range(3):
         calls.clear()
         assert sim.run_round(rnd)[1].ok
         counts[f"round {rnd}"] = dict(calls)
     assert counts == {"roster": {"_comb": 257, "_straus": 1, "_window": 256},
                       "round 0": {"_comb": 176, "_straus": 78, "_window": 317},
-                      "round 1": {"_comb": 176, "_straus": 78, "_window": 182}}
+                      "round 1": {"_comb": 177, "_straus": 77, "_window": 181},
+                      "round 2": {"_comb": 177, "_straus": 77, "_window": 181}}
+
+
+def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
+    """The same kernel calls for batches of a timestamp authority signing
+    through a 16-witness prod simulation, restart mode with the statement
+    bound at challenge, as `cosi run-leader` runs it: per batch of submits,
+    round close and receipt encodes. Every witness signs, so the leader's
+    self-check powers the roster's full key, by the ladder in batch 0 (which
+    also builds every subtree key's window) and by its table from batch 1 on."""
+    calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
+    sim = simnet.CosiSim(SimConfig(seed=1, n=16, branching=3, group_name="prod",
+                                   mode=multisig.MODE_RESTART,
+                                   statement_timing=engine.STATEMENT_AT_CHALLENGE))
+    sign_round = iter(range(3))
+
+    def sign(statement):
+        sim.cfg = dataclasses.replace(sim.cfg, statement=statement)
+        _, result = sim.run_round(next(sign_round))
+        return result.signature if result is not None and result.ok else None
+    authority = timestamp.TimestampAuthority(sign)
+    counts = {"roster": dict(calls)}
+    for batch in range(3):
+        calls.clear()
+        for i in range(16):
+            authority.submit(bytes([batch, i]) * 16)
+        _, receipts = authority.round_close(SimConfig.start_time + 10 * batch)
+        assert len({receipt.to_bytes() for receipt in receipts.values()}) == 16
+        counts[f"batch {batch}"] = dict(calls)
+    assert counts == {"roster": {"_comb": 33, "_straus": 1, "_window": 32},
+                      "batch 0": {"_comb": 22, "_straus": 16, "_window": 41},
+                      "batch 1": {"_comb": 23, "_straus": 15, "_window": 25},
+                      "batch 2": {"_comb": 23, "_straus": 15, "_window": 25}}
 
 
 _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
