@@ -6,26 +6,36 @@ differs in any case.
     python scripts/diffcheck.py --base HEAD~1 --cases 1000
 
 The revision is checked out with `git worktree add` into a temporary
-directory, which is removed afterwards. Each tree runs the cases in its own
-Python subprocess, with that tree's `src` first on its path, and writes one
-canonical JSON line per case; the two streams are compared line by line.
+directory, which is removed afterwards. Each suite runs the cases in one
+Python subprocess per tree, with that tree's `src` first on its path, and
+writes one canonical JSON line per case; the two streams are compared line
+by line. Both suites run the same seeds.
 
-Its one suite, `sim`, draws a random simulator configuration from each
-case's seed: N 1-200, branching 1-5, either mode and statement
-timing, view change on or off, up to three crash, omit or lie failures,
-0-3 restarts and 1-4 rounds, in the toy group. About one case in four has
-its witnesses validate statements by one of the `REFUSING` policies,
-under which they refuse the simulator's statements. Compared per round: outcome, latency, view, each node's
-messages, bytes and compute units, the signature's bytes, the attempts, the
-reason, and the failed and refused sets. A case that raises is compared by
-its exception.
+The `sim` suite draws a random simulator configuration from each case's
+seed: N 1-200, branching 1-5, either mode and statement timing, view change
+on or off, up to three crash, omit or lie failures, 0-3 restarts and 1-4
+rounds, in the toy group. About one case in four has its witnesses validate
+statements by one of the `REFUSING` policies, under which they refuse the
+simulator's statements. Compared per round: outcome, latency, view, each
+node's messages, bytes and compute units, the signature's bytes, the
+attempts, the reason, and the failed and refused sets. A case that raises is
+compared by its exception.
 
-Exits 0 when every case matches. Otherwise it prints the first differing
-case's seed, field and configuration, then every field path that differs over
-all the cases, list indices collapsed to `[]` (`rounds[].latency`), each with
-its count of cases, how many of those ran in each mode, and its first seed,
-and exits 1. A declared behaviour change can so list exactly what moved, and
-in which mode.
+The `frames` suite draws one toy-group message of a random type from each
+case's seed and encodes it. Every byte of the frame's tag and body is then
+set to each of `SMALL_BYTES` and to each of its one-bit flips, and each
+mutated frame is decoded against a roster of `FRAME_WITNESSES`. Compared: the
+frame, and each mutant's verdict: the exception's class name, `same` if what
+was decoded re-encodes to the mutated bytes, or else the re-encoded hex. The
+codec is `cosikit.wire`'s, or `cosikit.engine`'s in a revision that predates
+`wire`.
+
+Exits 0 when every case of both suites matches. Otherwise it prints, per
+suite, the first differing case's seed, field and case, then every field path
+that differs over all the cases, list indices collapsed to `[]`
+(`rounds[].latency`), each with its count of cases, how many of those had
+each mode (`sim`) or message type (`frames`), and its first seed, and exits
+1. A declared behaviour change can so list exactly what moved, and where.
 """
 
 from __future__ import annotations
@@ -48,6 +58,9 @@ BEHAVIORS = ("crash", "omit", "lie")
 # validation policies under which witnesses refuse the simulator's statements;
 # a constant, so that a seed draws the same case from every revision
 REFUSING = ("hash-chain", "timestamp-window")
+# the values each frame byte is set to, besides its one-bit flips
+SMALL_BYTES = (0, 1, 2, 3, 255)
+FRAME_WITNESSES = 16  # the roster size that frames are drawn for and decoded against
 
 
 def draw_sim_case(seed: int) -> dict:
@@ -102,13 +115,99 @@ def run_sim_case(seed: int) -> dict:
     return {"case": case, "rounds": rounds}
 
 
-def emit(src: str, cases: int, first_seed: int) -> None:
-    """Write one JSON line per case, run against the `cosikit` in `src`."""
+def draw_message(seed: int, codec):
+    """The toy-group message of case `seed`: a random type, and each field
+    drawn by its name, in declaration order."""
+    from dataclasses import fields
+
+    from cosikit import group, merkle, multisig
+
+    rng, toy = random.Random(seed), group.TOY
+
+    def index_set():
+        return frozenset(rng.sample(range(FRAME_WITNESSES), rng.randint(0, 3)))
+
+    def element():
+        return toy.generator ** rng.randrange(1, toy.order)
+
+    def scalar():
+        return toy.scalar(rng.randrange(toy.order))
+
+    def proof():
+        return merkle.InclusionProof(bytes([0, n := rng.randint(0, 3)]) + b"".join(
+            bytes([rng.randint(0, 1)]) + rng.randbytes(32) for _ in range(n)))
+
+    def build(cls):
+        return cls(*[draw[f.name]() for f in fields(cls)])
+
+    draw = {
+        **dict.fromkeys(("view", "round", "timeout_ms", "proposed_view"),
+                        lambda: rng.getrandbits(32)),
+        **dict.fromkeys(("attempt", "branching"), lambda: rng.getrandbits(16)),
+        **dict.fromkeys(("mode", "timing", "reason"), lambda: rng.getrandbits(8)),
+        **dict.fromkeys(("sender", "signer", "index"), lambda: rng.randrange(FRAME_WITNESSES)),
+        **dict.fromkeys(("topology_digest", "tree_hash", "digest"), lambda: rng.randbytes(32)),
+        **dict.fromkeys(("failed", "absent", "refused"), index_set),
+        **dict.fromkeys(("aggregate", "commit", "aggregate_commit"), element),
+        **dict.fromkeys(("challenge", "aggregate_response"), scalar),
+        "statement": lambda: rng.choice((None, rng.randbytes(rng.randint(0, 8)))),
+        "commit_root": lambda: rng.choice((None, rng.randbytes(32))),
+        "proof": proof,
+        "summaries": lambda: tuple(build(codec.SubtreeSummary) for _ in range(rng.randint(0, 2))),
+        "exceptions": lambda: tuple(build(multisig.CommitException)
+                                    for _ in range(rng.randint(0, 2))),
+        "signature": lambda: group.Signature(element(), scalar()),
+        "ok": lambda: rng.random() < 0.5,
+        "payload": lambda: rng.randbytes(rng.randint(0, 8)),
+    }
+    return build(codec._MESSAGE_TYPES[rng.choice(sorted(codec._MESSAGE_TYPES))])
+
+
+def run_frame_case(seed: int) -> dict:
+    """Case `seed`'s frame and its mutants' verdicts, decoded by the codec of
+    the `cosikit` on the path."""
+    from cosikit.group import TOY
+
+    try:
+        from cosikit import wire as codec
+    except ImportError:  # a revision that predates `wire`
+        from cosikit import engine as codec
+
+    def verdict(data: bytes) -> str:
+        try:
+            msg = codec.decode_frame_body(data, TOY, FRAME_WITNESSES)
+        except Exception as exc:  # compared like any other verdict
+            return type(exc).__name__
+        back = codec.encode_message(msg, TOY)[4:]
+        return "same" if back == data else back.hex()
+
+    try:
+        msg = draw_message(seed, codec)
+        frame = codec.encode_message(msg, TOY)[4:]
+    except Exception as exc:
+        return {"case": {"seed": seed}, "error": f"{type(exc).__name__}: {exc}"}
+    verdicts = []
+    for at, byte in enumerate(frame):
+        for value in dict.fromkeys([*SMALL_BYTES, *(byte ^ 1 << k for k in range(8))]):
+            if value != byte:
+                verdicts.append(verdict(frame[:at] + bytes([value]) + frame[at + 1:]))
+    return {"case": {"seed": seed, "type": type(msg).__name__, "frame": frame.hex()},
+            "verdict": verdict(frame), "mutants": verdicts}
+
+
+# suite -> (case runner, the case field whose values a report counts, those
+# values listed even where no case had them)
+SUITES = {"sim": (run_sim_case, "mode", MODES), "frames": (run_frame_case, "type", ())}
+
+
+def emit(suite: str, src: str, cases: str, first_seed: str) -> None:
+    """Write one JSON line per case of `suite`, run against the `cosikit` in
+    `src`."""
     sys.path.insert(0, src)
     logging.getLogger("cosikit").setLevel(logging.CRITICAL)
-    for seed in range(first_seed, first_seed + cases):
-        print(json.dumps(run_sim_case(seed), sort_keys=True, separators=(",", ":")),
-              flush=True)
+    run = SUITES[suite][0]
+    for seed in range(int(first_seed), int(first_seed) + int(cases)):
+        print(json.dumps(run(seed), sort_keys=True, separators=(",", ":")), flush=True)
 
 
 def differences(base, here, path: str = ""):
@@ -128,25 +227,31 @@ def differences(base, here, path: str = ""):
         yield path.lstrip("."), f"base {base!r}, here {here!r}"
 
 
-def _lines(src: Path, cases: int, first_seed: int) -> tuple:
+# the program a suite's subprocess runs: this script's `emit`, with argv
+# script, suite, src, cases and first seed
+_EMIT = "import runpy, sys; runpy.run_path(sys.argv[1])['emit'](*sys.argv[2:])"
+
+
+def _lines(suite: str, src: Path, cases: int, first_seed: int) -> tuple:
     proc = subprocess.Popen(
-        [sys.executable, str(Path(__file__).resolve()), "--emit", str(src),
-         "--cases", str(cases), "--first-seed", str(first_seed)],
+        [sys.executable, "-c", _EMIT, str(Path(__file__).resolve()), suite, str(src),
+         str(cases), str(first_seed)],
         stdout=subprocess.PIPE, text=True)
     return proc, iter(proc.stdout.readline, "")
 
 
-def compare(base_src: Path, here_src: Path, cases: int = 1000,
-            first_seed: int = 1) -> tuple[int, Optional[str]]:
-    """Run the cases against both trees' `src`, side by side. Returns the
-    number of cases compared and, if any differ, a report (None if every case
-    matched): the first differing case's seed, field and configuration, then
-    each differing field path with its count of cases, its cases per mode,
-    and its first seed."""
-    base_proc, base_lines = _lines(base_src, cases, first_seed)
-    here_proc, here_lines = _lines(here_src, cases, first_seed)
+def compare(base_src: Path, here_src: Path, cases: int = 1000, first_seed: int = 1,
+            suite: str = "sim") -> tuple[int, Optional[str]]:
+    """Run `suite`'s cases against both trees' `src`, side by side. Returns
+    the number of cases compared and, if any differ, a report (None if every
+    case matched): the first differing case's seed, field and case, then each
+    differing field path with its count of cases, its cases per mode or
+    message type, and its first seed."""
+    _, key, listed = SUITES[suite]
+    base_proc, base_lines = _lines(suite, base_src, cases, first_seed)
+    here_proc, here_lines = _lines(suite, here_src, cases, first_seed)
     compared, differing, report = 0, 0, []
-    paths: dict[str, tuple] = {}  # collapsed path -> (first seed, cases per mode)
+    paths: dict[str, tuple] = {}  # collapsed path -> (first seed, cases per kind)
     try:
         for seed in range(first_seed, first_seed + cases):
             base_line, here_line = next(base_lines, ""), next(here_lines, "")
@@ -164,9 +269,10 @@ def compare(base_src: Path, here_src: Path, cases: int = 1000,
                 report += [f"seed {seed}: {path}: {what}",
                            f"  case: {json.dumps(base['case'])}"]
             differing += 1
+            kind = base["case"].get(key, "error")
             for path in dict.fromkeys(re.sub(r"\[\d+\]", "[]", p) for p, _ in found):
-                modes = paths.setdefault(path, (seed, dict.fromkeys(MODES, 0)))[1]
-                modes[base["case"]["mode"]] += 1
+                kinds = paths.setdefault(path, (seed, dict.fromkeys(listed, 0)))[1]
+                kinds[kind] = kinds.get(kind, 0) + 1
     finally:
         for proc in (base_proc, here_proc):
             proc.kill()
@@ -174,10 +280,10 @@ def compare(base_src: Path, here_src: Path, cases: int = 1000,
             proc.stdout.close()
     if differing:
         report.append(f"fields that differ, in {differing} of {compared} cases:")
-        report += [f"  {path}: {sum(modes.values())} cases ("
-                   + ", ".join(f"{n} {mode}" for mode, n in modes.items())
+        report += [f"  {path}: {sum(kinds.values())} cases ("
+                   + ", ".join(f"{n} {kind}" for kind, n in kinds.items())
                    + f"), first seed {first}"
-                   for path, (first, modes) in sorted(paths.items())]
+                   for path, (first, kinds) in sorted(paths.items())]
     return compared, "\n".join(report) or None
 
 
@@ -188,32 +294,29 @@ def _git(*args: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--base", help="git revision to compare this tree with")
+    parser.add_argument("--base", required=True, help="git revision to compare this tree with")
     parser.add_argument("--cases", type=int, default=1000)
     parser.add_argument("--first-seed", type=int, default=1,
                         help="seed of the first case; a reported seed reruns alone "
                              "with --first-seed SEED --cases 1")
-    parser.add_argument("--emit", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.emit:
-        emit(args.emit, args.cases, args.first_seed)
-        return 0
-    if not args.base:
-        parser.error("--base is required")
+    status = 0
     with tempfile.TemporaryDirectory(prefix="diffcheck-") as tmp:
         tree = Path(tmp) / "base"
         _git("worktree", "add", "--detach", str(tree), args.base)
         try:
-            compared, report = compare(tree / "src", REPO / "src", args.cases,
-                                       args.first_seed)
+            for suite in SUITES:
+                compared, report = compare(tree / "src", REPO / "src", args.cases,
+                                           args.first_seed, suite)
+                if report:
+                    print(f"{suite}: differs from {args.base} over {compared} cases\n{report}")
+                    status = 1
+                else:
+                    print(f"{suite}: {compared} cases (seeds {args.first_seed}-"
+                          f"{args.first_seed + compared - 1}) match {args.base}", flush=True)
         finally:
             _git("worktree", "remove", "--force", str(tree))
-    if report:
-        print(f"sim: differs from {args.base} over {compared} cases\n{report}")
-        return 1
-    print(f"sim: {compared} cases (seeds {args.first_seed}-"
-          f"{args.first_seed + compared - 1}) match {args.base}")
-    return 0
+    return status
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 Subcommands: keygen, roster-init, run-witness, run-leader (timestamp
 service), sign, verify, stamp, stamp-verify, simulate, tree-dump.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 protocol
-failure. Transport is length-prefixed frames over plain TCP; witness
+failure. Transport is `wire`'s length-prefixed frames over plain TCP; witness
 authenticity comes from the signatures themselves, so there is no TLS.
 Each node's runtime is one asyncio event loop on the thread that drives
 it: the loop serves inbound frames, dials one connection per outgoing
@@ -26,23 +26,15 @@ import time
 from dataclasses import replace
 
 from . import engine, multisig, simnet, timestamp
-from .engine import (
-    RoundConfig,
-    RoundDone,
-    Send,
-    SetTimer,
-    SigningNode,
-    StampReply,
-    StampRequest,
-    decode_frame_body,
-    encode_message,
-)
+from .engine import RoundConfig, RoundDone, Send, SetTimer, SigningNode
 from .group import KeyPair, Signature, SelfSignedKey, group_by_name, keygen as gen_key, prove_possession
 from .multisig import CollectiveSignature
 from .participation import Threshold, load_predicate
 from .roster import RosterEntry, WitnessRoster, build_roster, load_roster, save_roster
 from .timestamp import StampReceipt, TimestampAuthority, verify_receipt
 from .topology import tree_for
+from .wire import (StampReply, StampRequest, decode_frame_body, encode_message, read_frame,
+                   read_frame_async)
 
 logger = logging.getLogger("cosikit.cli")
 
@@ -95,51 +87,13 @@ def _parse_addr(addr: str) -> tuple[str, int]:
     return host, int(port)
 
 
-def _frame_length(header: bytes) -> int:
-    length = int.from_bytes(header, "big")
-    if length == 0 or length > 64 * 1024 * 1024:
-        raise ConnectionError(f"bad frame length {length}")
-    return length
-
-
-def read_frame(sock: socket.socket) -> bytes | None:
-    header = _read_exact(sock, 4)
-    if header is None:
-        return None
-    body = _read_exact(sock, _frame_length(header))
-    if body is None:
-        raise ConnectionError("truncated frame")
-    return body
-
-
-def _read_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            return None
-        buf += chunk
-    return buf
-
-
-async def _read_frame_async(reader: asyncio.StreamReader) -> bytes | None:
-    """read_frame for a stream: None at a clean EOF between frames."""
-    header = None
-    try:
-        header = await reader.readexactly(4)
-        return await reader.readexactly(_frame_length(header))
-    except asyncio.IncompleteReadError as exc:
-        if header is None and not exc.partial:
-            return None
-        raise ConnectionError("truncated frame") from None
-
-
 class NodeRuntime:
     """Hosts a SigningNode on one asyncio event loop.
 
     The loop runs only inside drain, serve_forever and run_leader_round, on
     the calling thread; in between, arrivals wait in socket buffers. Inbound
-    frames go straight to the node, and stamp requests straight to `stamps`;
+    frames go straight to the node, stamp requests straight to `stamps`, and
+    a stamp reply, which only a client reads, is dropped with a warning;
     each Send is a task that opens one connection and writes one frame, each
     SetTimer is a `call_later`, and a RoundDone resolves the future that
     run_leader_round waits on.
@@ -170,7 +124,7 @@ class NodeRuntime:
     async def _serve_conn(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> None:
         try:
-            while (frame := await _read_frame_async(reader)) is not None:
+            while (frame := await read_frame_async(reader)) is not None:
                 msg = decode_frame_body(frame, self.group, len(self.roster))
                 if isinstance(msg, StampRequest):
                     if self.stamps is None:  # not serving timestamps
@@ -183,6 +137,10 @@ class NodeRuntime:
                     while await asyncio.wait_for(reader.read(4096), 300):
                         pass
                     return
+                if isinstance(msg, StampReply):  # a client's frame, not a peer's
+                    logger.warning("node %d: dropping StampReply from %s", self.node.index,
+                                   writer.get_extra_info("peername"))
+                    continue
                 self._react(self.node.handle_message, msg)
         except (OSError, ValueError, asyncio.TimeoutError) as exc:
             logger.warning("dropped connection from %s: %r",

@@ -57,6 +57,9 @@ table per proposed view above its own, which a Byzantine voter can grow. The
 hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery and
 clocks and must serialize events per node. The TCP runner does not yet call
 `round_due`, so over TCP no view changes.
+
+The message classes, their wire layouts and the frame codec are `wire`'s; a
+node handles round messages only, and the runtime serves stamp frames.
 """
 
 from __future__ import annotations
@@ -66,23 +69,25 @@ import logging
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, get_args
+from typing import Callable, Optional
 
 from . import multisig, participation
-from .group import (DecodeError, GroupElement, KeyPair, Reader, Scalar, Signature,
-                    schnorr_sign, schnorr_verify)
-from .merkle import DIGEST_SIZE, DigestTree, InclusionProof, digest_root, fold_proof
+from .group import GroupElement, KeyPair, Scalar, Signature, schnorr_sign, schnorr_verify
+from .merkle import DigestTree, InclusionProof, digest_root, fold_proof
 from .multisig import (
     MODE_NO_RESTART,
     MODE_RESTART,
     CollectiveSignature,
     CommitException,
     commit_leaf_digest,
-    read_commit_proof,
 )
 from .participation import ParticipationSet
 from .roster import WitnessRoster
 from .topology import LeaderFailedError, TopologyError, TreeTopology, tree_for
+from .wire import (_NOBODY, Announce, Challenge, Commit, Refuse, Response, RestartChallenge,
+                   RestartCommit, SubtreeSummary, ViewChange, _frozen)
+# unused here; perfbench/tracer.py wraps it under this name until ROADMAP item 1, step 1
+from .wire import encode_message  # noqa: F401
 
 logger = logging.getLogger("cosikit.engine")
 
@@ -203,189 +208,21 @@ def make_validation_hook(policy: str):
 
 
 # ---------------------------------------------------------------------------
-# Wire layouts
-# ---------------------------------------------------------------------------
-# Each wire type states its layout once: its fields in declaration order, each
-# paired with a field kind. Decoders accept only what the encoders write, so an
-# accepted frame re-encodes to its own bytes.
-
-class _Kind(NamedTuple):
-    """How one field is written: `encode(value)`, `decode(reader, group)`,
-    and its size, `width(group)` for every value or else `size(value, group)`."""
-
-    encode: Callable
-    decode: Callable
-    width: Optional[Callable] = None
-    size: Optional[Callable] = None
-
-
-def _fixed(width: Callable, read: Callable, encode: Callable = lambda v: v.encode()) -> _Kind:
-    """A kind `width(group)` bytes wide, decoded by `read(group, raw)`."""
-    return _Kind(encode, lambda r, g: read(g, r.take(width(g))), width)
-
-
-def _int(n: int, read: Callable = lambda g, raw: int.from_bytes(raw, "big")) -> _Kind:
-    """An unsigned big-endian integer of `n` bytes."""
-    return _fixed(lambda g: n, read, lambda v: v.to_bytes(n, "big"))
-
-
-def _read_flag(group, raw: bytes) -> bool:
-    if raw[0] > 1:
-        raise DecodeError(f"flag byte {raw[0]} is neither 0 nor 1")
-    return raw[0] == 1
-
-
-# The one empty index set, shared by every message, record and round state
-# that names nobody, as most absence, failure, refusal and pending sets do:
-# each fresh empty frozenset takes 216 bytes, and a node keeps
-# `ROUND_STATES_KEPT` rounds of state. A round state's index sets are
-# frozensets, rebound rather than mutated, and pass through `_frozen` wherever
-# they may come out empty.
-_NOBODY: frozenset[int] = frozenset()
-
-
-def _frozen(indices) -> frozenset[int]:
-    return frozenset(indices) if indices else _NOBODY
-
-
-def _read_index_set(r: Reader, group) -> frozenset[int]:
-    indices = [r.index() for _ in range(r.count())]
-    if any(a >= b for a, b in zip(indices, indices[1:])):
-        raise DecodeError("index set not strictly ascending")
-    return _frozen(indices)
-
-
-def _opt_bytes(length: Optional[int] = None) -> _Kind:
-    """A flag byte, 0 for None; after a 1, length-prefixed bytes, which must
-    be `length` long when that is given."""
-
-    def decode(r: Reader, group) -> Optional[bytes]:
-        if not _FLAG.decode(r, group):
-            return None
-        data = _BYTES.decode(r, group)
-        if length is not None and len(data) != length:
-            raise DecodeError(f"{len(data)} bytes where {length} belong")
-        return data
-
-    return _Kind(lambda v: b"\x00" if v is None else b"\x01" + _BYTES.encode(v), decode,
-                 size=lambda v, g: 1 if v is None else 5 + len(v))
-
-
-def _records(layout: "_Layout") -> _Kind:
-    """A u16 record count, at most the roster size (`Reader.count`), then
-    each record by `layout`, in the order held."""
-    return _Kind(
-        lambda v: len(v).to_bytes(2, "big") + b"".join([layout.encode(rec) for rec in v]),
-        lambda r, g: tuple([layout.decode(r, g) for _ in range(r.count())]),
-        size=lambda v, g: 2 + layout.size(v, g))
-
-
-_U8, _U16, _U32 = _int(1), _int(2), _int(4)
-_INDEX = _U32._replace(decode=lambda r, g: r.index())  # below the roster size
-_FLAG = _int(1, _read_flag)
-_DIGEST = _fixed(lambda g: DIGEST_SIZE, lambda g, raw: raw, lambda v: v)
-_ELEMENT = _fixed(lambda g: g.element_size, lambda g, raw: g.decode_element(raw))
-_SCALAR = _fixed(lambda g: g.scalar_size, lambda g, raw: g.decode_scalar(raw))
-_SIGNATURE = _fixed(lambda g: g.element_size + g.scalar_size, Signature.decode)
-# a u16 count, at most the roster size, then the indices strictly ascending
-_INDEX_SET = _Kind(lambda v: len(v).to_bytes(2, "big")
-                   + b"".join([i.to_bytes(4, "big") for i in sorted(v)]),
-                   _read_index_set, size=lambda v, g: 2 + 4 * len(v))
-_BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u32()),
-               size=lambda v, g: 4 + len(v))
-_OPT_BYTES = _opt_bytes()
-_PROOF = _Kind(lambda v: v.encode(), lambda r, g: read_commit_proof(r),
-               size=lambda v, g: len(v.data))
-
-
-class _Layout:
-    """A wire type's fields in order, as (name, kind) pairs. Set as a
-    dataclass's `layout`, it builds that class; else it builds `cls`."""
-
-    def __init__(self, *fields: tuple, cls=None):
-        self.fields = fields
-        self._get = [(attrgetter(name), kind) for name, kind in fields]
-        self._make = cls
-        self._split: dict = {}  # group -> (sum of the fixed widths, variable fields)
-
-    def __set_name__(self, owner, name: str) -> None:
-        self._make = owner
-
-    def encode(self, obj) -> bytes:
-        return b"".join([kind.encode(get(obj)) for get, kind in self._get])
-
-    def size(self, objs, group) -> int:
-        """The bytes that encoding each of `objs` writes, counted without
-        encoding: the fixed widths are summed once per group."""
-        try:
-            fixed, variable = self._split[group]
-        except KeyError:
-            fixed, variable = self._split[group] = (
-                sum(kind.width(group) for _, kind in self._get if kind.width),
-                [(get, kind.size) for get, kind in self._get if not kind.width])
-        total = fixed * len(objs)
-        for get, size in variable:
-            for obj in objs:
-                total += size(get(obj), group)
-        return total
-
-    def decode(self, r: Reader, group):
-        return self._make(*[kind.decode(r, group) for _, kind in self._get])
-
-
-# ---------------------------------------------------------------------------
-# Messages; a frame's tag byte is its message class's `tag`
+# Round messages; `wire` holds their classes, layouts and frame codec
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class _Routed:
-    """The header of a message within a round: its session and its sender."""
+# a `Refuse` frame's reason
+REFUSE_STATEMENT = 0
+REFUSE_STALE = 1
+REFUSE_PROOF = 2
 
-    view: int
-    round: int
-    attempt: int
-    sender: int
-
-
-# `_Routed`'s fields, which lead each of its subclasses' layouts
-_HEADER = (("view", _U32), ("round", _U32), ("attempt", _U16), ("sender", _INDEX))
-
-
-@dataclass(frozen=True, slots=True)
-class Announce:
-    view: int
-    round: int
-    attempt: int
-    mode: int
-    timing: int
-    branching: int
-    timeout_ms: int
-    topology_digest: bytes
-    failed: frozenset[int]
-    sender: int
-    statement: Optional[bytes] = None
-
-    tag = 1
-    layout = _Layout(("view", _U32), ("round", _U32), ("attempt", _U16), ("mode", _U8),
-                     ("timing", _U8), ("branching", _U16), ("timeout_ms", _U32),
-                     ("topology_digest", _DIGEST), ("failed", _INDEX_SET),
-                     ("sender", _INDEX), ("statement", _OPT_BYTES))
-
-
-@dataclass(frozen=True, slots=True)
-class SubtreeSummary:
-    """The head of one commit-tree node, the same in memory and on the wire: a
-    node keeps its own and its contributors', and a no-restart commit carries
-    its contributors', for the recipient to build exceptions and bridge past."""
-
-    index: int
-    commit: Optional[GroupElement]  # the node's individual commit; none in restart mode
-    aggregate: GroupElement  # its subtree aggregate commit
-    tree_hash: Optional[bytes]  # none in restart mode, which binds no commit tree
-    absent: frozenset[int]  # commit-phase absences within its subtree
-
-    layout = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("aggregate", _ELEMENT),
-                     ("tree_hash", _DIGEST), ("absent", _INDEX_SET))
+# the messages a node handles; stamp frames are the runtime's
+Message = (Announce | Commit | Challenge | Response | Refuse | ViewChange
+           | RestartCommit | RestartChallenge)
+_COMMITS, _CHALLENGES = (Commit, RestartCommit), (Challenge, RestartChallenge)
+# the commit and challenge forms that a session of each mode drops
+_OTHER_FORMS = {MODE_RESTART: (Commit, Challenge),
+                MODE_NO_RESTART: (RestartCommit, RestartChallenge)}
 
 
 def _audit_steps(head: SubtreeSummary, contributors, nodes) -> list[InclusionProof]:
@@ -396,155 +233,6 @@ def _audit_steps(head: SubtreeSummary, contributors, nodes) -> list[InclusionPro
     order = [head.index] + [c.index for c in contributors]
     tree = DigestTree([commit_leaf_digest(head.commit)] + [c.tree_hash for c in contributors])
     return [tree.prove(order.index(node)) for node in nodes]
-
-
-@dataclass(frozen=True, slots=True)
-class Commit(_Routed):  # a no-restart commit
-    aggregate: GroupElement  # subtree aggregate commit
-    commit: GroupElement  # sender's individual commit
-    tree_hash: bytes
-    absent: frozenset[int]  # commit-phase absences within the sender's subtree
-    failed: frozenset[int]
-    refused: frozenset[int]
-    summaries: tuple[SubtreeSummary, ...]
-
-    tag = 2
-    layout = _Layout(*_HEADER, ("aggregate", _ELEMENT), ("commit", _ELEMENT),
-                     ("tree_hash", _DIGEST), ("absent", _INDEX_SET), ("failed", _INDEX_SET),
-                     ("refused", _INDEX_SET), ("summaries", _records(SubtreeSummary.layout)))
-
-
-@dataclass(frozen=True, slots=True)
-class RestartCommit(_Routed):  # all that a restart node reads of a child's subtree
-    aggregate: GroupElement
-    absent: frozenset[int]
-    failed: frozenset[int]
-    refused: frozenset[int]
-
-    tag = 9
-    layout = _Layout(*_HEADER, ("aggregate", _ELEMENT), ("absent", _INDEX_SET),
-                     ("failed", _INDEX_SET), ("refused", _INDEX_SET))
-
-
-@dataclass(frozen=True, slots=True)
-class Challenge(_Routed):  # a no-restart challenge
-    challenge: Scalar
-    aggregate_commit: GroupElement
-    commit_root: Optional[bytes]
-    statement: Optional[bytes]
-    proof: InclusionProof  # the recipient's subtree hash up to the commit root
-
-    tag = 3
-    layout = _Layout(*_HEADER, ("challenge", _SCALAR), ("aggregate_commit", _ELEMENT),
-                     ("commit_root", _opt_bytes(DIGEST_SIZE)), ("statement", _OPT_BYTES),
-                     ("proof", _PROOF))
-
-
-@dataclass(frozen=True, slots=True)
-class RestartChallenge(_Routed):
-    challenge: Scalar
-    aggregate_commit: GroupElement
-    statement: Optional[bytes]
-
-    tag = 10
-    layout = _Layout(*_HEADER, ("challenge", _SCALAR), ("aggregate_commit", _ELEMENT),
-                     ("statement", _OPT_BYTES))
-
-
-# A Response's commit exceptions; a signature writes them its own way.
-_EXCEPTION = _Layout(("index", _INDEX), ("commit", _ELEMENT), ("proof", _PROOF),
-                     cls=CommitException)
-
-
-@dataclass(frozen=True, slots=True)
-class Response(_Routed):
-    aggregate_response: Scalar
-    absent: frozenset[int]  # response-phase dropouts within the sender's subtree
-    failed: frozenset[int]
-    refused: frozenset[int]
-    exceptions: tuple[CommitException, ...]  # proofs anchored at the sender's hash
-
-    tag = 4
-    layout = _Layout(*_HEADER, ("aggregate_response", _SCALAR), ("absent", _INDEX_SET),
-                     ("failed", _INDEX_SET), ("refused", _INDEX_SET),
-                     ("exceptions", _records(_EXCEPTION)))
-
-
-REFUSE_STATEMENT = 0
-REFUSE_STALE = 1
-REFUSE_PROOF = 2
-
-@dataclass(frozen=True, slots=True)
-class Refuse(_Routed):
-    reason: int
-
-    tag = 5
-    layout = _Layout(*_HEADER, ("reason", _U8))
-
-
-@dataclass(frozen=True, slots=True)
-class ViewChange:
-    proposed_view: int
-    signer: int
-    signature: Signature
-
-    tag = 6
-    layout = _Layout(("proposed_view", _U32), ("signer", _INDEX), ("signature", _SIGNATURE))
-
-
-@dataclass(frozen=True, slots=True)
-class StampRequest:
-    digest: bytes
-
-    tag = 7
-    layout = _Layout(("digest", _DIGEST))
-
-
-@dataclass(frozen=True, slots=True)
-class StampReply:
-    ok: bool
-    payload: bytes
-
-    tag = 8
-    layout = _Layout(("ok", _FLAG), ("payload", _BYTES))
-
-
-Message = (Announce | Commit | Challenge | Response | Refuse | ViewChange
-           | StampRequest | StampReply | RestartCommit | RestartChallenge)
-_MESSAGE_TYPES = {cls.tag: cls for cls in get_args(Message)}
-_COMMITS, _CHALLENGES = (Commit, RestartCommit), (Challenge, RestartChallenge)
-# the commit and challenge forms that a session of each mode drops
-_OTHER_FORMS = {MODE_RESTART: (Commit, Challenge),
-                MODE_NO_RESTART: (RestartCommit, RestartChallenge)}
-
-
-def encode_message(msg, group) -> bytes:
-    """Length-prefixed frame: length (4, big-endian) | tag (1) | body."""
-    body = msg.layout.encode(msg)
-    return (1 + len(body)).to_bytes(4, "big") + bytes([msg.tag]) + body
-
-
-def frame_size(msg, group) -> int:
-    """`len(encode_message(msg, group))`, counted from the message's layout
-    without building the frame."""
-    return 5 + msg.layout.size((msg,), group)
-
-
-def decode_frame_body(data: bytes, group, witness_count: int):
-    """Decode the tag+body part of a frame (without the length prefix).
-
-    `witness_count` is the roster size. A record count above it is rejected
-    before any record is decoded, and a witness index at or past it (a
-    sender's too) before any group element that follows it.
-    """
-    r = Reader(data, witness_count)
-    tag = r.u8()
-    cls = _MESSAGE_TYPES.get(tag)
-    if cls is None:
-        raise DecodeError(f"unknown message tag {tag}")
-    msg = cls.layout.decode(r, group)
-    r.done()
-    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -937,10 +625,6 @@ class SigningNode:
     def handle_message(self, msg: Message, now: float) -> list:
         if isinstance(msg, ViewChange):
             return self._on_view_change(msg, now)
-        if not isinstance(msg, (Announce, _Routed)):  # stamp frames are the runtime's
-            logger.warning("node %d: dropping %s: no handler for it", self.index,
-                           type(msg).__name__)
-            return []
         if msg.view != self.current_view:
             logger.debug("node %d drops stale message for view %d", self.index, msg.view)
             return []

@@ -230,9 +230,6 @@ class Group:
     inner: object
 
 
-Predicate = Threshold | WeightedThreshold | Mandatory | AllOf | AnyOf | Group
-
-
 def evaluate(predicate, pset: ParticipationSet, weights: Sequence[int] | None = None,
              total_weight: int | None = None) -> bool:
     """Evaluate a predicate over the response-phase participants.

@@ -17,20 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Optional
 
 from . import engine, vss
-from .engine import (
-    Announce,
-    Challenge,
-    Commit,
-    Response,
-    RoundConfig,
-    RoundDone,
-    RoundResult,
-    Send,
-    SetTimer,
-    SigningNode,
-    ViewChange,
-    frame_size,
-)
+from .engine import RoundConfig, RoundDone, RoundResult, Send, SetTimer, SigningNode
 from .group import (
     Group,
     Signature,
@@ -44,6 +31,8 @@ from .group import (
 from .multisig import MODE_NAMES, MODE_RESTART
 from .roster import RosterEntry, WitnessRoster, build_roster
 from .topology import tree_for
+from .wire import (Announce, Challenge, Commit, Response, RestartChallenge, RestartCommit,
+                   ViewChange, frame_size)
 
 
 EXP_UNITS = 1  # one abstract unit per group exponentiation
@@ -248,8 +237,8 @@ def _build_signers(cfg: SimConfig) -> tuple[WitnessRoster, list, list[random.Ran
 # cosi scheme: the engine state machines under the virtual network
 # ---------------------------------------------------------------------------
 
-_MSG_PHASE = {Announce: "announce", Commit: "commit", engine.RestartCommit: "commit",
-              Challenge: "challenge", engine.RestartChallenge: "challenge", Response: "response"}
+_MSG_PHASE = {Announce: "announce", Commit: "commit", RestartCommit: "commit",
+              Challenge: "challenge", RestartChallenge: "challenge", Response: "response"}
 
 
 class CosiSim:

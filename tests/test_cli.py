@@ -20,13 +20,14 @@ from cosikit import cli
 from cosikit.cli import NodeRuntime, main
 from cosikit.engine import (
     REFUSE_STALE, STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE, Refuse, RoundConfig,
-    SigningNode, StampReply, StampRequest, decode_frame_body, encode_message,
+    SigningNode,
 )
 from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold, predicate_to_json
 from cosikit.roster import RosterEntry, build_roster, load_roster
 from cosikit.timestamp import StampReceipt, TimestampAuthority
+from cosikit.wire import StampReply, StampRequest, decode_frame_body, encode_message, read_frame
 
 
 def free_ports(n: int) -> list[int]:
@@ -472,8 +473,9 @@ def test_dropped_connections_logged_with_cause(toy_loopback, caplog):
 
 
 def test_stamp_reply_to_a_witness_dropped(toy_loopback, caplog):
-    """A frame the engine has no handler for is dropped with a warning naming
-    it, not raised out of the connection's task, and rounds go on."""
+    """A stamp reply, which only a client reads, is dropped by the runtime
+    with a warning naming it, not raised out of the connection's task, and
+    rounds go on."""
     runtimes = toy_loopback(2)
     with socket.create_connection(runtimes[1].listen_addr, timeout=1) as sock:
         sock.sendall(encode_message(StampReply(ok=True, payload=b"receipt"), TOY))
@@ -492,7 +494,7 @@ def test_witness_refuses_stamp_requests_at_once(toy_loopback):
     started = time.monotonic()
     with socket.create_connection(witness.listen_addr, timeout=1) as sock:
         sock.sendall(encode_message(StampRequest(digest=b"\x01" * 32), TOY))
-        frame = cli.read_frame(sock)
+        frame = read_frame(sock)
     assert time.monotonic() - started < 1
     assert decode_frame_body(frame, TOY, 2) == StampReply(ok=False, payload=b"")
     assert witness.stamps is None and witness._stamp_conns == {}
@@ -617,7 +619,6 @@ def test_stamp_request_reply_protocol(tmp_path):
     authority = TimestampAuthority(
         lambda stmt: manual_round(roster, secrets, stmt, rng=random.Random(41)))
     [port] = free_ports(1)
-    from cosikit.engine import StampReply, decode_frame_body, encode_message
 
     def server():
         srv = socket.socket()
@@ -625,7 +626,7 @@ def test_stamp_request_reply_protocol(tmp_path):
         srv.bind(("127.0.0.1", port))
         srv.listen(1)
         conn, _ = srv.accept()
-        frame = cli.read_frame(conn)
+        frame = read_frame(conn)
         msg = decode_frame_body(frame, roster.group, len(roster))
         authority.submit(msg.digest)
         _, receipts = authority.round_close(clock=910.0)

@@ -1,6 +1,8 @@
-"""`scripts/diffcheck.py`: a tree run against itself shows no difference, and
-a copy whose simulator links are slower is named by its first differing
-field, and listed by every field that differs, with its cases per mode."""
+"""`scripts/diffcheck.py`: a tree run against itself shows no difference in
+either suite. In the `sim` suite, a copy whose simulator links are slower is
+named by its first differing field, and listed by every field that differs,
+with its cases per mode; in the `frames` suite, a copy with a looser flag
+reader is named by the mutants it accepts, with its cases per message type."""
 
 import importlib.util
 import re
@@ -76,3 +78,30 @@ def test_refusing_policies_are_registered_and_drawn():
     assert set(diffcheck.REFUSING) < set(engine.HOOKS)
     drawn = {diffcheck.draw_sim_case(seed)["validation_policy"] for seed in range(40)}
     assert drawn == set(diffcheck.REFUSING) | {"accept-all"}
+
+
+def test_working_tree_frames_match_themselves():
+    assert load_diffcheck().compare(ROOT / "src", ROOT / "src", cases=40,
+                                    suite="frames") == (40, None)
+
+
+def test_copy_whose_flag_reader_accepts_2_reported(tmp_path):
+    """A copy whose flag reader takes a flag byte of 2 for 0 accepts mutants
+    that this tree rejects, and only in frames that carry a flag."""
+    shutil.copytree(ROOT / "src" / "cosikit", tmp_path / "cosikit")
+    wire = tmp_path / "cosikit" / "wire.py"
+    text = wire.read_text()
+    assert text.count("if raw[0] > 1:") == 1
+    wire.write_text(text.replace("if raw[0] > 1:", "if raw[0] > 2:"))
+    compared, report = load_diffcheck().compare(ROOT / "src", tmp_path, cases=40,
+                                                suite="frames")
+    assert compared == 40
+    lines = report.splitlines()
+    assert re.match(r"seed \d+: mutants\[\d+\]: base 'DecodeError', here '", lines[0])
+    assert lines[1].startswith('  case: {"frame": ')
+    assert re.fullmatch(r"fields that differ, in \d+ of 40 cases:", lines[2])
+    [listed] = lines[3:]
+    kinds = re.fullmatch(r"  mutants\[\]: (\d+) cases \((.*)\), first seed \d+", listed)
+    counts = {kind: int(n) for n, kind in (part.split(" ") for part in kinds.group(2).split(", "))}
+    assert set(counts) <= {"Announce", "Challenge", "RestartChallenge", "StampReply"}
+    assert sum(counts.values()) == int(kinds.group(1)) > 0

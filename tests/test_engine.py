@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import NO_PATH, assert_cuts_rejected, audit_path, make_toy_roster, swap_generator
 
-from cosikit import engine, merkle, multisig, simnet
+from cosikit import engine, merkle, multisig, simnet, wire
 from cosikit.engine import (
     Announce,
     Challenge,
@@ -21,13 +21,8 @@ from cosikit.engine import (
     RestartCommit,
     Send,
     SigningNode,
-    StampReply,
-    StampRequest,
     ViewChange,
     chain_record,
-    decode_frame_body,
-    encode_message,
-    frame_size,
     make_hash_chain_hook,
     make_timestamp_window_hook,
     view_change_threshold,
@@ -41,6 +36,7 @@ from cosikit.participation import Threshold
 from cosikit.simnet import FailureAction, SimConfig
 from cosikit.timestamp import GENESIS_HASH, TimestampRecord
 from cosikit.topology import tree_for
+from cosikit.wire import StampReply, StampRequest, decode_frame_body, encode_message, frame_size
 
 # each message type's two forms, the no-restart one first
 COMMITS, CHALLENGES = (Commit, RestartCommit), (Challenge, RestartChallenge)
@@ -129,17 +125,6 @@ def test_stale_view_messages_dropped():
     node = make_node(1, roster, secrets)
     node.current_view = 2
     assert node.handle_message(announce_for(roster, view=0), now=0.0) == []
-
-
-@pytest.mark.parametrize("msg", [StampRequest(digest=b"\x07" * 32),
-                                 StampReply(ok=True, payload=b"receipt")],
-                         ids=lambda m: type(m).__name__)
-def test_frames_without_a_handler_dropped(msg, caplog):
-    secrets = [3, 4, 5]
-    node = make_node(1, make_toy_roster(secrets), secrets)
-    with caplog.at_level("WARNING", logger="cosikit.engine"):
-        assert node.handle_message(msg, now=0.0) == []
-    assert type(msg).__name__ in caplog.text
 
 
 @pytest.mark.parametrize("bad, cause", [
@@ -1066,7 +1051,8 @@ def test_copies_of_messages_and_of_a_node_mid_round():
         RestartCommit: _routed_messages(2)[RestartCommit],
         RestartChallenge: _routed_messages(2)[RestartChallenge],
     })
-    assert set(samples) == set(get_args(engine.Message))
+    assert set(samples) == set(wire._MESSAGE_TYPES.values())
+    assert set(get_args(engine.Message)) == set(samples) - {StampRequest, StampReply}
     assert any(m.exceptions for m in from_node1 if isinstance(m, Response))
     for msg in samples.values():
         assert copy.copy(msg) == msg
@@ -1650,7 +1636,7 @@ _MESSAGES = {group.name: _message_strategies(group) for group in (TOY, ED25519)}
 
 
 @pytest.mark.parametrize("group", [TOY, ED25519], ids=lambda g: g.name)
-@pytest.mark.parametrize("cls", list(engine._MESSAGE_TYPES.values()), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("cls", list(wire._MESSAGE_TYPES.values()), ids=lambda c: c.__name__)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_frame_size_matches_encoding(group, cls, data):
@@ -1663,9 +1649,9 @@ def test_frame_size_matches_encoding(group, cls, data):
 
 
 def test_each_layout_names_its_fields_in_order():
-    for cls in [*engine._MESSAGE_TYPES.values(), engine.SubtreeSummary]:
-        assert [name for name, _ in cls.layout.fields] == [f.name for f in fields(cls)]
-    assert [name for name, _ in engine._EXCEPTION.fields] \
+    """Message classes state each field's kind on the field; the one layout
+    written apart from its class is the commit exceptions'."""
+    assert [name for name, _ in wire._EXCEPTION.fields] \
         == [f.name for f in fields(CommitException)]
 
 

@@ -28,7 +28,7 @@ from cosikit.multisig import (
     verify_collective,
     verify_commit_inclusion,
 )
-from cosikit.engine import Response, decode_frame_body, encode_message
+from cosikit.wire import Response, decode_frame_body, encode_message
 from cosikit.participation import ParticipationSet, Threshold
 from cosikit.roster import (
     ProvenKey,

@@ -9,7 +9,7 @@ import pytest
 from conftest import count_calls
 
 from cosikit import engine, multisig, simnet, timestamp
-from cosikit.engine import Challenge, Refuse, Response, ViewChange, encode_message
+from cosikit.wire import Challenge, Refuse, Response, ViewChange, encode_message
 from cosikit.group import Ed25519Group, Signature
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
