@@ -420,8 +420,8 @@ class SigningNode:
         # (view, round, attempt, nonce, challenge) per answered challenge: one per round state
         self.nonce_log: list[tuple] = []
         # (child's subtree, commit absences, response absences) -> the
-        # child's present key, kept so that the key's ladder window
-        # (`Ed25519Group._key_window`) is built once, not every round
+        # child's present key, kept so that the key's ladder rows
+        # (`Ed25519Group._key_rows`) are built once, not every round
         self.subtree_keys: dict[tuple, GroupElement] = {}
 
     # -- plumbing --

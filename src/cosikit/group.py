@@ -55,31 +55,49 @@ product is then the same residue as if every product had been reduced, so
 the kernels return the same tuples, bit for bit.
 
 `check_response` tests g^s * A^c == R without a full-length A^c. A
-truncated extended Euclid splits c into c0 = c*t (mod L) with c0 and an odd
-t both about half as long, and the equation raised to t, A^c0 * R^-t ==
-g^(-s*t), is then checked by one joint ladder over the windows of A and R
-(Straus) and one table power of G. That halves the doublings (Antipa et al.,
-SAC 2005; Pornin, https://eprint.iacr.org/2020/454). A key element keeps its
-window once it has been used as a key, and a node keeps one key element per
-child subtree, so a child's key window is built once, not every round. One
-check costs about 49 additions (56 when it builds the key's window), 42
-table additions and 127 doublings.
+truncated extended Euclid splits c into c0 = c*t (mod L) and an odd t, and
+the equation raised to t, A^c0 * R^-t == g^(-s*t), is then checked by one
+joint ladder over the windows of A and R (Straus) and one table power of G
+(Antipa et al., SAC 2005; Pornin, https://eprint.iacr.org/2020/454). A key
+element keeps rows, once it has been used as a key: the window of A from
+its first use, and those of 2^64*A and 2^128*A from its second, so that an
+exponent of A can be walked in 64-bit digits, one per row (Lim and Lee,
+CRYPTO 1994). A node keeps one key element per child subtree, so a child's
+rows are built once, not every round. For a key with its one window, c0
+and t are both about 126 bits, and a check costs about 49 additions (56
+when it builds the window), 42 table additions and 127 doublings. For a key
+with rows, c is split at 2^190 instead: c0 fills three 64-bit digits and t
+is about 64 bits, so the ladder is about 64 doublings long, and a check
+costs about 50 additions, 42 table additions and 64 doublings. The rows
+take 128 doublings and 14 additions to build (a check that builds them
+costs about 64 additions and 194 doublings in all). Their entries are
+scaled to Z = 1, for one inversion, so that each holds three field
+elements where a ladder's window entry holds four: a key holds about 6.1
+KB under tracemalloc, where its one window held 2.3 KB. They wait for
+the key's second use for the reason a kept table waits for its second
+power: a key checked once, as `schnorr_verify` checks one, pays for none.
 
-`check_responses` checks several responses to one challenge c at once, as
-a node does with its children's partial responses. Each (s_i, K_i, V_i)
-gets a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
-generator's stream moves, and one `check_response` tests g^(sum w_i*s_i) *
-A^c == W for A = prod K_i^w_i and W = prod V_i^w_i, each product one Straus
-ladder over the signed windows of its bases. A batch of 8 costs about 461
-additions (517 when it builds the 8 key windows), 42 table additions and
-390 doublings (398). If any item fails, the batch passes with probability
-at most 2^-127 (Bellare, Garay and Rabin, EUROCRYPT 1998), provided every
-key and every commit lies in the prime-order subgroup; decoding guarantees
-that for every element from the wire, and products of such elements stay
-in it. Without it a batch and single checks can disagree (Chalkias,
-Garillot and Nikolaenko, "Taming the many EdDSAs", SSR 2020). The toy group
-checks one by one: its order is 11, so a random weight would let a wrong
-response through with probability about 1/11.
+`check_responses` checks several responses to one challenge c at once, as a
+node does with its children's partial responses. Each (s_i, K_i, V_i) gets
+a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
+generator's stream moves, and one Straus ladder over the keys, with
+exponents u_i = w_i*c mod L, and over the negated V_i, with exponents w_i,
+must equal one table power g^(-sum w_i*s_i). A key with rows takes u_i in
+64-bit digits, the top one about 125 bits, so the ladder is 128 doublings
+long; a key without them takes the whole u_i on its one window, and the
+ladder is then 253 doublings long. A batch of 8 on keys with rows costs
+about 575 additions, 42 table additions and 136 doublings, where three
+ladders (for A = prod K_i^w_i, for W = prod V_i^w_i, and one check of A and
+W) took 461 additions and 390 doublings. On new keys it costs about 626
+additions and 268 doublings, and as the keys build their rows, 688 and
+1,176. If any item fails, the batch passes with probability at most 2^-127
+(Bellare, Garay and Rabin, EUROCRYPT 1998), provided every key and every
+commit lies in the prime-order subgroup; decoding guarantees that for every
+element from the wire, and products of such elements stay in it. Without it
+a batch and single checks can disagree (Chalkias, Garillot and Nikolaenko,
+"Taming the many EdDSAs", SSR 2020). The toy group checks one by one: its
+order is 11, so a random weight would let a wrong response through with
+probability about 1/11.
 
 A Schnorr signature is (R, s): R = g^v for the signer's nonce v, and
 s = v - c*x for its secret x and c = `challenge_hash(R, statement, tag)`.
@@ -365,7 +383,7 @@ class GroupElement:
         self.group = group
         self.raw = raw
         self._enc = None
-        self._win = None  # the group's ladder window, once used as a key
+        self._win = None  # the group's ladder windows, once used as a key
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.group, self.group._mul(self.raw, other.raw))
@@ -569,34 +587,42 @@ _GY = 4 * pow(5, _P - 2, _P) % _P
 _GX = _recover_x(_GY, 0)
 _G = (_GX, _GY, 1, _GX * _GY % _P)
 
-_HALF = 1 << 126
+_HALF = 1 << 126  # the split bound for a key without rows
+_ROWS_HALF = 1 << 190  # and for a key with rows: c0 in three 64-bit digits
+_DIGIT = (1 << 64) - 1
 
 
-def _half_split(c: int) -> tuple[int, int]:
+def _half_split(c: int, bound: int) -> tuple[int, int]:
     """Returns (c0, t) with c0 = c*t (mod L), c0 >= 0 and t odd, for 0 <= c < L.
 
-    Extended Euclid on (L, c) stops at the first remainder below 2^126. Each
-    remainder r_i = c*t_i (mod L), and |t_i| <= L / r_(i-1), so the pair is
-    about 126 bits wide. Consecutive cofactors are coprime, so when t_i is
-    even, (r_(i-1), t_(i-1)) - j*(r_i, t_i) has an odd cofactor for every j;
-    the j that balances its two halves is taken. (A pair with c0 < 0 never
-    wins: it and the other candidate would then both be below 2^126, and
-    two such lattice vectors span a determinant below L.) Over 100,000
-    random c the widest pair was 134 bits. A few c have no short pair with
-    odd t, (L + 1) / 2 among them; the answer is then still exact, only
-    longer.
+    Extended Euclid on (L, c) stops at the first remainder below bound,
+    2^126 or 2^190. Each remainder r_i = c*t_i (mod L), and |t_i| <= L /
+    r_(i-1), so c0 and t are both about 126 bits wide at 2^126, and about
+    190 and 63 bits wide at 2^190. Consecutive cofactors are coprime, so
+    when t_i is even, (r_(i-1), t_(i-1)) - j*(r_i, t_i) has an odd cofactor
+    for every j; the j that balances c0 against |t| * bound / 2^126 is taken.
+    At 2^126 a pair with c0 < 0 never wins: it and the other candidate would
+    then both be below 2^126, and two such lattice vectors span a
+    determinant below L. At 2^190 one wins for about 16% of random c, and
+    (-c0, -t) is returned. Over 100,000 random c the widest pair was 134
+    bits at 2^126, and 190 and 78 bits at 2^190. A few c have no short pair
+    with odd t, (L + 1) / 2 among them; the answer is then still exact,
+    only longer.
     """
     r0, r1 = _L, c
     t0, t1 = 0, 1
-    while r1 >= _HALF:
+    while r1 >= bound:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
     if not t1 & 1:
         # r0 - j*r1 falls and |t0 - j*t1| rises with j: t0 and t1 differ in sign.
-        j = (r0 - abs(t0)) // (r1 + abs(t1))
+        w = bound >> 126
+        j = (r0 - w * abs(t0)) // (r1 + w * abs(t1))
         r1, t1 = min((r0 - j * r1, t0 - j * t1), (r0 - (j + 1) * r1, t0 - (j + 1) * t1),
-                     key=lambda pair: max(abs(pair[0]), abs(pair[1])))
+                     key=lambda pair: max(abs(pair[0]), w * abs(pair[1])))
+        if r1 < 0:
+            r1, t1 = -r1, -t1
     return r1, t1
 
 
@@ -814,51 +840,77 @@ class Ed25519Group(Group):
             a._rows = rows = self._fixed_base_rows(a.raw)
         return self._comb(rows, k)
 
-    def _key_window(self, key):
-        """The window of a key element, built on its first use as a key and
-        kept on the element: a node checks its children against the same
-        subtree keys round after round."""
-        if key._win is None:
-            key._win = self._window(key.raw)
-        return key._win
+    def _key_rows(self, key):
+        """The windows of key, and from its second use as a key on, of
+        2^64 * key and 2^128 * key as well, kept on the element: a node
+        checks its children against the same subtree keys round after round,
+        and a key checked once, as a `schnorr_verify` checks one, pays for
+        no rows (the rule `keep_table` follows)."""
+        rows = key._win
+        if rows is None:
+            key._win = rows = (self._window(key.raw),)
+        elif len(rows) == 1:
+            k64 = self._doubled(key.raw, 64)
+            rows += (self._window(k64), self._window(self._doubled(k64, 64)))
+            # One assignment, as for G's table.
+            key._win = rows = self._scaled_to_one(rows)
+        return rows
+
+    def _scaled_to_one(self, windows):
+        """windows with each entry scaled to Z = 1, for one inversion in all:
+        (Y + X, Y - X, 2Z, 2d*T) / Z, whose 2Z is the small int 2, so that a
+        kept entry holds three field elements, not four."""
+        entries = [e for window in windows for e in window]
+        scaled = []
+        for (ypx, ymx, _, t2d), zi in zip(entries, _invert_all([e[2] for e in entries])):
+            zi = 2 * zi % _P
+            scaled.append((ypx * zi % _P, ymx * zi % _P, 2, t2d * zi % _P))
+        return tuple(scaled[i:i + 8] for i in range(0, len(scaled), 8))
+
+    def _row_terms(self, rows, k):
+        """Ladder terms for key^k over the key's rows: k in 64-bit digits,
+        the last row taking all the bits above the others."""
+        if len(rows) == 1:
+            return [(rows[0], k)]
+        return [(rows[0], k & _DIGIT), (rows[1], k >> 64 & _DIGIT), (rows[2], k >> 128)]
 
     def check_response(self, s, key, c, commit):
         # For odd t, g^s * key^c == commit holds exactly when its t-th power,
         # rearranged as key^c0 * commit^-t == g^(-s*t), does: raising to t
         # is a bijection on the prime-order subgroup, and an odd power of a
         # commit's order-2, 4 or 8 component is never the identity.
-        c0, t = _half_split(c.value)
+        rows = self._key_rows(key)
+        c0, t = _half_split(c.value, _HALF if len(rows) == 1 else _ROWS_HALF)
         b = commit.raw if t < 0 else self._inv(commit.raw)
-        lhs = self._straus([(self._key_window(key), c0), (self._window(b), abs(t))])
+        lhs = self._straus(self._row_terms(rows, c0) + [(self._window(b), abs(t))])
         return self._eq(lhs, self._pow(_G, -s.value * t % _L))
 
-    def check_responses(self, c, items):
-        # The random-weight batch of the module docstring; one item is
-        # checked as it is.
-        if len(items) < 2:
-            return super().check_responses(c, items)
-        weights = [secrets.randbits(128) | 1 for _ in items]
-        s = sum(w * si.value for w, (si, _, _) in zip(weights, items)) % _L
-        keys = self._straus([(self._key_window(key), w)
-                             for w, (_, key, _) in zip(weights, items)])
-        commits = self._straus([(self._window(commit.raw), w)
-                                for w, (_, _, commit) in zip(weights, items)])
-        return self.check_response(Scalar(self, s), GroupElement(self, keys), c,
-                                   GroupElement(self, commits))
-
-    def check_signatures(self, items):
-        # The random-weight batch of the module docstring; one item is
-        # checked as it is. The keys keep no window: a roster's keys are
-        # checked together once, and never again as these elements.
-        if len(items) < 2:
-            return super().check_signatures(items)
+    def _check_batch(self, items, kept):
+        """The random-weight batch of the module docstring over (s, key, c,
+        commit) items: one ladder over the keys, with exponents w*c mod L,
+        and over the negated commits, with exponents w, against one table
+        power g^(-sum w*s). A kept key is walked over its rows."""
         weights = [secrets.randbits(128) | 1 for _ in items]
         s = sum(w * si.value for w, (si, _, _, _) in zip(weights, items)) % _L
         terms = []
         for w, (_, key, c, commit) in zip(weights, items):
-            terms.append((self._window(key.raw), w * c.value % _L))
+            rows = self._key_rows(key) if kept else (self._window(key.raw),)
+            terms += self._row_terms(rows, w * c.value % _L)
             terms.append((self._window(self._inv(commit.raw)), w))
         return self._eq(self._straus(terms), self._pow(_G, -s % _L))
+
+    def check_responses(self, c, items):
+        # One item is checked as it is.
+        if len(items) < 2:
+            return super().check_responses(c, items)
+        return self._check_batch([(s, key, c, commit) for s, key, commit in items], True)
+
+    def check_signatures(self, items):
+        # One item is checked as it is. The keys keep no window: a roster's
+        # keys are checked together once, and never again as these elements.
+        if len(items) < 2:
+            return super().check_signatures(items)
+        return self._check_batch(items, False)
 
     def _inv(self, a):
         x, y, z, t = a

@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import itertools
@@ -29,7 +30,8 @@ from cosikit.engine import (
     view_leader,
     view_vote_statement,
 )
-from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Signature, schnorr_sign
+from cosikit.group import ED25519, TOY, DecodeError, Ed25519Group, KeyPair, Signature, \
+    schnorr_sign
 from cosikit.merkle import DigestTree, fold_proof
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException
 from cosikit.participation import Threshold
@@ -1070,6 +1072,29 @@ def test_copies_of_messages_and_of_a_node_mid_round():
         encode_message(m, group) for m in from_node1]
     # two steps in node 1's four-input tree, two in the leader's
     assert [len(m.proof.path) for m in from_node1 if isinstance(m, Challenge)] == [4, 4, 4]
+
+
+def test_deep_copied_node_keeps_its_subtree_keys_rows(monkeypatch):
+    """A node copied after two prod rounds keeps the rows its subtree keys
+    built in the second, so the copy's next round begins no row from a key:
+    it calls `_doubled` on none of them."""
+    sim = simnet.CosiSim(SimConfig(seed=5, n=13, branching=3, group_name="prod"))
+    for rnd in range(2):
+        assert sim.run_round(rnd)[1].ok
+    parents = [i for i, node in enumerate(sim.nodes) if node.subtree_keys]
+    assert parents
+    for i in parents:
+        sim.nodes[i] = copy.deepcopy(sim.nodes[i])
+    keys = [key for i in parents for key in sim.nodes[i].subtree_keys.values()]
+    assert all(len(key._win) == 3 for key in keys)
+    # Every key exists before the counting starts, so no point counted
+    # below shares an id with one.
+    doubled = collections.Counter()
+    real = Ed25519Group._doubled
+    monkeypatch.setattr(Ed25519Group, "_doubled",
+                        lambda self, p, n: doubled.update([id(p)]) or real(self, p, n))
+    assert sim.run_round(2)[1].ok
+    assert doubled and not any(doubled[id(key.raw)] for key in keys)
 
 
 def test_whole_subtree_participation_holds_the_shared_empty_set(round_states):

@@ -512,6 +512,23 @@ def test_window_holds_odd_signed_multiples():
             assert cached_affine((ymx, ypx, z2, -t2d)) == (-x % P, y)
 
 
+def test_key_rows_hold_odd_multiples_of_shifted_keys():
+    """A key's rows, from its second use on, are the windows of K, 2^64 * K
+    and 2^128 * K, each entry scaled to Z = 1 (its 2Z is 2)."""
+    key = ED25519.generator ** 0x1234567
+    for _ in range(2):
+        rows = ED25519._key_rows(key)
+    assert [len(row) for row in rows] == [8, 8, 8]
+    point = affine(key.raw)
+    for row in rows:
+        twice, entry = affine_add(point, point), point
+        for cached in row:
+            assert cached[2] == 2 and cached_affine(cached) == entry
+            entry = affine_add(entry, twice)
+        for _ in range(64):
+            point = affine_add(point, point)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=1, max_value=16))
@@ -562,43 +579,72 @@ def test_straus_hands_out_extended_points(seed, n):
     assert_extended(ED25519._straus([(terms[0][0], shared)] * 2))
 
 
-def test_batch_hands_check_response_extended_operands(monkeypatch):
-    operands = []
-    real = Ed25519Group.check_response
-    monkeypatch.setattr(Ed25519Group, "check_response",
-                        lambda self, s, key, c, commit:
-                        operands.extend((key.raw, commit.raw)) or real(self, s, key, c, commit))
+def test_batch_windows_extended_points(monkeypatch):
+    """A passing batch calls no `check_response`, and every point it
+    windows has its T: 8 keys and 8 negated commits with fresh keys, 8
+    commits and the keys' 16 multiples 2^64 * K and 2^128 * K as they build
+    their rows, and the 8 commits alone once the keys hold them."""
+    windowed = []
+    real = Ed25519Group._window
+    monkeypatch.setattr(Ed25519Group, "_window",
+                        lambda self, a: windowed.append(a) or real(self, a))
+    checks = count_calls(monkeypatch, Ed25519Group, ("check_response",))
     rng = random.Random(29)
     c = ED25519.scalar(rng.randrange(1, L))
     items, _ = partial_responses(ED25519, rng, c, 8, ())
-    assert ED25519.check_responses(c, items)
-    assert len(operands) == 2
-    for point in operands + [p.raw for _, key, commit in items for p in (key, commit)]:
-        assert_extended(point)
+    counts = []
+    for _ in range(3):
+        windowed.clear()
+        assert ED25519.check_responses(c, items)
+        counts.append(len(windowed))
+        for point in windowed:
+            assert_extended(point)
+    assert counts == [16, 24, 8] and not checks
+    for _, key, commit in items:
+        assert_extended(key.raw)
+        assert_extended(commit.raw)
 
 
 def test_key_window_built_once(monkeypatch):
-    """A key element passed twice, to check_response or to
-    check_responses, has its window built once."""
+    """A key element passed to check_response or check_responses has its
+    window built at its first use and its rows, from 2^64 * K on, at its
+    second, and neither again. A one-shot schnorr_verify builds no rows."""
     rng = random.Random(31)
     g = ED25519.generator
+    kp = keygen(ED25519, rng)
+    sig = schnorr_sign(kp, b"m", rng)
     key = g ** rng.randrange(1, L)
     checks = []
-    for _ in range(2):
+    for _ in range(4):
         s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
         checks.append((s, key, c, g ** s * key ** c))
     c = ED25519.scalar(rng.randrange(1, L))
     items, _ = partial_responses(ED25519, rng, c, 8, ())
+    # Every key exists before the counting starts, so no point counted
+    # below shares an id with one.
     built = collections.Counter()
-    real = Ed25519Group._window
-    monkeypatch.setattr(Ed25519Group, "_window",
-                        lambda self, a: built.update((id(a),)) or real(self, a))
+    for name in ("_window", "_doubled"):
+        real = getattr(Ed25519Group, name)
+        monkeypatch.setattr(Ed25519Group, name,
+                            lambda self, a, *rest, name=name, real=real:
+                            built.update([(name, id(a))]) or real(self, a, *rest))
+
+    def builds(key):
+        """Windows of key, and rows begun from it: no ladder doubles a key."""
+        return built["_window", id(key.raw)], built["_doubled", id(key.raw)], len(key._win)
+
+    assert schnorr_verify(kp.public, b"m", sig)
+    assert builds(kp.public) == (1, 0, 1)
+    seen = []
     for args in checks:
         assert ED25519.check_response(*args)
-    assert built[id(key.raw)] == 1
-    for _ in range(2):
+        seen.append(builds(key))
+    assert seen == [(1, 0, 1)] + [(1, 1, 3)] * 3
+    seen = []
+    for _ in range(3):
         assert ED25519.check_responses(c, items)
-    assert [built[id(key.raw)] for _, key, _ in items] == [1] * 8
+        seen.append({builds(key) for _, key, _ in items})
+    assert seen == [{(1, 0, 1)}, {(1, 1, 3)}, {(1, 1, 3)}]
 
 
 def t_steps(ops):
@@ -608,15 +654,16 @@ def t_steps(ops):
 
 
 def test_signed_window_op_counts(ops):
-    """Cached additions per operation at fixed inputs, pinned 6-8% above
-    their means (49 for a 253-bit a^k; 56 for a check_response that builds
-    its key's window, 49 once the key element holds it; 517 for a batch of
-    8 partials with new keys), and the additions and doublings that compute
-    T, pinned likewise (51 of a^k's 301 steps, 51 of a kept-key check's 175,
-    536 of a batch's 915). Unsigned 4-bit windows took about 72, 87 and 789
-    additions, every step computing T. Table additions of g^x, pinned 2%
-    above their mean of 41.8 over eight scalars: a signed radix-32 table
-    took 49.3."""
+    """Cached additions and doublings per operation at fixed inputs, pinned
+    6-8% above their means: 49 additions for a 253-bit a^k; for a
+    check_response 56 additions and 127 doublings as it builds its key's
+    window, 64 and 194 as it builds the key's rows, and 50 and 64 once the
+    key holds them; for a batch of 8 partials on keys with rows, 575 and
+    136. The additions and doublings that compute T are pinned likewise (51
+    of a^k's 301 steps, 52 of a check's 114 on a key with rows, 584 of a
+    batch's 711). Unsigned 4-bit windows took about 72 additions for a^k,
+    every step computing T. Table additions of g^x, pinned 2% above their
+    mean of 41.8 over eight scalars: a signed radix-32 table took 49.3."""
     rng = random.Random(17)
     g = ED25519.generator
     point = g ** 0x1234567
@@ -628,20 +675,23 @@ def test_signed_window_op_counts(ops):
         assert ops["_double"] >= 248  # the counters see the ladder
         assert ops["_add_cached"] <= 52
         assert t_steps(ops) <= 54
-    for i in range(4):
+    # the first check builds the key's window, the second its rows
+    for adds, doublings, with_t in [(60, 136, None), (69, 208, None), (53, 68, 55), (53, 68, 55)]:
         s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
         commit = g ** s * point ** c
         ops.clear()
         assert ED25519.check_response(s, point, c, commit)
-        assert ops["_add_cached"] <= (60 if i == 0 else 52)
-        if i:
-            assert t_steps(ops) <= 54
+        assert ops["_add_cached"] <= adds and ops["_double"] <= doublings
+        assert with_t is None or t_steps(ops) <= with_t
     c = ED25519.scalar(rng.randrange(1, L))
     items, _ = partial_responses(ED25519, rng, c, 8, ())
+    for _, key, _ in items:
+        for _ in range(2):
+            ED25519._key_rows(key)
     ops.clear()
     assert ED25519.check_responses(c, items)
-    assert ops["_add_cached"] <= 552
-    assert t_steps(ops) <= 572
+    assert ops["_add_cached"] <= 615 and ops["_double"] <= 145
+    assert t_steps(ops) <= 625
     ops.clear()
     for _ in range(8):
         g ** rng.randrange(L)
@@ -649,7 +699,12 @@ def test_signed_window_op_counts(ops):
     assert ops["_add_affine"] <= 341
 
 
-SPLIT_EDGES = {"0": 0, "1": 1, "2^126-1": 2**126 - 1, "2^126": 2**126, "L-1": L - 1}
+SPLIT_EDGES = {"0": 0, "1": 1, "2^126-1": 2**126 - 1, "2^126": 2**126, "L-1": L - 1,
+               "2^190-1": 2**190 - 1, "2^190": 2**190, "(L+1)/2": (L + 1) // 2}
+# The split bounds, each with the widths its pairs are pinned to, (c0, |t|):
+# over 100,000 random c the widest pair was 134 and 134 bits at 2^126, and
+# 190 and 78 bits at 2^190, where c0 must fit three 64-bit digits.
+SPLIT_WIDTHS = {2**126: (2**143, 2**143), 2**190: (2**192, 2**87)}
 # Hypothesis favours small integers, which split trivially as (c, 1); the
 # seeded draws are uniform over [0, L), where half the cofactors come out even.
 CHALLENGES = st.one_of(
@@ -658,22 +713,29 @@ CHALLENGES = st.one_of(
         lambda seed: random.Random(seed).randrange(L)))
 
 
-def assert_short_odd_split(c):
-    c0, t = _half_split(c)
+def assert_short_odd_split(c, bound, short=True):
+    """c splits at bound into an exact pair, c0 >= 0 and t odd, and, if
+    short, one within the bound's pinned widths. Some edges have no short
+    pair with odd t: (L + 1) / 2 at either bound, 2^190 at 2^190."""
+    c0, t = _half_split(c, bound)
     assert (c0 - c * t) % L == 0
-    assert t & 1
-    assert 0 <= c0 <= 2**143 and abs(t) <= 2**143
+    assert t & 1 and c0 >= 0
+    if short:
+        top_c0, top_t = SPLIT_WIDTHS[bound]
+        assert c0 <= top_c0 and abs(t) <= top_t
 
 
 @pytest.mark.parametrize("c", SPLIT_EDGES.values(), ids=SPLIT_EDGES.keys())
 def test_half_split_edge_scalars(c):
-    assert_short_odd_split(c)
+    for bound in SPLIT_WIDTHS:
+        assert_short_odd_split(c, bound, c != (L + 1) // 2 and (c, bound) != (2**190, 2**190))
 
 
 @settings(max_examples=300, deadline=None)
 @given(c=CHALLENGES)
 def test_half_split_short_and_odd(c):
-    assert_short_odd_split(c)
+    for bound in SPLIT_WIDTHS:
+        assert_short_odd_split(c, bound)
 
 
 def check_against_reference(group, a, s, c, torsion):
@@ -704,6 +766,21 @@ def test_check_response_edge_challenges(c, torsion):
         a = rng.randrange(1, group.order)
         check_against_reference(group, a, rng.randrange(group.order), c % group.order,
                                 torsion)
+
+
+@pytest.mark.parametrize("c", SPLIT_EDGES.values(), ids=SPLIT_EDGES.keys())
+def test_check_response_edge_challenges_on_key_rows(c):
+    """The same edges on a key that holds its rows, where c splits at 2^190
+    and c0 is walked in 64-bit digits."""
+    rng = random.Random(c)
+    g = ED25519.generator
+    key = g ** rng.randrange(1, L)
+    for _ in range(2):
+        ED25519._key_rows(key)
+    s, c = ED25519.scalar(rng.randrange(L)), ED25519.scalar(c)
+    valid = g ** s * key ** c
+    assert ED25519.check_response(s, key, c, valid)
+    assert not ED25519.check_response(s, key, c, valid * g)
 
 
 @settings(max_examples=25, deadline=None)
@@ -748,40 +825,64 @@ def partial_responses(group, rng, c, n, corrupt):
     return items, bad
 
 
+# Uses of each key before a batch sees it: none (it builds its window), one
+# (it builds its rows in the batch), two (it holds them), or some of each.
+KEY_STATES = [(0,), (1,), (2,), (0, 1, 2)]
+
+
+def in_key_state(items, uses):
+    """items with copies of their keys, each used as a key uses[i] times."""
+    copies = []
+    for (s, key, commit), n in zip(items, uses):
+        key = GroupElement(key.group, key.raw)
+        for _ in range(n):
+            key.group._key_rows(key)
+        copies.append((s, key, commit))
+    return copies
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1),
        n=st.integers(min_value=1, max_value=16), data=st.data())
 def test_check_responses_agrees_with_single_checks(seed, n, data):
     """A batch passes exactly when every item passes on its own, and the
-    engine's fallback names exactly the wrong items, in both groups."""
+    engine's fallback names exactly the wrong items, in both groups, and in
+    Ed25519 whether the keys are fresh, build their rows in the batch, hold
+    them already, or each is in one of those states."""
     corrupt = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=3))
     rng = random.Random(seed)
     for group in (TOY, ED25519):
         # c = 0 would make a wrong key harmless
         c = group.scalar(rng.randrange(1, group.order))
         items, bad = partial_responses(group, rng, c, n, corrupt)
-        singles = [group.check_response(s, key, c, commit) for s, key, commit in items]
-        assert {i for i, ok in enumerate(singles) if not ok} == bad
-        assert group.check_responses(c, items) == (not bad)
         senders = rng.sample(range(1000), n)
-        assert failing_partials(group, c, dict(zip(senders, items))) == \
-            sorted(senders[i] for i in bad)
+        liars = sorted(senders[i] for i in bad)
+        for state in KEY_STATES if group is ED25519 else [(0,)]:
+            uses = [rng.choice(state) for _ in items]
+            singles = [group.check_response(s, key, c, commit)
+                       for s, key, commit in in_key_state(items, uses)]
+            assert {i for i, ok in enumerate(singles) if not ok} == bad
+            assert group.check_responses(c, in_key_state(items, uses)) == (not bad)
+            assert failing_partials(group, c, dict(zip(senders, in_key_state(items, uses)))) \
+                == liars
 
 
 def test_batch_of_honest_partials_runs_one_check(monkeypatch):
-    """Ed25519 folds a passing batch into one `check_response`; the toy group
-    checks each item."""
+    """Ed25519 checks a passing batch in one ladder and no `check_response`;
+    the toy group checks each item."""
     calls = []
     for cls in (Group, Ed25519Group):
         real = cls.__dict__["check_response"]
         monkeypatch.setattr(cls, "check_response",
                             lambda self, *args, real=real: calls.append(self) or real(self, *args))
-    for group, expected in ((ED25519, 1), (TOY, 8)):
+    ladders = count_calls(monkeypatch, Ed25519Group, ("_straus",))
+    for group, checks, ladder in ((ED25519, 0, 1), (TOY, 8, 0)):
         c = group.scalar(7)
         items, _ = partial_responses(group, random.Random(3), c, 8, ())
         calls.clear()
+        ladders.clear()
         assert failing_partials(group, c, dict(enumerate(items))) == []
-        assert len(calls) == expected
+        assert (len(calls), ladders["_straus"]) == (checks, ladder)
 
 
 def test_batch_needs_prime_order_commits(torsion):

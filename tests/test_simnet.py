@@ -307,8 +307,10 @@ def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
     """Ed25519 kernel calls of the prod round above, a cost that does not
     depend on the machine's speed: fixed-base powers (`_comb`), Straus
     ladders and ladder windows in building the roster, in the first round
-    (which also builds every subtree key's window) and in the next two. A
-    change that adds a ladder or a window moves them. Every round's
+    (which also builds every subtree key's window), in the second (which
+    builds its rows, the windows of 2^64 and 2^128 times the key) and in the
+    third. Each batch of partials is one ladder. A change that adds a ladder
+    or a window moves them. Every round's
     signature leaves the three liars absent, so the leader's self-check
     powers the roster's kept present key: by the ladder in round 0, by the
     table it builds in round 1 and by walking that table in round 2."""
@@ -322,9 +324,9 @@ def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
         assert sim.run_round(rnd)[1].ok
         counts[f"round {rnd}"] = dict(calls)
     assert counts == {"roster": {"_comb": 257, "_straus": 1, "_window": 256},
-                      "round 0": {"_comb": 176, "_straus": 78, "_window": 317},
-                      "round 1": {"_comb": 177, "_straus": 77, "_window": 181},
-                      "round 2": {"_comb": 177, "_straus": 77, "_window": 181}}
+                      "round 0": {"_comb": 176, "_straus": 48, "_window": 319},
+                      "round 1": {"_comb": 177, "_straus": 47, "_window": 389},
+                      "round 2": {"_comb": 177, "_straus": 47, "_window": 151}}
 
 
 def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
@@ -333,7 +335,8 @@ def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
     bound at challenge, as `cosi run-leader` runs it: per batch of submits,
     round close and receipt encodes. Every witness signs, so the leader's
     self-check powers the roster's full key, by the ladder in batch 0 (which
-    also builds every subtree key's window) and by its table from batch 1 on."""
+    also builds every subtree key's window) and by its table from batch 1 on.
+    Batch 1 also builds every subtree key's rows."""
     calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
     sim = simnet.CosiSim(SimConfig(seed=1, n=16, branching=3, group_name="prod",
                                    mode=multisig.MODE_RESTART,
@@ -354,9 +357,9 @@ def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
         assert len({receipt.to_bytes() for receipt in receipts.values()}) == 16
         counts[f"batch {batch}"] = dict(calls)
     assert counts == {"roster": {"_comb": 33, "_straus": 1, "_window": 32},
-                      "batch 0": {"_comb": 22, "_straus": 16, "_window": 41},
-                      "batch 1": {"_comb": 23, "_straus": 15, "_window": 25},
-                      "batch 2": {"_comb": 23, "_straus": 15, "_window": 25}}
+                      "batch 0": {"_comb": 22, "_straus": 6, "_window": 31},
+                      "batch 1": {"_comb": 23, "_straus": 5, "_window": 45},
+                      "batch 2": {"_comb": 23, "_straus": 5, "_window": 15}}
 
 
 _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
