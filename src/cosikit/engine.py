@@ -26,10 +26,10 @@ refusal sends `Refuse` and no response. `make_validation_hook` builds a fresh
 hook per node; a hook that keeps state keeps it in its closure.
 
 A node holds its children's partial responses until none is pending or its
-response timer fires, then checks them together with one
-`Group.check_responses`; only if that fails does it check each one, to name
-the liars. In no-restart mode a direct contributor with contributors of its
-own is checked on arrival instead, since rejecting it bridges them.
+response timer fires, then checks them together with one `Group.failing`,
+which names the liars. In no-restart mode a direct contributor with
+contributors of its own is checked on arrival instead, since rejecting it
+bridges them.
 
 View change is the node's own policy (`round_due`): the view's leader starts
 a round due, and every other node arms a progress timer that waits
@@ -171,24 +171,27 @@ def make_timestamp_window_hook(skew: float = 60.0):
 def make_hash_chain_hook():
     """Accept sequence-numbered, hash-chained log records: the sequence must
     advance by exactly one and the previous-record hash must match this
-    witness's head. Layout: seq (8, big-endian) | prev-hash (32) | payload."""
-    head, last_seq = b"\x00" * 32, 0
+    witness's head. Layout: seq (8, big-endian) | prev-hash (32) | payload.
+
+    The record last accepted is accepted again, byte for byte, and any other
+    record at its sequence number refused. A witness cannot tell whether a
+    round it answered was signed: a restart presents the same record again,
+    and refusing it would fail the restart of every round it took part in."""
+    head, last_seq, last = b"\x00" * 32, 0, None
 
     def hook(statement: bytes, now: float) -> bool:
-        nonlocal head, last_seq
+        nonlocal head, last_seq, last
+        if statement == last:
+            return True
         if len(statement) < 40:
             return False
         seq = int.from_bytes(statement[:8], "big")
         if seq != last_seq + 1 or statement[8:40] != head:
             return False
-        head, last_seq = hashlib.sha256(statement).digest(), seq
+        head, last_seq, last = hashlib.sha256(statement).digest(), seq, statement
         return True
 
     return hook
-
-
-def chain_record(seq: int, prev_hash: bytes, payload: bytes) -> bytes:
-    return seq.to_bytes(8, "big") + prev_hash + payload
 
 
 # Hook factories by policy name
@@ -376,16 +379,6 @@ def view_leader(roster: WitnessRoster, view: int) -> int:
 def _contributors(st: _RoundState) -> list[SubtreeSummary]:
     """A node's contributors' heads: its commit-tree inputs after its own commit."""
     return [st.records[c] for c in sorted(st.records)]
-
-
-def failing_partials(group, c: Scalar, partials: dict) -> list[int]:
-    """The senders, in order, whose partial (s, key, expected) fails
-    g^s * key^c == expected. One batch check of them all; only if it fails,
-    one check per sender."""
-    if group.check_responses(c, list(partials.values())):
-        return []
-    return [sender for sender, (s, key, expected) in sorted(partials.items())
-            if not group.check_response(s, key, c, expected)]
 
 
 def view_change_threshold(n: int) -> int:
@@ -885,8 +878,7 @@ class SigningNode:
         if partial is not None and msg.sender in st.below:
             # Rejecting it bridges its contributors, which should not wait
             # for its siblings: check it on arrival, not in the batch.
-            s, key, expected = partial
-            if self.group.check_response(s, key, st.challenged.challenge, expected):
+            if self.group.check_response(*partial):
                 self._accept_partial(st, msg)
                 return self._responses_done(st, now)
             partial = None
@@ -921,8 +913,8 @@ class SigningNode:
         held, st.held = st.held, None
         if not held:
             return []
-        liars = failing_partials(self.group, st.challenged.challenge,
-                                 {sender: partial for sender, (_, partial) in held.items()})
+        senders = list(held)
+        liars = {senders[i] for i in self.group.failing([p for _, p in held.values()])}
         effects: list = []
         for sender, (msg, _) in held.items():
             if sender in liars:
@@ -960,9 +952,10 @@ class SigningNode:
 
     def _check_partial(self, st: _RoundState, rec: SubtreeSummary,
                        msg: Response) -> Optional[tuple]:
-        """The (s, key, expected) a child's (c, r̂) must satisfy,
-        g^s * key^c == expected: its subtree commit and key adjusted for the
-        response dropouts it reports. None if those reports do not hold up."""
+        """The item (s, key, c, expected) a child's (c, r̂) must satisfy,
+        g^s * key^c == expected (`Group.failing`'s form): its subtree commit
+        and key adjusted for the response dropouts it reports. None if those
+        reports do not hold up."""
         # one exception per reported dropout; _on_response has kept those
         # strictly below the sender
         if sorted(e.index for e in msg.exceptions) != sorted(msg.absent):
@@ -995,7 +988,7 @@ class SigningNode:
             expected = expected * exc.commit.inverse()
         # Roster keys and decoded commits lie in the prime-order subgroup, so
         # the partial may be checked alone or in a batch.
-        return msg.aggregate_response, key, expected
+        return msg.aggregate_response, key, st.challenged.challenge, expected
 
     def _response_child_gone(self, st: _RoundState, child: int,
                              crashed: bool = True) -> list:

@@ -5,30 +5,29 @@ Ed25519, 32-byte encodings) and a brute-forceable toy group (the order-11
 subgroup of Z_23* generated by 2, 2-byte encodings) used by oracle tests.
 All protocol arithmetic in the rest of the package goes through this module.
 
-Ed25519 exponentiation takes one of three paths, all on signed digits. A
-power of the generator (recognised by identity: the generator's coordinates
-are derived once, at import) writes k mod L in radix 64 with digits in
-[-31, 32], and adds one entry per nonzero digit from a fixed-base table of
-42 rows of 33 multiples j * 64^i * G, j = 0..32, and a top row of 3, j =
+Ed25519 exponentiation follows one rule for every base: an element's first
+power runs the ladder below, so that a process which powers it once builds
+no table; its second builds a fixed-base table on the element, and every
+later power walks that table. Each group hands out one generator element,
+so G's table serves every power of G in the process. A roster hands out one
+element for its aggregate key, which every full-roster verification raises
+to a challenge, and one for the present key of the last absent set it
+verified (`WitnessRoster.kept_present_key`), so those build tables too. No
+other element is powered more than once. The table writes k mod L in radix 64
+with digits in [-31, 32], and a power adds one entry per nonzero digit from
+42 rows of 33 multiples j * 64^i * base, j = 0..32, and a top row of 3, j =
 0..2 (the top digit of a k < L is at most 2), with no doublings: about 42
 additions for a random k, where a radix-32 table of 51 rows of 17 takes 49
 (Bernstein et al., CHES 2011). The entries are affine, stored as (y + x,
 y - x, 2d*x*y), so each addition is a mixed one of 7 field multiplications;
 a negative digit adds an entry with y + x and y - x swapped and 2d*x*y
-negated. The table (1,389 entries, about 0.34 MB under tracemalloc, where
-radix 32 holds 867 and 0.21 MB) is built lazily by the first such power, in
-about 17 ms, and then reused for the life of the process. A roster's
-aggregate key, which every full-roster verification raises to a challenge,
-keeps a table of its own (`Group.keep_table`) and walks it the same way, and
-so does the present key of the last absent set a roster verified
-(`WitnessRoster.kept_present_key`). Such a key's first power takes the
-ladder below, so that a process which checks one signature pays no table;
-its second builds the table, and every later power walks it, in about
-0.25 ms against 1.6 ms for the ladder, so the table has paid for itself by
-about the 14th power (2-vCPU machine, Python 3.11; a radix-32 table,
-measured beside it, takes 12 ms to build and 0.33 ms to walk, and pays for
-itself by about the 9th). Every other base uses a
-width-5 NAF. One doubling and 7 additions precompute its odd multiples
+negated. A table (1,389 entries, about 0.34 MB under tracemalloc, where
+radix 32 holds 867 and 0.21 MB) takes about 17 ms to build, and a walk about
+0.25 ms against 1.6 ms for the ladder, so it has paid for itself by about
+the 14th power (2-vCPU machine, Python 3.11; a radix-32 table, measured
+beside it, takes 12 ms to build and 0.33 ms to walk, and pays for itself by
+about the 9th). The ladder, which first powers and every product of powers
+run, uses a width-5 NAF. One doubling and 7 additions precompute its odd multiples
 1, 3 .. 15 in the cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
 (CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped
 and 2d*T negated, so negations cost nothing. Adding a cached entry takes 8
@@ -66,59 +65,58 @@ CRYPTO 1994). A node keeps one key element per child subtree, so a child's
 rows are built once, not every round. For a key with its one window, c0
 and t are both about 126 bits, and a check costs about 49 additions (56
 when it builds the window), 42 table additions and 127 doublings. For a key
-with rows, c is split at 2^190 instead: c0 fills three 64-bit digits and t
-is about 64 bits, so the ladder is about 64 doublings long, and a check
-costs about 50 additions, 42 table additions and 64 doublings. The rows
-take 128 doublings and 14 additions to build (a check that builds them
-costs about 64 additions and 194 doublings in all). Their entries are
-scaled to Z = 1, for one inversion, so that each holds three field
-elements where a ladder's window entry holds four: a key holds about 6.1
-KB under tracemalloc, where its one window held 2.3 KB. They wait for
-the key's second use for the reason a kept table waits for its second
+with rows, c is split at 2^190 instead: c0, about 190 bits, is walked in
+64-bit digits and t is about 62 bits, so the ladder is about 64 doublings
+long, and a check costs about 50 additions, 42 table additions and 64
+doublings. The rows take 128 doublings and 14 additions to build (a check
+that builds them costs about 64 additions and 194 doublings in all). Their
+entries are scaled to Z = 1, for one inversion, so that each holds three
+field elements where a ladder's window entry holds four: a key holds about
+6.1 KB under tracemalloc, where its one window held 2.3 KB. They wait for
+the key's second use for the reason a table waits for an element's second
 power: a key checked once, as `schnorr_verify` checks one, pays for none.
-
-`check_responses` checks several responses to one challenge c at once, as a
-node does with its children's partial responses. Each (s_i, K_i, V_i) gets
-a random odd 128-bit weight w_i, drawn from `secrets` so that no seeded
-generator's stream moves, and one Straus ladder over the keys, with
-exponents u_i = w_i*c mod L, and over the negated V_i, with exponents w_i,
-must equal one table power g^(-sum w_i*s_i). A key with rows takes u_i in
-64-bit digits, the top one about 125 bits, so the ladder is 128 doublings
-long; a key without them takes the whole u_i on its one window, and the
-ladder is then 253 doublings long. A batch of 8 on keys with rows costs
-about 575 additions, 42 table additions and 136 doublings, where three
-ladders (for A = prod K_i^w_i, for W = prod V_i^w_i, and one check of A and
-W) took 461 additions and 390 doublings. On new keys it costs about 626
-additions and 268 doublings, and as the keys build their rows, 688 and
-1,176. If any item fails, the batch passes with probability at most 2^-127
-(Bellare, Garay and Rabin, EUROCRYPT 1998), provided every key and every
-commit lies in the prime-order subgroup; decoding guarantees that for every
-element from the wire, and products of such elements stay in it. Without it
-a batch and single checks can disagree (Chalkias, Garillot and Nikolaenko,
-"Taming the many EdDSAs", SSR 2020). The toy group checks one by one: its
-order is 11, so a random weight would let a wrong response through with
-probability about 1/11.
 
 A Schnorr signature is (R, s): R = g^v for the signer's nonce v, and
 s = v - c*x for its secret x and c = `challenge_hash(R, statement, tag)`.
 The verifier recomputes c and makes one `check_response(s, A, c, R)` for
-the signer's key A. `check_signatures` checks many such equations, each
-with its own challenge, at once, as `build_roster` does with a roster's
-possession proofs. Each (s_i, A_i, c_i, R_i) gets a random odd 128-bit
-weight w_i, and one Straus ladder over the keys, with exponents
-w_i*c_i mod L, and over the negated R_i, with exponents w_i, must equal one
-table power g^(-sum w_i*s_i). That costs about 78 additions and 2
-doublings per item (42 additions for the key and 21 for R in the ladder,
-the rest building their two windows), plus 252 doublings and 42 table
-additions in all, against about 98 additions (42 from the table) and 127
-doublings per item checked one by one. The batch shares the 2^-127 bound
-above, and again only because every key and every R lies in the
-prime-order subgroup: `Signature.decode` checks R as it checks any element.
-A single check needs no such guarantee for R (`check_response` rejects an R
-with a small-order component), but small-order components of two R's in
-one batch can cancel, so a batch could accept what single checks reject. A
-batch that fails names no item; its caller checks the items one by one to
-find the first bad one.
+the signer's key A.
+
+`Group.failing` checks many such equations at once, each (s_i, K_i, c_i,
+V_i) with its own challenge, as a node does with its children's partial
+responses (which share one c) and `build_roster` with a roster's possession
+proofs, and names the ones that fail. Each item gets a random odd 128-bit
+weight w_i, drawn from `secrets` so that no seeded generator's stream moves,
+and one Straus ladder over the keys, with exponents u_i = w_i*c_i mod L, and
+over the negated V_i, with exponents w_i, must equal one table power
+g^(-sum w_i*s_i). Only if it does not are the items checked one by one, to
+name them. With `keep_rows`, a key is walked over its rows, as the subtree
+keys a node checks round after round are: a key with rows takes u_i in
+64-bit digits, the top one about 125 bits, so the ladder is 128 doublings
+long; a key without them takes the whole u_i on its one window, and the
+ladder is then 253 doublings long. A batch of 8 partials on keys with rows
+costs about 575 additions, 42 table additions and 136 doublings, where three
+ladders (for A = prod K_i^w_i, for W = prod V_i^w_i, and one check of A and
+W) took 461 additions and 390 doublings. On new keys it costs about 626
+additions and 268 doublings, and as the keys build their rows, 688 and
+1,176. Without `keep_rows`, as for a roster's keys, which are checked
+together once and never again as these elements, every key takes its one
+window: about 78 additions and 2 doublings per item (42 additions for the
+key and 21 for R in the ladder, the rest building their two windows), plus
+252 doublings and 42 table additions in all, against about 98 additions (42
+from the table) and 127 doublings per item checked one by one.
+
+If any item fails, the batch passes with probability at most 2^-127
+(Bellare, Garay and Rabin, EUROCRYPT 1998), provided every key and every
+commit lies in the prime-order subgroup; decoding guarantees that for every
+element from the wire (`Signature.decode` checks R as it checks any
+element), and products of such elements stay in it. Without it a batch and
+single checks can disagree (Chalkias, Garillot and Nikolaenko, "Taming the
+many EdDSAs", SSR 2020): a single check needs no such guarantee for R
+(`check_response` rejects an R with a small-order component), but
+small-order components of two R's in one batch can cancel, so a batch could
+accept what single checks reject. The toy group checks one by one: its
+order is 11, so a random weight would let a wrong response through with
+probability about 1/11.
 
 Decoding an element checks that it lies in the prime-order subgroup
 without computing [L]P. E(F_p) is cyclic of order 8L, so that subgroup is
@@ -146,6 +144,7 @@ from __future__ import annotations
 import hashlib
 import secrets
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 # Domain separation tags. Each hash use in the protocol gets its own tag so
@@ -233,7 +232,8 @@ class Group:
     def _mul(self, a, b):
         raise NotImplementedError
 
-    def _pow(self, a, k: int):
+    def _pow(self, a: "GroupElement", k: int):
+        """The raw a^k for an element a and 0 <= k < order."""
         raise NotImplementedError
 
     def _inv(self, a):
@@ -256,8 +256,10 @@ class Group:
 
     # -- public surface --
 
-    @property
+    @cached_property
     def generator(self) -> "GroupElement":
+        # One element per group, so that whatever a power keeps on the
+        # element serves every later power of G.
         return GroupElement(self, self._generator_raw())
 
     @property
@@ -290,30 +292,17 @@ class Group:
         """
         return self.generator ** s * key ** c == commit
 
-    def check_responses(self, c: "Scalar", items) -> bool:
-        """Whether g^s * key^c == commit for every (s, key, commit) in items.
+    def failing(self, items, keep_rows: bool = True) -> list[int]:
+        """The positions, in order, of the (s, key, c, commit) items for
+        which g^s * key^c != commit.
 
         Every key and every commit must lie in the prime-order subgroup: a
         subclass may check the items together, and a batch is sound only
-        there. This class checks them one by one.
+        there. keep_rows says whether the keys recur as these elements, so
+        that a subclass may keep rows on them. This class checks the items
+        one by one.
         """
-        return all(self.check_response(s, key, c, commit) for s, key, commit in items)
-
-    def check_signatures(self, items) -> bool:
-        """Whether g^s * key^c == commit for every (s, key, c, commit) in
-        items, each with its own challenge c.
-
-        Every key and every commit must lie in the prime-order subgroup, as
-        for `check_responses`. This class checks them one by one.
-        """
-        return all(self.check_response(s, key, c, commit) for s, key, c, commit in items)
-
-    def keep_table(self, element: "GroupElement") -> "GroupElement":
-        """An element equal to element that keeps a fixed-base table, as
-        the generator does: for a base raised to many powers, such as a
-        roster's aggregate key. This class keeps no tables and returns
-        element itself."""
-        return element
+        return [i for i, item in enumerate(items) if not self.check_response(*item)]
 
     def random_scalar(self, rng, nonzero: bool = True) -> "Scalar":
         """Uniform scalar via unbiased modular rejection sampling.
@@ -374,16 +363,14 @@ class Scalar:
 class GroupElement:
     """Element of the prime-order group. Immutable; equality is value equality."""
 
-    __slots__ = ("group", "raw", "_enc", "_win")
-    # A class default: only a `_KeptElement` has the slot, so no other
-    # element grows by it.
-    _rows = None
+    __slots__ = ("group", "raw", "_enc", "_win", "_rows")
 
     def __init__(self, group: Group, raw):
         self.group = group
         self.raw = raw
         self._enc = None
         self._win = None  # the group's ladder windows, once used as a key
+        self._rows = 0  # the group's count of powers, then its table
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.group, self.group._mul(self.raw, other.raw))
@@ -391,9 +378,7 @@ class GroupElement:
     def __pow__(self, k) -> "GroupElement":
         exp = k.value if isinstance(k, Scalar) else int(k)
         group = self.group
-        if self._rows is None:
-            return GroupElement(group, group._pow(self.raw, exp % group.order))
-        return GroupElement(group, group._pow_kept(self, exp % group.order))
+        return GroupElement(group, group._pow(self, exp % group.order))
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.group, self.group._inv(self.raw))
@@ -415,18 +400,6 @@ class GroupElement:
         return f"<{self.group.name} element {self.encode().hex()}>"
 
 
-class _KeptElement(GroupElement):
-    """An element that keeps a fixed-base table (`Group.keep_table`). Its
-    `_rows` counts the ladder powers taken, 0 or 1, and holds the table from
-    its second power on."""
-
-    __slots__ = ("_rows",)
-
-    def __init__(self, group: Group, raw):
-        super().__init__(group, raw)
-        self._rows = 0
-
-
 # ---------------------------------------------------------------------------
 # Toy group: order-11 subgroup of Z_23*, generator 2. Small enough that every
 # discrete log can be brute forced, which is what the oracle tests rely on.
@@ -444,7 +417,7 @@ class ToyGroup(Group):
         return (a * b) % self.modulus
 
     def _pow(self, a, k):
-        return pow(a, k, self.modulus)
+        return pow(a.raw, k, self.modulus)
 
     def _inv(self, a):
         return pow(a, self.modulus - 2, self.modulus)
@@ -581,14 +554,13 @@ def _in_prime_subgroup(x: int, y: int) -> bool:
     return not _is_square(half + _sqrt_ratio(half * (half + _A) + 1, 1) - 1)
 
 
-# The base point, derived once. `_pow` recognises it by identity, so every
-# `generator` hands out this very tuple.
+# The base point, derived once.
 _GY = 4 * pow(5, _P - 2, _P) % _P
 _GX = _recover_x(_GY, 0)
 _G = (_GX, _GY, 1, _GX * _GY % _P)
 
 _HALF = 1 << 126  # the split bound for a key without rows
-_ROWS_HALF = 1 << 190  # and for a key with rows: c0 in three 64-bit digits
+_ROWS_HALF = 1 << 190  # and for a key with rows, the last of which takes c0 >> 128
 _DIGIT = (1 << 64) - 1
 
 
@@ -600,14 +572,15 @@ def _half_split(c: int, bound: int) -> tuple[int, int]:
     r_(i-1), so c0 and t are both about 126 bits wide at 2^126, and about
     190 and 63 bits wide at 2^190. Consecutive cofactors are coprime, so
     when t_i is even, (r_(i-1), t_(i-1)) - j*(r_i, t_i) has an odd cofactor
-    for every j; the j that balances c0 against |t| * bound / 2^126 is taken.
-    At 2^126 a pair with c0 < 0 never wins: it and the other candidate would
-    then both be below 2^126, and two such lattice vectors span a
-    determinant below L. At 2^190 one wins for about 16% of random c, and
-    (-c0, -t) is returned. Over 100,000 random c the widest pair was 134
-    bits at 2^126, and 190 and 78 bits at 2^190. A few c have no short pair
-    with odd t, (L + 1) / 2 among them; the answer is then still exact,
-    only longer.
+    for every j; the j that gives the shorter ladder is taken, weighing |t|
+    by 1 at 2^126 and by 2^128 at 2^190, where a key's rows walk c0's low
+    128 bits. At 2^126 a pair with c0 < 0 never wins: it and the other
+    candidate would then both be below 2^126, and two such lattice vectors
+    span a determinant below L. At 2^190 none won over 100,000 random c, but
+    the bound does not rule one out, and (-c0, -t) is then returned. Over
+    100,000 random c the widest pair was 134 bits at 2^126, and 199 and 71
+    bits at 2^190. A few c have no short pair with odd t, (L + 1) / 2 among
+    them; the answer is then still exact, only longer.
     """
     r0, r1 = _L, c
     t0, t1 = 0, 1
@@ -617,7 +590,9 @@ def _half_split(c: int, bound: int) -> tuple[int, int]:
         t0, t1 = t1, t0 - q * t1
     if not t1 & 1:
         # r0 - j*r1 falls and |t0 - j*t1| rises with j: t0 and t1 differ in sign.
-        w = bound >> 126
+        # A check at 2^126 runs max(bits(c0), bits(t)) doublings, and one on
+        # a key's rows, at 2^190, max(bits(c0) - 128, bits(t)).
+        w = 1 if bound == _HALF else 1 << 128
         j = (r0 - w * abs(t0)) // (r1 + w * abs(t1))
         r1, t1 = min((r0 - j * r1, t0 - j * t1), (r0 - (j + 1) * r1, t0 - (j + 1) * t1),
                      key=lambda pair: max(abs(pair[0]), w * abs(pair[1])))
@@ -648,7 +623,6 @@ class Ed25519Group(Group):
     element_size = 32
 
     _IDENT = (0, 1, 1, 0)
-    _g_rows = None  # fixed-base table for G, built by the first G^k
 
     def _add(self, p, q):
         return self._add_cached(p, self._cached(q))
@@ -813,30 +787,18 @@ class Ed25519Group(Group):
         return doubled(r, pos)
 
     def _pow(self, a, k):
-        if a is _G:
-            rows = self._g_rows
-            if rows is None:
-                # One assignment: threads that race here each build an
-                # equal table, and whichever lands last is kept.
-                self._g_rows = rows = self._fixed_base_rows(_G)
-            return self._comb(rows, k)
-        return self._straus([(self._window(a), k)])
-
-    def keep_table(self, element):
-        return _KeptElement(self, element.raw)
-
-    def _pow_kept(self, a, k):
-        """a^k for an element made by `keep_table`. Its first power runs
-        the ladder, so that a process which powers it once builds no table;
-        its second builds the table, and every later power walks it."""
+        """a^k by the rule of the module docstring: the element's first
+        power runs the ladder, its second builds its table, and every later
+        power walks that table."""
         rows = a._rows
         if type(rows) is int:  # the ladder powers taken so far, 0 or 1
             if not rows:
                 a._rows = 1
-                return self._pow(a.raw, k)
-            # One assignment, as for G's table. A thread that took the first
-            # power in a race can set 1 back over it; the next power then
-            # builds an equal table again.
+                return self._straus([(self._window(a.raw), k)])
+            # One assignment: threads that race here each build an equal
+            # table, and whichever lands last is kept. A thread that took
+            # the first power in a race can set 1 back over it; the next
+            # power then builds an equal table again.
             a._rows = rows = self._fixed_base_rows(a.raw)
         return self._comb(rows, k)
 
@@ -845,14 +807,14 @@ class Ed25519Group(Group):
         2^64 * key and 2^128 * key as well, kept on the element: a node
         checks its children against the same subtree keys round after round,
         and a key checked once, as a `schnorr_verify` checks one, pays for
-        no rows (the rule `keep_table` follows)."""
+        no rows (the rule `_pow` follows for tables)."""
         rows = key._win
         if rows is None:
             key._win = rows = (self._window(key.raw),)
         elif len(rows) == 1:
             k64 = self._doubled(key.raw, 64)
             rows += (self._window(k64), self._window(self._doubled(k64, 64)))
-            # One assignment, as for G's table.
+            # One assignment, as for a table.
             key._win = rows = self._scaled_to_one(rows)
         return rows
 
@@ -883,34 +845,27 @@ class Ed25519Group(Group):
         c0, t = _half_split(c.value, _HALF if len(rows) == 1 else _ROWS_HALF)
         b = commit.raw if t < 0 else self._inv(commit.raw)
         lhs = self._straus(self._row_terms(rows, c0) + [(self._window(b), abs(t))])
-        return self._eq(lhs, self._pow(_G, -s.value * t % _L))
+        return self._eq(lhs, self._pow(self.generator, -s.value * t % _L))
 
-    def _check_batch(self, items, kept):
+    def _check_batch(self, items, keep_rows):
         """The random-weight batch of the module docstring over (s, key, c,
         commit) items: one ladder over the keys, with exponents w*c mod L,
-        and over the negated commits, with exponents w, against one table
-        power g^(-sum w*s). A kept key is walked over its rows."""
+        and over the negated commits, with exponents w, against one power
+        g^(-sum w*s). With keep_rows a key is walked over its rows."""
         weights = [secrets.randbits(128) | 1 for _ in items]
         s = sum(w * si.value for w, (si, _, _, _) in zip(weights, items)) % _L
         terms = []
         for w, (_, key, c, commit) in zip(weights, items):
-            rows = self._key_rows(key) if kept else (self._window(key.raw),)
+            rows = self._key_rows(key) if keep_rows else (self._window(key.raw),)
             terms += self._row_terms(rows, w * c.value % _L)
             terms.append((self._window(self._inv(commit.raw)), w))
-        return self._eq(self._straus(terms), self._pow(_G, -s % _L))
+        return self._eq(self._straus(terms), self._pow(self.generator, -s % _L))
 
-    def check_responses(self, c, items):
-        # One item is checked as it is.
-        if len(items) < 2:
-            return super().check_responses(c, items)
-        return self._check_batch([(s, key, c, commit) for s, key, commit in items], True)
-
-    def check_signatures(self, items):
-        # One item is checked as it is. The keys keep no window: a roster's
-        # keys are checked together once, and never again as these elements.
-        if len(items) < 2:
-            return super().check_signatures(items)
-        return self._check_batch(items, False)
+    def failing(self, items, keep_rows=True):
+        # One batch; one item, or a batch that fails, is checked one by one.
+        if len(items) > 1 and self._check_batch(items, keep_rows):
+            return []
+        return super().failing(items)
 
     def _inv(self, a):
         x, y, z, t = a
@@ -1041,15 +996,16 @@ def schnorr_verify(public: GroupElement, statement: bytes, sig: Signature,
                                        sig.R)
 
 
-def schnorr_verify_batch(items, tag: bytes = TAG_SIGN) -> bool:
-    """Whether `schnorr_verify` holds for every (public, statement,
-    signature) in items, all in one group, checked together where the group
-    can: a False names no item."""
+def schnorr_failing(items, tag: bytes = TAG_SIGN) -> list[int]:
+    """The positions, in order, of the (public, statement, signature) items,
+    all in one group, for which `schnorr_verify` fails, checked together
+    where the group can (`Group.failing`). The keys keep no rows: each is
+    checked once."""
     if not items:
-        return True
-    return items[0][0].group.check_signatures(
+        return []
+    return items[0][0].group.failing(
         [(sig.s, public, challenge_hash(sig.R, statement, tag), sig.R)
-         for public, statement, sig in items])
+         for public, statement, sig in items], keep_rows=False)
 
 
 def prove_possession(keypair: KeyPair, rng) -> SelfSignedKey:
@@ -1061,7 +1017,8 @@ def verify_possession(ssk: SelfSignedKey) -> bool:
     return schnorr_verify(ssk.public, ssk.public.encode(), ssk.proof, tag=TAG_POSSESSION)
 
 
-def verify_possessions(keys) -> bool:
-    """Whether every possession proof in `keys` holds, checked in one batch."""
-    return schnorr_verify_batch([(k.public, k.public.encode(), k.proof) for k in keys],
-                                TAG_POSSESSION)
+def possession_failing(keys) -> list[int]:
+    """The positions, in order, of the self-signed keys whose possession
+    proof fails, checked in one batch."""
+    return schnorr_failing([(k.public, k.public.encode(), k.proof) for k in keys],
+                           TAG_POSSESSION)

@@ -81,8 +81,8 @@ def present_key(roster: WitnessRoster, absent: frozenset[int]) -> GroupElement:
     """Aggregate key of the witnesses not in `absent`.
 
     With no one absent it is the roster's full key. Otherwise the roster's
-    one slot (`WitnessRoster.kept_present_key`) keeps it, with a fixed-base
-    table, for as long as the same set is asked for again. A new set's key
+    one slot (`WitnessRoster.kept_present_key`) keeps it for as long as the
+    same set is asked for again. A new set's key
     divides the absent keys out of the full key when fewer witnesses are
     absent than present, and otherwise multiplies the present keys directly,
     with `aggregate_public_key`'s checks.

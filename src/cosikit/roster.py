@@ -22,8 +22,7 @@ from .group import (
     SelfSignedKey,
     Signature,
     group_by_name,
-    verify_possession,
-    verify_possessions,
+    possession_failing,
 )
 
 # Fraction of the old roster that must cosign a roster change: strictly more
@@ -54,14 +53,12 @@ class WitnessRoster:
 
     Besides its full aggregate key, a roster keeps the present key of one
     absent set in one slot: the last non-empty set that
-    `multisig.present_key` was asked for, with that set's key made by
-    `Group.keep_table`. A signature's absent witnesses (crashed, lying, or
-    the leader of a replaced view) tend to stay absent round after round,
-    so a recurring set reuses one element, whose second power builds a
-    fixed-base table and whose later powers walk it. A different set
-    replaces the slot, and its key starts again from the ladder, so a set
-    that changes on every call builds no table. Deep copies of the roster
-    copy the slot and share its table.
+    `multisig.present_key` was asked for, with that set's key. A
+    signature's absent witnesses (crashed, lying, or the leader of a
+    replaced view) tend to stay absent round after round, so a recurring
+    set reuses one element, and with it whatever the group keeps on an
+    element it powers. A different set replaces the slot with a new element.
+    Deep copies of the roster copy the slot and share what its key keeps.
     """
 
     version: int
@@ -97,25 +94,24 @@ class WitnessRoster:
 
     @cached_property
     def _aggregate_key(self) -> GroupElement:
-        # Stored in the instance dict, which the frozen dataclass allows. The
-        # key is raised to a challenge by every full-roster verification, so
-        # it keeps a fixed-base table, which deep copies of the roster share.
+        # Stored in the instance dict, which the frozen dataclass allows, so
+        # that every full-roster verification powers this one element.
         acc = self.group.identity
         for e in self.entries:
             acc = acc * e.key.public
-        return self.group.keep_table(acc)
+        return acc
 
     def kept_present_key(self, absent: frozenset[int],
                          make: Callable[[], GroupElement]) -> GroupElement:
         """The kept present key for a non-empty absent set: the slot's key
-        if the slot holds this set, else `make()` marked by `keep_table`,
-        which then replaces the slot."""
+        if the slot holds this set, else `make()`, which then replaces the
+        slot."""
         slot = self.__dict__.get("_absent_slot")
         if slot is not None and slot[0] == absent:
             return slot[1]
-        key = self.group.keep_table(make())
-        # One assignment, as for a kept table: threads that race here each
-        # store a correct key, and whichever lands last is kept.
+        key = make()
+        # One assignment: threads that race here each store a correct key,
+        # and whichever lands last is kept.
         self.__dict__["_absent_slot"] = (absent, key)
         return key
 
@@ -164,11 +160,9 @@ def build_roster(entries: Sequence[RosterEntry], leader_index: int,
         # so answer for such a witness in every round.
         if e.key.public == e.key.public.group.identity:
             raise RosterError(f"identity public key for witness {e.witness_id.hex()}")
-    if not verify_possessions([e.key for e in entries]):
-        # the batch names no entry: the single checks find the first bad one
-        for e in entries:
-            if not verify_possession(e.key):
-                raise RosterError(f"possession proof failed for witness {e.witness_id.hex()}")
+    bad = possession_failing([e.key for e in entries])
+    if bad:
+        raise RosterError(f"possession proof failed for witness {entries[bad[0]].witness_id.hex()}")
     return WitnessRoster(version=version, entries=tuple(entries), leader_index=leader_index)
 
 

@@ -24,9 +24,9 @@ from .group import (
     group_by_name,
     keygen,
     prove_possession,
+    schnorr_failing,
     schnorr_sign,
     schnorr_verify,
-    schnorr_verify_batch,
 )
 from .multisig import MODE_NAMES, MODE_RESTART
 from .roster import RosterEntry, WitnessRoster, build_roster
@@ -459,11 +459,10 @@ class NTreeSim(_Baseline):
 
         def on_subtree(parent: int, child: int, entry: list) -> None:
             done = self.net.process(parent, VERIFY_UNITS * len(entry))
-            if not schnorr_verify_batch([(self.keys[j].public, statement, s)
-                                         for j, s in entry]):
-                bad = [j for j, s in entry
-                       if not schnorr_verify(self.keys[j].public, statement, s)]
-                raise RuntimeError(f"ntree subtree signatures of nodes {bad} failed")
+            bad = schnorr_failing([(self.keys[j].public, statement, s) for j, s in entry])
+            if bad:
+                raise RuntimeError(f"ntree subtree signatures of nodes "
+                                   f"{[entry[i][0] for i in bad]} failed")
             collected[parent].extend(entry)
             pending[parent] -= 1
             if pending[parent] == 0:

@@ -23,7 +23,6 @@ from cosikit.engine import (
     Send,
     SigningNode,
     ViewChange,
-    chain_record,
     make_hash_chain_hook,
     make_timestamp_window_hook,
     view_change_threshold,
@@ -270,6 +269,37 @@ def test_second_conflicting_challenge_refused():
     assert any(isinstance(e, Send) and isinstance(e.msg, Response) for e in again)
 
 
+def test_interior_node_refuses_a_second_challenge_while_its_child_answers():
+    """Node 1 of the chain 0 -> 1 -> 2 has answered a challenge and waits
+    for node 2's response: a different challenge is refused as stale and
+    uses no second nonce, and the same challenge from another sender moves
+    the node's response there, sent once when node 2 answers."""
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    node, child = (make_node(i, roster, secrets, seed=7) for i in (1, 2))
+
+    def sends(effects):
+        return [e for e in effects if isinstance(e, Send)]
+    (to_child,) = sends(node.handle_message(announce_for(roster, branching=1), now=0.0))
+    (to_node,) = sends(child.handle_message(to_child.msg, now=0.0))
+    node.handle_message(to_node.msg, now=0.1)
+    st = node.rounds[(0, 0, 0)]
+    ch = _challenge_for(st)
+    (to_child,) = sends(node.handle_message(ch, now=0.2))
+    assert (to_child.dest, type(to_child.msg)) == (2, RestartChallenge)
+    assert len(node.nonce_log) == 1
+    conflicting = replace(ch, challenge=ch.challenge + TOY.scalar(1))
+    effects = node.handle_message(conflicting, now=0.3)
+    assert [(e.dest, type(e.msg), e.msg.reason) for e in effects] == [
+        (0, Refuse, engine.REFUSE_STALE)]
+    assert len(node.nonce_log) == 1 and node.rounds[(0, 0, 0)] is st
+    assert node.handle_message(replace(ch, sender=2), now=0.4) == []
+    (answer,) = sends(child.handle_message(to_child.msg, now=0.5))
+    effects = sends(node.handle_message(answer.msg, now=0.6))
+    assert [(e.dest, type(e.msg)) for e in effects] == [(2, Response)]
+    assert len(node.nonce_log) == 1
+
+
 def _challenge_for(st, statement=b"s"):
     """The restart challenge that answers round state `st`'s commit."""
     key = st.key
@@ -470,18 +500,46 @@ def test_hook_refusal_on_late_bound_statement(mode):
     assert node.nonce_log == []
 
 
+def chain_record(seq: int, prev_hash: bytes, payload: bytes) -> bytes:
+    """A record `make_hash_chain_hook` reads: seq | prev-hash | payload."""
+    return seq.to_bytes(8, "big") + prev_hash + payload
+
+
 def test_hash_chain_hook():
     hook = make_hash_chain_hook()
     first = chain_record(1, b"\x00" * 32, b"payload-1")
     assert hook(first, 0.0)
-    import hashlib
     second = chain_record(2, hashlib.sha256(first).digest(), b"payload-2")
     assert hook(second, 0.0)
-    # repeated sequence number
-    assert not hook(second, 0.0)
+    # the record last accepted, presented again (a restarted round)
+    assert hook(second, 0.0)
+    # but not another record at its sequence number, nor the one before it
+    assert not hook(chain_record(2, hashlib.sha256(first).digest(), b"payload-2b"), 0.0)
+    assert not hook(first, 0.0)
     # wrong previous hash
     third = chain_record(3, b"\x11" * 32, b"payload-3")
     assert not hook(third, 0.0)
+    assert hook(chain_record(3, hashlib.sha256(second).digest(), b"payload-3"), 0.0)
+
+
+@pytest.mark.parametrize("fault", [FailureAction(3, "response", "lie"),
+                                   FailureAction(3, "challenge", "crash")],
+                         ids=["liar", "crash"])
+@pytest.mark.parametrize("timing", [engine.STATEMENT_AT_ANNOUNCE, engine.STATEMENT_AT_CHALLENGE],
+                         ids=["at-announce", "at-challenge"])
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART], ids=["restart", "no-restart"])
+def test_hash_chain_round_signs_as_accept_all_does(mode, timing, fault):
+    """A restart re-presents the chained record the witnesses accepted in the
+    failed attempt: they accept it again, so the round signs on the attempt
+    that `accept-all` signs on, 2 in restart mode and 1 in no-restart mode,
+    with only the faulty witness out and no one refused."""
+    results = [run_cosi(seed=1, n=7, branching=2, mode=mode, statement_timing=timing,
+                        validation_policy=policy, failures=(fault,),
+                        statement=chain_record(1, b"\x00" * 32, b"payload")).results[0]
+               for policy in ("hash-chain", "accept-all")]
+    for result in results:
+        assert result.ok and result.attempts == (2 if mode == MODE_RESTART else 1)
+        assert result.failed == {3} and result.refused == frozenset()
 
 
 def test_timestamp_window_hook():

@@ -6,12 +6,13 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import make_toy_roster, manual_round
+from conftest import count_calls, make_toy_roster, manual_round
 
 from cosikit.group import (
     ED25519,
     TOY,
     DecodeError,
+    Ed25519Group,
     KeyPair,
     SelfSignedKey,
     Signature,
@@ -19,7 +20,6 @@ from cosikit.group import (
     prove_possession,
     verify_possession,
 )
-from cosikit import roster as roster_module
 from cosikit.multisig import aggregate_public_key
 from cosikit.participation import Threshold
 from cosikit.roster import (
@@ -154,13 +154,10 @@ def prod_entries():
 @pytest.mark.parametrize("how", ["s", "R"], ids=["tampered-s", "swapped-R"])
 def test_bad_proof_in_a_large_prod_roster_named(prod_entries, how, monkeypatch):
     """The whole roster is checked as one batch; only a failed batch checks
-    proofs one by one, up to the first bad one, which the error names."""
-    checked = []
-    real = roster_module.verify_possession
-    monkeypatch.setattr(roster_module, "verify_possession",
-                        lambda key: checked.append(key) or real(key))
+    proofs one by one, each of them, and the error names the first bad one."""
+    checked = count_calls(monkeypatch, Ed25519Group, ("check_response",))
     assert len(build_roster(prod_entries, 0)) == 128
-    assert checked == []
+    assert checked["check_response"] == 0
     bad = 77
     entries = list(prod_entries)
     key = entries[bad].key
@@ -171,7 +168,7 @@ def test_bad_proof_in_a_large_prod_roster_named(prod_entries, how, monkeypatch):
     entries[bad] = replace(entries[bad], key=SelfSignedKey(key.public, proof))
     with pytest.raises(RosterError, match=f"failed for witness {b'w77'.hex()}$"):
         build_roster(entries, 0)
-    assert len(checked) == bad + 1
+    assert checked["check_response"] == 128
 
 
 def test_roster_json_rejects_mixed_order_key(mixed_generator):

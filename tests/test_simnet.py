@@ -10,7 +10,7 @@ from conftest import count_calls
 
 from cosikit import engine, multisig, simnet, timestamp
 from cosikit.wire import Challenge, Refuse, Response, ViewChange, encode_message
-from cosikit.group import Ed25519Group, Signature
+from cosikit.group import ED25519, Ed25519Group, Signature
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.simnet import (
@@ -300,20 +300,29 @@ def test_benchmark_shaped_rounds_pinned(cfg, msgs, sent_bytes, root_bytes, laten
     assert m.latency == pytest.approx(latency, abs=1e-6)
 
 
-KERNELS = ("_comb", "_straus", "_window")
+KERNELS = ("_comb", "_straus", "_window", "_fixed_base_rows")
+
+
+def fresh_generator(monkeypatch):
+    """G as a new process holds it, not powered yet, for as long as the test
+    runs: its first power takes the ladder and its second builds its table."""
+    monkeypatch.setattr(ED25519.generator, "_rows", 0)
 
 
 def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
     """Ed25519 kernel calls of the prod round above, a cost that does not
     depend on the machine's speed: fixed-base powers (`_comb`), Straus
-    ladders and ladder windows in building the roster, in the first round
-    (which also builds every subtree key's window), in the second (which
-    builds its rows, the windows of 2^64 and 2^128 times the key) and in the
-    third. Each batch of partials is one ladder. A change that adds a ladder
-    or a window moves them. Every round's
-    signature leaves the three liars absent, so the leader's self-check
-    powers the roster's kept present key: by the ladder in round 0, by the
-    table it builds in round 1 and by walking that table in round 2."""
+    ladders, ladder windows and table builds (`_fixed_base_rows`) in
+    building the roster (where G's first power takes the ladder and its
+    second builds G's table), in the first round (which also builds every
+    subtree key's window), in the second (which builds its rows, the windows
+    of 2^64 and 2^128 times the key) and in the third. Each batch of
+    partials is one ladder. A change that adds a ladder, a window or a table
+    moves them. Every round's signature leaves the three liars absent, so
+    the leader's self-check powers the roster's kept present key: by the
+    ladder in round 0, by the table it builds in round 1 and by walking that
+    table in round 2. No other element builds a table."""
+    fresh_generator(monkeypatch)
     calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
     sim = simnet.CosiSim(SimConfig(seed=1, n=128, branching=8, scheme="cosi",
                                    group_name="prod", mode=MODE_NO_RESTART,
@@ -323,9 +332,11 @@ def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
         calls.clear()
         assert sim.run_round(rnd)[1].ok
         counts[f"round {rnd}"] = dict(calls)
-    assert counts == {"roster": {"_comb": 257, "_straus": 1, "_window": 256},
+    assert counts == {"roster": {"_comb": 256, "_straus": 2, "_window": 257,
+                                 "_fixed_base_rows": 1},
                       "round 0": {"_comb": 176, "_straus": 48, "_window": 319},
-                      "round 1": {"_comb": 177, "_straus": 47, "_window": 389},
+                      "round 1": {"_comb": 177, "_straus": 47, "_window": 389,
+                                  "_fixed_base_rows": 1},
                       "round 2": {"_comb": 177, "_straus": 47, "_window": 151}}
 
 
@@ -333,10 +344,13 @@ def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
     """The same kernel calls for batches of a timestamp authority signing
     through a 16-witness prod simulation, restart mode with the statement
     bound at challenge, as `cosi run-leader` runs it: per batch of submits,
-    round close and receipt encodes. Every witness signs, so the leader's
-    self-check powers the roster's full key, by the ladder in batch 0 (which
-    also builds every subtree key's window) and by its table from batch 1 on.
-    Batch 1 also builds every subtree key's rows."""
+    round close and receipt encodes. Building the roster takes G's ladder
+    and builds G's table. Every witness signs, so the leader's self-check
+    powers the roster's full key, by the ladder in batch 0 (which also
+    builds every subtree key's window), by the table it builds in batch 1
+    and by walking that table in batch 2. Batch 1 also builds every subtree
+    key's rows. No other element builds a table."""
+    fresh_generator(monkeypatch)
     calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
     sim = simnet.CosiSim(SimConfig(seed=1, n=16, branching=3, group_name="prod",
                                    mode=multisig.MODE_RESTART,
@@ -356,9 +370,11 @@ def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
         _, receipts = authority.round_close(SimConfig.start_time + 10 * batch)
         assert len({receipt.to_bytes() for receipt in receipts.values()}) == 16
         counts[f"batch {batch}"] = dict(calls)
-    assert counts == {"roster": {"_comb": 33, "_straus": 1, "_window": 32},
+    assert counts == {"roster": {"_comb": 32, "_straus": 2, "_window": 33,
+                                 "_fixed_base_rows": 1},
                       "batch 0": {"_comb": 22, "_straus": 6, "_window": 31},
-                      "batch 1": {"_comb": 23, "_straus": 5, "_window": 45},
+                      "batch 1": {"_comb": 23, "_straus": 5, "_window": 45,
+                                  "_fixed_base_rows": 1},
                       "batch 2": {"_comb": 23, "_straus": 5, "_window": 15}}
 
 
