@@ -15,10 +15,13 @@ The `sim` suite draws a random simulator configuration from each case's
 seed: N 1-200, branching 1-5, either mode and statement timing, view change
 on or off, up to three crash, omit or lie failures, 0-3 restarts and 1-4
 rounds, in the toy group. About one case in four has its witnesses validate
-statements by one of the `REFUSING` policies, under which they refuse the
-simulator's statements. Compared per round: outcome, latency, view, each
-node's messages, bytes and compute units, the signature's bytes, the
-attempts, the reason, and the failed and refused sets. A case that raises is
+statements by one of the `REFUSING` policies: under `timestamp-window` they
+refuse the simulator's statements, and a `hash-chain` case signs a chained
+record (sequence 1, a zero head, then a payload) in every round, which they
+accept, and accept again when it is presented again. Compared per round:
+outcome, latency, view, each node's messages, bytes and compute units, the
+signature's bytes, the attempts, the reason, and the failed and refused
+sets. A case that raises is
 compared by its exception.
 
 The `frames` suite draws one toy-group message of a random type from each
@@ -55,8 +58,8 @@ REPO = Path(__file__).resolve().parent.parent
 MODES = ("restart", "norestart")
 PHASES = ("announce", "commit", "challenge", "response")
 BEHAVIORS = ("crash", "omit", "lie")
-# validation policies under which witnesses refuse the simulator's statements;
-# a constant, so that a seed draws the same case from every revision
+# validation policies under which witnesses can refuse a statement; a
+# constant, so that a seed draws the same case from every revision
 REFUSING = ("hash-chain", "timestamp-window")
 # the values each frame byte is set to, besides its one-bit flips
 SMALL_BYTES = (0, 1, 2, 3, 255)
@@ -80,6 +83,9 @@ def draw_sim_case(seed: int) -> dict:
     # drawn after the other fields, whose draws so do not depend on it
     case["validation_policy"] = (rng.choice(REFUSING) if rng.random() < 0.25
                                  else "accept-all")
+    if case["validation_policy"] == "hash-chain":  # a record the hook can accept
+        case["statement"] = (bytes(7) + b"\x01" + bytes(32)
+                             + rng.randbytes(rng.randint(0, 8))).hex()
     return case
 
 
@@ -94,6 +100,7 @@ def run_sim_case(seed: int) -> dict:
         mode=multisig.MODE_NAMES[case["mode"]], statement_timing=case["statement_timing"],
         view_change=case["view_change"], max_restarts=case["max_restarts"],
         rounds=case["rounds"], validation_policy=case["validation_policy"],
+        statement=bytes.fromhex(case["statement"]) if "statement" in case else None,
         failures=tuple(simnet.FailureAction(*f) for f in case["failures"]))
     try:
         out = simnet.run_sim_detailed(cfg)

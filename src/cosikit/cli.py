@@ -1,19 +1,16 @@
-"""Operator CLI and framed-TCP runner.
+"""Operator CLI: the `cosi` command.
 
 Subcommands: keygen, roster-init, run-witness, run-leader (timestamp
 service), sign, verify, stamp, stamp-verify, simulate, tree-dump.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 protocol
-failure. Transport is `wire`'s length-prefixed frames over plain TCP; witness
-authenticity comes from the signatures themselves, so there is no TLS.
-Each node's runtime is one asyncio event loop on the thread that drives
-it: the loop serves inbound frames, dials one connection per outgoing
-message and runs the engine's timers.
+failure. The commands that take part in rounds host their node on a
+`runtime.NodeRuntime`; this module holds argument parsing, key files and the
+commands.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import hashlib
 import itertools
 import json
@@ -26,15 +23,15 @@ import time
 from dataclasses import replace
 
 from . import engine, multisig, simnet, timestamp
-from .engine import RoundConfig, RoundDone, Send, SetTimer, SigningNode
+from .engine import RoundConfig, SigningNode
 from .group import KeyPair, Signature, SelfSignedKey, group_by_name, keygen as gen_key, prove_possession
 from .multisig import CollectiveSignature
 from .participation import Threshold, load_predicate
 from .roster import RosterEntry, WitnessRoster, build_roster, load_roster, save_roster
+from .runtime import NodeRuntime, UsageError, parse_addr
 from .timestamp import StampReceipt, TimestampAuthority, verify_receipt
 from .topology import tree_for
-from .wire import (StampReply, StampRequest, decode_frame_body, encode_message, read_frame,
-                   read_frame_async)
+from .wire import StampReply, StampRequest, decode_frame_body, encode_message, read_frame
 
 logger = logging.getLogger("cosikit.cli")
 
@@ -42,9 +39,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_PROTOCOL = 3
-
-class UsageError(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -76,170 +70,6 @@ def load_keyfile(path: str):
     return obj, group, keypair, ssk
 
 
-# ---------------------------------------------------------------------------
-# Framed-TCP runtime hosting one SigningNode
-# ---------------------------------------------------------------------------
-
-def _parse_addr(addr: str) -> tuple[str, int]:
-    host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise UsageError(f"bad address {addr!r}, expected host:port")
-    return host, int(port)
-
-
-class NodeRuntime:
-    """Hosts a SigningNode on one asyncio event loop.
-
-    The loop runs only inside drain, serve_forever and run_leader_round, on
-    the calling thread; in between, arrivals wait in socket buffers. Inbound
-    frames go straight to the node, stamp requests straight to `stamps`, and
-    a stamp reply, which only a client reads, is dropped with a warning;
-    each Send is a task that opens one connection and writes one frame, each
-    SetTimer is a `call_later`, and a RoundDone resolves the future that
-    run_leader_round waits on.
-    """
-
-    def __init__(self, node: SigningNode, roster: WitnessRoster, listen: str):
-        self.node = node
-        self.roster = roster
-        self.group = roster.group
-        self.listen_addr = _parse_addr(listen)
-        self.loop = asyncio.new_event_loop()
-        self.result = None
-        self.stamps: TimestampAuthority | None = None  # set while serving timestamps
-        # failed dials per destination index
-        self.dial_failures: dict[int, int] = {}
-        self._stamp_conns: dict[bytes, list[asyncio.StreamWriter]] = {}
-        self._server = None
-        self._dials: set[asyncio.Task] = set()  # the loop holds tasks weakly
-        self._stopped = self.loop.create_future()  # cancelled by shutdown
-        self._round_done = self.loop.create_future()
-
-    # -- network --
-
-    def start_server(self) -> None:
-        self._server = self.loop.run_until_complete(
-            asyncio.start_server(self._serve_conn, *self.listen_addr))
-
-    async def _serve_conn(self, reader: asyncio.StreamReader,
-                          writer: asyncio.StreamWriter) -> None:
-        try:
-            while (frame := await read_frame_async(reader)) is not None:
-                msg = decode_frame_body(frame, self.group, len(self.roster))
-                if isinstance(msg, StampRequest):
-                    if self.stamps is None:  # not serving timestamps
-                        writer.write(encode_message(StampReply(ok=False, payload=b""),
-                                                    self.group))
-                        return
-                    # hold the connection open for the round's reply
-                    self._stamp_conns.setdefault(msg.digest, []).append(writer)
-                    self.stamps.submit(msg.digest)
-                    while await asyncio.wait_for(reader.read(4096), 300):
-                        pass
-                    return
-                if isinstance(msg, StampReply):  # a client's frame, not a peer's
-                    logger.warning("node %d: dropping StampReply from %s", self.node.index,
-                                   writer.get_extra_info("peername"))
-                    continue
-                self._react(self.node.handle_message, msg)
-        except (OSError, ValueError, asyncio.TimeoutError) as exc:
-            logger.warning("dropped connection from %s: %r",
-                           writer.get_extra_info("peername"), exc)
-        except asyncio.CancelledError:
-            pass  # shutdown; re-raised, Python 3.11's start_server logs it as an error
-        finally:
-            writer.close()
-
-    async def _dial(self, dest: int, msg) -> None:
-        endpoint = self.roster.entries[dest].endpoint
-        if endpoint is None:
-            logger.error("no endpoint for witness %d", dest)
-            return
-        try:
-            _, writer = await asyncio.wait_for(
-                asyncio.open_connection(*_parse_addr(endpoint)), 5)
-            writer.write(encode_message(msg, self.group))
-            writer.close()
-            await asyncio.wait_for(writer.wait_closed(), 5)
-        except (OSError, asyncio.TimeoutError) as exc:
-            self.dial_failures[dest] = self.dial_failures.get(dest, 0) + 1
-            logger.warning("dial to witness %d (%s) failed: %r", dest, endpoint, exc)
-
-    def reply_stamp(self, digest: bytes, receipt_bytes: bytes, ok: bool = True) -> None:
-        frame = encode_message(StampReply(ok=ok, payload=receipt_bytes), self.group)
-        for writer in self._stamp_conns.pop(digest, []):
-            writer.write(frame)
-            writer.close()
-
-    # -- event loop --
-
-    def _apply(self, effects: list) -> None:
-        for eff in effects:
-            if isinstance(eff, Send):
-                task = self.loop.create_task(self._dial(eff.dest, eff.msg))
-                self._dials.add(task)
-                task.add_done_callback(self._dials.discard)
-            elif isinstance(eff, SetTimer):
-                self.loop.call_later(eff.delay, self._react, self.node.on_timer, eff.key)
-            elif isinstance(eff, RoundDone):
-                self.result = eff.result
-                if not self._round_done.done():
-                    self._round_done.set_result(None)
-            # view activation is surfaced through node.current_view
-
-    def _react(self, handler, payload) -> None:
-        self._apply(handler(payload, time.time()))
-
-    def _run(self, timeout: float | None = None, *until: asyncio.Future) -> bool:
-        """Run the loop until a future in `until` resolves, shutdown is
-        called or `timeout` seconds pass; False means the timeout passed."""
-        if self.loop.is_closed():
-            return True
-        try:
-            done, _ = self.loop.run_until_complete(asyncio.wait(
-                {self._stopped, *until}, timeout=timeout,
-                return_when=asyncio.FIRST_COMPLETED))
-        finally:
-            if self._stopped.done():  # shutdown came from another thread
-                self.shutdown()
-        return bool(done)
-
-    def drain(self, duration: float) -> None:
-        """Process whatever arrives within `duration`; never raises."""
-        self._run(duration)
-
-    def serve_forever(self) -> None:
-        self._run()
-
-    def run_leader_round(self, config: RoundConfig, statement,
-                         timeout: float = 120.0):
-        self.result = None
-        self._round_done = self.loop.create_future()
-        self._apply(self.node.start_round(config, statement, time.time()))
-        if not self._run(timeout, self._round_done):
-            raise TimeoutError("timed out waiting for round completion")
-        return self.result
-
-    def shutdown(self) -> None:
-        """Close the listener, open connections and the loop. Called while
-        another thread runs the loop, it stops that thread's drain,
-        serve_forever or round, which then closes the runtime."""
-        if self.loop.is_running():
-            self.loop.call_soon_threadsafe(self._stopped.cancel)
-        elif not self.loop.is_closed():
-            self.loop.run_until_complete(self._cancel_all())
-            self.loop.close()
-
-    async def _cancel_all(self) -> None:
-        if self._server is not None:
-            self._server.close()
-        tasks = asyncio.all_tasks() - {asyncio.current_task()}
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
-        await asyncio.sleep(0)  # closed transports release their sockets
-
-
 def _build_runtime(args) -> tuple[NodeRuntime, WitnessRoster, int]:
     roster = load_roster(args.roster)
     _, group, keypair, _ = load_keyfile(args.key)
@@ -255,7 +85,7 @@ def _build_runtime(args) -> tuple[NodeRuntime, WitnessRoster, int]:
     hook = engine.make_validation_hook(args.policy) if getattr(args, "policy", None) else None
     node = SigningNode(index, roster, keypair, random.SystemRandom(),
                        validation_hook=hook)
-    return NodeRuntime(node, roster, listen), roster, index
+    return NodeRuntime(node, listen), roster, index
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +250,7 @@ def cmd_stamp(args) -> int:
             digest = hashlib.sha256(fh.read()).digest()
     if len(digest) != 32:
         raise UsageError("hash must be 32 bytes of hex")
-    with socket.create_connection(_parse_addr(args.connect), timeout=args.timeout) as sock:
+    with socket.create_connection(parse_addr(args.connect), timeout=args.timeout) as sock:
         sock.sendall(encode_message(StampRequest(digest=digest), roster.group))
         frame = read_frame(sock)
     if frame is None:

@@ -54,9 +54,10 @@ only in `nonce_log`. A session whose commit is out when a newer session
 discards its nonce is finished then, refused as stale. The node's containers
 are bounded by the roster size or a named constant, except `view_votes`, one
 table per proposed view above its own, which a Byzantine voter can grow. The
-hosting runtime (the simulator, or the TCP runner in the CLI) owns delivery and
-clocks and must serialize events per node. The TCP runner does not yet call
-`round_due`, so over TCP no view changes.
+host (the simulator, or `runtime.NodeRuntime` over TCP) owns delivery and
+clocks, must serialize events per node, and applies a node's effects through
+`apply_effects`. The TCP runtime does not yet call `round_due`, so over TCP no
+view changes.
 
 The message classes, their wire layouts and the frame codec are `wire`'s; a
 node handles round messages only, and the runtime serves stamp frames.
@@ -257,6 +258,21 @@ class SetTimer:
 @dataclass(frozen=True, slots=True)
 class RoundDone:
     result: "RoundResult"
+
+
+def apply_effects(host, node: int, effects: list, now: float) -> None:
+    """Carry out the effects that node `node` returned at time `now`: each
+    `Send` calls `host.send(node, dest, msg, now)`, each `SetTimer`
+    `host.set_timer(node, key, delay, now)` and each `RoundDone`
+    `host.round_done(node, result, now)`. Every host applies effects here,
+    so an effect means the same in the simulator and over TCP."""
+    for eff in effects:
+        if isinstance(eff, Send):
+            host.send(node, eff.dest, eff.msg, now)
+        elif isinstance(eff, SetTimer):
+            host.set_timer(node, eff.key, eff.delay, now)
+        elif isinstance(eff, RoundDone):
+            host.round_done(node, eff.result, now)
 
 
 @dataclass(frozen=True, slots=True)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, ClassVar, Optional
 
 from . import engine, vss
-from .engine import RoundConfig, RoundDone, RoundResult, Send, SetTimer, SigningNode
+from .engine import RoundConfig, RoundResult, SigningNode, apply_effects
 from .group import (
     Group,
     Signature,
@@ -271,16 +271,15 @@ class CosiSim:
                 self.liars.add(f.node)
         self.round_result: Optional[RoundResult] = None
 
-    # -- effect plumbing --
+    # -- delivery; `send`, `set_timer` and `round_done` are what
+    # `engine.apply_effects` calls --
 
     def _units_for(self, node: int, msg) -> int:
         if isinstance(msg, Announce):
             # an announce costs where it opens a session; re-announcing a held one, nothing
             held = (msg.view, msg.round, msg.attempt) in self.nodes[node].rounds
             return 0 if held else EXP_UNITS
-        if isinstance(msg, Response):
-            return VERIFY_UNITS
-        if isinstance(msg, ViewChange):
+        if isinstance(msg, (Response, ViewChange)):
             return VERIFY_UNITS
         return 0
 
@@ -292,21 +291,9 @@ class CosiSim:
             self.crashed.add(dst)
             return
         done = self.net.process(dst, self._units_for(dst, msg))
-        effects = self.nodes[dst].handle_message(msg, done)
-        self._apply(dst, effects, done)
+        apply_effects(self, dst, self.nodes[dst].handle_message(msg, done), done)
 
-    def _apply(self, src: int, effects: list, when: float) -> None:
-        for eff in effects:
-            if isinstance(eff, Send):
-                self._send(src, eff.dest, eff.msg, when)
-            elif isinstance(eff, SetTimer):
-                self.net.schedule(when + eff.delay, self._timer, src, eff.key)
-            elif isinstance(eff, RoundDone):
-                done = self.net.process(src, VERIFY_UNITS)
-                self.round_result = eff.result
-                self.round_done_at = done
-
-    def _send(self, src: int, dst: int, msg, when: float) -> None:
+    def send(self, src: int, dst: int, msg, when: float) -> None:
         if src in self.crashed:
             return
         phase = _MSG_PHASE.get(type(msg))
@@ -322,11 +309,17 @@ class CosiSim:
         self.net.transmit(src, dst, frame_size(msg, self.group), when,
                           self._deliver, dst, msg)
 
+    def set_timer(self, node: int, key: tuple, delay: float, when: float) -> None:
+        self.net.schedule(when + delay, self._timer, node, key)
+
+    def round_done(self, node: int, result: RoundResult, when: float) -> None:
+        self.round_result = result
+        self.round_done_at = self.net.process(node, VERIFY_UNITS)
+
     def _timer(self, node: int, key: tuple) -> None:
         if node in self.crashed:
             return
-        effects = self.nodes[node].on_timer(key, self.net.now)
-        self._apply(node, effects, self.net.now)
+        apply_effects(self, node, self.nodes[node].on_timer(key, self.net.now), self.net.now)
 
     def _round_due(self, node: int, config: RoundConfig, statement: bytes) -> None:
         if node in self.crashed:
@@ -334,7 +327,7 @@ class CosiSim:
         when = self.net.now
         if self.nodes[node].is_leader():
             when = self.net.process(node, EXP_UNITS)
-        self._apply(node, self.nodes[node].round_due(config, statement, when), when)
+        apply_effects(self, node, self.nodes[node].round_due(config, statement, when), when)
 
     # -- rounds --
 

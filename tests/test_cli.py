@@ -17,10 +17,11 @@ from conftest import make_toy_roster, manual_round
 
 import cosikit
 from cosikit import cli
-from cosikit.cli import NodeRuntime, main
+from cosikit.cli import main
+from cosikit.runtime import NodeRuntime, parse_addr
 from cosikit.engine import (
-    REFUSE_STALE, STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE, Refuse, RoundConfig,
-    SigningNode,
+    REFUSE_STALE, STATEMENT_AT_ANNOUNCE, STATEMENT_AT_CHALLENGE, Refuse, RoundConfig, Send,
+    SigningNode, apply_effects,
 )
 from cosikit.group import ED25519, TOY, KeyPair, keygen, prove_possession
 from cosikit.multisig import MODE_NO_RESTART
@@ -255,7 +256,7 @@ def deployment(tmp_path, cli_process):
     served = []
     for i in range(1, n - 1):
         node = SigningNode(i, roster, keypairs[i], random.Random(70 + i))
-        rt = NodeRuntime(node, roster, f"127.0.0.1:{ports[i]}")
+        rt = NodeRuntime(node, f"127.0.0.1:{ports[i]}")
         rt.start_server()
         thread = threading.Thread(target=rt.serve_forever, daemon=True)
         thread.start()
@@ -373,13 +374,61 @@ def test_dial_failures_counted_per_peer(caplog):
                            endpoint=f"127.0.0.1:{closed}")
                for i, kp in enumerate(keypairs)]
     roster = build_roster(entries, 0)
-    rt = NodeRuntime(SigningNode(0, roster, keypairs[0], rng), roster, "127.0.0.1:0")
+    rt = NodeRuntime(SigningNode(0, roster, keypairs[0], rng), "127.0.0.1:0")
     assert rt.dial_failures == {}
     rt.loop.run_until_complete(
         rt._dial(1, Refuse(view=0, round=0, attempt=0, sender=0, reason=REFUSE_STALE)))
     rt.shutdown()
     assert rt.dial_failures == {1: 1}
     assert "dial to witness 1" in caplog.text
+
+
+def test_malformed_or_missing_endpoints_are_dial_failures(caplog):
+    """A roster endpoint that is not host:port, or none at all, counts in
+    `dial_failures` and is logged with its cause, as an unreachable peer is;
+    the dial task ends without an exception for asyncio to report."""
+    rng = random.Random(78)
+    keypairs = [KeyPair.from_secret(TOY, x) for x in (3, 4, 5)]
+    entries = [RosterEntry(witness_id=bytes([i]), key=prove_possession(kp, rng),
+                           endpoint=endpoint)
+               for i, (kp, endpoint) in enumerate(zip(keypairs,
+                                                      ("nonsense", "nonsense", None)))]
+    roster = build_roster(entries, 0)
+    rt = NodeRuntime(SigningNode(0, roster, keypairs[0], rng), "127.0.0.1:0")
+    refuse = Refuse(view=0, round=0, attempt=0, sender=0, reason=REFUSE_STALE)
+    apply_effects(rt, 0, [Send(1, refuse), Send(2, refuse), Send(1, refuse)], time.time())
+    deadline = time.monotonic() + 10
+    while rt._dials and time.monotonic() < deadline:
+        rt.drain(0.05)
+    rt.shutdown()
+    assert rt.dial_failures == {1: 2, 2: 1}
+    dials = [r.getMessage() for r in caplog.records if "dial to witness" in r.getMessage()]
+    assert len(dials) == 3
+    assert "dial to witness 1 (nonsense) failed" in dials[0]
+    assert "bad address 'nonsense', expected host:port" in dials[0]
+    assert "dial to witness 2 (None) failed" in caplog.text
+    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+
+@pytest.mark.parametrize("command", ["run-witness", "stamp"])
+def test_bad_address_exits_usage(tmp_path, capsys, command):
+    """A `--listen` or `--connect` that is not host:port exits 2 with the
+    address named, before any socket is opened."""
+    rng = random.Random(79)
+    keypair = KeyPair.from_secret(TOY, 3)
+    keyfile = tmp_path / "k.json"
+    cli.save_keyfile(str(keyfile), "toy", keypair, prove_possession(keypair, rng), b"\x00")
+    from cosikit.roster import save_roster
+    roster_path = tmp_path / "roster.json"
+    save_roster(build_roster([RosterEntry(witness_id=b"\x00",
+                                          key=prove_possession(keypair, rng))], 0),
+                str(roster_path))
+    args = (["run-witness", "--key", str(keyfile), "--listen", "nonsense"]
+            if command == "run-witness" else
+            ["stamp", "--connect", "nonsense", "--hash", "01" * 32,
+             "--out", str(tmp_path / "x.tsr")])
+    assert main([*args, "--roster", str(roster_path)]) == cli.EXIT_USAGE
+    assert "error: bad address 'nonsense', expected host:port" in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -397,7 +446,7 @@ def toy_loopback():
                                            endpoint=f"127.0.0.1:{ports[i]}")
                                for i, kp in enumerate(keypairs)], 0)
         runtimes = [NodeRuntime(SigningNode(i, roster, keypairs[i], random.Random(90 + i)),
-                                roster, f"127.0.0.1:{ports[i]}")
+                                f"127.0.0.1:{ports[i]}")
                     for i in range(n)]
         threads = [threading.Thread(target=rt.serve_forever, daemon=True)
                    for rt in runtimes[1:]]
@@ -484,7 +533,11 @@ def test_stamp_reply_to_a_witness_dropped(toy_loopback, caplog):
         time.sleep(0.05)
     assert "dropping StampReply" in caplog.text
     _loopback_round(runtimes[0], 2)
-    assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+    # Under `python -X dev`, asyncio's debug mode logs every step slower than
+    # 0.1 s, which a loaded machine can take; every other asyncio record, a
+    # task exception included, fails the test.
+    assert [r.getMessage() for r in caplog.records
+            if r.name == "asyncio" and r.msg != "Executing %s took %.3f seconds"] == []
 
 
 def test_witness_refuses_stamp_requests_at_once(toy_loopback):
@@ -548,7 +601,7 @@ def test_run_leader_timestamp_service_end_to_end(tmp_path, deployment, cli_proce
     leader_endpoint = roster.entries[0].endpoint
     cli_process(["run-leader", "--roster", str(roster_path), "--key", str(keyfiles[0]),
                  "--period", "1.0", "--rtt", LIVE_ROUND_RTT, "--timeout", "20"],
-                cli._parse_addr(leader_endpoint))
+                parse_addr(leader_endpoint))
     doc = tmp_path / "serviced.txt"
     doc.write_bytes(b"service me")
     out = tmp_path / "serviced.tsr"
@@ -578,7 +631,7 @@ def start_unsignable_leader(tmp_path, cli_process):
     from cosikit.roster import save_roster
     roster_path = tmp_path / "roster.json"
     save_roster(roster, str(roster_path))
-    leader = cli._parse_addr(entries[0].endpoint)
+    leader = parse_addr(entries[0].endpoint)
     cli_process(["run-leader", "--roster", str(roster_path), "--key", str(keyfile),
                  "--period", "0.3", "--min-participants", "4"], leader)
     return leader, roster_path, tmp_path / "run-leader-0.log"

@@ -80,6 +80,20 @@ def test_refusing_policies_are_registered_and_drawn():
     assert drawn == set(diffcheck.REFUSING) | {"accept-all"}
 
 
+def test_a_drawn_hash_chain_case_signs():
+    """A `hash-chain` case signs a chained record, which its witnesses accept:
+    some drawn case signs a round under the policy."""
+    diffcheck = load_diffcheck()
+    seeds = [seed for seed in range(1, 200)
+             if diffcheck.draw_sim_case(seed)["validation_policy"] == "hash-chain"]
+    signed = []
+    for seed in seeds[:3]:
+        out = diffcheck.run_sim_case(seed)
+        assert bytes.fromhex(out["case"]["statement"])[:40] == bytes(7) + b"\x01" + bytes(32)
+        signed += [seed for row in out["rounds"] if row["outcome"] == "ok"]
+    assert signed
+
+
 def test_working_tree_frames_match_themselves():
     assert load_diffcheck().compare(ROOT / "src", ROOT / "src", cases=40,
                                     suite="frames") == (40, None)

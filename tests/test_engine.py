@@ -633,7 +633,7 @@ def test_parent_rejects_a_response_whose_exception_reports_do_not_hold(forgery, 
                 else ())
     sim = simnet.CosiSim(SimConfig(seed=3, n=7, branching=2, mode=MODE_NO_RESTART,
                                    failures=failures))
-    send = sim._send
+    send = sim.send
 
     def forging_send(src, dst, msg, when):
         if src == 1 and dst == 0 and isinstance(msg, Response):
@@ -644,7 +644,7 @@ def test_parent_rejects_a_response_whose_exception_reports_do_not_hold(forgery, 
             msg = replace(msg, absent=absent, exceptions=bogus)
         send(src, dst, msg, when)
 
-    sim._send = forging_send
+    sim.send = forging_send
     _, result = sim.run_round(0)
     assert "node 0: invalid partial response from 1" in caplog.text
     assert result.ok and [e.index for e in result.signature.exceptions] == [1]
@@ -761,6 +761,21 @@ def test_leader_below_min_participants_fails():
     assert "participation" in result.reason or "restart budget" in result.reason
 
 
+@pytest.mark.parametrize("phase, answered", [("commit", 0), ("response", 1)])
+def test_participation_below_leader_threshold_fails_the_round(phase, answered):
+    """With all seven witnesses required, a no-restart witness that crashes
+    at commit fails the round at the leader's commit-phase guard, before the
+    leader answers its own challenge, and one that crashes at response at
+    its response-phase guard, after; each names the crashed witness."""
+    sim = simnet.CosiSim(SimConfig(seed=1, n=7, branching=2, mode=MODE_NO_RESTART,
+                                   min_participants=7,
+                                   failures=(FailureAction(3, phase, "crash"),)))
+    _, result = sim.run_round(0)
+    assert not result.ok and result.reason == "participation below leader threshold"
+    assert result.failed == {3} and result.refused == frozenset()
+    assert len(sim.nodes[0].nonce_log) == answered
+
+
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
 @pytest.mark.parametrize("phase", ["commit", "response"])
 def test_omitted_message_leaves_only_its_sender_out(mode, phase):
@@ -784,14 +799,14 @@ def test_reports_outside_senders_subtree_dropped(mode, kind, caplog):
     if kind is Commit and mode == MODE_RESTART:
         kind = RestartCommit
     sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3, mode=mode))
-    send = sim._send
+    send = sim.send
 
     def lying_send(src, dst, msg, when):
         if src == 1 and isinstance(msg, kind):
             msg = replace(msg, failed=msg.failed | {0, 2})
         send(src, dst, msg, when)
 
-    sim._send = lying_send
+    sim.send = lying_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     assert result.signature.participation.response_present == frozenset(range(13)) - {1}
@@ -810,7 +825,7 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
     # no-restart form, carrying the forged head, and the leader drops it for
     # its form.
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
-    send = sim._send
+    send = sim.send
 
     def forging_send(src, dst, msg, when):
         if src == 1 and isinstance(msg, COMMITS):
@@ -826,7 +841,7 @@ def test_summaries_outside_senders_subtree_dropped(mode, forgery, caplog):
             msg = replace(msg, summaries=msg.summaries + (forged[forgery],))
         send(src, dst, msg, when)
 
-    sim._send = forging_send
+    sim.send = forging_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     assert result.signature.participation.response_present == frozenset(range(7)) - {1}
@@ -843,7 +858,7 @@ def test_commit_with_overlapping_heads_dropped(forgery, caplog):
     # overlapping heads would let node 1's tree lengthen the paths its parent
     # builds through it past what the parent's own parent accepts.
     sim = simnet.CosiSim(SimConfig(seed=4, n=15, branching=2, mode=MODE_NO_RESTART))
-    send = sim._send
+    send = sim.send
 
     def forging_send(src, dst, msg, when):
         if src == 1 and isinstance(msg, Commit):
@@ -853,7 +868,7 @@ def test_commit_with_overlapping_heads_dropped(forgery, caplog):
             msg = replace(msg, summaries=msg.summaries + (extra,))
         send(src, dst, msg, when)
 
-    sim._send = forging_send
+    sim.send = forging_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     assert result.signature.participation.response_present == frozenset(range(15)) - {1}
@@ -870,13 +885,13 @@ def test_only_no_restart_rounds_ship_commit_tree_data(mode):
     sim = simnet.CosiSim(SimConfig(seed=5, n=13, branching=3, mode=mode,
                                    failures=(FailureAction(1, "response", "crash"),)))
     sent = []
-    send = sim._send
+    send = sim.send
 
     def recording_send(src, dst, msg, when):
         sent.append(msg)
         send(src, dst, msg, when)
 
-    sim._send = recording_send
+    sim.send = recording_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     commits = [m for m in sent if isinstance(m, COMMITS)]
@@ -919,14 +934,14 @@ def test_commit_of_the_other_modes_form_dropped(mode, caplog):
     round restarts without node 1, and a no-restart round bridges to 3 and
     4."""
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
-    send = sim._send
+    send = sim.send
 
     def converting_send(src, dst, msg, when):
         if src == 1 and isinstance(msg, COMMITS):
             msg = _in_other_form(msg)
         send(src, dst, msg, when)
 
-    sim._send = converting_send
+    sim.send = converting_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     assert result.attempts == (2 if mode == MODE_RESTART else 1)
@@ -942,14 +957,14 @@ def test_challenge_of_the_other_modes_form_dropped(mode, caplog):
     response timer counts node 1 out. A restart round restarts without it,
     and a no-restart round makes it an exception and bridges to 3 and 4."""
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
-    send = sim._send
+    send = sim.send
 
     def converting_send(src, dst, msg, when):
         if (src, dst) == (0, 1) and isinstance(msg, CHALLENGES):
             msg = _in_other_form(msg)
         send(src, dst, msg, when)
 
-    sim._send = converting_send
+    sim.send = converting_send
     _, result = sim.run_round(0)
     assert result.ok and result.failed == frozenset({1})
     if mode == MODE_RESTART:
@@ -971,13 +986,13 @@ def test_finished_session_drops_the_other_modes_form(mode, caplog):
     drops the same challenge, or its own commit, in the other mode's form."""
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
     sent = []
-    send = sim._send
+    send = sim.send
 
     def recording_send(src, dst, msg, when):
         sent.append((src, dst, msg))
         send(src, dst, msg, when)
 
-    sim._send = recording_send
+    sim.send = recording_send
     _, result = sim.run_round(0)
     assert result.ok
     node = sim.nodes[1]
@@ -1083,7 +1098,7 @@ def test_copies_of_messages_and_of_a_node_mid_round():
                                    failures=(FailureAction(4, "response", "lie"),)))
     group = sim.roster.group
     samples, to_node1, from_node1, clone = {}, [], [], None
-    send, deliver = sim._send, sim._deliver
+    send, deliver = sim.send, sim._deliver
 
     def recording_send(src, dst, msg, when):
         samples.setdefault(type(msg), msg)
@@ -1099,7 +1114,7 @@ def test_copies_of_messages_and_of_a_node_mid_round():
             to_node1.append(msg)
         deliver(dst, msg)
 
-    sim._send, sim._deliver = recording_send, copying_deliver
+    sim.send, sim._deliver = recording_send, copying_deliver
     _, result = sim.run_round(0)
     assert result.ok and [e.index for e in result.signature.exceptions] == [4]
     vote = schnorr_sign(KeyPair.from_secret(group, 5), b"vote", random.Random(1))
@@ -1205,14 +1220,14 @@ def test_restart_parent_sends_its_children_one_challenge(round_states):
     sim = simnet.CosiSim(SimConfig(seed=3, n=13, branching=3,
                                    statement_timing=engine.STATEMENT_AT_CHALLENGE))
     sent = {}
-    send = sim._send
+    send = sim.send
 
     def record(src, dst, msg, when):
         if isinstance(msg, RestartChallenge):
             sent.setdefault(src, []).append(msg)
         send(src, dst, msg, when)
 
-    sim._send = record
+    sim.send = record
     _, result = sim.run_round(0)
     assert result.ok and sent.keys() == {0, 1, 2, 3}
     states = dict(round_states(sim))
@@ -1264,13 +1279,13 @@ def test_finished_session_answers_late_frames_as_it_did(mode, timing):
                                    failures=(FailureAction(7, "response", "lie"),)))
     sim.nodes[5].hook = lambda statement, now: False
     sent = []
-    send = sim._send
+    send = sim.send
 
     def record(src, dst, msg, when):
         sent.append((src, dst, msg))
         send(src, dst, msg, when)
 
-    sim._send = record
+    sim.send = record
     _, result = sim.run_round(0)
     assert result.ok and result.failed == {7} and result.refused == {5}
     if mode == MODE_NO_RESTART:
@@ -1342,7 +1357,7 @@ def test_leader_ignores_an_echo_of_its_own_announce(mode):
     own session, so it still builds the challenge and the round signs, and
     its finished session answers the late echo with nothing."""
     sim = simnet.CosiSim(SimConfig(seed=4, n=7, branching=2, mode=mode))
-    send, echoes = sim._send, []
+    send, echoes = sim.send, []
 
     def echoing_send(src, dst, msg, when):
         send(src, dst, msg, when)
@@ -1350,7 +1365,7 @@ def test_leader_ignores_an_echo_of_its_own_announce(mode):
             echoes.append(msg)
             send(2, 0, msg, when)
 
-    sim._send = echoing_send
+    sim.send = echoing_send
     _, result = sim.run_round(0)
     assert echoes and result is not None and result.ok and result.attempts == 1
     assert multisig.verify_collective(sim.roster, result.statement, result.signature,
@@ -1948,14 +1963,14 @@ def test_commit_root_matches_an_oracle_built_from_hashlib():
 
 def _exception_frames(sim):
     """Records every Response with exceptions that the simulator sends."""
-    frames, send = [], sim._send
+    frames, send = [], sim.send
 
     def recording_send(src, dst, msg, when):
         if isinstance(msg, Response) and msg.exceptions:
             frames.append(msg)
         send(src, dst, msg, when)
 
-    sim._send = recording_send
+    sim.send = recording_send
     return frames
 
 
@@ -1999,7 +2014,7 @@ def test_interior_liar_with_an_overlong_exception_proof_is_rejected():
     n = 6
     sim = simnet.CosiSim(SimConfig(seed=5, n=n, branching=2, mode=MODE_NO_RESTART))
     forged = audit_path(*[(k % 2, bytes([k]) * 32) for k in range(n - 1)])
-    send = sim._send
+    send = sim.send
 
     def colluding_send(src, dst, msg, when):
         if (src, dst) == (5, 2) and isinstance(msg, Commit):
@@ -2019,7 +2034,7 @@ def test_interior_liar_with_an_overlong_exception_proof_is_rejected():
             msg = replace(msg, exceptions=(long,))
         send(src, dst, msg, when)
 
-    sim._send = colluding_send
+    sim.send = colluding_send
     _, result = sim.run_round(0)
     sig = result.signature
     assert result.ok and 2 in result.failed and 5 not in result.failed

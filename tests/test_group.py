@@ -677,10 +677,12 @@ def test_signed_window_op_counts(ops):
     6-8% above their means: 49 additions for a 253-bit a^k; for a
     check_response 56 additions and 127 doublings as it builds its key's
     window, 64 and 194 as it builds the key's rows, and 50 and 64 once the
-    key holds them; for a batch of 8 partials on keys with rows, 575 and
-    136. The additions and doublings that compute T are pinned likewise (51
-    of a^k's 301 steps, 52 of a check's 114 on a key with rows, 584 of a
-    batch's 711). Unsigned 4-bit windows took about 72 additions for a^k,
+    key holds them; for a batch of 8 partials on fresh keys, 628 and 268
+    (its keys get their whole 253-bit exponents), with 42 table additions of
+    g^s, and on keys with rows, 575 and 136. The additions and doublings that
+    compute T are pinned likewise (51 of a^k's 301 steps, 52 of a check's 114
+    on a key with rows, 645 of a fresh batch's 896, 584 of a batch's 711 on
+    keys with rows). Unsigned 4-bit windows took about 72 additions for a^k,
     every step computing T. Table additions of g^x, pinned 2% above their
     mean of 41.8 over eight scalars: a signed radix-32 table took 49.3."""
     rng = random.Random(17)
@@ -702,6 +704,13 @@ def test_signed_window_op_counts(ops):
         assert ED25519.check_response(s, point, c, commit)
         assert ops["_add_cached"] <= adds and ops["_double"] <= doublings
         assert with_t is None or t_steps(ops) <= with_t
+    fresh = random.Random(100)  # its own source: rng's draws below do not depend on it
+    c = ED25519.scalar(fresh.randrange(1, L))
+    items, _ = partial_responses(ED25519, fresh, c, 8, ())
+    ops.clear()
+    assert ED25519.failing(items) == []
+    assert ops["_add_cached"] <= 672 and ops["_double"] <= 286
+    assert ops["_add_affine"] <= 45 and t_steps(ops) <= 690
     c = ED25519.scalar(rng.randrange(1, L))
     items, _ = partial_responses(ED25519, rng, c, 8, ())
     for _, key, _, _ in items:
