@@ -9,7 +9,7 @@ The revision is checked out with `git worktree add` into a temporary
 directory, which is removed afterwards. Each suite runs the cases in one
 Python subprocess per tree, with that tree's `src` first on its path, and
 writes one canonical JSON line per case; the two streams are compared line
-by line. Both suites run the same seeds.
+by line. Every suite runs the same seeds.
 
 The `sim` suite draws a random simulator configuration from each case's
 seed: N 1-200, branching 1-5, either mode and statement timing, view change
@@ -33,12 +33,24 @@ was decoded re-encodes to the mutated bytes, or else the re-encoded hex. The
 codec is `cosikit.wire`'s, or `cosikit.engine`'s in a revision that predates
 `wire`.
 
-Exits 0 when every case of both suites matches. Otherwise it prints, per
+The `verify` suite runs each case's simulator configuration as the `sim`
+suite draws it (every roster has unit weights) and takes its first signed
+round; a case with no signed round is compared by that absence. The
+signature's bytes are mutated as a frame's are, and each mutant is decoded
+and verified against the roster and against its compact anchor
+(`compact_certificate`) with key proofs for the mutant's absent set, under a
+weighted threshold of the signed round's present witnesses, which reads each
+anchor's weights. Compared: the signature, and each mutant's verdict: the
+exception's class name if it does not decode, else per anchor the
+exception's class name or `(ok, crypto_ok, predicate_ok, reason)`.
+
+Exits 0 when every case of every suite matches. Otherwise it prints, per
 suite, the first differing case's seed, field and case, then every field path
 that differs over all the cases, list indices collapsed to `[]`
 (`rounds[].latency`), each with its count of cases, how many of those had
-each mode (`sim`) or message type (`frames`), and its first seed, and exits
-1. A declared behaviour change can so list exactly what moved, and where.
+each mode (`sim`, `verify`) or message type (`frames`), and its first seed,
+and exits 1. A declared behaviour change can so list exactly what moved, and
+where.
 """
 
 from __future__ import annotations
@@ -89,21 +101,26 @@ def draw_sim_case(seed: int) -> dict:
     return case
 
 
-def run_sim_case(seed: int) -> dict:
-    """Case `seed` run against the `cosikit` on the path: its configuration
-    and, per round, what the comparison reads."""
+def simulate(case: dict):
+    """The simulator's output for a drawn case, run against the `cosikit` on
+    the path."""
     from cosikit import multisig, simnet
 
-    case = draw_sim_case(seed)
-    cfg = simnet.SimConfig(
-        seed=seed, n=case["n"], branching=case["branching"],
+    return simnet.run_sim_detailed(simnet.SimConfig(
+        seed=case["seed"], n=case["n"], branching=case["branching"],
         mode=multisig.MODE_NAMES[case["mode"]], statement_timing=case["statement_timing"],
         view_change=case["view_change"], max_restarts=case["max_restarts"],
         rounds=case["rounds"], validation_policy=case["validation_policy"],
         statement=bytes.fromhex(case["statement"]) if "statement" in case else None,
-        failures=tuple(simnet.FailureAction(*f) for f in case["failures"]))
+        failures=tuple(simnet.FailureAction(*f) for f in case["failures"])))
+
+
+def run_sim_case(seed: int) -> dict:
+    """Case `seed` run against the `cosikit` on the path: its configuration
+    and, per round, what the comparison reads."""
+    case = draw_sim_case(seed)
     try:
-        out = simnet.run_sim_detailed(cfg)
+        out = simulate(case)
     except Exception as exc:  # compared like any other outcome
         return {"case": case, "error": f"{type(exc).__name__}: {exc}"}
     rounds = []
@@ -120,6 +137,15 @@ def run_sim_case(seed: int) -> dict:
                 failed=sorted(result.failed), refused=sorted(result.refused))
         rounds.append(row)
     return {"case": case, "rounds": rounds}
+
+
+def mutants(data: bytes):
+    """Every copy of `data` with one byte set to each of `SMALL_BYTES` and to
+    each of its one-bit flips, the unchanged copies left out."""
+    for at, byte in enumerate(data):
+        for value in dict.fromkeys([*SMALL_BYTES, *(byte ^ 1 << k for k in range(8))]):
+            if value != byte:
+                yield data[:at] + bytes([value]) + data[at + 1:]
 
 
 def draw_message(seed: int, codec):
@@ -193,18 +219,58 @@ def run_frame_case(seed: int) -> dict:
         frame = codec.encode_message(msg, TOY)[4:]
     except Exception as exc:
         return {"case": {"seed": seed}, "error": f"{type(exc).__name__}: {exc}"}
-    verdicts = []
-    for at, byte in enumerate(frame):
-        for value in dict.fromkeys([*SMALL_BYTES, *(byte ^ 1 << k for k in range(8))]):
-            if value != byte:
-                verdicts.append(verdict(frame[:at] + bytes([value]) + frame[at + 1:]))
     return {"case": {"seed": seed, "type": type(msg).__name__, "frame": frame.hex()},
-            "verdict": verdict(frame), "mutants": verdicts}
+            "verdict": verdict(frame), "mutants": [verdict(m) for m in mutants(frame)]}
+
+
+def run_verify_case(seed: int) -> dict:
+    """Case `seed`'s first signed signature and its mutants' verdicts against
+    the roster and its compact anchor, by the `cosikit` on the path."""
+    from cosikit.multisig import CollectiveSignature, verify_collective
+    from cosikit.participation import WeightedThreshold
+    from cosikit.roster import ProvenKey, build_key_tree, compact_certificate
+
+    case = draw_sim_case(seed)
+    try:
+        out = simulate(case)
+    except Exception as exc:
+        return {"case": case, "error": f"{type(exc).__name__}: {exc}"}
+    signed = [(sig, statement) for sig, statement in zip(out.signatures, out.statements)
+              if sig is not None]
+    if not signed:
+        return {"case": case, "signature": None}
+    sig, statement = signed[0]
+    roster, n = out.roster, len(out.roster)
+    anchor, tree = compact_certificate(roster), build_key_tree(roster)
+    proven = [ProvenKey(i, roster.public_key(i), tree.prove(i)) for i in range(n)]
+    predicate = WeightedThreshold(n - len(sig.participation.response_absent))
+
+    def checked(verify):
+        try:
+            res = verify()
+        except Exception as exc:  # compared like any other verdict
+            return type(exc).__name__
+        return [res.ok, res.crypto_ok, res.predicate_ok, res.reason]
+
+    def verdict(data: bytes):
+        try:
+            mutant = CollectiveSignature.from_bytes(data, n)
+        except Exception as exc:
+            return type(exc).__name__
+        proofs = [proven[i] for i in sorted(mutant.participation.response_absent)]
+        return [checked(lambda: verify_collective(roster, statement, mutant, predicate)),
+                checked(lambda: verify_collective(anchor, statement, mutant, predicate,
+                                                  proofs))]
+
+    data = sig.to_bytes()
+    return {"case": case, "signature": data.hex(), "verdict": verdict(data),
+            "mutants": [verdict(m) for m in mutants(data)]}
 
 
 # suite -> (case runner, the case field whose values a report counts, those
 # values listed even where no case had them)
-SUITES = {"sim": (run_sim_case, "mode", MODES), "frames": (run_frame_case, "type", ())}
+SUITES = {"sim": (run_sim_case, "mode", MODES), "frames": (run_frame_case, "type", ()),
+          "verify": (run_verify_case, "mode", MODES)}
 
 
 def emit(suite: str, src: str, cases: str, first_seed: str) -> None:

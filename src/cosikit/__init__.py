@@ -29,8 +29,6 @@ from .multisig import (
     CollectiveSignature,
     CommitException,
     CommitTree,
-    adjust_key_for_absent,
-    aggregate_elements,
     aggregate_public_key,
     collective_challenge,
     response_share,
@@ -47,15 +45,15 @@ from .participation import (
     evaluate,
 )
 from .roster import (
-    AuthorityCertificate,
+    CompactAnchor,
     RosterEntry,
     WitnessRoster,
+    adjust_key_for_absent,
+    aggregate_elements,
     build_key_tree,
     build_roster,
     compact_certificate,
-    full_certificate,
     make_change_record,
-    verify_compact,
     verify_roster_chain,
 )
 from .topology import build_bary_tree, prune_and_reconnect, tree_for

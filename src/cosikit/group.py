@@ -12,7 +12,7 @@ later power walks that table. Each group hands out one generator element,
 so G's table serves every power of G in the process. A roster hands out one
 element for its aggregate key, which every full-roster verification raises
 to a challenge, and one for the present key of the last absent set it
-verified (`WitnessRoster.kept_present_key`), so those build tables too. No
+verified (`WitnessRoster.present_key`), so those build tables too. No
 other element is powered more than once. The table writes k mod L in radix 64
 with digits in [-31, 32], and a power adds one entry per nonzero digit from
 42 rows of 33 multiples j * 64^i * base, j = 0..32, and a top row of 3, j =

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from . import merkle, participation, roster as roster_mod
+from . import merkle, participation
 from .group import (
     TAG_CHALLENGE_PLAIN,
     TAG_CHALLENGE_TREE,
@@ -33,7 +33,13 @@ from .group import (
     group_by_id,
 )
 from .participation import ParticipationSet
-from .roster import AuthorityCertificate, ProvenKey, WitnessRoster, full_certificate
+from .roster import (
+    CompactAnchor,
+    ProvenKey,
+    WitnessRoster,
+    adjust_key_for_absent,  # noqa: F401
+    aggregate_elements,
+)
 from .topology import TreeTopology
 
 MAGIC = b"CSG1"
@@ -51,14 +57,6 @@ class MultisigError(ValueError):
 # Aggregation primitives
 # ---------------------------------------------------------------------------
 
-def aggregate_elements(group: Group, elems: Iterable[GroupElement]) -> GroupElement:
-    """Group product; the empty product is the identity."""
-    acc = group.identity
-    for e in elems:
-        acc = acc * e
-    return acc
-
-
 def aggregate_public_key(roster: WitnessRoster, present: Iterable[int]) -> GroupElement:
     present = sorted(set(present))
     if not present:
@@ -67,39 +65,6 @@ def aggregate_public_key(roster: WitnessRoster, present: Iterable[int]) -> Group
         if not 0 <= i < len(roster):
             raise MultisigError(f"roster index {i} out of range")
     return aggregate_elements(roster.group, (roster.public_key(i) for i in present))
-
-
-def adjust_key_for_absent(full: GroupElement,
-                          absent_keys: Iterable[GroupElement]) -> GroupElement:
-    acc = full
-    for key in absent_keys:
-        acc = acc * key.inverse()
-    return acc
-
-
-def present_key(roster: WitnessRoster, absent: frozenset[int]) -> GroupElement:
-    """Aggregate key of the witnesses not in `absent`.
-
-    With no one absent it is the roster's full key. Otherwise the roster's
-    one slot (`WitnessRoster.kept_present_key`) keeps it for as long as the
-    same set is asked for again. A new set's key
-    divides the absent keys out of the full key when fewer witnesses are
-    absent than present, and otherwise multiplies the present keys directly,
-    with `aggregate_public_key`'s checks.
-    """
-    count = len(roster)
-    for i in absent:
-        if not 0 <= i < count:
-            raise MultisigError(f"roster index {i} out of range")
-    if not absent:
-        return roster.aggregate_key()
-
-    def make() -> GroupElement:
-        if 2 * len(absent) < count:
-            return adjust_key_for_absent(roster.aggregate_key(),
-                                         [roster.public_key(i) for i in sorted(absent)])
-        return aggregate_public_key(roster, frozenset(range(count)) - absent)
-    return roster.kept_present_key(absent, make)
 
 
 def collective_challenge(aggregate_commit: GroupElement, statement: bytes,
@@ -258,21 +223,22 @@ class VerifyResult:
         return f"REJECT ({self.reason}): {line}"
 
 
-def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: bytes,
+def verify_collective(anchor: WitnessRoster | CompactAnchor, statement: bytes,
                       sig: CollectiveSignature, predicate,
                       key_proofs: Sequence[ProvenKey] | None = None) -> VerifyResult:
     """Check a collective signature and evaluate the acceptance predicate.
 
-    Returns a result whose diagnostics distinguish cryptographic failure from
-    predicate failure. Structural problems (zero participants, roster size
-    mismatch, failed key proofs) raise instead of rejecting.
+    The anchor is the roster or its compact anchor; either hands out the
+    present witnesses' key (`present_key`, which for a compact anchor reads
+    `key_proofs`) and the roster's weights. Returns a result whose
+    diagnostics distinguish cryptographic failure from predicate failure.
+    Structural problems (zero participants, roster size mismatch, failed key
+    proofs) raise instead of rejecting.
     """
-    if isinstance(anchor, WitnessRoster):
-        anchor = full_certificate(anchor)
     pset = sig.participation
-    if pset.count != anchor.witness_count:
+    if pset.count != len(anchor):
         raise MultisigError(f"signature covers {pset.count} witnesses, "
-                            f"certificate expects {anchor.witness_count}")
+                            f"certificate expects {len(anchor)}")
     absent = pset.response_absent
     if len(absent) == pset.count:
         raise MultisigError("zero-participant signature cannot be verified")
@@ -281,14 +247,10 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
 
     # The acting round leader is always a participant by construction; callers
     # wanting leader-mandatory verification express it as a Mandatory predicate.
-    full_roster = anchor.roster
-    if full_roster is not None:
-        adjusted_key = present_key(full_roster, absent)
-        weights, total_weight = full_roster.weights(), full_roster.total_weight()
+    if isinstance(anchor, WitnessRoster):
+        adjusted_key = anchor.present_key(absent)
     else:
-        adjusted_key = roster_mod.verify_compact(anchor.compact, absent,
-                                                 key_proofs or [])
-        weights = total_weight = None
+        adjusted_key = anchor.present_key(absent, key_proofs or [])
 
     group = sig.group
     recomputed = (group.generator ** sig.response) * (adjusted_key ** sig.challenge)
@@ -319,7 +281,8 @@ def verify_collective(anchor: AuthorityCertificate | WitnessRoster, statement: b
                 if expect.value != sig.challenge.value:
                     crypto_ok, reason = False, "challenge mismatch"
 
-    predicate_ok = participation.evaluate(predicate, pset, weights, total_weight)
+    predicate_ok = participation.evaluate(predicate, pset, anchor.weights,
+                                          anchor.total_weight)
     if crypto_ok and not predicate_ok:
         reason = "predicate rejected participation set"
     ok = crypto_ok and predicate_ok

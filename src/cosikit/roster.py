@@ -1,10 +1,11 @@
-"""Witness rosters, authority certificates, key trees, and roster evolution.
+"""Witness rosters, compact anchors, key trees, and roster evolution.
 
 The roster is the static trust anchor: an ordered list of witness ids and
-self-signed public keys with a designated leader. A certificate either
-embeds the full roster or commits to it compactly via an aggregate key plus
-a Merkle key-tree root. Roster changes are collectively signed by the old
-roster and verified as a forward chain.
+self-signed public keys with a designated leader. A verifier holds either
+the roster or its compact anchor, which commits to it by an aggregate key
+plus a Merkle key-tree root. Each anchor hands out the aggregate key of a
+signature's present witnesses (`present_key`). Roster changes are
+collectively signed by the old roster and verified as a forward chain.
 """
 
 from __future__ import annotations
@@ -35,6 +36,22 @@ class RosterError(ValueError):
     pass
 
 
+def aggregate_elements(group: Group, elems: Iterable[GroupElement]) -> GroupElement:
+    """Group product; the empty product is the identity."""
+    acc = group.identity
+    for e in elems:
+        acc = acc * e
+    return acc
+
+
+def adjust_key_for_absent(full: GroupElement,
+                          absent_keys: Iterable[GroupElement]) -> GroupElement:
+    acc = full
+    for key in absent_keys:
+        acc = acc * key.inverse()
+    return acc
+
+
 @dataclass(frozen=True)
 class RosterEntry:
     witness_id: bytes
@@ -52,13 +69,13 @@ class WitnessRoster:
     """An ordered, validated witness list with a designated leader.
 
     Besides its full aggregate key, a roster keeps the present key of one
-    absent set in one slot: the last non-empty set that
-    `multisig.present_key` was asked for, with that set's key. A
-    signature's absent witnesses (crashed, lying, or the leader of a
-    replaced view) tend to stay absent round after round, so a recurring
-    set reuses one element, and with it whatever the group keeps on an
-    element it powers. A different set replaces the slot with a new element.
-    Deep copies of the roster copy the slot and share what its key keeps.
+    absent set in one slot: the last non-empty set that `present_key` was
+    asked for, with that set's key. A signature's absent witnesses
+    (crashed, lying, or the leader of a replaced view) tend to stay absent
+    round after round, so a recurring set reuses one element, and with it
+    whatever the group keeps on an element it powers. A different set
+    replaces the slot with a new element. Deep copies of the roster copy the
+    slot and share what its key keeps.
     """
 
     version: int
@@ -75,19 +92,13 @@ class WitnessRoster:
     def public_key(self, index: int) -> GroupElement:
         return self.entries[index].key.public
 
-    def weights(self) -> tuple[int, ...]:
-        return self._weights
-
     @cached_property
-    def _weights(self) -> tuple[int, ...]:
+    def weights(self) -> tuple[int, ...]:
         return tuple(e.weight for e in self.entries)
 
-    def total_weight(self) -> int:
-        return self._total_weight
-
     @cached_property
-    def _total_weight(self) -> int:
-        return sum(self._weights)
+    def total_weight(self) -> int:
+        return sum(self.weights)
 
     def aggregate_key(self) -> GroupElement:
         return self._aggregate_key
@@ -96,20 +107,35 @@ class WitnessRoster:
     def _aggregate_key(self) -> GroupElement:
         # Stored in the instance dict, which the frozen dataclass allows, so
         # that every full-roster verification powers this one element.
-        acc = self.group.identity
-        for e in self.entries:
-            acc = acc * e.key.public
-        return acc
+        return aggregate_elements(self.group, (e.key.public for e in self.entries))
 
-    def kept_present_key(self, absent: frozenset[int],
-                         make: Callable[[], GroupElement]) -> GroupElement:
-        """The kept present key for a non-empty absent set: the slot's key
-        if the slot holds this set, else `make()`, which then replaces the
-        slot."""
+    def present_key(self, absent: frozenset[int]) -> GroupElement:
+        """Aggregate key of the witnesses not in `absent`.
+
+        With no one absent it is the full key. Otherwise the slot keeps it
+        for as long as the same set is asked for again. A new set's key
+        divides the absent keys out of the full key when fewer witnesses are
+        absent than present, and otherwise multiplies the present keys; it
+        then replaces the slot. An index outside the roster, or a set of
+        every witness, raises.
+        """
+        count = len(self.entries)
+        for i in absent:
+            if not 0 <= i < count:
+                raise RosterError(f"roster index {i} out of range")
+        if not absent:
+            return self.aggregate_key()
         slot = self.__dict__.get("_absent_slot")
         if slot is not None and slot[0] == absent:
             return slot[1]
-        key = make()
+        if len(absent) == count:
+            raise RosterError("cannot aggregate an empty key set")
+        if 2 * len(absent) < count:
+            key = adjust_key_for_absent(self.aggregate_key(),
+                                        (self.public_key(i) for i in sorted(absent)))
+        else:
+            key = aggregate_elements(self.group, (self.public_key(i) for i in range(count)
+                                                  if i not in absent))
         # One assignment: threads that race here each store a correct key,
         # and whichever lands last is kept.
         self.__dict__["_absent_slot"] = (absent, key)
@@ -210,51 +236,8 @@ def verify_key(root: bytes, index: int, key: GroupElement,
 
 
 # ---------------------------------------------------------------------------
-# Authority certificates
+# Compact anchors
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompactAnchor:
-    """Aggregate key + key-tree root in place of the full roster."""
-
-    group: Group
-    aggregate_key: GroupElement
-    key_tree_root: bytes
-    witness_count: int
-
-
-@dataclass(frozen=True)
-class AuthorityCertificate:
-    roster: WitnessRoster | None = None
-    compact: CompactAnchor | None = None
-
-    def __post_init__(self):
-        if (self.roster is None) == (self.compact is None):
-            raise RosterError("certificate must carry exactly one trust anchor")
-
-    @property
-    def witness_count(self) -> int:
-        return len(self.roster) if self.roster is not None else self.compact.witness_count
-
-    @property
-    def group(self) -> Group:
-        return self.roster.group if self.roster is not None else self.compact.group
-
-
-def full_certificate(roster: WitnessRoster) -> AuthorityCertificate:
-    return AuthorityCertificate(roster=roster)
-
-
-def compact_certificate(roster: WitnessRoster) -> AuthorityCertificate:
-    tree = build_key_tree(roster)
-    anchor = CompactAnchor(
-        group=roster.group,
-        aggregate_key=roster.aggregate_key(),
-        key_tree_root=tree.root,
-        witness_count=len(roster),
-    )
-    return AuthorityCertificate(compact=anchor)
-
 
 @dataclass(frozen=True)
 class ProvenKey:
@@ -263,36 +246,52 @@ class ProvenKey:
     proof: merkle.InclusionProof
 
 
-def verify_compact(anchor: CompactAnchor, absent: frozenset[int],
-                   proven_keys: Iterable[ProvenKey]) -> GroupElement:
-    """Resolve the adjusted aggregate key for the witnesses not in `absent`
-    from a compact anchor.
+@dataclass(frozen=True)
+class CompactAnchor:
+    """Aggregate key + key-tree root in place of the full roster, with the
+    roster's weights, one per witness."""
 
-    The caller supplies key-tree inclusion proofs covering either the absent
-    set (keys are divided out of the certificate aggregate) or the present
-    set (keys are multiplied together), whichever list it holds.
-    """
-    proven = {pk.index: pk for pk in proven_keys}
-    for pk in proven.values():
-        if not 0 <= pk.index < anchor.witness_count:
-            raise RosterError(f"proven key index {pk.index} out of range")
-        if not verify_key(anchor.key_tree_root, pk.index, pk.key, pk.proof):
-            raise RosterError(f"key inclusion proof failed for index {pk.index}")
-    covered = frozenset(proven)
-    if absent <= covered:
-        acc = anchor.aggregate_key
-        for idx in sorted(absent):
-            acc = acc * proven[idx].key.inverse()
-        return acc
-    present = frozenset(range(anchor.witness_count)) - absent
-    if present <= covered:
-        acc = anchor.group.identity
-        for idx in sorted(present):
-            acc = acc * proven[idx].key
-        return acc
-    missing = (absent - covered) if len(absent) <= len(present) else (present - covered)
-    raise RosterError(f"key proofs cover neither the present nor the absent set "
-                      f"(missing {sorted(missing)})")
+    group: Group
+    aggregate_key: GroupElement
+    key_tree_root: bytes
+    weights: tuple[int, ...]
+    total_weight: int
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def present_key(self, absent: frozenset[int],
+                    proven_keys: Iterable[ProvenKey]) -> GroupElement:
+        """Aggregate key of the witnesses not in `absent`.
+
+        The caller supplies key-tree inclusion proofs covering either the
+        absent set (keys are divided out of the anchor's aggregate) or the
+        present set (keys are multiplied together), whichever list it holds.
+        """
+        proven = {pk.index: pk for pk in proven_keys}
+        for pk in proven.values():
+            if not 0 <= pk.index < len(self):
+                raise RosterError(f"proven key index {pk.index} out of range")
+            if not verify_key(self.key_tree_root, pk.index, pk.key, pk.proof):
+                raise RosterError(f"key inclusion proof failed for index {pk.index}")
+        covered = frozenset(proven)
+        if absent <= covered:
+            return adjust_key_for_absent(self.aggregate_key,
+                                         (proven[i].key for i in sorted(absent)))
+        present = frozenset(range(len(self))) - absent
+        if present <= covered:
+            return aggregate_elements(self.group, (proven[i].key for i in sorted(present)))
+        missing = (absent - covered) if len(absent) <= len(present) else (present - covered)
+        raise RosterError(f"key proofs cover neither the present nor the absent set "
+                          f"(missing {sorted(missing)})")
+
+
+def compact_certificate(roster: WitnessRoster) -> CompactAnchor:
+    """The roster's compact anchor. It holds the roster's own aggregate key
+    and weights tuple, so a verify against either powers the same element."""
+    return CompactAnchor(group=roster.group, aggregate_key=roster.aggregate_key(),
+                         key_tree_root=build_key_tree(roster).root,
+                         weights=roster.weights, total_weight=roster.total_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +301,6 @@ def verify_compact(anchor: CompactAnchor, absent: frozenset[int],
 @dataclass(frozen=True)
 class RosterChangeRecord:
     old_version: int
-    new_version: int
     new_roster: WitnessRoster
     signature: "object"  # multisig.CollectiveSignature
 
@@ -329,7 +327,6 @@ def make_change_record(old_roster: WitnessRoster, new_roster: WitnessRoster,
     signature = sign(statement)
     record = RosterChangeRecord(
         old_version=old_roster.version,
-        new_version=new_roster.version,
         new_roster=new_roster,
         signature=signature,
     )
@@ -344,10 +341,11 @@ def _check_record(current: WitnessRoster, record: RosterChangeRecord) -> None:
     if record.old_version != current.version:
         raise RosterError(f"chain gap: record starts at version {record.old_version}, "
                           f"roster is at {current.version}")
-    if record.new_version != current.version + 1:
+    # the signed version, which the statement binds
+    if record.new_roster.version != current.version + 1:
         raise RosterError("roster versions must be strictly sequential")
     predicate = Threshold(change_threshold(len(current)))
-    result = multisig.verify_collective(full_certificate(current), record.statement(),
+    result = multisig.verify_collective(current, record.statement(),
                                         record.signature, predicate)
     if not result.ok:
         raise RosterError(f"change record signature rejected: {result.reason}")

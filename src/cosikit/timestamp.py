@@ -24,7 +24,7 @@ from . import merkle, multisig
 from .group import Reader
 from .merkle import InclusionProof, MerkleTree
 from .multisig import CollectiveSignature, VerifyResult
-from .roster import AuthorityCertificate, WitnessRoster
+from .roster import CompactAnchor, WitnessRoster
 from .topology import TreeTopology
 
 RECORD_SIZE = 8 + 8 + 32 + 32
@@ -224,7 +224,7 @@ class TimestampAuthority:
         return record, dict(zip(batch, receipts))
 
 
-def verify_receipt(cert: AuthorityCertificate | WitnessRoster, digest: bytes,
+def verify_receipt(anchor: WitnessRoster | CompactAnchor, digest: bytes,
                    receipt: StampReceipt, predicate,
                    prev_record: TimestampRecord | None = None) -> VerifyResult:
     """Inclusion proof, then the collective signature, then chain linkage."""
@@ -232,7 +232,7 @@ def verify_receipt(cert: AuthorityCertificate | WitnessRoster, digest: bytes,
     if not merkle.verify_inclusion(receipt.record.merkle_root, digest, receipt.proof):
         return VerifyResult(ok=False, crypto_ok=False, predicate_ok=False,
                             reason="inclusion proof does not reach the record root")
-    result = multisig.verify_collective(cert, receipt.record.pack(),
+    result = multisig.verify_collective(anchor, receipt.record.pack(),
                                         receipt.signature, predicate)
     if not result.ok:
         return result
@@ -259,11 +259,11 @@ def verify_record_chain(records: Sequence[TimestampRecord]) -> bool:
 
 
 def time_check(nonce: bytes, receipt: StampReceipt,
-               cert: AuthorityCertificate | WitnessRoster, predicate,
+               anchor: WitnessRoster | CompactAnchor, predicate,
                local_clock: float, tolerance: float = 60.0) -> bool:
     """Coarse-grained time check: the receipt must commit our fresh nonce and
     carry a wall time within `tolerance` of the local clock."""
-    result = verify_receipt(cert, nonce, receipt, predicate)
+    result = verify_receipt(anchor, nonce, receipt, predicate)
     if not result.ok:
         return False
     return abs(receipt.record.wall_time - local_clock) <= tolerance

@@ -1,8 +1,10 @@
 """`scripts/diffcheck.py`: a tree run against itself shows no difference in
-either suite. In the `sim` suite, a copy whose simulator links are slower is
+any suite. In the `sim` suite, a copy whose simulator links are slower is
 named by its first differing field, and listed by every field that differs,
 with its cases per mode; in the `frames` suite, a copy with a looser flag
-reader is named by the mutants it accepts, with its cases per message type."""
+reader is named by the mutants it accepts, with its cases per message type;
+in the `verify` suite, a copy that skips the commit-exception proofs is
+named by the mutant signatures it accepts, in no-restart cases only."""
 
 import importlib.util
 import re
@@ -119,3 +121,40 @@ def test_copy_whose_flag_reader_accepts_2_reported(tmp_path):
     counts = {kind: int(n) for n, kind in (part.split(" ") for part in kinds.group(2).split(", "))}
     assert set(counts) <= {"Announce", "Challenge", "RestartChallenge", "StampReply"}
     assert sum(counts.values()) == int(kinds.group(1)) > 0
+
+
+# seeds 11-15 draw two no-restart cases whose signatures carry commit
+# exceptions (11 and 12) and three restart cases, in about 2 s per tree
+VERIFY_SEEDS = {"first_seed": 11, "cases": 5}
+
+
+def test_working_tree_verdicts_match_themselves():
+    assert load_diffcheck().compare(ROOT / "src", ROOT / "src", suite="verify",
+                                    **VERIFY_SEEDS) == (5, None)
+
+
+def test_copy_that_skips_exception_proofs_reported(tmp_path):
+    """A copy whose `verify_collective` reads no commit-exception proof
+    accepts a signature whose exception proof is mutated, which this tree
+    rejects; only no-restart signatures carry exceptions."""
+    shutil.copytree(ROOT / "src" / "cosikit", tmp_path / "cosikit")
+    multisig = tmp_path / "cosikit" / "multisig.py"
+    text = multisig.read_text()
+    check = "if not verify_commit_inclusion(sig.commit_root, exc.commit, exc.proof):"
+    assert text.count(check) == 1
+    multisig.write_text(text.replace(check, "if False:"))
+    diffcheck = load_diffcheck()
+    compared, report = diffcheck.compare(ROOT / "src", tmp_path, suite="verify",
+                                         **VERIFY_SEEDS)
+    assert compared == 5
+    lines = report.splitlines()
+    first = re.match(r"seed (\d+): mutants\[\d+\]\[0\]\[0\]: base False, here True",
+                     lines[0])
+    assert first and diffcheck.draw_sim_case(int(first.group(1)))["mode"] == "norestart"
+    assert lines[1].startswith('  case: {"branching": ')
+    assert lines[2] == "fields that differ, in 2 of 5 cases:"
+    listed = {line.split(": ")[0].strip() for line in lines[3:]}
+    assert "mutants[][][]" in listed and all(p.startswith("mutants[]") for p in listed)
+    for line in lines[3:]:
+        assert re.fullmatch(r"  \S+: \d+ cases \(0 restart, \d+ norestart\), first seed \d+",
+                            line)

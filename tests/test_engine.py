@@ -776,6 +776,20 @@ def test_participation_below_leader_threshold_fails_the_round(phase, answered):
     assert len(sim.nodes[0].nonce_log) == answered
 
 
+@pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART], ids=["restart", "no-restart"])
+def test_leader_self_check_fails_a_round_with_an_accepted_lie(monkeypatch, mode):
+    """A prod round at N=4, B=3 whose leaf 2 lies at response: with the
+    partial-response check patched to find no liar, the leader takes the
+    lie into its aggregate, and its own check of the assembled signature
+    fails the round, with no signature."""
+    sim = simnet.CosiSim(SimConfig(seed=1, n=4, branching=3, group_name="prod", mode=mode,
+                                   failures=(FailureAction(2, "response", "lie"),)))
+    monkeypatch.setattr(Ed25519Group, "failing", lambda self, items, keep_rows=True: [])
+    _, result = sim.run_round(0)
+    assert not result.ok and result.signature is None
+    assert result.reason == "assembled signature failed self-check: challenge mismatch"
+
+
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART])
 @pytest.mark.parametrize("phase", ["commit", "response"])
 def test_omitted_message_leaves_only_its_sender_out(mode, phase):

@@ -31,12 +31,14 @@ from cosikit.multisig import (
 from cosikit.wire import Response, decode_frame_body, encode_message
 from cosikit.participation import ParticipationSet, Threshold
 from cosikit.roster import (
+    CompactAnchor,
     ProvenKey,
     RosterEntry,
+    RosterError,
+    WitnessRoster,
     build_key_tree,
     build_roster,
     compact_certificate,
-    full_certificate,
 )
 from cosikit.topology import tree_for
 
@@ -108,23 +110,24 @@ def test_present_key_matches_aggregate_public_key(monkeypatch, group):
     roster = (make_toy_roster([2, 3, 5, 7, 9, 10, 4, 6]) if group == "toy"
               else _prod_roster(n, rng))
     assert roster.aggregate_key() is roster.aggregate_key()
-    direct_calls = []
-    real = multisig.aggregate_public_key
-    monkeypatch.setattr(multisig, "aggregate_public_key",
-                        lambda r, p: direct_calls.append(p) or real(r, p))
+    # the roster multiplies present keys directly through this product
+    products = []
+    real = roster_mod.aggregate_elements
+    monkeypatch.setattr(roster_mod, "aggregate_elements",
+                        lambda g, elems: products.append(g) or real(g, elems))
     for k in (0, 1, n // 2, n - 1):
         absent = frozenset(rng.sample(range(n), k))
         present = frozenset(range(n)) - absent
-        before = len(direct_calls)
-        key = multisig.present_key(roster, absent)
-        divided = len(direct_calls) == before
-        assert key == real(roster, present), k
+        before = len(products)
+        key = roster.present_key(absent)
+        divided = len(products) == before
+        assert key == aggregate_public_key(roster, present), k
         # the full key is divided down only while fewer are absent than present
         assert divided == (k < n - k), k
     # everyone absent, and absent indices outside the roster
     for bad in (frozenset(range(n)), frozenset({n}), frozenset({-1, 0})):
-        with pytest.raises(MultisigError):
-            multisig.present_key(roster, bad)
+        with pytest.raises(RosterError):
+            roster.present_key(bad)
 
 
 def test_cached_roster_key_still_rejects_tampered_statement():
@@ -407,9 +410,9 @@ def test_compact_certificate_walks_the_roster_key_table(monkeypatch):
     real = Ed25519Group._comb
     monkeypatch.setattr(Ed25519Group, "_comb",
                         lambda self, table, k: walked.append(table) or real(self, table, k))
-    cert = compact_certificate(roster)
-    assert cert.compact.aggregate_key is roster.aggregate_key()
-    assert verify_collective(cert, b"prod", sig, Threshold(4)).ok
+    anchor = compact_certificate(roster)
+    assert anchor.aggregate_key is roster.aggregate_key()
+    assert verify_collective(anchor, b"prod", sig, Threshold(4)).ok
     # one walk of G's table and one of the roster key's, that very object
     assert len(walked) == 2 and walked[0] is ED25519.generator._rows and walked[1] is rows
 
@@ -418,18 +421,18 @@ def test_compact_certificate_leaves_no_table_on_the_adjusted_key(monkeypatch):
     roster, sig = _prod_round(random.Random(53), n=5, response_absent={2},
                               mode=MODE_NO_RESTART)
     keys = []
-    real_verify_compact = roster_mod.verify_compact
-    monkeypatch.setattr(roster_mod, "verify_compact",
-                        lambda *args: keys.append(real_verify_compact(*args)) or keys[-1])
+    real_present_key = CompactAnchor.present_key
+    monkeypatch.setattr(CompactAnchor, "present_key",
+                        lambda *args: keys.append(real_present_key(*args)) or keys[-1])
     built = []
     real_rows = Ed25519Group._fixed_base_rows
     monkeypatch.setattr(Ed25519Group, "_fixed_base_rows",
                         lambda self, base: built.append(base) or real_rows(self, base))
     tree = build_key_tree(roster)
     proofs = [ProvenKey(2, roster.public_key(2), tree.prove(2))]
-    cert = compact_certificate(roster)
+    anchor = compact_certificate(roster)
     for _ in range(3):
-        assert verify_collective(cert, b"prod", sig, Threshold(4), proofs).ok
+        assert verify_collective(anchor, b"prod", sig, Threshold(4), proofs).ok
     # each verify makes its own adjusted key and powers it once, by the ladder
     assert len(keys) == 3 and all(key._rows == 1 for key in keys)
     assert roster.aggregate_key()._rows == 0 and built == []
@@ -440,10 +443,10 @@ def test_tabled_roster_key_rejects_tampering():
     rows = roster.aggregate_key()._rows
     bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
     bumped_s = dataclasses.replace(sig, response=sig.response + ED25519.scalar(1))
-    for cert in (full_certificate(roster), compact_certificate(roster)):
-        assert verify_collective(cert, b"prod", sig, Threshold(4)).ok
+    for anchor in (roster, compact_certificate(roster)):
+        assert verify_collective(anchor, b"prod", sig, Threshold(4)).ok
         for statement, bad in ((b"prodX", sig), (b"prod", bumped_c), (b"prod", bumped_s)):
-            res = verify_collective(cert, statement, bad, Threshold(4))
+            res = verify_collective(anchor, statement, bad, Threshold(4))
             assert not res.crypto_ok and res.reason == "challenge mismatch"
     assert roster.aggregate_key()._rows is rows
 
@@ -467,10 +470,10 @@ def kernel_calls(monkeypatch):
 
 @pytest.fixture
 def present_keys(monkeypatch):
-    """Every key `present_key` hands to `verify_collective`, in order."""
+    """Every key the roster's `present_key` hands out, in order."""
     keys = []
-    real = multisig.present_key
-    monkeypatch.setattr(multisig, "present_key",
+    real = WitnessRoster.present_key
+    monkeypatch.setattr(WitnessRoster, "present_key",
                         lambda r, absent: keys.append(real(r, absent)) or keys[-1])
     return keys
 
@@ -507,10 +510,10 @@ def test_repeated_absent_set_runs_ladder_then_builds_then_walks(kernel_calls,
     key = present_keys[0]
     assert all(k is key for k in present_keys) and len(present_keys) == 4
     assert len(key._rows) == 43
-    assert multisig.present_key(roster, frozenset({1, 4})) is key
+    assert roster.present_key(frozenset({1, 4})) is key
     # no one absent: the full key, and the slot is left as it was
-    assert multisig.present_key(roster, frozenset()) is roster.aggregate_key()
-    assert multisig.present_key(roster, frozenset({1, 4})) is key
+    assert roster.present_key(frozenset()) is roster.aggregate_key()
+    assert roster.present_key(frozenset({1, 4})) is key
 
 
 def test_new_absent_set_replaces_the_slot(kernel_calls, present_keys):
@@ -523,7 +526,7 @@ def test_new_absent_set_replaces_the_slot(kernel_calls, present_keys):
     assert res.ok and calls == LADDER
     key_b = present_keys[-1]
     assert key_b is not key_a and key_b._rows == 1
-    assert multisig.present_key(roster, frozenset({2})) is key_b
+    assert roster.present_key(frozenset({2})) is key_b
     # the first set's key was dropped: its next power is a new key's ladder
     res, calls = _verify_counted(roster, sig_a, kernel_calls)
     assert res.ok and calls == LADDER and present_keys[-1] is not key_a
@@ -542,7 +545,7 @@ def test_tabled_present_key_rejects_tampering(mode):
     roster, (sig,) = _absent_signatures(59, {0, 3, 5}, mode=mode)
     for _ in range(2):
         assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
-    key = multisig.present_key(roster, frozenset({0, 3, 5}))
+    key = roster.present_key(frozenset({0, 3, 5}))
     rows = key._rows
     assert len(rows) == 43
     bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
@@ -551,17 +554,17 @@ def test_tabled_present_key_rejects_tampering(mode):
         res = verify_collective(roster, statement, bad, Threshold(3))
         assert not res.crypto_ok and res.reason == "challenge mismatch"
     assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
-    assert multisig.present_key(roster, frozenset({0, 3, 5})) is key and key._rows is rows
+    assert roster.present_key(frozenset({0, 3, 5})) is key and key._rows is rows
 
 
 def test_roster_deep_copy_keeps_the_present_key_slot():
     roster, (sig,) = _absent_signatures(60, {2, 3})
     for _ in range(2):
         assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
-    key = multisig.present_key(roster, frozenset({2, 3}))
+    key = roster.present_key(frozenset({2, 3}))
     assert len(key._rows) == 43
     twin = copy.deepcopy(roster)
-    twin_key = multisig.present_key(twin, frozenset({2, 3}))
+    twin_key = twin.present_key(frozenset({2, 3}))
     assert twin_key is not key and twin_key._rows is key._rows
     assert verify_collective(twin, b"prod", sig, Threshold(4)).ok
     assert not verify_collective(twin, b"prodX", sig, Threshold(4)).ok

@@ -21,21 +21,23 @@ from cosikit.group import (
     verify_possession,
 )
 from cosikit.multisig import aggregate_public_key
-from cosikit.participation import Threshold
+from cosikit.multisig import verify_collective
+from cosikit.participation import Threshold, WeightedThreshold
 from cosikit.roster import (
     ProvenKey,
+    RosterChangeRecord,
     RosterEntry,
     RosterError,
     WitnessRoster,
     build_key_tree,
     build_roster,
+    change_statement,
     change_threshold,
     compact_certificate,
     load_roster,
     make_change_record,
     roster_from_json_obj,
     save_roster,
-    verify_compact,
     verify_key,
     verify_roster_chain,
 )
@@ -78,8 +80,8 @@ def test_weight_validation(toy_rng):
     with pytest.raises(RosterError):
         entry(0, 3, toy_rng, weight=-1)
     roster = make_toy_roster([3, 4], weights=[0, 2])
-    assert roster.weights() == (0, 2)
-    assert roster.total_weight() == 2
+    assert roster.weights == (0, 2)
+    assert roster.total_weight == 2
 
 
 def test_roster_file_roundtrip(tmp_path, toy_rng):
@@ -217,61 +219,75 @@ def test_key_tree_root_changes_on_any_key():
 
 def test_compact_certificate_construction():
     roster = make_toy_roster([3, 4, 5])
-    cert = compact_certificate(roster)
-    assert cert.compact.aggregate_key == roster.aggregate_key()
-    assert cert.witness_count == 3
+    anchor = compact_certificate(roster)
+    assert anchor.aggregate_key == roster.aggregate_key()
+    assert len(anchor) == 3
 
 
 def test_verify_compact_paths():
     roster = make_toy_roster([3, 4, 5])
-    cert = compact_certificate(roster)
+    anchor = compact_certificate(roster)
     tree = build_key_tree(roster)
-    anchor = cert.compact
 
     # absent = [] leaves the aggregate unchanged
-    assert verify_compact(anchor, frozenset(), []) == roster.aggregate_key()
+    assert anchor.present_key(frozenset(), []) == roster.aggregate_key()
     # absent = {1} with a proven key for 1
     proven = [ProvenKey(1, roster.public_key(1), tree.prove(1))]
-    adjusted = verify_compact(anchor, frozenset({1}), proven)
+    adjusted = anchor.present_key(frozenset({1}), proven)
     assert adjusted == aggregate_public_key(roster, {0, 2})
     # present-list path
     proven_present = [ProvenKey(i, roster.public_key(i), tree.prove(i))
                       for i in (0, 2)]
-    assert verify_compact(anchor, frozenset({1}), proven_present) == adjusted
+    assert anchor.present_key(frozenset({1}), proven_present) == adjusted
     # unproven key in the list
     with pytest.raises(RosterError):
-        verify_compact(anchor, frozenset({1}), [])
+        anchor.present_key(frozenset({1}), [])
     # a bad proof
     with pytest.raises(RosterError):
-        verify_compact(anchor, frozenset({1}),
-                       [ProvenKey(1, roster.public_key(0), tree.prove(1))])
+        anchor.present_key(frozenset({1}),
+                           [ProvenKey(1, roster.public_key(0), tree.prove(1))])
 
 
 def test_compact_matches_full_for_every_subset():
     roster = make_toy_roster([2, 3, 5, 7, 9])
-    cert = compact_certificate(roster)
+    anchor = compact_certificate(roster)
     tree = build_key_tree(roster)
     proven_all = [ProvenKey(i, roster.public_key(i), tree.prove(i))
                   for i in range(5)]
     for r in range(1, 6):
         for present in itertools.combinations(range(5), r):
             present = frozenset(present)
-            got = verify_compact(cert.compact, frozenset(range(5)) - present, proven_all)
+            got = anchor.present_key(frozenset(range(5)) - present, proven_all)
             assert got == aggregate_public_key(roster, present)
 
 
 def test_compact_signature_verification(toy_rng):
     secrets = [3, 4, 5]
     roster = make_toy_roster(secrets)
-    cert = compact_certificate(roster)
+    anchor = compact_certificate(roster)
     tree = build_key_tree(roster)
-    from cosikit.multisig import verify_collective
     sig = manual_round(roster, secrets, b"compact", absent={1})
     proofs = [ProvenKey(1, roster.public_key(1), tree.prove(1))]
-    res = verify_collective(cert, b"compact", sig, Threshold(2), key_proofs=proofs)
+    res = verify_collective(anchor, b"compact", sig, Threshold(2), key_proofs=proofs)
     assert res.ok
     with pytest.raises(RosterError):
-        verify_collective(cert, b"compact", sig, Threshold(2))
+        verify_collective(anchor, b"compact", sig, Threshold(2))
+
+
+def test_compact_anchor_weighs_witnesses_as_the_roster_does():
+    """Weights (0, 0, 1) give an all-present signature a weight of 1, short
+    of a weighted threshold of 2, under the roster and under its compact
+    anchor alike: the anchor holds the roster's weights tuple itself."""
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets, weights=[0, 0, 1])
+    anchor = compact_certificate(roster)
+    assert anchor.weights is roster.weights and anchor.total_weight == 1
+    sig = manual_round(roster, secrets, b"weighed")
+    for held in (roster, anchor):
+        res = verify_collective(held, b"weighed", sig, WeightedThreshold(2))
+        assert res.crypto_ok and not res.predicate_ok
+        assert res.reason == "predicate rejected participation set"
+        assert verify_collective(held, b"weighed", sig, WeightedThreshold(1)).ok
 
 
 # -- roster evolution ----------------------------------------------------------
@@ -326,3 +342,17 @@ def test_below_threshold_change_rejected():
 
     with pytest.raises(RosterError):
         make_change_record(r0, r1, weak_sign)
+
+
+def test_chain_checks_the_version_that_was_signed():
+    """The old roster signs a change to a roster that is still at version 0.
+    The record is checked by the version its signed roster carries, so the
+    chain does not walk back to version 0."""
+    s0 = [3, 4, 5]
+    r0 = make_toy_roster(s0, version=0)
+    stale = make_toy_roster([3, 4, 6], version=0)
+    sig = manual_round(r0, s0, change_statement(0, stale))
+    record = RosterChangeRecord(old_version=0, new_roster=stale, signature=sig)
+    assert verify_collective(r0, record.statement(), sig, Threshold(3)).ok
+    with pytest.raises(RosterError, match="strictly sequential"):
+        verify_roster_chain(r0, [record])

@@ -15,7 +15,7 @@ from cosikit.group import ED25519
 from cosikit.merkle import InclusionProof, MerkleTree, empty_tree_root, leaf_hash
 from cosikit.multisig import MODE_NO_RESTART, CommitTree, verify_commit_inclusion
 from cosikit.participation import Threshold
-from cosikit.roster import compact_certificate, full_certificate
+from cosikit.roster import compact_certificate
 from cosikit.timestamp import (
     GENESIS_HASH,
     RECEIPT_MAGIC,
@@ -506,12 +506,12 @@ def test_prod_receipt_tampering_rejected_under_a_tabled_key():
         StampReceipt(record, dataclasses.replace(sig, challenge=sig.challenge + one), proof),
         StampReceipt(record, dataclasses.replace(sig, response=sig.response + one), proof),
     ]
-    for cert in (full_certificate(roster), compact_certificate(roster)):
+    for anchor in (roster, compact_certificate(roster)):
         for _ in range(2):
-            assert verify_receipt(cert, digest, receipt, Threshold(4)).ok
+            assert verify_receipt(anchor, digest, receipt, Threshold(4)).ok
         assert len(roster.aggregate_key()._rows) == 43
         for bad in tampered:
-            result = verify_receipt(cert, digest, bad, Threshold(4))
+            result = verify_receipt(anchor, digest, bad, Threshold(4))
             assert not result.ok and result.reason == "challenge mismatch"
 
 
