@@ -13,22 +13,25 @@ so G's table serves every power of G in the process. A roster hands out one
 element for its aggregate key, which every full-roster verification raises
 to a challenge, and one for the present key of the last absent set it
 verified (`WitnessRoster.present_key`), so those build tables too. No
-other element is powered more than once. The table writes k mod L in radix 64
-with digits in [-31, 32], and a power adds one entry per nonzero digit from
-42 rows of 33 multiples j * 64^i * base, j = 0..32, and a top row of 3, j =
-0..2 (the top digit of a k < L is at most 2), with no doublings: about 42
-additions for a random k, where a radix-32 table of 51 rows of 17 takes 49
-(Bernstein et al., CHES 2011). The entries are affine, stored as (y + x,
-y - x, 2d*x*y), so each addition is a mixed one of 7 field multiplications;
-a negative digit adds an entry with y + x and y - x swapped and 2d*x*y
-negated. A table (1,389 entries, about 0.34 MB under tracemalloc, where
-radix 32 holds 867 and 0.21 MB) takes about 17 ms to build, and a walk about
-0.25 ms against 1.6 ms for the ladder, so it has paid for itself by about
-the 14th power (2-vCPU machine, Python 3.11; a radix-32 table, measured
-beside it, takes 12 ms to build and 0.33 ms to walk, and pays for itself by
-about the 9th). The ladder, which first powers and every product of powers
-run, uses a width-5 NAF. One doubling and 7 additions precompute its odd multiples
-1, 3 .. 15 in the cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
+other element is powered more than once. The table writes k mod L in radix
+128 with digits in [-63, 64], and a power adds one entry per nonzero digit
+from 36 rows of 65 multiples j * 128^i * base, j = 0..64, and a top row of
+3, j = 0..2 (the top digit of a k < L is at most 2), with no doublings:
+about 36 additions for a random k, where a radix-64 table of 42 rows of 33
+takes 42 and a radix-32 one of 51 rows of 17 takes 49 (Bernstein et al.,
+CHES 2011; Brickell et al., EUROCRYPT 1992). The entries are affine, stored
+as (y + x, y - x, 2d*x*y), so each addition is a mixed one of 7 field
+multiplications; a negative digit adds an entry with y + x and y - x swapped
+and 2d*x*y negated. A table (2,343 entries, about 0.60 MB under
+tracemalloc, where radix 64 holds 1,389 and 0.34 MB) takes about 30 ms to
+build, and a walk about 0.22 ms against 1.5 ms for the ladder, so it has
+paid for itself by about the 25th power (2-vCPU machine, Python 3.11; a
+radix-64 table, measured beside it, takes about 16 ms to build and 0.26 ms
+to walk, and pays for itself by about the 14th). A radix-256 table would
+save about 4 more additions a walk, at about 1 MB a table. The ladder, which
+first powers and every product of powers run, uses a width-5 NAF. One
+doubling and 7 additions precompute its odd multiples 1, 3 .. 15 in the
+cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
 (CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped
 and 2d*T negated, so negations cost nothing. Adding a cached entry takes 8
 field multiplications, where adding two extended points takes 9. The recoded
@@ -64,10 +67,10 @@ exponent of A can be walked in 64-bit digits, one per row (Lim and Lee,
 CRYPTO 1994). A node keeps one key element per child subtree, so a child's
 rows are built once, not every round. For a key with its one window, c0
 and t are both about 126 bits, and a check costs about 49 additions (56
-when it builds the window), 42 table additions and 127 doublings. For a key
+when it builds the window), 36 table additions and 127 doublings. For a key
 with rows, c is split at 2^190 instead: c0, about 190 bits, is walked in
 64-bit digits and t is about 62 bits, so the ladder is about 64 doublings
-long, and a check costs about 50 additions, 42 table additions and 64
+long, and a check costs about 50 additions, 36 table additions and 64
 doublings. The rows take 128 doublings and 14 additions to build (a check
 that builds them costs about 64 additions and 194 doublings in all). Their
 entries are scaled to Z = 1, for one inversion, so that each holds three
@@ -94,7 +97,7 @@ keys a node checks round after round are: a key with rows takes u_i in
 64-bit digits, the top one about 125 bits, so the ladder is 128 doublings
 long; a key without them takes the whole u_i on its one window, and the
 ladder is then 253 doublings long. A batch of 8 partials on keys with rows
-costs about 575 additions, 42 table additions and 136 doublings, where three
+costs about 575 additions, 36 table additions and 136 doublings, where three
 ladders (for A = prod K_i^w_i, for W = prod V_i^w_i, and one check of A and
 W) took 461 additions and 390 doublings. On new keys it costs about 626
 additions and 268 doublings, and as the keys build their rows, 688 and
@@ -102,7 +105,7 @@ additions and 268 doublings, and as the keys build their rows, 688 and
 together once and never again as these elements, every key takes its one
 window: about 78 additions and 2 doublings per item (42 additions for the
 key and 21 for R in the ladder, the rest building their two windows), plus
-252 doublings and 42 table additions in all, against about 98 additions (42
+252 doublings and 36 table additions in all, against about 92 additions (36
 from the table) and 127 doublings per item checked one by one.
 
 If any item fails, the batch passes with probability at most 2^-127
@@ -695,42 +698,42 @@ class Ed25519Group(Group):
         return self._add(a, b)
 
     def _fixed_base_rows(self, base):
-        """Row i holds j * 64^i * base for j = 0..32, for i = 0..41, and the
-        top row, i = 42, for j = 0..2 only, in the affine form (y + x,
-        y - x, 2d*x*y), for one inversion in all. 43 rows cover every k < L:
+        """Row i holds j * 128^i * base for j = 0..64, for i = 0..35, and the
+        top row, i = 36, for j = 0..2 only, in the affine form (y + x,
+        y - x, 2d*x*y), for one inversion in all. 37 rows cover every k < L:
         as L < 2^253, the top digit (bit 252, plus a carry) is at most 2, so
         it never carries out."""
         points = []
-        for _ in range(42):
+        for _ in range(36):
             row = [self._IDENT, base]
             step = self._cached(base)
-            for _ in range(31):
+            for _ in range(63):
                 row.append(self._add_cached(row[-1], step))
             points.extend(row)
-            base = self._double(row[32])
+            base = self._double(row[64])
         points += (self._IDENT, base, self._double(base))
         # x*y = T/Z, so an entry is (Y + X, Y - X, 2d*T) over Z
         entries = [((y + x) * zi % _P, (y - x) * zi % _P, t * zi % _P * _D2 % _P)
                    for (x, y, _, t), zi in zip(points, _invert_all([p[2] for p in points]))]
-        return tuple(tuple(entries[i:i + 33]) for i in range(0, len(entries), 33))
+        return tuple(tuple(entries[i:i + 65]) for i in range(0, len(entries), 65))
 
     def _comb(self, rows, k):
         """base^k for the base of `rows`, a `_fixed_base_rows` table.
 
-        k = sum of d_i * 64^i with signed digits d_i in [-31, 32], so base^k
-        adds one entry of row i per nonzero digit over the 43 rows and
-        doubles nothing: about 42 additions for a random k. A negative digit
-        adds the negation of entry -d_i: y + x and y - x swapped, 2d*x*y
-        negated."""
+        k = sum of d_i * 128^i with signed digits d_i in [-63, 64], so
+        base^k adds one entry of row i per nonzero digit over the 37 rows
+        and doubles nothing: about 36 additions for a random k. A negative
+        digit adds the negation of entry -d_i: y + x and y - x swapped,
+        2d*x*y negated."""
         add = self._add_affine
         k %= _L
         r = self._IDENT
         for row in rows:
-            d = k & 63
-            k >>= 6
-            if d > 32:
+            d = k & 127
+            k >>= 7
+            if d > 64:
                 k += 1
-                ypx, ymx, xy2d = row[64 - d]
+                ypx, ymx, xy2d = row[128 - d]
                 r = add(r, (ymx, ypx, -xy2d))
             elif d:
                 r = add(r, row[d])

@@ -24,7 +24,7 @@ from . import merkle, multisig
 from .group import Reader
 from .merkle import InclusionProof, MerkleTree
 from .multisig import CollectiveSignature, VerifyResult
-from .roster import CompactAnchor, WitnessRoster
+from .roster import CompactAnchor, ProvenKey, WitnessRoster
 from .topology import TreeTopology
 
 RECORD_SIZE = 8 + 8 + 32 + 32
@@ -226,14 +226,17 @@ class TimestampAuthority:
 
 def verify_receipt(anchor: WitnessRoster | CompactAnchor, digest: bytes,
                    receipt: StampReceipt, predicate,
-                   prev_record: TimestampRecord | None = None) -> VerifyResult:
-    """Inclusion proof, then the collective signature, then chain linkage."""
+                   prev_record: TimestampRecord | None = None,
+                   key_proofs: Sequence[ProvenKey] | None = None) -> VerifyResult:
+    """Inclusion proof, then the collective signature, then chain linkage.
+    Under a compact anchor, `key_proofs` prove the keys that the signature's
+    present or absent set needs (`multisig.verify_collective`)."""
     _check_hash(digest)
     if not merkle.verify_inclusion(receipt.record.merkle_root, digest, receipt.proof):
         return VerifyResult(ok=False, crypto_ok=False, predicate_ok=False,
                             reason="inclusion proof does not reach the record root")
     result = multisig.verify_collective(anchor, receipt.record.pack(),
-                                        receipt.signature, predicate)
+                                        receipt.signature, predicate, key_proofs)
     if not result.ok:
         return result
     if prev_record is not None:
@@ -260,10 +263,11 @@ def verify_record_chain(records: Sequence[TimestampRecord]) -> bool:
 
 def time_check(nonce: bytes, receipt: StampReceipt,
                anchor: WitnessRoster | CompactAnchor, predicate,
-               local_clock: float, tolerance: float = 60.0) -> bool:
+               local_clock: float, tolerance: float = 60.0,
+               key_proofs: Sequence[ProvenKey] | None = None) -> bool:
     """Coarse-grained time check: the receipt must commit our fresh nonce and
     carry a wall time within `tolerance` of the local clock."""
-    result = verify_receipt(anchor, nonce, receipt, predicate)
+    result = verify_receipt(anchor, nonce, receipt, predicate, key_proofs=key_proofs)
     if not result.ok:
         return False
     return abs(receipt.record.wall_time - local_clock) <= tolerance

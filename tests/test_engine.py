@@ -157,6 +157,22 @@ def test_announce_with_unknown_mode_or_timing_dropped(field, caplog):
     assert "unknown mode or statement timing" in caplog.text
 
 
+def test_announce_with_a_wrong_topology_digest_dropped(caplog):
+    """A witness opens no session when the tree it derives from the announce
+    is not the tree whose digest the announce carries."""
+    secrets = [1, 2, 3, 4, 5, 6, 7]
+    roster = make_toy_roster(secrets)
+    node = make_node(1, roster, secrets)
+    announce = announce_for(roster)
+    other = announce_for(roster, branching=3).topology_digest  # the digest of another tree
+    assert other != announce.topology_digest
+    assert node.handle_message(replace(announce, topology_digest=other), now=0.0) == []
+    assert node.rounds == {}
+    assert "announce topology digest mismatch" in caplog.text
+    # the witness still serves the announce that names its tree
+    assert node.handle_message(announce, now=0.1)
+
+
 @pytest.mark.parametrize("bad, cause", [
     ({"mode": 5}, "unknown signature mode 5"),
     ({"statement_timing": 2}, "unknown statement timing 2"),

@@ -231,10 +231,16 @@ def radix64(*digits):
     return sum(d << 6 * i for i, d in enumerate(digits))
 
 
-# Besides 0, 1 and the ends of the scalar range: digits of 31, 32 and 33
-# sit on either side of where a fixed-base table's signed radix-64 digit
-# turns negative and carries (15, 16 and 17 on either side of where a
-# radix-32 one would), and runs of 31 and 63 carry through every digit.
+def radix128(*digits):
+    """The integer with these base-128 digits, least significant first."""
+    return sum(d << 7 * i for i, d in enumerate(digits))
+
+
+# Besides 0, 1 and the ends of the scalar range: digits of 63, 64 and 65
+# sit on either side of where a fixed-base table's signed radix-128 digit
+# turns negative and carries, and 127 is the digit -1 that carries; 15, 16
+# and 17, and 31, 32 and 33, sit where a radix-32 and a radix-64 one would.
+# Runs of 31, 63 and 127 carry through every digit.
 EDGE_SCALARS = {"0": 0, "1": 1, "15": 15, "16": 16, "255": 255, "L-1": L - 1,
                 "L": L, "2^253-1": 2**253 - 1, "2^300+5": 2**300 + 5,
                 "17": 17, "31": 31, "33": 33,
@@ -247,13 +253,22 @@ EDGE_SCALARS = {"0": 0, "1": 1, "15": 15, "16": 16, "255": 255, "L-1": L - 1,
                 "31-31-31": radix64(31, 31, 31), "32-32-32": radix64(32, 32, 32),
                 "33-33-33": radix64(33, 33, 33), "33-31-33": radix64(33, 31, 33),
                 "32*64^1": 32 * 64, "32*64^21": 32 * 64**21, "32*64^42": 32 * 64**42,
-                "33 in every row": radix64(*[33] * 42)}
+                "33 in every row": radix64(*[33] * 42),
+                "65": 65, "127": 127, "128": 128,
+                "63-63-63": radix128(63, 63, 63), "64-64-64": radix128(64, 64, 64),
+                "65-65-65": radix128(65, 65, 65), "65-63-65": radix128(65, 63, 65),
+                "127-127-127": radix128(127, 127, 127),
+                "64*128^1": 64 * 128, "64*128^18": 64 * 128**18, "64*128^35": 64 * 128**35,
+                "65*128^35": 65 * 128**35,
+                "65 in every row": radix128(*[65] * 36)}
 # Exponents of up to 306 bits built from those digits.
 SIGNED_DIGIT_PATTERNS = st.one_of(
     st.lists(st.sampled_from([0, 1, 15, 16, 17, 31]),
              min_size=1, max_size=61).map(lambda ds: radix32(*ds)),
     st.lists(st.sampled_from([0, 1, 31, 32, 33, 63]),
-             min_size=1, max_size=51).map(lambda ds: radix64(*ds)))
+             min_size=1, max_size=51).map(lambda ds: radix64(*ds)),
+    st.lists(st.sampled_from([0, 1, 63, 64, 65, 127]),
+             min_size=1, max_size=43).map(lambda ds: radix128(*ds)))
 
 
 def bases():
@@ -391,9 +406,9 @@ def ops(monkeypatch):
     return calls
 
 
-# 42 rows of 33 entries, j = 0..32, and a top row of 3: the top digit of a
+# 36 rows of 65 entries, j = 0..64, and a top row of 3: the top digit of a
 # k < L is at most 2
-TABLE_SHAPE = [33] * 42 + [3]
+TABLE_SHAPE = [65] * 36 + [3]
 
 
 def test_fixed_base_table_built_once(monkeypatch, ops):
@@ -410,10 +425,10 @@ def test_fixed_base_table_built_once(monkeypatch, ops):
         ops.clear()
         g ** k
         assert g._rows is rows
-        # a table hit adds at most one affine entry per signed radix-64
+        # a table hit adds at most one affine entry per signed radix-128
         # digit, and neither rebuilds the table nor doubles
         assert set(ops) <= {"_add_affine"}
-        assert ops["_add_affine"] <= 43
+        assert ops["_add_affine"] <= 37
 
 
 def test_fixed_base_table_matches_affine_reference():
@@ -428,7 +443,7 @@ def test_fixed_base_table_matches_affine_reference():
                 x, y = point
                 assert entry == ((y + x) % P, (y - x) % P, 2 * D * x * y % P), j
                 point = affine_add(point, base)
-            for _ in range(6):
+            for _ in range(7):
                 base = affine_add(base, base)
 
 
@@ -440,7 +455,7 @@ def kept_keys():
     keys = [keygen(ED25519, rng).public for _ in range(2)]
     for key in keys:
         key ** 3, key ** 5
-        assert len(key._rows) == 43
+        assert len(key._rows) == 37
     return keys
 
 
@@ -458,15 +473,20 @@ def assert_comb_matches_ladder(k):
 
 # k < L throughout, so the walk sees these digits unreduced. Besides 0, 1,
 # L - 1 and 2^252, the top row's one bit: digits on either side of where a
-# signed digit turns negative, 32 in each of the 42 full rows, and 33 in
-# each, whose carry runs up through every row into the top one. The radix-32
-# patterns put other digits in every row.
+# signed digit turns negative, 64 in each of the 36 full rows, and 65 in
+# each, whose carry runs up through every row into the top one; 65 * 128^35
+# carries from the last full row alone. The radix-32 and radix-64 patterns
+# put other digits in every row.
 COMB_SCALARS = {"0": 0, "1": 1, "15": 15, "16": 16, "17": 17, "31": 31, "32": 32,
                 "L-1": L - 1, "16 in every row": radix32(*[16] * 50),
                 "17 in every row": radix32(*[17] * 50),
                 "33": 33, "63": 63, "64": 64, "2^252": 2**252,
                 "32 in every row": radix64(*[32] * 42),
-                "33 in every row": radix64(*[33] * 42)}
+                "33 in every row": radix64(*[33] * 42),
+                "65": 65, "127": 127, "128": 128, "127-127-127": radix128(127, 127, 127),
+                "64*128^35": 64 * 128**35, "65*128^35": 65 * 128**35,
+                "64 in every row": radix128(*[64] * 36),
+                "65 in every row": radix128(*[65] * 36)}
 
 
 @pytest.mark.parametrize("k", COMB_SCALARS.values(), ids=COMB_SCALARS.keys())
@@ -483,7 +503,7 @@ def test_kept_key_comb_matches_ladder(k):
 
 def test_kept_key_builds_its_table_on_its_second_power(ops):
     """No table at the first power, one at the second, and from then on
-    table walks of at most 43 affine additions and no doubling. The toy
+    table walks of at most 37 affine additions and no doubling. The toy
     group keeps no table."""
     rng = random.Random(43)
     key = keygen(ED25519, rng).public
@@ -492,12 +512,12 @@ def test_kept_key_builds_its_table_on_its_second_power(ops):
     assert key._rows == 1 and ops["_double"] >= 248 and "_add_affine" not in ops
     key ** rng.randrange(L)
     rows = key._rows
-    assert len(rows) == 43
+    assert len(rows) == 37
     for _ in range(3):
         ops.clear()
         key ** rng.randrange(L)
         assert key._rows is rows
-        assert set(ops) <= {"_add_affine"} and ops["_add_affine"] <= 43
+        assert set(ops) <= {"_add_affine"} and ops["_add_affine"] <= 37
     toy = TOY.generator ** 3
     for k in range(3):
         assert toy ** k == TOY.generator ** (3 * k)
@@ -678,13 +698,14 @@ def test_signed_window_op_counts(ops):
     check_response 56 additions and 127 doublings as it builds its key's
     window, 64 and 194 as it builds the key's rows, and 50 and 64 once the
     key holds them; for a batch of 8 partials on fresh keys, 628 and 268
-    (its keys get their whole 253-bit exponents), with 42 table additions of
+    (its keys get their whole 253-bit exponents), with 36 table additions of
     g^s, and on keys with rows, 575 and 136. The additions and doublings that
     compute T are pinned likewise (51 of a^k's 301 steps, 52 of a check's 114
     on a key with rows, 645 of a fresh batch's 896, 584 of a batch's 711 on
     keys with rows). Unsigned 4-bit windows took about 72 additions for a^k,
     every step computing T. Table additions of g^x, pinned 2% above their
-    mean of 41.8 over eight scalars: a signed radix-32 table took 49.3."""
+    mean of 36.2 over eight scalars: a signed radix-64 table took 41.8, and
+    a radix-32 one 49.3."""
     rng = random.Random(17)
     g = ED25519.generator
     point = g ** 0x1234567
@@ -724,7 +745,7 @@ def test_signed_window_op_counts(ops):
     for _ in range(8):
         g ** rng.randrange(L)
     assert set(ops) <= {"_add_affine"}
-    assert ops["_add_affine"] <= 341
+    assert ops["_add_affine"] <= 296
 
 
 SPLIT_EDGES = {"0": 0, "1": 1, "2^126-1": 2**126 - 1, "2^126": 2**126, "L-1": L - 1,

@@ -386,7 +386,7 @@ def _tabled_round(seed, n=4):
     roster, sig = _prod_round(random.Random(seed), n=n)
     for _ in range(2):
         assert verify_collective(roster, b"prod", sig, Threshold(n)).ok
-    assert len(roster.aggregate_key()._rows) == 43
+    assert len(roster.aggregate_key()._rows) == 37
     return roster, sig
 
 
@@ -398,7 +398,7 @@ def test_roster_key_builds_its_table_on_its_second_power():
     assert key._rows == 1  # the first power ran the ladder
     assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
     rows = key._rows
-    assert len(rows) == 43
+    assert len(rows) == 37
     assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
     assert roster.aggregate_key() is key and key._rows is rows
 
@@ -509,7 +509,7 @@ def test_repeated_absent_set_runs_ladder_then_builds_then_walks(kernel_calls,
     assert steps == [LADDER, BUILD, WALK, WALK]
     key = present_keys[0]
     assert all(k is key for k in present_keys) and len(present_keys) == 4
-    assert len(key._rows) == 43
+    assert len(key._rows) == 37
     assert roster.present_key(frozenset({1, 4})) is key
     # no one absent: the full key, and the slot is left as it was
     assert roster.present_key(frozenset()) is roster.aggregate_key()
@@ -521,7 +521,7 @@ def test_new_absent_set_replaces_the_slot(kernel_calls, present_keys):
     for _ in range(2):
         assert verify_collective(roster, b"prod", sig_a, Threshold(1)).ok
     key_a = present_keys[-1]
-    assert len(key_a._rows) == 43
+    assert len(key_a._rows) == 37
     res, calls = _verify_counted(roster, sig_b, kernel_calls)
     assert res.ok and calls == LADDER
     key_b = present_keys[-1]
@@ -547,7 +547,7 @@ def test_tabled_present_key_rejects_tampering(mode):
         assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
     key = roster.present_key(frozenset({0, 3, 5}))
     rows = key._rows
-    assert len(rows) == 43
+    assert len(rows) == 37
     bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
     bumped_s = dataclasses.replace(sig, response=sig.response + ED25519.scalar(1))
     for statement, bad in ((b"prodX", sig), (b"prod", bumped_c), (b"prod", bumped_s)):
@@ -562,7 +562,7 @@ def test_roster_deep_copy_keeps_the_present_key_slot():
     for _ in range(2):
         assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
     key = roster.present_key(frozenset({2, 3}))
-    assert len(key._rows) == 43
+    assert len(key._rows) == 37
     twin = copy.deepcopy(roster)
     twin_key = twin.present_key(frozenset({2, 3}))
     assert twin_key is not key and twin_key._rows is key._rows

@@ -15,7 +15,7 @@ from cosikit.group import ED25519
 from cosikit.merkle import InclusionProof, MerkleTree, empty_tree_root, leaf_hash
 from cosikit.multisig import MODE_NO_RESTART, CommitTree, verify_commit_inclusion
 from cosikit.participation import Threshold
-from cosikit.roster import compact_certificate
+from cosikit.roster import ProvenKey, RosterError, build_key_tree, compact_certificate
 from cosikit.timestamp import (
     GENESIS_HASH,
     RECEIPT_MAGIC,
@@ -481,6 +481,33 @@ def test_time_check(authority_env):
                           local_clock=1030.0, tolerance=60.0)
 
 
+def test_receipt_with_an_absent_witness_verifies_under_a_compact_anchor():
+    """A compact anchor knows only the aggregate key and the key-tree root,
+    so it needs the absent witness's proven key to reach the present key."""
+    secrets = [3, 4, 5, 6]
+    roster = make_toy_roster(secrets)
+    authority = TimestampAuthority(lambda statement: manual_round(
+        roster, secrets, statement, absent={3}, rng=random.Random(11)))
+    nonce = h(b"absent witness")
+    authority.submit(nonce)
+    record, receipts = authority.round_close(clock=1000.0)
+    receipt = receipts[nonce]
+    assert receipt.signature.participation.response_absent == {3}
+    anchor = compact_certificate(roster)
+    proofs = [ProvenKey(3, roster.public_key(3), build_key_tree(roster).prove(3))]
+    assert verify_receipt(roster, nonce, receipt, Threshold(3)).ok
+    assert verify_receipt(anchor, nonce, receipt, Threshold(3), key_proofs=proofs).ok
+    assert time_check(nonce, receipt, anchor, Threshold(3), local_clock=1030.0,
+                      key_proofs=proofs)
+    assert not time_check(nonce, receipt, anchor, Threshold(3), local_clock=1061.0,
+                          key_proofs=proofs)
+    # without the proof the present key cannot be reached
+    with pytest.raises(RosterError, match=r"missing \[3\]"):
+        verify_receipt(anchor, nonce, receipt, Threshold(3))
+    with pytest.raises(RosterError, match=r"missing \[3\]"):
+        time_check(nonce, receipt, anchor, Threshold(3), local_clock=1030.0)
+
+
 # -- receipts under an Ed25519 roster key's fixed-base table ----------------------
 
 def prod_receipts(seed: int, n: int = 4, count: int = 8):
@@ -509,7 +536,7 @@ def test_prod_receipt_tampering_rejected_under_a_tabled_key():
     for anchor in (roster, compact_certificate(roster)):
         for _ in range(2):
             assert verify_receipt(anchor, digest, receipt, Threshold(4)).ok
-        assert len(roster.aggregate_key()._rows) == 43
+        assert len(roster.aggregate_key()._rows) == 37
         for bad in tampered:
             result = verify_receipt(anchor, digest, bad, Threshold(4))
             assert not result.ok and result.reason == "challenge mismatch"
@@ -517,7 +544,7 @@ def test_prod_receipt_tampering_rejected_under_a_tabled_key():
 
 def test_prod_receipt_verifications_keep_one_table_per_roster():
     # The first verification powers the roster key by the ladder and the
-    # second builds its table, about 355 KB; the next 198 walk that table
+    # second builds its table, about 0.6 MB; the next 198 walk that table
     # and retain nothing. A table per call, kept, would exceed the bound.
     roster, receipts = prod_receipts(72)
     digest, receipt = next(iter(receipts.items()))
@@ -531,7 +558,7 @@ def test_prod_receipt_verifications_keep_one_table_per_roster():
         held = tracemalloc.get_traced_memory()[0] - after_two
     finally:
         tracemalloc.stop()
-    assert len(roster.aggregate_key()._rows) == 43
+    assert len(roster.aggregate_key()._rows) == 37
     assert held < 300_000
 
 
