@@ -97,8 +97,7 @@ def cmd_keygen(args) -> int:
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     keypair = gen_key(group, rng)
     ssk = prove_possession(keypair, rng)
-    witness_id = bytes.fromhex(args.id) if args.id \
-        else hashlib.sha256(keypair.public.encode()).digest()[:8]
+    witness_id = args.id or hashlib.sha256(keypair.public.encode()).digest()[:8]
     save_keyfile(args.out, args.group, keypair, ssk, witness_id)
     print(f"wrote {args.out} (public {keypair.public.encode().hex()})")
     return EXIT_OK
@@ -206,8 +205,7 @@ def cmd_run_leader(args) -> int:
 
     def signer(statement: bytes):
         config = _round_config(args, next(rounds), engine.STATEMENT_AT_CHALLENGE)
-        result = runtime.run_leader_round(config, lambda: statement,
-                                          timeout=args.timeout)
+        result = runtime.run_leader_round(config, statement, timeout=args.timeout)
         if result is None or not result.ok:
             # round_close chains this as the cause of its TimestampError
             raise RuntimeError(result.reason if result else "no result")
@@ -244,7 +242,7 @@ def cmd_run_leader(args) -> int:
 def cmd_stamp(args) -> int:
     roster = load_roster(args.roster)
     if args.hash:
-        digest = bytes.fromhex(args.hash)
+        digest = args.hash
     else:
         with open(args.file, "rb") as fh:
             digest = hashlib.sha256(fh.read()).digest()
@@ -270,8 +268,7 @@ def cmd_stamp_verify(args) -> int:
     roster = load_roster(args.roster)
     with open(args.receipt, "rb") as fh:
         receipt = StampReceipt.from_bytes(fh.read(), len(roster))
-    digest = bytes.fromhex(args.hash)
-    result = verify_receipt(roster, digest, receipt, _predicate_from_args(args))
+    result = verify_receipt(roster, args.hash, receipt, _predicate_from_args(args))
     print(result.diagnostics())
     if result.ok:
         print(f"round {receipt.record.round_number} at t={receipt.record.wall_time}")
@@ -296,13 +293,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_tree_dump(args) -> int:
-    failed = frozenset(int(x) for x in args.fail.split(",") if x) if args.fail \
-        else frozenset()
     if args.roster:
         roster = load_roster(args.roster)
-        topo = tree_for(len(roster), args.branching, roster.leader_index, failed)
+        topo = tree_for(len(roster), args.branching, roster.leader_index, args.fail)
     else:
-        topo = tree_for(args.n, args.branching, args.leader, failed)
+        topo = tree_for(args.n, args.branching, args.leader, args.fail)
     print(topo.dump())
     print(f"depth {topo.depth}, {len(topo.members)} members")
     return EXIT_OK
@@ -311,6 +306,22 @@ def cmd_tree_dump(args) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
+
+def _parsed(convert, what: str):
+    """An argument type: `convert(text)`, where a ValueError is a usage error
+    that names the argument."""
+
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}") from None
+
+    return parse
+
+
+_hex = _parsed(bytes.fromhex, "hex")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="cosi",
@@ -321,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", choices=("prod", "toy"), default="prod")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--id", help="witness id (hex); defaults to a key fingerprint")
+    p.add_argument("--id", type=_hex, help="witness id (hex); defaults to a key fingerprint")
     p.set_defaults(fn=cmd_keygen)
 
     p = sub.add_parser("roster-init", help="assemble a roster file from key files")
@@ -376,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stamp", help="submit a hash for timestamping")
     p.add_argument("--roster", required=True)
     p.add_argument("--connect", required=True)
-    p.add_argument("--hash", help="32-byte hex digest to stamp")
+    p.add_argument("--hash", type=_hex, help="32-byte hex digest to stamp")
     p.add_argument("--file", help="file to hash and stamp")
     p.add_argument("--out", required=True)
     p.add_argument("--timeout", type=float, default=60.0)
@@ -385,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stamp-verify", help="verify a timestamp receipt")
     p.add_argument("--roster", required=True)
     p.add_argument("--receipt", required=True)
-    p.add_argument("--hash", required=True)
+    p.add_argument("--hash", type=_hex, required=True)
     p.add_argument("--predicate")
     p.add_argument("--threshold", type=int)
     p.set_defaults(fn=cmd_stamp_verify)
@@ -401,7 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roster")
     p.add_argument("--branching", type=int, default=3)
     p.add_argument("--leader", type=int, default=0)
-    p.add_argument("--fail", help="comma-separated failed indices")
+    p.add_argument("--fail", type=_parsed(lambda t: frozenset(int(x) for x in t.split(",") if x),
+                                          "a comma-separated list of indices"),
+                   default=frozenset(), help="comma-separated failed indices")
     p.set_defaults(fn=cmd_tree_dump)
 
     return parser

@@ -79,14 +79,13 @@ from .multisig import (
     MODE_NO_RESTART,
     MODE_RESTART,
     CollectiveSignature,
-    CommitException,
     commit_leaf_digest,
 )
 from .participation import ParticipationSet
 from .roster import WitnessRoster
 from .topology import LeaderFailedError, TopologyError, TreeTopology, tree_for
-from .wire import (_NOBODY, Announce, Challenge, Commit, Refuse, Response, RestartChallenge,
-                   RestartCommit, SubtreeSummary, ViewChange, _frozen)
+from .wire import (_NOBODY, Announce, Challenge, Commit, CommitException, Refuse, Response,
+                   RestartChallenge, RestartCommit, SubtreeSummary, ViewChange, _frozen)
 # unused here; perfbench/tracer.py wraps it under this name until ROADMAP item 1, step 1
 from .wire import encode_message  # noqa: F401
 
@@ -296,13 +295,10 @@ class RoundResult:
 class _Lead:
     """What a leader carries from one attempt of a round to the next."""
 
-    statement: object  # bytes, or a zero-argument callable for a late-bound one
+    statement: bytes
     failed: frozenset  # left out of the next attempt: superseded leaders, and
     # the witnesses that failed or refused so far
     refused: frozenset = _NOBODY
-
-    def materialize(self) -> bytes:
-        return self.statement() if callable(self.statement) else self.statement
 
 
 # The empty summary table of every round state that holds none, as a leaf's
@@ -449,7 +445,7 @@ class SigningNode:
     # Entry points
     # ------------------------------------------------------------------
 
-    def round_due(self, config: RoundConfig, statement, now: float) -> list:
+    def round_due(self, config: RoundConfig, statement: bytes, now: float) -> list:
         """The leader starts the round; any other node arms a progress timer to
         vote if the round has not reached it. The timer waits
         `PROGRESS_PATIENCE`, and no less than a live leader needs to reach a
@@ -469,9 +465,8 @@ class SigningNode:
                            + height * config.rtt_hint)
         return [SetTimer(("progress", self.current_view, config.round_number), patience)]
 
-    def start_round(self, config: RoundConfig, statement, now: float) -> list:
-        """Begin a signing round in the current view. `statement` is bytes, or
-        a zero-argument callable for challenge-phase (late-bound) statements.
+    def start_round(self, config: RoundConfig, statement: bytes, now: float) -> list:
+        """Begin a signing round in the current view over `statement`.
         Every superseded view's leader counts as failed, except this node
         (views wrap around the roster) and any whose view-change vote this
         node holds: a deposed leader that votes is alive."""
@@ -494,11 +489,9 @@ class SigningNode:
             return [RoundDone(self._failure(config, attempt,
                                             "below minimum participation before start",
                                             lead.failed, lead.refused))]
-        statement = None
-        if config.statement_timing == STATEMENT_AT_ANNOUNCE:
-            statement = lead.materialize()
+        early = config.statement_timing == STATEMENT_AT_ANNOUNCE
         st = _RoundState(key=key, config=config, topology=topo, parent=None,
-                         statement=statement, lead=lead)
+                         statement=lead.statement, lead=lead)
         self.rounds[key] = st
         self._trim_round_state()
         effects = self._begin_participation(st, now)
@@ -506,7 +499,7 @@ class SigningNode:
             view=key[0], round=key[1], attempt=attempt, mode=config.mode,
             timing=config.statement_timing, branching=config.branching,
             timeout_ms=int(config.timeout_base * 1000), topology_digest=topo.digest(),
-            failed=topo.absent, sender=self.index, statement=statement)
+            failed=topo.absent, sender=self.index, statement=lead.statement if early else None)
         return effects + [Send(child, st.announce) for child in topo.children[self.index]]
 
     def _failure(self, config: RoundConfig, attempts: int, reason: str,
@@ -1104,8 +1097,6 @@ class SigningNode:
         if len(st.topology.members) - len(st.absent) < st.config.min_participants:
             return self._fail(st, "participation below leader threshold")
         late = st.config.statement_timing == STATEMENT_AT_CHALLENGE
-        if late and st.statement is None:
-            st.statement = st.lead.materialize()
         own, root = st.summary, st.summary.tree_hash  # no root in restart mode
         c = dict(view=st.key[0], round=st.key[1], attempt=st.key[2], sender=self.index,
                  challenge=multisig.collective_challenge(own.aggregate, st.statement, root),

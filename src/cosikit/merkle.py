@@ -48,18 +48,6 @@ def empty_tree_root() -> bytes:
     return hashlib.sha256(TAG_EMPTY_TREE).digest()
 
 
-@dataclass(frozen=True)
-class AuditStep:
-    side: int  # SIBLING_LEFT or SIBLING_RIGHT
-    digest: bytes
-
-    def __post_init__(self):
-        if self.side not in (SIBLING_LEFT, SIBLING_RIGHT):
-            raise ValueError("bad audit step side")
-        if len(self.digest) != DIGEST_SIZE:
-            raise ValueError("bad audit step digest length")
-
-
 @dataclass(frozen=True, slots=True)
 class InclusionProof:
     """Audit path from a leaf to the root, bottom-up, held in its wire form:
@@ -70,12 +58,6 @@ class InclusionProof:
     @property
     def step_count(self) -> int:
         return int.from_bytes(self.data[:2], "big")
-
-    @property
-    def path(self) -> tuple[AuditStep, ...]:
-        d = self.data
-        return tuple(AuditStep(d[off], d[off + 1:off + STEP_SIZE])
-                     for off in range(2, len(d), STEP_SIZE))
 
     @property
     def leaf_index(self) -> int:

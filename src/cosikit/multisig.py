@@ -8,6 +8,8 @@ r_i = v_i - c*x_i sum into the aggregate response. Witnesses that vanish
 between phases are documented rather than fatal: absent-from-commit witnesses
 just shrink the aggregate key, while absent-from-response witnesses appear as
 commit exceptions whose individual commits are divided back out by verifiers.
+An exception is one `wire.CommitException` record, the same in a Response and
+in a signature.
 
 The commit tree mirrors the spanning tree: a node's hash is the binary digest
 tree (`merkle.digest_root`) over its own commit leaf, then its contributors'
@@ -41,6 +43,10 @@ from .roster import (
     aggregate_elements,
 )
 from .topology import TreeTopology
+from .wire import CommitException, _records, read_commit_proof
+
+# a signature's commit exceptions: a u16 count, then the records a Response writes
+_EXCEPTION_RECORDS = _records(CommitException.layout)
 
 MAGIC = b"CSG1"
 MODE_RESTART = 0
@@ -97,18 +103,6 @@ CommitTreeProof = merkle.InclusionProof
 fold_commit_proof = merkle.fold_proof
 
 
-def read_commit_proof(r: Reader) -> merkle.InclusionProof:
-    """The commit-tree proof at the reader's offset, in frames and signatures
-    alike: a u16 step count, at most the roster size (`Reader.count`), then
-    the steps, each a side byte of 0 or 1 and a digest. An honest path has
-    fewer steps than witnesses: each node on it with k contributors adds
-    ceil(log2(k + 1)) <= k steps, and no witness contributes to two nodes,
-    nor the leader to any."""
-    start = r.off
-    r.take(r.count() * merkle.STEP_SIZE)
-    return merkle.InclusionProof.decode(r.data[start:r.off])
-
-
 def verify_commit_inclusion(root: bytes, commit: GroupElement,
                             proof: merkle.InclusionProof) -> bool:
     return merkle.fold_proof(commit_leaf_digest(commit), proof) == root
@@ -130,16 +124,6 @@ class CommitTree(merkle.TreeOfTrees):
 # ---------------------------------------------------------------------------
 # Collective signatures
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CommitException:
-    """A witness that committed but never responded: its individual commit,
-    plus the inclusion proof anchoring that commit under the signed root."""
-
-    index: int
-    commit: GroupElement
-    proof: merkle.InclusionProof
-
 
 @dataclass(frozen=True)
 class CollectiveSignature:
@@ -170,11 +154,7 @@ class CollectiveSignature:
         out.append(self.challenge.encode())
         out.append(self.response.encode())
         out.append(participation.encode_smallest(self.participation))
-        out.append(len(self.exceptions).to_bytes(2, "big"))
-        for exc in self.exceptions:
-            out.append(exc.index.to_bytes(4, "big"))
-            out.append(exc.commit.encode())
-            out.append(exc.proof.encode())
+        out.append(_EXCEPTION_RECORDS.encode(self.exceptions))
         return b"".join(out)
 
     @classmethod

@@ -45,6 +45,11 @@ def _check_range(indices: frozenset[int], count: int) -> None:
             raise ParticipationError(f"participant index {idx} out of range")
 
 
+def _absent_of(present: frozenset[int], count: int) -> frozenset[int]:
+    _check_range(present, count)
+    return _complement(present, count)
+
+
 def _check_subset(inner: frozenset[int], outer: frozenset[int]) -> None:
     if not inner <= outer:
         raise ParticipationError("response participants must be a subset of commit participants")
@@ -58,14 +63,13 @@ class ParticipationSet:
     phase. In restart mode the two coincide; in no-restart mode witnesses
     lost between the phases are absent only from the response phase.
 
-    A set is built from its present sets, `ParticipationSet(count,
-    response_present, commit_present)`, the commit set defaulting to the
-    response set, or from its absent sets (`response_absent=`,
-    `commit_absent=`). A present set passed next to the absent set of the
-    same phase replaces it, which is what `dataclasses.replace(pset,
-    response_present=...)` relies on; the present form takes time in
-    `count`, the absent form in the absent sets. The present sets are kept
-    once built.
+    A set is built from its absent sets (`response_absent=`, the commit set
+    defaulting to the response set, and `commit_absent=`), in time
+    proportional to them. A present set (`response_present=`,
+    `commit_present=`) is range-checked and turned into the absent set of
+    its phase, replacing any absent set given for that phase, which is what
+    `dataclasses.replace(pset, response_present=...)` relies on. The present
+    sets are built only when read, and kept once built.
     """
 
     count: int
@@ -76,29 +80,18 @@ class ParticipationSet:
                  commit_present: Iterable[int] | None = None, *,
                  response_absent: Iterable[int] | None = None,
                  commit_absent: Iterable[int] | None = None):
+        # a complement would drop an out-of-range index, so check it first
+        if response_present is not None:
+            response_absent = _absent_of(frozenset(response_present), count)
+        if commit_present is not None:
+            commit_absent = _absent_of(frozenset(commit_present), count)
+        if response_absent is None:
+            raise TypeError("a participation set needs its response set, present or absent")
+        response_absent = frozenset(response_absent)
+        _check_range(response_absent, count)
+        commit_absent = response_absent if commit_absent is None else frozenset(commit_absent)
+        _check_subset(commit_absent, response_absent)
         cache = self.__dict__  # the frozen dataclass allows writes to it
-        if response_present is None and commit_present is None:
-            if response_absent is None:
-                raise TypeError("a participation set needs its response set, present or absent")
-            response_absent = frozenset(response_absent)
-            _check_range(response_absent, count)
-            commit_absent = response_absent if commit_absent is None else frozenset(commit_absent)
-            _check_subset(commit_absent, response_absent)
-        else:
-            response_present = (frozenset(response_present) if response_present is not None
-                                else _complement(frozenset(response_absent), count))
-            if commit_present is None:
-                commit_present = (response_present if commit_absent is None
-                                  else _complement(frozenset(commit_absent), count))
-            commit_present = frozenset(commit_present)
-            _check_range(commit_present, count)
-            _check_subset(response_present, commit_present)
-            response_absent = _complement(response_present, count)
-            # response <= commit, so equal sizes mean equal sets
-            commit_absent = (response_absent if len(commit_present) == len(response_present)
-                             else _complement(commit_present, count))
-            cache["response_present"] = response_present
-            cache["commit_present"] = commit_present
         cache["count"] = count
         cache["response_absent"] = response_absent
         cache["commit_absent"] = commit_absent

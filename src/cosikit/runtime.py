@@ -156,7 +156,7 @@ class NodeRuntime:
     def serve_forever(self) -> None:
         self._run()
 
-    def run_leader_round(self, config: RoundConfig, statement,
+    def run_leader_round(self, config: RoundConfig, statement: bytes,
                          timeout: float = 120.0):
         self.result = None
         self._round_done = self.loop.create_future()

@@ -4,10 +4,12 @@ A frame is length (4, big-endian) | tag (1) | body; the engine's round
 messages and the runtime's stamp frames share one tag space. A message class
 states each field's wire kind once, on the field (`view: Annotated[int,
 U32]`), and `message` builds its layout from its fields in declaration order;
-encoding, `frame_size` and decoding all read that one layout. Decoders accept
-only what the encoders write, so an accepted frame re-encodes to its own
-bytes. `read_frame` and `read_frame_async` read frames from a socket or a
-stream.
+encoding, `frame_size` and decoding all read that one layout. The records a
+message carries are declared the same way: `SubtreeSummary`, and
+`CommitException`, whose layout a collective signature writes its exceptions
+in too. Decoders accept only what the encoders write, so an accepted frame
+re-encodes to its own bytes. `read_frame` and `read_frame_async` read frames
+from a socket or a stream. This module imports only `group` and `merkle`.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, Annotated, Callable, NamedTuple, Optional, get_type_hints
 
 from .group import DecodeError, GroupElement, Reader, Scalar, Signature
-from .merkle import DIGEST_SIZE, InclusionProof
-from .multisig import CommitException, read_commit_proof
+from .merkle import DIGEST_SIZE, STEP_SIZE, InclusionProof
 
 if TYPE_CHECKING:  # the simulator loads this module, and needs neither
     import asyncio
@@ -113,6 +114,20 @@ INDEX_SET = _Kind(lambda v: len(v).to_bytes(2, "big")
 BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u32()),
               size=lambda v, g: 4 + len(v))
 OPT_BYTES = _opt_bytes()
+
+
+def read_commit_proof(r: Reader) -> InclusionProof:
+    """The commit-tree proof at the reader's offset, in frames and signatures
+    alike: a u16 step count, at most the roster size (`Reader.count`), then
+    the steps, each a side byte of 0 or 1 and a digest. An honest path has
+    fewer steps than witnesses: each node on it with k contributors adds
+    ceil(log2(k + 1)) <= k steps, and no witness contributes to two nodes,
+    nor the leader to any."""
+    start = r.off
+    r.take(r.count() * STEP_SIZE)
+    return InclusionProof.decode(r.data[start:r.off])
+
+
 PROOF = _Kind(lambda v: v.encode(), lambda r, g: read_commit_proof(r),
               size=lambda v, g: len(v.data))
 
@@ -249,10 +264,16 @@ class RestartChallenge(_Routed):
     statement: Annotated[Optional[bytes], OPT_BYTES]
 
 
-# A Response's commit exceptions, a class of `multisig`, which a signature
-# writes its own way.
-_EXCEPTION = _Layout(("index", INDEX), ("commit", ELEMENT), ("proof", PROOF),
-                     cls=CommitException)
+@message
+class CommitException:
+    """A witness that committed but never responded: its individual commit,
+    and the audit path anchoring that commit under a commit-tree root. A
+    Response carries these records, and a collective signature writes them
+    the same way."""
+
+    index: Annotated[int, INDEX]
+    commit: Annotated[GroupElement, ELEMENT]
+    proof: Annotated[InclusionProof, PROOF]
 
 
 @message(tag=4)
@@ -262,7 +283,7 @@ class Response(_Routed):
     failed: Annotated[frozenset[int], INDEX_SET]
     refused: Annotated[frozenset[int], INDEX_SET]
     # proofs anchored at the sender's hash
-    exceptions: Annotated[tuple[CommitException, ...], _records(_EXCEPTION)]
+    exceptions: Annotated[tuple[CommitException, ...], _records(CommitException.layout)]
 
 
 @message(tag=5)

@@ -108,6 +108,32 @@ def test_usage_errors(tmp_path, capsys):
         main(["bogus-command"])
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["stamp", "--hash", "zz", "--connect", "127.0.0.1:9", "--out", "x.tsr"], "--hash"),
+    (["stamp-verify", "--hash", "zz", "--receipt", "x.tsr"], "--hash"),
+    (["keygen", "--id", "zz", "--group", "toy", "--out", "k.json"], "--id"),
+    (["tree-dump", "--n", "5", "--fail", "a"], "--fail"),
+], ids=["stamp-hash", "stamp-verify-hash", "keygen-id", "tree-dump-fail"])
+def test_malformed_argument_exits_usage(tmp_path, capsys, monkeypatch, argv, named):
+    """An argument that does not parse is a usage error (exit 2) that names
+    the argument, raised before any file is read or written."""
+    monkeypatch.chdir(tmp_path)
+    roster_path = tmp_path / "roster.json"
+    keypair = KeyPair.from_secret(TOY, 3)
+    rng = random.Random(5)
+    from cosikit.roster import save_roster
+    save_roster(build_roster([RosterEntry(witness_id=b"\x00",
+                                          key=prove_possession(keypair, rng))], 0),
+                str(roster_path))
+    if argv[0].startswith("stamp"):
+        argv = [*argv, "--roster", str(roster_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    assert f"argument {named}: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["roster.json"]
+
+
 @pytest.mark.parametrize("command, timing", [("sign", STATEMENT_AT_ANNOUNCE),
                                              ("run-leader", STATEMENT_AT_CHALLENGE)])
 def test_round_flags_build_the_round_config(command, timing):

@@ -1,9 +1,11 @@
+import ast
 import collections
 import copy
 import hashlib
 import itertools
 import random
 from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_args
 
 import pytest
@@ -29,7 +31,7 @@ from cosikit.engine import (
     view_leader,
     view_vote_statement,
 )
-from cosikit.group import ED25519, TOY, DecodeError, Ed25519Group, KeyPair, Signature, \
+from cosikit.group import ED25519, TOY, DecodeError, Ed25519Group, KeyPair, Reader, Signature, \
     schnorr_sign
 from cosikit.merkle import DigestTree, fold_proof
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CommitException
@@ -171,6 +173,77 @@ def test_announce_with_a_wrong_topology_digest_dropped(caplog):
     assert "announce topology digest mismatch" in caplog.text
     # the witness still serves the announce that names its tree
     assert node.handle_message(announce, now=0.1)
+
+
+def _mid_round():
+    """A 7-node toy no-restart round over a late-bound statement, stopped
+    mid-round, with every frame sent so far by (sender, receiver, type).
+
+    The tree is 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6. The commits of 5 and 6 never
+    reach node 2, so the leader's commit timer bridges to them, and they
+    commit to it; node 2 waits on, its own commit unbuilt. Node 4's hook
+    refuses the statement, and node 1 waits for 3's response, which is held
+    back, as is the leader's challenge to 6; 5 has answered, so the leader
+    waits for 1 and 6."""
+    secrets = [1, 2, 3, 4, 5, 6, 7]
+    roster = make_toy_roster(secrets)
+    nodes = [make_node(i, roster, secrets, hook=(lambda s, now: False) if i == 4 else None)
+             for i in range(7)]
+    held = {(5, 2, Commit), (6, 2, Commit), (3, 1, Response), (0, 6, Challenge)}
+    sent, queue = {}, collections.deque()
+
+    def run(src, effects):
+        queue.extend((src, e) for e in effects if isinstance(e, Send))
+        while queue:
+            src, e = queue.popleft()
+            sent[src, e.dest, type(e.msg)] = e.msg
+            if (src, e.dest, type(e.msg)) not in held:
+                queue.extend((e.dest, f) for f in nodes[e.dest].handle_message(e.msg, 0.0)
+                             if isinstance(f, Send))
+
+    config = engine.RoundConfig(round_number=0, mode=MODE_NO_RESTART, branching=2,
+                                statement_timing=engine.STATEMENT_AT_CHALLENGE)
+    run(0, nodes[0].start_round(config, b"s", 0.0))
+    run(0, nodes[0].on_timer(("commit", 0, 0, 0), 1.0))
+    return nodes, sent
+
+
+# (receiving node, what it gets), each a frame or timer it must ignore
+_IGNORED = {
+    "unknown session": (1, lambda sent: replace(sent[0, 1, Challenge], round=99)),
+    "finished session's commit": (5, lambda sent: sent[3, 1, Commit]),
+    "finished session's response": (5, lambda sent: sent[5, 0, Response]),
+    "finished session's refusal": (5, lambda sent: sent[4, 1, Refuse]),
+    "re-announce before the commit is built": (2, lambda sent: sent[0, 2, Announce]),
+    "announce naming the receiver failed": (1, lambda sent: replace(
+        sent[0, 1, Announce], attempt=1, failed=frozenset({1}),
+        topology_digest=tree_for(7, 2, 0, frozenset({1})).digest())),
+    "duplicate commit": (1, lambda sent: sent[3, 1, Commit]),
+    "duplicate refusal": (1, lambda sent: sent[4, 1, Refuse]),
+    "duplicate response": (0, lambda sent: sent[5, 0, Response]),
+    "late challenge without a statement": (
+        6, lambda sent: replace(sent[0, 6, Challenge], statement=None)),
+    "timer for an unknown session": (1, lambda sent: ("commit", 0, 99, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_IGNORED))
+def test_frames_a_node_must_ignore_leave_it_unchanged(case):
+    nodes, sent = _mid_round()
+    assert nodes[2].rounds[(0, 0, 0)].summary is None  # node 2 is still collecting
+    assert nodes[5].rounds[(0, 0, 0)].phase == engine.PHASE_DONE
+    receiver, build = _IGNORED[case]
+    node, got = nodes[receiver], build(sent)
+
+    def state():
+        return copy.deepcopy((node.rounds, node.nonce_log, node.subtree_keys,
+                              node.view_votes, node.current_view))
+    before = state()
+    if isinstance(got, tuple):
+        assert node.on_timer(got, 2.0) == []
+    else:
+        assert node.handle_message(got, 2.0) == []
+    assert state() == before
 
 
 @pytest.mark.parametrize("bad, cause", [
@@ -393,6 +466,11 @@ def test_leader_new_round_discards_unanswered_nonce():
     assert [entry[:3] for entry in leader.nonce_log] == [(0, 1, 0)]
     assert [entry[:3] for entry in witness.nonce_log] == [(0, 1, 0)]
     assert multisig.verify_collective(roster, b"s", done[1].signature, Threshold(2)).ok
+    # round 0's failed session stays, and a challenge for it is ignored: its
+    # nonce is gone
+    before = copy.deepcopy(leader.rounds)
+    assert leader.handle_message(_challenge_for(leader.rounds[(0, 0, 0)]), now=0.3) == []
+    assert leader.rounds == before and len(leader.nonce_log) == 1
 
 
 def test_restarting_an_older_round_keeps_its_own_statement():
@@ -935,7 +1013,7 @@ def test_only_no_restart_rounds_ship_commit_tree_data(mode):
         assert result.attempts == 1
         assert forms == {Commit, Challenge}
         assert {m.sender for m in commits if m.summaries} == {1, 2, 3}
-        assert all(m.proof.path for m in challenges)
+        assert all(m.proof.step_count for m in challenges)
 
 
 def _in_other_form(msg):
@@ -1174,7 +1252,7 @@ def test_copies_of_messages_and_of_a_node_mid_round():
     assert [encode_message(e.msg, group) for e in effects if isinstance(e, Send)] == [
         encode_message(m, group) for m in from_node1]
     # two steps in node 1's four-input tree, two in the leader's
-    assert [len(m.proof.path) for m in from_node1 if isinstance(m, Challenge)] == [4, 4, 4]
+    assert [m.proof.step_count for m in from_node1 if isinstance(m, Challenge)] == [4, 4, 4]
 
 
 def test_deep_copied_node_keeps_its_subtree_keys_rows(monkeypatch):
@@ -1728,13 +1806,17 @@ _PROOF = st.lists(st.tuples(st.integers(0, 1), _DIGEST), max_size=6).map(
 
 
 def _message_strategies(group):
-    """One strategy per wire message type, over `group`'s elements and scalars."""
+    """One strategy per wire message type and per record type, over `group`'s
+    elements and scalars."""
     elem = st.sampled_from([group.generator ** k for k in (1, 2, 5)])
     scalar = st.integers(0, group.order - 1).map(group.scalar)
     header = dict(view=_U32, round=_U32, attempt=_U16, sender=_INDEX)
     summary = st.builds(engine.SubtreeSummary, index=_INDEX, commit=elem, aggregate=elem,
                         tree_hash=_DIGEST, absent=_INDEX_SET)
+    exception = st.builds(CommitException, _INDEX, elem, _PROOF)
     return {
+        engine.SubtreeSummary: summary,
+        CommitException: exception,
         Announce: st.builds(Announce, mode=st.integers(0, 255), timing=st.integers(0, 255),
                             branching=_U16, timeout_ms=_U32, topology_digest=_DIGEST,
                             failed=_INDEX_SET, statement=_OPT_BYTES, **header),
@@ -1750,8 +1832,7 @@ def _message_strategies(group):
                                     statement=_OPT_BYTES, **header),
         Response: st.builds(Response, aggregate_response=scalar, absent=_INDEX_SET,
                             failed=_INDEX_SET, refused=_INDEX_SET,
-                            exceptions=st.lists(st.builds(CommitException, _INDEX, elem, _PROOF),
-                                                max_size=3).map(tuple), **header),
+                            exceptions=st.lists(exception, max_size=3).map(tuple), **header),
         Refuse: st.builds(Refuse, reason=st.integers(0, 255), **header),
         ViewChange: st.builds(ViewChange, proposed_view=_U32, signer=_INDEX,
                               signature=st.builds(Signature, elem, scalar)),
@@ -1776,11 +1857,59 @@ def test_frame_size_matches_encoding(group, cls, data):
     assert decode_frame_body(frame[4:], group, _WITNESSES) == msg
 
 
+@pytest.mark.parametrize("cls", list(wire._MESSAGE_TYPES.values()), ids=lambda c: c.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_every_strict_prefix_of_a_frame_rejected(cls, data):
+    """A drawn toy frame of each message class decodes, and every strict
+    prefix of it, and it with one byte appended, is a DecodeError."""
+    body = encode_message(data.draw(_MESSAGES["toy"][cls]), TOY)[4:]
+    assert_cuts_rejected(lambda d: decode_frame_body(d, TOY, _WITNESSES), body)
+
+
+@pytest.mark.parametrize("cls", [engine.SubtreeSummary, CommitException],
+                         ids=lambda c: c.__name__)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_record_layout_round_trips_on_its_own(cls, data):
+    """A record's layout writes `size` bytes, which read back to the record
+    and nothing else: every cut and an appended byte are rejected."""
+    rec = data.draw(_MESSAGES["toy"][cls])
+    raw = cls.layout.encode(rec)
+    assert cls.layout.size((rec,), TOY) == len(raw)
+
+    def decode(d):
+        r = Reader(d, _WITNESSES)
+        out = cls.layout.decode(r, TOY)
+        r.done()
+        return out
+
+    assert decode(raw) == rec
+    assert_cuts_rejected(decode, raw)
+
+
+def test_wire_imports_only_group_and_merkle():
+    """The frame layer sits below the signature layer: `multisig` imports the
+    commit-exception record from `wire`, never the other way round."""
+    tree = ast.parse(Path(wire.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported |= ({node.module.split(".")[0]} if node.module
+                         else {alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("cosikit"):
+            imported.add(node.module.partition(".")[2] or "cosikit")
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.partition(".")[2] or "cosikit" for alias in node.names
+                         if alias.name.split(".")[0] == "cosikit"}
+    assert imported == {"group", "merkle"}
+
+
 def test_each_layout_names_its_fields_in_order():
-    """Message classes state each field's kind on the field; the one layout
-    written apart from its class is the commit exceptions'."""
-    assert [name for name, _ in wire._EXCEPTION.fields] \
-        == [f.name for f in fields(CommitException)]
+    """Every message and record class states each field's kind on the field,
+    so its layout is its fields in declaration order."""
+    for cls in [*wire._MESSAGE_TYPES.values(), wire.SubtreeSummary, CommitException]:
+        assert [name for name, _ in cls.layout.fields] == [f.name for f in fields(cls)], cls
 
 
 def test_mutated_pinned_frames_decode_only_to_themselves():
@@ -1988,7 +2117,7 @@ def test_commit_root_matches_an_oracle_built_from_hashlib():
     assert hashlib.sha256(_TAG_LEAF + exc.commit.encode()).digest() == leaf(1)
     assert _oracle_fold(leaf(1), exc.proof.encode()) == sig.commit_root
     # its own four-input tree, then the leader's
-    assert len(exc.proof.path) == 4
+    assert exc.proof.step_count == 4
 
 
 def _exception_frames(sim):
@@ -2024,7 +2153,7 @@ def test_deepest_honest_proofs_decode(case):
     frames = _exception_frames(sim)
     _, result = sim.run_round(0)
     sig = result.signature
-    assert result.ok and {e.index: len(e.proof.path) for e in sig.exceptions} == depths
+    assert result.ok and {e.index: e.proof.step_count for e in sig.exceptions} == depths
     assert frames
     for msg in frames:
         assert decode_frame_body(encode_message(msg, TOY)[4:], TOY, cfg.n) == msg

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from cosikit import merkle
 from cosikit.merkle import (
-    AuditStep,
     DigestTree,
     InclusionProof,
     MerkleTree,
@@ -23,15 +22,15 @@ from cosikit.merkle import (
 
 def reference_path(digests, index):
     """Audit path built bottom-up from scratch, duplicating the last node of
-    every odd-sized level."""
+    every odd-sized level, as (side, sibling digest) pairs."""
     level, path = list(digests), []
     while len(level) > 1:
         if len(level) % 2:
             level.append(level[-1])
         if index % 2:
-            path.append(AuditStep(SIBLING_LEFT, level[index - 1]))
+            path.append((SIBLING_LEFT, level[index - 1]))
         else:
-            path.append(AuditStep(SIBLING_RIGHT, level[index + 1]))
+            path.append((SIBLING_RIGHT, level[index + 1]))
         level = [node_hash(level[i], level[i + 1]) for i in range(0, len(level), 2)]
         index //= 2
     return tuple(path)
@@ -41,7 +40,7 @@ def test_single_leaf_root_is_leaf_hash():
     tree = MerkleTree([b"only"])
     assert tree.root == leaf_hash(b"only")
     proof = tree.prove(0)
-    assert proof.path == ()
+    assert proof.encode() == b"\x00\x00"
     assert verify_inclusion(tree.root, b"only", proof)
 
 
@@ -106,7 +105,7 @@ def test_proofs_match_reference_for_every_size_and_index():
         random.Random(size).shuffle(order)  # the memo must not depend on order
         for i in order:
             proof = tree.prove(i)
-            assert proof.path == reference_path(digests, i), (size, i)
+            assert proof.encode() == encode_steps(reference_path(digests, i)), (size, i)
             assert InclusionProof.decode(proof.encode()) == proof
             assert verify_inclusion(tree.root, leaves[i], proof, index=i)
             assert tree.prove(i) == proof
@@ -114,7 +113,7 @@ def test_proofs_match_reference_for_every_size_and_index():
 
 def encode_steps(steps):
     return len(steps).to_bytes(2, "big") + b"".join(
-        bytes([step.side]) + step.digest for step in steps)
+        bytes([side]) + digest for side, digest in steps)
 
 
 def test_decode_rejects_bad_side_or_length_before_folding(monkeypatch):
@@ -144,7 +143,7 @@ def test_proof_bytes_match_reference_and_compose_concatenates(size, picks):
     assert tree.prove(i).encode() == encode_steps(inner)
     composed = tree.prove(i).compose(tree.prove(j))
     assert composed.encode() == encode_steps(inner + outer)
-    assert composed.path == inner + outer
+    assert composed.step_count == len(inner) + len(outer)
 
 
 def test_proof_bytes_pinned():
@@ -160,13 +159,6 @@ def test_proof_bytes_pinned():
         "f6e797977c7b7f62e854ff4de2e59b2a8ef72fdc234b8c524ea7")
 
 
-def test_audit_step_validation():
-    with pytest.raises(ValueError):
-        AuditStep(2, b"\x00" * 32)
-    with pytest.raises(ValueError):
-        AuditStep(0, b"\x00" * 31)
-
-
 def test_digest_tree_composition():
     inner_leaves = [b"a", b"b", b"c"]
     inner = MerkleTree(inner_leaves)
@@ -177,7 +169,7 @@ def test_digest_tree_composition():
     # single-digest tree is the digest itself
     solo = DigestTree([inner.root])
     assert solo.root == inner.root
-    assert solo.prove(0).path == ()
+    assert solo.prove(0).encode() == b"\x00\x00"
 
 
 def test_compose_is_associative():

@@ -716,7 +716,7 @@ def test_every_cut_of_an_exception_signature_rejected():
     secrets = [3, 4, 5, 6, 7, 8, 9]
     sig = manual_round(make_toy_roster(secrets), secrets, b"cuts",
                        response_absent={3, 6}, mode=MODE_NO_RESTART)
-    assert [len(e.proof.path) for e in sig.exceptions] == [4, 4]
+    assert [e.proof.step_count for e in sig.exceptions] == [4, 4]
     data = sig.to_bytes()
     assert CollectiveSignature.from_bytes(data, 7) == sig
     assert_cuts_rejected(lambda d: CollectiveSignature.from_bytes(d, 7), data)

@@ -252,7 +252,7 @@ _BACKDATED = TimestampRecord(round_number=1, wall_time=1_000_000 - 120, merkle_r
     pytest.param(SimConfig(seed=21, n=15, branching=2, scheme="cosi", group_name="prod",
                            mode=MODE_NO_RESTART, failures=_liars(1, 9)),
                  lambda src, dst, msg: isinstance(msg, Response)
-                 and any(len(e.proof.path) > 2 for e in msg.exceptions),  # lifted a level
+                 and any(e.proof.step_count > 2 for e in msg.exceptions),  # lifted a level
                  id="prod-interior-and-leaf-liars"),
     pytest.param(SimConfig(seed=7, n=15, branching=2, scheme="cosi", mode=MODE_NO_RESTART,
                            failures=(FailureAction(1, "challenge", "crash"),)),
