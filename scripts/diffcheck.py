@@ -184,7 +184,7 @@ def draw_message(seed: int, codec):
         **dict.fromkeys(("aggregate", "commit", "aggregate_commit"), element),
         **dict.fromkeys(("challenge", "aggregate_response"), scalar),
         "statement": lambda: rng.choice((None, rng.randbytes(rng.randint(0, 8)))),
-        "commit_root": lambda: rng.choice((None, rng.randbytes(32))),
+        "commit_root": lambda: rng.randbytes(32),
         "proof": proof,
         "summaries": lambda: tuple(build(codec.SubtreeSummary) for _ in range(rng.randint(0, 2))),
         "exceptions": lambda: tuple(build(multisig.CommitException)

@@ -30,7 +30,7 @@ from .participation import Threshold, load_predicate
 from .roster import RosterEntry, WitnessRoster, build_roster, load_roster, save_roster
 from .runtime import NodeRuntime, UsageError, parse_addr
 from .timestamp import StampReceipt, TimestampAuthority, verify_receipt
-from .topology import tree_for
+from .topology import TopologyError, tree_for
 from .wire import StampReply, StampRequest, decode_frame_body, encode_message, read_frame
 
 logger = logging.getLogger("cosikit.cli")
@@ -295,9 +295,13 @@ def cmd_simulate(args) -> int:
 def cmd_tree_dump(args) -> int:
     if args.roster:
         roster = load_roster(args.roster)
-        topo = tree_for(len(roster), args.branching, roster.leader_index, args.fail)
+        n, leader = len(roster), roster.leader_index
     else:
-        topo = tree_for(args.n, args.branching, args.leader, args.fail)
+        n, leader = args.n, args.leader
+    try:
+        topo = tree_for(n, args.branching, leader, args.fail)
+    except TopologyError as exc:  # a tree the arguments name cannot exist
+        raise UsageError(str(exc)) from None
     print(topo.dump())
     print(f"depth {topo.depth}, {len(topo.members)} members")
     return EXIT_OK

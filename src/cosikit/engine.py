@@ -425,8 +425,9 @@ class SigningNode:
         # (view, round, attempt, nonce, challenge) per answered challenge: one per round state
         self.nonce_log: list[tuple] = []
         # (child's subtree, commit absences, response absences) -> the
-        # child's present key, kept so that the key's ladder rows
-        # (`Ed25519Group._key_rows`) are built once, not every round
+        # child's present key, kept so that the key counts its checks and,
+        # at its second, builds its ladder rows (`Ed25519Group._key_rows`)
+        # once, not every round
         self.subtree_keys: dict[tuple, GroupElement] = {}
 
     # -- plumbing --
@@ -837,8 +838,6 @@ class SigningNode:
         # implies; in no-restart mode our own commit must also reach the root.
         no_restart = st.config.mode == MODE_NO_RESTART
         root = msg.commit_root if no_restart else None
-        if no_restart and root is None:
-            return []
         expect = multisig.collective_challenge(msg.aggregate_commit, statement, root)
         if expect.value != msg.challenge.value or (
                 root is not None and fold_proof(st.summary.tree_hash, msg.proof) != root):

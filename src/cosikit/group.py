@@ -5,14 +5,36 @@ Ed25519, 32-byte encodings) and a brute-forceable toy group (the order-11
 subgroup of Z_23* generated by 2, 2-byte encodings) used by oracle tests.
 All protocol arithmetic in the rest of the package goes through this module.
 
-Ed25519 exponentiation follows one rule for every base: an element's first
-power runs the ladder below, so that a process which powers it once builds
-no table; its second builds a fixed-base table on the element, and every
-later power walks that table. Each group hands out one generator element,
-so G's table serves every power of G in the process. A roster hands out one
-element for its aggregate key, which every full-roster verification raises
-to a challenge, and one for the present key of the last absent set it
-verified (`WitnessRoster.present_key`), so those build tables too. No
+Ed25519 precomputation follows one rent-or-buy rule (Karlin, Manasse,
+Rudolph and Sleator, "Competitive Snoopy Caching", Algorithmica 1988). An
+element has one slot, which counts the uses it has run on the ladder until
+they reach the build cost of its one precomputation; the use that reaches it
+builds that precomputation, and the slot keeps it instead. A powered base
+builds a fixed-base table, a checked key its rows (below). Before that the
+element keeps nothing, and each use runs the ladder, so that a base powered
+once or twice, as a fresh key or a one-shot verifier's present key is,
+builds nothing. Each threshold is a build's cost over what a use saves with
+it, so that at every number of uses the total is at most twice the cheaper
+of the ladder every time and a build at the first use. Costs are counted in
+point operations, with an entry scaled to Z = 1 counted as one (3 field
+multiplications in Montgomery's trick and 4 to scale it, where an addition
+takes 7 or 8). A power by the ladder counts about 300, a table walk 36 and a
+table build about 4,650, so a table pays after 4,650 / 264, about 18 powers,
+and the 18th builds it (`_TABLE_USES`); timed, a power took 2.12 ms by the
+ladder, 34.0 ms with the build and 0.28 ms by a walk, which also gives 18. A
+check on a key without rows counts about 218 and one on a key with rows
+about 150, and the rows take about 176 to build, so rows pay after about 2.6
+checks by this count and 2 by the clock (a key's 1st, 2nd and 3rd checks
+took 1.49, 2.07 and 0.93 ms; 2-vCPU machine, Python 3.11, medians of 7), and
+the 2nd builds them (`_ROWS_USES`). Counted so, a table's total stays within
+1.85 times the cheaper choice over 100 powers, and rows within 1.25 times
+over 20 checks. An element that keeps one kind runs the ladder where it
+would use the other; no element in the package is both a repeated base and a
+repeated key. Each group hands out one generator element, so G's table
+serves every power of G in the process. A roster hands out one element for
+its aggregate key, which every full-roster verification raises to a
+challenge, and one for the present key of the last absent set it verified
+(`WitnessRoster.present_key`), so those build tables once they recur. No
 other element is powered more than once. The table writes k mod L in radix
 128 with digits in [-63, 64], and a power adds one entry per nonzero digit
 from 36 rows of 65 multiples j * 128^i * base, j = 0..64, and a top row of
@@ -22,26 +44,23 @@ takes 42 and a radix-32 one of 51 rows of 17 takes 49 (Bernstein et al.,
 CHES 2011; Brickell et al., EUROCRYPT 1992). The entries are affine, stored
 as (y + x, y - x, 2d*x*y), so each addition is a mixed one of 7 field
 multiplications; a negative digit adds an entry with y + x and y - x swapped
-and 2d*x*y negated. A table (2,343 entries, about 0.60 MB under
-tracemalloc, where radix 64 holds 1,389 and 0.34 MB) takes about 30 ms to
-build, and a walk about 0.22 ms against 1.5 ms for the ladder, so it has
-paid for itself by about the 25th power (2-vCPU machine, Python 3.11; a
-radix-64 table, measured beside it, takes about 16 ms to build and 0.26 ms
-to walk, and pays for itself by about the 14th). A radix-256 table would
-save about 4 more additions a walk, at about 1 MB a table. The ladder, which
-first powers and every product of powers run, uses a width-5 NAF. One
-doubling and 7 additions precompute its odd multiples 1, 3 .. 15 in the
-cached form (Y + X, Y - X, 2Z, 2d*T) of Bernstein et al.
-(CHES 2011); a negative digit adds an entry with Y + X and Y - X swapped
-and 2d*T negated, so negations cost nothing. Adding a cached entry takes 8
-field multiplications, where adding two extended points takes 9. The recoded
-exponent has odd digits in [-15, 15] with at least four zeros after each, so
-it costs about one addition per six bits: 49 additions and 252 doublings for
-a 253-bit exponent, where an unsigned 4-bit window takes 72 and 248.
-Doublings use the dedicated a = -1 formula of RFC 8032, which never reads T.
-The ladder therefore computes T, one multiplication, only on a step whose
-next step is an addition, and for its result (Hisil et al., ASIACRYPT 2008):
-on about 51 of a^k's 301 steps.
+and 2d*x*y negated. A table holds 2,343 entries, about 0.60 MB under
+tracemalloc, where radix 64 holds 1,389 and 0.34 MB, and builds in about
+half the time; a radix-256 table would save about 4 more additions a walk,
+at about 1 MB a table. The ladder, which the powers below an element's
+threshold and every product of powers run, uses a width-5 NAF. One doubling
+and 7 additions precompute its odd multiples 1, 3 .. 15 in the cached form
+(Y + X, Y - X, 2Z, 2d*T) of Bernstein et al. (CHES 2011); a negative digit
+adds an entry with Y + X and Y - X swapped and 2d*T negated, so negations
+cost nothing. Adding a cached entry takes 8 field multiplications, where
+adding two extended points takes 9. The recoded exponent has odd digits in
+[-15, 15] with at least four zeros after each, so it costs about one
+addition per six bits: 49 additions and 252 doublings for a 253-bit
+exponent, where an unsigned 4-bit window takes 72 and 248. Doublings use the
+dedicated a = -1 formula of RFC 8032, which never reads T. The ladder
+therefore computes T, one multiplication, only on a step whose next step is
+an addition, and for its result (Hisil et al., ASIACRYPT 2008): on about 51
+of a^k's 301 steps.
 
 Field products are reduced in one of two ways. A product that a formula
 returns is reduced by `% p`, so every coordinate of every point returned is
@@ -61,23 +80,20 @@ truncated extended Euclid splits c into c0 = c*t (mod L) and an odd t, and
 the equation raised to t, A^c0 * R^-t == g^(-s*t), is then checked by one
 joint ladder over the windows of A and R (Straus) and one table power of G
 (Antipa et al., SAC 2005; Pornin, https://eprint.iacr.org/2020/454). A key
-element keeps rows, once it has been used as a key: the window of A from
-its first use, and those of 2^64*A and 2^128*A from its second, so that an
-exponent of A can be walked in 64-bit digits, one per row (Lim and Lee,
-CRYPTO 1994). A node keeps one key element per child subtree, so a child's
-rows are built once, not every round. For a key with its one window, c0
-and t are both about 126 bits, and a check costs about 49 additions (56
-when it builds the window), 36 table additions and 127 doublings. For a key
-with rows, c is split at 2^190 instead: c0, about 190 bits, is walked in
-64-bit digits and t is about 62 bits, so the ladder is about 64 doublings
-long, and a check costs about 50 additions, 36 table additions and 64
-doublings. The rows take 128 doublings and 14 additions to build (a check
-that builds them costs about 64 additions and 194 doublings in all). Their
-entries are scaled to Z = 1, for one inversion, so that each holds three
-field elements where a ladder's window entry holds four: a key holds about
-6.1 KB under tracemalloc, where its one window held 2.3 KB. They wait for
-the key's second use for the reason a table waits for an element's second
-power: a key checked once, as `schnorr_verify` checks one, pays for none.
+builds its rows by the rule above: the windows of A, 2^64*A and 2^128*A, so
+that an exponent of A can be walked in 64-bit digits, one per row (Lim and
+Lee, CRYPTO 1994). A node keeps one key element per child subtree, so a
+child's rows are built at its second round and not again. For a key
+without rows, c0 and t are both about 126 bits, and a check costs about 56
+additions (7 of them building the key's window), 36 table additions and
+127 doublings. For a key with rows, c is split at 2^190 instead: c0, about
+190 bits, is walked in 64-bit digits and t is about 62 bits, so the ladder
+is about 64 doublings long, and a check costs about 50 additions, 36 table
+additions and 64 doublings. The rows take 128 doublings and 21 additions to
+build, with their three windows (a check that builds them costs about 70
+additions and 194 doublings in all). Their entries are scaled to Z = 1, for
+one inversion, so that each holds three field elements where a ladder's
+window entry holds four: a key holds about 6.1 KB under tracemalloc.
 
 A Schnorr signature is (R, s): R = g^v for the signer's nonce v, and
 s = v - c*x for its secret x and c = `challenge_hash(R, statement, tag)`.
@@ -92,21 +108,20 @@ weight w_i, drawn from `secrets` so that no seeded generator's stream moves,
 and one Straus ladder over the keys, with exponents u_i = w_i*c_i mod L, and
 over the negated V_i, with exponents w_i, must equal one table power
 g^(-sum w_i*s_i). Only if it does not are the items checked one by one, to
-name them. With `keep_rows`, a key is walked over its rows, as the subtree
-keys a node checks round after round are: a key with rows takes u_i in
-64-bit digits, the top one about 125 bits, so the ladder is 128 doublings
-long; a key without them takes the whole u_i on its one window, and the
-ladder is then 253 doublings long. A batch of 8 partials on keys with rows
-costs about 575 additions, 36 table additions and 136 doublings, where three
-ladders (for A = prod K_i^w_i, for W = prod V_i^w_i, and one check of A and
-W) took 461 additions and 390 doublings. On new keys it costs about 626
-additions and 268 doublings, and as the keys build their rows, 688 and
-1,176. Without `keep_rows`, as for a roster's keys, which are checked
-together once and never again as these elements, every key takes its one
-window: about 78 additions and 2 doublings per item (42 additions for the
-key and 21 for R in the ladder, the rest building their two windows), plus
-252 doublings and 36 table additions in all, against about 92 additions (36
-from the table) and 127 doublings per item checked one by one.
+name them. A key with rows takes u_i in 64-bit digits, the top one about
+125 bits, so the ladder is 128 doublings long; a key without them takes the
+whole u_i on its window, and the ladder is then 253 doublings long. A batch
+of 8 partials on keys with rows costs about 575 additions, 36 table
+additions and 136 doublings, where three ladders (for A = prod K_i^w_i, for
+W = prod V_i^w_i, and one check of A and W) took 461 additions and 390
+doublings. On new keys it costs about 626 additions and 268 doublings, and
+as the keys build their rows, about 745 and 1,184. A roster's keys are
+checked together once, in its possession batch, and never again as these
+elements, so each keeps nothing: about 78 additions and 2 doublings per
+item (42 additions for the key and 21 for R in the ladder, the rest
+building their two windows), plus 252 doublings and 36 table additions in
+all, against about 92 additions (36 from the table) and 127 doublings per
+item checked one by one.
 
 If any item fails, the batch passes with probability at most 2^-127
 (Bellare, Garay and Rabin, EUROCRYPT 1998), provided every key and every
@@ -295,15 +310,13 @@ class Group:
         """
         return self.generator ** s * key ** c == commit
 
-    def failing(self, items, keep_rows: bool = True) -> list[int]:
+    def failing(self, items) -> list[int]:
         """The positions, in order, of the (s, key, c, commit) items for
         which g^s * key^c != commit.
 
         Every key and every commit must lie in the prime-order subgroup: a
         subclass may check the items together, and a batch is sound only
-        there. keep_rows says whether the keys recur as these elements, so
-        that a subclass may keep rows on them. This class checks the items
-        one by one.
+        there. This class checks the items one by one.
         """
         return [i for i, item in enumerate(items) if not self.check_response(*item)]
 
@@ -366,14 +379,13 @@ class Scalar:
 class GroupElement:
     """Element of the prime-order group. Immutable; equality is value equality."""
 
-    __slots__ = ("group", "raw", "_enc", "_win", "_rows")
+    __slots__ = ("group", "raw", "_enc", "_pre")
 
     def __init__(self, group: Group, raw):
         self.group = group
         self.raw = raw
         self._enc = None
-        self._win = None  # the group's ladder windows, once used as a key
-        self._rows = 0  # the group's count of powers, then its table
+        self._pre = 0  # the group's count of ladder uses, then its precomputation
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.group, self.group._mul(self.raw, other.raw))
@@ -565,6 +577,11 @@ _G = (_GX, _GY, 1, _GX * _GY % _P)
 _HALF = 1 << 126  # the split bound for a key without rows
 _ROWS_HALF = 1 << 190  # and for a key with rows, the last of which takes c0 >> 128
 _DIGIT = (1 << 64) - 1
+# The uses at which an element builds its precomputation, by the rule of the
+# module docstring, which derives them: a table at its 18th power, a key's
+# rows at its 2nd check.
+_TABLE_USES = 18
+_ROWS_USES = 2
 
 
 def _half_split(c: int, bound: int) -> tuple[int, int]:
@@ -789,43 +806,53 @@ class Ed25519Group(Group):
             pos = p
         return doubled(r, pos)
 
+    def _bought(self, a, uses, build):
+        """What this use of a may use, by the rent-or-buy rule of the module
+        docstring: None, counting the use, while a's ladder uses, this one
+        included, stay below `uses`; `build(a.raw)`, kept on a, at the use
+        that reaches it; and what a keeps from then on, which may be the
+        other kind."""
+        pre = a._pre
+        if type(pre) is not int:
+            return pre
+        if pre + 1 < uses:
+            a._pre = pre + 1
+            return None
+        # One assignment: threads that race here each build an equal
+        # precomputation, and whichever lands last is kept. A thread that
+        # counted a use in the race can set a count back over it; a later
+        # use then builds an equal one again.
+        a._pre = pre = build(a.raw)
+        return pre
+
     def _pow(self, a, k):
-        """a^k by the rule of the module docstring: the element's first
-        power runs the ladder, its second builds its table, and every later
-        power walks that table."""
-        rows = a._rows
-        if type(rows) is int:  # the ladder powers taken so far, 0 or 1
-            if not rows:
-                a._rows = 1
-                return self._straus([(self._window(a.raw), k)])
-            # One assignment: threads that race here each build an equal
-            # table, and whichever lands last is kept. A thread that took
-            # the first power in a race can set 1 back over it; the next
-            # power then builds an equal table again.
-            a._rows = rows = self._fixed_base_rows(a.raw)
-        return self._comb(rows, k)
+        """a^k by the rule of the module docstring: the ladder until a's
+        uses reach `_TABLE_USES`, then a walk of the table that use builds.
+        An element that keeps a key's rows runs the ladder."""
+        table = self._bought(a, _TABLE_USES, self._fixed_base_rows)
+        if table is None or len(table) == 3:  # below the threshold, or a key's rows
+            return self._straus([(self._window(a.raw), k)])
+        return self._comb(table, k)
 
     def _key_rows(self, key):
-        """The windows of key, and from its second use as a key on, of
-        2^64 * key and 2^128 * key as well, kept on the element: a node
-        checks its children against the same subtree keys round after round,
-        and a key checked once, as a `schnorr_verify` checks one, pays for
-        no rows (the rule `_pow` follows for tables)."""
-        rows = key._win
-        if rows is None:
-            key._win = rows = (self._window(key.raw),)
-        elif len(rows) == 1:
-            k64 = self._doubled(key.raw, 64)
-            rows += (self._window(k64), self._window(self._doubled(k64, 64)))
-            # One assignment, as for a table.
-            key._win = rows = self._scaled_to_one(rows)
+        """The ladder rows of key by the same rule: its one window until its
+        uses reach `_ROWS_USES`, then the rows that use builds, kept on the
+        element. A node checks its children against the same subtree keys
+        round after round, and a key checked once, as a `schnorr_verify` or a
+        roster's possession batch checks one, keeps nothing. An element that
+        keeps a table gets its one window."""
+        rows = self._bought(key, _ROWS_USES, self._shifted_windows)
+        if rows is None or len(rows) != 3:  # below the threshold, or a table
+            return (self._window(key.raw),)
         return rows
 
-    def _scaled_to_one(self, windows):
-        """windows with each entry scaled to Z = 1, for one inversion in all:
-        (Y + X, Y - X, 2Z, 2d*T) / Z, whose 2Z is the small int 2, so that a
-        kept entry holds three field elements, not four."""
-        entries = [e for window in windows for e in window]
+    def _shifted_windows(self, raw):
+        """The windows of raw, 2^64 * raw and 2^128 * raw, each entry scaled
+        to Z = 1, for one inversion in all: (Y + X, Y - X, 2Z, 2d*T) / Z,
+        whose 2Z is the small int 2, so that a kept entry holds three field
+        elements, not four."""
+        k64 = self._doubled(raw, 64)
+        entries = [*self._window(raw), *self._window(k64), *self._window(self._doubled(k64, 64))]
         scaled = []
         for (ypx, ymx, _, t2d), zi in zip(entries, _invert_all([e[2] for e in entries])):
             zi = 2 * zi % _P
@@ -850,23 +877,22 @@ class Ed25519Group(Group):
         lhs = self._straus(self._row_terms(rows, c0) + [(self._window(b), abs(t))])
         return self._eq(lhs, self._pow(self.generator, -s.value * t % _L))
 
-    def _check_batch(self, items, keep_rows):
+    def _check_batch(self, items):
         """The random-weight batch of the module docstring over (s, key, c,
         commit) items: one ladder over the keys, with exponents w*c mod L,
         and over the negated commits, with exponents w, against one power
-        g^(-sum w*s). With keep_rows a key is walked over its rows."""
+        g^(-sum w*s)."""
         weights = [secrets.randbits(128) | 1 for _ in items]
         s = sum(w * si.value for w, (si, _, _, _) in zip(weights, items)) % _L
         terms = []
         for w, (_, key, c, commit) in zip(weights, items):
-            rows = self._key_rows(key) if keep_rows else (self._window(key.raw),)
-            terms += self._row_terms(rows, w * c.value % _L)
+            terms += self._row_terms(self._key_rows(key), w * c.value % _L)
             terms.append((self._window(self._inv(commit.raw)), w))
         return self._eq(self._straus(terms), self._pow(self.generator, -s % _L))
 
-    def failing(self, items, keep_rows=True):
+    def failing(self, items):
         # One batch; one item, or a batch that fails, is checked one by one.
-        if len(items) > 1 and self._check_batch(items, keep_rows):
+        if len(items) > 1 and self._check_batch(items):
             return []
         return super().failing(items)
 
@@ -1002,13 +1028,12 @@ def schnorr_verify(public: GroupElement, statement: bytes, sig: Signature,
 def schnorr_failing(items, tag: bytes = TAG_SIGN) -> list[int]:
     """The positions, in order, of the (public, statement, signature) items,
     all in one group, for which `schnorr_verify` fails, checked together
-    where the group can (`Group.failing`). The keys keep no rows: each is
-    checked once."""
+    where the group can (`Group.failing`)."""
     if not items:
         return []
     return items[0][0].group.failing(
         [(sig.s, public, challenge_hash(sig.R, statement, tag), sig.R)
-         for public, statement, sig in items], keep_rows=False)
+         for public, statement, sig in items])
 
 
 def prove_possession(keypair: KeyPair, rng) -> SelfSignedKey:

@@ -39,7 +39,6 @@ from .roster import (
     CompactAnchor,
     ProvenKey,
     WitnessRoster,
-    adjust_key_for_absent,  # noqa: F401
     aggregate_elements,
 )
 from .topology import TreeTopology

@@ -72,10 +72,11 @@ class WitnessRoster:
     absent set in one slot: the last non-empty set that `present_key` was
     asked for, with that set's key. A signature's absent witnesses
     (crashed, lying, or the leader of a replaced view) tend to stay absent
-    round after round, so a recurring set reuses one element, and with it
-    whatever the group keeps on an element it powers. A different set
-    replaces the slot with a new element. Deep copies of the roster copy the
-    slot and share what its key keeps.
+    round after round, so a recurring set reuses one element: the group
+    counts that element's powers and, once they have paid for one, keeps a
+    table on it. A set verified once or twice builds nothing. A different
+    set replaces the slot with a new element, which counts from zero. Deep
+    copies of the roster copy the slot and share what its key keeps.
     """
 
     version: int

@@ -75,22 +75,6 @@ def _read_index_set(r: Reader, group) -> frozenset[int]:
     return _frozen(indices)
 
 
-def _opt_bytes(length: Optional[int] = None) -> _Kind:
-    """A flag byte, 0 for None; after a 1, length-prefixed bytes, which must
-    be `length` long when that is given."""
-
-    def decode(r: Reader, group) -> Optional[bytes]:
-        if not FLAG.decode(r, group):
-            return None
-        data = BYTES.decode(r, group)
-        if length is not None and len(data) != length:
-            raise DecodeError(f"{len(data)} bytes where {length} belong")
-        return data
-
-    return _Kind(lambda v: b"\x00" if v is None else b"\x01" + BYTES.encode(v), decode,
-                 size=lambda v, g: 1 if v is None else 5 + len(v))
-
-
 def _records(layout: _Layout) -> _Kind:
     """A u16 record count, at most the roster size (`Reader.count`), then
     each record by `layout`, in the order held."""
@@ -113,7 +97,10 @@ INDEX_SET = _Kind(lambda v: len(v).to_bytes(2, "big")
                   _read_index_set, size=lambda v, g: 2 + 4 * len(v))
 BYTES = _Kind(lambda v: len(v).to_bytes(4, "big") + v, lambda r, g: r.take(r.u32()),
               size=lambda v, g: 4 + len(v))
-OPT_BYTES = _opt_bytes()
+# a flag byte, 0 for None; after a 1, length-prefixed bytes
+OPT_BYTES = _Kind(lambda v: b"\x00" if v is None else b"\x01" + BYTES.encode(v),
+                  lambda r, g: BYTES.decode(r, g) if FLAG.decode(r, g) else None,
+                  size=lambda v, g: 1 if v is None else 5 + len(v))
 
 
 def read_commit_proof(r: Reader) -> InclusionProof:
@@ -252,7 +239,7 @@ class RestartCommit(_Routed):  # all that a restart node reads of a child's subt
 class Challenge(_Routed):  # a no-restart challenge
     challenge: Annotated[Scalar, SCALAR]
     aggregate_commit: Annotated[GroupElement, ELEMENT]
-    commit_root: Annotated[Optional[bytes], _opt_bytes(DIGEST_SIZE)]
+    commit_root: Annotated[bytes, DIGEST]
     statement: Annotated[Optional[bytes], OPT_BYTES]
     proof: Annotated[InclusionProof, PROOF]  # the recipient's subtree hash up to the root
 

@@ -12,7 +12,8 @@ import random
 import pytest
 
 from cosikit import engine, multisig
-from cosikit.group import ED25519, TOY, DecodeError, KeyPair, _recover_x, prove_possession
+from cosikit.group import ED25519, TOY, _TABLE_USES, DecodeError, KeyPair, _recover_x, \
+    prove_possession
 from cosikit.merkle import InclusionProof
 from cosikit.multisig import MODE_NO_RESTART, MODE_RESTART, CollectiveSignature
 from cosikit.participation import ParticipationSet
@@ -103,6 +104,15 @@ def assert_cuts_rejected(decode, data: bytes) -> None:
             decode(data[:cut])
     with pytest.raises(ValueError):
         decode(data + b"\x00")
+
+
+def tabled(element):
+    """element, powered until it keeps its fixed-base table: at most
+    `_TABLE_USES` powers, by the rent-or-buy rule of `cosikit.group`."""
+    for _ in range(_TABLE_USES):
+        element ** 1
+    assert len(element._pre) == 37
+    return element
 
 
 def count_calls(monkeypatch, owner, names) -> collections.Counter:

@@ -113,10 +113,15 @@ def test_usage_errors(tmp_path, capsys):
     (["stamp-verify", "--hash", "zz", "--receipt", "x.tsr"], "--hash"),
     (["keygen", "--id", "zz", "--group", "toy", "--out", "k.json"], "--id"),
     (["tree-dump", "--n", "5", "--fail", "a"], "--fail"),
-], ids=["stamp-hash", "stamp-verify-hash", "keygen-id", "tree-dump-fail"])
+    (["tree-dump", "--n", "5", "--fail", "9"], "failed indices out of range: [9]"),
+    (["tree-dump", "--n", "5", "--fail=-1"], "failed indices out of range: [-1]"),
+    (["tree-dump", "--n", "5", "--fail", "0"], "leader is in the failure set"),
+], ids=["stamp-hash", "stamp-verify-hash", "keygen-id", "tree-dump-fail",
+        "tree-dump-fail-past-roster", "tree-dump-fail-negative", "tree-dump-fail-leader"])
 def test_malformed_argument_exits_usage(tmp_path, capsys, monkeypatch, argv, named):
-    """An argument that does not parse is a usage error (exit 2) that names
-    the argument, raised before any file is read or written."""
+    """An argument that does not parse, or names a tree that cannot exist,
+    is a usage error (exit 2) that names the argument or the fault, raised
+    before any file is read or written."""
     monkeypatch.chdir(tmp_path)
     roster_path = tmp_path / "roster.json"
     keypair = KeyPair.from_secret(TOY, 3)
@@ -127,10 +132,14 @@ def test_malformed_argument_exits_usage(tmp_path, capsys, monkeypatch, argv, nam
                 str(roster_path))
     if argv[0].startswith("stamp"):
         argv = [*argv, "--roster", str(roster_path)]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == cli.EXIT_USAGE
-    assert f"argument {named}: " in capsys.readouterr().err
+    if named.startswith("--"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == cli.EXIT_USAGE
+        assert f"argument {named}: " in capsys.readouterr().err
+    else:
+        assert main(argv) == cli.EXIT_USAGE
+        assert f"error: {named}\n" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["roster.json"]
 
 

@@ -285,7 +285,7 @@ def _routed_messages(sender):
                        absent=frozenset(), failed=frozenset(), refused=frozenset(),
                        summaries=(), **head),
         Challenge: Challenge(challenge=TOY.scalar(6), aggregate_commit=elem,
-                             commit_root=None, statement=None,
+                             commit_root=b"\x04" * 32, statement=None,
                              proof=NO_PATH, **head),
         RestartCommit: RestartCommit(aggregate=elem, absent=frozenset(), failed=frozenset(),
                                      refused=frozenset(), **head),
@@ -316,14 +316,15 @@ def _set_byte(body, at, value):
 @pytest.mark.parametrize("case", ["short-root", "long-root", "opt-flag", "ok-flag",
                                   "descending-set", "repeated-index"])
 def test_decoders_accept_only_what_encoders_write(case):
-    """Each frame here is one an encoder could not have written."""
+    """Each frame here is one an encoder could not have written from a
+    well-formed message."""
     challenge = _routed_messages(2)[Challenge]
     if case in ("short-root", "long-root"):
         root = b"\x04" * (31 if case == "short-root" else 33)
         body = encode_message(replace(challenge, commit_root=root), TOY)[4:]
     elif case == "opt-flag":
         body = encode_message(replace(challenge, statement=b"late"), TOY)[4:]
-        at = 1 + 14 + TOY.scalar_size + TOY.element_size + 1  # after the absent root
+        at = 1 + 14 + TOY.scalar_size + TOY.element_size + 32  # after the root
         assert body[at] == 1
         body = _set_byte(body, at, 2)
     elif case == "ok-flag":
@@ -746,14 +747,18 @@ def test_parent_rejects_a_response_whose_exception_reports_do_not_hold(forgery, 
                                       Threshold(1)).ok
 
 
-def test_no_restart_challenge_without_a_commit_root_unanswered():
-    node, challenge = _lying_leader_challenge(MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE,
-                                              b"honest")
-    assert node.handle_message(replace(challenge, commit_root=None), now=0.1) == []
-    assert node.nonce_log == []
-    # control: the challenge with its root is answered
-    effects = node.handle_message(challenge, now=0.2)
-    assert [(e.dest, type(e.msg)) for e in effects] == [(0, Response)]
+def test_no_restart_challenge_without_a_commit_root_fails_to_decode():
+    """A no-restart challenge's commit root is a plain digest: a frame that
+    holds the one flag byte that once stood for a missing root, or a flag
+    and a length before the root, does not decode."""
+    _, challenge = _lying_leader_challenge(MODE_NO_RESTART, engine.STATEMENT_AT_ANNOUNCE,
+                                           b"honest")
+    body = encode_message(challenge, TOY)[4:]
+    assert decode_frame_body(body, TOY, 2) == challenge
+    at = body.index(challenge.commit_root)
+    for root in (b"\x00", b"\x01" + (32).to_bytes(4, "big") + challenge.commit_root):
+        with pytest.raises(DecodeError):
+            decode_frame_body(body[:at] + root + body[at + 32:], TOY, 2)
 
 
 def test_interior_drop_bridges_responses():
@@ -878,7 +883,7 @@ def test_leader_self_check_fails_a_round_with_an_accepted_lie(monkeypatch, mode)
     fails the round, with no signature."""
     sim = simnet.CosiSim(SimConfig(seed=1, n=4, branching=3, group_name="prod", mode=mode,
                                    failures=(FailureAction(2, "response", "lie"),)))
-    monkeypatch.setattr(Ed25519Group, "failing", lambda self, items, keep_rows=True: [])
+    monkeypatch.setattr(Ed25519Group, "failing", lambda self, items: [])
     _, result = sim.run_round(0)
     assert not result.ok and result.signature is None
     assert result.reason == "assembled signature failed self-check: challenge mismatch"
@@ -1267,7 +1272,7 @@ def test_deep_copied_node_keeps_its_subtree_keys_rows(monkeypatch):
     for i in parents:
         sim.nodes[i] = copy.deepcopy(sim.nodes[i])
     keys = [key for i in parents for key in sim.nodes[i].subtree_keys.values()]
-    assert all(len(key._win) == 3 for key in keys)
+    assert all(len(key._pre) == 3 for key in keys)
     # Every key exists before the counting starts, so no point counted
     # below shares an id with one.
     doubled = collections.Counter()
@@ -1763,14 +1768,15 @@ def test_frame_bytes_pinned():
         absent=frozenset({3, 5}), failed=frozenset({5}), refused=frozenset(),
         exceptions=(CommitException(3, e3, audit_path((0, d(8)), (1, d(9)), (0, d(10)))),
                     CommitException(5, e5, audit_path((1, d(11))))))
-    # recorded bytes: a change here is a wire-format change
+    # recorded bytes: a change here is a wire-format change. The challenge's
+    # commit root is a plain digest, 5 bytes shorter than the flag and length
+    # that once came before it.
     pinned = {
-        challenge: ("0000009e03000000010000000700010000000206000800010000002004040404"
-                    "0404040404040404040404040404040404040404040404040404040400000301"
-                    "0505050505050505050505050505050505050505050505050505050505050505"
-                    "0006060606060606060606060606060606060606060606060606060606060606"
-                    "0601070707070707070707070707070707070707070707070707070707070707"
-                    "0707"),
+        challenge: ("0000009903000000010000000700010000000206000800040404040404040404"
+                    "0404040404040404040404040404040404040404040404000003010505050505"
+                    "0505050505050505050505050505050505050505050505050505050006060606"
+                    "0606060606060606060606060606060606060606060606060606060601070707"
+                    "0707070707070707070707070707070707070707070707070707070707"),
         response: ("000000b904000000010000000700010000000309000002000000030000000500"
                    "0100000005000000020000000308000003000808080808080808080808080808"
                    "0808080808080808080808080808080808080109090909090909090909090909"
@@ -1824,7 +1830,7 @@ def _message_strategies(group):
                           absent=_INDEX_SET, failed=_INDEX_SET, refused=_INDEX_SET,
                           summaries=st.lists(summary, max_size=3).map(tuple), **header),
         Challenge: st.builds(Challenge, challenge=scalar, aggregate_commit=elem,
-                             commit_root=st.none() | _DIGEST, statement=_OPT_BYTES,
+                             commit_root=_DIGEST, statement=_OPT_BYTES,
                              proof=_PROOF, **header),
         RestartCommit: st.builds(RestartCommit, aggregate=elem, absent=_INDEX_SET,
                                  failed=_INDEX_SET, refused=_INDEX_SET, **header),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import D, L, P, affine, affine_add, cached_affine, count_calls, encode_affine, \
-    ref_pow
+    ref_pow, tabled
 from cosikit.group import (
     ED25519,
     TOY,
@@ -28,7 +28,8 @@ from cosikit.group import (
     verify_possession,
 )
 from cosikit import group as group_mod
-from cosikit.group import Ed25519Group, Group, GroupElement, _half_split, _recover_x
+from cosikit.group import Ed25519Group, Group, GroupElement, _ROWS_USES, _TABLE_USES, \
+    _half_split, _recover_x
 
 
 def test_toy_group_constants():
@@ -343,12 +344,12 @@ def test_folded_kernels_match_reduced_ones_on_curve_points():
     T."""
     rng = random.Random(23)
     g = ED25519.generator
-    g ** 1, g ** 1  # G's table
     points = [ED25519._IDENT, g.raw, (0, P - 1, 1, 0)]
     points += [(g ** rng.randrange(1, L)).raw for _ in range(6)]
     cached = ED25519._window(points[3]) + [ED25519._cached(p) for p in points]
     cached += [(ymx, ypx, z2, -t2d) for ypx, ymx, z2, t2d in cached]
-    entries = [*g._rows[0], *g._rows[-1]]
+    table = ED25519._fixed_base_rows(g.raw)
+    entries = [*table[0], *table[-1]]
     entries += [(ymx, ypx, -xy2d) for ypx, ymx, xy2d in entries]
     for p in points:
         for with_t in (True, False):
@@ -412,19 +413,22 @@ TABLE_SHAPE = [65] * 36 + [3]
 
 
 def test_fixed_base_table_built_once(monkeypatch, ops):
-    """G as a new process holds it: its first power takes the ladder, its
-    second builds its table, and later powers walk it."""
+    """G as a new process holds it: its powers below `_TABLE_USES` take the
+    ladder and are counted, the one that reaches it builds its table, and
+    later powers walk it."""
     g = ED25519.generator
-    monkeypatch.setattr(g, "_rows", 0)
-    assert g ** 5 == ED25519.decode_element(g.encode()) ** 5
-    assert g._rows == 1
+    monkeypatch.setattr(g, "_pre", 0)
+    for k in range(1, _TABLE_USES):
+        ops.clear()
+        assert g ** k == ED25519.decode_element(g.encode()) ** k
+        assert g._pre == k and "_add_affine" not in ops
     assert g ** 6 == ED25519.decode_element(g.encode()) ** 6
-    rows = g._rows
+    rows = g._pre
     assert [len(row) for row in rows] == TABLE_SHAPE
     for k in (7, 2**200 + 3, L - 1):
         ops.clear()
         g ** k
-        assert g._rows is rows
+        assert g._pre is rows
         # a table hit adds at most one affine entry per signed radix-128
         # digit, and neither rebuilds the table nor doubles
         assert set(ops) <= {"_add_affine"}
@@ -449,18 +453,15 @@ def test_fixed_base_table_matches_affine_reference():
 
 @functools.cache
 def kept_keys():
-    """Two random keys, each powered twice, so that each now holds its own
-    fixed-base table."""
+    """Two random keys, each powered until it holds its own fixed-base
+    table."""
     rng = random.Random(41)
-    keys = [keygen(ED25519, rng).public for _ in range(2)]
-    for key in keys:
-        key ** 3, key ** 5
-        assert len(key._rows) == 37
-    return keys
+    return [tabled(keygen(ED25519, rng).public) for _ in range(2)]
 
 
 def ladder(raw, k):
-    """raw^k by the ladder, as an element's first power takes it."""
+    """raw^k by the ladder, as an element's powers below its threshold take
+    it."""
     return ED25519._straus([(ED25519._window(raw), k)])
 
 
@@ -501,27 +502,28 @@ def test_kept_key_comb_matches_ladder(k):
     assert_comb_matches_ladder(k)
 
 
-def test_kept_key_builds_its_table_on_its_second_power(ops):
-    """No table at the first power, one at the second, and from then on
-    table walks of at most 37 affine additions and no doubling. The toy
+def test_kept_key_builds_its_table_at_its_threshold_power(ops):
+    """No table below `_TABLE_USES` powers, one at that power, and from then
+    on table walks of at most 37 affine additions and no doubling. The toy
     group keeps no table."""
     rng = random.Random(43)
     key = keygen(ED25519, rng).public
-    ops.clear()
-    key ** (L - 1)
-    assert key._rows == 1 and ops["_double"] >= 248 and "_add_affine" not in ops
+    for uses in range(1, _TABLE_USES):
+        ops.clear()
+        key ** (L - 1)
+        assert key._pre == uses and ops["_double"] >= 248 and "_add_affine" not in ops
     key ** rng.randrange(L)
-    rows = key._rows
+    rows = key._pre
     assert len(rows) == 37
     for _ in range(3):
         ops.clear()
         key ** rng.randrange(L)
-        assert key._rows is rows
+        assert key._pre is rows
         assert set(ops) <= {"_add_affine"} and ops["_add_affine"] <= 37
     toy = TOY.generator ** 3
     for k in range(3):
         assert toy ** k == TOY.generator ** (3 * k)
-    assert toy._rows == 0 and TOY.generator._rows == 0
+    assert toy._pre == 0 and TOY.generator._pre == 0
 
 
 def test_generator_is_one_element_per_group():
@@ -530,9 +532,9 @@ def test_generator_is_one_element_per_group():
     for group in (TOY, ED25519):
         assert group.generator is group.generator
         once = group.generator ** 12345
-        assert once._rows == 0
+        assert once._pre == 0
         once ** 3
-        assert once._rows == (1 if group is ED25519 else 0)
+        assert once._pre == (1 if group is ED25519 else 0)
         assert group.identity is not group.identity
 
 
@@ -552,10 +554,10 @@ def test_window_holds_odd_signed_multiples():
 
 
 def test_key_rows_hold_odd_multiples_of_shifted_keys():
-    """A key's rows, from its second use on, are the windows of K, 2^64 * K
-    and 2^128 * K, each entry scaled to Z = 1 (its 2Z is 2)."""
+    """A key's rows, from its `_ROWS_USES`-th use on, are the windows of K,
+    2^64 * K and 2^128 * K, each entry scaled to Z = 1 (its 2Z is 2)."""
     key = ED25519.generator ** 0x1234567
-    for _ in range(2):
+    for _ in range(_ROWS_USES):
         rows = ED25519._key_rows(key)
     assert [len(row) for row in rows] == [8, 8, 8]
     point = affine(key.raw)
@@ -621,8 +623,9 @@ def test_straus_hands_out_extended_points(seed, n):
 def test_batch_windows_extended_points(monkeypatch):
     """A passing batch calls no `check_response`, and every point it
     windows has its T: 8 keys and 8 negated commits with fresh keys, 8
-    commits and the keys' 16 multiples 2^64 * K and 2^128 * K as they build
-    their rows, and the 8 commits alone once the keys hold them."""
+    commits, the 8 keys and their 16 multiples 2^64 * K and 2^128 * K as
+    they build their rows, and the 8 commits alone once the keys hold
+    them."""
     windowed = []
     real = Ed25519Group._window
     monkeypatch.setattr(Ed25519Group, "_window",
@@ -638,7 +641,7 @@ def test_batch_windows_extended_points(monkeypatch):
         counts.append(len(windowed))
         for point in windowed:
             assert_extended(point)
-    assert counts == [16, 24, 8] and not checks
+    assert counts == [16, 32, 8] and not checks
     for _, key, _, commit in items:
         assert_extended(key.raw)
         assert_extended(commit.raw)
@@ -646,17 +649,19 @@ def test_batch_windows_extended_points(monkeypatch):
 
 def test_key_window_built_once(monkeypatch):
     """A key element passed to check_response or `Group.failing` has its
-    window built at its first use and its rows, from 2^64 * K on, at its
-    second, and neither again. A one-shot schnorr_verify builds no rows."""
+    window built at its first use and kept by neither, and its rows, its
+    window again and those of 2^64 * K and 2^128 * K, at its second, and
+    nothing again. A one-shot schnorr_verify keeps nothing."""
     rng = random.Random(31)
     g = ED25519.generator
     kp = keygen(ED25519, rng)
     sig = schnorr_sign(kp, b"m", rng)
-    key = g ** rng.randrange(1, L)
+    x = rng.randrange(1, L)
+    key = g ** x  # never powered itself: its uses below are its checks
     checks = []
     for _ in range(4):
         s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
-        checks.append((s, key, c, g ** s * key ** c))
+        checks.append((s, key, c, g ** (s.value + c.value * x)))
     c = ED25519.scalar(rng.randrange(1, L))
     items, _ = partial_responses(ED25519, rng, c, 8, ())
     # Every key exists before the counting starts, so no point counted
@@ -670,7 +675,9 @@ def test_key_window_built_once(monkeypatch):
 
     def builds(key):
         """Windows of key, and rows begun from it: no ladder doubles a key."""
-        return built["_window", id(key.raw)], built["_doubled", id(key.raw)], len(key._win)
+        kept = key._pre
+        return (built["_window", id(key.raw)], built["_doubled", id(key.raw)],
+                kept if type(kept) is int else len(kept))
 
     assert schnorr_verify(kp.public, b"m", sig)
     assert builds(kp.public) == (1, 0, 1)
@@ -678,12 +685,120 @@ def test_key_window_built_once(monkeypatch):
     for args in checks:
         assert ED25519.check_response(*args)
         seen.append(builds(key))
-    assert seen == [(1, 0, 1)] + [(1, 1, 3)] * 3
+    assert seen == [(1, 0, 1)] + [(2, 1, 3)] * 3
     seen = []
     for _ in range(3):
         assert ED25519.failing(items) == []
         seen.append({builds(key) for _, key, _, _ in items})
-    assert seen == [{(1, 0, 1)}, {(1, 1, 3)}, {(1, 1, 3)}]
+    assert seen == [{(1, 0, 1)}, {(2, 1, 3)}, {(2, 1, 3)}]
+
+
+@pytest.fixture
+def cost(monkeypatch, ops):
+    """The cost of Ed25519 work by the module docstring's count: point
+    additions and doublings, and one for each entry scaled to Z = 1 (each
+    value `_invert_all` inverts), as a function that returns the cost since
+    its last call."""
+    scaled = []
+    real = group_mod._invert_all
+    monkeypatch.setattr(group_mod, "_invert_all",
+                        lambda values: scaled.append(len(values)) or real(values))
+
+    def since_last():
+        total = sum(ops[name] for name in ("_add", "_add_affine", "_add_cached", "_double"))
+        total += sum(scaled)
+        ops.clear()
+        scaled.clear()
+        return total
+    return since_last
+
+
+def assert_rent_or_buy(paid, ladders, build, walks):
+    """At every number of uses k, the cumulative cost paid is at most twice
+    the cheaper of k ladders and one build plus k walks."""
+    spent = ladder_total = walk_total = 0
+    for k, (p, lad, walk) in enumerate(zip(paid, ladders, walks), 1):
+        spent, ladder_total, walk_total = spent + p, ladder_total + lad, walk_total + walk
+        assert spent <= 2 * min(ladder_total, build + walk_total), k
+
+
+def test_powers_pay_for_their_table_by_rent_or_buy(cost):
+    """A fresh element powered 100 times, against the ladder every time and
+    a table built at the first power, each costed on the same exponents."""
+    tabled(ED25519.generator)
+    rng = random.Random(47)
+    raw = (ED25519.generator ** rng.randrange(1, L)).raw
+    cost()
+    table = ED25519._fixed_base_rows(raw)
+    build = cost()
+    element = GroupElement(ED25519, raw)
+    paid, ladders, walks = [], [], []
+    for _ in range(100):
+        k = rng.randrange(L)
+        power = element ** k
+        paid.append(cost())
+        assert ED25519._eq(power.raw, ladder(raw, k))
+        ladders.append(cost())
+        ED25519._comb(table, k)
+        walks.append(cost())
+    assert len(element._pre) == 37
+    assert_rent_or_buy(paid, ladders, build, walks)
+
+
+def test_checks_pay_for_their_rows_by_rent_or_buy(cost):
+    """A fresh key checked 20 times, against a check on a key without rows
+    every time and rows built at the first check, each costed on the same
+    challenges."""
+    g = tabled(ED25519.generator)
+    rng = random.Random(53)
+    x = rng.randrange(1, L)
+    raw = (g ** x).raw
+    cost()
+    ED25519._shifted_windows(raw)
+    build = cost()
+    key, with_rows = GroupElement(ED25519, raw), GroupElement(ED25519, raw)
+    for _ in range(_ROWS_USES):
+        ED25519._key_rows(with_rows)
+    paid, ladders, walks = [], [], []
+    for _ in range(20):
+        s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
+        commit = g ** ((s.value + c.value * x) % L)
+        cost()
+        assert ED25519.check_response(s, key, c, commit)
+        paid.append(cost())
+        assert ED25519.check_response(s, GroupElement(ED25519, raw), c, commit)
+        ladders.append(cost())
+        assert ED25519.check_response(s, with_rows, c, commit)
+        walks.append(cost())
+    assert len(key._pre) == 3
+    assert_rent_or_buy(paid, ladders, build, walks)
+
+
+@pytest.mark.parametrize("first", ["base", "key"])
+def test_one_slot_serves_an_element_used_both_ways(first):
+    """An element that keeps a table, then is checked as a key, or keeps its
+    rows, then is powered, keeps what it built and gives the ladder's powers
+    and the right verdicts the other way."""
+    g = tabled(ED25519.generator)
+    rng = random.Random(59)
+    x = rng.randrange(1, L)
+    element = g ** x
+
+    def check():
+        s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
+        commit = g ** ((s.value + c.value * x) % L)
+        assert ED25519.check_response(s, element, c, commit)
+        assert not ED25519.check_response(s, element, c, commit * g)
+        assert ED25519.failing([(s, element, c, commit), (s, element, c, commit * g)]) == [1]
+
+    def power():
+        k = rng.randrange(L)
+        assert ED25519._eq((element ** k).raw, ladder(element.raw, k))
+
+    for use in (power, check) if first == "base" else (check, power):
+        for _ in range(_TABLE_USES + 2):
+            use()
+    assert len(element._pre) == (37 if first == "base" else 3)
 
 
 def t_steps(ops):
@@ -696,8 +811,9 @@ def test_signed_window_op_counts(ops):
     """Cached additions and doublings per operation at fixed inputs, pinned
     6-8% above their means: 49 additions for a 253-bit a^k; for a
     check_response 56 additions and 127 doublings as it builds its key's
-    window, 64 and 194 as it builds the key's rows, and 50 and 64 once the
-    key holds them; for a batch of 8 partials on fresh keys, 628 and 268
+    window, 71 and 195 as it builds the key's rows (and its window again,
+    which the first check kept not), and 50 and 64 once the key holds them;
+    for a batch of 8 partials on fresh keys, 628 and 268
     (its keys get their whole 253-bit exponents), with 36 table additions of
     g^s, and on keys with rows, 575 and 136. The additions and doublings that
     compute T are pinned likewise (51 of a^k's 301 steps, 52 of a check's 114
@@ -707,7 +823,7 @@ def test_signed_window_op_counts(ops):
     mean of 36.2 over eight scalars: a signed radix-64 table took 41.8, and
     a radix-32 one 49.3."""
     rng = random.Random(17)
-    g = ED25519.generator
+    g = tabled(ED25519.generator)
     point = g ** 0x1234567
     for _ in range(4):
         k = rng.getrandbits(253) | 1 << 252
@@ -718,9 +834,9 @@ def test_signed_window_op_counts(ops):
         assert ops["_add_cached"] <= 52
         assert t_steps(ops) <= 54
     # the first check builds the key's window, the second its rows
-    for adds, doublings, with_t in [(60, 136, None), (69, 208, None), (53, 68, 55), (53, 68, 55)]:
+    for adds, doublings, with_t in [(60, 136, None), (76, 209, None), (53, 68, 55), (53, 68, 55)]:
         s, c = ED25519.random_scalar(rng), ED25519.random_scalar(rng)
-        commit = g ** s * point ** c
+        commit = g ** ((s.value + c.value * 0x1234567) % L)  # point's uses are its checks
         ops.clear()
         assert ED25519.check_response(s, point, c, commit)
         assert ops["_add_cached"] <= adds and ops["_double"] <= doublings
@@ -886,8 +1002,9 @@ def partial_responses(group, rng, c, n, corrupt):
     return items, bad
 
 
-# Uses of each key before a batch sees it: none (it builds its window), one
-# (it builds its rows in the batch), two (it holds them), or some of each.
+# Uses of each key before a batch sees it: none (it takes its one window, kept
+# not), one (it builds its rows in the batch), two (it holds them), or some
+# of each.
 KEY_STATES = [(0,), (1,), (2,), (0, 1, 2)]
 
 
@@ -921,7 +1038,7 @@ def test_check_responses_agrees_with_single_checks(seed, n, data):
             singles = [group.check_response(*item) for item in in_key_state(items, uses)]
             assert {i for i, ok in enumerate(singles) if not ok} == bad
             if group is ED25519 and n > 1:
-                assert group._check_batch(in_key_state(items, uses), True) == (not bad)
+                assert group._check_batch(in_key_state(items, uses)) == (not bad)
             assert group.failing(in_key_state(items, uses)) == sorted(bad)
 
 
@@ -1058,7 +1175,7 @@ def test_signature_batch_agrees_with_single_checks(seed, n, data):
     if n > 1:
         batch = [(sig.s, public, challenge_hash(sig.R, statement, TAG_SIGN), sig.R)
                  for public, statement, sig in items]
-        assert ED25519._check_batch(batch, False) == (not corrupt)
+        assert ED25519._check_batch(batch) == (not corrupt)
     assert schnorr_failing(items) == sorted(corrupt)
     # possession proofs whose signed statement is not the key's encoding
     keys = [prove_possession(keygen(ED25519, rng), rng) for _ in range(n)]

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import assert_cuts_rejected, audit_path, count_calls, make_toy_roster, \
-    manual_round, swap_generator
+    manual_round, swap_generator, tabled
 
 from cosikit import multisig, roster as roster_mod
 from cosikit.group import ED25519, TOY, DecodeError, KeyPair, Reader, challenge_hash, \
     keygen, prove_possession
-from cosikit.group import TAG_SIGN, Ed25519Group
+from cosikit.group import TAG_SIGN, _TABLE_USES, Ed25519Group
 from cosikit.multisig import (
     MODE_NO_RESTART,
     MODE_RESTART,
@@ -22,7 +22,6 @@ from cosikit.multisig import (
     MultisigError,
     aggregate_elements,
     aggregate_public_key,
-    adjust_key_for_absent,
     collective_challenge,
     response_share,
     verify_collective,
@@ -36,9 +35,12 @@ from cosikit.roster import (
     RosterEntry,
     RosterError,
     WitnessRoster,
+    adjust_key_for_absent,
     build_key_tree,
     build_roster,
     compact_certificate,
+    load_roster,
+    save_roster,
 )
 from cosikit.topology import tree_for
 
@@ -381,31 +383,45 @@ def test_unforgeability_smoke_mutations():
 # -- the roster key's fixed-base table ---------------------------------------------
 
 def _tabled_round(seed, n=4):
-    """A full-participation restart signature, verified twice, so that its
-    roster's key now holds a fixed-base table."""
+    """A full-participation restart signature, verified `_TABLE_USES`
+    times, so that its roster's key now holds a fixed-base table."""
     roster, sig = _prod_round(random.Random(seed), n=n)
-    for _ in range(2):
+    for _ in range(_TABLE_USES):
         assert verify_collective(roster, b"prod", sig, Threshold(n)).ok
-    assert len(roster.aggregate_key()._rows) == 37
+    assert len(roster.aggregate_key()._pre) == 37
     return roster, sig
 
 
-def test_roster_key_builds_its_table_on_its_second_power():
+def test_roster_key_builds_its_table_at_its_threshold_power():
     roster, sig = _prod_round(random.Random(51), n=4)
     key = roster.aggregate_key()
-    assert key._rows == 0
+    assert key._pre == 0
+    for uses in range(1, _TABLE_USES):
+        assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
+        assert key._pre == uses  # each power below the threshold ran the ladder
     assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
-    assert key._rows == 1  # the first power ran the ladder
-    assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
-    rows = key._rows
+    rows = key._pre
     assert len(rows) == 37
     assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
-    assert roster.aggregate_key() is key and key._rows is rows
+    assert roster.aggregate_key() is key and key._pre is rows
+
+
+def test_one_verification_in_a_fresh_process_builds_no_table(monkeypatch, tmp_path):
+    """A process that loads a 16-witness prod roster from JSON, which checks
+    its possession proofs in one batch, and verifies one signature powers G
+    twice and the roster key once: it builds no table and walks none."""
+    roster, sig = _prod_round(random.Random(61), n=16)
+    path = tmp_path / "roster.json"
+    save_roster(roster, str(path))
+    monkeypatch.setattr(ED25519.generator, "_pre", 0)
+    calls = count_calls(monkeypatch, Ed25519Group, ("_fixed_base_rows", "_comb"))
+    assert verify_collective(load_roster(str(path)), b"prod", sig, Threshold(16)).ok
+    assert calls == {}
 
 
 def test_compact_certificate_walks_the_roster_key_table(monkeypatch):
     roster, sig = _tabled_round(52)
-    rows = roster.aggregate_key()._rows
+    rows = roster.aggregate_key()._pre
     walked = []
     real = Ed25519Group._comb
     monkeypatch.setattr(Ed25519Group, "_comb",
@@ -414,12 +430,13 @@ def test_compact_certificate_walks_the_roster_key_table(monkeypatch):
     assert anchor.aggregate_key is roster.aggregate_key()
     assert verify_collective(anchor, b"prod", sig, Threshold(4)).ok
     # one walk of G's table and one of the roster key's, that very object
-    assert len(walked) == 2 and walked[0] is ED25519.generator._rows and walked[1] is rows
+    assert len(walked) == 2 and walked[0] is ED25519.generator._pre and walked[1] is rows
 
 
 def test_compact_certificate_leaves_no_table_on_the_adjusted_key(monkeypatch):
     roster, sig = _prod_round(random.Random(53), n=5, response_absent={2},
                               mode=MODE_NO_RESTART)
+    tabled(ED25519.generator)
     keys = []
     real_present_key = CompactAnchor.present_key
     monkeypatch.setattr(CompactAnchor, "present_key",
@@ -434,13 +451,13 @@ def test_compact_certificate_leaves_no_table_on_the_adjusted_key(monkeypatch):
     for _ in range(3):
         assert verify_collective(anchor, b"prod", sig, Threshold(4), proofs).ok
     # each verify makes its own adjusted key and powers it once, by the ladder
-    assert len(keys) == 3 and all(key._rows == 1 for key in keys)
-    assert roster.aggregate_key()._rows == 0 and built == []
+    assert len(keys) == 3 and all(key._pre == 1 for key in keys)
+    assert roster.aggregate_key()._pre == 0 and built == []
 
 
 def test_tabled_roster_key_rejects_tampering():
     roster, sig = _tabled_round(54)
-    rows = roster.aggregate_key()._rows
+    rows = roster.aggregate_key()._pre
     bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
     bumped_s = dataclasses.replace(sig, response=sig.response + ED25519.scalar(1))
     for anchor in (roster, compact_certificate(roster)):
@@ -448,14 +465,14 @@ def test_tabled_roster_key_rejects_tampering():
         for statement, bad in ((b"prodX", sig), (b"prod", bumped_c), (b"prod", bumped_s)):
             res = verify_collective(anchor, statement, bad, Threshold(4))
             assert not res.crypto_ok and res.reason == "challenge mismatch"
-    assert roster.aggregate_key()._rows is rows
+    assert roster.aggregate_key()._pre is rows
 
 
 def test_roster_deep_copy_shares_the_key_table():
     roster, sig = _tabled_round(55)
     twin = copy.deepcopy(roster)
     assert twin.aggregate_key() is not roster.aggregate_key()
-    assert twin.aggregate_key()._rows is roster.aggregate_key()._rows
+    assert twin.aggregate_key()._pre is roster.aggregate_key()._pre
     assert verify_collective(twin, b"prod", sig, Threshold(4)).ok
     assert not verify_collective(twin, b"prodX", sig, Threshold(4)).ok
 
@@ -464,7 +481,9 @@ def test_roster_deep_copy_shares_the_key_table():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Calls of the ladder, the table build and the table walk, counted."""
+    """Calls of the ladder, the table build and the table walk, counted,
+    with G holding its table."""
+    tabled(ED25519.generator)
     return count_calls(monkeypatch, Ed25519Group, ("_straus", "_fixed_base_rows", "_comb"))
 
 
@@ -492,7 +511,7 @@ def _verify_counted(roster, sig, calls):
 
 
 # G's power walks G's table in every verify; the present key's powers run the
-# ladder, then build its table and walk it, then walk it
+# ladder below its threshold, then build its table and walk it, then walk it
 LADDER = {"_comb": 1, "_straus": 1}
 BUILD = {"_comb": 2, "_fixed_base_rows": 1}
 WALK = {"_comb": 2}
@@ -502,14 +521,14 @@ def test_repeated_absent_set_runs_ladder_then_builds_then_walks(kernel_calls,
                                                                 present_keys):
     roster, (sig,) = _absent_signatures(56, {1, 4})
     steps = []
-    for _ in range(4):
+    for _ in range(_TABLE_USES + 2):
         res, calls = _verify_counted(roster, sig, kernel_calls)
         assert res.ok
         steps.append(calls)
-    assert steps == [LADDER, BUILD, WALK, WALK]
+    assert steps == [LADDER] * (_TABLE_USES - 1) + [BUILD, WALK, WALK]
     key = present_keys[0]
-    assert all(k is key for k in present_keys) and len(present_keys) == 4
-    assert len(key._rows) == 37
+    assert all(k is key for k in present_keys) and len(present_keys) == _TABLE_USES + 2
+    assert len(key._pre) == 37
     assert roster.present_key(frozenset({1, 4})) is key
     # no one absent: the full key, and the slot is left as it was
     assert roster.present_key(frozenset()) is roster.aggregate_key()
@@ -518,14 +537,14 @@ def test_repeated_absent_set_runs_ladder_then_builds_then_walks(kernel_calls,
 
 def test_new_absent_set_replaces_the_slot(kernel_calls, present_keys):
     roster, (sig_a, sig_b) = _absent_signatures(57, {1, 4}, {2})
-    for _ in range(2):
+    for _ in range(_TABLE_USES):
         assert verify_collective(roster, b"prod", sig_a, Threshold(1)).ok
     key_a = present_keys[-1]
-    assert len(key_a._rows) == 37
+    assert len(key_a._pre) == 37
     res, calls = _verify_counted(roster, sig_b, kernel_calls)
     assert res.ok and calls == LADDER
     key_b = present_keys[-1]
-    assert key_b is not key_a and key_b._rows == 1
+    assert key_b is not key_a and key_b._pre == 1
     assert roster.present_key(frozenset({2})) is key_b
     # the first set's key was dropped: its next power is a new key's ladder
     res, calls = _verify_counted(roster, sig_a, kernel_calls)
@@ -543,10 +562,10 @@ def test_alternating_absent_sets_build_no_table(kernel_calls):
 @pytest.mark.parametrize("mode", [MODE_RESTART, MODE_NO_RESTART], ids=["restart", "no-restart"])
 def test_tabled_present_key_rejects_tampering(mode):
     roster, (sig,) = _absent_signatures(59, {0, 3, 5}, mode=mode)
-    for _ in range(2):
+    for _ in range(_TABLE_USES):
         assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
     key = roster.present_key(frozenset({0, 3, 5}))
-    rows = key._rows
+    rows = key._pre
     assert len(rows) == 37
     bumped_c = dataclasses.replace(sig, challenge=sig.challenge + ED25519.scalar(1))
     bumped_s = dataclasses.replace(sig, response=sig.response + ED25519.scalar(1))
@@ -554,18 +573,18 @@ def test_tabled_present_key_rejects_tampering(mode):
         res = verify_collective(roster, statement, bad, Threshold(3))
         assert not res.crypto_ok and res.reason == "challenge mismatch"
     assert verify_collective(roster, b"prod", sig, Threshold(3)).ok
-    assert roster.present_key(frozenset({0, 3, 5})) is key and key._rows is rows
+    assert roster.present_key(frozenset({0, 3, 5})) is key and key._pre is rows
 
 
 def test_roster_deep_copy_keeps_the_present_key_slot():
     roster, (sig,) = _absent_signatures(60, {2, 3})
-    for _ in range(2):
+    for _ in range(_TABLE_USES):
         assert verify_collective(roster, b"prod", sig, Threshold(4)).ok
     key = roster.present_key(frozenset({2, 3}))
-    assert len(key._rows) == 37
+    assert len(key._pre) == 37
     twin = copy.deepcopy(roster)
     twin_key = twin.present_key(frozenset({2, 3}))
-    assert twin_key is not key and twin_key._rows is key._rows
+    assert twin_key is not key and twin_key._pre is key._pre
     assert verify_collective(twin, b"prod", sig, Threshold(4)).ok
     assert not verify_collective(twin, b"prodX", sig, Threshold(4)).ok
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import itertools
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from conftest import count_calls
 
 from cosikit import engine, multisig, simnet, timestamp
 from cosikit.wire import Challenge, Refuse, Response, ViewChange, encode_message
-from cosikit.group import ED25519, Ed25519Group, Signature
+from cosikit.group import ED25519, _TABLE_USES, Ed25519Group, Signature
 from cosikit.multisig import MODE_NO_RESTART
 from cosikit.participation import Threshold
 from cosikit.simnet import (
@@ -289,7 +290,7 @@ def test_every_message_charged_its_encoded_length(monkeypatch, cfg, sent_one):
      4092, 182_094, 2_848, 1.2037),
     (SimConfig(seed=1, n=128, branching=8, scheme="cosi", group_name="prod",
                mode=MODE_NO_RESTART, statement=bytes(32), failures=_liars(5, 40, 77)),
-     524, 107_054, 14_864, 1.2024),
+     524, 106_379, 14_784, 1.2024),
 ], ids=["toy-1024-restart", "prod-128-no-restart-liars"])
 def test_benchmark_shaped_rounds_pinned(cfg, msgs, sent_bytes, root_bytes, latency):
     """The rounds the benchmark times, with a 32-byte statement as it binds:
@@ -305,57 +306,66 @@ KERNELS = ("_comb", "_straus", "_window", "_fixed_base_rows")
 
 def fresh_generator(monkeypatch):
     """G as a new process holds it, not powered yet, for as long as the test
-    runs: its first power takes the ladder and its second builds its table."""
-    monkeypatch.setattr(ED25519.generator, "_rows", 0)
+    runs: its powers below `_TABLE_USES` take the ladder and the one that
+    reaches it builds its table."""
+    monkeypatch.setattr(ED25519.generator, "_pre", 0)
 
 
 def test_benchmark_shaped_prod_round_kernel_calls_pinned(monkeypatch):
     """Ed25519 kernel calls of the prod round above, a cost that does not
     depend on the machine's speed: fixed-base powers (`_comb`), Straus
     ladders, ladder windows and table builds (`_fixed_base_rows`) in
-    building the roster (where G's first power takes the ladder and its
-    second builds G's table), in the first round (which also builds every
-    subtree key's window), in the second (which builds its rows, the windows
-    of 2^64 and 2^128 times the key) and in the third. Each batch of
+    building the roster (where G's first 17 powers take the ladder and its
+    18th builds G's table), in the first round (which takes every subtree
+    key's window, and builds the rows of the keys a failed batch checks
+    again), in the second (which builds the other keys' rows, the windows of
+    K, 2^64 * K and 2^128 * K) and in the rounds after. Each batch of
     partials is one ladder. A change that adds a ladder, a window or a table
     moves them. Every round's signature leaves the three liars absent, so
-    the leader's self-check powers the roster's kept present key: by the
-    ladder in round 0, by the table it builds in round 1 and by walking that
-    table in round 2. No other element builds a table."""
+    the leader's self-check powers the roster's kept present key once a
+    round: by the ladder in rounds 0 to 16, by the table it builds in round
+    17 and by walking that table from round 18 on, which then costs what
+    every round cost from round 2 on when the second power built the table.
+    No other element builds a table."""
     fresh_generator(monkeypatch)
     calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
     sim = simnet.CosiSim(SimConfig(seed=1, n=128, branching=8, scheme="cosi",
                                    group_name="prod", mode=MODE_NO_RESTART,
                                    statement=bytes(32), failures=_liars(5, 40, 77)))
     counts = {"roster": dict(calls)}
-    for rnd in range(3):
+    for rnd in range(_TABLE_USES + 1):
         calls.clear()
         assert sim.run_round(rnd)[1].ok
         counts[f"round {rnd}"] = dict(calls)
-    assert counts == {"roster": {"_comb": 256, "_straus": 2, "_window": 257,
+    walk = {"_comb": 177, "_straus": 47, "_window": 151}
+    assert counts == {"roster": {"_comb": 240, "_straus": 18, "_window": 273,
                                  "_fixed_base_rows": 1},
-                      "round 0": {"_comb": 176, "_straus": 48, "_window": 319},
-                      "round 1": {"_comb": 177, "_straus": 47, "_window": 389,
-                                  "_fixed_base_rows": 1},
-                      "round 2": {"_comb": 177, "_straus": 47, "_window": 151}}
+                      "round 0": {"_comb": 176, "_straus": 48, "_window": 335},
+                      "round 1": {"_comb": 176, "_straus": 48, "_window": 509},
+                      **{f"round {rnd}": {"_comb": 176, "_straus": 48, "_window": 152}
+                         for rnd in range(2, 17)},
+                      "round 17": {**walk, "_fixed_base_rows": 1},
+                      "round 18": walk}
 
 
 def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
     """The same kernel calls for batches of a timestamp authority signing
     through a 16-witness prod simulation, restart mode with the statement
     bound at challenge, as `cosi run-leader` runs it: per batch of submits,
-    round close and receipt encodes. Building the roster takes G's ladder
-    and builds G's table. Every witness signs, so the leader's self-check
-    powers the roster's full key, by the ladder in batch 0 (which also
-    builds every subtree key's window), by the table it builds in batch 1
-    and by walking that table in batch 2. Batch 1 also builds every subtree
-    key's rows. No other element builds a table."""
+    round close and receipt encodes. Building the roster takes G's 17
+    ladders and builds G's table. Every witness signs, so the leader's
+    self-check powers the roster's full key once a batch, by the ladder in
+    batches 0 to 16, by the table it builds in batch 17 and by walking that
+    table from batch 18 on, which then costs what every batch cost from
+    batch 2 on when the second power built the table. Batch 0 takes every
+    subtree key's window, and batch 1 builds every subtree key's rows. No
+    other element builds a table."""
     fresh_generator(monkeypatch)
     calls = count_calls(monkeypatch, Ed25519Group, KERNELS)
     sim = simnet.CosiSim(SimConfig(seed=1, n=16, branching=3, group_name="prod",
                                    mode=multisig.MODE_RESTART,
                                    statement_timing=engine.STATEMENT_AT_CHALLENGE))
-    sign_round = iter(range(3))
+    sign_round = itertools.count()
 
     def sign(statement):
         sim.cfg = dataclasses.replace(sim.cfg, statement=statement)
@@ -363,19 +373,22 @@ def test_benchmark_shaped_stamp_batch_kernel_calls_pinned(monkeypatch):
         return result.signature if result is not None and result.ok else None
     authority = timestamp.TimestampAuthority(sign)
     counts = {"roster": dict(calls)}
-    for batch in range(3):
+    for batch in range(_TABLE_USES + 1):
         calls.clear()
         for i in range(16):
             authority.submit(bytes([batch, i]) * 16)
         _, receipts = authority.round_close(SimConfig.start_time + 10 * batch)
         assert len({receipt.to_bytes() for receipt in receipts.values()}) == 16
         counts[f"batch {batch}"] = dict(calls)
-    assert counts == {"roster": {"_comb": 32, "_straus": 2, "_window": 33,
+    walk = {"_comb": 23, "_straus": 5, "_window": 15}
+    assert counts == {"roster": {"_comb": 16, "_straus": 18, "_window": 49,
                                  "_fixed_base_rows": 1},
                       "batch 0": {"_comb": 22, "_straus": 6, "_window": 31},
-                      "batch 1": {"_comb": 23, "_straus": 5, "_window": 45,
-                                  "_fixed_base_rows": 1},
-                      "batch 2": {"_comb": 23, "_straus": 5, "_window": 15}}
+                      "batch 1": {"_comb": 22, "_straus": 6, "_window": 61},
+                      **{f"batch {batch}": {"_comb": 22, "_straus": 6, "_window": 16}
+                         for batch in range(2, 17)},
+                      "batch 17": {**walk, "_fixed_base_rows": 1},
+                      "batch 18": walk}
 
 
 _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
@@ -384,10 +397,10 @@ _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
 @pytest.mark.parametrize("cfg, msgs, sent_bytes, root_bytes, latency, rejected", [
     # 4 and 6 are leaves under 1
     pytest.param(SimConfig(seed=31, mode=MODE_NO_RESTART, failures=_liars(4, 6), **_PROD_13),
-                 48, 7124, 2489, 0.80085, [(1, 4), (1, 6)], id="no-restart-two-liars-one-parent"),
+                 48, 7064, 2474, 0.80085, [(1, 4), (1, 6)], id="no-restart-two-liars-one-parent"),
     # 1 lies and 0 bridges to its children 4, 5 and 6, of which 5 lies too
     pytest.param(SimConfig(seed=32, mode=MODE_NO_RESTART, failures=_liars(1, 5), **_PROD_13),
-                 54, 7954, 3319, 1.00095, [(0, 1), (0, 5), (1, 5)],
+                 54, 7879, 3289, 1.00095, [(0, 1), (0, 5), (1, 5)],
                  id="no-restart-interior-liar-bridged-liar"),
     pytest.param(SimConfig(seed=33, failures=_liars(7), **_PROD_13),
                  92, 6446, 1688, 1.60145, [(2, 7)], id="restart-leaf-liar"),
@@ -395,7 +408,7 @@ _PROD_13 = dict(n=13, branching=3, scheme="cosi", group_name="prod")
     pytest.param(SimConfig(seed=34, mode=MODE_NO_RESTART,
                            failures=_liars(6) + (FailureAction(5, "response", "crash"),),
                            **_PROD_13),
-                 47, 7065, 2489, 2.20035, [(1, 6)], id="response-timer-after-partials"),
+                 47, 7005, 2474, 2.20035, [(1, 6)], id="response-timer-after-partials"),
 ])
 def test_prod_liar_rounds_pinned(caplog, cfg, msgs, sent_bytes, root_bytes, latency,
                                  rejected):

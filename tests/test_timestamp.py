@@ -8,10 +8,10 @@ import tracemalloc
 
 import pytest
 
-from conftest import assert_cuts_rejected, make_roster, make_toy_roster, manual_round
+from conftest import assert_cuts_rejected, make_roster, make_toy_roster, manual_round, tabled
 
 from cosikit import merkle
-from cosikit.group import ED25519
+from cosikit.group import ED25519, _TABLE_USES
 from cosikit.merkle import InclusionProof, MerkleTree, empty_tree_root, leaf_hash
 from cosikit.multisig import MODE_NO_RESTART, CommitTree, verify_commit_inclusion
 from cosikit.participation import Threshold
@@ -534,31 +534,33 @@ def test_prod_receipt_tampering_rejected_under_a_tabled_key():
         StampReceipt(record, dataclasses.replace(sig, response=sig.response + one), proof),
     ]
     for anchor in (roster, compact_certificate(roster)):
-        for _ in range(2):
+        for _ in range(_TABLE_USES):
             assert verify_receipt(anchor, digest, receipt, Threshold(4)).ok
-        assert len(roster.aggregate_key()._rows) == 37
+        assert len(roster.aggregate_key()._pre) == 37
         for bad in tampered:
             result = verify_receipt(anchor, digest, bad, Threshold(4))
             assert not result.ok and result.reason == "challenge mismatch"
 
 
 def test_prod_receipt_verifications_keep_one_table_per_roster():
-    # The first verification powers the roster key by the ladder and the
-    # second builds its table, about 0.6 MB; the next 198 walk that table
-    # and retain nothing. A table per call, kept, would exceed the bound.
+    # The verifications below `_TABLE_USES` power the roster key by the
+    # ladder and the one that reaches it builds its table, about 0.6 MB; the
+    # next 182 walk that table and retain nothing. A table per call, kept,
+    # would exceed the bound.
     roster, receipts = prod_receipts(72)
     digest, receipt = next(iter(receipts.items()))
+    tabled(ED25519.generator)
     tracemalloc.start()
     try:
-        for _ in range(2):
+        for _ in range(_TABLE_USES):
             assert verify_receipt(roster, digest, receipt, Threshold(4)).ok
-        after_two = tracemalloc.get_traced_memory()[0]
-        for _ in range(198):
+        after_build = tracemalloc.get_traced_memory()[0]
+        for _ in range(200 - _TABLE_USES):
             assert verify_receipt(roster, digest, receipt, Threshold(4)).ok
-        held = tracemalloc.get_traced_memory()[0] - after_two
+        held = tracemalloc.get_traced_memory()[0] - after_build
     finally:
         tracemalloc.stop()
-    assert len(roster.aggregate_key()._rows) == 37
+    assert len(roster.aggregate_key()._pre) == 37
     assert held < 300_000
 
 
