@@ -53,8 +53,6 @@ from .roster import (
     build_key_tree,
     build_roster,
     compact_certificate,
-    make_change_record,
-    verify_roster_chain,
 )
 from .topology import build_bary_tree, prune_and_reconnect, tree_for
 

@@ -35,7 +35,10 @@ View change is the node's own policy (`round_due`): the view's leader starts
 a round due, and every other node arms a progress timer that waits
 `PROGRESS_PATIENCE` and outlasts a live leader's recovery around dead interior
 nodes; a node still in that view with no state for the round when it fires
-votes. On activating a view, a node treats the round as due afresh.
+votes. On activating a view, a node drops every session of an older view, as
+a PBFT replica discards older views' work: it keeps no session of a view below
+its own, so no frame or timer of a superseded session acts in the new view.
+It then treats the round as due afresh.
 
 Nodes are purely reactive: they consume one message or timer event at a time
 and return effects (messages to send, timers to arm, round results). A node's
@@ -783,9 +786,9 @@ class SigningNode:
 
     def _commit_child_gone(self, st: _RoundState, child: int, now: float,
                            crashed: bool = True) -> list:
-        """A child is dead or refused during the commit phase."""
-        if st.phase != PHASE_COMMIT:
-            return []
+        """A child is dead or refused during the commit phase. Each caller
+        checks the phase, and the commit timer's loop ends it only at its
+        last pending child, so the session is in it here."""
         st.pending_commit = _frozen(st.pending_commit - {child})
         if crashed:
             st.failed |= {child}
@@ -880,8 +883,6 @@ class SigningNode:
             return self._responses_done(st, now)
         # A direct contributor, or a bridged one we only know by its head.
         rec = st.records.get(msg.sender) or self._bridged(st, msg.sender)[1]
-        if rec is None:
-            return []
         partial = self._check_partial(st, rec, msg)
         if partial is not None and msg.sender in st.below:
             # Rejecting it bridges its contributors, which should not wait
@@ -945,9 +946,12 @@ class SigningNode:
 
     @staticmethod
     def _bridged(st: _RoundState, node: int) -> tuple:
-        """The contributor whose commit carried `node`'s head, and that head."""
-        return next(((holder, head) for holder, heads in st.below.items() for head in heads
-                     if head.index == node), (None, None))
+        """The contributor whose commit carried `node`'s head, and that head.
+        Every pending responder that is not a direct contributor is such a
+        head: `_response_child_gone` makes only the heads a contributor's
+        commit carried pending."""
+        return next((holder, head) for holder, heads in st.below.items() for head in heads
+                    if head.index == node)
 
     def _anchor_steps_for(self, st: _RoundState, child: int) -> InclusionProof:
         """The path that lifts a digest anchored at `child` up to this node's hash."""
@@ -1030,9 +1034,7 @@ class SigningNode:
             # A bridged grandchild we only know by its head. It has
             # contributors iff a node of its subtree besides itself committed.
             _, summary = self._bridged(st, child)
-            if summary is None:
-                st.unresolvable = f"no commit data for unresponsive witness {child}"
-            elif st.topology.descendants(child) - summary.absent != {child}:
+            if st.topology.descendants(child) - summary.absent != {child}:
                 # Its own contributors' commits are in the aggregate but nobody
                 # reachable holds the data to prove or replace them.
                 st.unresolvable = f"witness {child} and its subtree data are unreachable"
@@ -1185,6 +1187,8 @@ class SigningNode:
         view = self.current_view = msg.proposed_view
         self._view_voters = frozenset(votes)
         self.view_votes = {v: vs for v, vs in self.view_votes.items() if v > view}
+        # sessions of older views: no frame of theirs is read again
+        self.rounds = {k: st for k, st in self.rounds.items() if k[0] >= view}
         logger.info("node %d activates view %d (leader %d)", self.index, view,
                     view_leader(self.roster, view))
         # the round due is due afresh in this view

@@ -1,11 +1,11 @@
-"""Witness rosters, compact anchors, key trees, and roster evolution.
+"""Witness rosters, compact anchors and key trees.
 
 The roster is the static trust anchor: an ordered list of witness ids and
 self-signed public keys with a designated leader. A verifier holds either
 the roster or its compact anchor, which commits to it by an aggregate key
 plus a Merkle key-tree root. Each anchor hands out the aggregate key of a
-signature's present witnesses (`present_key`). Roster changes are
-collectively signed by the old roster and verified as a forward chain.
+signature's present witnesses (`present_key`). A roster's version is part
+of its digest; no record links one version to the next.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import merkle
 from .group import (
@@ -25,12 +25,6 @@ from .group import (
     group_by_name,
     possession_failing,
 )
-
-# Fraction of the old roster that must cosign a roster change: strictly more
-# than two thirds.
-def change_threshold(n: int) -> int:
-    return n * 2 // 3 + 1
-
 
 class RosterError(ValueError):
     pass
@@ -293,70 +287,3 @@ def compact_certificate(roster: WitnessRoster) -> CompactAnchor:
     return CompactAnchor(group=roster.group, aggregate_key=roster.aggregate_key(),
                          key_tree_root=build_key_tree(roster).root,
                          weights=roster.weights, total_weight=roster.total_weight)
-
-
-# ---------------------------------------------------------------------------
-# Roster evolution: collectively-signed change records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RosterChangeRecord:
-    old_version: int
-    new_roster: WitnessRoster
-    signature: "object"  # multisig.CollectiveSignature
-
-    def statement(self) -> bytes:
-        return change_statement(self.old_version, self.new_roster)
-
-
-def change_statement(old_version: int, new_roster: WitnessRoster) -> bytes:
-    head = b"cosi/roster-change/v1" + old_version.to_bytes(8, "big") \
-        + new_roster.version.to_bytes(8, "big")
-    return head + new_roster.digest()
-
-
-def make_change_record(old_roster: WitnessRoster, new_roster: WitnessRoster,
-                       sign: Callable[[bytes], "object"]) -> RosterChangeRecord:
-    """Have the old roster cosign the transition to the new roster.
-
-    `sign` runs a signing round over the old roster and returns the
-    collective signature for the given statement bytes.
-    """
-    if new_roster.version != old_roster.version + 1:
-        raise RosterError("roster versions must be strictly sequential")
-    statement = change_statement(old_roster.version, new_roster)
-    signature = sign(statement)
-    record = RosterChangeRecord(
-        old_version=old_roster.version,
-        new_roster=new_roster,
-        signature=signature,
-    )
-    _check_record(old_roster, record)
-    return record
-
-
-def _check_record(current: WitnessRoster, record: RosterChangeRecord) -> None:
-    from . import multisig  # local import: multisig depends on this module
-    from .participation import Threshold
-
-    if record.old_version != current.version:
-        raise RosterError(f"chain gap: record starts at version {record.old_version}, "
-                          f"roster is at {current.version}")
-    # the signed version, which the statement binds
-    if record.new_roster.version != current.version + 1:
-        raise RosterError("roster versions must be strictly sequential")
-    predicate = Threshold(change_threshold(len(current)))
-    result = multisig.verify_collective(current, record.statement(),
-                                        record.signature, predicate)
-    if not result.ok:
-        raise RosterError(f"change record signature rejected: {result.reason}")
-
-
-def verify_roster_chain(start: WitnessRoster,
-                        records: Sequence[RosterChangeRecord]) -> WitnessRoster:
-    """Walk a change chain forward, validating each record under its predecessor."""
-    current = start
-    for record in records:
-        _check_record(current, record)
-        current = record.new_roster
-    return current

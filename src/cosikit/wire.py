@@ -49,6 +49,13 @@ def _int(n: int, read: Callable = lambda g, raw: int.from_bytes(raw, "big")) -> 
     return _fixed(lambda g: n, read, lambda v: v.to_bytes(n, "big"))
 
 
+def _digest(value: bytes) -> bytes:
+    # the decoder reads exactly DIGEST_SIZE bytes, so no other length is written
+    if len(value) != DIGEST_SIZE:
+        raise ValueError(f"a digest is {DIGEST_SIZE} bytes, not {len(value)}")
+    return value
+
+
 def _read_flag(group, raw: bytes) -> bool:
     if raw[0] > 1:
         raise DecodeError(f"flag byte {raw[0]} is neither 0 nor 1")
@@ -87,7 +94,7 @@ def _records(layout: _Layout) -> _Kind:
 U8, U16, U32 = _int(1), _int(2), _int(4)
 INDEX = U32._replace(decode=lambda r, g: r.index())  # below the roster size
 FLAG = _int(1, _read_flag)
-DIGEST = _fixed(lambda g: DIGEST_SIZE, lambda g, raw: raw, lambda v: v)
+DIGEST = _fixed(lambda g: DIGEST_SIZE, lambda g, raw: raw, _digest)
 ELEMENT = _fixed(lambda g: g.element_size, lambda g, raw: g.decode_element(raw))
 SCALAR = _fixed(lambda g: g.scalar_size, lambda g, raw: g.decode_scalar(raw))
 SIGNATURE = _fixed(lambda g: g.element_size + g.scalar_size, Signature.decode)

@@ -25,8 +25,8 @@ def make_toy_roster(secrets, **kwargs) -> WitnessRoster:
     return make_roster(TOY, secrets, **kwargs)
 
 
-def make_roster(group, secrets, leader_index: int = 0, version: int = 0,
-                weights=None, rng=None) -> WitnessRoster:
+def make_roster(group, secrets, leader_index: int = 0, weights=None,
+                rng=None) -> WitnessRoster:
     rng = rng or random.Random(1234)
     entries = []
     for i, x in enumerate(secrets):
@@ -36,7 +36,7 @@ def make_roster(group, secrets, leader_index: int = 0, version: int = 0,
             key=prove_possession(kp, rng),
             weight=1 if weights is None else weights[i],
         ))
-    return build_roster(entries, leader_index=leader_index, version=version)
+    return build_roster(entries, leader_index=leader_index)
 
 
 def audit_path(*steps) -> InclusionProof:

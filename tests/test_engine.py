@@ -320,8 +320,12 @@ def test_decoders_accept_only_what_encoders_write(case):
     well-formed message."""
     challenge = _routed_messages(2)[Challenge]
     if case in ("short-root", "long-root"):
+        # the root is the last fixed field before the statement's flag byte
+        body = encode_message(challenge, TOY)[4:]
+        at = 1 + 14 + TOY.scalar_size + TOY.element_size
+        assert body[at:at + 32] == challenge.commit_root
         root = b"\x04" * (31 if case == "short-root" else 33)
-        body = encode_message(replace(challenge, commit_root=root), TOY)[4:]
+        body = body[:at] + root + body[at + 32:]
     elif case == "opt-flag":
         body = encode_message(replace(challenge, statement=b"late"), TOY)[4:]
         at = 1 + 14 + TOY.scalar_size + TOY.element_size + 32  # after the root
@@ -338,6 +342,13 @@ def test_decoders_accept_only_what_encoders_write(case):
         body = body[:at] + swapped + body[at + 8:]
     with pytest.raises(DecodeError):
         decode_frame_body(body, TOY, 7)
+
+
+def test_encoder_refuses_a_digest_of_another_length():
+    challenge = _routed_messages(2)[Challenge]
+    for length in (31, 33):
+        with pytest.raises(ValueError, match=f"a digest is 32 bytes, not {length}"):
+            encode_message(replace(challenge, commit_root=b"\x04" * length), TOY)
 
 
 def test_second_conflicting_challenge_refused():
@@ -595,6 +606,22 @@ def test_hook_refusal_on_late_bound_statement(mode):
     assert node.nonce_log == []
 
 
+def test_refusal_for_a_trimmed_session_keeps_no_state():
+    """A witness that holds `ROUND_STATES_KEPT` newer sessions trims an
+    older round's session as it opens it; its hook's refusal still goes out,
+    and the witness keeps nothing for that round."""
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    node = make_node(2, roster, secrets, hook=lambda statement, now: False)
+    for rnd in range(1, engine.ROUND_STATES_KEPT + 1):
+        node.handle_message(announce_for(roster, rnd=rnd), now=0.0)
+    newer = set(node.rounds)
+    effects = node.handle_message(announce_for(roster, rnd=0), now=0.1)
+    assert [(e.dest, e.msg.round, e.msg.reason) for e in effects] == [
+        (0, 0, engine.REFUSE_STATEMENT)]
+    assert set(node.rounds) == newer and (0, 0, 0) not in node.rounds
+
+
 def chain_record(seq: int, prev_hash: bytes, payload: bytes) -> bytes:
     """A record `make_hash_chain_hook` reads: seq | prev-hash | payload."""
     return seq.to_bytes(8, "big") + prev_hash + payload
@@ -615,6 +642,18 @@ def test_hash_chain_hook():
     third = chain_record(3, b"\x11" * 32, b"payload-3")
     assert not hook(third, 0.0)
     assert hook(chain_record(3, hashlib.sha256(second).digest(), b"payload-3"), 0.0)
+
+
+def test_hash_chain_witness_refuses_a_short_record():
+    """A statement one byte short of a sequence number and a head is no
+    record: a `hash-chain` witness refuses it on announce."""
+    secrets = [3, 4, 5]
+    roster = make_toy_roster(secrets)
+    node = make_node(2, roster, secrets, hook=engine.make_validation_hook("hash-chain"))
+    short = chain_record(1, b"\x00" * 32, b"")[:39]
+    effects = node.handle_message(announce_for(roster, statement=short), now=0.0)
+    assert [(e.dest, type(e.msg), e.msg.reason) for e in effects] == [
+        (0, Refuse, engine.REFUSE_STATEMENT)]
 
 
 @pytest.mark.parametrize("fault", [FailureAction(3, "response", "lie"),
@@ -1624,6 +1663,26 @@ def test_crashed_leader_replaced_once_for_later_rounds(monkeypatch):
     assert {v.proposed_view for v in votes} == {1} and len(votes) == 63 * 63  # dead 0 too
     # rounds 2 and 3 run in view 1 from the start: no timeout, no restart
     assert [m.total_msgs for m in out.metrics[1:]] == [248, 248]
+
+
+def test_deposed_leader_drops_its_old_view_sessions():
+    """Node 0 leads a round in view 0, then activates view 1 on three votes.
+    Its view-0 commit timer then finds no session: it neither restarts the
+    round in view 1, which node 1 leads, nor signs it alone."""
+    secrets = [3, 4, 5, 6]
+    roster = make_toy_roster(secrets)
+    rng = random.Random(16)
+    node = make_node(0, roster, secrets)
+    node.start_round(engine.RoundConfig(round_number=0, branching=3, max_restarts=2),
+                     b"s", 0.0)
+    assert list(node.rounds) == [(0, 0, 0)]
+    for signer in (1, 2, 3):
+        kp = KeyPair.from_secret(TOY, secrets[signer])
+        sig = schnorr_sign(kp, view_vote_statement(roster, 1), rng)
+        node.handle_message(ViewChange(proposed_view=1, signer=signer, signature=sig), 0.5)
+    assert node.current_view == 1
+    assert node.on_timer(("commit", 0, 0, 0), 1.0) == []
+    assert node.rounds == {}
 
 
 def test_activation_drops_vote_tables_up_to_the_new_view():

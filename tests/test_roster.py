@@ -25,21 +25,16 @@ from cosikit.multisig import verify_collective
 from cosikit.participation import Threshold, WeightedThreshold
 from cosikit.roster import (
     ProvenKey,
-    RosterChangeRecord,
     RosterEntry,
     RosterError,
     WitnessRoster,
     build_key_tree,
     build_roster,
-    change_statement,
-    change_threshold,
     compact_certificate,
     load_roster,
-    make_change_record,
     roster_from_json_obj,
     save_roster,
     verify_key,
-    verify_roster_chain,
 )
 
 
@@ -288,71 +283,3 @@ def test_compact_anchor_weighs_witnesses_as_the_roster_does():
         assert res.crypto_ok and not res.predicate_ok
         assert res.reason == "predicate rejected participation set"
         assert verify_collective(held, b"weighed", sig, WeightedThreshold(1)).ok
-
-
-# -- roster evolution ----------------------------------------------------------
-
-def _signer_for(roster, secrets):
-    def sign(statement: bytes):
-        return manual_round(roster, secrets, statement)
-    return sign
-
-
-def test_change_threshold():
-    assert change_threshold(3) == 3
-    assert change_threshold(4) == 3
-    assert change_threshold(6) == 5
-    assert change_threshold(9) == 7
-
-
-def test_roster_chain_walk():
-    s0 = [3, 4, 5]
-    r0 = make_toy_roster(s0, version=0)
-    s1 = [3, 4, 6]
-    r1 = make_toy_roster(s1, version=1)
-    s2 = [7, 4, 6]
-    r2 = make_toy_roster(s2, version=2)
-    rec1 = make_change_record(r0, r1, _signer_for(r0, s0))
-    rec2 = make_change_record(r1, r2, _signer_for(r1, s1))
-
-    assert verify_roster_chain(r0, []) is r0
-    assert verify_roster_chain(r0, [rec1]).digest() == r1.digest()
-    final = verify_roster_chain(r0, [rec1, rec2])
-    assert final.digest() == r2.digest()
-    # prefix of a valid chain is valid (checked above); a gap is not
-    with pytest.raises(RosterError):
-        verify_roster_chain(r0, [rec2])
-
-
-def test_version_gap_rejected():
-    r0 = make_toy_roster([3, 4, 5], version=0)
-    r2 = make_toy_roster([3, 4, 6], version=2)
-    with pytest.raises(RosterError):
-        make_change_record(r0, r2, _signer_for(r0, [3, 4, 5]))
-
-
-def test_below_threshold_change_rejected():
-    s0 = [3, 4, 5]
-    r0 = make_toy_roster(s0, version=0)
-    r1 = make_toy_roster([3, 4, 6], version=1)
-
-    def weak_sign(statement):
-        # only 2 of 3 cosign; the 2/3-majority rule needs all 3 for N=3
-        return manual_round(r0, s0, statement, absent={2})
-
-    with pytest.raises(RosterError):
-        make_change_record(r0, r1, weak_sign)
-
-
-def test_chain_checks_the_version_that_was_signed():
-    """The old roster signs a change to a roster that is still at version 0.
-    The record is checked by the version its signed roster carries, so the
-    chain does not walk back to version 0."""
-    s0 = [3, 4, 5]
-    r0 = make_toy_roster(s0, version=0)
-    stale = make_toy_roster([3, 4, 6], version=0)
-    sig = manual_round(r0, s0, change_statement(0, stale))
-    record = RosterChangeRecord(old_version=0, new_roster=stale, signature=sig)
-    assert verify_collective(r0, record.statement(), sig, Threshold(3)).ok
-    with pytest.raises(RosterError, match="strictly sequential"):
-        verify_roster_chain(r0, [record])

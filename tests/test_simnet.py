@@ -475,6 +475,23 @@ def test_one_more_round_retains_little_per_node(mode):
     assert retained <= bound * n, f"{retained / n:.0f} bytes per node"
 
 
+def test_superseded_leader_does_not_answer_for_the_new_view():
+    """With view change on and no restarts, round 1 ends in view 2. Its
+    result is view 2's leader's, which counts the superseded leaders 0 and 1
+    as failed with crashed 15; no leader counts itself. A deposed leader that
+    kept its view-0 session would let that session's timer end the round in
+    view 2 with only its own failed child, {1}."""
+    cfg = SimConfig(seed=180, n=37, branching=1, mode=multisig.MODE_RESTART,
+                    statement_timing=engine.STATEMENT_AT_CHALLENGE, view_change=True,
+                    max_restarts=0, rounds=2,
+                    failures=(FailureAction(15, "announce", "crash"),
+                              FailureAction(7, "announce", "lie"),
+                              FailureAction(1, "commit", "crash")))
+    result = run_sim_detailed(cfg).results[1]
+    assert not result.ok and result.view == 2
+    assert result.failed == {0, 1, 15}
+
+
 @pytest.mark.parametrize("mode", [multisig.MODE_RESTART, MODE_NO_RESTART])
 def test_node_and_simulator_state_stop_growing(mode):
     """A long-lived simulation holds bounded state: after warm-up, the summed
